@@ -20,6 +20,7 @@ from .errors import (
     HorizonExceeded,
     HorizonMismatch,
     InvalidSystem,
+    InvalidValue,
     NotSeparatedError,
     ProgressivenessError,
     SizeLimitError,
@@ -40,10 +41,7 @@ from .signals import (
     Signal,
     SignalSet,
     Tick,
-    canonicalize,
-    initial_value,
     interleave_rho,
-    is_prefix_progressive,
     permute_signal,
     product_rho,
     product_set,
@@ -51,7 +49,6 @@ from .signals import (
     project_signal,
     round_robin,
     unit_step,
-    value_at,
 )
 from .systems import (
     DecompositionResult,

@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .errors import CoordinateError, NotSeparatedError, SizeLimitError, WidthMismatch
+from .errors import CoordinateError, InvalidValue, NotSeparatedError, SizeLimitError, WidthMismatch
 from .signals import BitVec, gather_bits, scatter_bits
 
 DEFAULT_SIZE_LIMIT = 20
@@ -26,9 +26,11 @@ def size_limit() -> int:
     if raw is None:
         return DEFAULT_SIZE_LIMIT
     try:
-        return int(raw)
+        if int(raw) >= 0:
+            return int(raw)
     except ValueError:
-        raise SizeLimitError(f"{SIZE_LIMIT_ENV} must be an integer, got {raw!r}")
+        pass
+    raise SizeLimitError(f"{SIZE_LIMIT_ENV} must be a non-negative integer, got {raw!r}")
 
 
 def check_scan_size(n: int, m: int, limit: int | None):
@@ -56,11 +58,11 @@ class GeneratorFn:
             raise WidthMismatch(f"input width must be >= 0, got {self.m}")
         expected = 1 << (self.n + self.m)
         if len(self.table) != expected:
-            raise ValueError(
+            raise InvalidValue(
                 f"table has {len(self.table)} rows, expected {expected} for n={self.n} m={self.m}"
             )
         if self.table and (min(self.table) < 0 or max(self.table) >> self.n):
-            raise ValueError(f"table entry out of range for output width {self.n}")
+            raise InvalidValue(f"table entry out of range for output width {self.n}")
 
     @classmethod
     def from_function(cls, n: int, m: int, fn: Callable[[BitVec, BitVec], BitVec]) -> "GeneratorFn":
@@ -147,6 +149,47 @@ class DependencyMatrix:
             tuple((row >> j) & 1 for j in range(self.n)) for row in self.rows
         )
 
+    def cross_dependency(self, block: Iterable[int]) -> tuple[int, int] | None:
+        """The first (i, j) with coordinate i depending on mu_j across the
+        block boundary, block rows before complement rows, each ascending."""
+        bs, cs = _split_blocks(self.n, block)
+        for i_side, j_side in ((bs, cs), (cs, bs)):
+            for i in i_side:
+                for j in j_side:
+                    if (self.rows[i - 1] >> (j - 1)) & 1:
+                        return i, j
+        return None
+
+    def components(self) -> "Partition":
+        """Connected components of the symmetrized dependency graph.
+
+        Every union of the returned blocks is a separated block, and no
+        strictly finer partition has all blocks pairwise separated.
+        """
+        n = self.n
+        adj = [
+            self.rows[i] | sum(((self.rows[j] >> i) & 1) << j for j in range(n))
+            for i in range(n)
+        ]
+        seen = [False] * n
+        blocks = []
+        for start in range(n):
+            if seen[start]:
+                continue
+            comp = []
+            stack = [start]
+            seen[start] = True
+            while stack:
+                v = stack.pop()
+                comp.append(v + 1)
+                for w in range(n):
+                    if not seen[w] and (adj[v] >> w) & 1:
+                        seen[w] = True
+                        stack.append(w)
+            blocks.append(tuple(sorted(comp)))
+        blocks.sort(key=lambda b: b[0])
+        return Partition.from_blocks(blocks)
+
 
 def dependency_matrix(phi: GeneratorFn, limit: int | None = None) -> DependencyMatrix:
     """D[i][j] = 1 iff the derivative of coordinate i w.r.t. mu_j is not zero."""
@@ -183,37 +226,36 @@ def parallel_fn(a: GeneratorFn, b: GeneratorFn) -> GeneratorFn:
     return GeneratorFn(n, a.m, tuple(rows))
 
 
-def _split_blocks(phi: GeneratorFn, block: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    bs = sorted(set(block))
-    if not bs or bs[0] < 1 or bs[-1] > phi.n:
-        raise CoordinateError(f"block {bs} not within 1..{phi.n}")
-    if len(bs) == phi.n:
+def _split_blocks(n: int, block: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(block, complement) within 1..n, both ascending; the block must be a
+    proper nonempty subset."""
+    members = set(block)
+    bs = sorted(members)
+    if not bs or bs[0] < 1 or bs[-1] > n:
+        raise CoordinateError(f"block {bs} not within 1..{n}")
+    if len(bs) == n:
         raise CoordinateError("block must be a proper nonempty subset of the coordinates")
-    cs = tuple(i for i in range(1, phi.n + 1) if i not in set(bs))
-    return tuple(bs), cs
+    return tuple(bs), tuple(i for i in range(1, n + 1) if i not in members)
 
 
 def dependency_witness(phi: GeneratorFn, block: Iterable[int]):
-    """A cross-block dependency (i, j, mu, lam), or None if the block is separated."""
-    bs, cs = _split_blocks(phi, block)
+    """A cross-block dependency (i, j, mu, lam) at the lowest row where the
+    derivative of coordinate i w.r.t. mu_j is 1, or None if separated."""
+    pair = dependency_matrix(phi).cross_dependency(block)
+    if pair is None:
+        return None
+    i, j = pair
     table = phi.table
-    n = phi.n
-    mask = (1 << n) - 1
-    for i_side, j_side in ((bs, cs), (cs, bs)):
-        for i in i_side:
-            ibit = 1 << (i - 1)
-            for j in j_side:
-                jbit = 1 << (j - 1)
-                for r, out in enumerate(table):
-                    if (out ^ table[r ^ jbit]) & ibit:
-                        return i, j, BitVec(n, r & mask), BitVec(phi.m, r >> n)
-    return None
+    ibit = 1 << (i - 1)
+    jbit = 1 << (j - 1)
+    r = next(r for r, out in enumerate(table) if (out ^ table[r ^ jbit]) & ibit)
+    return i, j, BitVec(phi.n, r & ((1 << phi.n) - 1)), BitVec(phi.m, r >> phi.n)
 
 
 def is_separated(phi: GeneratorFn, block: Iterable[int]) -> bool:
     """Whether no coordinate inside the block depends on a state bit outside
     it, and vice versa (all cross-block derivatives identically zero)."""
-    return dependency_witness(phi, block) is None
+    return dependency_matrix(phi).cross_dependency(block) is None
 
 
 def project_fn(phi: GeneratorFn, block: Iterable[int], fill: int = 0) -> GeneratorFn:
@@ -223,7 +265,7 @@ def project_fn(phi: GeneratorFn, block: Iterable[int], fill: int = 0) -> Generat
     the complement in ascending order, default all zeros).  When the block is
     separated the choice of `fill` is irrelevant.
     """
-    bs, cs = _split_blocks(phi, block)
+    bs, cs = _split_blocks(phi.n, block)
     nb = len(bs)
     frozen = scatter_bits(fill, cs)
     rows = []
@@ -276,13 +318,6 @@ class Partition:
         return len(self.permutation)
 
 
-def bipartition(n: int, block: Iterable[int]) -> Partition:
-    """The two-block partition (block, complement), both ascending."""
-    bs = tuple(sorted(set(block)))
-    cs = tuple(i for i in range(1, n + 1) if i not in set(bs))
-    return Partition.from_blocks((bs, cs))
-
-
 def permute_fn(phi: GeneratorFn, permutation: Sequence[int]) -> GeneratorFn:
     """Relabel state coordinates: old coordinate i becomes permutation[i-1]."""
     if sorted(permutation) != list(range(1, phi.n + 1)):
@@ -297,32 +332,9 @@ def permute_fn(phi: GeneratorFn, permutation: Sequence[int]) -> GeneratorFn:
 
 
 def finest_partition(phi: GeneratorFn, limit: int | None = None) -> Partition:
-    """Connected components of the symmetrized state-dependency graph.
-
-    Every union of the returned blocks is a separated block, and no strictly
-    finer partition has all blocks pairwise separated.
-    """
-    dm = dependency_matrix(phi, limit)
-    n = phi.n
-    adj = [dm.rows[i] | sum(((dm.rows[j] >> i) & 1) << j for j in range(n)) for i in range(n)]
-    seen = [False] * n
-    blocks = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        comp = []
-        stack = [start]
-        seen[start] = True
-        while stack:
-            v = stack.pop()
-            comp.append(v + 1)
-            for w in range(n):
-                if not seen[w] and (adj[v] >> w) & 1:
-                    seen[w] = True
-                    stack.append(w)
-        blocks.append(tuple(sorted(comp)))
-    blocks.sort(key=lambda b: b[0])
-    return Partition.from_blocks(blocks)
+    """The finest partition into pairwise separated blocks; see
+    `DependencyMatrix.components`."""
+    return dependency_matrix(phi, limit).components()
 
 
 def split_fn(phi: GeneratorFn, block: Iterable[int]) -> tuple[GeneratorFn, GeneratorFn, Partition]:
@@ -336,7 +348,7 @@ def split_fn(phi: GeneratorFn, block: Iterable[int]) -> tuple[GeneratorFn, Gener
     witness = dependency_witness(phi, block)
     if witness is not None:
         raise NotSeparatedError(*witness)
-    bs, cs = _split_blocks(phi, block)
+    bs, cs = _split_blocks(phi.n, block)
     first = project_fn(phi, bs)
     second = project_fn(phi, cs)
     return first, second, Partition.from_blocks((bs, cs))

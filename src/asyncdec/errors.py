@@ -5,6 +5,10 @@ class AsyncDecError(Exception):
     """Base class for all asyncdec errors."""
 
 
+class InvalidValue(AsyncDecError, ValueError):
+    """A value violates a core invariant (range, bit, ordering or size)."""
+
+
 class WidthMismatch(AsyncDecError):
     """Operands have incompatible coordinate widths."""
 

@@ -9,8 +9,6 @@ from .fileio import (
     MissingRowError,
     OrderingError,
     WidthInconsistencyError,
-    format_rho,
-    format_signal,
     format_system,
     format_truth_table,
     load_rho,
@@ -21,6 +19,7 @@ from .fileio import (
     parse_signal,
     parse_system,
     parse_truth_table,
+    read_text,
     save_rho,
     save_signal,
     save_system,

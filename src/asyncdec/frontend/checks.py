@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from ..boolfn import (
     GeneratorFn,
+    Partition,
     finest_partition,
     is_separated,
     parallel_fn,
@@ -155,15 +156,8 @@ def recompose_verdict(phi: GeneratorFn, block) -> bool:
     bs = sorted(set(block))
     cs = [i for i in range(1, phi.n + 1) if i not in set(bs)]
     recomposed = parallel_fn(project_fn(phi, bs), project_fn(phi, cs))
-    relabeled = permute_fn(phi, _block_permutation(phi.n, bs, cs))
+    relabeled = permute_fn(phi, Partition.from_blocks((bs, cs)).permutation)
     return recomposed.table == relabeled.table
-
-
-def _block_permutation(n: int, bs, cs) -> tuple[int, ...]:
-    perm = [0] * n
-    for pos, i in enumerate(list(bs) + list(cs), start=1):
-        perm[i - 1] = pos
-    return tuple(perm)
 
 
 def theorem26_suite(seed: int, cases: int) -> CheckReport:

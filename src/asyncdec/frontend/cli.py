@@ -17,7 +17,7 @@ import argparse
 import sys
 from datetime import datetime, timezone
 
-from ..boolfn import GeneratorFn, dependency_matrix, finest_partition, is_separated
+from ..boolfn import GeneratorFn, dependency_matrix, finest_partition
 from ..errors import AsyncDecError, NotSeparatedError
 from ..semantics import run
 from ..signals import BitVec
@@ -26,7 +26,7 @@ from . import checks
 from .dsl import compile_program, parse_dsl
 from .fileio import (
     LoadError,
-    format_signal,
+    _split_lines,
     format_system,
     format_truth_table,
     load_rho,
@@ -34,6 +34,7 @@ from .fileio import (
     load_system,
     load_truth_table,
     parse_truth_table,
+    read_text,
     save_system,
 )
 
@@ -42,18 +43,20 @@ _EXIT_VIOLATED = 1
 _EXIT_INPUT = 2
 
 
+def _first_line(text: str) -> str:
+    """The first line that is neither blank nor a comment, or ''."""
+    return next(_split_lines(text), (0, ""))[1]
+
+
 def _load_phi(path: str) -> GeneratorFn:
     """A truth table if the file opens with its header, else the equation DSL."""
-    with open(path) as f:
-        text = f.read()
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("n=") and " m=" in line:
-            return parse_truth_table(text)
-        return compile_program(parse_dsl(text))
-    raise LoadError(f"{path}: empty file")
+    text = read_text(path)
+    line = _first_line(text)
+    if not line:
+        raise LoadError(f"{path}: empty file")
+    if line.startswith("n=") and " m=" in line:
+        return parse_truth_table(text)
+    return compile_program(parse_dsl(text))
 
 
 def _write_doc(path: str | None, pairs: list[tuple[str, str]]) -> None:
@@ -71,7 +74,7 @@ def _blocks_text(blocks) -> str:
 def _cmd_analyze(args) -> int:
     phi = _load_phi(args.phi)
     dm = dependency_matrix(phi)
-    part = finest_partition(phi)
+    part = dm.components()
     print(f"generator function: n={phi.n} m={phi.m}")
     print("dependency matrix (row i, column j; 1 = coordinate i depends on mu_j):")
     for row in dm.as_matrix():
@@ -89,7 +92,7 @@ def _cmd_analyze(args) -> int:
         doc.append(("separated.blocks", "none"))
     else:
         for k, block in enumerate(part.blocks, start=1):
-            verdict = is_separated(phi, block)
+            verdict = dm.cross_dependency(block) is None
             certificate = "separated" if verdict else "NOT separated"
             print(f"block {{{','.join(map(str, block))}}}: {certificate}")
             doc.append((f"block.{k}", ",".join(map(str, block))))
@@ -121,10 +124,10 @@ def _cmd_simulate(args) -> int:
         rho = rho.truncated(horizon)
     traj = run(phi, mu, u, rho, horizon)
     print(traj.dump())
-    print(f"signal: {format_signal(traj.signal)}")
+    print(f"signal: {traj.signal}")
     _write_doc(
         args.out,
-        [("horizon", str(horizon)), ("signal", format_signal(traj.signal))]
+        [("horizon", str(horizon)), ("signal", str(traj.signal))]
         + [(f"omega.{k - 1}", str(s)) for k, s in enumerate(traj.states)],
     )
     return _EXIT_OK
@@ -137,18 +140,14 @@ def _parse_state(text: str, n: int) -> BitVec:
 
 
 def _sniff_bundle(path: str) -> bool:
-    with open(path) as f:
-        for raw in f:
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                return line.startswith("[")
-    return False
+    return _first_line(read_text(path)).startswith("[")
 
 
 def _cmd_compose(args) -> int:
-    if _sniff_bundle(args.first) != _sniff_bundle(args.second):
+    bundles = _sniff_bundle(args.first)
+    if bundles != _sniff_bundle(args.second):
         raise LoadError("compose needs two truth tables or two system bundles")
-    if _sniff_bundle(args.first):
+    if bundles:
         from ..systems import parallel_system
 
         combined = parallel_system(load_system(args.first), load_system(args.second))
@@ -177,11 +176,11 @@ def _decompose_once(sys: RegularSystem, block, horizon, label: str, doc) -> tupl
     print(f"  schedule product condition: {'holds' if holds else 'fails'}")
     if not holds:
         u, mu, rb, rc = result.product_condition.witness
-        print(f"  witness: mu={mu} u={format_signal(u)}")
+        print(f"  witness: mu={mu} u={u}")
         print(f"           rho'={rb}")
         print(f"           rho''={rc}")
     for u, own, hull in result.hull_sizes:
-        print(f"  input {format_signal(u)}: own {own} states, hull {hull} states")
+        print(f"  input {u}: own {own} states, hull {hull} states")
     doc.append((f"{label}.status", result.status))
     doc.append((f"{label}.phi0_product_form", str(int(result.phi0_product_form))))
     doc.append((f"{label}.product_condition", str(int(holds))))
@@ -195,7 +194,10 @@ def _cmd_decompose(args) -> int:
     factors = []
     statuses = []
     if args.block:
-        block = sorted(int(x) for x in args.block.split(","))
+        try:
+            block = sorted(int(x) for x in args.block.split(","))
+        except ValueError:
+            raise LoadError(f"--block must be comma-separated coordinates, got {args.block!r}")
         result = _decompose_once(sys_, block, horizon, "step1", doc)
         factors = [result.first, result.second]
         statuses = [result.status]
@@ -237,6 +239,8 @@ _THM_ORDER = ("26", "27", "30", "32", "34", "example1")
 
 
 def _cmd_verify(args) -> int:
+    if args.cases < 1:
+        raise LoadError(f"--cases must be at least 1, got {args.cases}")
     chosen = _THM_ORDER if args.thm == "all" else (args.thm,)
     reports = []
     for thm in chosen:

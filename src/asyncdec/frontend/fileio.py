@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import os
 import re
+from contextlib import contextmanager
 
 from ..boolfn import GeneratorFn
-from ..errors import AsyncDecError
+from ..errors import AsyncDecError, HorizonExceeded, InvalidValue, WidthMismatch
 from ..signals import BitVec, ProgressiveFunction, Signal
 from ..systems import RegularSystem
 
@@ -52,6 +53,15 @@ class BundleError(LoadError):
 
 
 _BITS = re.compile(r"^[01]+$")
+
+
+def read_text(path: str) -> str:
+    """The whole file, decoded strictly as UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise LoadError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def _parse_bits(text: str, where: str) -> BitVec:
@@ -130,8 +140,7 @@ def parse_truth_table(text: str) -> GeneratorFn:
 
 
 def load_truth_table(path: str) -> GeneratorFn:
-    with open(path) as f:
-        return parse_truth_table(f.read())
+    return parse_truth_table(read_text(path))
 
 
 def save_truth_table(phi: GeneratorFn, path: str) -> None:
@@ -161,18 +170,15 @@ def _parse_events(text: str, where: str):
     return events
 
 
-def _check_event_line(events, width, horizon, where):
-    prev = None
-    for t, v in events:
-        if prev is not None and t <= prev:
-            raise OrderingError(f"{where}: event ticks not strictly increasing at {t}")
-        prev = t
-        if v.width != width:
-            raise WidthInconsistencyError(
-                f"{where}: event value width {v.width}, expected {width}"
-            )
-        if t > horizon:
-            raise OrderingError(f"{where}: event tick {t} beyond horizon {horizon}")
+@contextmanager
+def _event_errors(where: str):
+    """Report the core event-line checks as format errors prefixed by `where`."""
+    try:
+        yield
+    except WidthMismatch as exc:
+        raise WidthInconsistencyError(f"{where}: {exc}") from None
+    except (InvalidValue, HorizonExceeded) as exc:
+        raise OrderingError(f"{where}: {exc}") from None
 
 
 def parse_signal(line: str, where: str = "signal") -> Signal:
@@ -189,8 +195,8 @@ def parse_signal(line: str, where: str = "signal") -> Signal:
             f"{where}: init width {initial.width}, expected {width}"
         )
     events = _parse_events(match.group(4), where)
-    _check_event_line(events, width, horizon, where)
-    return Signal(width, initial, tuple(events), horizon)
+    with _event_errors(where):
+        return Signal(width, initial, tuple(events), horizon)
 
 
 def parse_rho(line: str, where: str = "schedule") -> ProgressiveFunction:
@@ -202,21 +208,12 @@ def parse_rho(line: str, where: str = "schedule") -> ProgressiveFunction:
     width = int(match.group(1))
     horizon = int(match.group(3))
     events = _parse_events(match.group(4), where)
-    _check_event_line(events, width, horizon, where)
-    return ProgressiveFunction(width, tuple(events), horizon)
-
-
-def format_signal(x: Signal) -> str:
-    return str(x)
-
-
-def format_rho(rho: ProgressiveFunction) -> str:
-    return str(rho)
+    with _event_errors(where):
+        return ProgressiveFunction(width, tuple(events), horizon)
 
 
 def load_signal(path: str) -> Signal:
-    with open(path) as f:
-        lines = list(_split_lines(f.read()))
+    lines = list(_split_lines(read_text(path)))
     if len(lines) != 1:
         raise MalformedRowError(f"{path}: expected exactly one signal line, found {len(lines)}")
     return parse_signal(lines[0][1], where=f"{path} line {lines[0][0]}")
@@ -224,12 +221,11 @@ def load_signal(path: str) -> Signal:
 
 def save_signal(x: Signal, path: str) -> None:
     with open(path, "w") as f:
-        f.write(format_signal(x) + "\n")
+        f.write(f"{x}\n")
 
 
 def load_rho(path: str) -> ProgressiveFunction:
-    with open(path) as f:
-        lines = list(_split_lines(f.read()))
+    lines = list(_split_lines(read_text(path)))
     if len(lines) != 1:
         raise MalformedRowError(f"{path}: expected exactly one schedule line, found {len(lines)}")
     return parse_rho(lines[0][1], where=f"{path} line {lines[0][0]}")
@@ -237,7 +233,7 @@ def load_rho(path: str) -> ProgressiveFunction:
 
 def save_rho(rho: ProgressiveFunction, path: str) -> None:
     with open(path, "w") as f:
-        f.write(format_rho(rho) + "\n")
+        f.write(f"{rho}\n")
 
 
 # -- system bundles ------------------------------------------------------
@@ -254,7 +250,7 @@ def format_system(sys: RegularSystem) -> str:
                 rho_names[rho] = f"r{len(rho_names)}"
     lines = ["[phi]", format_truth_table(sys.phi).rstrip("\n"), "[inputs]"]
     for u in sys.inputs:
-        lines.append(f"{input_names[u]} = {format_signal(u)}")
+        lines.append(f"{input_names[u]} = {u}")
     lines.append("[phi0]")
     for u in sys.inputs:
         bits = ", ".join(str(mu) for mu in sorted(sys.phi0[u], key=lambda b: b.value))
@@ -269,7 +265,7 @@ def format_system(sys: RegularSystem) -> str:
             lines.append(f"{mu} @ {input_names[u]}: {names}")
     for rho, name in rho_names.items():
         lines.append(f"[rho {name}]")
-        lines.append(format_rho(rho))
+        lines.append(str(rho))
     return "\n".join(lines) + "\n"
 
 
@@ -380,8 +376,7 @@ def parse_system(text: str, base_dir: str = ".") -> RegularSystem:
 
 
 def load_system(path: str) -> RegularSystem:
-    with open(path) as f:
-        return parse_system(f.read(), base_dir=os.path.dirname(path) or ".")
+    return parse_system(read_text(path), base_dir=os.path.dirname(path) or ".")
 
 
 def save_system(sys: RegularSystem, path: str) -> None:

@@ -13,7 +13,13 @@ from dataclasses import dataclass
 from itertools import product as iter_product
 
 from .boolfn import GeneratorFn
-from .errors import HorizonExceeded, HorizonMismatch, ProgressivenessError, WidthMismatch
+from .errors import (
+    HorizonExceeded,
+    HorizonMismatch,
+    InvalidValue,
+    ProgressivenessError,
+    WidthMismatch,
+)
 from .signals import (
     BitVec,
     ProgressiveFunction,
@@ -141,7 +147,7 @@ def exhaustive_family(width: int, ticks, horizon: Tick, max_depth: int = 4):
     """
     ticks = sorted(set(ticks))
     if len(ticks) > max_depth:
-        raise ValueError(f"{len(ticks)} ticks exceed the depth cap {max_depth}")
+        raise InvalidValue(f"{len(ticks)} ticks exceed the depth cap {max_depth}")
     for alphas in iter_product(range(1 << width), repeat=len(ticks)):
         rho = ProgressiveFunction(
             width,
@@ -161,7 +167,7 @@ def delay_bounds(u: Signal, tau: Tick, t: Tick) -> tuple[int, int]:
     if u.width != 1:
         raise WidthMismatch(f"delay bounds need a scalar input, got width {u.width}")
     if tau <= 0:
-        raise ValueError(f"delay must be positive, got {tau}")
+        raise InvalidValue(f"delay must be positive, got {tau}")
     if t > u.horizon:
         raise HorizonExceeded(f"t={t} beyond horizon {u.horizon}")
     start = t - tau

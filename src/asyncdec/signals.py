@@ -20,6 +20,7 @@ from .errors import (
     CoordinateError,
     HorizonExceeded,
     HorizonMismatch,
+    InvalidValue,
     WidthMismatch,
 )
 
@@ -58,7 +59,7 @@ class BitVec:
         if self.width < 0:
             raise WidthMismatch(f"negative width {self.width}")
         if not 0 <= self.value < (1 << self.width):
-            raise ValueError(f"value {self.value} out of range for width {self.width}")
+            raise InvalidValue(f"value {self.value} out of range for width {self.width}")
 
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "BitVec":
@@ -66,7 +67,7 @@ class BitVec:
         value = 0
         for k, b in enumerate(bits):
             if b not in (0, 1):
-                raise ValueError(f"bit {k + 1} is {b}, expected 0 or 1")
+                raise InvalidValue(f"bit {k + 1} is {b}, expected 0 or 1")
             value |= b << k
         return cls(len(bits), value)
 
@@ -134,7 +135,7 @@ def _check_events(events, width: int, horizon: Tick, kind: str):
     prev = None
     for t, v in events:
         if prev is not None and t <= prev:
-            raise ValueError(f"{kind} events not strictly increasing at tick {t}")
+            raise InvalidValue(f"{kind} events not strictly increasing at tick {t}")
         prev = t
         if v.width != width:
             raise WidthMismatch(f"{kind} event at tick {t} has width {v.width}, expected {width}")
@@ -227,18 +228,6 @@ def unit_step(t0: Tick, horizon: Tick) -> Signal:
     return Signal(1, BitVec(1, 0), ((t0, BitVec(1, 1)),), horizon)
 
 
-def value_at(x: Signal, t: Tick) -> BitVec:
-    return x.value_at(t)
-
-
-def initial_value(x: Signal) -> BitVec:
-    return x.initial
-
-
-def canonicalize(x: Signal) -> Signal:
-    return x.canonical()
-
-
 def product_signal(a: Signal, b: Signal) -> Signal:
     """Cartesian product on the merged event grid.
 
@@ -291,7 +280,7 @@ class SignalSet:
     def of(cls, members: Iterable[Signal]) -> "SignalSet":
         members = list(members)
         if not members:
-            raise ValueError("cannot infer width/horizon of an empty SignalSet")
+            raise InvalidValue("cannot infer width/horizon of an empty SignalSet")
         return cls(members[0].width, members[0].horizon, members)
 
     def __iter__(self):
@@ -399,10 +388,6 @@ class ProgressiveFunction:
         return f"n={self.width} H={self.horizon} events={ev}"
 
 
-def is_prefix_progressive(rho: ProgressiveFunction, min_firings: int = 1) -> bool:
-    return rho.is_prefix_progressive(min_firings)
-
-
 def round_robin(width: int, ticks: Iterable[Tick], horizon: Tick) -> ProgressiveFunction:
     """The canonical progressive prefix: every coordinate fires at every tick."""
     ones = BitVec.ones(width)
@@ -442,7 +427,7 @@ def interleave_rho(
     non-contiguous block.
     """
     bs = _checked_coords(block, n)
-    cs = tuple(i for i in range(1, n + 1) if i not in set(bs))
+    cs = tuple(sorted(set(range(1, n + 1)).difference(bs)))
     if len(bs) != rho_block.width or len(cs) != rho_rest.width:
         raise WidthMismatch(
             f"block sizes ({len(bs)},{len(cs)}) do not match schedule widths "

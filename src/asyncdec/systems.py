@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .boolfn import GeneratorFn, Partition, parallel_fn, split_fn
+from .boolfn import GeneratorFn, Partition, _split_blocks, parallel_fn, split_fn
 from .errors import (
     HorizonMismatch,
     InvalidSystem,
@@ -48,11 +48,8 @@ class RegularSystem:
     pi: Mapping[tuple[BitVec, Signal], frozenset[ProgressiveFunction]]
 
     def __post_init__(self):
-        inputs = []
-        for u in self.inputs:
-            if u not in inputs:
-                inputs.append(u)
-        object.__setattr__(self, "inputs", tuple(inputs))
+        inputs = tuple(dict.fromkeys(self.inputs))
+        object.__setattr__(self, "inputs", inputs)
         if not inputs:
             raise InvalidSystem("a system needs at least one admissible input")
         horizon = inputs[0].horizon
@@ -162,7 +159,8 @@ def parallel_system(a: RegularSystem, b: RegularSystem) -> RegularSystem:
         raise WidthMismatch(f"input widths differ: {a.m} vs {b.m}")
     if a.horizon != b.horizon:
         raise HorizonMismatch(f"horizons differ: {a.horizon} vs {b.horizon}")
-    shared = tuple(u for u in a.inputs if u in set(b.inputs))
+    b_inputs = set(b.inputs)
+    shared = tuple(u for u in a.inputs if u in b_inputs)
     if not shared:
         raise InvalidSystem("the factors admit no common input")
     phi0 = {
@@ -179,11 +177,6 @@ def parallel_system(a: RegularSystem, b: RegularSystem) -> RegularSystem:
                     for rb in b.pi[(mb, u)]
                 )
     return RegularSystem(parallel_fn(a.phi, b.phi), shared, phi0, pi)
-
-
-def _complement(n: int, block: Iterable[int]) -> tuple[int, ...]:
-    bs = set(block)
-    return tuple(i for i in range(1, n + 1) if i not in bs)
 
 
 def project_phi0(sys: RegularSystem, block: Iterable[int]) -> dict[Signal, frozenset[BitVec]]:
@@ -239,8 +232,7 @@ def check_product_condition(
     trajectory as their interleaving.  Equality is of signals on the shared
     horizon; the check is trajectory-level, not schedule-level.
     """
-    bs = tuple(sorted(set(block)))
-    cs = _complement(sys.n, bs)
+    bs, cs = _split_blocks(sys.n, block)
     pi_b = project_pi(sys, bs)
     pi_c = project_pi(sys, cs)
     for u in sys.inputs:
@@ -285,8 +277,7 @@ def decompose_system(
     verdict compares both realizations explicitly so a truncation artifact
     can never misreport equality.
     """
-    bs = tuple(sorted(set(block)))
-    cs = _complement(sys.n, bs)
+    bs, cs = _split_blocks(sys.n, block)
     phi_b, phi_c, partition = split_fn(sys.phi, bs)
     first = RegularSystem(phi_b, sys.inputs, project_phi0(sys, bs), project_pi(sys, bs))
     second = RegularSystem(phi_c, sys.inputs, project_phi0(sys, cs), project_pi(sys, cs))

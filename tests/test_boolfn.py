@@ -21,6 +21,7 @@ from asyncdec import (
     project_fn,
     split_fn,
 )
+from asyncdec.boolfn import dependency_witness
 from asyncdec.frontend.checks import partition_oracle_verdict, rand_fn
 
 bv = BitVec.from_string
@@ -193,6 +194,50 @@ def test_parallel_block_is_separated():
 def test_swap_is_not_separated():
     swap = fn(2, 0, lambda mu, lam: BitVec.from_bits([mu.bit(2), mu.bit(1)]))
     assert not is_separated(swap, (1,))
+
+
+def brute_force_witness(phi, block):
+    """The first nonzero cross derivative, block rows first, at its lowest row."""
+    bs = sorted(set(block))
+    cs = [i for i in range(1, phi.n + 1) if i not in bs]
+    for i_side, j_side in ((bs, cs), (cs, bs)):
+        for i in i_side:
+            for j in j_side:
+                bits = partial_derivative(phi, i, j).bits
+                if bits:
+                    r = (bits & -bits).bit_length() - 1
+                    return i, j, BitVec(phi.n, r % (1 << phi.n)), BitVec(phi.m, r >> phi.n)
+    return None
+
+
+def test_dependency_witness_matches_brute_force_derivatives():
+    rng = random.Random(17)
+    for _ in range(300):
+        n = rng.randint(2, 4)
+        m = rng.randint(0, 2)
+        if rng.random() < 0.5:
+            split = rng.randint(1, n - 1)
+            phi = parallel_fn(rand_fn(rng, split, m), rand_fn(rng, n - split, m))
+        else:
+            phi = rand_fn(rng, n, m)
+        block = rng.sample(range(1, n + 1), rng.randint(1, n - 1))
+        expected = brute_force_witness(phi, block)
+        assert dependency_witness(phi, block) == expected
+        assert is_separated(phi, block) == (expected is None)
+
+
+def test_separation_queries_respect_the_size_limit_env(monkeypatch):
+    phi = parallel_fn(GeneratorFn.identity(1, 1), GeneratorFn.identity(1, 1))
+    monkeypatch.setenv("ASYNC_DEC_SIZE_LIMIT", "2")
+    with pytest.raises(SizeLimitError):
+        is_separated(phi, (1,))
+    with pytest.raises(SizeLimitError):
+        split_fn(phi, (1,))
+    monkeypatch.setenv("ASYNC_DEC_SIZE_LIMIT", "-1")
+    with pytest.raises(SizeLimitError, match="non-negative"):
+        is_separated(phi, (1,))
+    monkeypatch.setenv("ASYNC_DEC_SIZE_LIMIT", "3")
+    assert is_separated(phi, (1,))
 
 
 def test_scalar_function_has_no_valid_block():

@@ -151,6 +151,39 @@ def test_size_limit_env_override(workdir):
     assert "limit" in result.stderr
 
 
+def assert_input_error(result):
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ")
+    assert result.stderr.count("\n") == 1
+
+
+def test_decompose_non_numeric_block_is_input_error(workdir):
+    result = cli("decompose", "--system", str(workdir / "diag.sys"), "--block", "x")
+    assert_input_error(result)
+    assert "--block" in result.stderr
+
+
+def test_verify_zero_cases_is_input_error():
+    result = cli("verify", "--thm", "27", "--cases", "0")
+    assert_input_error(result)
+    assert "PASS" not in result.stdout
+
+
+def test_negative_size_limit_env_is_input_error(workdir):
+    result = cli(
+        "analyze", "--phi", str(workdir / "pair.eq"), env={"ASYNC_DEC_SIZE_LIMIT": "-1"}
+    )
+    assert_input_error(result)
+    assert "ASYNC_DEC_SIZE_LIMIT must be a non-negative integer" in result.stderr
+
+
+def test_non_utf8_phi_file_is_input_error(workdir):
+    (workdir / "latin1.eq").write_bytes("x1' = u1 # caf\xe9\n".encode("latin-1"))
+    result = cli("analyze", "--phi", str(workdir / "latin1.eq"))
+    assert_input_error(result)
+    assert "UTF-8" in result.stderr
+
+
 def test_verify_example1_deterministic():
     first = cli("verify", "--thm", "example1", "--seed", "3")
     second = cli("verify", "--thm", "example1", "--seed", "3")

@@ -11,6 +11,7 @@ from asyncdec.frontend import (
     MalformedRowError,
     MissingRowError,
     OrderingError,
+    LoadError,
     WidthInconsistencyError,
     format_system,
     format_truth_table,
@@ -18,6 +19,7 @@ from asyncdec.frontend import (
     parse_signal,
     parse_system,
     parse_truth_table,
+    read_text,
 )
 from asyncdec.frontend.checks import rand_fn, rand_system
 
@@ -76,11 +78,26 @@ def test_signal_empty_events():
 def test_signal_ordering_error():
     with pytest.raises(OrderingError):
         parse_signal("n=1 init=0 H=9 events=(3,1);(2,0)")
+    with pytest.raises(OrderingError):
+        parse_rho("n=1 H=9 events=(3,1);(3,1)")
 
 
 def test_signal_event_beyond_horizon():
     with pytest.raises(OrderingError):
         parse_signal("n=1 init=0 H=2 events=(5,1)")
+
+
+def test_event_width_inconsistency_names_the_line():
+    with pytest.raises(WidthInconsistencyError) as err:
+        parse_rho("n=2 H=9 events=(1,11);(2,1)", where="line 4")
+    assert str(err.value).startswith("line 4: ")
+
+
+def test_read_text_rejects_non_utf8(tmp_path):
+    path = tmp_path / "bad.sig"
+    path.write_bytes(b"n=1 init=0 H=5 events= # \xff\n")
+    with pytest.raises(LoadError):
+        read_text(str(path))
 
 
 def test_rho_line_roundtrip():

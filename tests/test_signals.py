@@ -12,10 +12,7 @@ from asyncdec import (
     ProgressiveFunction,
     Signal,
     SignalSet,
-    canonicalize,
-    initial_value,
     interleave_rho,
-    is_prefix_progressive,
     permute_signal,
     product_rho,
     product_set,
@@ -23,7 +20,6 @@ from asyncdec import (
     project_signal,
     round_robin,
     unit_step,
-    value_at,
 )
 
 bv = BitVec.from_string
@@ -67,7 +63,7 @@ def rhos(draw, max_width=3, horizon=12):
 def test_value_at_constant():
     x = Signal.constant(bv("0"), 10)
     for t in range(-5, 11):
-        assert value_at(x, t) == bv("0")
+        assert x.value_at(t) == bv("0")
 
 
 def test_value_at_step():
@@ -96,21 +92,21 @@ def test_value_at_beyond_horizon():
         x.value_at(11)
 
 
-# -- initial_value --------------------------------------------------------
+# -- initial --------------------------------------------------------------
 
 
 def test_initial_value_readout():
-    assert initial_value(Signal.constant(bv("1"), 5)) == bv("1")
-    assert initial_value(unit_step(0, 5)) == bv("0")
-    assert initial_value(sig(2, "10", [(3, "01")], 5)) == bv("10")
+    assert Signal.constant(bv("1"), 5).initial == bv("1")
+    assert unit_step(0, 5).initial == bv("0")
+    assert sig(2, "10", [(3, "01")], 5).initial == bv("10")
 
 
-# -- canonicalize ---------------------------------------------------------
+# -- canonical ------------------------------------------------------------
 
 
 def test_canonicalize_drops_redundant_events():
     x = sig(1, "0", [(1, "0"), (2, "1")], 10)
-    c = canonicalize(x)
+    c = x.canonical()
     assert c.events == ((2, bv("1")),)
     for t in range(-2, 11):
         assert c.value_at(t) == x.value_at(t)
@@ -118,12 +114,12 @@ def test_canonicalize_drops_redundant_events():
 
 def test_canonicalize_idempotent_on_canonical_input():
     x = sig(1, "0", [(2, "1")], 10)
-    assert canonicalize(x).events == x.events
+    assert x.canonical().events == x.events
 
 
 def test_canonicalize_constant_with_noop_event():
     x = sig(1, "1", [(3, "1")], 10)
-    assert canonicalize(x).events == ()
+    assert x.canonical().events == ()
 
 
 @given(signals())
@@ -279,11 +275,11 @@ def test_interleave_rho_noncontiguous():
 
 
 def test_prefix_progressive_all_fire():
-    assert is_prefix_progressive(rho(2, [(1, "11")], 10))
+    assert rho(2, [(1, "11")], 10).is_prefix_progressive()
 
 
 def test_prefix_progressive_missing_coordinate():
-    assert not is_prefix_progressive(rho(2, [(1, "10"), (2, "10")], 10))
+    assert not rho(2, [(1, "10"), (2, "10")], 10).is_prefix_progressive()
 
 
 def test_round_robin_is_progressive():
