@@ -5,11 +5,18 @@ width m to a next-state vector of width n.  The table is total: one packed
 output per row, with row index mu + (lam << n) and coordinate 1 in the least
 significant bit.  All analyses are exhaustive over the 2^(n+m) rows, guarded
 by a configurable bit limit; nothing here ever samples.
+
+The dependency scans are word-parallel: a kernel packs the table through
+`array` into one int, row r in lane r (8/16/32/64 bits, the narrowest that
+holds n bits), so a derivative over all rows is a few shifts and masks.  The
+row tuple stays the only stored form; `partial_derivative` stays row-based.
 """
 
 from __future__ import annotations
 
 import os
+import sys
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -40,6 +47,28 @@ def check_scan_size(n: int, m: int, limit: int | None):
             f"n+m = {n + m} exceeds the exhaustive-scan limit {limit}; "
             f"refusing to scan (set {SIZE_LIMIT_ENV} to raise the limit)"
         )
+
+
+def lane_code(n: int) -> str:
+    """The `array` type code of the narrowest lane holding n bits."""
+    return next(code for code in "BHILQ" if array(code).itemsize * 8 >= n)
+
+
+def lane_mask(code: str, rows: int, bit: int, low: int, high: int) -> int:
+    """A lane-packed int of `rows` lanes holding `low` in the lanes whose row
+    index has `bit` clear and `high` in those where it is set."""
+    block = array(code, [low]) * (1 << bit) + array(code, [high]) * (1 << bit)
+    return int.from_bytes(block.tobytes() * (rows >> (bit + 1)), sys.byteorder)
+
+
+def _lane_derivatives(phi: GeneratorFn, js: Iterable[int]):
+    """(lane code, lane width, each D_j for j in js), j counted from 0: lane r of
+    D_j is the XOR of rows r and r + 2^j where row r has bit j clear, else 0."""
+    code = lane_code(phi.n)
+    width, rows, full = array(code).itemsize * 8, len(phi.table), (1 << phi.n) - 1
+    packed = int.from_bytes(array(code, phi.table).tobytes(), sys.byteorder)
+    derivs = ((packed ^ (packed >> (width << j))) & lane_mask(code, rows, j, full, 0) for j in js)
+    return code, width, derivs
 
 
 @dataclass(frozen=True)
@@ -192,15 +221,16 @@ class DependencyMatrix:
 
 
 def dependency_matrix(phi: GeneratorFn, limit: int | None = None) -> DependencyMatrix:
-    """D[i][j] = 1 iff the derivative of coordinate i w.r.t. mu_j is not zero."""
+    """D[i][j] = 1 iff the derivative of coordinate i w.r.t. mu_j is not zero;
+    column j ORs the lanes of the lane derivative D_j, folded in halves."""
     check_scan_size(phi.n, phi.m, limit)
-    table = phi.table
+    _, width, derivs = _lane_derivatives(phi, range(phi.n))
     cols = []
-    for j in range(phi.n):
-        jbit = 1 << j
-        acc = 0
-        for r, out in enumerate(table):
-            acc |= out ^ table[r ^ jbit]
+    for acc in derivs:
+        size = width * len(phi.table)
+        while size > width:
+            size >>= 1
+            acc = (acc >> size) | (acc & ((1 << size) - 1))
         cols.append(acc)
     rows = tuple(
         sum(((cols[j] >> i) & 1) << j for j in range(phi.n)) for i in range(phi.n)
@@ -245,10 +275,9 @@ def dependency_witness(phi: GeneratorFn, block: Iterable[int]):
     if pair is None:
         return None
     i, j = pair
-    table = phi.table
-    ibit = 1 << (i - 1)
-    jbit = 1 << (j - 1)
-    r = next(r for r, out in enumerate(table) if (out ^ table[r ^ jbit]) & ibit)
+    code, width, (deriv,) = _lane_derivatives(phi, (j - 1,))
+    hits = deriv & lane_mask(code, len(phi.table), 0, 1 << (i - 1), 1 << (i - 1))
+    r = ((hits & -hits).bit_length() - 1) // width
     return i, j, BitVec(phi.n, r & ((1 << phi.n) - 1)), BitVec(phi.m, r >> phi.n)
 
 

@@ -44,7 +44,8 @@ class CheckReport:
 
     @property
     def ok(self) -> bool:
-        return self.failures == 0
+        """No failures among at least one case: an empty suite proves nothing."""
+        return self.cases > 0 and self.failures == 0
 
     def summary(self) -> str:
         verdict = "PASS" if self.ok else "FAIL"

@@ -3,16 +3,24 @@
 One next-state equation per line, `x<i>' = <expr>`, over the state variables
 x1..xn and input variables u1..um.  Operators: ! (not), & (and), ^ (xor),
 | (or), parentheses and the constants 0/1, with precedence ! > & > ^ > |.
-`#` starts a comment; whitespace is insignificant.
+`#` starts a comment; whitespace is insignificant.  Parentheses and `!`
+nest at most MAX_NESTING deep.  Compilation evaluates each expression node
+once over all rows, as a lane-packed int (see `boolfn`) whose lane r holds
+the node's value on row r.
 """
 
 from __future__ import annotations
 
 import re
+import sys
+from array import array
 from dataclasses import dataclass
+from functools import cache, reduce
 
-from ..boolfn import GeneratorFn, check_scan_size
+from ..boolfn import GeneratorFn, check_scan_size, lane_code, lane_mask
 from ..errors import AsyncDecError
+
+MAX_NESTING = 100
 
 
 class DslSyntaxError(AsyncDecError):
@@ -23,13 +31,13 @@ class DslSyntaxError(AsyncDecError):
 
 
 class DslNameError(AsyncDecError):
-    def __init__(self, message: str, line: int):
+    def __init__(self, message: str, line: int | None = None):
         self.line = line
-        super().__init__(f"line {line}: {message}")
+        super().__init__(message if line is None else f"line {line}: {message}")
 
 
 # AST nodes: ("const", bit) | ("x", i) | ("u", j) | ("not", e) |
-# ("and"/"xor"/"or", left, right)
+# ("and"/"xor"/"or", e1, e2, ...): a chain of one operator is one node.
 
 _TOKEN = re.compile(r"\s*(?:([A-Za-z_][A-Za-z_0-9]*)|(\d+)|([!&^|()'=])|(\S))")
 
@@ -57,10 +65,12 @@ def _tokenize(text: str, line_no: int):
 
 
 class _Parser:
-    def __init__(self, tokens, line_no: int):
+    def __init__(self, tokens, line_no: int, refs: list):
         self.tokens = tokens
         self.line_no = line_no
+        self.refs = refs
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -76,38 +86,41 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def or_expr(self):
-        node = self.xor_expr()
-        while self.peek()[0] == "|":
-            self.take()
-            node = ("or", node, self.xor_expr())
+    def nested(self, parse):
+        """Take an opening `(` or `!` and parse what it encloses, one level deeper."""
+        col = self.take()[2]
+        if self.depth == MAX_NESTING:
+            raise DslSyntaxError(f"expression nested deeper than {MAX_NESTING} levels", self.line_no, col)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
         return node
+
+    def chain(self, kind, op, operand):
+        nodes = [operand()]
+        while self.peek()[0] == op:
+            self.take()
+            nodes.append(operand())
+        return nodes[0] if len(nodes) == 1 else (kind, *nodes)
+
+    def or_expr(self):
+        return self.chain("or", "|", self.xor_expr)
 
     def xor_expr(self):
-        node = self.and_expr()
-        while self.peek()[0] == "^":
-            self.take()
-            node = ("xor", node, self.and_expr())
-        return node
+        return self.chain("xor", "^", self.and_expr)
 
     def and_expr(self):
-        node = self.unary()
-        while self.peek()[0] == "&":
-            self.take()
-            node = ("and", node, self.unary())
-        return node
+        return self.chain("and", "&", self.unary)
 
     def unary(self):
         if self.peek()[0] == "!":
-            self.take()
-            return ("not", self.unary())
+            return ("not", self.nested(self.unary))
         return self.atom()
 
     def atom(self):
         kind, text, col = self.peek()
         if kind == "(":
-            self.take()
-            node = self.or_expr()
+            node = self.nested(self.or_expr)
             self.take(")")
             return node
         if kind == "number":
@@ -119,6 +132,7 @@ class _Parser:
             self.take()
             kind_char = text[0]
             if kind_char in ("x", "u") and text[1:].isdigit() and not text[1:].startswith("0"):
+                self.refs.append((kind_char, int(text[1:]), self.line_no))
                 return (kind_char, int(text[1:]))
             raise DslSyntaxError(
                 f"{text!r} is not a variable (expected x<i> or u<j>)", self.line_no, col
@@ -147,7 +161,7 @@ def parse_dsl(text: str) -> EquationProgram:
         line = raw.split("#", 1)[0]
         if not line.strip():
             continue
-        parser = _Parser(_tokenize(line, line_no), line_no)
+        parser = _Parser(_tokenize(line, line_no), line_no, references)
         kind, name, col = parser.take()
         if kind != "name" or not (name[0] == "x" and name[1:].isdigit()):
             raise DslSyntaxError(
@@ -163,13 +177,12 @@ def parse_dsl(text: str) -> EquationProgram:
         if index < 1:
             raise DslNameError(f"state variable index must be >= 1, got x{index}", line_no)
         defined[index] = expr
-        _collect_refs(expr, line_no, references)
     if not defined:
-        raise DslNameError("no equations found", 0)
+        raise DslNameError("no equations found")
     n = max(defined)
     for i in range(1, n + 1):
         if i not in defined:
-            raise DslNameError(f"state variable x{i} is never defined", 0)
+            raise DslNameError(f"state variable x{i} is never defined")
     m = 0
     for kind, index, line_no in references:
         if kind == "x":
@@ -180,44 +193,25 @@ def parse_dsl(text: str) -> EquationProgram:
     return EquationProgram(n, m, tuple(defined[i] for i in range(1, n + 1)))
 
 
-def _collect_refs(node, line_no, refs):
-    kind = node[0]
-    if kind in ("x", "u"):
-        refs.append((kind, node[1], line_no))
-    elif kind == "not":
-        _collect_refs(node[1], line_no, refs)
-    elif kind in ("and", "or", "xor"):
-        _collect_refs(node[1], line_no, refs)
-        _collect_refs(node[2], line_no, refs)
-
-
-def _eval_expr(node, mu: int, lam: int) -> int:
-    kind = node[0]
-    if kind == "const":
-        return node[1]
-    if kind == "x":
-        return (mu >> (node[1] - 1)) & 1
-    if kind == "u":
-        return (lam >> (node[1] - 1)) & 1
-    if kind == "not":
-        return 1 - _eval_expr(node[1], mu, lam)
-    left = _eval_expr(node[1], mu, lam)
-    right = _eval_expr(node[2], mu, lam)
-    if kind == "and":
-        return left & right
-    if kind == "or":
-        return left | right
-    return left ^ right
-
-
 def compile_program(prog: EquationProgram, limit: int | None = None) -> GeneratorFn:
-    """Fill the truth table by evaluating every expression on every row."""
+    """Fill the truth table lane-parallel: x_i and u_j are periodic lane masks,
+    `&`, `^`, `|` the int operators, `!` an XOR with all-ones lanes; output k
+    goes to bit k-1 of every lane, and the lanes unpack to the row tuple."""
     check_scan_size(prog.n, prog.m, limit)
-    rows = []
-    for lam in range(1 << prog.m):
-        for mu in range(1 << prog.n):
-            out = 0
-            for k, expr in enumerate(prog.exprs):
-                out |= _eval_expr(expr, mu, lam) << k
-            rows.append(out)
-    return GeneratorFn(prog.n, prog.m, tuple(rows))
+    code, rows = lane_code(prog.n), 1 << (prog.n + prog.m)
+    ones = lane_mask(code, rows, 0, 1, 1)
+    variable = cache(lambda bit: lane_mask(code, rows, bit, 0, 1))
+
+    def lanes(node):
+        kind = node[0]
+        if kind == "const":
+            return ones if node[1] else 0
+        if kind in ("x", "u"):
+            return variable(node[1] - 1 + (prog.n if kind == "u" else 0))
+        if kind == "not":
+            return lanes(node[1]) ^ ones
+        return reduce(getattr(int, f"__{kind}__"), map(lanes, node[1:]))
+
+    packed = sum(lanes(expr) << k for k, expr in enumerate(prog.exprs))
+    table = array(code, packed.to_bytes(rows * array(code).itemsize, sys.byteorder))
+    return GeneratorFn(prog.n, prog.m, tuple(table))

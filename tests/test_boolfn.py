@@ -224,6 +224,20 @@ def test_dependency_witness_matches_brute_force_derivatives():
         expected = brute_force_witness(phi, block)
         assert dependency_witness(phi, block) == expected
         assert is_separated(phi, block) == (expected is None)
+    # 8 and 9 state bits fill one 8-bit lane and spill into 16-bit lanes; one
+    # flipped output bit of a parallel table puts the witness deep in the table
+    for _ in range(40):
+        n = rng.choice((8, 9))
+        m = rng.randint(0, 2)
+        split = rng.randint(1, n - 1)
+        table = list(parallel_fn(rand_fn(rng, split, m), rand_fn(rng, n - split, m)).table)
+        if rng.random() < 0.8:
+            table[rng.randrange(len(table))] ^= 1 << rng.randrange(n)
+        phi = GeneratorFn(n, m, tuple(table))
+        block = rng.choice((range(1, split + 1), rng.sample(range(1, n + 1), rng.randint(1, n - 1))))
+        expected = brute_force_witness(phi, block)
+        assert dependency_witness(phi, block) == expected
+        assert is_separated(phi, block) == (expected is None)
 
 
 def test_separation_queries_respect_the_size_limit_env(monkeypatch):

@@ -184,6 +184,21 @@ def test_non_utf8_phi_file_is_input_error(workdir):
     assert "UTF-8" in result.stderr
 
 
+def test_deeply_nested_equations_are_input_errors(workdir):
+    for name, rhs in (("nots.eq", "!" * 3000 + "x1"), ("parens.eq", "(" * 1500 + "x1" + ")" * 1500)):
+        (workdir / name).write_text(f"x1' = {rhs}\n")
+        result = cli("analyze", "--phi", str(workdir / name))
+        assert_input_error(result)
+        assert result.stderr == "error: line 1, column 107: expression nested deeper than 100 levels\n"
+
+
+def test_undefined_state_variable_error_names_no_line(workdir):
+    (workdir / "gap.eq").write_text("x2' = x1\n")
+    result = cli("analyze", "--phi", str(workdir / "gap.eq"))
+    assert_input_error(result)
+    assert result.stderr == "error: state variable x1 is never defined\n"
+
+
 def test_verify_example1_deterministic():
     first = cli("verify", "--thm", "example1", "--seed", "3")
     second = cli("verify", "--thm", "example1", "--seed", "3")

@@ -1,9 +1,12 @@
 """Equation DSL: grammar, diagnostics, compilation."""
 
+import random
+
 import pytest
 
-from asyncdec import BitVec, GeneratorFn, dependency_matrix, finest_partition
+from asyncdec import BitVec, GeneratorFn, dependency_matrix, finest_partition, partial_derivative
 from asyncdec.frontend import DslNameError, DslSyntaxError, compile_program, parse_dsl
+from asyncdec.frontend.dsl import MAX_NESTING
 
 bv = BitVec.from_string
 
@@ -106,3 +109,95 @@ def test_input_width_from_max_index():
 def test_deterministic_compile():
     text = "x1' = x1 ^ u1\nx2' = (x1 | x2) & !u2"
     assert compiled(text).table == compiled(text).table
+
+
+def test_diagnostics_without_a_line_have_no_line_prefix():
+    with pytest.raises(DslNameError) as err:
+        parse_dsl("x2' = x1")
+    assert err.value.line is None
+    assert str(err.value) == "state variable x1 is never defined"
+    with pytest.raises(DslNameError, match="^no equations found$"):
+        parse_dsl("")
+    with pytest.raises(DslNameError, match="^line 2: undeclared state variable x3$"):
+        parse_dsl("x1' = 0\nx2' = x3")
+
+
+def test_nesting_bound_is_a_syntax_error():
+    depth = MAX_NESTING
+    assert compiled("x1' = " + "!" * depth + "x1").table == GeneratorFn.identity(1).table
+    assert compiled("x1' = " + "(" * depth + "x1" + ")" * depth).table == GeneratorFn.identity(1).table
+    for text in ("x1' = " + "!" * 3000 + "x1", "x1' = " + "(" * 1500 + "x1" + ")" * 1500):
+        with pytest.raises(DslSyntaxError, match=f"nested deeper than {depth} levels") as err:
+            parse_dsl(text)
+        assert (err.value.line, err.value.col) == (1, 7 + depth)
+
+
+def test_long_operator_chains_compile():
+    assert compiled("x1' = " + " & ".join(["x1"] * 5000)).table == GeneratorFn.identity(1).table
+    assert compiled("x1' = " + " ^ ".join(["x1"] * 5001)).table == GeneratorFn.identity(1).table
+    assert compiled("x1' = " + " | ".join(["0"] * 4999 + ["u1"])).table == (0, 0, 1, 1)
+
+
+# -- lane-packed kernels against test-local row oracles ------------------------
+
+
+def random_expr(rng, n, m, depth):
+    """DSL source whose precedence Python shares once `!` reads as `~`."""
+    if depth == 0 or rng.random() < 0.2:
+        leaves = ["0", "1"] + [f"x{i}" for i in range(1, n + 1)] * 2
+        return rng.choice(leaves + [f"u{j}" for j in range(1, m + 1)] * 2)
+    if rng.random() < 0.2:
+        return "!" + random_expr(rng, n, m, depth - 1)
+    text = f"{random_expr(rng, n, m, depth - 1)} {rng.choice('&^|')} {random_expr(rng, n, m, depth - 1)}"
+    return f"({text})" if rng.random() < 0.6 else text
+
+
+def python_rows(text, n, m, rows):
+    """Test-local oracle: Python evaluates every right-hand side row by row."""
+    codes = [compile(line.split("=", 1)[1].strip().replace("!", "~"), "<eq>", "eval") for line in text.splitlines()]
+    for r in rows:
+        env = {f"x{i}": (r >> (i - 1)) & 1 for i in range(1, n + 1)}
+        env.update({f"u{j}": (r >> (n + j - 1)) & 1 for j in range(1, m + 1)})
+        yield sum((eval(code, env) & 1) << k for k, code in enumerate(codes))
+
+
+def row_scan_matrix(phi):
+    """Test-local oracle: one XOR per row and state bit."""
+    rows = [0] * phi.n
+    for j in range(phi.n):
+        acc = 0
+        for r, out in enumerate(phi.table):
+            acc |= out ^ phi.table[r ^ (1 << j)]
+        for i in range(phi.n):
+            rows[i] |= ((acc >> i) & 1) << j
+    return tuple(rows)
+
+
+def random_program(rng, n, m):
+    text = "\n".join(f"x{i}' = {random_expr(rng, n, m, rng.randint(0, 4))}" for i in range(1, n + 1))
+    phi = compiled(text)
+    assert phi.n == n and phi.m <= m
+    return text, phi
+
+
+@pytest.mark.parametrize("n", [1, 8, 9])
+def test_lane_kernels_match_row_oracles_on_every_row(n):
+    rng = random.Random(n)
+    for m in sorted({0, 1, 12 - n}):
+        for _ in range(3):
+            text, phi = random_program(rng, n, m)
+            assert phi.table == tuple(python_rows(text, n, phi.m, range(len(phi.table))))
+            assert dependency_matrix(phi).rows == row_scan_matrix(phi)
+
+
+@pytest.mark.parametrize("n, m", [(16, 1), (17, 0)])
+def test_lane_kernels_match_row_oracles_on_wide_lanes(n, m):
+    rng = random.Random(n)
+    text, phi = random_program(rng, n, m)
+    total = len(phi.table)
+    rows = sorted({0, 1, total - 1, *rng.sample(range(total), 300)})
+    assert [phi.table[r] for r in rows] == list(python_rows(text, n, phi.m, rows))
+    dm = dependency_matrix(phi)
+    for i in (1, 9, n):
+        for j in (1, 8, n):
+            assert dm.depends(i, j) == (not partial_derivative(phi, i, j).is_zero())
