@@ -72,7 +72,9 @@ def run(
     event consumes the first firing vector, so the state entered at the
     first tick is the masked update of the initial state reading u there.
     The input is sampled pointwise at the schedule's ticks; its own event
-    grid is unrelated.
+    grid is unrelated: a merge-walk over its events tracks the value in
+    force.  The state is a packed int; only changed states become signal
+    events, so the signal is built once, canonical, sharing recurring states.
     """
     if mu.width != phi.n:
         raise WidthMismatch(f"initial state width {mu.width}, expected {phi.n}")
@@ -85,17 +87,22 @@ def run(
             f"horizons (input {u.horizon}, schedule {rho.horizon}) "
             f"must both equal {horizon}"
         )
-    states = [mu]
-    current = mu
+    n, table, inputs = phi.n, phi.table, u.events
+    shared = {mu.value: mu}
+    states, changes = [mu], []
+    cur, lam, k = mu.value, u.initial.value, 0
     for t, alpha in rho.events:
-        current = apply_masked(phi, alpha, current, u.value_at(t))
-        states.append(current)
-    signal = Signal(
-        phi.n,
-        mu,
-        tuple((t, s) for (t, _), s in zip(rho.events, states[1:])),
-        horizon,
-    ).canonical()
+        while k < len(inputs) and inputs[k][0] <= t:
+            lam = inputs[k][1].value
+            k += 1
+        a = alpha.value
+        nxt = (cur & ~a) | (table[cur | lam << n] & a)
+        state = shared.get(nxt) or shared.setdefault(nxt, BitVec(n, nxt))
+        if nxt != cur:
+            changes.append((t, state))
+            cur = nxt
+        states.append(state)
+    signal = Signal(n, mu, tuple(changes), horizon)
     return Trajectory(tuple(states), tuple(t for t, _ in rho.events), horizon, signal)
 
 

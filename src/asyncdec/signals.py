@@ -74,7 +74,10 @@ class BitVec:
     @classmethod
     def from_string(cls, text: str) -> "BitVec":
         """Parse bits written coordinate 1 first, e.g. "10" has bit 1 set."""
-        return cls.from_bits(int(ch) for ch in text)
+        rest = text.lstrip("01")
+        if rest:
+            raise InvalidValue(f"bit {len(text) - len(rest) + 1} is {rest[0]!r}, expected 0 or 1")
+        return cls(len(text), int(text[::-1], 2) if text else 0)
 
     @classmethod
     def zeros(cls, width: int) -> "BitVec":
@@ -191,6 +194,8 @@ class Signal:
 
     def canonical(self) -> "Signal":
         """Drop every event whose value repeats the value in force before it."""
+        if len(self._canon) == len(self.events):
+            return self
         return Signal(self.width, self.initial, self._canon, self.horizon)
 
     def truncated(self, horizon: Tick) -> "Signal":
@@ -250,8 +255,9 @@ def project_signal(x: Signal, coords: Iterable[int]) -> Signal:
 
 def permute_signal(x: Signal, permutation: Sequence[int]) -> Signal:
     """Relabel coordinates pointwise; old coordinate i becomes permutation[i-1]."""
-    events = tuple((t, v.permute(permutation)) for t, v in x.events)
-    return Signal(x.width, x.initial.permute(permutation), events, x.horizon)
+    initial = x.initial.permute(permutation)  # validates the permutation once
+    events = tuple((t, BitVec(x.width, scatter_bits(v.value, permutation))) for t, v in x.events)
+    return Signal(x.width, initial, events, x.horizon)
 
 
 class SignalSet:
@@ -350,6 +356,11 @@ class ProgressiveFunction:
 
     def is_prefix_progressive(self, min_firings: int = 1) -> bool:
         """Whether every coordinate fires at least `min_firings` times."""
+        if min_firings == 1:
+            fired = 0
+            for _, v in self.events:
+                fired |= v.value
+            return fired == (1 << self.width) - 1
         counts = [0] * self.width
         for _, v in self.events:
             for i in range(self.width):
@@ -365,8 +376,10 @@ class ProgressiveFunction:
     def restrict(self, coords: Iterable[int]) -> "ProgressiveFunction":
         """Coordinate restriction with zero-only events dropped."""
         cs = _checked_coords(coords, self.width)
-        events = tuple((t, v.restrict(cs)) for t, v in self.events)
-        return ProgressiveFunction(len(cs), events, self.horizon).canonical()
+        events = tuple(
+            (t, BitVec(len(cs), b)) for t, v in self.events if (b := gather_bits(v.value, cs))
+        )
+        return ProgressiveFunction(len(cs), events, self.horizon)
 
     def _key(self):
         return (

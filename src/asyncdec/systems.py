@@ -228,22 +228,29 @@ def check_product_condition(
     """Whether every cross product of projected schedules is trajectory-covered.
 
     For each admitted (mu, u) and each pair of projected block/complement
-    schedules, some admitted schedule must produce the same canonical
-    trajectory as their interleaving.  Equality is of signals on the shared
-    horizon; the check is trajectory-level, not schedule-level.
+    schedules, the trajectory of their interleaving must be in the realized
+    set of u (each trajectory starts at its mu, so this is the set admitted
+    at (mu, u)); an interleaving admitted at (mu, u) is covered without a
+    run.  The check is trajectory-level, not schedule-level.
     """
     bs, cs = _split_blocks(sys.n, block)
-    pi_b = project_pi(sys, bs)
-    pi_c = project_pi(sys, cs)
-    for u in sys.inputs:
+    own = realize(sys, horizon)
+    return _product_condition(sys, bs, cs, project_pi(sys, bs), project_pi(sys, cs), own)
+
+
+def _product_condition(sys, bs, cs, pi_b, pi_c, own: SystemOutput) -> ProductConditionResult:
+    """`check_product_condition` on the projections and realization at hand."""
+    for u, sigs in own:
+        admitted = set(sigs)
         for mu in sys.phi0[u]:
-            admitted = {
-                run(sys.phi, mu, u, rho, horizon).signal for rho in sys.pi[(mu, u)]
-            }
+            schedules = sys.pi[(mu, u)]
+            rests = sorted(pi_c[(mu.restrict(cs), u)], key=lambda r: r._key())
             for rb in sorted(pi_b[(mu.restrict(bs), u)], key=lambda r: r._key()):
-                for rc in sorted(pi_c[(mu.restrict(cs), u)], key=lambda r: r._key()):
+                for rc in rests:
                     woven = interleave_rho(sys.n, bs, rb, rc)
-                    if run(sys.phi, mu, u, woven, horizon).signal not in admitted:
+                    if woven not in schedules and (
+                        run(sys.phi, mu, u, woven, sigs.horizon).signal not in admitted
+                    ):
                         return ProductConditionResult(False, (u, mu, rb, rc))
     return ProductConditionResult(True, None)
 
@@ -279,8 +286,9 @@ def decompose_system(
     """
     bs, cs = _split_blocks(sys.n, block)
     phi_b, phi_c, partition = split_fn(sys.phi, bs)
-    first = RegularSystem(phi_b, sys.inputs, project_phi0(sys, bs), project_pi(sys, bs))
-    second = RegularSystem(phi_c, sys.inputs, project_phi0(sys, cs), project_pi(sys, cs))
+    pi_b, pi_c = project_pi(sys, bs), project_pi(sys, cs)
+    first = RegularSystem(phi_b, sys.inputs, project_phi0(sys, bs), pi_b)
+    second = RegularSystem(phi_c, sys.inputs, project_phi0(sys, cs), pi_c)
     hull = realize(parallel_system(first, second), horizon)
     own = realize(sys, horizon)
     perm = partition.permutation
@@ -311,7 +319,7 @@ def decompose_system(
             equal = False
         sizes.append((u, len(own[u]), len(hull[u])))
 
-    condition = check_product_condition(sys, bs, horizon)
+    condition = _product_condition(sys, bs, cs, pi_b, pi_c, own)
     if product_form and condition.holds and not equal:
         raise InvalidSystem(
             "product-form conditions hold but realizations differ; horizon artifact"

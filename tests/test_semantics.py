@@ -133,6 +133,55 @@ def test_run_horizon_mismatch():
         run(phi, bv("0"), unit_step(0, 10), rho(1, [(1, "1")], 12), 10)
 
 
+def test_run_matches_a_fold_of_masked_updates():
+    """`run` against a plain fold of `apply_masked` over `u.value_at(t)`, with
+    input events on, before and after the schedule ticks, input events that
+    repeat the value in force, and zero firing vectors."""
+    rng = random.Random(41)
+    horizon = 12
+    seen = set()
+    for _ in range(400):
+        n, m = rng.randint(1, 4), rng.randint(1, 2)
+        phi = rand_fn(rng, n, m)
+        ticks = sorted(rng.sample(range(1, horizon), rng.randint(0, 5)))
+        firings = tuple(
+            (t, BitVec(n, rng.choice((0, rng.randrange(1 << n))))) for t in ticks
+        )
+        schedule = ProgressiveFunction(n, firings, horizon)
+        pool = sorted(set(ticks) | set(rng.sample(range(-2, horizon + 1), 4)))
+        value = rng.randrange(1 << m)
+        initial, events = BitVec(m, value), []
+        for t in sorted(rng.sample(pool, rng.randint(0, len(pool)))):
+            if rng.random() < 0.6:
+                value = rng.randrange(1 << m)
+            events.append((t, BitVec(m, value)))
+        u = Signal(m, initial, tuple(events), horizon)
+        mu = BitVec(n, rng.randrange(1 << n))
+
+        states = [mu]
+        for t, alpha in firings:
+            states.append(apply_masked(phi, alpha, states[-1], u.value_at(t)))
+        expected = Signal(n, mu, tuple(zip(ticks, states[1:])), horizon).canonical()
+        traj = run(phi, mu, u, schedule, horizon)
+        assert traj.states == tuple(states)
+        assert traj.ticks == tuple(ticks)
+        assert traj.signal == expected
+        assert traj.signal.events == expected.events
+
+        for t, _ in events:
+            if t in ticks:
+                seen.add("input on a tick")
+            if ticks and t < ticks[0]:
+                seen.add("input before the first tick")
+            if ticks and t > ticks[-1]:
+                seen.add("input after the last tick")
+        if any(v == w for (_, v), (_, w) in zip([(None, initial)] + events, events)):
+            seen.add("redundant input")
+        if any(alpha.value == 0 for _, alpha in firings):
+            seen.add("zero firing")
+    assert len(seen) == 5
+
+
 def test_signal_view_matches_state_sequence():
     rng = random.Random(14)
     for _ in range(40):

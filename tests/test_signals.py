@@ -9,6 +9,7 @@ from asyncdec import (
     CoordinateError,
     HorizonExceeded,
     HorizonMismatch,
+    InvalidValue,
     ProgressiveFunction,
     Signal,
     SignalSet,
@@ -55,6 +56,25 @@ def rhos(draw, max_width=3, horizon=12):
         (t, BitVec(width, draw(st.integers(0, (1 << width) - 1)))) for t in ticks
     )
     return ProgressiveFunction(width, events, horizon)
+
+
+# -- bit strings ----------------------------------------------------------
+
+
+def test_from_string_packs_coordinate_one_first():
+    assert BitVec.from_string("") == BitVec(0, 0)
+    assert BitVec.from_string("10") == BitVec(2, 1)
+    assert BitVec.from_string("0110") == BitVec(4, 6)
+    assert BitVec.from_string("1" * 70) == BitVec.ones(70)
+
+
+def test_from_string_rejects_non_bits_with_invalid_value():
+    with pytest.raises(InvalidValue, match=r"^bit 2 is 'x', expected 0 or 1$"):
+        BitVec.from_string("1x")
+    # int() would accept each of these; the parser must not
+    for text in (" 1", "1_0", "+1", "0b1", "\u0661", "2", "10 "):
+        with pytest.raises(InvalidValue):
+            BitVec.from_string(text)
 
 
 # -- value_at -------------------------------------------------------------
@@ -115,6 +135,15 @@ def test_canonicalize_drops_redundant_events():
 def test_canonicalize_idempotent_on_canonical_input():
     x = sig(1, "0", [(2, "1")], 10)
     assert x.canonical().events == x.events
+
+
+def test_canonical_returns_a_canonical_signal_itself():
+    x = sig(2, "00", [(1, "10"), (3, "11")], 10)
+    assert x.canonical() is x
+    y = sig(2, "00", [(1, "10"), (2, "10"), (3, "11")], 10)
+    c = y.canonical()
+    assert c is not y and c == y and c.events == x.events
+    assert c.canonical() is c
 
 
 def test_canonicalize_constant_with_noop_event():
@@ -195,6 +224,18 @@ def test_permute_signal_roundtrip():
     perm = (3, 1, 2)
     inverse = (2, 3, 1)
     assert permute_signal(permute_signal(x, perm), inverse) == x
+    with pytest.raises(CoordinateError):
+        permute_signal(x, (1, 1, 2))
+
+
+@given(signals(), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_permute_signal_matches_per_event_permute(x, rng):
+    perm = list(range(1, x.width + 1))
+    rng.shuffle(perm)
+    p = permute_signal(x, perm)
+    assert p.initial == x.initial.permute(perm)
+    assert p.events == tuple((t, v.permute(perm)) for t, v in x.events)
 
 
 # -- signal sets ----------------------------------------------------------
@@ -282,6 +323,17 @@ def test_prefix_progressive_missing_coordinate():
     assert not rho(2, [(1, "10"), (2, "10")], 10).is_prefix_progressive()
 
 
+@given(rhos(max_width=4))
+@settings(max_examples=150, deadline=None)
+def test_prefix_progressive_or_fold_matches_counting(r):
+    counts = [sum(v.bit(i) for _, v in r.events) for i in range(1, r.width + 1)]
+    for k in (1, 2):
+        assert r.is_prefix_progressive(k) == all(c >= k for c in counts)
+    quiet = ProgressiveFunction(r.width, (), r.horizon)
+    assert not quiet.is_prefix_progressive()
+    assert quiet.is_prefix_progressive(0)
+
+
 def test_round_robin_is_progressive():
     for n in (1, 2, 4):
         assert round_robin(n, range(1, 4), 10).is_prefix_progressive(min_firings=3)
@@ -298,6 +350,18 @@ def test_rho_zero_events_dropped_by_equality():
     b = rho(2, [(1, "11")], 10)
     assert a == b
     assert a.canonical().events == b.events
+
+
+@given(rhos(max_width=4), st.data())
+@settings(max_examples=150, deadline=None)
+def test_restrict_matches_per_event_restriction(r, data):
+    coords = data.draw(st.sets(st.integers(1, r.width), min_size=1))
+    cs = tuple(sorted(coords))
+    events = tuple((t, v.restrict(cs)) for t, v in r.events)
+    expected = ProgressiveFunction(len(cs), events, r.horizon).canonical()
+    got = r.restrict(coords)
+    assert got == expected
+    assert got.events == expected.events
 
 
 def test_event_validation():

@@ -27,7 +27,7 @@ from asyncdec import (
     run,
     unit_step,
 )
-from asyncdec.frontend.checks import rand_fn, rand_system
+from asyncdec.frontend.checks import diagonal_example, rand_fn, rand_system
 
 bv = BitVec.from_string
 
@@ -345,6 +345,71 @@ def test_product_condition_missing_trajectory():
     target = run(phi, wmu, u, woven, H).signal
     admitted = {run(phi, wmu, u, r, H).signal for r in sys_.pi[(wmu, u)]}
     assert target not in admitted
+
+
+def _product_condition_brute_force(sys_, block, horizon):
+    """The product check by rerunning, per (mu, u), every admitted schedule and
+    every interleaving of projected schedules; (holds, witness)."""
+    from asyncdec import interleave_rho
+
+    bs = tuple(sorted(block))
+    cs = tuple(i for i in range(1, sys_.n + 1) if i not in bs)
+    pib, pic = project_pi(sys_, bs), project_pi(sys_, cs)
+    for u in sys_.inputs:
+        for mu in sys_.phi0[u]:
+            admitted = {
+                run(sys_.phi, mu, u, r, horizon).signal for r in sys_.pi[(mu, u)]
+            }
+            for rb in sorted(pib[(mu.restrict(bs), u)], key=lambda r: r._key()):
+                for rc in sorted(pic[(mu.restrict(cs), u)], key=lambda r: r._key()):
+                    woven = interleave_rho(sys_.n, bs, rb, rc)
+                    if run(sys_.phi, mu, u, woven, horizon).signal not in admitted:
+                        return False, (u, mu, rb, rc)
+    return True, None
+
+
+def test_product_condition_matches_brute_force():
+    rng = random.Random(59)
+    cases = [(diagonal_example(), (1,))]
+    for _ in range(60):
+        n = rng.randint(2, 3)
+        sys_ = rand_system(rng, rand_fn(rng, n, 1), H, n_inputs=rng.randint(1, 2))
+        cases.append((sys_, rng.sample(range(1, n + 1), rng.randint(1, n - 1))))
+    verdicts = set()
+    for sys_, block in cases:
+        result = check_product_condition(sys_, block, H)
+        assert (result.holds, result.witness) == _product_condition_brute_force(
+            sys_, block, H
+        )
+        verdicts.add(result.holds)
+    assert verdicts == {True, False}
+
+
+def test_decompose_runs_each_admitted_triple_once(monkeypatch):
+    import asyncdec.systems as systems_mod
+    from collections import Counter
+
+    calls = Counter()
+    real_run = systems_mod.run
+
+    def counted_run(phi, mu, u, rho_, horizon):
+        calls[(phi, mu, u, rho_)] += 1
+        return real_run(phi, mu, u, rho_, horizon)
+
+    def admitted(s):
+        return Counter(
+            (s.phi, mu, u, r) for u in s.inputs for mu in s.phi0[u] for r in s.pi[(mu, u)]
+        )
+
+    par = parallel_system(step_system((1, 2, 3)), step_system((4, 5)))
+    monkeypatch.setattr(systems_mod, "run", counted_run)
+    result = decompose_system(par, (1,), H)
+    monkeypatch.undo()
+    assert result.status == "equal" and result.product_condition.holds
+    hull = parallel_system(result.first, result.second)
+    # six interleavings per initial state, all of them admitted schedules
+    assert calls == admitted(par) + admitted(hull)
+    assert sum(calls.values()) == 12
 
 
 def test_product_condition_requires_separated_block():
