@@ -54,7 +54,6 @@ from .systems import (
     DecompositionResult,
     ProductConditionResult,
     RegularSystem,
-    SystemOutput,
     check_product_condition,
     decompose_system,
     initial_state_function,

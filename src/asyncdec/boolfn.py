@@ -18,6 +18,7 @@ import os
 import sys
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .errors import CoordinateError, InvalidValue, NotSeparatedError, SizeLimitError, WidthMismatch
@@ -217,7 +218,7 @@ class DependencyMatrix:
                         stack.append(w)
             blocks.append(tuple(sorted(comp)))
         blocks.sort(key=lambda b: b[0])
-        return Partition.from_blocks(blocks)
+        return Partition(blocks)
 
 
 def dependency_matrix(phi: GeneratorFn, limit: int | None = None) -> DependencyMatrix:
@@ -308,43 +309,28 @@ def project_fn(phi: GeneratorFn, block: Iterable[int], fill: int = 0) -> Generat
 
 @dataclass(frozen=True)
 class Partition:
-    """Ordered disjoint blocks covering 1..n, plus the relabeling that makes
-    them contiguous: old coordinate i moves to position permutation[i-1]."""
+    """Ordered disjoint blocks covering 1..n, each ascending; `permutation`
+    makes them contiguous: old coordinate i moves to position permutation[i-1]."""
 
     blocks: tuple[tuple[int, ...], ...]
-    permutation: tuple[int, ...]
 
     def __post_init__(self):
-        flat = [i for b in self.blocks for i in b]
-        n = len(flat)
-        if sorted(flat) != list(range(1, n + 1)):
-            raise CoordinateError(f"blocks {self.blocks} do not partition 1..{n}")
-        if len(self.permutation) != n or sorted(self.permutation) != list(range(1, n + 1)):
-            raise CoordinateError(f"invalid permutation {self.permutation}")
-        pos = 0
-        for b in self.blocks:
-            for i in b:
-                pos += 1
-                if self.permutation[i - 1] != pos:
-                    raise CoordinateError(
-                        f"permutation inconsistent with block order at coordinate {i}"
-                    )
+        blocks = tuple(tuple(sorted(b)) for b in self.blocks)
+        flat = [i for b in blocks for i in b]
+        if sorted(flat) != list(range(1, len(flat) + 1)):
+            raise CoordinateError(f"blocks {self.blocks} do not partition 1..{len(flat)}")
+        object.__setattr__(self, "blocks", blocks)
 
-    @classmethod
-    def from_blocks(cls, blocks: Iterable[Iterable[int]]) -> "Partition":
-        bs = tuple(tuple(sorted(b)) for b in blocks)
-        n = sum(len(b) for b in bs)
-        perm = [0] * n
-        pos = 0
-        for b in bs:
-            for i in b:
-                pos += 1
-                perm[i - 1] = pos
-        return cls(bs, tuple(perm))
+    @cached_property
+    def permutation(self) -> tuple[int, ...]:
+        perm = [0] * self.n
+        for pos, i in enumerate((i for b in self.blocks for i in b), start=1):
+            perm[i - 1] = pos
+        return tuple(perm)
 
     @property
     def n(self) -> int:
-        return len(self.permutation)
+        return sum(len(b) for b in self.blocks)
 
 
 def permute_fn(phi: GeneratorFn, permutation: Sequence[int]) -> GeneratorFn:
@@ -380,4 +366,4 @@ def split_fn(phi: GeneratorFn, block: Iterable[int]) -> tuple[GeneratorFn, Gener
     bs, cs = _split_blocks(phi.n, block)
     first = project_fn(phi, bs)
     second = project_fn(phi, cs)
-    return first, second, Partition.from_blocks((bs, cs))
+    return first, second, Partition((bs, cs))

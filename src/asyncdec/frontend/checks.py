@@ -157,7 +157,7 @@ def recompose_verdict(phi: GeneratorFn, block) -> bool:
     bs = sorted(set(block))
     cs = [i for i in range(1, phi.n + 1) if i not in set(bs)]
     recomposed = parallel_fn(project_fn(phi, bs), project_fn(phi, cs))
-    relabeled = permute_fn(phi, Partition.from_blocks((bs, cs)).permutation)
+    relabeled = permute_fn(phi, Partition((bs, cs)).permutation)
     return recomposed.table == relabeled.table
 
 

@@ -17,11 +17,11 @@ import argparse
 import sys
 from datetime import datetime, timezone
 
-from ..boolfn import GeneratorFn, dependency_matrix, finest_partition
+from ..boolfn import GeneratorFn, _split_blocks, dependency_matrix, finest_partition
 from ..errors import AsyncDecError, NotSeparatedError
 from ..semantics import run
 from ..signals import BitVec
-from ..systems import RegularSystem, decompose_system
+from ..systems import DecompositionResult, RegularSystem, decompose_system
 from . import checks
 from .dsl import compile_program, parse_dsl
 from .fileio import (
@@ -166,9 +166,9 @@ def _cmd_compose(args) -> int:
     return _EXIT_OK
 
 
-def _decompose_once(sys: RegularSystem, block, horizon, label: str, doc) -> tuple:
-    result = decompose_system(sys, block, horizon)
-    print(f"{label} block {{{','.join(map(str, sorted(block)))}}}:")
+def _decompose_once(sys: RegularSystem, block, label: str, doc) -> DecompositionResult:
+    result = decompose_system(sys, block, sys.horizon)
+    print(f"{label} block {{{','.join(map(str, block))}}}:")
     print("  permutation: " + ",".join(map(str, result.partition.permutation)))
     print(f"  status: {result.status}")
     print(f"  phi0 product form: {'yes' if result.phi0_product_form else 'no'}")
@@ -189,39 +189,33 @@ def _decompose_once(sys: RegularSystem, block, horizon, label: str, doc) -> tupl
 
 def _cmd_decompose(args) -> int:
     sys_ = load_system(args.system)
-    horizon = args.horizon if args.horizon is not None else sys_.horizon
-    doc = [("n", str(sys_.n)), ("m", str(sys_.m)), ("horizon", str(horizon))]
-    factors = []
-    statuses = []
-    if args.block:
+    doc = [("n", str(sys_.n)), ("m", str(sys_.m)), ("horizon", str(sys_.horizon))]
+    if args.block is not None:
         try:
-            block = sorted(int(x) for x in args.block.split(","))
+            blocks = _split_blocks(sys_.n, [int(x) for x in args.block.split(",")])
         except ValueError:
             raise LoadError(f"--block must be comma-separated coordinates, got {args.block!r}")
-        result = _decompose_once(sys_, block, horizon, "step1", doc)
-        factors = [result.first, result.second]
-        statuses = [result.status]
     else:
-        part = finest_partition(sys_.phi)
-        print(f"finest partition: {_blocks_text(part.blocks)}")
-        doc.append(
-            ("partition.blocks", "|".join(",".join(map(str, b)) for b in part.blocks))
-        )
-        if len(part.blocks) == 1:
+        blocks = finest_partition(sys_.phi).blocks
+        print(f"finest partition: {_blocks_text(blocks)}")
+        doc.append(("partition.blocks", "|".join(",".join(map(str, b)) for b in blocks)))
+        if len(blocks) == 1:
             print("no separated proper block: nothing to decompose")
             doc.append(("status", "indecomposable"))
             _write_doc(args.out, doc)
             return _EXIT_OK
-        current = sys_
-        labels = list(range(1, sys_.n + 1))
-        for step, b in enumerate(part.blocks[:-1], start=1):
-            positions = [labels.index(i) + 1 for i in b]
-            result = _decompose_once(current, positions, horizon, f"step{step}", doc)
-            factors.append(result.first)
-            statuses.append(result.status)
-            current = result.second
-            labels = [i for i in labels if i not in b]
-        factors.append(current)
+    factors = []
+    statuses = []
+    current = sys_
+    labels = list(range(1, sys_.n + 1))
+    for step, b in enumerate(blocks[:-1], start=1):
+        positions = [labels.index(i) + 1 for i in b]
+        result = _decompose_once(current, positions, f"step{step}", doc)
+        factors.append(result.first)
+        statuses.append(result.status)
+        current = result.second
+        labels = [i for i in labels if i not in b]
+    factors.append(current)
     overall = "equal" if all(s == "equal" for s in statuses) else "strict-subset"
     print(f"overall: {overall} ({len(factors)} factors)")
     doc.append(("status", overall))
@@ -306,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="factor a system at a separated block")
     p.add_argument("--system", required=True, help="system bundle file")
     p.add_argument("--block", help="comma-separated coordinates; default: finest partition, iterated")
-    p.add_argument("--horizon", type=int, help="horizon for the realization comparison")
     p.add_argument("--emit", help="write factor bundles as PREFIX.factor<k>.sys")
     p.add_argument("--out", help="write a machine-readable key=value report")
     p.set_defaults(fn=_cmd_decompose)

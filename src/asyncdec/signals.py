@@ -408,23 +408,14 @@ def round_robin(width: int, ticks: Iterable[Tick], horizon: Tick) -> Progressive
 
 
 def product_rho(a: ProgressiveFunction, b: ProgressiveFunction) -> ProgressiveFunction:
-    """Cartesian product of schedules on the merged grid.
+    """Cartesian product of schedules on the merged grid: `a` drives the
+    leading coordinates and `b` the rest.
 
     Where only one factor has an event, the other half of the firing vector
     is zero: that coordinate is simply not computed at that tick, which is
     exactly the shared-grid form the factors take without loss of generality.
     """
-    if a.horizon != b.horizon:
-        raise HorizonMismatch(f"horizons differ: {a.horizon} vs {b.horizon}")
-    at = dict((t, v) for t, v in a.events)
-    bt = dict((t, v) for t, v in b.events)
-    zero_a = BitVec.zeros(a.width)
-    zero_b = BitVec.zeros(b.width)
-    events = tuple(
-        (t, at.get(t, zero_a).concat(bt.get(t, zero_b)))
-        for t in sorted(set(at) | set(bt))
-    )
-    return ProgressiveFunction(a.width + b.width, events, a.horizon)
+    return interleave_rho(a.width + b.width, range(1, a.width + 1), a, b)
 
 
 def interleave_rho(
@@ -436,8 +427,7 @@ def interleave_rho(
     """Assemble a width-n schedule from block/complement schedules.
 
     `rho_block` drives the block coordinates (ascending order) and
-    `rho_rest` the complement; the generalization of `product_rho` to a
-    non-contiguous block.
+    `rho_rest` the complement; `product_rho` is the case of a leading block.
     """
     bs = _checked_coords(block, n)
     cs = tuple(sorted(set(range(1, n + 1)).difference(bs)))
@@ -450,14 +440,8 @@ def interleave_rho(
         raise HorizonMismatch(
             f"horizons differ: {rho_block.horizon} vs {rho_rest.horizon}"
         )
-    at = dict((t, v) for t, v in rho_block.events)
-    bt = dict((t, v) for t, v in rho_rest.events)
-    events = []
-    for t in sorted(set(at) | set(bt)):
-        value = 0
-        if t in at:
-            value |= scatter_bits(at[t].value, bs)
-        if t in bt:
-            value |= scatter_bits(bt[t].value, cs)
-        events.append((t, BitVec(n, value)))
-    return ProgressiveFunction(n, tuple(events), rho_block.horizon)
+    woven = {t: scatter_bits(v.value, bs) for t, v in rho_block.events}
+    for t, v in rho_rest.events:
+        woven[t] = woven.get(t, 0) | scatter_bits(v.value, cs)
+    events = tuple((t, BitVec(n, woven[t])) for t in sorted(woven))
+    return ProgressiveFunction(n, events, rho_block.horizon)

@@ -29,7 +29,7 @@ from .signals import (
     interleave_rho,
     permute_signal,
     product_rho,
-    scatter_bits,
+    product_set,
 )
 
 
@@ -103,50 +103,25 @@ class RegularSystem:
         return self.inputs[0].horizon
 
 
-@dataclass(frozen=True, eq=False)
-class SystemOutput:
-    """The realized multi-valued map: one nonempty signal set per input."""
-
-    outputs: tuple[tuple[Signal, SignalSet], ...]
-
-    def __post_init__(self):
-        for u, sigs in self.outputs:
-            if len(sigs) == 0:
-                raise InvalidSystem(f"empty state set for input {u}")
-
-    def __getitem__(self, u: Signal) -> SignalSet:
-        for key, sigs in self.outputs:
-            if key == u:
-                return sigs
-        raise KeyError(u)
-
-    def __iter__(self):
-        return iter(self.outputs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SystemOutput):
-            return NotImplemented
-        return dict(self.outputs) == dict(other.outputs)
-
-
-def realize(sys: RegularSystem, horizon: Tick) -> SystemOutput:
-    """Run every (mu, u, rho) the bundle admits and collect the trajectories."""
+def realize(sys: RegularSystem, horizon: Tick) -> dict[Signal, SignalSet]:
+    """Run every (mu, u, rho) the bundle admits and collect the trajectories:
+    a dict from each input, in the order of `sys.inputs`, to its signal set."""
     if horizon != sys.horizon:
         raise HorizonMismatch(f"horizon {horizon} does not match the system's {sys.horizon}")
-    outputs = []
+    out = {}
     for u in sys.inputs:
         members = [
             run(sys.phi, mu, u, rho, horizon).signal
             for mu in sys.phi0[u]
             for rho in sys.pi[(mu, u)]
         ]
-        outputs.append((u, SignalSet(sys.n, horizon, members)))
-    return SystemOutput(tuple(outputs))
+        out[u] = SignalSet(sys.n, horizon, members)
+    return out
 
 
-def initial_state_function(out: SystemOutput) -> dict[Signal, frozenset[BitVec]]:
+def initial_state_function(out: dict[Signal, SignalSet]) -> dict[Signal, frozenset[BitVec]]:
     """Per input, the set of initial values occurring in the realized states."""
-    return {u: frozenset(x.initial for x in sigs) for u, sigs in out}
+    return {u: frozenset(x.initial for x in sigs) for u, sigs in out.items()}
 
 
 def parallel_system(a: RegularSystem, b: RegularSystem) -> RegularSystem:
@@ -238,9 +213,11 @@ def check_product_condition(
     return _product_condition(sys, bs, cs, project_pi(sys, bs), project_pi(sys, cs), own)
 
 
-def _product_condition(sys, bs, cs, pi_b, pi_c, own: SystemOutput) -> ProductConditionResult:
+def _product_condition(
+    sys, bs, cs, pi_b, pi_c, own: dict[Signal, SignalSet]
+) -> ProductConditionResult:
     """`check_product_condition` on the projections and realization at hand."""
-    for u, sigs in own:
+    for u, sigs in own.items():
         admitted = set(sigs)
         for mu in sys.phi0[u]:
             schedules = sys.pi[(mu, u)]
@@ -259,10 +236,12 @@ def _product_condition(sys, bs, cs, pi_b, pi_c, own: SystemOutput) -> ProductCon
 class DecompositionResult:
     """Factors of a system decomposition plus the verified verdict.
 
-    `status` is "equal" when the realized outputs of the system and of the
-    parallel connection of the factors were compared set-by-set and found
-    identical for every input, else "strict-subset".  The two condition
-    flags record the sufficient conditions independently of the verdict.
+    `status` is "equal" when, for every input u, the system's realization,
+    relabeled by the partition's permutation, equals the hull
+    f'(u) x f''(u) of the factors' realizations, compared set by set; else
+    "strict-subset".  `hull_sizes` holds (u, |f(u)|, |f'(u) x f''(u)|).  The
+    two condition flags record the sufficient conditions independently of
+    the verdict.
     """
 
     first: RegularSystem
@@ -280,44 +259,36 @@ def decompose_system(
     """Decompose at a separated block and verify the parallel hull.
 
     Refuses (with a dependency witness) if the block is not separated.  The
-    containment of the system in the hull is checked, not assumed; the
-    verdict compares both realizations explicitly so a truncation artifact
-    can never misreport equality.
+    hull of input u is (f' || f'')(u) = f'(u) x f''(u), the product of the
+    factors' realizations; the system's realization must lie inside it
+    (checked, not assumed), and the verdict compares the two set by set, so
+    a truncation artifact can never misreport equality.
     """
     bs, cs = _split_blocks(sys.n, block)
     phi_b, phi_c, partition = split_fn(sys.phi, bs)
     pi_b, pi_c = project_pi(sys, bs), project_pi(sys, cs)
     first = RegularSystem(phi_b, sys.inputs, project_phi0(sys, bs), pi_b)
     second = RegularSystem(phi_c, sys.inputs, project_phi0(sys, cs), pi_c)
-    hull = realize(parallel_system(first, second), horizon)
-    own = realize(sys, horizon)
+    own, out_b, out_c = realize(sys, horizon), realize(first, horizon), realize(second, horizon)
     perm = partition.permutation
-
-    def assemble(mb: BitVec, mc: BitVec) -> BitVec:
-        value = scatter_bits(mb.value, bs) | scatter_bits(mc.value, cs)
-        return BitVec(sys.n, value)
-
     product_form = all(
-        sys.phi0[u]
-        == frozenset(
-            assemble(mb, mc) for mb in first.phi0[u] for mc in second.phi0[u]
-        )
+        frozenset(mu.permute(perm) for mu in sys.phi0[u])
+        == frozenset(mb.concat(mc) for mb in first.phi0[u] for mc in second.phi0[u])
         for u in sys.inputs
     )
 
     sizes = []
     equal = True
     for u in sys.inputs:
-        relabeled = SignalSet(
-            sys.n, horizon, (permute_signal(x, perm) for x in own[u])
-        )
-        if not relabeled.issubset(hull[u]):
+        hull = product_set(out_b[u], out_c[u])
+        relabeled = SignalSet(sys.n, horizon, (permute_signal(x, perm) for x in own[u]))
+        if not relabeled.issubset(hull):
             raise InvalidSystem(
                 f"decomposition lost a trajectory for input {u}; this should be impossible"
             )
-        if relabeled != hull[u]:
+        if relabeled != hull:
             equal = False
-        sizes.append((u, len(own[u]), len(hull[u])))
+        sizes.append((u, len(own[u]), len(hull)))
 
     condition = _product_condition(sys, bs, cs, pi_b, pi_c, own)
     if product_form and condition.holds and not equal:

@@ -163,6 +163,20 @@ def test_decompose_non_numeric_block_is_input_error(workdir):
     assert "--block" in result.stderr
 
 
+def test_decompose_empty_block_is_input_error(workdir):
+    result = cli("decompose", "--system", str(workdir / "diag.sys"), "--block", "")
+    assert_input_error(result)
+    assert "--block" in result.stderr
+    assert result.stdout == ""
+
+
+def test_decompose_repeated_block_coordinate_counts_once(workdir):
+    result = cli("decompose", "--system", str(workdir / "diag.sys"), "--block", "1,1")
+    assert result.returncode == 0
+    assert "step1 block {1}:" in result.stdout
+    assert "overall: strict-subset (2 factors)" in result.stdout
+
+
 def test_verify_zero_cases_is_input_error():
     result = cli("verify", "--thm", "27", "--cases", "0")
     assert_input_error(result)

@@ -304,6 +304,31 @@ def test_interleave_rho_matches_product_for_contiguous_block():
     assert interleave_rho(3, (1, 2), a, b) == product_rho(a, b)
 
 
+def _weave_reference(n, block, a, b):
+    """Per tick, block coordinate block[k] takes bit k+1 of a's firing vector
+    and the k-th complement coordinate bit k+1 of b's; no event reads as zeros."""
+    rest = [i for i in range(1, n + 1) if i not in block]
+    at, bt = dict(a.events), dict(b.events)
+    events = []
+    for t in sorted(set(at) | set(bt)):
+        bits = [0] * n
+        for coords, side in ((sorted(block), at), (rest, bt)):
+            if t in side:
+                for k, i in enumerate(coords):
+                    bits[i - 1] = side[t].bit(k + 1)
+        events.append((t, BitVec.from_bits(bits)))
+    return tuple(events)
+
+
+@given(rhos(), rhos(), st.randoms(use_true_random=False))
+@settings(max_examples=150)
+def test_interleave_and_product_rho_match_a_per_coordinate_weave(a, b, rnd):
+    n = a.width + b.width
+    assert product_rho(a, b).events == _weave_reference(n, range(1, a.width + 1), a, b)
+    block = rnd.sample(range(1, n + 1), a.width)
+    assert interleave_rho(n, block, a, b).events == _weave_reference(n, block, a, b)
+
+
 def test_interleave_rho_noncontiguous():
     a = rho(1, [(1, "1")], 10)
     b = rho(1, [(2, "1")], 10)

@@ -18,6 +18,7 @@ from asyncdec import (
     enumerate_states,
     initial_state_function,
     parallel_system,
+    permute_signal,
     product_set,
     product_signal,
     project_phi0,
@@ -406,10 +407,10 @@ def test_decompose_runs_each_admitted_triple_once(monkeypatch):
     result = decompose_system(par, (1,), H)
     monkeypatch.undo()
     assert result.status == "equal" and result.product_condition.holds
-    hull = parallel_system(result.first, result.second)
-    # six interleavings per initial state, all of them admitted schedules
-    assert calls == admitted(par) + admitted(hull)
-    assert sum(calls.values()) == 12
+    # six interleavings per initial state, all of them admitted schedules;
+    # the hull is the product of the factors' realizations, 3 x 2 runs
+    assert calls == admitted(par) + admitted(result.first) + admitted(result.second)
+    assert sum(calls.values()) == 11
 
 
 def test_product_condition_requires_separated_block():
@@ -471,3 +472,47 @@ def test_decompose_subset_direction_always_holds():
         # decompose_system raises if containment in the hull ever failed
         result = decompose_system(sys_, range(1, na + 1), H)
         assert result.status in ("equal", "strict-subset")
+
+
+def _reference_verdict(sys_, result):
+    """(status, hull_sizes, product form) by realizing the parallel bundle of
+    the factors and comparing it with the relabeled system, input by input."""
+    hull = realize(parallel_system(result.first, result.second), H)
+    own = realize(sys_, H)
+    perm = result.partition.permutation
+    bs, cs = result.partition.blocks
+    equal = all(
+        SignalSet(sys_.n, H, (permute_signal(x, perm) for x in own[u])) == hull[u]
+        for u in sys_.inputs
+    )
+    product_form = all(
+        sys_.phi0[u]
+        == frozenset(
+            mu
+            for mu in BitVec.all_of_width(sys_.n)
+            if mu.restrict(bs) in result.first.phi0[u]
+            and mu.restrict(cs) in result.second.phi0[u]
+        )
+        for u in sys_.inputs
+    )
+    sizes = tuple((u, len(own[u]), len(hull[u])) for u in sys_.inputs)
+    return ("equal" if equal else "strict-subset"), sizes, product_form
+
+
+def test_decompose_matches_the_realized_parallel_bundle():
+    from asyncdec import parallel_fn, permute_fn
+
+    rng = random.Random(41)
+    cases = [(diagonal_example(), (1,))]
+    for _ in range(40):
+        na, nb = rng.randint(1, 2), rng.randint(1, 2)
+        perm = rng.sample(range(1, na + nb + 1), na + nb)
+        phi = permute_fn(parallel_fn(rand_fn(rng, na, 1), rand_fn(rng, nb, 1)), perm)
+        cases.append((rand_system(rng, phi, H, n_inputs=rng.randint(1, 2)), perm[:na]))
+    statuses = set()
+    for sys_, block in cases:
+        result = decompose_system(sys_, block, H)
+        got = (result.status, result.hull_sizes, result.phi0_product_form)
+        assert got == _reference_verdict(sys_, result)
+        statuses.add(result.status)
+    assert statuses == {"equal", "strict-subset"}
