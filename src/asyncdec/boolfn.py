@@ -52,7 +52,10 @@ def check_scan_size(n: int, m: int, limit: int | None):
 
 def lane_code(n: int) -> str:
     """The `array` type code of the narrowest lane holding n bits."""
-    return next(code for code in "BHILQ" if array(code).itemsize * 8 >= n)
+    for code in "BHILQ":
+        if array(code).itemsize * 8 >= n:
+            return code
+    raise SizeLimitError(f"n = {n} state bits exceed the 64-bit lane cap of the table kernels")
 
 
 def lane_mask(code: str, rows: int, bit: int, low: int, high: int) -> int:

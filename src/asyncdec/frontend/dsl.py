@@ -41,6 +41,9 @@ class DslNameError(AsyncDecError):
 
 _TOKEN = re.compile(r"\s*(?:([A-Za-z_][A-Za-z_0-9]*)|(\d+)|([!&^|()'=])|(\S))")
 
+# how a definition and a reference both spell x<i> and u<j>: no leading zero
+_VARIABLE = re.compile(r"([xu])([1-9][0-9]*)")
+
 
 def _tokenize(text: str, line_no: int):
     tokens = []
@@ -130,10 +133,10 @@ class _Parser:
             return ("const", int(text))
         if kind == "name":
             self.take()
-            kind_char = text[0]
-            if kind_char in ("x", "u") and text[1:].isdigit() and not text[1:].startswith("0"):
-                self.refs.append((kind_char, int(text[1:]), self.line_no))
-                return (kind_char, int(text[1:]))
+            var = _VARIABLE.fullmatch(text)
+            if var:
+                self.refs.append((var[1], int(var[2]), self.line_no))
+                return (var[1], int(var[2]))
             raise DslSyntaxError(
                 f"{text!r} is not a variable (expected x<i> or u<j>)", self.line_no, col
             )
@@ -163,19 +166,18 @@ def parse_dsl(text: str) -> EquationProgram:
             continue
         parser = _Parser(_tokenize(line, line_no), line_no, references)
         kind, name, col = parser.take()
-        if kind != "name" or not (name[0] == "x" and name[1:].isdigit()):
+        var = _VARIABLE.fullmatch(name) if kind == "name" else None
+        if not var or var[1] != "x":
             raise DslSyntaxError(
                 f"a line must start with a state variable, found {name!r}", line_no, col
             )
-        index = int(name[1:])
+        index = int(var[2])
         parser.take("'")
         parser.take("=")
         expr = parser.or_expr()
         parser.take("end")
         if index in defined:
             raise DslNameError(f"state variable x{index} defined twice", line_no)
-        if index < 1:
-            raise DslNameError(f"state variable index must be >= 1, got x{index}", line_no)
         defined[index] = expr
     if not defined:
         raise DslNameError("no equations found")

@@ -244,8 +244,8 @@ _SECTION = re.compile(r"^\[([a-z0-9_ ]+)\]$")
 def format_system(sys: RegularSystem) -> str:
     input_names = {u: f"u{k}" for k, u in enumerate(sys.inputs)}
     rho_names: dict[ProgressiveFunction, str] = {}
-    for key in sorted(sys.pi, key=lambda key: (key[1]._key(), key[0].value)):
-        for rho in sorted(sys.pi[key], key=lambda r: r._key()):
+    for key in sorted(sys.pi, key=lambda pair: (pair[1].key, pair[0].value)):
+        for rho in sorted(sys.pi[key]):
             if rho not in rho_names:
                 rho_names[rho] = f"r{len(rho_names)}"
     lines = ["[phi]", format_truth_table(sys.phi).rstrip("\n"), "[inputs]"]
@@ -258,10 +258,7 @@ def format_system(sys: RegularSystem) -> str:
     lines.append("[pi]")
     for u in sys.inputs:
         for mu in sorted(sys.phi0[u], key=lambda b: b.value):
-            names = ", ".join(
-                rho_names[rho]
-                for rho in sorted(sys.pi[(mu, u)], key=lambda r: r._key())
-            )
+            names = ", ".join(rho_names[rho] for rho in sorted(sys.pi[(mu, u)]))
             lines.append(f"{mu} @ {input_names[u]}: {names}")
     for rho, name in rho_names.items():
         lines.append(f"[rho {name}]")

@@ -1,11 +1,17 @@
-"""Binary signals over exact integer time.
+"""Binary signals and schedules over exact integer time.
 
 A signal is a piecewise-constant map from time to bit vectors: an initial
 value that holds on (-inf, t_0), then the value of the latest event at or
 before t.  All signals here are finite prefixes, defined on (-inf, H] for an
 explicit integer horizon H and undefined beyond it.  Progressive functions
-share the event-list shape but are pulse trains: a firing vector at each
-event tick and implicitly zero elsewhere.
+(schedules) share the event-list shape but are pulse trains: a firing vector
+at each event tick and implicitly zero elsewhere.
+
+Both rest on one event-sequence core: validation, truncation, equality,
+hashing, order and text.  Each kind says what its canonical form drops.
+Its `key`, the canonical form in plain ints, computed on demand and never
+stored, is both the identity and the `<` order that sorts sets, schedules
+and witnesses.
 
 Everything in this module is immutable and safe to share across threads.
 """
@@ -13,7 +19,7 @@ Everything in this module is immutable and safe to share across threads.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -134,20 +140,59 @@ def _checked_coords(coords: Iterable[int], width: int) -> tuple[int, ...]:
     return tuple(cs)
 
 
-def _check_events(events, width: int, horizon: Tick, kind: str):
-    prev = None
-    for t, v in events:
-        if prev is not None and t <= prev:
-            raise InvalidValue(f"{kind} events not strictly increasing at tick {t}")
-        prev = t
-        if v.width != width:
-            raise WidthMismatch(f"{kind} event at tick {t} has width {v.width}, expected {width}")
-        if t > horizon:
-            raise HorizonExceeded(f"{kind} event at tick {t} beyond horizon {horizon}")
+class _EventSequence:
+    """The core of `Signal` and `ProgressiveFunction`: a frozen dataclass with
+    `width`, `events`, `horizon` and `initial` (None for a schedule), a
+    `_kind` for messages and a `key`.  A signal never equals or orders
+    against a schedule.
+    """
+
+    def __post_init__(self):
+        events = tuple((t, v) for t, v in self.events)
+        object.__setattr__(self, "events", events)
+        width, horizon, initial, kind = self.width, self.horizon, self.initial, self._kind
+        if width < 1:
+            raise WidthMismatch(f"{kind} width must be >= 1, got {width}")
+        if initial is not None and initial.width != width:
+            raise WidthMismatch(f"initial value width {initial.width}, expected {width}")
+        prev = None
+        for t, v in events:
+            if prev is not None and t <= prev:
+                raise InvalidValue(f"{kind} events not strictly increasing at tick {t}")
+            prev = t
+            if v.width != width:
+                raise WidthMismatch(f"{kind} event at tick {t} has width {v.width}, expected {width}")
+            if t > horizon:
+                raise HorizonExceeded(f"{kind} event at tick {t} beyond horizon {horizon}")
+
+    def truncated(self, horizon: Tick):
+        """Restriction to (-inf, horizon]; never extends."""
+        if horizon > self.horizon:
+            raise HorizonExceeded(f"cannot extend horizon {self.horizon} to {horizon}")
+        kept = tuple((t, v) for t, v in self.events if t <= horizon)
+        return replace(self, events=kept, horizon=horizon)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.key == other.key
+
+    def __lt__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.key < other.key
+
+    def __hash__(self) -> int:
+        return hash(self.key)
+
+    def __str__(self) -> str:
+        init = "" if self.initial is None else f" init={self.initial}"
+        ev = ";".join(f"({t},{v})" for t, v in self.events)
+        return f"n={self.width}{init} H={self.horizon} events={ev}"
 
 
 @dataclass(frozen=True, eq=False)
-class Signal:
+class Signal(_EventSequence):
     """Piecewise-constant map to B^width on (-inf, horizon].
 
     Value semantics: `initial` on (-inf, t_0), the latest event value on
@@ -160,23 +205,18 @@ class Signal:
     initial: BitVec
     events: tuple[tuple[Tick, BitVec], ...]
     horizon: Tick
+    _kind = "signal"
 
     def __post_init__(self):
-        object.__setattr__(self, "events", tuple((t, v) for t, v in self.events))
-        if self.width < 1:
-            raise WidthMismatch(f"signal width must be >= 1, got {self.width}")
-        if self.initial.width != self.width:
-            raise WidthMismatch(
-                f"initial value width {self.initial.width}, expected {self.width}"
-            )
-        _check_events(self.events, self.width, self.horizon, "signal")
+        super().__post_init__()
         canon = []
         current = self.initial
         for t, v in self.events:
             if v != current:
                 canon.append((t, v))
                 current = v
-        object.__setattr__(self, "_canon", tuple(canon))
+        # an already canonical signal shares its events tuple
+        object.__setattr__(self, "_canon", tuple(canon) if len(canon) < len(self.events) else self.events)
         object.__setattr__(self, "_ticks", tuple(t for t, _ in self.events))
 
     @classmethod
@@ -192,40 +232,16 @@ class Signal:
             return self.initial
         return self.events[k - 1][1]
 
+    @property
+    def key(self) -> tuple:
+        """(width, horizon, initial, canonical events as (tick, int))."""
+        return (self.width, self.horizon, self.initial.value, tuple((t, v.value) for t, v in self._canon))
+
     def canonical(self) -> "Signal":
         """Drop every event whose value repeats the value in force before it."""
-        if len(self._canon) == len(self.events):
+        if self._canon is self.events:
             return self
         return Signal(self.width, self.initial, self._canon, self.horizon)
-
-    def truncated(self, horizon: Tick) -> "Signal":
-        """Restriction to (-inf, horizon]; never extends."""
-        if horizon > self.horizon:
-            raise HorizonExceeded(
-                f"cannot extend horizon {self.horizon} to {horizon}"
-            )
-        kept = tuple((t, v) for t, v in self.events if t <= horizon)
-        return Signal(self.width, self.initial, kept, horizon)
-
-    def _key(self):
-        return (
-            self.width,
-            self.horizon,
-            self.initial.value,
-            tuple((t, v.value) for t, v in self._canon),
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Signal):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __str__(self) -> str:
-        ev = ";".join(f"({t},{v})" for t, v in self.events)
-        return f"n={self.width} init={self.initial} H={self.horizon} events={ev}"
 
 
 def unit_step(t0: Tick, horizon: Tick) -> Signal:
@@ -277,7 +293,7 @@ class SignalSet:
             if x.horizon != horizon:
                 raise HorizonMismatch(f"member horizon {x.horizon}, expected {horizon}")
             c = x.canonical()
-            canon[c._key()] = c
+            canon[c.key] = c
         self.width = width
         self.horizon = horizon
         self.members = tuple(canon[k] for k in sorted(canon))
@@ -311,9 +327,7 @@ class SignalSet:
         return hash((self.width, self.horizon, self.members))
 
     def issubset(self, other: "SignalSet") -> bool:
-        mine = {x._key() for x in self.members}
-        theirs = {x._key() for x in other.members}
-        return mine <= theirs
+        return {x.key for x in self.members} <= {x.key for x in other.members}
 
     def __repr__(self) -> str:
         return f"SignalSet(width={self.width}, horizon={self.horizon}, size={len(self)})"
@@ -331,7 +345,7 @@ def product_set(a: SignalSet, b: SignalSet) -> SignalSet:
 
 
 @dataclass(frozen=True, eq=False)
-class ProgressiveFunction:
+class ProgressiveFunction(_EventSequence):
     """A finite schedule prefix: firing vector alpha^k at each event tick.
 
     A zero firing vector is a no-op (nothing is computed), so equality and
@@ -342,16 +356,17 @@ class ProgressiveFunction:
     width: int
     events: tuple[tuple[Tick, BitVec], ...]
     horizon: Tick
+    initial = None
+    _kind = "schedule"
 
-    def __post_init__(self):
-        object.__setattr__(self, "events", tuple((t, v) for t, v in self.events))
-        if self.width < 1:
-            raise WidthMismatch(f"schedule width must be >= 1, got {self.width}")
-        _check_events(self.events, self.width, self.horizon, "schedule")
+    @property
+    def key(self) -> tuple:
+        """(width, horizon, nonzero firings as (tick, int))."""
+        return (self.width, self.horizon, tuple((t, v.value) for t, v in self.events if v.value))
 
     def canonical(self) -> "ProgressiveFunction":
         """Drop events whose firing vector is all zeros."""
-        kept = tuple((t, v) for t, v in self.events if v.value != 0)
+        kept = tuple((t, v) for t, v in self.events if v.value)
         return ProgressiveFunction(self.width, kept, self.horizon)
 
     def is_prefix_progressive(self, min_firings: int = 1) -> bool:
@@ -367,12 +382,6 @@ class ProgressiveFunction:
                 counts[i] += (v.value >> i) & 1
         return all(c >= min_firings for c in counts)
 
-    def truncated(self, horizon: Tick) -> "ProgressiveFunction":
-        if horizon > self.horizon:
-            raise HorizonExceeded(f"cannot extend horizon {self.horizon} to {horizon}")
-        kept = tuple((t, v) for t, v in self.events if t <= horizon)
-        return ProgressiveFunction(self.width, kept, horizon)
-
     def restrict(self, coords: Iterable[int]) -> "ProgressiveFunction":
         """Coordinate restriction with zero-only events dropped."""
         cs = _checked_coords(coords, self.width)
@@ -380,25 +389,6 @@ class ProgressiveFunction:
             (t, BitVec(len(cs), b)) for t, v in self.events if (b := gather_bits(v.value, cs))
         )
         return ProgressiveFunction(len(cs), events, self.horizon)
-
-    def _key(self):
-        return (
-            self.width,
-            self.horizon,
-            tuple((t, v.value) for t, v in self.events if v.value != 0),
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ProgressiveFunction):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __str__(self) -> str:
-        ev = ";".join(f"({t},{v})" for t, v in self.events)
-        return f"n={self.width} H={self.horizon} events={ev}"
 
 
 def round_robin(width: int, ticks: Iterable[Tick], horizon: Tick) -> ProgressiveFunction:

@@ -221,8 +221,8 @@ def _product_condition(
         admitted = set(sigs)
         for mu in sys.phi0[u]:
             schedules = sys.pi[(mu, u)]
-            rests = sorted(pi_c[(mu.restrict(cs), u)], key=lambda r: r._key())
-            for rb in sorted(pi_b[(mu.restrict(bs), u)], key=lambda r: r._key()):
+            rests = sorted(pi_c[(mu.restrict(cs), u)])
+            for rb in sorted(pi_b[(mu.restrict(bs), u)]):
                 for rc in rests:
                     woven = interleave_rho(sys.n, bs, rb, rc)
                     if woven not in schedules and (

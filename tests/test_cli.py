@@ -206,6 +206,13 @@ def test_deeply_nested_equations_are_input_errors(workdir):
         assert result.stderr == "error: line 1, column 107: expression nested deeper than 100 levels\n"
 
 
+def test_state_width_beyond_the_lane_cap_is_input_error(workdir):
+    (workdir / "wide.eq").write_text("".join(f"x{i}' = x{i}\n" for i in range(1, 66)))
+    result = cli("analyze", "--phi", str(workdir / "wide.eq"), env={"ASYNC_DEC_SIZE_LIMIT": "1000"})
+    assert_input_error(result)
+    assert result.stderr == "error: n = 65 state bits exceed the 64-bit lane cap of the table kernels\n"
+
+
 def test_undefined_state_variable_error_names_no_line(workdir):
     (workdir / "gap.eq").write_text("x2' = x1\n")
     result = cli("analyze", "--phi", str(workdir / "gap.eq"))

@@ -122,6 +122,16 @@ def test_diagnostics_without_a_line_have_no_line_prefix():
         parse_dsl("x1' = 0\nx2' = x3")
 
 
+def test_definitions_and_references_spell_variables_alike():
+    for text in ("x01' = u1", "x0' = 1", "x1' = x01", "x1' = u01"):
+        with pytest.raises(DslSyntaxError) as err:
+            parse_dsl(text)
+        assert err.value.line == 1
+    with pytest.raises(DslSyntaxError, match="^line 1, column 1: a line must start with a state variable, found 'x01'$"):
+        parse_dsl("x01' = u1")
+    assert parse_dsl("x10' = x1\n" + "".join(f"x{i}' = x10\n" for i in range(1, 10))).n == 10
+
+
 def test_nesting_bound_is_a_syntax_error():
     depth = MAX_NESTING
     assert compiled("x1' = " + "!" * depth + "x1").table == GeneratorFn.identity(1).table

@@ -394,3 +394,55 @@ def test_event_validation():
         sig(1, "0", [(2, "1"), (2, "0")], 10)
     with pytest.raises(HorizonExceeded):
         sig(1, "0", [(11, "1")], 10)
+
+
+# -- the shared event-sequence core ----------------------------------------
+
+
+def test_truncated_keeps_the_cut_and_never_extends():
+    x = sig(1, "0", [(2, "1"), (5, "0"), (8, "1")], 10)
+    assert x.truncated(5) == sig(1, "0", [(2, "1"), (5, "0")], 5)
+    assert x.truncated(5).events == ((2, bv("1")), (5, bv("0")))
+    assert x.truncated(10).events == x.events
+    r = rho(2, [(1, "10"), (4, "01"), (6, "11")], 10)
+    assert r.truncated(4).events == ((1, bv("10")), (4, bv("01")))
+    assert r.truncated(4).horizon == 4
+    for obj in (x, r):
+        with pytest.raises(HorizonExceeded, match="^cannot extend horizon 10 to 11$"):
+            obj.truncated(11)
+
+
+def test_signal_and_schedule_with_equal_fields_are_unequal():
+    events = ((1, bv("1")), (3, bv("0")))
+    x = Signal(1, bv("0"), events, 10)
+    r = ProgressiveFunction(1, events, 10)
+    assert x != r and r != x
+    assert len({x, r}) == 2
+
+
+@given(signals())
+@settings(max_examples=100, deadline=None)
+def test_canonical_equal_signals_hash_alike(x):
+    noisy = Signal(
+        x.width, x.initial, tuple((t, x.value_at(t)) for t in range(-3, x.horizon + 1)), x.horizon
+    )
+    assert noisy == x
+    assert hash(noisy) == hash(x) == hash(x.canonical())
+
+
+@given(st.lists(signals(max_width=2), max_size=8), st.lists(rhos(max_width=2), max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_sorted_orders_by_key(xs, rs):
+    for objs in (xs, rs):
+        assert [o.key for o in sorted(objs)] == sorted(o.key for o in objs)
+    if xs and rs:
+        with pytest.raises(TypeError):
+            sorted([xs[0], rs[0]])
+
+
+def test_signal_set_membership_is_by_canonical_identity():
+    members = SignalSet.of([unit_step(2, 10), Signal.constant(bv("0"), 10)])
+    assert sig(1, "0", [(1, "0"), (2, "1"), (4, "1")], 10) in members
+    assert rho(1, [(2, "1")], 10) not in members
+    assert unit_step(2, 11) not in members
+    assert unit_step(3, 10) not in members

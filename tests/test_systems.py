@@ -361,8 +361,8 @@ def _product_condition_brute_force(sys_, block, horizon):
             admitted = {
                 run(sys_.phi, mu, u, r, horizon).signal for r in sys_.pi[(mu, u)]
             }
-            for rb in sorted(pib[(mu.restrict(bs), u)], key=lambda r: r._key()):
-                for rc in sorted(pic[(mu.restrict(cs), u)], key=lambda r: r._key()):
+            for rb in sorted(pib[(mu.restrict(bs), u)]):
+                for rc in sorted(pic[(mu.restrict(cs), u)]):
                     woven = interleave_rho(sys_.n, bs, rb, rc)
                     if run(sys_.phi, mu, u, woven, horizon).signal not in admitted:
                         return False, (u, mu, rb, rc)
