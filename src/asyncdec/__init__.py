@@ -1,7 +1,6 @@
 """Regular asynchronous binary systems: signals, semantics, decomposition."""
 
 from .boolfn import (
-    BoolTable,
     DependencyMatrix,
     GeneratorFn,
     Partition,
@@ -30,10 +29,7 @@ from .semantics import (
     Trajectory,
     apply_masked,
     delay_bounds,
-    enumerate_states,
-    exhaustive_family,
     run,
-    single_fire_family,
 )
 from .signals import (
     BitVec,

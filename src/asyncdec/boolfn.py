@@ -9,7 +9,8 @@ by a configurable bit limit; nothing here ever samples.
 The dependency scans are word-parallel: a kernel packs the table through
 `array` into one int, row r in lane r (8/16/32/64 bits, the narrowest that
 holds n bits), so a derivative over all rows is a few shifts and masks.  The
-row tuple stays the only stored form; `partial_derivative` stays row-based.
+row tuple stays the only stored form; `partial_derivative` stays row-based
+and returns a row bitmask.
 """
 
 from __future__ import annotations
@@ -41,8 +42,12 @@ def size_limit() -> int:
     raise SizeLimitError(f"{SIZE_LIMIT_ENV} must be a non-negative integer, got {raw!r}")
 
 
-def check_scan_size(n: int, m: int, limit: int | None):
-    limit = size_limit() if limit is None else limit
+def check_scan_size(n: int, m: int):
+    """Refuse a scan over 2^(n+m) rows that this platform cannot index (at any
+    limit), or that exceeds the bit limit."""
+    if n + m >= sys.maxsize.bit_length():
+        raise SizeLimitError(f"n+m = {n + m}: 2^{n + m} table rows exceed this platform's index range")
+    limit = size_limit()
     if n + m > limit:
         raise SizeLimitError(
             f"n+m = {n + m} exceeds the exhaustive-scan limit {limit}; "
@@ -125,31 +130,13 @@ class GeneratorFn:
         return f"GeneratorFn(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class BoolTable:
-    """A single-output truth table B^n x B^m -> B, one bit per row."""
-
-    n: int
-    m: int
-    bits: int
-
-    def eval(self, mu: BitVec, lam: BitVec) -> int:
-        if mu.width != self.n or lam.width != self.m:
-            raise WidthMismatch(
-                f"widths ({mu.width},{lam.width}), expected ({self.n},{self.m})"
-            )
-        return (self.bits >> (mu.value | (lam.value << self.n))) & 1
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
-
-def partial_derivative(phi: GeneratorFn, i: int, j: int) -> BoolTable:
+def partial_derivative(phi: GeneratorFn, i: int, j: int) -> int:
     """Boolean partial derivative of coordinate i with respect to state bit j.
 
-    The XOR of coordinate i at mu_j and at its complement; identically zero
-    exactly when coordinate i does not depend on mu_j.  By construction the
-    result is invariant under flipping mu_j.
+    The XOR of coordinate i at mu_j and at its complement, as a row bitmask:
+    bit r (row r = mu + (lam << n)) is set iff the derivative is 1 there.  It
+    is 0 exactly when coordinate i does not depend on mu_j.  By construction
+    the result is invariant under flipping mu_j.
     """
     if not 1 <= i <= phi.n:
         raise CoordinateError(f"coordinate i={i} out of 1..{phi.n}")
@@ -162,7 +149,7 @@ def partial_derivative(phi: GeneratorFn, i: int, j: int) -> BoolTable:
     for r, out in enumerate(table):
         if (out ^ table[r ^ jbit]) & ibit:
             bits |= 1 << r
-    return BoolTable(phi.n, phi.m, bits)
+    return bits
 
 
 @dataclass(frozen=True)
@@ -224,10 +211,10 @@ class DependencyMatrix:
         return Partition(blocks)
 
 
-def dependency_matrix(phi: GeneratorFn, limit: int | None = None) -> DependencyMatrix:
+def dependency_matrix(phi: GeneratorFn) -> DependencyMatrix:
     """D[i][j] = 1 iff the derivative of coordinate i w.r.t. mu_j is not zero;
     column j ORs the lanes of the lane derivative D_j, folded in halves."""
-    check_scan_size(phi.n, phi.m, limit)
+    check_scan_size(phi.n, phi.m)
     _, width, derivs = _lane_derivatives(phi, range(phi.n))
     cols = []
     for acc in derivs:
@@ -349,10 +336,10 @@ def permute_fn(phi: GeneratorFn, permutation: Sequence[int]) -> GeneratorFn:
     return GeneratorFn(phi.n, phi.m, tuple(rows))
 
 
-def finest_partition(phi: GeneratorFn, limit: int | None = None) -> Partition:
+def finest_partition(phi: GeneratorFn) -> Partition:
     """The finest partition into pairwise separated blocks; see
     `DependencyMatrix.components`."""
-    return dependency_matrix(phi, limit).components()
+    return dependency_matrix(phi).components()
 
 
 def split_fn(phi: GeneratorFn, block: Iterable[int]) -> tuple[GeneratorFn, GeneratorFn, Partition]:

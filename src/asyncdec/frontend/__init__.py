@@ -20,8 +20,5 @@ from .fileio import (
     parse_system,
     parse_truth_table,
     read_text,
-    save_rho,
-    save_signal,
     save_system,
-    save_truth_table,
 )

@@ -139,15 +139,7 @@ def derivative_separated(phi: GeneratorFn, block) -> bool:
     """Derivative route: every cross-block partial derivative is identically zero."""
     bs = sorted(set(block))
     cs = [i for i in range(1, phi.n + 1) if i not in set(bs)]
-    for i in bs:
-        for j in cs:
-            if not partial_derivative(phi, i, j).is_zero():
-                return False
-    for i in cs:
-        for j in bs:
-            if not partial_derivative(phi, i, j).is_zero():
-                return False
-    return True
+    return _pairwise_separated(phi, (bs, cs))
 
 
 def recompose_verdict(phi: GeneratorFn, block) -> bool:
@@ -398,7 +390,7 @@ def _pairwise_separated(phi: GeneratorFn, blocks) -> bool:
                 continue
             for i in blocks[a]:
                 for j in blocks[b]:
-                    if not partial_derivative(phi, i, j).is_zero():
+                    if partial_derivative(phi, i, j):
                         return False
     return True
 

@@ -32,7 +32,6 @@ from .fileio import (
     load_rho,
     load_signal,
     load_system,
-    load_truth_table,
     parse_truth_table,
     read_text,
     save_system,
@@ -155,7 +154,7 @@ def _cmd_compose(args) -> int:
     else:
         from ..boolfn import parallel_fn
 
-        combined_fn = parallel_fn(load_truth_table(args.first), load_truth_table(args.second))
+        combined_fn = parallel_fn(_load_phi(args.first), _load_phi(args.second))
         text = format_truth_table(combined_fn)
     if args.out:
         with open(args.out, "w") as f:

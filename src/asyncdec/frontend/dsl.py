@@ -195,12 +195,13 @@ def parse_dsl(text: str) -> EquationProgram:
     return EquationProgram(n, m, tuple(defined[i] for i in range(1, n + 1)))
 
 
-def compile_program(prog: EquationProgram, limit: int | None = None) -> GeneratorFn:
+def compile_program(prog: EquationProgram) -> GeneratorFn:
     """Fill the truth table lane-parallel: x_i and u_j are periodic lane masks,
     `&`, `^`, `|` the int operators, `!` an XOR with all-ones lanes; output k
     goes to bit k-1 of every lane, and the lanes unpack to the row tuple."""
-    check_scan_size(prog.n, prog.m, limit)
-    code, rows = lane_code(prog.n), 1 << (prog.n + prog.m)
+    code = lane_code(prog.n)
+    check_scan_size(prog.n, prog.m)
+    rows = 1 << (prog.n + prog.m)
     ones = lane_mask(code, rows, 0, 1, 1)
     variable = cache(lambda bit: lane_mask(code, rows, bit, 0, 1))
 

@@ -143,11 +143,6 @@ def load_truth_table(path: str) -> GeneratorFn:
     return parse_truth_table(read_text(path))
 
 
-def save_truth_table(phi: GeneratorFn, path: str) -> None:
-    with open(path, "w") as f:
-        f.write(format_truth_table(phi))
-
-
 # -- signals and schedules ----------------------------------------------
 
 _SIGNAL_LINE = re.compile(
@@ -219,21 +214,11 @@ def load_signal(path: str) -> Signal:
     return parse_signal(lines[0][1], where=f"{path} line {lines[0][0]}")
 
 
-def save_signal(x: Signal, path: str) -> None:
-    with open(path, "w") as f:
-        f.write(f"{x}\n")
-
-
 def load_rho(path: str) -> ProgressiveFunction:
     lines = list(_split_lines(read_text(path)))
     if len(lines) != 1:
         raise MalformedRowError(f"{path}: expected exactly one schedule line, found {len(lines)}")
     return parse_rho(lines[0][1], where=f"{path} line {lines[0][0]}")
-
-
-def save_rho(rho: ProgressiveFunction, path: str) -> None:
-    with open(path, "w") as f:
-        f.write(f"{rho}\n")
 
 
 # -- system bundles ------------------------------------------------------

@@ -10,23 +10,10 @@ trajectory of the generator function under that schedule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iter_product
 
 from .boolfn import GeneratorFn
-from .errors import (
-    HorizonExceeded,
-    HorizonMismatch,
-    InvalidValue,
-    ProgressivenessError,
-    WidthMismatch,
-)
-from .signals import (
-    BitVec,
-    ProgressiveFunction,
-    Signal,
-    SignalSet,
-    Tick,
-)
+from .errors import HorizonExceeded, HorizonMismatch, InvalidValue, WidthMismatch
+from .signals import BitVec, ProgressiveFunction, Signal, Tick
 
 
 def apply_masked(phi: GeneratorFn, nu: BitVec, mu: BitVec, lam: BitVec) -> BitVec:
@@ -104,65 +91,6 @@ def run(
         states.append(state)
     signal = Signal(n, mu, tuple(changes), horizon)
     return Trajectory(tuple(states), tuple(t for t, _ in rho.events), horizon, signal)
-
-
-def enumerate_states(
-    phi: GeneratorFn,
-    u: Signal,
-    initials,
-    schedules,
-    horizon: Tick,
-    min_firings: int = 1,
-) -> SignalSet:
-    """All trajectories over the given initial states and schedule family.
-
-    A finite under-approximation of the universal system's state set: exact
-    over the supplied family only.  Schedules must be prefix-progressive.
-    """
-    schedules = list(schedules)
-    for rho in schedules:
-        if not rho.is_prefix_progressive(min_firings):
-            raise ProgressivenessError(
-                f"schedule {rho} is not prefix-progressive (min_firings={min_firings})"
-            )
-    members = [
-        run(phi, mu, u, rho, horizon).signal for mu in initials for rho in schedules
-    ]
-    return SignalSet(phi.n, horizon, members)
-
-
-def single_fire_family(width: int, window, horizon: Tick):
-    """Schedules in which every coordinate fires exactly once, at some tick
-    of the window; all |window|^width combinations."""
-    ticks = sorted(set(window))
-    for combo in iter_product(ticks, repeat=width):
-        events = {}
-        for i, t in enumerate(combo):
-            events[t] = events.get(t, 0) | (1 << i)
-        yield ProgressiveFunction(
-            width,
-            tuple((t, BitVec(width, v)) for t, v in sorted(events.items())),
-            horizon,
-        )
-
-
-def exhaustive_family(width: int, ticks, horizon: Tick, max_depth: int = 4):
-    """Every prefix-progressive firing sequence over the given ticks.
-
-    Enumerates all (2^width)^depth assignments, so the tick list is capped
-    at `max_depth` (default 4).
-    """
-    ticks = sorted(set(ticks))
-    if len(ticks) > max_depth:
-        raise InvalidValue(f"{len(ticks)} ticks exceed the depth cap {max_depth}")
-    for alphas in iter_product(range(1 << width), repeat=len(ticks)):
-        rho = ProgressiveFunction(
-            width,
-            tuple((t, BitVec(width, a)) for t, a in zip(ticks, alphas)),
-            horizon,
-        )
-        if rho.is_prefix_progressive():
-            yield rho
 
 
 def delay_bounds(u: Signal, tau: Tick, t: Tick) -> tuple[int, int]:

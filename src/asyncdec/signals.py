@@ -86,10 +86,6 @@ class BitVec:
         return cls(len(text), int(text[::-1], 2) if text else 0)
 
     @classmethod
-    def zeros(cls, width: int) -> "BitVec":
-        return cls(width, 0)
-
-    @classmethod
     def ones(cls, width: int) -> "BitVec":
         return cls(width, (1 << width) - 1)
 
@@ -369,18 +365,12 @@ class ProgressiveFunction(_EventSequence):
         kept = tuple((t, v) for t, v in self.events if v.value)
         return ProgressiveFunction(self.width, kept, self.horizon)
 
-    def is_prefix_progressive(self, min_firings: int = 1) -> bool:
-        """Whether every coordinate fires at least `min_firings` times."""
-        if min_firings == 1:
-            fired = 0
-            for _, v in self.events:
-                fired |= v.value
-            return fired == (1 << self.width) - 1
-        counts = [0] * self.width
+    def is_prefix_progressive(self) -> bool:
+        """Whether every coordinate fires at least once."""
+        fired = 0
         for _, v in self.events:
-            for i in range(self.width):
-                counts[i] += (v.value >> i) & 1
-        return all(c >= min_firings for c in counts)
+            fired |= v.value
+        return fired == (1 << self.width) - 1
 
     def restrict(self, coords: Iterable[int]) -> "ProgressiveFunction":
         """Coordinate restriction with zero-only events dropped."""

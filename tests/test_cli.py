@@ -7,7 +7,14 @@ import sys
 import pytest
 
 from asyncdec import BitVec, GeneratorFn, parallel_fn
-from asyncdec.frontend import format_system, format_truth_table, parse_system, parse_truth_table
+from asyncdec.frontend import (
+    compile_program,
+    format_system,
+    format_truth_table,
+    parse_dsl,
+    parse_system,
+    parse_truth_table,
+)
 from asyncdec.frontend.checks import diagonal_example
 
 
@@ -92,6 +99,15 @@ def test_compose_tables(workdir):
     assert result.returncode == 0
     phi = parse_truth_table(out.read_text())
     assert phi == parallel_fn(GeneratorFn.identity(1, 1), GeneratorFn.identity(1, 1))
+
+
+def test_compose_equation_files_like_the_phi_verbs(workdir):
+    result = cli("compose", str(workdir / "pair.eq"), str(workdir / "delay.eq"))
+    assert result.returncode == 0, result.stderr
+    pair, delay = (
+        compile_program(parse_dsl((workdir / name).read_text())) for name in ("pair.eq", "delay.eq")
+    )
+    assert parse_truth_table(result.stdout) == parallel_fn(pair, delay)
 
 
 def test_decompose_diagonal_reports_strict_subset(workdir):
@@ -211,6 +227,13 @@ def test_state_width_beyond_the_lane_cap_is_input_error(workdir):
     result = cli("analyze", "--phi", str(workdir / "wide.eq"), env={"ASYNC_DEC_SIZE_LIMIT": "1000"})
     assert_input_error(result)
     assert result.stderr == "error: n = 65 state bits exceed the 64-bit lane cap of the table kernels\n"
+
+
+def test_row_count_beyond_the_index_range_is_input_error(workdir):
+    (workdir / "wide_input.eq").write_text("x1' = u70\n")
+    result = cli("analyze", "--phi", str(workdir / "wide_input.eq"), env={"ASYNC_DEC_SIZE_LIMIT": "1000"})
+    assert_input_error(result)
+    assert "n+m = 71" in result.stderr
 
 
 def test_undefined_state_variable_error_names_no_line(workdir):

@@ -1,0 +1,39 @@
+"""The README's library quick tour runs, and the values its comments state hold."""
+
+import ast
+import re
+from pathlib import Path
+
+from asyncdec import Partition, parallel_fn, permute_fn
+
+README = Path(__file__).parent.parent / "README.md"
+TOUR = re.search(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
+
+
+def _commented(prefix: str) -> tuple[str, str]:
+    """(code, comment) of the tour line that starts with `prefix`."""
+    line = next(line for line in TOUR.splitlines() if line.startswith(prefix))
+    code, _, comment = line.partition("#")
+    return code.strip(), comment.strip()
+
+
+def test_quick_tour_runs_and_its_comments_hold(capsys):
+    namespace = {}
+    exec(TOUR, namespace)
+    printed = capsys.readouterr().out.splitlines()
+    for prefix, want in (
+        ("dependency_matrix(", ((0, 0), (0, 1))),
+        ("finest_partition(", ((1,), (2,))),
+    ):
+        code, comment = _commented(prefix)
+        assert ast.literal_eval(comment) == want
+        assert eval(code, namespace) == want
+    _, comment = _commented("print(traj.dump())")
+    assert printed == comment.split(" / ") == [
+        "k=-1 omega=00",
+        "k=0 t=1 omega=10",
+        "k=1 t=3 omega=11",
+    ]
+    phi, first, second, partition = (namespace[k] for k in ("phi", "first", "second", "partition"))
+    assert isinstance(partition, Partition)
+    assert parallel_fn(first, second) == permute_fn(phi, partition.permutation)

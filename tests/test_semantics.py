@@ -1,4 +1,4 @@
-"""Masked updates, runs, bounded enumeration and the delay envelope."""
+"""Masked updates, runs and the delay envelope."""
 
 import random
 
@@ -9,18 +9,14 @@ from asyncdec import (
     GeneratorFn,
     HorizonMismatch,
     ProgressiveFunction,
-    ProgressivenessError,
     Signal,
     apply_masked,
     delay_bounds,
-    enumerate_states,
-    exhaustive_family,
     parallel_fn,
     product_rho,
     product_signal,
     round_robin,
     run,
-    single_fire_family,
     unit_step,
 )
 from asyncdec.frontend.checks import rand_fn, rand_rho, rand_signal
@@ -221,54 +217,6 @@ def test_thm27_run_of_parallel_factors():
             run(fa, ma, u, ra, 25).signal, run(fb, mbv, u, rb, 25).signal
         )
         assert joint.signal == expected
-
-
-# -- enumeration -------------------------------------------------------------
-
-
-def test_enumerate_identity_gives_constants():
-    phi = GeneratorFn.identity(2, 1)
-    u = unit_step(0, 10)
-    out = enumerate_states(
-        phi, u, BitVec.all_of_width(2), [round_robin(2, (1, 2), 10)], 10
-    )
-    assert len(out) == 4
-    assert all(not x.canonical().events for x in out)
-
-
-def test_enumerate_single_fire_steps():
-    phi = GeneratorFn.from_function(1, 1, lambda mu, lam: lam)
-    u = unit_step(0, 10)
-    schedules = list(single_fire_family(1, range(1, 6), 10))
-    assert len(schedules) == 5
-    out = enumerate_states(phi, u, [bv("0")], schedules, 10)
-    assert len(out) == 5
-    for k in range(1, 6):
-        assert unit_step(k, 10) in out
-
-
-def test_enumerate_singletons():
-    phi = GeneratorFn.identity(1, 1)
-    out = enumerate_states(
-        phi, unit_step(0, 10), [bv("1")], [rho(1, [(2, "1")], 10)], 10
-    )
-    assert len(out) == 1
-
-
-def test_enumerate_rejects_non_progressive():
-    phi = GeneratorFn.identity(2, 1)
-    lazy = rho(2, [(1, "10")], 10)
-    with pytest.raises(ProgressivenessError):
-        enumerate_states(phi, unit_step(0, 10), [bv("00")], [lazy], 10)
-
-
-def test_exhaustive_family_all_progressive_and_capped():
-    family = list(exhaustive_family(2, (1, 2, 3), 10))
-    assert all(r.is_prefix_progressive() for r in family)
-    # 4^3 sequences minus those leaving some coordinate silent (8+8-1)
-    assert len(family) == 64 - 15
-    with pytest.raises(ValueError):
-        list(exhaustive_family(1, range(1, 7), 10))
 
 
 # -- delay bounds -------------------------------------------------------------

@@ -352,22 +352,14 @@ def test_prefix_progressive_missing_coordinate():
 @settings(max_examples=150, deadline=None)
 def test_prefix_progressive_or_fold_matches_counting(r):
     counts = [sum(v.bit(i) for _, v in r.events) for i in range(1, r.width + 1)]
-    for k in (1, 2):
-        assert r.is_prefix_progressive(k) == all(c >= k for c in counts)
+    assert r.is_prefix_progressive() == all(c >= 1 for c in counts)
     quiet = ProgressiveFunction(r.width, (), r.horizon)
     assert not quiet.is_prefix_progressive()
-    assert quiet.is_prefix_progressive(0)
 
 
 def test_round_robin_is_progressive():
     for n in (1, 2, 4):
-        assert round_robin(n, range(1, 4), 10).is_prefix_progressive(min_firings=3)
-
-
-def test_min_firings_threshold():
-    r = rho(1, [(1, "1"), (2, "1")], 10)
-    assert r.is_prefix_progressive(min_firings=2)
-    assert not r.is_prefix_progressive(min_firings=3)
+        assert round_robin(n, range(1, 4), 10).is_prefix_progressive()
 
 
 def test_rho_zero_events_dropped_by_equality():

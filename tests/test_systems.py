@@ -15,7 +15,6 @@ from asyncdec import (
     SignalSet,
     check_product_condition,
     decompose_system,
-    enumerate_states,
     initial_state_function,
     parallel_system,
     permute_signal,
@@ -101,8 +100,8 @@ def test_realize_contained_in_enumeration():
             schedules = set()
             for mu in sys_.phi0[u]:
                 schedules |= sys_.pi[(mu, u)]
-            hull = enumerate_states(phi, u, sys_.phi0[u], schedules, H)
-            assert out[u].issubset(hull)
+            hull = {run(phi, mu, u, r, H).signal for mu in sys_.phi0[u] for r in schedules}
+            assert set(out[u]) <= hull
 
 
 # -- initial state function --------------------------------------------------
