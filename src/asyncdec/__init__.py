@@ -25,12 +25,7 @@ from .errors import (
     SizeLimitError,
     WidthMismatch,
 )
-from .semantics import (
-    Trajectory,
-    apply_masked,
-    delay_bounds,
-    run,
-)
+from .semantics import apply_masked, delay_bounds, run
 from .signals import (
     BitVec,
     ProgressiveFunction,

@@ -23,7 +23,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .errors import CoordinateError, InvalidValue, NotSeparatedError, SizeLimitError, WidthMismatch
-from .signals import BitVec, gather_bits, scatter_bits
+from .signals import BitVec, _check_permutation, gather_bits, scatter_bits
 
 DEFAULT_SIZE_LIMIT = 20
 SIZE_LIMIT_ENV = "ASYNC_DEC_SIZE_LIMIT"
@@ -278,22 +278,18 @@ def is_separated(phi: GeneratorFn, block: Iterable[int]) -> bool:
     return dependency_matrix(phi).cross_dependency(block) is None
 
 
-def project_fn(phi: GeneratorFn, block: Iterable[int], fill: int = 0) -> GeneratorFn:
-    """The block-coordinate function obtained by freezing the complement.
-
-    The complement coordinates are pinned to the bits of `fill` (packed over
-    the complement in ascending order, default all zeros).  When the block is
-    separated the choice of `fill` is irrelevant.
+def project_fn(phi: GeneratorFn, block: Iterable[int]) -> GeneratorFn:
+    """The block-coordinate function obtained by freezing the complement
+    coordinates at 0.  When the block is separated the frozen values are
+    irrelevant.
     """
-    bs, cs = _split_blocks(phi.n, block)
+    bs, _ = _split_blocks(phi.n, block)
     nb = len(bs)
-    frozen = scatter_bits(fill, cs)
     rows = []
     for lam in range(1 << phi.m):
         base = lam << phi.n
         for mu_b in range(1 << nb):
-            full = scatter_bits(mu_b, bs) | frozen
-            rows.append(gather_bits(phi.table[full | base], bs))
+            rows.append(gather_bits(phi.table[scatter_bits(mu_b, bs) | base], bs))
     return GeneratorFn(nb, phi.m, tuple(rows))
 
 
@@ -325,8 +321,7 @@ class Partition:
 
 def permute_fn(phi: GeneratorFn, permutation: Sequence[int]) -> GeneratorFn:
     """Relabel state coordinates: old coordinate i becomes permutation[i-1]."""
-    if sorted(permutation) != list(range(1, phi.n + 1)):
-        raise CoordinateError(f"not a permutation of 1..{phi.n}: {permutation}")
+    _check_permutation(permutation, phi.n)
     rows = []
     for lam in range(1 << phi.m):
         base = lam << phi.n

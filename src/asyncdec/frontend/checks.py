@@ -52,6 +52,20 @@ class CheckReport:
         return f"{self.name}: {self.cases - self.failures}/{self.cases} ok -> {verdict}"
 
 
+def _tally(name: str, outcomes) -> CheckReport:
+    """The report over one outcome per case: None for a pass, else the
+    failure's detail text; the first three details are kept."""
+    cases = failures = 0
+    details = []
+    for outcome in outcomes:
+        cases += 1
+        if outcome is not None:
+            failures += 1
+            if len(details) < 3:
+                details.append(outcome)
+    return CheckReport(name, cases, failures, tuple(details))
+
+
 # -- random instance generators ------------------------------------------
 
 
@@ -62,8 +76,8 @@ def rand_fn(rng: random.Random, n: int, m: int) -> GeneratorFn:
 def rand_signal(rng: random.Random, width: int, horizon: int, max_events: int = 8) -> Signal:
     count = rng.randint(0, max_events)
     ticks = sorted(rng.sample(range(-2, horizon + 1), min(count, horizon + 3)))
-    events = tuple((t, BitVec(width, rng.randrange(1 << width))) for t in ticks)
-    return Signal(width, BitVec(width, rng.randrange(1 << width)), events, horizon)
+    events = tuple((t, rng.randrange(1 << width)) for t in ticks)
+    return Signal(width, rng.randrange(1 << width), events, horizon)
 
 
 def rand_rho(rng: random.Random, width: int, horizon: int, max_events: int = 6) -> ProgressiveFunction:
@@ -76,8 +90,7 @@ def rand_rho(rng: random.Random, width: int, horizon: int, max_events: int = 6) 
         firing[rng.choice(ticks)] |= 1 << i
     for t in ticks:
         firing[t] |= rng.randrange(1 << width) & rng.randrange(1 << width)
-    events = tuple((t, BitVec(width, v)) for t, v in sorted(firing.items()))
-    return ProgressiveFunction(width, events, horizon)
+    return ProgressiveFunction(width, tuple(sorted(firing.items())), horizon)
 
 
 def rand_rho_distinct(
@@ -155,19 +168,17 @@ def recompose_verdict(phi: GeneratorFn, block) -> bool:
 
 def theorem26_suite(seed: int, cases: int) -> CheckReport:
     rng = random.Random(seed)
-    failures = 0
-    details = []
-    for case in range(cases):
-        na, nb = rng.randint(1, 3), rng.randint(1, 3)
-        m = rng.randint(1, 2)
-        par = parallel_fn(rand_fn(rng, na, m), rand_fn(rng, nb, m))
-        block = range(1, na + 1)
-        ok = flip_invariant(par, block) and derivative_separated(par, block)
-        if not ok:
-            failures += 1
-            if len(details) < 3:
-                details.append(f"case {case}: n'={na} n''={nb} m={m} table={par.table}")
-    return CheckReport("thm26 cross-block independence", cases, failures, tuple(details))
+
+    def outcomes():
+        for case in range(cases):
+            na, nb = rng.randint(1, 3), rng.randint(1, 3)
+            m = rng.randint(1, 2)
+            par = parallel_fn(rand_fn(rng, na, m), rand_fn(rng, nb, m))
+            block = range(1, na + 1)
+            ok = flip_invariant(par, block) and derivative_separated(par, block)
+            yield None if ok else f"case {case}: n'={na} n''={nb} m={m} table={par.table}"
+
+    return _tally("thm26 cross-block independence", outcomes())
 
 
 # -- theorem 27: runs of a parallel composition factor exactly ------------
@@ -175,27 +186,23 @@ def theorem26_suite(seed: int, cases: int) -> CheckReport:
 
 def theorem27_suite(seed: int, cases: int, horizon: int = 50) -> CheckReport:
     rng = random.Random(seed)
-    failures = 0
-    details = []
-    for case in range(cases):
-        na, nb = rng.randint(1, 3), rng.randint(1, 3)
-        m = rng.randint(1, 2)
-        fa, fb = rand_fn(rng, na, m), rand_fn(rng, nb, m)
-        u = rand_signal(rng, m, horizon)
-        ra = rand_rho(rng, na, horizon)
-        rb = rand_rho_distinct(rng, nb, horizon, ra)
-        ma = BitVec(na, rng.randrange(1 << na))
-        mb = BitVec(nb, rng.randrange(1 << nb))
-        joint = run(parallel_fn(fa, fb), ma.concat(mb), u, product_rho(ra, rb), horizon)
-        left = run(fa, ma, u, ra, horizon)
-        right = run(fb, mb, u, rb, horizon)
-        if joint.signal != product_signal(left.signal, right.signal):
-            failures += 1
-            if len(details) < 3:
-                details.append(
-                    f"case {case}: mu=({ma},{mb}) rho'={ra} rho''={rb} u={u}"
-                )
-    return CheckReport("thm27 parallel run factorization", cases, failures, tuple(details))
+
+    def outcomes():
+        for case in range(cases):
+            na, nb = rng.randint(1, 3), rng.randint(1, 3)
+            m = rng.randint(1, 2)
+            fa, fb = rand_fn(rng, na, m), rand_fn(rng, nb, m)
+            u = rand_signal(rng, m, horizon)
+            ra = rand_rho(rng, na, horizon)
+            rb = rand_rho_distinct(rng, nb, horizon, ra)
+            ma = BitVec(na, rng.randrange(1 << na))
+            mb = BitVec(nb, rng.randrange(1 << nb))
+            joint = run(parallel_fn(fa, fb), ma.concat(mb), u, product_rho(ra, rb), horizon)
+            left, right = run(fa, ma, u, ra, horizon), run(fb, mb, u, rb, horizon)
+            ok = joint == product_signal(left, right)
+            yield None if ok else f"case {case}: mu=({ma},{mb}) rho'={ra} rho''={rb} u={u}"
+
+    return _tally("thm27 parallel run factorization", outcomes())
 
 
 # -- theorem 30: three equivalent separation tests, exhaustively ----------
@@ -207,27 +214,23 @@ def theorem30_exhaustive() -> tuple[CheckReport, tuple[GeneratorFn, ...]]:
     Returns the report and the tables all three routes accepted.
     """
     block = (1,)
-    disagreements = 0
     separable = []
-    details = []
-    total = 1 << 16
-    for packed in range(total):
-        table = tuple((packed >> (2 * r)) & 3 for r in range(8))
-        phi = GeneratorFn(2, 1, table)
-        v_flip = flip_invariant(phi, block)
-        v_deriv = derivative_separated(phi, block)
-        v_split = recompose_verdict(phi, block)
-        if not (v_flip == v_deriv == v_split):
-            disagreements += 1
-            if len(details) < 3:
-                details.append(
-                    f"table {table}: flip={v_flip} derivative={v_deriv} split={v_split}"
-                )
-        elif v_flip:
-            separable.append(phi)
-    report = CheckReport(
-        "thm30 route agreement over all n=2 m=1 tables", total, disagreements, tuple(details)
-    )
+
+    def outcomes():
+        for packed in range(1 << 16):
+            table = tuple((packed >> (2 * r)) & 3 for r in range(8))
+            phi = GeneratorFn(2, 1, table)
+            v_flip = flip_invariant(phi, block)
+            v_deriv = derivative_separated(phi, block)
+            v_split = recompose_verdict(phi, block)
+            if not (v_flip == v_deriv == v_split):
+                yield f"table {table}: flip={v_flip} derivative={v_deriv} split={v_split}"
+                continue
+            if v_flip:
+                separable.append(phi)
+            yield None
+
+    report = _tally("thm30 route agreement over all n=2 m=1 tables", outcomes())
     return report, tuple(separable)
 
 
@@ -236,27 +239,25 @@ def theorem30_exhaustive() -> tuple[CheckReport, tuple[GeneratorFn, ...]]:
 
 def theorem32_suite(seed: int, cases: int) -> CheckReport:
     rng = random.Random(seed)
-    failures = 0
-    details = []
-    for case in range(cases):
-        na, nb = rng.randint(1, 3), rng.randint(1, 3)
-        m = rng.randint(1, 2)
-        phi = parallel_fn(rand_fn(rng, na, m), rand_fn(rng, nb, m))
-        n = na + nb
-        shuffle = list(range(1, n + 1))
-        rng.shuffle(shuffle)
-        permuted = permute_fn(phi, tuple(shuffle))
-        block = sorted(shuffle[i - 1] for i in range(1, na + 1))
-        ok = is_separated(permuted, block)
-        if ok:
-            first, second, partition = split_fn(permuted, block)
-            relabeled = permute_fn(permuted, partition.permutation)
-            ok = parallel_fn(first, second).table == relabeled.table
-        if not ok:
-            failures += 1
-            if len(details) < 3:
-                details.append(f"case {case}: n'={na} n''={nb} m={m} block={block}")
-    return CheckReport("thm32 split recomposition", cases, failures, tuple(details))
+
+    def outcomes():
+        for case in range(cases):
+            na, nb = rng.randint(1, 3), rng.randint(1, 3)
+            m = rng.randint(1, 2)
+            phi = parallel_fn(rand_fn(rng, na, m), rand_fn(rng, nb, m))
+            n = na + nb
+            shuffle = list(range(1, n + 1))
+            rng.shuffle(shuffle)
+            permuted = permute_fn(phi, tuple(shuffle))
+            block = sorted(shuffle[i - 1] for i in range(1, na + 1))
+            ok = is_separated(permuted, block)
+            if ok:
+                first, second, partition = split_fn(permuted, block)
+                relabeled = permute_fn(permuted, partition.permutation)
+                ok = parallel_fn(first, second).table == relabeled.table
+            yield None if ok else f"case {case}: n'={na} n''={nb} m={m} block={block}"
+
+    return _tally("thm32 split recomposition", outcomes())
 
 
 # -- theorem 34: decomposition of systems ---------------------------------
@@ -297,56 +298,50 @@ def diagonal_example(horizon: int = 10) -> RegularSystem:
 
 def theorem34_suite(seed: int, cases: int, horizon: int = 20) -> CheckReport:
     rng = random.Random(seed)
-    failures = 0
-    details = []
     subset_cases = cases // 2
-    for case in range(subset_cases):
-        na, nb = rng.randint(1, 2), rng.randint(1, 2)
-        m = rng.randint(1, 2)
-        phi = parallel_fn(rand_fn(rng, na, m), rand_fn(rng, nb, m))
-        sys = rand_system(rng, phi, horizon, n_inputs=rng.randint(1, 2))
-        try:
-            decompose_system(sys, range(1, na + 1), horizon)
-        except Exception as exc:  # the subset direction must never fail
-            failures += 1
-            if len(details) < 3:
-                details.append(f"subset case {case}: {exc}")
-    for case in range(cases - subset_cases):
-        na, nb = rng.randint(1, 2), rng.randint(1, 2)
-        m = rng.randint(1, 2)
-        sys = _product_form_system(rng, rand_fn(rng, na, m), rand_fn(rng, nb, m), horizon)
-        result = decompose_system(sys, range(1, na + 1), horizon)
-        if result.status != "equal" or not result.phi0_product_form or not result.product_condition.holds:
-            failures += 1
-            if len(details) < 3:
-                details.append(f"product-form case {case}: status={result.status}")
-    diag = decompose_system(diagonal_example(), (1,), 10)
-    total = cases + 1
-    if diag.status != "strict-subset" or all(own >= hull for _, own, hull in diag.hull_sizes):
-        failures += 1
-        details += (f"diagonal example: status={diag.status} sizes={diag.hull_sizes}",)
-    return CheckReport("thm34 decomposition verdicts", total, failures, tuple(details))
+
+    def outcomes():
+        for case in range(subset_cases):
+            na, nb = rng.randint(1, 2), rng.randint(1, 2)
+            m = rng.randint(1, 2)
+            phi = parallel_fn(rand_fn(rng, na, m), rand_fn(rng, nb, m))
+            sys = rand_system(rng, phi, horizon, n_inputs=rng.randint(1, 2))
+            try:
+                decompose_system(sys, range(1, na + 1), horizon)
+            except Exception as exc:  # the subset direction must never fail
+                yield f"subset case {case}: {exc}"
+            else:
+                yield None
+        for case in range(cases - subset_cases):
+            na, nb = rng.randint(1, 2), rng.randint(1, 2)
+            m = rng.randint(1, 2)
+            sys = _product_form_system(rng, rand_fn(rng, na, m), rand_fn(rng, nb, m), horizon)
+            result = decompose_system(sys, range(1, na + 1), horizon)
+            ok = result.phi0_product_form and result.product_condition.holds
+            ok = ok and result.status == "equal"
+            yield None if ok else f"product-form case {case}: status={result.status}"
+        diag = decompose_system(diagonal_example(), (1,), 10)
+        ok = diag.status == "strict-subset" and any(own < hull for _, own, hull in diag.hull_sizes)
+        yield None if ok else f"diagonal example: status={diag.status} sizes={diag.hull_sizes}"
+
+    return _tally("thm34 decomposition verdicts", outcomes())
 
 
 # -- example 1: the delay envelope ----------------------------------------
 
 
 def example1_suite(taus=(1, 2, 5)) -> CheckReport:
-    cases = 0
-    failures = 0
-    details = []
-    for tau in taus:
-        horizon = tau + 5
-        u = unit_step(0, horizon)
-        for t in range(-3, tau + 6):
-            cases += 1
-            low, high = delay_bounds(u, tau, t)
-            want = (1 if t >= tau else 0, 1 if t > 0 else 0)
-            if (low, high) != want:
-                failures += 1
-                if len(details) < 3:
-                    details.append(f"tau={tau} t={t}: got ({low},{high}), want {want}")
-    return CheckReport("example1 delay envelope", cases, failures, tuple(details))
+    def outcomes():
+        for tau in taus:
+            horizon = tau + 5
+            u = unit_step(0, horizon)
+            for t in range(-3, tau + 6):
+                low, high = delay_bounds(u, tau, t)
+                want = (1 if t >= tau else 0, 1 if t > 0 else 0)
+                ok = (low, high) == want
+                yield None if ok else f"tau={tau} t={t}: got ({low},{high}), want {want}"
+
+    return _tally("example1 delay envelope", outcomes())
 
 
 # -- lemma 1: schedule products stay progressive --------------------------
@@ -354,18 +349,16 @@ def example1_suite(taus=(1, 2, 5)) -> CheckReport:
 
 def lemma1_suite(seed: int, cases: int, horizon: int = 30) -> CheckReport:
     rng = random.Random(seed)
-    failures = 0
-    details = []
-    for case in range(cases):
-        na, nb = rng.randint(1, 3), rng.randint(1, 3)
-        ra = rand_rho(rng, na, horizon)
-        rb = rand_rho_distinct(rng, nb, horizon, ra)
-        prod = product_rho(ra, rb)
-        if not prod.is_prefix_progressive():
-            failures += 1
-            if len(details) < 3:
-                details.append(f"case {case}: rho'={ra} rho''={rb}")
-    return CheckReport("lemma1 product progressiveness", cases, failures, tuple(details))
+
+    def outcomes():
+        for case in range(cases):
+            na, nb = rng.randint(1, 3), rng.randint(1, 3)
+            ra = rand_rho(rng, na, horizon)
+            rb = rand_rho_distinct(rng, nb, horizon, ra)
+            ok = product_rho(ra, rb).is_prefix_progressive()
+            yield None if ok else f"case {case}: rho'={ra} rho''={rb}"
+
+    return _tally("lemma1 product progressiveness", outcomes())
 
 
 # -- finest partition against a brute-force oracle ------------------------
@@ -413,31 +406,25 @@ def partition_oracle_verdict(phi: GeneratorFn) -> bool:
 
 def partition_oracle_suite(seed: int, samples: int) -> CheckReport:
     rng = random.Random(seed)
-    failures = 0
-    details = []
-    cases = 0
-    for case in range(samples):
-        phi = rand_fn(rng, 3, 1)
-        cases += 1
-        if not partition_oracle_verdict(phi):
-            failures += 1
-            if len(details) < 3:
-                details.append(f"random case {case}: table={phi.table}")
-    constructed = []
-    for _ in range(60):
-        m = rng.randint(0, 1)
-        constructed.append(parallel_fn(rand_fn(rng, 1, m), rand_fn(rng, 2, m)))
-        constructed.append(parallel_fn(rand_fn(rng, 2, m), rand_fn(rng, 1, m)))
-        constructed.append(
-            parallel_fn(parallel_fn(rand_fn(rng, 1, m), rand_fn(rng, 1, m)), rand_fn(rng, 1, m))
-        )
-    for k, phi in enumerate(constructed):
-        cases += 1
-        if not partition_oracle_verdict(phi):
-            failures += 1
-            if len(details) < 3:
-                details.append(f"block-diagonal case {k}: table={phi.table}")
-    return CheckReport("finest partition vs brute force", cases, failures, tuple(details))
+
+    def outcomes():
+        for case in range(samples):
+            phi = rand_fn(rng, 3, 1)
+            ok = partition_oracle_verdict(phi)
+            yield None if ok else f"random case {case}: table={phi.table}"
+        constructed = []
+        for _ in range(60):
+            m = rng.randint(0, 1)
+            constructed.append(parallel_fn(rand_fn(rng, 1, m), rand_fn(rng, 2, m)))
+            constructed.append(parallel_fn(rand_fn(rng, 2, m), rand_fn(rng, 1, m)))
+            constructed.append(
+                parallel_fn(parallel_fn(rand_fn(rng, 1, m), rand_fn(rng, 1, m)), rand_fn(rng, 1, m))
+            )
+        for k, phi in enumerate(constructed):
+            ok = partition_oracle_verdict(phi)
+            yield None if ok else f"block-diagonal case {k}: table={phi.table}"
+
+    return _tally("finest partition vs brute force", outcomes())
 
 
 # -- synchronous reduction -------------------------------------------------
@@ -445,23 +432,19 @@ def partition_oracle_suite(seed: int, samples: int) -> CheckReport:
 
 def synchronous_suite(seed: int, cases: int, horizon: int = 30) -> CheckReport:
     rng = random.Random(seed)
-    failures = 0
-    details = []
-    for case in range(cases):
-        n, m = rng.randint(1, 3), rng.randint(1, 2)
-        phi = rand_fn(rng, n, m)
-        mu = BitVec(n, rng.randrange(1 << n))
-        u = rand_signal(rng, m, horizon)
-        ticks = sorted(rng.sample(range(1, horizon + 1), rng.randint(1, 6)))
-        rho = round_robin(n, ticks, horizon)
-        traj = run(phi, mu, u, rho, horizon)
-        state = mu
-        expected = [mu]
-        for t in ticks:
-            state = phi.eval(state, u.value_at(t))
-            expected.append(state)
-        if traj.states != tuple(expected):
-            failures += 1
-            if len(details) < 3:
-                details.append(f"case {case}: phi={phi.table} mu={mu} ticks={ticks}")
-    return CheckReport("synchronous reduction", cases, failures, tuple(details))
+
+    def outcomes():
+        for case in range(cases):
+            n, m = rng.randint(1, 3), rng.randint(1, 2)
+            phi = rand_fn(rng, n, m)
+            mu = BitVec(n, rng.randrange(1 << n))
+            u = rand_signal(rng, m, horizon)
+            ticks = sorted(rng.sample(range(1, horizon + 1), rng.randint(1, 6)))
+            x = run(phi, mu, u, round_robin(n, ticks, horizon), horizon)
+            state, ok = mu, x.initial == mu.value
+            for t in ticks:
+                state = phi.eval(state, BitVec(m, u.value_at(t)))
+                ok = ok and x.value_at(t) == state.value
+            yield None if ok else f"case {case}: phi={phi.table} mu={mu} ticks={ticks}"
+
+    return _tally("synchronous reduction", outcomes())

@@ -121,13 +121,17 @@ def _cmd_simulate(args) -> int:
             )
         u = u.truncated(horizon)
         rho = rho.truncated(horizon)
-    traj = run(phi, mu, u, rho, horizon)
-    print(traj.dump())
-    print(f"signal: {traj.signal}")
+    x = run(phi, mu, u, rho, horizon)
+    # the state entered at each schedule tick, after the initial state at k=-1
+    states = [mu] + [BitVec(phi.n, x.value_at(t)) for t, _ in rho.events]
+    print(f"k=-1 omega={mu}")
+    for k, (t, _) in enumerate(rho.events):
+        print(f"k={k} t={t} omega={states[k + 1]}")
+    print(f"signal: {x}")
     _write_doc(
         args.out,
-        [("horizon", str(horizon)), ("signal", str(traj.signal))]
-        + [(f"omega.{k - 1}", str(s)) for k, s in enumerate(traj.states)],
+        [("horizon", str(horizon)), ("signal", str(x))]
+        + [(f"omega.{k - 1}", str(s)) for k, s in enumerate(states)],
     )
     return _EXIT_OK
 
@@ -322,6 +326,9 @@ def main(argv=None) -> int:
         return _EXIT_VIOLATED
     except (AsyncDecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_INPUT
+    except MemoryError:
+        print("error: out of memory; the input is too large for this machine", file=sys.stderr)
         return _EXIT_INPUT
 
 

@@ -151,23 +151,28 @@ _SIGNAL_LINE = re.compile(
 _EVENT = re.compile(r"^\((-?\d+),([01]+)\)$")
 
 
-def _parse_events(text: str, where: str):
+def _parse_events(text: str, where: str, kind: str, width: int):
+    """(tick, int) pairs, bits read coordinate 1 first, each `width` wide."""
     text = text.strip()
     if not text:
-        return []
-    events = []
+        return
     for chunk in text.split(";"):
         chunk = chunk.strip()
         match = _EVENT.match(chunk)
         if not match:
             raise MalformedRowError(f"{where}: bad event {chunk!r}, expected (t,bits)")
-        events.append((int(match.group(1)), BitVec.from_string(match.group(2))))
-    return events
+        t, bits = int(match.group(1)), match.group(2)
+        if len(bits) != width:
+            raise WidthInconsistencyError(
+                f"{where}: {kind} event at tick {t} has width {len(bits)}, expected {width}"
+            )
+        yield t, int(bits[::-1], 2)
 
 
 @contextmanager
 def _event_errors(where: str):
-    """Report the core event-line checks as format errors prefixed by `where`."""
+    """Report the core's width, ordering and horizon checks as format errors
+    prefixed by `where`."""
     try:
         yield
     except WidthMismatch as exc:
@@ -182,16 +187,12 @@ def parse_signal(line: str, where: str = "signal") -> Signal:
         raise MalformedRowError(
             f"{where}: expected 'n=<w> init=<bits> H=<tick> events=...', found {line!r}"
         )
-    width = int(match.group(1))
-    initial = BitVec.from_string(match.group(2))
-    horizon = int(match.group(3))
-    if initial.width != width:
-        raise WidthInconsistencyError(
-            f"{where}: init width {initial.width}, expected {width}"
-        )
-    events = _parse_events(match.group(4), where)
+    width, init, horizon = int(match.group(1)), match.group(2), int(match.group(3))
+    if len(init) != width:
+        raise WidthInconsistencyError(f"{where}: init width {len(init)}, expected {width}")
+    events = tuple(_parse_events(match.group(4), where, "signal", width))
     with _event_errors(where):
-        return Signal(width, initial, tuple(events), horizon)
+        return Signal(width, int(init[::-1], 2), events, horizon)
 
 
 def parse_rho(line: str, where: str = "schedule") -> ProgressiveFunction:
@@ -200,11 +201,10 @@ def parse_rho(line: str, where: str = "schedule") -> ProgressiveFunction:
         raise MalformedRowError(
             f"{where}: expected 'n=<w> H=<tick> events=...', found {line!r}"
         )
-    width = int(match.group(1))
-    horizon = int(match.group(3))
-    events = _parse_events(match.group(4), where)
+    width, horizon = int(match.group(1)), int(match.group(3))
+    events = tuple(_parse_events(match.group(4), where, "schedule", width))
     with _event_errors(where):
-        return ProgressiveFunction(width, tuple(events), horizon)
+        return ProgressiveFunction(width, events, horizon)
 
 
 def load_signal(path: str) -> Signal:

@@ -1,17 +1,22 @@
 """Binary signals and schedules over exact integer time.
 
-A signal is a piecewise-constant map from time to bit vectors: an initial
+A signal is a piecewise-constant map from time to B^width: an initial
 value that holds on (-inf, t_0), then the value of the latest event at or
 before t.  All signals here are finite prefixes, defined on (-inf, H] for an
 explicit integer horizon H and undefined beyond it.  Progressive functions
 (schedules) share the event-list shape but are pulse trains: a firing vector
 at each event tick and implicitly zero elsewhere.
 
-Both rest on one event-sequence core: validation, truncation, equality,
-hashing, order and text.  Each kind says what its canonical form drops.
-Its `key`, the canonical form in plain ints, computed on demand and never
-stored, is both the identity and the `<` order that sorts sets, schedules
-and witnesses.
+The width belongs to the sequence, not to each value: inside a signal or a
+schedule a point of B^width is a plain int, coordinate 1 in the least
+significant bit.  `BitVec` is a point that stands alone (an initial state, a
+table row, a witness) and carries its own width.
+
+Both kinds rest on one event-sequence core: validation, truncation,
+canonical form, equality, hashing, order and text.  Each kind says what its
+canonical form drops, and stores it; its `key`, the canonical form as a
+tuple of ints, is both the identity and the `<` order that sorts sets,
+schedules and witnesses.
 
 Everything in this module is immutable and safe to share across threads.
 """
@@ -32,6 +37,11 @@ from .errors import (
 
 # Time is exact signed integer ticks; only ordering and merging are ever used.
 Tick = int
+
+
+def _bits_text(value: int, width: int) -> str:
+    """`value` written as `width` bits, coordinate 1 first."""
+    return bin(value | 1 << width)[3:][::-1]
 
 
 def gather_bits(value: int, coords: Sequence[int]) -> int:
@@ -86,10 +96,6 @@ class BitVec:
         return cls(len(text), int(text[::-1], 2) if text else 0)
 
     @classmethod
-    def ones(cls, width: int) -> "BitVec":
-        return cls(width, (1 << width) - 1)
-
-    @classmethod
     def all_of_width(cls, width: int):
         """All 2^width vectors in increasing packed order."""
         for v in range(1 << width):
@@ -116,15 +122,11 @@ class BitVec:
 
     def permute(self, permutation: Sequence[int]) -> "BitVec":
         """Relabel coordinates: old coordinate i becomes permutation[i-1]."""
-        if sorted(permutation) != list(range(1, self.width + 1)):
-            raise CoordinateError(f"not a permutation of 1..{self.width}: {permutation}")
+        _check_permutation(permutation, self.width)
         return BitVec(self.width, scatter_bits(self.value, permutation))
 
-    def bits(self) -> tuple[int, ...]:
-        return tuple((self.value >> k) & 1 for k in range(self.width))
-
     def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits())
+        return _bits_text(self.value, self.width)
 
 
 def _checked_coords(coords: Iterable[int], width: int) -> tuple[int, ...]:
@@ -136,10 +138,17 @@ def _checked_coords(coords: Iterable[int], width: int) -> tuple[int, ...]:
     return tuple(cs)
 
 
+def _check_permutation(permutation: Sequence[int], width: int) -> None:
+    if sorted(permutation) != list(range(1, width + 1)):
+        raise CoordinateError(f"not a permutation of 1..{width}: {permutation}")
+
+
 class _EventSequence:
     """The core of `Signal` and `ProgressiveFunction`: a frozen dataclass with
-    `width`, `events`, `horizon` and `initial` (None for a schedule), a
-    `_kind` for messages and a `key`.  A signal never equals or orders
+    `width`, `events` as (tick, int) pairs, `horizon` and `initial` (an int,
+    None for a schedule), a `_kind` for messages and a `key`.  Each kind's
+    `__post_init__` stores its canonical events as `_canon`, sharing the
+    `events` tuple when nothing is dropped.  A signal never equals or orders
     against a schedule.
     """
 
@@ -149,17 +158,22 @@ class _EventSequence:
         width, horizon, initial, kind = self.width, self.horizon, self.initial, self._kind
         if width < 1:
             raise WidthMismatch(f"{kind} width must be >= 1, got {width}")
-        if initial is not None and initial.width != width:
-            raise WidthMismatch(f"initial value width {initial.width}, expected {width}")
+        # v >> width tests v < 2^width without building 2^width for a huge width
+        if initial is not None and (initial < 0 or initial >> width):
+            raise InvalidValue(f"initial value {initial} out of range for width {width}")
         prev = None
         for t, v in events:
             if prev is not None and t <= prev:
                 raise InvalidValue(f"{kind} events not strictly increasing at tick {t}")
             prev = t
-            if v.width != width:
-                raise WidthMismatch(f"{kind} event at tick {t} has width {v.width}, expected {width}")
+            if v < 0 or v >> width:
+                raise InvalidValue(f"{kind} event at tick {t}: value {v} out of range for width {width}")
             if t > horizon:
                 raise HorizonExceeded(f"{kind} event at tick {t} beyond horizon {horizon}")
+
+    def _store_canon(self, canon: tuple) -> None:
+        # an already canonical sequence shares its events tuple
+        object.__setattr__(self, "_canon", canon if len(canon) < len(self.events) else self.events)
 
     def truncated(self, horizon: Tick):
         """Restriction to (-inf, horizon]; never extends."""
@@ -167,6 +181,10 @@ class _EventSequence:
             raise HorizonExceeded(f"cannot extend horizon {self.horizon} to {horizon}")
         kept = tuple((t, v) for t, v in self.events if t <= horizon)
         return replace(self, events=kept, horizon=horizon)
+
+    def canonical(self):
+        """The same sequence without the events its canonical form drops."""
+        return self if self._canon is self.events else replace(self, events=self._canon)
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -182,9 +200,10 @@ class _EventSequence:
         return hash(self.key)
 
     def __str__(self) -> str:
-        init = "" if self.initial is None else f" init={self.initial}"
-        ev = ";".join(f"({t},{v})" for t, v in self.events)
-        return f"n={self.width}{init} H={self.horizon} events={ev}"
+        width = self.width
+        init = "" if self.initial is None else f" init={_bits_text(self.initial, width)}"
+        ev = ";".join(f"({t},{_bits_text(v, width)})" for t, v in self.events)
+        return f"n={width}{init} H={self.horizon} events={ev}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,8 +217,8 @@ class Signal(_EventSequence):
     """
 
     width: int
-    initial: BitVec
-    events: tuple[tuple[Tick, BitVec], ...]
+    initial: int
+    events: tuple[tuple[Tick, int], ...]
     horizon: Tick
     _kind = "signal"
 
@@ -211,15 +230,10 @@ class Signal(_EventSequence):
             if v != current:
                 canon.append((t, v))
                 current = v
-        # an already canonical signal shares its events tuple
-        object.__setattr__(self, "_canon", tuple(canon) if len(canon) < len(self.events) else self.events)
+        self._store_canon(tuple(canon))
         object.__setattr__(self, "_ticks", tuple(t for t, _ in self.events))
 
-    @classmethod
-    def constant(cls, value: BitVec, horizon: Tick) -> "Signal":
-        return cls(value.width, value, (), horizon)
-
-    def value_at(self, t: Tick) -> BitVec:
+    def value_at(self, t: Tick) -> int:
         """The value in force at tick t; t must not exceed the horizon."""
         if t > self.horizon:
             raise HorizonExceeded(f"t={t} beyond horizon {self.horizon}")
@@ -230,19 +244,14 @@ class Signal(_EventSequence):
 
     @property
     def key(self) -> tuple:
-        """(width, horizon, initial, canonical events as (tick, int))."""
-        return (self.width, self.horizon, self.initial.value, tuple((t, v.value) for t, v in self._canon))
-
-    def canonical(self) -> "Signal":
-        """Drop every event whose value repeats the value in force before it."""
-        if self._canon is self.events:
-            return self
-        return Signal(self.width, self.initial, self._canon, self.horizon)
+        """(width, horizon, initial, canonical events): the canonical form
+        drops every event that repeats the value in force before it."""
+        return (self.width, self.horizon, self.initial, self._canon)
 
 
 def unit_step(t0: Tick, horizon: Tick) -> Signal:
     """The scalar step that is 0 before t0 and 1 from t0 on."""
-    return Signal(1, BitVec(1, 0), ((t0, BitVec(1, 1)),), horizon)
+    return Signal(1, 0, ((t0, 1),), horizon)
 
 
 def product_signal(a: Signal, b: Signal) -> Signal:
@@ -254,22 +263,23 @@ def product_signal(a: Signal, b: Signal) -> Signal:
     if a.horizon != b.horizon:
         raise HorizonMismatch(f"horizons differ: {a.horizon} vs {b.horizon}")
     ticks = sorted(set(a._ticks) | set(b._ticks))
-    events = tuple((t, a.value_at(t).concat(b.value_at(t))) for t in ticks)
-    return Signal(a.width + b.width, a.initial.concat(b.initial), events, a.horizon)
+    shift = a.width
+    events = tuple((t, a.value_at(t) | b.value_at(t) << shift) for t in ticks)
+    return Signal(a.width + b.width, a.initial | b.initial << shift, events, a.horizon)
 
 
 def project_signal(x: Signal, coords: Iterable[int]) -> Signal:
     """Coordinate restriction, canonicalized."""
     cs = _checked_coords(coords, x.width)
-    events = tuple((t, v.restrict(cs)) for t, v in x.events)
-    return Signal(len(cs), x.initial.restrict(cs), events, x.horizon).canonical()
+    events = tuple((t, gather_bits(v, cs)) for t, v in x.events)
+    return Signal(len(cs), gather_bits(x.initial, cs), events, x.horizon).canonical()
 
 
 def permute_signal(x: Signal, permutation: Sequence[int]) -> Signal:
     """Relabel coordinates pointwise; old coordinate i becomes permutation[i-1]."""
-    initial = x.initial.permute(permutation)  # validates the permutation once
-    events = tuple((t, BitVec(x.width, scatter_bits(v.value, permutation))) for t, v in x.events)
-    return Signal(x.width, initial, events, x.horizon)
+    _check_permutation(permutation, x.width)
+    events = tuple((t, scatter_bits(v, permutation)) for t, v in x.events)
+    return Signal(x.width, scatter_bits(x.initial, permutation), events, x.horizon)
 
 
 class SignalSet:
@@ -350,40 +360,38 @@ class ProgressiveFunction(_EventSequence):
     """
 
     width: int
-    events: tuple[tuple[Tick, BitVec], ...]
+    events: tuple[tuple[Tick, int], ...]
     horizon: Tick
     initial = None
     _kind = "schedule"
 
+    def __post_init__(self):
+        super().__post_init__()
+        self._store_canon(tuple(e for e in self.events if e[1]))
+
     @property
     def key(self) -> tuple:
-        """(width, horizon, nonzero firings as (tick, int))."""
-        return (self.width, self.horizon, tuple((t, v.value) for t, v in self.events if v.value))
-
-    def canonical(self) -> "ProgressiveFunction":
-        """Drop events whose firing vector is all zeros."""
-        kept = tuple((t, v) for t, v in self.events if v.value)
-        return ProgressiveFunction(self.width, kept, self.horizon)
+        """(width, horizon, canonical events): the canonical form drops the
+        all-zero firings."""
+        return (self.width, self.horizon, self._canon)
 
     def is_prefix_progressive(self) -> bool:
         """Whether every coordinate fires at least once."""
         fired = 0
         for _, v in self.events:
-            fired |= v.value
+            fired |= v
         return fired == (1 << self.width) - 1
 
     def restrict(self, coords: Iterable[int]) -> "ProgressiveFunction":
         """Coordinate restriction with zero-only events dropped."""
         cs = _checked_coords(coords, self.width)
-        events = tuple(
-            (t, BitVec(len(cs), b)) for t, v in self.events if (b := gather_bits(v.value, cs))
-        )
+        events = tuple((t, b) for t, v in self.events if (b := gather_bits(v, cs)))
         return ProgressiveFunction(len(cs), events, self.horizon)
 
 
 def round_robin(width: int, ticks: Iterable[Tick], horizon: Tick) -> ProgressiveFunction:
     """The canonical progressive prefix: every coordinate fires at every tick."""
-    ones = BitVec.ones(width)
+    ones = (1 << width) - 1
     return ProgressiveFunction(width, tuple((t, ones) for t in sorted(set(ticks))), horizon)
 
 
@@ -420,8 +428,7 @@ def interleave_rho(
         raise HorizonMismatch(
             f"horizons differ: {rho_block.horizon} vs {rho_rest.horizon}"
         )
-    woven = {t: scatter_bits(v.value, bs) for t, v in rho_block.events}
+    woven = {t: scatter_bits(v, bs) for t, v in rho_block.events}
     for t, v in rho_rest.events:
-        woven[t] = woven.get(t, 0) | scatter_bits(v.value, cs)
-    events = tuple((t, BitVec(n, woven[t])) for t in sorted(woven))
-    return ProgressiveFunction(n, events, rho_block.horizon)
+        woven[t] = woven.get(t, 0) | scatter_bits(v, cs)
+    return ProgressiveFunction(n, tuple(sorted(woven.items())), rho_block.horizon)

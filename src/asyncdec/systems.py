@@ -111,7 +111,7 @@ def realize(sys: RegularSystem, horizon: Tick) -> dict[Signal, SignalSet]:
     out = {}
     for u in sys.inputs:
         members = [
-            run(sys.phi, mu, u, rho, horizon).signal
+            run(sys.phi, mu, u, rho, horizon)
             for mu in sys.phi0[u]
             for rho in sys.pi[(mu, u)]
         ]
@@ -121,7 +121,7 @@ def realize(sys: RegularSystem, horizon: Tick) -> dict[Signal, SignalSet]:
 
 def initial_state_function(out: dict[Signal, SignalSet]) -> dict[Signal, frozenset[BitVec]]:
     """Per input, the set of initial values occurring in the realized states."""
-    return {u: frozenset(x.initial for x in sigs) for u, sigs in out.items()}
+    return {u: frozenset(BitVec(x.width, x.initial) for x in sigs) for u, sigs in out.items()}
 
 
 def parallel_system(a: RegularSystem, b: RegularSystem) -> RegularSystem:
@@ -226,7 +226,7 @@ def _product_condition(
                 for rc in rests:
                     woven = interleave_rho(sys.n, bs, rb, rc)
                     if woven not in schedules and (
-                        run(sys.phi, mu, u, woven, sigs.horizon).signal not in admitted
+                        run(sys.phi, mu, u, woven, sigs.horizon) not in admitted
                     ):
                         return ProductConditionResult(False, (u, mu, rb, rc))
     return ProductConditionResult(True, None)

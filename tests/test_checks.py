@@ -2,8 +2,13 @@
 
 import pytest
 
+import asyncdec.boolfn
+from asyncdec import GeneratorFn
 from asyncdec.frontend.checks import (
+    derivative_separated,
+    flip_invariant,
     lemma1_suite,
+    recompose_verdict,
     synchronous_suite,
     theorem26_suite,
     theorem27_suite,
@@ -20,3 +25,26 @@ def test_a_suite_with_zero_cases_fails(suite):
     assert not report.ok
     assert report.summary().endswith("0/0 ok -> FAIL")
     assert suite(1, 1).ok
+
+
+def test_theorem30_routes_share_no_dependency_scan(monkeypatch):
+    """The three separation routes stay independent of the dependency scan:
+    with `dependency_matrix` and the lane derivatives disabled, all three
+    still run and agree on a fixed sample of the n=2 m=1 tables."""
+
+    def disabled(*args, **kwargs):
+        raise AssertionError("a theorem-30 route reached the dependency scan")
+
+    monkeypatch.setattr(asyncdec.boolfn, "dependency_matrix", disabled)
+    monkeypatch.setattr(asyncdec.boolfn, "_lane_derivatives", disabled)
+    verdicts = set()
+    for packed in range(0, 1 << 16, 257):
+        phi = GeneratorFn(2, 1, tuple((packed >> (2 * r)) & 3 for r in range(8)))
+        routes = {
+            flip_invariant(phi, (1,)),
+            derivative_separated(phi, (1,)),
+            recompose_verdict(phi, (1,)),
+        }
+        assert len(routes) == 1, phi.table
+        verdicts |= routes
+    assert verdicts == {True, False}

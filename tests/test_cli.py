@@ -16,6 +16,7 @@ from asyncdec.frontend import (
     parse_truth_table,
 )
 from asyncdec.frontend.checks import diagonal_example
+from asyncdec.frontend.cli import main
 
 
 def cli(*args, env=None):
@@ -63,6 +64,33 @@ def test_simulate_prints_trajectory(workdir):
     assert "k=-1 omega=0" in result.stdout
     assert "k=0 t=1 omega=1" in result.stdout
     assert "signal: n=1 init=0 H=10 events=(1,1)" in result.stdout
+
+
+def test_simulate_prints_every_state_and_the_signal(workdir, capsys):
+    (workdir / "twice.rho").write_text("n=1 H=10 events=(1,1);(4,1)\n")
+    args = ["--phi", str(workdir / "delay.eq"), "--init", "0", "--input", str(workdir / "step.sig")]
+    code = main(["simulate", *args, "--rho", str(workdir / "twice.rho"), "--out", str(workdir / "sim.kv")])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "k=-1 omega=0",
+        "k=0 t=1 omega=1",
+        "k=1 t=4 omega=1",
+        "signal: n=1 init=0 H=10 events=(1,1)",
+    ]
+    assert (workdir / "sim.kv").read_text().splitlines() == [
+        "horizon=10",
+        "signal=n=1 init=0 H=10 events=(1,1)",
+        "omega.-1=0",
+        "omega.0=1",
+        "omega.1=1",
+    ]
+
+
+def test_simulate_schedule_of_huge_width_is_input_error(workdir, capsys):
+    (workdir / "huge.rho").write_text("n=99999999999999999999999 H=10 events=\n")
+    args = ["--phi", str(workdir / "delay.eq"), "--init", "0", "--input", str(workdir / "step.sig")]
+    assert main(["simulate", *args, "--rho", str(workdir / "huge.rho")]) == 2
+    assert capsys.readouterr().err == "error: schedule width 99999999999999999999999, expected 1\n"
 
 
 def test_simulate_horizon_truncates(workdir):
@@ -234,6 +262,17 @@ def test_row_count_beyond_the_index_range_is_input_error(workdir):
     result = cli("analyze", "--phi", str(workdir / "wide_input.eq"), env={"ASYNC_DEC_SIZE_LIMIT": "1000"})
     assert_input_error(result)
     assert "n+m = 71" in result.stderr
+
+
+def test_out_of_memory_is_input_error(workdir, monkeypatch, capsys):
+    # 2^60 rows: the first lane mask asks for 2^60 bytes, which no 64-bit
+    # address space can map, so the allocation fails without taking memory
+    (workdir / "wide_input.eq").write_text("x1' = u59\n")
+    monkeypatch.setenv("ASYNC_DEC_SIZE_LIMIT", "1000")
+    assert main(["analyze", "--phi", str(workdir / "wide_input.eq")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_undefined_state_variable_error_names_no_line(workdir):

@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from asyncdec import BitVec, GeneratorFn, ProgressiveFunction, RegularSystem, Signal, unit_step
+from asyncdec import GeneratorFn, ProgressiveFunction, Signal, unit_step
 from asyncdec.frontend import (
     BundleError,
     DuplicateRowError,
@@ -21,9 +23,12 @@ from asyncdec.frontend import (
     parse_truth_table,
     read_text,
 )
-from asyncdec.frontend.checks import rand_fn, rand_system
+from asyncdec.frontend.checks import rand_fn, rand_rho, rand_signal, rand_system
 
-bv = BitVec.from_string
+
+def val(text):
+    """The int a bit string denotes, coordinate 1 first: "10" is 1."""
+    return int(text[::-1], 2)
 
 
 def test_truth_table_roundtrip():
@@ -66,13 +71,13 @@ def test_width_inconsistency():
 
 
 def test_signal_line_roundtrip():
-    x = Signal(2, bv("10"), ((0, bv("11")), (4, bv("01"))), 9)
+    x = Signal(2, val("10"), ((0, val("11")), (4, val("01"))), 9)
     assert parse_signal(str(x)) == x
 
 
 def test_signal_empty_events():
     x = parse_signal("n=1 init=1 H=5 events=")
-    assert x == Signal.constant(bv("1"), 5)
+    assert x == Signal(1, val("1"), (), 5)
 
 
 def test_signal_ordering_error():
@@ -93,6 +98,36 @@ def test_event_width_inconsistency_names_the_line():
     assert str(err.value).startswith("line 4: ")
 
 
+@pytest.mark.parametrize(
+    "parse, line, error, text",
+    [
+        (parse_rho, "n=2 H=9 events=(1,11);(2,1)", WidthInconsistencyError,
+         "line 4: schedule event at tick 2 has width 1, expected 2"),
+        (parse_signal, "n=2 init=1 H=9 events=(1,11)", WidthInconsistencyError,
+         "line 4: init width 1, expected 2"),
+        (parse_signal, "n=1 init=0 H=9 events=(3,1);(2,0)", OrderingError,
+         "line 4: signal events not strictly increasing at tick 2"),
+        (parse_signal, "n=1 init=0 H=2 events=(5,1)", OrderingError,
+         "line 4: signal event at tick 5 beyond horizon 2"),
+    ],
+)
+def test_event_line_errors_read_exactly(parse, line, error, text):
+    with pytest.raises(error) as err:
+        parse(line, where="line 4")
+    assert str(err.value) == text
+
+
+@given(st.randoms(use_true_random=False), st.integers(1, 4), st.integers(0, 12))
+@settings(max_examples=100, deadline=None)
+def test_signal_and_schedule_lines_round_trip(rng, width, horizon):
+    x = rand_signal(rng, width, horizon)
+    assert parse_signal(str(x)) == x
+    assert parse_signal(str(x)).key == x.key
+    r = rand_rho(rng, width, max(horizon, 1))
+    assert parse_rho(str(r)) == r
+    assert parse_rho(str(r)).key == r.key
+
+
 def test_read_text_rejects_non_utf8(tmp_path):
     path = tmp_path / "bad.sig"
     path.write_bytes(b"n=1 init=0 H=5 events= # \xff\n")
@@ -101,7 +136,7 @@ def test_read_text_rejects_non_utf8(tmp_path):
 
 
 def test_rho_line_roundtrip():
-    r = ProgressiveFunction(2, ((1, bv("10")), (3, bv("11"))), 9)
+    r = ProgressiveFunction(2, ((1, val("10")), (3, val("11"))), 9)
     assert parse_rho(str(r)) == r
 
 
@@ -114,7 +149,7 @@ def test_rho_line_must_not_carry_init():
 
 def test_negative_ticks_allowed():
     x = parse_signal("n=1 init=0 H=5 events=(-3,1);(0,0)")
-    assert x.value_at(-3) == bv("1")
+    assert x.value_at(-3) == val("1")
 
 
 def test_system_bundle_roundtrip():

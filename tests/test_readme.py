@@ -24,16 +24,13 @@ def test_quick_tour_runs_and_its_comments_hold(capsys):
     for prefix, want in (
         ("dependency_matrix(", ((0, 0), (0, 1))),
         ("finest_partition(", ((1,), (2,))),
+        ("[x.value_at(t)", [0, 1, 3]),
     ):
         code, comment = _commented(prefix)
         assert ast.literal_eval(comment) == want
         assert eval(code, namespace) == want
-    _, comment = _commented("print(traj.dump())")
-    assert printed == comment.split(" / ") == [
-        "k=-1 omega=00",
-        "k=0 t=1 omega=10",
-        "k=1 t=3 omega=11",
-    ]
+    _, comment = _commented("print(x)")
+    assert printed == [comment] == ["n=2 init=00 H=10 events=(1,10);(3,11)"]
     phi, first, second, partition = (namespace[k] for k in ("phi", "first", "second", "partition"))
     assert isinstance(partition, Partition)
     assert parallel_fn(first, second) == permute_fn(phi, partition.permutation)

@@ -24,12 +24,17 @@ from asyncdec.frontend.checks import rand_fn, rand_rho, rand_signal
 bv = BitVec.from_string
 
 
+def val(text):
+    """The int a bit string denotes, coordinate 1 first: "10" is 1."""
+    return int(text[::-1], 2)
+
+
 def fn(n, m, f):
     return GeneratorFn.from_function(n, m, f)
 
 
 def rho(width, events, horizon):
-    return ProgressiveFunction(width, tuple((t, bv(v)) for t, v in events), horizon)
+    return ProgressiveFunction(width, tuple((t, val(v)) for t, v in events), horizon)
 
 
 # -- masked updates --------------------------------------------------------
@@ -57,16 +62,16 @@ def test_identity_run_is_constant():
     phi = GeneratorFn.identity(2, 1)
     u = rand_signal(random.Random(0), 1, 10)
     schedule = rho(2, [(1, "10"), (3, "11"), (7, "01")], 10)
-    traj = run(phi, bv("10"), u, schedule, 10)
-    assert traj.signal == Signal.constant(bv("10"), 10)
-    assert all(s == bv("10") for s in traj.states)
+    x = run(phi, bv("10"), u, schedule, 10)
+    assert x == Signal(2, val("10"), (), 10)
+    assert all(x.value_at(t) == val("10") for t, _ in schedule.events)
 
 
 def test_hand_traced_follower_run():
     phi = fn(1, 1, lambda mu, lam: lam)
-    traj = run(phi, bv("0"), unit_step(0, 10), rho(1, [(1, "1")], 10), 10)
-    assert traj.states == (bv("0"), bv("1"))
-    assert traj.signal == unit_step(1, 10)
+    x = run(phi, bv("0"), unit_step(0, 10), rho(1, [(1, "1")], 10), 10)
+    assert (x.initial, x.value_at(1)) == (val("0"), val("1"))
+    assert x == unit_step(1, 10)
 
 
 def test_all_ones_schedule_matches_synchronous_iteration():
@@ -76,11 +81,11 @@ def test_all_ones_schedule_matches_synchronous_iteration():
         phi = rand_fn(rng, n, m)
         u = rand_signal(rng, m, 20)
         ticks = sorted(rng.sample(range(1, 21), 5))
-        traj = run(phi, BitVec(n, rng.randrange(1 << n)), u, round_robin(n, ticks, 20), 20)
-        state = traj.states[0]
-        for k, t in enumerate(ticks):
-            state = phi.eval(state, u.value_at(t))
-            assert traj.states[k + 1] == state
+        state = BitVec(n, rng.randrange(1 << n))
+        x = run(phi, state, u, round_robin(n, ticks, 20), 20)
+        for t in ticks:
+            state = phi.eval(state, BitVec(m, u.value_at(t)))
+            assert x.value_at(t) == state.value
 
 
 def test_run_determinism():
@@ -99,10 +104,11 @@ def test_locality_coordinates_change_only_when_fired():
         phi = rand_fn(rng, n, m)
         u = rand_signal(rng, m, 15)
         schedule = rand_rho(rng, n, 15)
-        traj = run(phi, BitVec(n, rng.randrange(1 << n)), u, schedule, 15)
+        x = run(phi, BitVec(n, rng.randrange(1 << n)), u, schedule, 15)
+        states = [x.initial] + [x.value_at(t) for t, _ in schedule.events]
         for k, (_, alpha) in enumerate(schedule.events):
-            changed = traj.states[k].value ^ traj.states[k + 1].value
-            assert changed & ~alpha.value == 0
+            changed = states[k] ^ states[k + 1]
+            assert changed & ~alpha == 0
 
 
 def test_fixed_point_stability():
@@ -118,9 +124,9 @@ def test_fixed_point_stability():
                 break
         if fixed is None:
             continue
-        u = Signal.constant(lam, 15)
-        traj = run(phi, fixed, u, rand_rho(rng, n, 15), 15)
-        assert traj.signal == Signal.constant(fixed, 15)
+        u = Signal(m, lam.value, (), 15)
+        x = run(phi, fixed, u, rand_rho(rng, n, 15), 15)
+        assert x == Signal(n, fixed.value, (), 15)
 
 
 def test_run_horizon_mismatch():
@@ -140,29 +146,27 @@ def test_run_matches_a_fold_of_masked_updates():
         n, m = rng.randint(1, 4), rng.randint(1, 2)
         phi = rand_fn(rng, n, m)
         ticks = sorted(rng.sample(range(1, horizon), rng.randint(0, 5)))
-        firings = tuple(
-            (t, BitVec(n, rng.choice((0, rng.randrange(1 << n))))) for t in ticks
-        )
+        firings = tuple((t, rng.choice((0, rng.randrange(1 << n)))) for t in ticks)
         schedule = ProgressiveFunction(n, firings, horizon)
         pool = sorted(set(ticks) | set(rng.sample(range(-2, horizon + 1), 4)))
         value = rng.randrange(1 << m)
-        initial, events = BitVec(m, value), []
+        initial, events = value, []
         for t in sorted(rng.sample(pool, rng.randint(0, len(pool)))):
             if rng.random() < 0.6:
                 value = rng.randrange(1 << m)
-            events.append((t, BitVec(m, value)))
+            events.append((t, value))
         u = Signal(m, initial, tuple(events), horizon)
         mu = BitVec(n, rng.randrange(1 << n))
 
         states = [mu]
         for t, alpha in firings:
-            states.append(apply_masked(phi, alpha, states[-1], u.value_at(t)))
-        expected = Signal(n, mu, tuple(zip(ticks, states[1:])), horizon).canonical()
-        traj = run(phi, mu, u, schedule, horizon)
-        assert traj.states == tuple(states)
-        assert traj.ticks == tuple(ticks)
-        assert traj.signal == expected
-        assert traj.signal.events == expected.events
+            states.append(apply_masked(phi, BitVec(n, alpha), states[-1], BitVec(m, u.value_at(t))))
+        values = [s.value for s in states]
+        expected = Signal(n, mu.value, tuple(zip(ticks, values[1:])), horizon).canonical()
+        x = run(phi, mu, u, schedule, horizon)
+        assert [x.initial] + [x.value_at(t) for t in ticks] == values
+        assert x == expected
+        assert x.events == expected.events
 
         for t, _ in events:
             if t in ticks:
@@ -173,7 +177,7 @@ def test_run_matches_a_fold_of_masked_updates():
                 seen.add("input after the last tick")
         if any(v == w for (_, v), (_, w) in zip([(None, initial)] + events, events)):
             seen.add("redundant input")
-        if any(alpha.value == 0 for _, alpha in firings):
+        if any(alpha == 0 for _, alpha in firings):
             seen.add("zero firing")
     assert len(seen) == 5
 
@@ -185,23 +189,16 @@ def test_signal_view_matches_state_sequence():
         phi = rand_fn(rng, n, m)
         u = rand_signal(rng, m, 15)
         schedule = rand_rho(rng, n, 15)
-        traj = run(phi, BitVec(n, rng.randrange(1 << n)), u, schedule, 15)
+        states = [BitVec(n, rng.randrange(1 << n))]
+        x = run(phi, states[0], u, schedule, 15)
+        for t, alpha in schedule.events:
+            states.append(apply_masked(phi, BitVec(n, alpha), states[-1], BitVec(m, u.value_at(t))))
         for t in range(-3, 16):
-            in_force = traj.states[0]
-            for k, tick in enumerate(traj.ticks):
+            in_force = states[0]
+            for k, (tick, _) in enumerate(schedule.events):
                 if tick <= t:
-                    in_force = traj.states[k + 1]
-            assert traj.signal.value_at(t) == in_force
-
-
-def test_trajectory_dump_format():
-    phi = fn(1, 1, lambda mu, lam: lam)
-    traj = run(phi, bv("0"), unit_step(0, 10), rho(1, [(1, "1"), (4, "1")], 10), 10)
-    assert traj.dump().splitlines() == [
-        "k=-1 omega=0",
-        "k=0 t=1 omega=1",
-        "k=1 t=4 omega=1",
-    ]
+                    in_force = states[k + 1]
+            assert x.value_at(t) == in_force.value
 
 
 def test_thm27_run_of_parallel_factors():
@@ -213,10 +210,7 @@ def test_thm27_run_of_parallel_factors():
         ra, rb = rand_rho(rng, na, 25), rand_rho(rng, nb, 25)
         ma, mbv = BitVec(na, rng.randrange(1 << na)), BitVec(nb, rng.randrange(1 << nb))
         joint = run(parallel_fn(fa, fb), ma.concat(mbv), u, product_rho(ra, rb), 25)
-        expected = product_signal(
-            run(fa, ma, u, ra, 25).signal, run(fb, mbv, u, rb, 25).signal
-        )
-        assert joint.signal == expected
+        assert joint == product_signal(run(fa, ma, u, ra, 25), run(fb, mbv, u, rb, 25))
 
 
 # -- delay bounds -------------------------------------------------------------
@@ -231,7 +225,7 @@ def test_delay_bounds_settled():
 
 
 def test_delay_bounds_constant():
-    u = Signal.constant(bv("1"), 10)
+    u = Signal(1, val("1"), (), 10)
     for t in range(-3, 11):
         assert delay_bounds(u, 3, t) == (1, 1)
 

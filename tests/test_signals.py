@@ -23,15 +23,17 @@ from asyncdec import (
     unit_step,
 )
 
-bv = BitVec.from_string
+def val(text):
+    """The int a bit string denotes, coordinate 1 first: "10" is 1."""
+    return int(text[::-1], 2)
 
 
 def sig(width, init, events, horizon):
-    return Signal(width, bv(init), tuple((t, bv(v)) for t, v in events), horizon)
+    return Signal(width, val(init), tuple((t, val(v)) for t, v in events), horizon)
 
 
 def rho(width, events, horizon):
-    return ProgressiveFunction(width, tuple((t, bv(v)) for t, v in events), horizon)
+    return ProgressiveFunction(width, tuple((t, val(v)) for t, v in events), horizon)
 
 
 # -- strategies -----------------------------------------------------------
@@ -41,10 +43,8 @@ def rho(width, events, horizon):
 def signals(draw, max_width=3, horizon=12):
     width = draw(st.integers(1, max_width))
     ticks = draw(st.lists(st.integers(-3, horizon), unique=True, max_size=6).map(sorted))
-    events = tuple(
-        (t, BitVec(width, draw(st.integers(0, (1 << width) - 1)))) for t in ticks
-    )
-    init = BitVec(width, draw(st.integers(0, (1 << width) - 1)))
+    events = tuple((t, draw(st.integers(0, (1 << width) - 1))) for t in ticks)
+    init = draw(st.integers(0, (1 << width) - 1))
     return Signal(width, init, events, horizon)
 
 
@@ -52,9 +52,7 @@ def signals(draw, max_width=3, horizon=12):
 def rhos(draw, max_width=3, horizon=12):
     width = draw(st.integers(1, max_width))
     ticks = draw(st.lists(st.integers(1, horizon), unique=True, max_size=6).map(sorted))
-    events = tuple(
-        (t, BitVec(width, draw(st.integers(0, (1 << width) - 1)))) for t in ticks
-    )
+    events = tuple((t, draw(st.integers(0, (1 << width) - 1))) for t in ticks)
     return ProgressiveFunction(width, events, horizon)
 
 
@@ -65,7 +63,7 @@ def test_from_string_packs_coordinate_one_first():
     assert BitVec.from_string("") == BitVec(0, 0)
     assert BitVec.from_string("10") == BitVec(2, 1)
     assert BitVec.from_string("0110") == BitVec(4, 6)
-    assert BitVec.from_string("1" * 70) == BitVec.ones(70)
+    assert BitVec.from_string("1" * 70) == BitVec(70, (1 << 70) - 1)
 
 
 def test_from_string_rejects_non_bits_with_invalid_value():
@@ -81,23 +79,23 @@ def test_from_string_rejects_non_bits_with_invalid_value():
 
 
 def test_value_at_constant():
-    x = Signal.constant(bv("0"), 10)
+    x = sig(1, "0", [], 10)
     for t in range(-5, 11):
-        assert x.value_at(t) == bv("0")
+        assert x.value_at(t) == val("0")
 
 
 def test_value_at_step():
     x = unit_step(0, 10)
-    assert x.value_at(-1) == bv("0")
-    assert x.value_at(0) == bv("1")
+    assert x.value_at(-1) == val("0")
+    assert x.value_at(0) == val("1")
 
 
 def test_value_at_interval_partition():
     # hand evaluation: 0 before 2, 1 on [2,5), 0 from 5
     x = sig(1, "0", [(2, "1"), (5, "0")], 10)
-    assert x.value_at(4) == bv("1")
-    assert x.value_at(1) == bv("0")
-    assert x.value_at(5) == bv("0")
+    assert x.value_at(4) == val("1")
+    assert x.value_at(1) == val("0")
+    assert x.value_at(5) == val("0")
 
 
 def test_value_at_right_continuous_at_events():
@@ -116,9 +114,9 @@ def test_value_at_beyond_horizon():
 
 
 def test_initial_value_readout():
-    assert Signal.constant(bv("1"), 5).initial == bv("1")
-    assert unit_step(0, 5).initial == bv("0")
-    assert sig(2, "10", [(3, "01")], 5).initial == bv("10")
+    assert sig(1, "1", [], 5).initial == val("1")
+    assert unit_step(0, 5).initial == val("0")
+    assert sig(2, "10", [(3, "01")], 5).initial == val("10")
 
 
 # -- canonical ------------------------------------------------------------
@@ -127,7 +125,7 @@ def test_initial_value_readout():
 def test_canonicalize_drops_redundant_events():
     x = sig(1, "0", [(1, "0"), (2, "1")], 10)
     c = x.canonical()
-    assert c.events == ((2, bv("1")),)
+    assert c.events == ((2, val("1")),)
     for t in range(-2, 11):
         assert c.value_at(t) == x.value_at(t)
 
@@ -165,17 +163,17 @@ def test_canonicalize_preserves_value_and_is_idempotent(x):
 
 
 def test_product_of_constants():
-    x = Signal.constant(bv("0"), 10)
-    y = Signal.constant(bv("1"), 10)
-    assert product_signal(x, y) == Signal.constant(bv("01"), 10)
+    x = sig(1, "0", [], 10)
+    y = sig(1, "1", [], 10)
+    assert product_signal(x, y) == sig(2, "01", [], 10)
 
 
 def test_product_merges_grids():
     x = unit_step(0, 10)
     y = unit_step(2, 10)
     p = product_signal(x, y)
-    assert p.initial == bv("00")
-    assert p.events == ((0, bv("10")), (2, bv("11")))
+    assert p.initial == val("00")
+    assert p.events == ((0, val("10")), (2, val("11")))
 
 
 def test_product_project_roundtrip():
@@ -197,12 +195,12 @@ def test_project_single_coordinate():
 
 
 def test_project_constant_stays_constant():
-    x = Signal.constant(bv("101"), 8)
-    assert project_signal(x, (1, 3)) == Signal.constant(bv("11"), 8)
+    x = sig(3, "101", [], 8)
+    assert project_signal(x, (1, 3)) == sig(2, "11", [], 8)
 
 
 def test_project_bad_range():
-    x = Signal.constant(bv("10"), 8)
+    x = sig(2, "10", [], 8)
     with pytest.raises(CoordinateError):
         project_signal(x, (0, 1))
     with pytest.raises(CoordinateError):
@@ -214,7 +212,8 @@ def test_project_bad_range():
 def test_product_pointwise_and_projection_recovers_factors(a, b):
     p = product_signal(a, b)
     for t in range(-4, a.horizon + 1):
-        assert p.value_at(t) == a.value_at(t).concat(b.value_at(t))
+        pair = BitVec(a.width, a.value_at(t)).concat(BitVec(b.width, b.value_at(t)))
+        assert p.value_at(t) == pair.value
     assert project_signal(p, range(1, a.width + 1)) == a
     assert project_signal(p, range(a.width + 1, a.width + b.width + 1)) == b
 
@@ -234,8 +233,8 @@ def test_permute_signal_matches_per_event_permute(x, rng):
     perm = list(range(1, x.width + 1))
     rng.shuffle(perm)
     p = permute_signal(x, perm)
-    assert p.initial == x.initial.permute(perm)
-    assert p.events == tuple((t, v.permute(perm)) for t, v in x.events)
+    assert p.initial == BitVec(x.width, x.initial).permute(perm).value
+    assert p.events == tuple((t, BitVec(x.width, v).permute(perm).value) for t, v in x.events)
 
 
 # -- signal sets ----------------------------------------------------------
@@ -257,7 +256,7 @@ def test_product_set_cardinality():
 
 def test_product_set_with_constant_preserves_size():
     xs = SignalSet.of([unit_step(k, 10) for k in (0, 1)])
-    c = SignalSet.of([Signal.constant(bv("1"), 10)])
+    c = SignalSet.of([sig(1, "1", [], 10)])
     assert len(product_set(xs, c)) == len(xs)
 
 
@@ -274,14 +273,14 @@ def test_product_rho_merged_grid_with_zero_padding():
     a = rho(1, [(1, "1"), (3, "1")], 10)
     b = rho(1, [(2, "1"), (3, "1")], 10)
     p = product_rho(a, b)
-    assert p.events == ((1, bv("10")), (2, bv("01")), (3, bv("11")))
+    assert p.events == ((1, val("10")), (2, val("01")), (3, val("11")))
 
 
 def test_product_rho_shared_grid_concatenates():
     a = rho(2, [(1, "10"), (2, "01")], 10)
     b = rho(1, [(1, "1"), (2, "1")], 10)
     p = product_rho(a, b)
-    assert p.events == ((1, bv("101")), (2, bv("011")))
+    assert p.events == ((1, val("101")), (2, val("011")))
 
 
 def test_product_rho_preserves_progressiveness():
@@ -315,8 +314,8 @@ def _weave_reference(n, block, a, b):
         for coords, side in ((sorted(block), at), (rest, bt)):
             if t in side:
                 for k, i in enumerate(coords):
-                    bits[i - 1] = side[t].bit(k + 1)
-        events.append((t, BitVec.from_bits(bits)))
+                    bits[i - 1] = (side[t] >> k) & 1
+        events.append((t, BitVec.from_bits(bits).value))
     return tuple(events)
 
 
@@ -334,7 +333,7 @@ def test_interleave_rho_noncontiguous():
     b = rho(1, [(2, "1")], 10)
     woven = interleave_rho(2, (2,), a, b)
     # block coordinate 2 fires at 1, complement coordinate 1 fires at 2
-    assert woven.events == ((1, bv("01")), (2, bv("10")))
+    assert woven.events == ((1, val("01")), (2, val("10")))
 
 
 # -- progressiveness ------------------------------------------------------
@@ -351,7 +350,7 @@ def test_prefix_progressive_missing_coordinate():
 @given(rhos(max_width=4))
 @settings(max_examples=150, deadline=None)
 def test_prefix_progressive_or_fold_matches_counting(r):
-    counts = [sum(v.bit(i) for _, v in r.events) for i in range(1, r.width + 1)]
+    counts = [sum((v >> (i - 1)) & 1 for _, v in r.events) for i in range(1, r.width + 1)]
     assert r.is_prefix_progressive() == all(c >= 1 for c in counts)
     quiet = ProgressiveFunction(r.width, (), r.horizon)
     assert not quiet.is_prefix_progressive()
@@ -374,7 +373,7 @@ def test_rho_zero_events_dropped_by_equality():
 def test_restrict_matches_per_event_restriction(r, data):
     coords = data.draw(st.sets(st.integers(1, r.width), min_size=1))
     cs = tuple(sorted(coords))
-    events = tuple((t, v.restrict(cs)) for t, v in r.events)
+    events = tuple((t, BitVec(r.width, v).restrict(cs).value) for t, v in r.events)
     expected = ProgressiveFunction(len(cs), events, r.horizon).canonical()
     got = r.restrict(coords)
     assert got == expected
@@ -391,13 +390,25 @@ def test_event_validation():
 # -- the shared event-sequence core ----------------------------------------
 
 
+def test_event_values_must_fit_the_width():
+    for make in (
+        lambda: Signal(2, 4, (), 10),
+        lambda: Signal(2, 0, ((1, 4),), 10),
+        lambda: Signal(1, -1, (), 10),
+        lambda: ProgressiveFunction(2, ((1, 3), (2, 4)), 10),
+        lambda: ProgressiveFunction(1, ((1, -1),), 10),
+    ):
+        with pytest.raises(InvalidValue, match="out of range for width"):
+            make()
+
+
 def test_truncated_keeps_the_cut_and_never_extends():
     x = sig(1, "0", [(2, "1"), (5, "0"), (8, "1")], 10)
     assert x.truncated(5) == sig(1, "0", [(2, "1"), (5, "0")], 5)
-    assert x.truncated(5).events == ((2, bv("1")), (5, bv("0")))
+    assert x.truncated(5).events == ((2, val("1")), (5, val("0")))
     assert x.truncated(10).events == x.events
     r = rho(2, [(1, "10"), (4, "01"), (6, "11")], 10)
-    assert r.truncated(4).events == ((1, bv("10")), (4, bv("01")))
+    assert r.truncated(4).events == ((1, val("10")), (4, val("01")))
     assert r.truncated(4).horizon == 4
     for obj in (x, r):
         with pytest.raises(HorizonExceeded, match="^cannot extend horizon 10 to 11$"):
@@ -405,8 +416,8 @@ def test_truncated_keeps_the_cut_and_never_extends():
 
 
 def test_signal_and_schedule_with_equal_fields_are_unequal():
-    events = ((1, bv("1")), (3, bv("0")))
-    x = Signal(1, bv("0"), events, 10)
+    events = ((1, val("1")), (3, val("0")))
+    x = Signal(1, val("0"), events, 10)
     r = ProgressiveFunction(1, events, 10)
     assert x != r and r != x
     assert len({x, r}) == 2
@@ -433,7 +444,7 @@ def test_sorted_orders_by_key(xs, rs):
 
 
 def test_signal_set_membership_is_by_canonical_identity():
-    members = SignalSet.of([unit_step(2, 10), Signal.constant(bv("0"), 10)])
+    members = SignalSet.of([unit_step(2, 10), sig(1, "0", [], 10)])
     assert sig(1, "0", [(1, "0"), (2, "1"), (4, "1")], 10) in members
     assert rho(1, [(2, "1")], 10) not in members
     assert unit_step(2, 11) not in members

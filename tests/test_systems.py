@@ -31,6 +31,12 @@ from asyncdec.frontend.checks import diagonal_example, rand_fn, rand_system
 
 bv = BitVec.from_string
 
+
+def val(text):
+    """The int a bit string denotes, coordinate 1 first: "10" is 1."""
+    return int(text[::-1], 2)
+
+
 H = 10
 
 
@@ -39,7 +45,7 @@ def fn(n, m, f):
 
 
 def rho(width, events):
-    return ProgressiveFunction(width, tuple((t, bv(v)) for t, v in events), H)
+    return ProgressiveFunction(width, tuple((t, val(v)) for t, v in events), H)
 
 
 def follower():
@@ -70,7 +76,7 @@ def test_realize_identity_constants():
     states = frozenset([bv("00"), bv("11")])
     pi = {(mu, u): frozenset([round_robin(2, (1,), H)]) for mu in states}
     out = realize(RegularSystem(phi, (u,), {u: states}, pi), H)
-    assert out[u] == SignalSet.of([Signal.constant(bv("00"), H), Signal.constant(bv("11"), H)])
+    assert out[u] == SignalSet.of([Signal(2, val("00"), (), H), Signal(2, val("11"), (), H)])
 
 
 def test_realize_follower_two_schedules():
@@ -100,7 +106,7 @@ def test_realize_contained_in_enumeration():
             schedules = set()
             for mu in sys_.phi0[u]:
                 schedules |= sys_.pi[(mu, u)]
-            hull = {run(phi, mu, u, r, H).signal for mu in sys_.phi0[u] for r in schedules}
+            hull = {run(phi, mu, u, r, H) for mu in sys_.phi0[u] for r in schedules}
             assert set(out[u]) <= hull
 
 
@@ -342,8 +348,8 @@ def test_product_condition_missing_trajectory():
     from asyncdec import interleave_rho
 
     woven = interleave_rho(2, (1,), wb, wc)
-    target = run(phi, wmu, u, woven, H).signal
-    admitted = {run(phi, wmu, u, r, H).signal for r in sys_.pi[(wmu, u)]}
+    target = run(phi, wmu, u, woven, H)
+    admitted = {run(phi, wmu, u, r, H) for r in sys_.pi[(wmu, u)]}
     assert target not in admitted
 
 
@@ -358,12 +364,12 @@ def _product_condition_brute_force(sys_, block, horizon):
     for u in sys_.inputs:
         for mu in sys_.phi0[u]:
             admitted = {
-                run(sys_.phi, mu, u, r, horizon).signal for r in sys_.pi[(mu, u)]
+                run(sys_.phi, mu, u, r, horizon) for r in sys_.pi[(mu, u)]
             }
             for rb in sorted(pib[(mu.restrict(bs), u)]):
                 for rc in sorted(pic[(mu.restrict(cs), u)]):
                     woven = interleave_rho(sys_.n, bs, rb, rc)
-                    if run(sys_.phi, mu, u, woven, horizon).signal not in admitted:
+                    if run(sys_.phi, mu, u, woven, horizon) not in admitted:
                         return False, (u, mu, rb, rc)
     return True, None
 
