@@ -9,7 +9,6 @@ from .boolfn import (
     is_separated,
     parallel_fn,
     partial_derivative,
-    permute_fn,
     project_fn,
     split_fn,
 )
@@ -33,11 +32,9 @@ from .signals import (
     SignalSet,
     Tick,
     interleave_rho,
-    permute_signal,
     product_rho,
     product_set,
     product_signal,
-    project_signal,
     round_robin,
     unit_step,
 )

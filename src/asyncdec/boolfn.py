@@ -20,10 +20,10 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .errors import CoordinateError, InvalidValue, NotSeparatedError, SizeLimitError, WidthMismatch
-from .signals import BitVec, _check_permutation, gather_bits, scatter_bits
+from .signals import BitVec, _checked_coords, gather_bits, scatter_bits
 
 DEFAULT_SIZE_LIMIT = 20
 SIZE_LIMIT_ENV = "ASYNC_DEC_SIZE_LIMIT"
@@ -278,12 +278,11 @@ def is_separated(phi: GeneratorFn, block: Iterable[int]) -> bool:
     return dependency_matrix(phi).cross_dependency(block) is None
 
 
-def project_fn(phi: GeneratorFn, block: Iterable[int]) -> GeneratorFn:
-    """The block-coordinate function obtained by freezing the complement
-    coordinates at 0.  When the block is separated the frozen values are
-    irrelevant.
-    """
-    bs, _ = _split_blocks(phi.n, block)
+def project_fn(phi: GeneratorFn, coords: Iterable[int]) -> GeneratorFn:
+    """`phi` on the state coordinates `coords`, in that order, with every other
+    state coordinate frozen at 0 (irrelevant when `coords` is a separated
+    block); all n coordinates in a new order relabel `phi`."""
+    bs = _checked_coords(coords, phi.n)
     nb = len(bs)
     rows = []
     for lam in range(1 << phi.m):
@@ -295,8 +294,9 @@ def project_fn(phi: GeneratorFn, block: Iterable[int]) -> GeneratorFn:
 
 @dataclass(frozen=True)
 class Partition:
-    """Ordered disjoint blocks covering 1..n, each ascending; `permutation`
-    makes them contiguous: old coordinate i moves to position permutation[i-1]."""
+    """Ordered disjoint blocks covering 1..n, each ascending.  Laid end to end
+    they are the order that makes them contiguous; `permutation`, its inverse,
+    moves old coordinate i to position permutation[i-1]."""
 
     blocks: tuple[tuple[int, ...], ...]
 
@@ -309,26 +309,12 @@ class Partition:
 
     @cached_property
     def permutation(self) -> tuple[int, ...]:
-        perm = [0] * self.n
-        for pos, i in enumerate((i for b in self.blocks for i in b), start=1):
-            perm[i - 1] = pos
-        return tuple(perm)
+        order = sum(self.blocks, ())
+        return tuple(sorted(range(1, self.n + 1), key=lambda pos: order[pos - 1]))
 
     @property
     def n(self) -> int:
         return sum(len(b) for b in self.blocks)
-
-
-def permute_fn(phi: GeneratorFn, permutation: Sequence[int]) -> GeneratorFn:
-    """Relabel state coordinates: old coordinate i becomes permutation[i-1]."""
-    _check_permutation(permutation, phi.n)
-    rows = []
-    for lam in range(1 << phi.m):
-        base = lam << phi.n
-        for mu_new in range(1 << phi.n):
-            mu_old = gather_bits(mu_new, permutation)
-            rows.append(scatter_bits(phi.table[mu_old | base], permutation))
-    return GeneratorFn(phi.n, phi.m, tuple(rows))
 
 
 def finest_partition(phi: GeneratorFn) -> Partition:
@@ -340,10 +326,10 @@ def finest_partition(phi: GeneratorFn) -> Partition:
 def split_fn(phi: GeneratorFn, block: Iterable[int]) -> tuple[GeneratorFn, GeneratorFn, Partition]:
     """Split a separated block off as an independent factor.
 
-    Returns (first, second, partition) such that, after relabeling by the
-    partition's permutation, `parallel_fn(first, second)` equals `phi` on
-    every row.  Refuses with a dependency witness if the block is not
-    separated.
+    Returns (first, second, partition) such that `parallel_fn(first, second)`
+    equals `project_fn(phi, block + complement)` on every row: `phi` read
+    through the partition's blocks laid end to end.  Refuses with a
+    dependency witness if the block is not separated.
     """
     witness = dependency_witness(phi, block)
     if witness is not None:

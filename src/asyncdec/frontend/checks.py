@@ -13,12 +13,10 @@ from dataclasses import dataclass
 
 from ..boolfn import (
     GeneratorFn,
-    Partition,
     finest_partition,
     is_separated,
     parallel_fn,
     partial_derivative,
-    permute_fn,
     project_fn,
     split_fn,
 )
@@ -80,10 +78,10 @@ def rand_signal(rng: random.Random, width: int, horizon: int, max_events: int = 
     return Signal(width, rng.randrange(1 << width), events, horizon)
 
 
-def rand_rho(rng: random.Random, width: int, horizon: int, max_events: int = 6) -> ProgressiveFunction:
-    """A prefix-progressive schedule on a random grid: every coordinate gets
-    one forced firing, then extra firings are sprinkled at random."""
-    count = rng.randint(max(1, width // 2), max_events)
+def rand_rho(rng: random.Random, width: int, horizon: int) -> ProgressiveFunction:
+    """A prefix-progressive schedule on a random grid of at most six ticks: one
+    forced firing per coordinate, then extra firings sprinkled at random."""
+    count = rng.randint(max(1, width // 2), 6)
     ticks = sorted(rng.sample(range(1, horizon + 1), min(count, horizon)))
     firing = {t: 0 for t in ticks}
     for i in range(width):
@@ -103,9 +101,7 @@ def rand_rho_distinct(
             return rho
 
 
-def rand_system(
-    rng: random.Random, phi: GeneratorFn, horizon: int, n_inputs: int = 2
-) -> RegularSystem:
+def rand_system(rng: random.Random, phi: GeneratorFn, horizon: int, n_inputs: int) -> RegularSystem:
     inputs = []
     while len(inputs) < n_inputs:
         u = rand_signal(rng, phi.m, horizon, max_events=4)
@@ -162,8 +158,7 @@ def recompose_verdict(phi: GeneratorFn, block) -> bool:
     bs = sorted(set(block))
     cs = [i for i in range(1, phi.n + 1) if i not in set(bs)]
     recomposed = parallel_fn(project_fn(phi, bs), project_fn(phi, cs))
-    relabeled = permute_fn(phi, Partition((bs, cs)).permutation)
-    return recomposed.table == relabeled.table
+    return recomposed.table == project_fn(phi, bs + cs).table
 
 
 def theorem26_suite(seed: int, cases: int) -> CheckReport:
@@ -184,8 +179,9 @@ def theorem26_suite(seed: int, cases: int) -> CheckReport:
 # -- theorem 27: runs of a parallel composition factor exactly ------------
 
 
-def theorem27_suite(seed: int, cases: int, horizon: int = 50) -> CheckReport:
+def theorem27_suite(seed: int, cases: int) -> CheckReport:
     rng = random.Random(seed)
+    horizon = 50
 
     def outcomes():
         for case in range(cases):
@@ -248,12 +244,13 @@ def theorem32_suite(seed: int, cases: int) -> CheckReport:
             n = na + nb
             shuffle = list(range(1, n + 1))
             rng.shuffle(shuffle)
-            permuted = permute_fn(phi, tuple(shuffle))
+            # coordinate i of phi moves to position shuffle[i-1]
+            permuted = project_fn(phi, sorted(range(1, n + 1), key=lambda k: shuffle[k - 1]))
             block = sorted(shuffle[i - 1] for i in range(1, na + 1))
             ok = is_separated(permuted, block)
             if ok:
                 first, second, partition = split_fn(permuted, block)
-                relabeled = permute_fn(permuted, partition.permutation)
+                relabeled = project_fn(permuted, sum(partition.blocks, ()))
                 ok = parallel_fn(first, second).table == relabeled.table
             yield None if ok else f"case {case}: n'={na} n''={nb} m={m} block={block}"
 
@@ -284,20 +281,21 @@ def _product_form_system(
     return RegularSystem(phi, (u,), phi0, pi)
 
 
-def diagonal_example(horizon: int = 10) -> RegularSystem:
-    """Identity dynamics with the diagonal initial set {00, 11}: the textbook
-    strict-subset case, whose parallel hull adds 01 and 10."""
+def diagonal_example() -> RegularSystem:
+    """Identity dynamics with the diagonal initial set {00, 11}, horizon 10:
+    the textbook strict-subset case, whose parallel hull adds 01 and 10."""
     phi = GeneratorFn.identity(2, 1)
-    u = unit_step(0, horizon)
+    u = unit_step(0, 10)
     d00, d11 = BitVec.from_string("00"), BitVec.from_string("11")
-    rho = round_robin(2, (1, 2), horizon)
+    rho = round_robin(2, (1, 2), 10)
     phi0 = {u: frozenset((d00, d11))}
     pi = {(d00, u): frozenset((rho,)), (d11, u): frozenset((rho,))}
     return RegularSystem(phi, (u,), phi0, pi)
 
 
-def theorem34_suite(seed: int, cases: int, horizon: int = 20) -> CheckReport:
+def theorem34_suite(seed: int, cases: int) -> CheckReport:
     rng = random.Random(seed)
+    horizon = 20
     subset_cases = cases // 2
 
     def outcomes():
@@ -322,7 +320,8 @@ def theorem34_suite(seed: int, cases: int, horizon: int = 20) -> CheckReport:
             yield None if ok else f"product-form case {case}: status={result.status}"
         diag = decompose_system(diagonal_example(), (1,), 10)
         ok = diag.status == "strict-subset" and any(own < hull for _, own, hull in diag.hull_sizes)
-        yield None if ok else f"diagonal example: status={diag.status} sizes={diag.hull_sizes}"
+        sizes = "; ".join(f"input {u}: own {own}, hull {hull}" for u, own, hull in diag.hull_sizes)
+        yield None if ok else f"diagonal example: status={diag.status}; {sizes}"
 
     return _tally("thm34 decomposition verdicts", outcomes())
 
@@ -347,8 +346,9 @@ def example1_suite(taus=(1, 2, 5)) -> CheckReport:
 # -- lemma 1: schedule products stay progressive --------------------------
 
 
-def lemma1_suite(seed: int, cases: int, horizon: int = 30) -> CheckReport:
+def lemma1_suite(seed: int, cases: int) -> CheckReport:
     rng = random.Random(seed)
+    horizon = 30
 
     def outcomes():
         for case in range(cases):
@@ -430,8 +430,9 @@ def partition_oracle_suite(seed: int, samples: int) -> CheckReport:
 # -- synchronous reduction -------------------------------------------------
 
 
-def synchronous_suite(seed: int, cases: int, horizon: int = 30) -> CheckReport:
+def synchronous_suite(seed: int, cases: int) -> CheckReport:
     rng = random.Random(seed)
+    horizon = 30
 
     def outcomes():
         for case in range(cases):

@@ -18,6 +18,9 @@ canonical form drops, and stores it; its `key`, the canonical form as a
 tuple of ints, is both the identity and the `<` order that sorts sets,
 schedules and witnesses.
 
+Every kind relabels one way, `restrict(coords)`: coordinate k of the result
+is coordinate coords[k-1], for an ordered tuple of distinct coordinates.
+
 Everything in this module is immutable and safe to share across threads.
 """
 
@@ -116,31 +119,24 @@ class BitVec:
         return BitVec(self.width + other.width, self.value | (other.value << self.width))
 
     def restrict(self, coords: Iterable[int]) -> "BitVec":
-        """Restriction to the given coordinates, kept in ascending order."""
+        """Coordinate k of the result is coordinate coords[k-1] of this one."""
         cs = _checked_coords(coords, self.width)
         return BitVec(len(cs), gather_bits(self.value, cs))
-
-    def permute(self, permutation: Sequence[int]) -> "BitVec":
-        """Relabel coordinates: old coordinate i becomes permutation[i-1]."""
-        _check_permutation(permutation, self.width)
-        return BitVec(self.width, scatter_bits(self.value, permutation))
 
     def __str__(self) -> str:
         return _bits_text(self.value, self.width)
 
 
 def _checked_coords(coords: Iterable[int], width: int) -> tuple[int, ...]:
-    cs = sorted(set(coords))
+    """`coords` in the order given: nonempty, distinct and within 1..width."""
+    cs = tuple(coords)
     if not cs:
         raise CoordinateError("empty coordinate range")
-    if cs[0] < 1 or cs[-1] > width:
+    if len(set(cs)) != len(cs):
+        raise CoordinateError(f"repeated coordinate in {cs}")
+    if min(cs) < 1 or max(cs) > width:
         raise CoordinateError(f"coordinates {cs} not within 1..{width}")
-    return tuple(cs)
-
-
-def _check_permutation(permutation: Sequence[int], width: int) -> None:
-    if sorted(permutation) != list(range(1, width + 1)):
-        raise CoordinateError(f"not a permutation of 1..{width}: {permutation}")
+    return cs
 
 
 class _EventSequence:
@@ -248,6 +244,12 @@ class Signal(_EventSequence):
         drops every event that repeats the value in force before it."""
         return (self.width, self.horizon, self.initial, self._canon)
 
+    def restrict(self, coords: Iterable[int]) -> "Signal":
+        """Coordinate k of the result is coordinate coords[k-1]; canonical."""
+        cs = _checked_coords(coords, self.width)
+        events = tuple((t, gather_bits(v, cs)) for t, v in self.events)
+        return Signal(len(cs), gather_bits(self.initial, cs), events, self.horizon).canonical()
+
 
 def unit_step(t0: Tick, horizon: Tick) -> Signal:
     """The scalar step that is 0 before t0 and 1 from t0 on."""
@@ -266,20 +268,6 @@ def product_signal(a: Signal, b: Signal) -> Signal:
     shift = a.width
     events = tuple((t, a.value_at(t) | b.value_at(t) << shift) for t in ticks)
     return Signal(a.width + b.width, a.initial | b.initial << shift, events, a.horizon)
-
-
-def project_signal(x: Signal, coords: Iterable[int]) -> Signal:
-    """Coordinate restriction, canonicalized."""
-    cs = _checked_coords(coords, x.width)
-    events = tuple((t, gather_bits(v, cs)) for t, v in x.events)
-    return Signal(len(cs), gather_bits(x.initial, cs), events, x.horizon).canonical()
-
-
-def permute_signal(x: Signal, permutation: Sequence[int]) -> Signal:
-    """Relabel coordinates pointwise; old coordinate i becomes permutation[i-1]."""
-    _check_permutation(permutation, x.width)
-    events = tuple((t, scatter_bits(v, permutation)) for t, v in x.events)
-    return Signal(x.width, scatter_bits(x.initial, permutation), events, x.horizon)
 
 
 class SignalSet:
@@ -383,7 +371,8 @@ class ProgressiveFunction(_EventSequence):
         return fired == (1 << self.width) - 1
 
     def restrict(self, coords: Iterable[int]) -> "ProgressiveFunction":
-        """Coordinate restriction with zero-only events dropped."""
+        """Coordinate k of the result is coordinate coords[k-1]; all-zero
+        firings are dropped."""
         cs = _checked_coords(coords, self.width)
         events = tuple((t, b) for t, v in self.events if (b := gather_bits(v, cs)))
         return ProgressiveFunction(len(cs), events, self.horizon)
@@ -417,7 +406,7 @@ def interleave_rho(
     `rho_block` drives the block coordinates (ascending order) and
     `rho_rest` the complement; `product_rho` is the case of a leading block.
     """
-    bs = _checked_coords(block, n)
+    bs = _checked_coords(sorted(set(block)), n)
     cs = tuple(sorted(set(range(1, n + 1)).difference(bs)))
     if len(bs) != rho_block.width or len(cs) != rho_rest.width:
         raise WidthMismatch(

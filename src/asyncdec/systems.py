@@ -27,7 +27,6 @@ from .signals import (
     SignalSet,
     Tick,
     interleave_rho,
-    permute_signal,
     product_rho,
     product_set,
 )
@@ -237,7 +236,7 @@ class DecompositionResult:
     """Factors of a system decomposition plus the verified verdict.
 
     `status` is "equal" when, for every input u, the system's realization,
-    relabeled by the partition's permutation, equals the hull
+    read through the coordinates block + complement, equals the hull
     f'(u) x f''(u) of the factors' realizations, compared set by set; else
     "strict-subset".  `hull_sizes` holds (u, |f(u)|, |f'(u) x f''(u)|).  The
     two condition flags record the sufficient conditions independently of
@@ -270,9 +269,9 @@ def decompose_system(
     first = RegularSystem(phi_b, sys.inputs, project_phi0(sys, bs), pi_b)
     second = RegularSystem(phi_c, sys.inputs, project_phi0(sys, cs), pi_c)
     own, out_b, out_c = realize(sys, horizon), realize(first, horizon), realize(second, horizon)
-    perm = partition.permutation
+    order = bs + cs
     product_form = all(
-        frozenset(mu.permute(perm) for mu in sys.phi0[u])
+        frozenset(mu.restrict(order) for mu in sys.phi0[u])
         == frozenset(mb.concat(mc) for mb in first.phi0[u] for mc in second.phi0[u])
         for u in sys.inputs
     )
@@ -281,7 +280,7 @@ def decompose_system(
     equal = True
     for u in sys.inputs:
         hull = product_set(out_b[u], out_c[u])
-        relabeled = SignalSet(sys.n, horizon, (permute_signal(x, perm) for x in own[u]))
+        relabeled = SignalSet(sys.n, horizon, (x.restrict(order) for x in own[u]))
         if not relabeled.issubset(hull):
             raise InvalidSystem(
                 f"decomposition lost a trajectory for input {u}; this should be impossible"

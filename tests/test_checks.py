@@ -1,9 +1,12 @@
 """Verification suites: report verdicts."""
 
+from dataclasses import replace
+
 import pytest
 
 import asyncdec.boolfn
 from asyncdec import GeneratorFn
+from asyncdec.frontend import checks
 from asyncdec.frontend.checks import (
     derivative_separated,
     flip_invariant,
@@ -13,6 +16,7 @@ from asyncdec.frontend.checks import (
     theorem26_suite,
     theorem27_suite,
     theorem32_suite,
+    theorem34_suite,
 )
 
 
@@ -48,3 +52,15 @@ def test_theorem30_routes_share_no_dependency_scan(monkeypatch):
         assert len(routes) == 1, phi.table
         verdicts |= routes
     assert verdicts == {True, False}
+
+
+def test_theorem34_diagonal_witness_prints_inputs_as_event_lines(monkeypatch):
+    """A diagonal example misreported as `equal` is named with each input in
+    the event-line format, as `decompose` prints it."""
+    real = checks.decompose_system
+    monkeypatch.setattr(checks, "decompose_system", lambda *a: replace(real(*a), status="equal"))
+    report = theorem34_suite(1, 2)
+    assert report.failures == 1
+    assert report.details == (
+        "diagonal example: status=equal; input n=1 init=0 H=10 events=(0,1): own 2, hull 4",
+    )

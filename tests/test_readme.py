@@ -4,7 +4,7 @@ import ast
 import re
 from pathlib import Path
 
-from asyncdec import Partition, parallel_fn, permute_fn
+from asyncdec import Partition, parallel_fn, project_fn
 
 README = Path(__file__).parent.parent / "README.md"
 TOUR = re.search(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
@@ -33,4 +33,4 @@ def test_quick_tour_runs_and_its_comments_hold(capsys):
     assert printed == [comment] == ["n=2 init=00 H=10 events=(1,10);(3,11)"]
     phi, first, second, partition = (namespace[k] for k in ("phi", "first", "second", "partition"))
     assert isinstance(partition, Partition)
-    assert parallel_fn(first, second) == permute_fn(phi, partition.permutation)
+    assert parallel_fn(first, second) == project_fn(phi, sum(partition.blocks, ()))

@@ -14,11 +14,9 @@ from asyncdec import (
     Signal,
     SignalSet,
     interleave_rho,
-    permute_signal,
     product_rho,
     product_set,
     product_signal,
-    project_signal,
     round_robin,
     unit_step,
 )
@@ -180,8 +178,8 @@ def test_product_project_roundtrip():
     a = sig(2, "01", [(1, "11"), (4, "00")], 10)
     b = sig(1, "1", [(2, "0")], 10)
     p = product_signal(a, b)
-    assert project_signal(p, range(1, 3)) == a.canonical()
-    assert project_signal(p, (3,)) == b.canonical()
+    assert p.restrict(range(1, 3)) == a.canonical()
+    assert p.restrict((3,)) == b.canonical()
 
 
 def test_product_horizon_mismatch():
@@ -191,20 +189,20 @@ def test_product_horizon_mismatch():
 
 def test_project_single_coordinate():
     x = sig(3, "010", [(2, "110")], 10)
-    assert project_signal(x, (2,)) == sig(1, "1", [], 10)
+    assert x.restrict((2,)) == sig(1, "1", [], 10)
 
 
 def test_project_constant_stays_constant():
     x = sig(3, "101", [], 8)
-    assert project_signal(x, (1, 3)) == sig(2, "11", [], 8)
+    assert x.restrict((1, 3)) == sig(2, "11", [], 8)
 
 
 def test_project_bad_range():
     x = sig(2, "10", [], 8)
     with pytest.raises(CoordinateError):
-        project_signal(x, (0, 1))
+        x.restrict((0, 1))
     with pytest.raises(CoordinateError):
-        project_signal(x, ())
+        x.restrict(())
 
 
 @given(signals(), signals())
@@ -214,27 +212,18 @@ def test_product_pointwise_and_projection_recovers_factors(a, b):
     for t in range(-4, a.horizon + 1):
         pair = BitVec(a.width, a.value_at(t)).concat(BitVec(b.width, b.value_at(t)))
         assert p.value_at(t) == pair.value
-    assert project_signal(p, range(1, a.width + 1)) == a
-    assert project_signal(p, range(a.width + 1, a.width + b.width + 1)) == b
+    assert p.restrict(range(1, a.width + 1)) == a
+    assert p.restrict(range(a.width + 1, a.width + b.width + 1)) == b
 
 
 def test_permute_signal_roundtrip():
     x = sig(3, "010", [(1, "110"), (3, "001")], 10)
-    perm = (3, 1, 2)
-    inverse = (2, 3, 1)
-    assert permute_signal(permute_signal(x, perm), inverse) == x
+    order = (2, 3, 1)
+    inverse = (3, 1, 2)
+    assert x.restrict(order) == sig(3, "100", [(1, "101"), (3, "010")], 10)
+    assert x.restrict(order).restrict(inverse) == x
     with pytest.raises(CoordinateError):
-        permute_signal(x, (1, 1, 2))
-
-
-@given(signals(), st.randoms(use_true_random=False))
-@settings(max_examples=60, deadline=None)
-def test_permute_signal_matches_per_event_permute(x, rng):
-    perm = list(range(1, x.width + 1))
-    rng.shuffle(perm)
-    p = permute_signal(x, perm)
-    assert p.initial == BitVec(x.width, x.initial).permute(perm).value
-    assert p.events == tuple((t, BitVec(x.width, v).permute(perm).value) for t, v in x.events)
+        x.restrict((1, 1, 2))
 
 
 # -- signal sets ----------------------------------------------------------
@@ -375,7 +364,7 @@ def test_restrict_matches_per_event_restriction(r, data):
     cs = tuple(sorted(coords))
     events = tuple((t, BitVec(r.width, v).restrict(cs).value) for t, v in r.events)
     expected = ProgressiveFunction(len(cs), events, r.horizon).canonical()
-    got = r.restrict(coords)
+    got = r.restrict(cs)
     assert got == expected
     assert got.events == expected.events
 
