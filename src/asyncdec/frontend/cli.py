@@ -232,27 +232,23 @@ def _cmd_decompose(args) -> int:
     return _EXIT_OK
 
 
-_THM_ORDER = ("26", "27", "30", "32", "34", "example1")
+# each suite is looked up in `checks` when it runs, so a wrapped suite is the one called
+_SUITES = {
+    "26": lambda seed, cases: checks.theorem26_suite(seed, cases),
+    "27": lambda seed, cases: checks.theorem27_suite(seed, cases),
+    "30": lambda seed, cases: checks.theorem30_exhaustive()[0],
+    "32": lambda seed, cases: checks.theorem32_suite(seed, cases),
+    "34": lambda seed, cases: checks.theorem34_suite(seed, max(2, cases // 5)),
+    "example1": lambda seed, cases: checks.example1_suite(),
+}
+_THM_ORDER = tuple(_SUITES)
 
 
 def _cmd_verify(args) -> int:
     if args.cases < 1:
         raise LoadError(f"--cases must be at least 1, got {args.cases}")
     chosen = _THM_ORDER if args.thm == "all" else (args.thm,)
-    reports = []
-    for thm in chosen:
-        if thm == "26":
-            reports.append(checks.theorem26_suite(args.seed, args.cases))
-        elif thm == "27":
-            reports.append(checks.theorem27_suite(args.seed, args.cases))
-        elif thm == "30":
-            reports.append(checks.theorem30_exhaustive()[0])
-        elif thm == "32":
-            reports.append(checks.theorem32_suite(args.seed, args.cases))
-        elif thm == "34":
-            reports.append(checks.theorem34_suite(args.seed, max(2, args.cases // 5)))
-        else:
-            reports.append(checks.example1_suite())
+    reports = [_SUITES[thm](args.seed, args.cases) for thm in chosen]
     doc = [("seed", str(args.seed)), ("cases", str(args.cases))]
     ok = True
     for thm, report in zip(chosen, reports):

@@ -12,11 +12,14 @@ schedule a point of B^width is a plain int, coordinate 1 in the least
 significant bit.  `BitVec` is a point that stands alone (an initial state, a
 table row, a witness) and carries its own width.
 
-Both kinds rest on one event-sequence core: validation, truncation,
-canonical form, equality, hashing, order and text.  Each kind says what its
-canonical form drops, and stores it; its `key`, the canonical form as a
+Both kinds rest on one event-sequence core.  Its constructor is the only
+place a sequence is built: one pass over the given events checks them,
+stores them as (tick, int) pairs and collects the canonical form, which
+drops every event equal to the held value.  A signal's held value starts
+at `initial` and follows each kept event; a schedule's stays 0, so its
+canonical form drops the all-zero firings.  `key`, the canonical form as a
 tuple of ints, is both the identity and the `<` order that sorts sets,
-schedules and witnesses.
+schedules and witnesses; `events` is the only index for reading a value.
 
 Every kind relabels one way, `restrict(coords)`: coordinate k of the result
 is coordinate coords[k-1], for an ordered tuple of distinct coordinates.
@@ -26,7 +29,7 @@ Everything in this module is immutable and safe to share across threads.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -142,23 +145,26 @@ def _checked_coords(coords: Iterable[int], width: int) -> tuple[int, ...]:
 class _EventSequence:
     """The core of `Signal` and `ProgressiveFunction`: a frozen dataclass with
     `width`, `events` as (tick, int) pairs, `horizon` and `initial` (an int,
-    None for a schedule), a `_kind` for messages and a `key`.  Each kind's
-    `__post_init__` stores its canonical events as `_canon`, sharing the
-    `events` tuple when nothing is dropped.  A signal never equals or orders
-    against a schedule.
+    None for a schedule), a `_kind` for messages and a `key`.
+
+    `__post_init__` builds both kinds in one pass: it checks each event,
+    stores it as a pair and keeps it in `_canon` unless it equals the held
+    value (a signal's last kept value, starting at `initial`; 0 for a
+    schedule).  `_canon` shares the `events` tuple when nothing is dropped.
+    A signal never equals or orders against a schedule.
     """
 
     def __post_init__(self):
-        events = tuple((t, v) for t, v in self.events)
-        object.__setattr__(self, "events", events)
         width, horizon, initial, kind = self.width, self.horizon, self.initial, self._kind
         if width < 1:
             raise WidthMismatch(f"{kind} width must be >= 1, got {width}")
         # v >> width tests v < 2^width without building 2^width for a huge width
         if initial is not None and (initial < 0 or initial >> width):
             raise InvalidValue(f"initial value {initial} out of range for width {width}")
+        held = 0 if initial is None else initial
+        events, canon = [], []
         prev = None
-        for t, v in events:
+        for t, v in self.events:
             if prev is not None and t <= prev:
                 raise InvalidValue(f"{kind} events not strictly increasing at tick {t}")
             prev = t
@@ -166,16 +172,21 @@ class _EventSequence:
                 raise InvalidValue(f"{kind} event at tick {t}: value {v} out of range for width {width}")
             if t > horizon:
                 raise HorizonExceeded(f"{kind} event at tick {t} beyond horizon {horizon}")
-
-    def _store_canon(self, canon: tuple) -> None:
-        # an already canonical sequence shares its events tuple
-        object.__setattr__(self, "_canon", canon if len(canon) < len(self.events) else self.events)
+            events.append(e := (t, v))
+            if v != held:
+                canon.append(e)
+                if initial is not None:
+                    held = v
+        events = tuple(events)
+        object.__setattr__(self, "events", events)
+        object.__setattr__(self, "_canon", tuple(canon) if len(canon) < len(events) else events)
 
     def truncated(self, horizon: Tick):
         """Restriction to (-inf, horizon]; never extends."""
         if horizon > self.horizon:
             raise HorizonExceeded(f"cannot extend horizon {self.horizon} to {horizon}")
-        kept = tuple((t, v) for t, v in self.events if t <= horizon)
+        # (horizon + 1,) sorts before every event at that tick and after all earlier ones
+        kept = self.events[: bisect_left(self.events, (horizon + 1,))]
         return replace(self, events=kept, horizon=horizon)
 
     def canonical(self):
@@ -218,22 +229,11 @@ class Signal(_EventSequence):
     horizon: Tick
     _kind = "signal"
 
-    def __post_init__(self):
-        super().__post_init__()
-        canon = []
-        current = self.initial
-        for t, v in self.events:
-            if v != current:
-                canon.append((t, v))
-                current = v
-        self._store_canon(tuple(canon))
-        object.__setattr__(self, "_ticks", tuple(t for t, _ in self.events))
-
     def value_at(self, t: Tick) -> int:
         """The value in force at tick t; t must not exceed the horizon."""
         if t > self.horizon:
             raise HorizonExceeded(f"t={t} beyond horizon {self.horizon}")
-        k = bisect_right(self._ticks, t)
+        k = bisect_left(self.events, (t + 1,))
         if k == 0:
             return self.initial
         return self.events[k - 1][1]
@@ -264,7 +264,7 @@ def product_signal(a: Signal, b: Signal) -> Signal:
     """
     if a.horizon != b.horizon:
         raise HorizonMismatch(f"horizons differ: {a.horizon} vs {b.horizon}")
-    ticks = sorted(set(a._ticks) | set(b._ticks))
+    ticks = sorted({t for t, _ in (*a.events, *b.events)})
     shift = a.width
     events = tuple((t, a.value_at(t) | b.value_at(t) << shift) for t in ticks)
     return Signal(a.width + b.width, a.initial | b.initial << shift, events, a.horizon)
@@ -304,9 +304,6 @@ class SignalSet:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def __contains__(self, x: Signal) -> bool:
-        return any(x == member for member in self.members)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SignalSet):
@@ -352,10 +349,6 @@ class ProgressiveFunction(_EventSequence):
     horizon: Tick
     initial = None
     _kind = "schedule"
-
-    def __post_init__(self):
-        super().__post_init__()
-        self._store_canon(tuple(e for e in self.events if e[1]))
 
     @property
     def key(self) -> tuple:

@@ -1,10 +1,14 @@
 """Command-line behavior: verbs, exit codes, report stability."""
 
+import io
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from asyncdec import BitVec, GeneratorFn, parallel_fn
 from asyncdec.frontend import (
@@ -294,3 +298,62 @@ def test_verify_stamp_adds_line():
     result = cli("verify", "--thm", "example1", "--stamp")
     assert result.returncode == 0
     assert "stamp:" in result.stdout
+
+
+# -- exit contract under mutated input files --------------------------------
+
+FUZZ_FILES = {
+    "delay.eq": "x1' = u1\n",
+    "step.sig": "n=1 init=0 H=10 events=(0,1)\n",
+    "fire.rho": "n=1 H=10 events=(1,1);(4,1)\n",
+    "diag.sys": format_system(diagonal_example()),
+}
+FUZZ_ALPHABET = "01(),;=nHitevs[]@:"
+
+
+@st.composite
+def mutated_file(draw):
+    """One of the signal, schedule or bundle files with one line edited:
+    the span [i, j) replaced by up to four characters (an insertion when the
+    span is empty, a deletion when nothing replaces it)."""
+    name = draw(st.sampled_from(("step.sig", "fire.rho", "diag.sys")))
+    lines = FUZZ_FILES[name].splitlines(keepends=True)
+    k = draw(st.integers(0, len(lines) - 1))
+    line = lines[k].rstrip("\n")
+    i = draw(st.integers(0, len(line)))
+    j = draw(st.integers(i, min(len(line), i + 4)))
+    text = draw(st.text(FUZZ_ALPHABET, max_size=4))
+    lines[k] = line[:i] + text + line[j:] + "\n"
+    return name, "".join(lines)
+
+
+@pytest.fixture(scope="module")
+def fuzzdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+# one bit of one row edited so that coordinate 2 reads mu_1: block {1} is not separated
+COUPLED = ("diag.sys", FUZZ_FILES["diag.sys"].replace("10 0 -> 10", "10 0 -> 11"))
+
+
+@given(mutated_file())
+@example(COUPLED)
+@settings(max_examples=199, derandomize=True, deadline=None)
+def test_mutated_inputs_keep_the_exit_contract(fuzzdir, mutated):
+    name, text = mutated
+    for base, content in FUZZ_FILES.items():
+        (fuzzdir / base).write_text(text if base == name else content)
+    if name == "diag.sys":
+        # a fixed block, so that a table edit that couples it is a violation (exit 1)
+        argv = ["decompose", "--system", str(fuzzdir / "diag.sys"), "--block", "1"]
+    else:
+        argv = ["simulate", "--phi", str(fuzzdir / "delay.eq"), "--init", "0",
+                "--input", str(fuzzdir / "step.sig"), "--rho", str(fuzzdir / "fire.rho")]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        lines = (out.getvalue() + err.getvalue()).splitlines()
+        assert any(ln.lstrip().startswith(("violation:", "witness:")) for ln in lines)

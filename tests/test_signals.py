@@ -404,6 +404,34 @@ def test_truncated_keeps_the_cut_and_never_extends():
             obj.truncated(11)
 
 
+@given(st.one_of(signals(), rhos()))
+@settings(max_examples=150, deadline=None)
+def test_truncated_and_value_at_match_per_event_scans(seq):
+    first = min((t for t, _ in seq.events), default=0)
+    for h in range(seq.horizon, first - 2, -1):
+        assert seq.truncated(h).events == tuple((t, v) for t, v in seq.events if t <= h)
+    if isinstance(seq, Signal):
+        for t in range(-4, seq.horizon + 1):
+            held = seq.initial
+            for s, v in seq.events:
+                if s <= t:
+                    held = v
+            assert seq.value_at(t) == held
+
+
+def test_events_given_as_lists_or_a_generator_are_stored_as_tuples():
+    pairs = ((1, 1), (3, 0), (5, 0))
+    for make in (lambda ev: Signal(1, 0, ev, 10), lambda ev: ProgressiveFunction(1, ev, 10)):
+        reference = make(pairs)
+        for given in ([list(e) for e in pairs], (list(e) for e in pairs)):
+            built = make(given)
+            assert type(built.events) is tuple
+            assert all(type(e) is tuple for e in built.events)
+            assert built.events == pairs
+            assert built == reference and hash(built) == hash(reference)
+            assert built.canonical().events == reference.canonical().events
+
+
 def test_signal_and_schedule_with_equal_fields_are_unequal():
     events = ((1, val("1")), (3, val("0")))
     x = Signal(1, val("0"), events, 10)
