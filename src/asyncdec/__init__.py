@@ -46,8 +46,6 @@ from .systems import (
     decompose_system,
     initial_state_function,
     parallel_system,
-    project_phi0,
-    project_pi,
     realize,
 )
 

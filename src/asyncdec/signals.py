@@ -264,10 +264,14 @@ def product_signal(a: Signal, b: Signal) -> Signal:
     """
     if a.horizon != b.horizon:
         raise HorizonMismatch(f"horizons differ: {a.horizon} vs {b.horizon}")
-    ticks = sorted({t for t, _ in (*a.events, *b.events)})
     shift = a.width
-    events = tuple((t, a.value_at(t) | b.value_at(t) << shift) for t in ticks)
-    return Signal(a.width + b.width, a.initial | b.initial << shift, events, a.horizon)
+    held = [a.initial, b.initial << shift]
+    initial, woven = held[0] | held[1], {}
+    triples = [(t, 0, v) for t, v in a.events] + [(t, 1, v << shift) for t, v in b.events]
+    for t, side, v in sorted(triples):  # at a shared tick the second write holds both sides
+        held[side] = v
+        woven[t] = held[0] | held[1]
+    return Signal(a.width + b.width, initial, tuple(woven.items()), a.horizon)
 
 
 class SignalSet:

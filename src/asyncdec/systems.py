@@ -5,6 +5,10 @@ initial-state map phi0 and a schedule map pi whose domain is exactly the
 pairs (mu, u) with mu in phi0(u).  Realizing the bundle runs every admitted
 combination and collects the canonical trajectories per input; this is the
 computation-function form of a regular system, at finite-prefix scale.
+
+A bundle relabels like every other kind, by `restrict(coords)`; restricted
+to a separated block and to its complement, it gives the two factors of a
+decomposition.
 """
 
 from __future__ import annotations
@@ -12,10 +16,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .boolfn import GeneratorFn, Partition, _split_blocks, parallel_fn, split_fn
+from .boolfn import (
+    GeneratorFn,
+    Partition,
+    _split_blocks,
+    dependency_witness,
+    parallel_fn,
+    project_fn,
+)
 from .errors import (
     HorizonMismatch,
     InvalidSystem,
+    NotSeparatedError,
     ProgressivenessError,
     WidthMismatch,
 )
@@ -26,6 +38,7 @@ from .signals import (
     Signal,
     SignalSet,
     Tick,
+    _checked_coords,
     interleave_rho,
     product_rho,
     product_set,
@@ -101,6 +114,18 @@ class RegularSystem:
     def horizon(self) -> Tick:
         return self.inputs[0].horizon
 
+    def restrict(self, coords: Iterable[int]) -> "RegularSystem":
+        """The bundle on the state coordinates `coords`, in that order: the
+        table `project_fn(phi, coords)`, every initial state restricted, and at
+        each restricted state the restrictions of every schedule admitted at a
+        full state extending it.  The inputs are unchanged."""
+        cs = _checked_coords(coords, self.n)
+        phi0 = {u: frozenset(mu.restrict(cs) for mu in ms) for u, ms in self.phi0.items()}
+        pi: dict[tuple[BitVec, Signal], set[ProgressiveFunction]] = {}
+        for (mu, u), rs in self.pi.items():
+            pi.setdefault((mu.restrict(cs), u), set()).update(rho.restrict(cs) for rho in rs)
+        return RegularSystem(project_fn(self.phi, cs), self.inputs, phi0, pi)
+
 
 def realize(sys: RegularSystem, horizon: Tick) -> dict[Signal, SignalSet]:
     """Run every (mu, u, rho) the bundle admits and collect the trajectories:
@@ -153,34 +178,6 @@ def parallel_system(a: RegularSystem, b: RegularSystem) -> RegularSystem:
     return RegularSystem(parallel_fn(a.phi, b.phi), shared, phi0, pi)
 
 
-def project_phi0(sys: RegularSystem, block: Iterable[int]) -> dict[Signal, frozenset[BitVec]]:
-    """Restriction of every admitted initial state to the block coordinates."""
-    bs = tuple(sorted(set(block)))
-    return {
-        u: frozenset(mu.restrict(bs) for mu in sys.phi0[u]) for u in sys.inputs
-    }
-
-
-def project_pi(
-    sys: RegularSystem, block: Iterable[int]
-) -> dict[tuple[BitVec, Signal], frozenset[ProgressiveFunction]]:
-    """Blockwise schedule projection.
-
-    For each restricted initial state mu', collects the block-restrictions of
-    every schedule admitted at any full state extending mu'; restrictions are
-    canonicalized (zero-only events dropped).
-    """
-    bs = tuple(sorted(set(block)))
-    projected: dict[tuple[BitVec, Signal], set[ProgressiveFunction]] = {}
-    for u in sys.inputs:
-        for mu in sys.phi0[u]:
-            key = (mu.restrict(bs), u)
-            bucket = projected.setdefault(key, set())
-            for rho in sys.pi[(mu, u)]:
-                bucket.add(rho.restrict(bs))
-    return {key: frozenset(rs) for key, rs in projected.items()}
-
-
 @dataclass(frozen=True)
 class ProductConditionResult:
     """Outcome of the schedule-product check, with a witness when it fails.
@@ -192,36 +189,34 @@ class ProductConditionResult:
     holds: bool
     witness: tuple[Signal, BitVec, ProgressiveFunction, ProgressiveFunction] | None
 
-    def __bool__(self) -> bool:
-        return self.holds
-
 
 def check_product_condition(
     sys: RegularSystem, block: Iterable[int], horizon: Tick
 ) -> ProductConditionResult:
     """Whether every cross product of projected schedules is trajectory-covered.
 
-    For each admitted (mu, u) and each pair of projected block/complement
-    schedules, the trajectory of their interleaving must be in the realized
-    set of u (each trajectory starts at its mu, so this is the set admitted
-    at (mu, u)); an interleaving admitted at (mu, u) is covered without a
-    run.  The check is trajectory-level, not schedule-level.
+    The projected schedules are those of `sys.restrict` to the block and to
+    its complement.  For each admitted (mu, u) and each pair of them at the
+    restrictions of mu, the trajectory of their interleaving must be in the
+    realized set of u (each trajectory starts at its mu, so this is the set
+    admitted at (mu, u)); an interleaving admitted at (mu, u) is covered
+    without a run.  The check is trajectory-level, not schedule-level.
     """
     bs, cs = _split_blocks(sys.n, block)
     own = realize(sys, horizon)
-    return _product_condition(sys, bs, cs, project_pi(sys, bs), project_pi(sys, cs), own)
+    return _product_condition(sys, bs, cs, sys.restrict(bs), sys.restrict(cs), own)
 
 
 def _product_condition(
-    sys, bs, cs, pi_b, pi_c, own: dict[Signal, SignalSet]
+    sys, bs, cs, first, second, own: dict[Signal, SignalSet]
 ) -> ProductConditionResult:
-    """`check_product_condition` on the projections and realization at hand."""
+    """`check_product_condition` on the factor systems and realization at hand."""
     for u, sigs in own.items():
         admitted = set(sigs)
         for mu in sys.phi0[u]:
             schedules = sys.pi[(mu, u)]
-            rests = sorted(pi_c[(mu.restrict(cs), u)])
-            for rb in sorted(pi_b[(mu.restrict(bs), u)]):
+            rests = sorted(second.pi[(mu.restrict(cs), u)])
+            for rb in sorted(first.pi[(mu.restrict(bs), u)]):
                 for rc in rests:
                     woven = interleave_rho(sys.n, bs, rb, rc)
                     if woven not in schedules and (
@@ -257,17 +252,19 @@ def decompose_system(
 ) -> DecompositionResult:
     """Decompose at a separated block and verify the parallel hull.
 
-    Refuses (with a dependency witness) if the block is not separated.  The
-    hull of input u is (f' || f'')(u) = f'(u) x f''(u), the product of the
-    factors' realizations; the system's realization must lie inside it
-    (checked, not assumed), and the verdict compares the two set by set, so
-    a truncation artifact can never misreport equality.
+    Refuses with a dependency witness (`NotSeparatedError`) if the block is
+    not separated.  The factors f' and f'' are `sys.restrict` to the block
+    and to its complement, both ascending.  The hull of input u is
+    (f' || f'')(u) = f'(u) x f''(u), the product of the factors'
+    realizations; the system's realization must lie inside it (checked, not
+    assumed), and the verdict compares the two set by set, so a truncation
+    artifact can never misreport equality.
     """
     bs, cs = _split_blocks(sys.n, block)
-    phi_b, phi_c, partition = split_fn(sys.phi, bs)
-    pi_b, pi_c = project_pi(sys, bs), project_pi(sys, cs)
-    first = RegularSystem(phi_b, sys.inputs, project_phi0(sys, bs), pi_b)
-    second = RegularSystem(phi_c, sys.inputs, project_phi0(sys, cs), pi_c)
+    witness = dependency_witness(sys.phi, bs)
+    if witness is not None:
+        raise NotSeparatedError(*witness)
+    first, second = sys.restrict(bs), sys.restrict(cs)
     own, out_b, out_c = realize(sys, horizon), realize(first, horizon), realize(second, horizon)
     order = bs + cs
     product_form = all(
@@ -289,12 +286,12 @@ def decompose_system(
             equal = False
         sizes.append((u, len(own[u]), len(hull)))
 
-    condition = _product_condition(sys, bs, cs, pi_b, pi_c, own)
+    condition = _product_condition(sys, bs, cs, first, second, own)
     if product_form and condition.holds and not equal:
         raise InvalidSystem(
             "product-form conditions hold but realizations differ; horizon artifact"
         )
     status = "equal" if equal else "strict-subset"
     return DecompositionResult(
-        first, second, status, partition, product_form, condition, tuple(sizes)
+        first, second, status, Partition((bs, cs)), product_form, condition, tuple(sizes)
     )

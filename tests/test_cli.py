@@ -304,6 +304,8 @@ def test_verify_stamp_adds_line():
 
 FUZZ_FILES = {
     "delay.eq": "x1' = u1\n",
+    "pair.eq": "x1' = u1 & !x2\nx2' = x2 ^ (x1 | u1)\n",
+    "id2.tt": format_truth_table(GeneratorFn.identity(2, 1)),
     "step.sig": "n=1 init=0 H=10 events=(0,1)\n",
     "fire.rho": "n=1 H=10 events=(1,1);(4,1)\n",
     "diag.sys": format_system(diagonal_example()),
@@ -312,17 +314,17 @@ FUZZ_ALPHABET = "01(),;=nHitevs[]@:"
 
 
 @st.composite
-def mutated_file(draw):
-    """One of the signal, schedule or bundle files with one line edited:
-    the span [i, j) replaced by up to four characters (an insertion when the
+def mutated_file(draw, names=("step.sig", "fire.rho", "diag.sys"), alphabet=FUZZ_ALPHABET):
+    """One of the `names` files with one line edited: the span [i, j)
+    replaced by up to four characters of `alphabet` (an insertion when the
     span is empty, a deletion when nothing replaces it)."""
-    name = draw(st.sampled_from(("step.sig", "fire.rho", "diag.sys")))
+    name = draw(st.sampled_from(names))
     lines = FUZZ_FILES[name].splitlines(keepends=True)
     k = draw(st.integers(0, len(lines) - 1))
     line = lines[k].rstrip("\n")
     i = draw(st.integers(0, len(line)))
     j = draw(st.integers(i, min(len(line), i + 4)))
-    text = draw(st.text(FUZZ_ALPHABET, max_size=4))
+    text = draw(st.text(alphabet, max_size=4))
     lines[k] = line[:i] + text + line[j:] + "\n"
     return name, "".join(lines)
 
@@ -349,6 +351,12 @@ def test_mutated_inputs_keep_the_exit_contract(fuzzdir, mutated):
     else:
         argv = ["simulate", "--phi", str(fuzzdir / "delay.eq"), "--init", "0",
                 "--input", str(fuzzdir / "step.sig"), "--rho", str(fuzzdir / "fire.rho")]
+    assert_exit_contract(argv)
+
+
+def assert_exit_contract(argv):
+    """`main(argv)` exits 0, 1 or 2 without a traceback, and a violation (1)
+    names its witness."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
@@ -357,3 +365,17 @@ def test_mutated_inputs_keep_the_exit_contract(fuzzdir, mutated):
     if code == 1:
         lines = (out.getvalue() + err.getvalue()).splitlines()
         assert any(ln.lstrip().startswith(("violation:", "witness:")) for ln in lines)
+
+
+@given(mutated_file(("pair.eq", "id2.tt", "diag.sys"), FUZZ_ALPHABET + "!&^|'x-><"))
+@settings(max_examples=120, derandomize=True, deadline=None)
+def test_mutated_tables_and_bundles_keep_the_exit_contract(fuzzdir, mutated):
+    name, text = mutated
+    intact, edited = fuzzdir / name, fuzzdir / f"edited-{name}"
+    intact.write_text(FUZZ_FILES[name])
+    edited.write_text(text)
+    if name == "diag.sys":
+        assert_exit_contract(["compose", str(edited), str(intact)])
+    else:
+        assert_exit_contract(["analyze", "--phi", str(edited)])
+        assert_exit_contract(["compose", str(edited), str(edited)])

@@ -214,6 +214,7 @@ def test_product_pointwise_and_projection_recovers_factors(a, b):
         assert p.value_at(t) == pair.value
     assert p.restrict(range(1, a.width + 1)) == a
     assert p.restrict(range(a.width + 1, a.width + b.width + 1)) == b
+    assert {t for t, _ in p.events} == {t for t, _ in (*a.events, *b.events)}
 
 
 def test_permute_signal_roundtrip():

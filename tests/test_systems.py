@@ -6,6 +6,7 @@ import pytest
 
 from asyncdec import (
     BitVec,
+    CoordinateError,
     GeneratorFn,
     InvalidSystem,
     NotSeparatedError,
@@ -19,8 +20,6 @@ from asyncdec import (
     parallel_system,
     product_set,
     product_signal,
-    project_phi0,
-    project_pi,
     realize,
     round_robin,
     run,
@@ -235,21 +234,21 @@ def test_project_phi0_blocks():
         ("00", "11"),
         {"00": [round_robin(2, (1,), H)], "11": [round_robin(2, (1,), H)]},
     )
-    assert project_phi0(sys_, (1,))[u] == frozenset([bv("0"), bv("1")])
+    assert sys_.restrict((1,)).phi0[u] == frozenset([bv("0"), bv("1")])
     sys2, u2 = two_bit_system(
         GeneratorFn.identity(2, 1),
         ("01", "00"),
         {"01": [round_robin(2, (1,), H)], "00": [round_robin(2, (1,), H)]},
     )
-    assert project_phi0(sys2, (2,))[u2] == frozenset([bv("1"), bv("0")])
+    assert sys2.restrict((2,)).phi0[u2] == frozenset([bv("1"), bv("0")])
 
 
 def test_project_phi0_product_roundtrip():
     a = step_system(fire_ticks=(1,))
     b = step_system(fire_ticks=(2,))
     par = parallel_system(a, b)
-    assert project_phi0(par, (1,)) == a.phi0
-    assert project_phi0(par, (2,)) == b.phi0
+    assert par.restrict((1,)).phi0 == a.phi0
+    assert par.restrict((2,)).phi0 == b.phi0
 
 
 def test_project_pi_singleton():
@@ -258,7 +257,7 @@ def test_project_pi_singleton():
         ("00",),
         {"00": [rho(2, [(1, "10"), (2, "01")])]},
     )
-    projected = project_pi(sys_, (1,))
+    projected = sys_.restrict((1,)).pi
     assert projected[(bv("0"), u)] == frozenset([rho(1, [(1, "1")])])
 
 
@@ -272,7 +271,7 @@ def test_project_pi_unions_over_extensions():
             "01": [rho(2, [(2, "11")])],
         },
     )
-    projected = project_pi(sys_, (1,))
+    projected = sys_.restrict((1,)).pi
     assert projected[(bv("0"), u)] == frozenset(
         [rho(1, [(1, "1")]), rho(1, [(2, "1")])]
     )
@@ -282,8 +281,8 @@ def test_project_pi_of_parallel_recovers_factor():
     a = step_system(fire_ticks=(1,))
     b = step_system(fire_ticks=(2,))
     par = parallel_system(a, b)
-    assert project_pi(par, (1,)) == a.pi
-    assert project_pi(par, (2,)) == b.pi
+    assert par.restrict((1,)).pi == a.pi
+    assert par.restrict((2,)).pi == b.pi
 
 
 def test_remark_containments_on_random_systems():
@@ -293,10 +292,8 @@ def test_remark_containments_on_random_systems():
         from asyncdec import parallel_fn
 
         sys_ = rand_system(rng, parallel_fn(fa, fb), H, n_inputs=1)
-        p0b = project_phi0(sys_, (1,))
-        p0c = project_phi0(sys_, (2,))
-        pib = project_pi(sys_, (1,))
-        pic = project_pi(sys_, (2,))
+        first, second = sys_.restrict((1,)), sys_.restrict((2,))
+        p0b, p0c, pib, pic = first.phi0, second.phi0, first.pi, second.pi
         for u in sys_.inputs:
             hull = {x.concat(y) for x in p0b[u] for y in p0c[u]}
             assert sys_.phi0[u] <= hull
@@ -305,6 +302,26 @@ def test_remark_containments_on_random_systems():
                 right = {r.restrict((2,)) for r in sys_.pi[(mu, u)]}
                 assert left <= pib[(mu.restrict((1,)), u)]
                 assert right <= pic[(mu.restrict((2,)), u)]
+
+
+def test_restrict_to_every_coordinate_is_a_relabeling():
+    rng = random.Random(71)
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        sys_ = rand_system(rng, rand_fn(rng, n, 1), H, n_inputs=rng.randint(1, 2))
+        order = tuple(rng.sample(range(1, n + 1), n))
+        relabeled, out = realize(sys_.restrict(order), H), realize(sys_, H)
+        for u in sys_.inputs:
+            assert relabeled[u] == SignalSet(n, H, (x.restrict(order) for x in out[u]))
+
+
+@pytest.mark.parametrize("coords", [(), (1, 1), (0,), (3,)])
+def test_restrict_checks_coordinates(coords):
+    sys_, _ = two_bit_system(
+        GeneratorFn.identity(2, 1), ("00",), {"00": [round_robin(2, (1,), H)]}
+    )
+    with pytest.raises(CoordinateError):
+        sys_.restrict(coords)
 
 
 # -- product condition ----------------------------------------------------------
@@ -329,7 +346,7 @@ def test_product_condition_strict_subset_still_covered():
     result = check_product_condition(sys_, (1,), H)
     assert result.holds
     # the projected sets have two schedules each, so the product has four
-    assert len(project_pi(sys_, (1,))[(bv("0"), u)]) == 2
+    assert len(sys_.restrict((1,)).pi[(bv("0"), u)]) == 2
 
 
 def test_product_condition_missing_trajectory():
@@ -359,7 +376,7 @@ def _product_condition_brute_force(sys_, block, horizon):
 
     bs = tuple(sorted(block))
     cs = tuple(i for i in range(1, sys_.n + 1) if i not in bs)
-    pib, pic = project_pi(sys_, bs), project_pi(sys_, cs)
+    pib, pic = sys_.restrict(bs).pi, sys_.restrict(cs).pi
     for u in sys_.inputs:
         for mu in sys_.phi0[u]:
             admitted = {
