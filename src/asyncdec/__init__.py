@@ -31,7 +31,6 @@ from .signals import (
     Signal,
     SignalSet,
     Tick,
-    interleave_rho,
     product_rho,
     product_set,
     product_signal,
@@ -42,7 +41,6 @@ from .systems import (
     DecompositionResult,
     ProductConditionResult,
     RegularSystem,
-    check_product_condition,
     decompose_system,
     initial_state_function,
     parallel_system,

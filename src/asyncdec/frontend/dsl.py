@@ -45,6 +45,15 @@ _TOKEN = re.compile(r"\s*(?:([A-Za-z_][A-Za-z_0-9]*)|(\d+)|([!&^|()'=])|(\S))")
 _VARIABLE = re.compile(r"([xu])([1-9][0-9]*)")
 
 
+def _variable(text: str, line_no: int, col: int):
+    """("x" or "u", index) if `text` spells a variable, else None."""
+    var = _VARIABLE.fullmatch(text)
+    try:
+        return var and (var[1], int(var[2]))
+    except ValueError:  # more digits than int() converts
+        raise DslSyntaxError(f"index of {var[1]} has {len(var[2])} digits", line_no, col) from None
+
+
 def _tokenize(text: str, line_no: int):
     tokens = []
     pos = 0
@@ -133,10 +142,10 @@ class _Parser:
             return ("const", int(text))
         if kind == "name":
             self.take()
-            var = _VARIABLE.fullmatch(text)
+            var = _variable(text, self.line_no, col)
             if var:
-                self.refs.append((var[1], int(var[2]), self.line_no))
-                return (var[1], int(var[2]))
+                self.refs.append((*var, self.line_no))
+                return var
             raise DslSyntaxError(
                 f"{text!r} is not a variable (expected x<i> or u<j>)", self.line_no, col
             )
@@ -166,12 +175,12 @@ def parse_dsl(text: str) -> EquationProgram:
             continue
         parser = _Parser(_tokenize(line, line_no), line_no, references)
         kind, name, col = parser.take()
-        var = _VARIABLE.fullmatch(name) if kind == "name" else None
-        if not var or var[1] != "x":
+        var = _variable(name, line_no, col) if kind == "name" else None
+        if not var or var[0] != "x":
             raise DslSyntaxError(
                 f"a line must start with a state variable, found {name!r}", line_no, col
             )
-        index = int(var[2])
+        index = var[1]
         parser.take("'")
         parser.take("=")
         expr = parser.or_expr()

@@ -70,6 +70,14 @@ def _parse_bits(text: str, where: str) -> BitVec:
     return BitVec.from_string(text)
 
 
+def _decimal(text: str, where: str) -> int:
+    """Digits a format regex matched; more than int() converts is malformed."""
+    try:
+        return int(text)
+    except ValueError:
+        raise MalformedRowError(f"{where}: a number of {len(text)} digits is too long") from None
+
+
 def _split_lines(text: str):
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -102,7 +110,7 @@ def parse_truth_table(text: str) -> GeneratorFn:
     match = _TT_HEADER.match(header)
     if not match:
         raise MalformedRowError(f"line {line_no}: expected 'n=<n> m=<m>', found {header!r}")
-    n, m = int(match.group(1)), int(match.group(2))
+    n, m = (_decimal(match.group(k), f"line {line_no}") for k in (1, 2))
     if n < 1:
         raise WidthInconsistencyError(f"line {line_no}: state width must be >= 1")
     rows: dict[int, int] = {}
@@ -161,7 +169,7 @@ def _parse_events(text: str, where: str, kind: str, width: int):
         match = _EVENT.match(chunk)
         if not match:
             raise MalformedRowError(f"{where}: bad event {chunk!r}, expected (t,bits)")
-        t, bits = int(match.group(1)), match.group(2)
+        t, bits = _decimal(match.group(1), where), match.group(2)
         if len(bits) != width:
             raise WidthInconsistencyError(
                 f"{where}: {kind} event at tick {t} has width {len(bits)}, expected {width}"
@@ -187,7 +195,8 @@ def parse_signal(line: str, where: str = "signal") -> Signal:
         raise MalformedRowError(
             f"{where}: expected 'n=<w> init=<bits> H=<tick> events=...', found {line!r}"
         )
-    width, init, horizon = int(match.group(1)), match.group(2), int(match.group(3))
+    width, horizon = _decimal(match.group(1), where), _decimal(match.group(3), where)
+    init = match.group(2)
     if len(init) != width:
         raise WidthInconsistencyError(f"{where}: init width {len(init)}, expected {width}")
     events = tuple(_parse_events(match.group(4), where, "signal", width))
@@ -201,7 +210,7 @@ def parse_rho(line: str, where: str = "schedule") -> ProgressiveFunction:
         raise MalformedRowError(
             f"{where}: expected 'n=<w> H=<tick> events=...', found {line!r}"
         )
-    width, horizon = int(match.group(1)), int(match.group(3))
+    width, horizon = _decimal(match.group(1), where), _decimal(match.group(3), where)
     events = tuple(_parse_events(match.group(4), where, "schedule", width))
     with _event_errors(where):
         return ProgressiveFunction(width, events, horizon)

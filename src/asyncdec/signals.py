@@ -23,6 +23,8 @@ schedules and witnesses; `events` is the only index for reading a value.
 
 Every kind relabels one way, `restrict(coords)`: coordinate k of the result
 is coordinate coords[k-1], for an ordered tuple of distinct coordinates.
+Products are block-first, the first factor's coordinates leading; a product
+onto any other block is the product followed by a `restrict`.
 
 Everything in this module is immutable and safe to share across threads.
 """
@@ -382,39 +384,17 @@ def round_robin(width: int, ticks: Iterable[Tick], horizon: Tick) -> Progressive
 
 
 def product_rho(a: ProgressiveFunction, b: ProgressiveFunction) -> ProgressiveFunction:
-    """Cartesian product of schedules on the merged grid: `a` drives the
-    leading coordinates and `b` the rest.
+    """Cartesian product of schedules on the merged grid (Lemma 1): `a`
+    drives coordinates 1..a.width and `b` the rest.
 
     Where only one factor has an event, the other half of the firing vector
     is zero: that coordinate is simply not computed at that tick, which is
     exactly the shared-grid form the factors take without loss of generality.
     """
-    return interleave_rho(a.width + b.width, range(1, a.width + 1), a, b)
-
-
-def interleave_rho(
-    n: int,
-    block: Iterable[int],
-    rho_block: ProgressiveFunction,
-    rho_rest: ProgressiveFunction,
-) -> ProgressiveFunction:
-    """Assemble a width-n schedule from block/complement schedules.
-
-    `rho_block` drives the block coordinates (ascending order) and
-    `rho_rest` the complement; `product_rho` is the case of a leading block.
-    """
-    bs = _checked_coords(sorted(set(block)), n)
-    cs = tuple(sorted(set(range(1, n + 1)).difference(bs)))
-    if len(bs) != rho_block.width or len(cs) != rho_rest.width:
-        raise WidthMismatch(
-            f"block sizes ({len(bs)},{len(cs)}) do not match schedule widths "
-            f"({rho_block.width},{rho_rest.width})"
-        )
-    if rho_block.horizon != rho_rest.horizon:
-        raise HorizonMismatch(
-            f"horizons differ: {rho_block.horizon} vs {rho_rest.horizon}"
-        )
-    woven = {t: scatter_bits(v, bs) for t, v in rho_block.events}
-    for t, v in rho_rest.events:
-        woven[t] = woven.get(t, 0) | scatter_bits(v, cs)
-    return ProgressiveFunction(n, tuple(sorted(woven.items())), rho_block.horizon)
+    if a.horizon != b.horizon:
+        raise HorizonMismatch(f"horizons differ: {a.horizon} vs {b.horizon}")
+    shift = a.width
+    woven = dict(a.events)
+    for t, v in b.events:
+        woven[t] = woven.get(t, 0) | v << shift
+    return ProgressiveFunction(shift + b.width, tuple(sorted(woven.items())), a.horizon)

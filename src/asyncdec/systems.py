@@ -8,7 +8,8 @@ computation-function form of a regular system, at finite-prefix scale.
 
 A bundle relabels like every other kind, by `restrict(coords)`; restricted
 to a separated block and to its complement, it gives the two factors of a
-decomposition.
+decomposition.  `decompose_system` is the one entry to Theorem 34; its
+product check weaves factor schedules by `product_rho`, then `restrict`.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .signals import (
     SignalSet,
     Tick,
     _checked_coords,
-    interleave_rho,
     product_rho,
     product_set,
 )
@@ -190,27 +190,21 @@ class ProductConditionResult:
     witness: tuple[Signal, BitVec, ProgressiveFunction, ProgressiveFunction] | None
 
 
-def check_product_condition(
-    sys: RegularSystem, block: Iterable[int], horizon: Tick
+def _product_condition(
+    sys: RegularSystem, partition: Partition, first, second, own: dict[Signal, SignalSet]
 ) -> ProductConditionResult:
-    """Whether every cross product of projected schedules is trajectory-covered.
+    """Whether every schedule product of the factors is trajectory-covered.
 
-    The projected schedules are those of `sys.restrict` to the block and to
-    its complement.  For each admitted (mu, u) and each pair of them at the
-    restrictions of mu, the trajectory of their interleaving must be in the
-    realized set of u (each trajectory starts at its mu, so this is the set
-    admitted at (mu, u)); an interleaving admitted at (mu, u) is covered
+    `first` and `second` are `sys.restrict` to the two blocks of `partition`
+    and `own` is the realization of `sys`.  For each admitted (mu, u) and each
+    pair (rho_b, rho_c) of factor schedules at the restrictions of mu, the
+    product `product_rho(rho_b, rho_c)`, read back in the system's labels
+    through `restrict(partition.permutation)`, must have its trajectory in
+    the realized set of u (each trajectory starts at its mu, so this is the
+    set admitted at (mu, u)); a product admitted at (mu, u) is covered
     without a run.  The check is trajectory-level, not schedule-level.
     """
-    bs, cs = _split_blocks(sys.n, block)
-    own = realize(sys, horizon)
-    return _product_condition(sys, bs, cs, sys.restrict(bs), sys.restrict(cs), own)
-
-
-def _product_condition(
-    sys, bs, cs, first, second, own: dict[Signal, SignalSet]
-) -> ProductConditionResult:
-    """`check_product_condition` on the factor systems and realization at hand."""
+    bs, cs = partition.blocks
     for u, sigs in own.items():
         admitted = set(sigs)
         for mu in sys.phi0[u]:
@@ -218,7 +212,7 @@ def _product_condition(
             rests = sorted(second.pi[(mu.restrict(cs), u)])
             for rb in sorted(first.pi[(mu.restrict(bs), u)]):
                 for rc in rests:
-                    woven = interleave_rho(sys.n, bs, rb, rc)
+                    woven = product_rho(rb, rc).restrict(partition.permutation)
                     if woven not in schedules and (
                         run(sys.phi, mu, u, woven, sigs.horizon) not in admitted
                     ):
@@ -234,8 +228,8 @@ class DecompositionResult:
     read through the coordinates block + complement, equals the hull
     f'(u) x f''(u) of the factors' realizations, compared set by set; else
     "strict-subset".  `hull_sizes` holds (u, |f(u)|, |f'(u) x f''(u)|).  The
-    two condition flags record the sufficient conditions independently of
-    the verdict.
+    two condition flags record Theorem 34's conditions apart from the
+    verdict, which must agree with them (see `decompose_system`).
     """
 
     first: RegularSystem
@@ -258,12 +252,14 @@ def decompose_system(
     (f' || f'')(u) = f'(u) x f''(u), the product of the factors'
     realizations; the system's realization must lie inside it (checked, not
     assumed), and the verdict compares the two set by set, so a truncation
-    artifact can never misreport equality.
+    artifact can never misreport equality.  Theorem 34 is cross-checked both
+    ways: `InvalidSystem` unless "equal" goes with both conditions holding.
     """
     bs, cs = _split_blocks(sys.n, block)
     witness = dependency_witness(sys.phi, bs)
     if witness is not None:
         raise NotSeparatedError(*witness)
+    partition = Partition((bs, cs))
     first, second = sys.restrict(bs), sys.restrict(cs)
     own, out_b, out_c = realize(sys, horizon), realize(first, horizon), realize(second, horizon)
     order = bs + cs
@@ -286,12 +282,12 @@ def decompose_system(
             equal = False
         sizes.append((u, len(own[u]), len(hull)))
 
-    condition = _product_condition(sys, bs, cs, first, second, own)
-    if product_form and condition.holds and not equal:
+    condition = _product_condition(sys, partition, first, second, own)
+    if (product_form and condition.holds) != equal:
         raise InvalidSystem(
-            "product-form conditions hold but realizations differ; horizon artifact"
+            "Theorem 34's conditions disagree with the realizations; horizon artifact"
         )
     status = "equal" if equal else "strict-subset"
     return DecompositionResult(
-        first, second, status, Partition((bs, cs)), product_form, condition, tuple(sizes)
+        first, second, status, partition, product_form, condition, tuple(sizes)
     )

@@ -64,3 +64,18 @@ def test_theorem34_diagonal_witness_prints_inputs_as_event_lines(monkeypatch):
     assert report.details == (
         "diagonal example: status=equal; input n=1 init=0 H=10 events=(0,1): own 2, hull 4",
     )
+
+
+def test_theorem32_scans_each_case_once(monkeypatch):
+    """A case's separation test is the dependency scan inside `split_fn`, and
+    a block it refuses is that case's failure, not an exception."""
+    real, scans = asyncdec.boolfn.dependency_matrix, []
+    monkeypatch.setattr(
+        asyncdec.boolfn, "dependency_matrix", lambda phi: scans.append(phi) or real(phi)
+    )
+    report = theorem32_suite(3, 20)
+    assert report.ok and len(scans) == report.cases == 20
+    monkeypatch.setattr(asyncdec.boolfn, "dependency_witness", lambda phi, block: (1, 2, 0, 0))
+    refused = theorem32_suite(3, 20)
+    assert refused.failures == refused.cases == 20
+    assert refused.details[0].startswith("case 0: ")

@@ -2,6 +2,7 @@
 
 import io
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -286,6 +287,30 @@ def test_undefined_state_variable_error_names_no_line(workdir):
     assert result.stderr == "error: state variable x1 is never defined\n"
 
 
+BIG = "9" * 5000  # past the 4300 digits that int() converts by default
+BIG_FIELDS = {
+    "horizon.sig": f"n=1 init=0 H={BIG} events=(0,1)\n",
+    "tick.sig": f"n=1 init=0 H=10 events=({BIG},1)\n",
+    "header.tt": f"n=1 m={BIG}\n",
+    "input.eq": f"x1' = u{BIG}\n",
+    "state.eq": f"x{BIG}' = u1\n",
+}
+
+
+@pytest.mark.parametrize("name", BIG_FIELDS)
+def test_decimal_fields_past_the_int_digit_limit_are_input_errors(workdir, capsys, name):
+    (workdir / name).write_text(BIG_FIELDS[name])
+    if name.endswith(".sig"):
+        argv = ["simulate", "--phi", str(workdir / "delay.eq"), "--init", "0",
+                "--input", str(workdir / name), "--rho", str(workdir / "fire1.rho")]
+    else:
+        argv = ["analyze", "--phi", str(workdir / name)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "line 1" in err and "5000 digits" in err
+
+
 def test_verify_example1_deterministic():
     first = cli("verify", "--thm", "example1", "--seed", "3")
     second = cli("verify", "--thm", "example1", "--seed", "3")
@@ -356,15 +381,19 @@ def test_mutated_inputs_keep_the_exit_contract(fuzzdir, mutated):
 
 def assert_exit_contract(argv):
     """`main(argv)` exits 0, 1 or 2 without a traceback, and a violation (1)
-    names its witness."""
+    names its witness; returns the exit code."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+    # these texts report a failed internal invariant, never an input error
+    assert "horizon artifact" not in err.getvalue()
+    assert "should be impossible" not in err.getvalue()
     if code == 1:
         lines = (out.getvalue() + err.getvalue()).splitlines()
         assert any(ln.lstrip().startswith(("violation:", "witness:")) for ln in lines)
+    return code
 
 
 @given(mutated_file(("pair.eq", "id2.tt", "diag.sys"), FUZZ_ALPHABET + "!&^|'x-><"))
@@ -379,3 +408,58 @@ def test_mutated_tables_and_bundles_keep_the_exit_contract(fuzzdir, mutated):
     else:
         assert_exit_contract(["analyze", "--phi", str(edited)])
         assert_exit_contract(["compose", str(edited), str(edited)])
+
+
+# x1 follows u1 and x2 toggles on u1, so block {1} is separated; r0 and r1
+# fire x1 alike, so the bundle decomposes as `equal` until an edit parts them
+SEPARATED_SYS = """\
+[phi]
+n=2 m=1
+00 0 -> 00
+10 0 -> 00
+01 0 -> 01
+11 0 -> 01
+00 1 -> 11
+10 1 -> 11
+01 1 -> 10
+11 1 -> 10
+[inputs]
+u0 = n=1 init=0 H=8 events=(0,1);(5,0)
+[phi0]
+u0: 00, 01
+[pi]
+00 @ u0: r0
+01 @ u0: r0, r1
+[rho r0]
+n=2 H=8 events=(1,11);(3,01);(6,10)
+[rho r1]
+n=2 H=8 events=(1,10);(2,01);(6,10)
+"""
+
+
+def in_syntax_edits(text):
+    """Every bundle one character away from `text` whose lines keep their
+    syntax: one digit of an event tick changed to each other digit, or one
+    bit flipped in an event, a table row, a phi0 line or a pi state."""
+    spots, offset = [], 0  # (offset in text, characters that may stand there)
+    for line in text.splitlines(keepends=True):
+        for event in re.finditer(r"\((\d+),([01]+)\)", line):
+            spots += [(offset + k, "0123456789") for k in range(*event.span(1))]
+            spots += [(offset + k, "01") for k in range(*event.span(2))]
+        bits = re.fullmatch(r"([01]+ [01]+ -> [01]+)\n|u0: ([01, ]+)\n|([01]+) @ .*\n", line)
+        if bits:
+            span = range(*bits.span(bits.lastindex))
+            spots += [(offset + k, "01") for k in span if line[k] in "01"]
+        offset += len(line)
+    return [text[:k] + c + text[k + 1 :] for k, chars in spots for c in chars if c != text[k]]
+
+
+def test_in_syntax_edits_of_a_separated_bundle_keep_the_exit_contract(tmp_path):
+    edits = in_syntax_edits(SEPARATED_SYS)
+    assert len(edits) == 134
+    path, codes = tmp_path / "edited.sys", set()
+    for text in [SEPARATED_SYS] + edits:
+        path.write_text(text)
+        codes.add(assert_exit_contract(["decompose", "--system", str(path), "--block", "1"]))
+        codes.add(assert_exit_contract(["decompose", "--system", str(path)]))
+    assert codes == {0, 1, 2}

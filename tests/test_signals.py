@@ -13,7 +13,6 @@ from asyncdec import (
     ProgressiveFunction,
     Signal,
     SignalSet,
-    interleave_rho,
     product_rho,
     product_set,
     product_signal,
@@ -185,6 +184,8 @@ def test_product_project_roundtrip():
 def test_product_horizon_mismatch():
     with pytest.raises(HorizonMismatch):
         product_signal(unit_step(0, 10), unit_step(0, 11))
+    with pytest.raises(HorizonMismatch, match="horizons differ: 10 vs 9"):
+        product_rho(rho(1, [(1, "1")], 10), rho(1, [(1, "1")], 9))
 
 
 def test_project_single_coordinate():
@@ -287,12 +288,6 @@ def test_product_rho_restriction_recovers_canonical_factor(a, b):
     assert p.restrict(range(a.width + 1, a.width + b.width + 1)) == b.canonical()
 
 
-def test_interleave_rho_matches_product_for_contiguous_block():
-    a = rho(2, [(1, "10"), (5, "01")], 10)
-    b = rho(1, [(2, "1")], 10)
-    assert interleave_rho(3, (1, 2), a, b) == product_rho(a, b)
-
-
 def _weave_reference(n, block, a, b):
     """Per tick, block coordinate block[k] takes bit k+1 of a's firing vector
     and the k-th complement coordinate bit k+1 of b's; no event reads as zeros."""
@@ -311,17 +306,20 @@ def _weave_reference(n, block, a, b):
 
 @given(rhos(), rhos(), st.randoms(use_true_random=False))
 @settings(max_examples=150)
-def test_interleave_and_product_rho_match_a_per_coordinate_weave(a, b, rnd):
+def test_product_rho_restricted_matches_a_per_coordinate_weave(a, b, rnd):
     n = a.width + b.width
     assert product_rho(a, b).events == _weave_reference(n, range(1, a.width + 1), a, b)
     block = rnd.sample(range(1, n + 1), a.width)
-    assert interleave_rho(n, block, a, b).events == _weave_reference(n, block, a, b)
+    order = sorted(block) + [i for i in range(1, n + 1) if i not in block]
+    # coordinate i of the weave is coordinate order.index(i) + 1 of the product
+    woven = product_rho(a, b).restrict(order.index(i) + 1 for i in range(1, n + 1))
+    assert woven == ProgressiveFunction(n, _weave_reference(n, block, a, b), a.horizon)
 
 
-def test_interleave_rho_noncontiguous():
+def test_product_rho_restricted_onto_a_noncontiguous_block():
     a = rho(1, [(1, "1")], 10)
     b = rho(1, [(2, "1")], 10)
-    woven = interleave_rho(2, (2,), a, b)
+    woven = product_rho(a, b).restrict((2, 1))
     # block coordinate 2 fires at 1, complement coordinate 1 fires at 2
     assert woven.events == ((1, val("01")), (2, val("10")))
 

@@ -10,14 +10,15 @@ from asyncdec import (
     GeneratorFn,
     InvalidSystem,
     NotSeparatedError,
+    ProductConditionResult,
     ProgressiveFunction,
     RegularSystem,
     Signal,
     SignalSet,
-    check_product_condition,
     decompose_system,
     initial_state_function,
     parallel_system,
+    product_rho,
     product_set,
     product_signal,
     realize,
@@ -331,7 +332,10 @@ def test_product_condition_on_product_form():
     a = step_system(fire_ticks=(1, 2))
     b = step_system(fire_ticks=(3,))
     par = parallel_system(a, b)
-    assert check_product_condition(par, (1,), H).holds
+    # block {2} is not leading, so each product is relabeled back to the system's order
+    result = decompose_system(par, (2,), H)
+    assert result.partition.permutation == (2, 1)
+    assert result.product_condition.holds and result.status == "equal"
 
 
 def test_product_condition_strict_subset_still_covered():
@@ -343,68 +347,107 @@ def test_product_condition_strict_subset_still_covered():
         ("00",),
         {"00": [rho(2, [(1, "11")]), rho(2, [(2, "11")])]},
     )
-    result = check_product_condition(sys_, (1,), H)
-    assert result.holds
+    result = decompose_system(sys_, (1,), H)
+    assert result.product_condition.holds and result.status == "equal"
     # the projected sets have two schedules each, so the product has four
-    assert len(sys_.restrict((1,)).pi[(bv("0"), u)]) == 2
+    assert len(result.first.pi[(bv("0"), u)]) == 2
 
 
-def test_product_condition_missing_trajectory():
+def _diagonal_follower():
+    """Both coordinates follow the input, fired together at tick 1 or at tick 2:
+    the factors' schedules also pair tick 1 with tick 2, which no admitted
+    schedule reproduces."""
     phi = fn(2, 1, lambda mu, lam: BitVec.from_bits([lam.bit(1), lam.bit(1)]))
-    sys_, u = two_bit_system(
+    return two_bit_system(
         phi,
         ("00",),
         {"00": [rho(2, [(1, "11")]), rho(2, [(2, "11")])]},
     )
-    result = check_product_condition(sys_, (1,), H)
-    assert not result.holds
-    wu, wmu, wb, wc = result.witness
+
+
+def test_product_condition_missing_trajectory():
+    sys_, u = _diagonal_follower()
+    result = decompose_system(sys_, (1,), H)
+    assert result.phi0_product_form and result.status == "strict-subset"
+    assert not result.product_condition.holds
+    wu, wmu, wb, wc = result.product_condition.witness
     assert wu == u and wmu == bv("00")
     # the witness product really is uncovered: rerun it and compare
-    from asyncdec import interleave_rho
-
-    woven = interleave_rho(2, (1,), wb, wc)
-    target = run(phi, wmu, u, woven, H)
-    admitted = {run(phi, wmu, u, r, H) for r in sys_.pi[(wmu, u)]}
+    woven = product_rho(wb, wc).restrict(result.partition.permutation)
+    target = run(sys_.phi, wmu, u, woven, H)
+    admitted = {run(sys_.phi, wmu, u, r, H) for r in sys_.pi[(wmu, u)]}
     assert target not in admitted
 
 
-def _product_condition_brute_force(sys_, block, horizon):
-    """The product check by rerunning, per (mu, u), every admitted schedule and
-    every interleaving of projected schedules; (holds, witness)."""
-    from asyncdec import interleave_rho
+def _weave(n, bs, cs, rb, rc):
+    """The width-n schedule that fires block coordinate bs[k] where rb fires
+    its coordinate k+1 and complement coordinate cs[k] where rc does; built
+    coordinate by coordinate, without `product_rho` or `restrict`."""
+    ticks = sorted({t for t, _ in rb.events} | {t for t, _ in rc.events})
+    firing = dict.fromkeys(ticks, 0)
+    for coords, schedule in ((bs, rb), (cs, rc)):
+        for t, v in schedule.events:
+            for k, i in enumerate(coords):
+                firing[t] |= ((v >> k) & 1) << (i - 1)
+    return ProgressiveFunction(n, tuple(firing.items()), H)
 
-    bs = tuple(sorted(block))
-    cs = tuple(i for i in range(1, sys_.n + 1) if i not in bs)
-    pib, pic = sys_.restrict(bs).pi, sys_.restrict(cs).pi
+
+def _product_condition_brute_force(sys_, result):
+    """The product check by rerunning, per (mu, u), every admitted schedule and
+    every weave of the factors' schedules; (holds, witness)."""
+    bs, cs = result.partition.blocks
     for u in sys_.inputs:
         for mu in sys_.phi0[u]:
             admitted = {
-                run(sys_.phi, mu, u, r, horizon) for r in sys_.pi[(mu, u)]
+                run(sys_.phi, mu, u, r, H) for r in sys_.pi[(mu, u)]
             }
-            for rb in sorted(pib[(mu.restrict(bs), u)]):
-                for rc in sorted(pic[(mu.restrict(cs), u)]):
-                    woven = interleave_rho(sys_.n, bs, rb, rc)
-                    if run(sys_.phi, mu, u, woven, horizon) not in admitted:
+            mb = BitVec.from_bits(mu.bit(i) for i in bs)
+            mc = BitVec.from_bits(mu.bit(i) for i in cs)
+            for rb in sorted(result.first.pi[(mb, u)]):
+                for rc in sorted(result.second.pi[(mc, u)]):
+                    woven = _weave(sys_.n, bs, cs, rb, rc)
+                    if run(sys_.phi, mu, u, woven, H) not in admitted:
                         return False, (u, mu, rb, rc)
     return True, None
 
 
 def test_product_condition_matches_brute_force():
+    from asyncdec import parallel_fn, project_fn
+
     rng = random.Random(59)
-    cases = [(diagonal_example(), (1,))]
+    cases = [(diagonal_example(), (1,)), (_diagonal_follower()[0], (2,))]
     for _ in range(60):
-        n = rng.randint(2, 3)
-        sys_ = rand_system(rng, rand_fn(rng, n, 1), H, n_inputs=rng.randint(1, 2))
-        cases.append((sys_, rng.sample(range(1, n + 1), rng.randint(1, n - 1))))
+        na, nb = rng.randint(1, 2), rng.randint(1, 2)
+        perm = rng.sample(range(1, na + nb + 1), na + nb)
+        # coordinate i of the parallel function moves to position perm[i-1]
+        order = sorted(range(1, na + nb + 1), key=lambda k: perm[k - 1])
+        phi = project_fn(parallel_fn(rand_fn(rng, na, 1), rand_fn(rng, nb, 1)), order)
+        cases.append((rand_system(rng, phi, H, n_inputs=rng.randint(1, 2)), perm[:na]))
     verdicts = set()
     for sys_, block in cases:
-        result = check_product_condition(sys_, block, H)
-        assert (result.holds, result.witness) == _product_condition_brute_force(
-            sys_, block, H
-        )
-        verdicts.add(result.holds)
+        result = decompose_system(sys_, block, H)
+        condition = result.product_condition
+        assert (condition.holds, condition.witness) == _product_condition_brute_force(sys_, result)
+        verdicts.add(condition.holds)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("forced", [False, True])
+def test_decompose_cross_checks_theorem34_both_ways(monkeypatch, forced):
+    """A product condition that contradicts the verdict is an internal fault:
+    failing on an `equal` bundle, or holding on a strict subset in product form."""
+    import asyncdec.systems as systems_mod
+
+    if forced:
+        sys_ = _diagonal_follower()[0]
+    else:
+        sys_ = parallel_system(step_system((1, 2)), step_system((3,)))
+    assert decompose_system(sys_, (1,), H).status == ("strict-subset" if forced else "equal")
+    monkeypatch.setattr(
+        systems_mod, "_product_condition", lambda *args: ProductConditionResult(forced, None)
+    )
+    with pytest.raises(InvalidSystem, match="horizon artifact"):
+        decompose_system(sys_, (1,), H)
 
 
 def test_decompose_runs_each_admitted_triple_once(monkeypatch):
