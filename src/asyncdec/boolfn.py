@@ -10,7 +10,10 @@ The dependency scans are word-parallel: a kernel packs the table through
 `array` into one int, row r in lane r (8/16/32/64 bits, the narrowest that
 holds n bits), so a derivative over all rows is a few shifts and masks.  The
 row tuple stays the only stored form; `partial_derivative` stays row-based
-and returns a row bitmask.
+and returns a row bitmask.  The table transforms (`project_fn`,
+`parallel_fn`) are whole-table maps: `project_fn` reads its source through
+two image lists, never longer than the table, while `restrict` on a signal
+or schedule relabels value by value.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from functools import cached_property
 from typing import Callable, Iterable
 
 from .errors import CoordinateError, InvalidValue, NotSeparatedError, SizeLimitError, WidthMismatch
-from .signals import BitVec, _checked_coords, gather_bits, scatter_bits
+from .signals import BitVec, _checked_coords
 
 DEFAULT_SIZE_LIMIT = 20
 SIZE_LIMIT_ENV = "ASYNC_DEC_SIZE_LIMIT"
@@ -42,11 +45,16 @@ def size_limit() -> int:
     raise SizeLimitError(f"{SIZE_LIMIT_ENV} must be a non-negative integer, got {raw!r}")
 
 
+def check_index_range(n: int, m: int):
+    """Refuse 2^(n+m) table rows that this platform cannot index."""
+    if n + m >= sys.maxsize.bit_length():
+        raise SizeLimitError(f"n+m = {n + m}: 2^{n + m} table rows exceed this platform's index range")
+
+
 def check_scan_size(n: int, m: int):
     """Refuse a scan over 2^(n+m) rows that this platform cannot index (at any
     limit), or that exceeds the bit limit."""
-    if n + m >= sys.maxsize.bit_length():
-        raise SizeLimitError(f"n+m = {n + m}: 2^{n + m} table rows exceed this platform's index range")
+    check_index_range(n, m)
     limit = size_limit()
     if n + m > limit:
         raise SizeLimitError(
@@ -234,17 +242,12 @@ def parallel_fn(a: GeneratorFn, b: GeneratorFn) -> GeneratorFn:
     state block, the rest run `b` on the second, under the shared input."""
     if a.m != b.m:
         raise WidthMismatch(f"input widths differ: {a.m} vs {b.m}")
-    n = a.n + b.n
-    mask_a = (1 << a.n) - 1
     rows = []
     for lam in range(1 << a.m):
-        la = lam << a.n
-        lb = lam << b.n
-        for mu in range(1 << n):
-            out_a = a.table[(mu & mask_a) | la]
-            out_b = b.table[(mu >> a.n) | lb]
-            rows.append(out_a | (out_b << a.n))
-    return GeneratorFn(n, a.m, tuple(rows))
+        xs = a.table[lam << a.n:(lam + 1) << a.n]
+        ys = b.table[lam << b.n:(lam + 1) << b.n]
+        rows += [x | y << a.n for y in ys for x in xs]
+    return GeneratorFn(a.n + b.n, a.m, tuple(rows))
 
 
 def _split_blocks(n: int, block: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -278,18 +281,27 @@ def is_separated(phi: GeneratorFn, block: Iterable[int]) -> bool:
     return dependency_matrix(phi).cross_dependency(block) is None
 
 
+def _images(weights: Iterable[int]) -> list[int]:
+    """For every k < 2^len(weights), the OR of the weights picked by k's bits
+    (bit 0 picks the first weight)."""
+    images = [0]
+    for w in weights:
+        images += [x | w for x in images]
+    return images
+
+
 def project_fn(phi: GeneratorFn, coords: Iterable[int]) -> GeneratorFn:
     """`phi` on the state coordinates `coords`, in that order, with every other
     state coordinate frozen at 0 (irrelevant when `coords` is a separated
     block); all n coordinates in a new order relabel `phi`."""
     bs = _checked_coords(coords, phi.n)
-    nb = len(bs)
-    rows = []
-    for lam in range(1 << phi.m):
-        base = lam << phi.n
-        for mu_b in range(1 << nb):
-            rows.append(gather_bits(phi.table[scatter_bits(mu_b, bs) | base], bs))
-    return GeneratorFn(nb, phi.m, tuple(rows))
+    # spread[k]: the row offset of block state k; pick[out]: out read at `bs`
+    spread = _images([1 << (c - 1) for c in bs])
+    slot = {c: 1 << k for k, c in enumerate(bs)}
+    pick = _images([slot.get(c, 0) for c in range(1, phi.n + 1)])
+    table = phi.table
+    rows = [pick[table[base | r]] for base in range(0, len(table), 1 << phi.n) for r in spread]
+    return GeneratorFn(len(bs), phi.m, tuple(rows))
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,9 @@ import os
 import re
 from contextlib import contextmanager
 
-from ..boolfn import GeneratorFn
+from ..boolfn import GeneratorFn, check_index_range
 from ..errors import AsyncDecError, HorizonExceeded, InvalidValue, WidthMismatch
-from ..signals import BitVec, ProgressiveFunction, Signal
+from ..signals import BitVec, ProgressiveFunction, Signal, _bits_text
 from ..systems import RegularSystem
 
 
@@ -91,15 +91,12 @@ _TT_HEADER = re.compile(r"^n=(\d+)\s+m=(\d+)$")
 
 
 def format_truth_table(phi: GeneratorFn) -> str:
-    lines = [f"n={phi.n} m={phi.m}"]
-    for lam in range(1 << phi.m):
-        for mu in range(1 << phi.n):
-            out = BitVec(phi.n, phi.table[mu | (lam << phi.n)])
-            left = str(BitVec(phi.n, mu))
-            if phi.m:
-                left += f" {BitVec(phi.m, lam)}"
-            lines.append(f"{left} -> {out}")
-    return "\n".join(lines) + "\n"
+    """Each state and input value is written once, then joined per row."""
+    states = [_bits_text(v, phi.n) for v in range(1 << phi.n)]
+    inputs = [f" {_bits_text(v, phi.m)}" for v in range(1 << phi.m)] if phi.m else [""]
+    outs = iter(phi.table)  # zip reads `states` first, so each input takes 2^n rows
+    rows = (f"{mu}{lam} -> {states[out]}" for lam in inputs for mu, out in zip(states, outs))
+    return f"n={phi.n} m={phi.m}\n" + "\n".join(rows) + "\n"
 
 
 def parse_truth_table(text: str) -> GeneratorFn:
@@ -113,6 +110,7 @@ def parse_truth_table(text: str) -> GeneratorFn:
     n, m = (_decimal(match.group(k), f"line {line_no}") for k in (1, 2))
     if n < 1:
         raise WidthInconsistencyError(f"line {line_no}: state width must be >= 1")
+    check_index_range(n, m)
     rows: dict[int, int] = {}
     for line_no, line in lines[1:]:
         if "->" not in line:
@@ -137,13 +135,9 @@ def parse_truth_table(text: str) -> GeneratorFn:
         rows[index] = out.value
     expected = 1 << (n + m)
     if len(rows) != expected:
-        for index in range(expected):
-            if index not in rows:
-                mu = BitVec(n, index & ((1 << n) - 1))
-                lam = BitVec(m, index >> n)
-                raise MissingRowError(
-                    f"missing row for mu={mu}" + (f" lam={lam}" if m else "")
-                )
+        index = next(i for i in range(expected) if i not in rows)
+        mu, lam = _bits_text(index & ((1 << n) - 1), n), _bits_text(index >> n, m)
+        raise MissingRowError(f"missing row for mu={mu}" + (f" lam={lam}" if m else ""))
     return GeneratorFn(n, m, tuple(rows[i] for i in range(expected)))
 
 

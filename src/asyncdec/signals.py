@@ -60,14 +60,6 @@ def gather_bits(value: int, coords: Sequence[int]) -> int:
     return out
 
 
-def scatter_bits(value: int, coords: Sequence[int]) -> int:
-    """Spread the low bits of `value` to 1-based positions `coords`."""
-    out = 0
-    for k, c in enumerate(coords):
-        out |= ((value >> k) & 1) << (c - 1)
-    return out
-
-
 @dataclass(frozen=True)
 class BitVec:
     """A point of B^n.  Coordinate 1 is the least significant bit.

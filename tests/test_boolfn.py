@@ -170,6 +170,21 @@ def test_parallel_evaluates_blockwise():
     assert par.eval(bv("10"), bv("1")) == bv("11")
 
 
+def test_parallel_matches_a_per_row_reference():
+    rng = random.Random(13)
+    for _ in range(60):
+        m = rng.randint(0, 2)
+        a, b = rand_fn(rng, rng.randint(1, 3), m), rand_fn(rng, rng.randint(1, 3), m)
+        par = parallel_fn(a, b)
+        assert (par.n, par.m) == (a.n + b.n, m)
+        for lam in range(1 << m):
+            for mu_b in range(1 << b.n):
+                for mu_a in range(1 << a.n):
+                    row = mu_a | mu_b << a.n | lam << par.n
+                    expected = a.table[mu_a | lam << a.n] | b.table[mu_b | lam << b.n] << a.n
+                    assert par.table[row] == expected
+
+
 def test_parallel_input_width_mismatch():
     with pytest.raises(Exception):
         parallel_fn(GeneratorFn.identity(1, 1), GeneratorFn.identity(1, 2))
@@ -388,7 +403,7 @@ def test_zero_fixing_recovers_both_factors_when_separated():
         assert project_fn(par, (3, 4)).table == b.table
 
 
-def test_permute_fn_roundtrip():
+def test_project_fn_onto_the_inverse_order_roundtrips():
     rng = random.Random(31)
     phi = rand_fn(rng, 3, 1)
     order = (2, 3, 1)

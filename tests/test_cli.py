@@ -311,6 +311,15 @@ def test_decimal_fields_past_the_int_digit_limit_are_input_errors(workdir, capsy
     assert "line 1" in err and "5000 digits" in err
 
 
+@pytest.mark.parametrize("header", ["n=99999999999999999999 m=1", "n=1 m=62"])
+def test_table_header_beyond_the_index_range_is_input_error(workdir, capsys, header):
+    (workdir / "huge.tt").write_text(header + "\n")
+    assert main(["analyze", "--phi", str(workdir / "huge.tt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "exceed this platform's index range" in err
+
+
 def test_verify_example1_deterministic():
     first = cli("verify", "--thm", "example1", "--seed", "3")
     second = cli("verify", "--thm", "example1", "--seed", "3")
@@ -323,6 +332,30 @@ def test_verify_stamp_adds_line():
     result = cli("verify", "--thm", "example1", "--stamp")
     assert result.returncode == 0
     assert "stamp:" in result.stdout
+
+
+VERIFY_BAD_ARGS = {
+    "negative cases": ["--cases", "-3"],
+    "non-numeric cases": ["--cases", "x"],
+    "huge cases": ["--cases", BIG],
+    "huge seed": ["--seed", BIG, "--cases", "1"],
+    "unknown theorem": ["--thm", "99"],
+    "out under a missing directory": ["--cases", "2", "--out", "{tmp}/missing/report.kv"],
+}
+
+
+@pytest.mark.parametrize("name", VERIFY_BAD_ARGS)
+def test_verify_bad_arguments_are_input_errors(tmp_path, name):
+    argv = ["verify", "--thm", "26", *(a.format(tmp=tmp_path) for a in VERIFY_BAD_ARGS[name])]
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses its own arguments this way
+            code = exc.code
+    assert code == 2
+    assert "Traceback" not in err.getvalue()
+    assert err.getvalue().count("error: ") == 1
 
 
 # -- exit contract under mutated input files --------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asyncdec import GeneratorFn, ProgressiveFunction, Signal, unit_step
+from asyncdec import BitVec, GeneratorFn, ProgressiveFunction, Signal, unit_step
 from asyncdec.frontend import (
     BundleError,
     DuplicateRowError,
@@ -36,6 +36,27 @@ def test_truth_table_roundtrip():
     for _ in range(10):
         phi = rand_fn(rng, rng.randint(1, 3), rng.randint(0, 2))
         assert parse_truth_table(format_truth_table(phi)) == phi
+
+
+def _per_row_truth_table(phi: GeneratorFn) -> str:
+    """The writer that built one `BitVec` per field of every row."""
+    lines = [f"n={phi.n} m={phi.m}"]
+    for lam in range(1 << phi.m):
+        for mu in range(1 << phi.n):
+            out = BitVec(phi.n, phi.table[mu | (lam << phi.n)])
+            left = str(BitVec(phi.n, mu))
+            if phi.m:
+                left += f" {BitVec(phi.m, lam)}"
+            lines.append(f"{left} -> {out}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_truth_table_text_matches_the_per_row_writer(m):
+    rng = random.Random(m)
+    for n in (1, 2, 3, 5):
+        phi = rand_fn(rng, n, m)
+        assert format_truth_table(phi) == _per_row_truth_table(phi)
 
 
 def test_truth_table_m0_rows_have_no_lambda_field():

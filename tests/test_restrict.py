@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from asyncdec import BitVec, CoordinateError, GeneratorFn, ProgressiveFunction, Signal, project_fn
 from asyncdec.frontend.checks import rand_fn
-from asyncdec.signals import gather_bits, scatter_bits
+from asyncdec.signals import gather_bits
 
 
 def _restricted(value: int, width: int, coords) -> int:
@@ -59,6 +59,14 @@ def test_restrict_to_an_unsorted_tuple_matches_per_bit_references(data):
             assert projected.eval(mu_k, lam) == BitVec(k, ref(out.value))
 
 
+def _scatter_bits(value: int, coords) -> int:
+    """Spread the low bits of `value` to 1-based positions `coords`."""
+    out = 0
+    for k, c in enumerate(coords):
+        out |= ((value >> k) & 1) << (c - 1)
+    return out
+
+
 def _permute_fn_reference(phi: GeneratorFn, permutation) -> GeneratorFn:
     """The row loop that relabeled by a permutation array: old coordinate i
     becomes permutation[i-1]."""
@@ -67,7 +75,7 @@ def _permute_fn_reference(phi: GeneratorFn, permutation) -> GeneratorFn:
         base = lam << phi.n
         for mu_new in range(1 << phi.n):
             mu_old = gather_bits(mu_new, permutation)
-            rows.append(scatter_bits(phi.table[mu_old | base], permutation))
+            rows.append(_scatter_bits(phi.table[mu_old | base], permutation))
     return GeneratorFn(phi.n, phi.m, tuple(rows))
 
 
