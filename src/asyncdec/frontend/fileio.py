@@ -2,9 +2,9 @@
 
 Truth table: a `n=<n> m=<m>` header, then one `<mu> <lam> -> <out>` row per
 point (the lam field is omitted when m=0); every row must be present, order
-is irrelevant.  Signals are one line each:
-`n=<width> init=<bits> H=<tick> events=(t,bits);(t,bits);...` with bits
-written coordinate 1 first; schedules use the same line without `init=`.
+is irrelevant.  Signals and schedules share one line grammar,
+`n=<width> [init=<bits>] H=<tick> events=(t,bits);(t,bits);...` with bits
+written coordinate 1 first, and `init=` is present exactly on signals.
 System bundles are sectioned: [phi], [inputs], [phi0], [pi] and one
 [rho <name>] section per named schedule.
 
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import os
 import re
-from contextlib import contextmanager
 
 from ..boolfn import GeneratorFn, check_index_range
 from ..errors import AsyncDecError, HorizonExceeded, InvalidValue, WidthMismatch
@@ -52,9 +51,6 @@ class BundleError(LoadError):
     pass
 
 
-_BITS = re.compile(r"^[01]+$")
-
-
 def read_text(path: str) -> str:
     """The whole file, decoded strictly as UTF-8."""
     try:
@@ -65,9 +61,9 @@ def read_text(path: str) -> str:
 
 
 def _parse_bits(text: str, where: str) -> BitVec:
-    if not _BITS.match(text):
+    if not text or text.strip("01"):
         raise MalformedRowError(f"{where}: {text!r} is not a bit string")
-    return BitVec.from_string(text)
+    return BitVec(len(text), int(text[::-1], 2))
 
 
 def _decimal(text: str, where: str) -> int:
@@ -80,7 +76,7 @@ def _decimal(text: str, where: str) -> int:
 
 def _split_lines(text: str):
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if line:
             yield line_no, line
 
@@ -113,32 +109,36 @@ def parse_truth_table(text: str) -> GeneratorFn:
     check_index_range(n, m)
     rows: dict[int, int] = {}
     for line_no, line in lines[1:]:
-        if "->" not in line:
+        left, arrow, out = line.partition("->")
+        if not arrow:
             raise MalformedRowError(f"line {line_no}: missing '->' in {line!r}")
-        left, _, right = line.partition("->")
         fields = left.split()
         if len(fields) != (2 if m else 1):
             raise MalformedRowError(
                 f"line {line_no}: expected {'mu and lam' if m else 'mu only'} before '->'"
             )
-        mu = _parse_bits(fields[0], f"line {line_no}")
-        lam = _parse_bits(fields[1], f"line {line_no}") if m else BitVec(0, 0)
-        out = _parse_bits(right.strip(), f"line {line_no}")
-        if mu.width != n or lam.width != m or out.width != n:
+        fields.append(out.strip())
+        for text in fields:  # mu, lam when m > 0, out
+            if not text or text.strip("01"):
+                raise MalformedRowError(f"line {line_no}: {text!r} is not a bit string")
+        mu, lam, out = fields if m else (fields[0], "", fields[1])
+        if len(mu) != n or len(lam) != m or len(out) != n:
             raise WidthInconsistencyError(
-                f"line {line_no}: widths ({mu.width},{lam.width},{out.width}) "
+                f"line {line_no}: widths ({len(mu)},{len(lam)},{len(out)}) "
                 f"do not match header n={n} m={m}"
             )
-        index = mu.value | (lam.value << n)
+        index = int((mu + lam)[::-1], 2)  # mu in the low n bits, lam above
         if index in rows:
-            raise DuplicateRowError(f"line {line_no}: duplicate row for mu={mu} lam={lam}")
-        rows[index] = out.value
+            raise DuplicateRowError(
+                f"line {line_no}: duplicate row for mu={mu}" + (f" lam={lam}" if m else "")
+            )
+        rows[index] = int(out[::-1], 2)
     expected = 1 << (n + m)
     if len(rows) != expected:
         index = next(i for i in range(expected) if i not in rows)
         mu, lam = _bits_text(index & ((1 << n) - 1), n), _bits_text(index >> n, m)
         raise MissingRowError(f"missing row for mu={mu}" + (f" lam={lam}" if m else ""))
-    return GeneratorFn(n, m, tuple(rows[i] for i in range(expected)))
+    return GeneratorFn(n, m, tuple(map(rows.__getitem__, range(expected))))
 
 
 def load_truth_table(path: str) -> GeneratorFn:
@@ -147,81 +147,66 @@ def load_truth_table(path: str) -> GeneratorFn:
 
 # -- signals and schedules ----------------------------------------------
 
-_SIGNAL_LINE = re.compile(
-    r"^n=(\d+)\s+(?:init=([01]+)\s+)?H=(-?\d+)\s+events=(.*)$"
-)
+_SEQUENCE_LINE = re.compile(r"^n=(\d+)\s+(?:init=([01]+)\s+)?H=(-?\d+)\s+events=(.*)$")
 _EVENT = re.compile(r"^\((-?\d+),([01]+)\)$")
+_FORMS = {"signal": "n=<w> init=<bits> H=<tick> events=...",
+          "schedule": "n=<w> H=<tick> events=..."}
 
 
-def _parse_events(text: str, where: str, kind: str, width: int):
-    """(tick, int) pairs, bits read coordinate 1 first, each `width` wide."""
-    text = text.strip()
-    if not text:
-        return
-    for chunk in text.split(";"):
+def _parse_sequence(line: str, where: str, kind: str) -> Signal | ProgressiveFunction:
+    """A signal line (`kind` "signal", with `init=`) or a schedule line ("schedule",
+    without).  The core's width, ordering and horizon checks are reported as
+    format errors prefixed by `where`."""
+    match = _SEQUENCE_LINE.match(line.strip())
+    if not match or (match.group(2) is None) == (kind == "signal"):
+        raise MalformedRowError(f"{where}: expected '{_FORMS[kind]}', found {line!r}")
+    width, init, horizon, text = match.groups()
+    width, horizon = _decimal(width, where), _decimal(horizon, where)
+    if init is not None and len(init) != width:
+        raise WidthInconsistencyError(f"{where}: init width {len(init)}, expected {width}")
+    events = []
+    for chunk in text.split(";") if text.strip() else ():
         chunk = chunk.strip()
-        match = _EVENT.match(chunk)
-        if not match:
+        event = _EVENT.match(chunk)
+        if not event:
             raise MalformedRowError(f"{where}: bad event {chunk!r}, expected (t,bits)")
-        t, bits = _decimal(match.group(1), where), match.group(2)
+        t, bits = _decimal(event.group(1), where), event.group(2)
         if len(bits) != width:
             raise WidthInconsistencyError(
                 f"{where}: {kind} event at tick {t} has width {len(bits)}, expected {width}"
             )
-        yield t, int(bits[::-1], 2)
-
-
-@contextmanager
-def _event_errors(where: str):
-    """Report the core's width, ordering and horizon checks as format errors
-    prefixed by `where`."""
+        events.append((t, int(bits[::-1], 2)))
     try:
-        yield
+        if init is None:
+            return ProgressiveFunction(width, tuple(events), horizon)
+        return Signal(width, int(init[::-1], 2), tuple(events), horizon)
     except WidthMismatch as exc:
         raise WidthInconsistencyError(f"{where}: {exc}") from None
     except (InvalidValue, HorizonExceeded) as exc:
         raise OrderingError(f"{where}: {exc}") from None
 
 
+def _load_line(path: str, kind: str) -> Signal | ProgressiveFunction:
+    lines = list(_split_lines(read_text(path)))
+    if len(lines) != 1:
+        raise MalformedRowError(f"{path}: expected exactly one {kind} line, found {len(lines)}")
+    return _parse_sequence(lines[0][1], f"{path} line {lines[0][0]}", kind)
+
+
 def parse_signal(line: str, where: str = "signal") -> Signal:
-    match = _SIGNAL_LINE.match(line.strip())
-    if not match or match.group(2) is None:
-        raise MalformedRowError(
-            f"{where}: expected 'n=<w> init=<bits> H=<tick> events=...', found {line!r}"
-        )
-    width, horizon = _decimal(match.group(1), where), _decimal(match.group(3), where)
-    init = match.group(2)
-    if len(init) != width:
-        raise WidthInconsistencyError(f"{where}: init width {len(init)}, expected {width}")
-    events = tuple(_parse_events(match.group(4), where, "signal", width))
-    with _event_errors(where):
-        return Signal(width, int(init[::-1], 2), events, horizon)
+    return _parse_sequence(line, where, "signal")
 
 
 def parse_rho(line: str, where: str = "schedule") -> ProgressiveFunction:
-    match = _SIGNAL_LINE.match(line.strip())
-    if not match or match.group(2) is not None:
-        raise MalformedRowError(
-            f"{where}: expected 'n=<w> H=<tick> events=...', found {line!r}"
-        )
-    width, horizon = _decimal(match.group(1), where), _decimal(match.group(3), where)
-    events = tuple(_parse_events(match.group(4), where, "schedule", width))
-    with _event_errors(where):
-        return ProgressiveFunction(width, events, horizon)
+    return _parse_sequence(line, where, "schedule")
 
 
 def load_signal(path: str) -> Signal:
-    lines = list(_split_lines(read_text(path)))
-    if len(lines) != 1:
-        raise MalformedRowError(f"{path}: expected exactly one signal line, found {len(lines)}")
-    return parse_signal(lines[0][1], where=f"{path} line {lines[0][0]}")
+    return _load_line(path, "signal")
 
 
 def load_rho(path: str) -> ProgressiveFunction:
-    lines = list(_split_lines(read_text(path)))
-    if len(lines) != 1:
-        raise MalformedRowError(f"{path}: expected exactly one schedule line, found {len(lines)}")
-    return parse_rho(lines[0][1], where=f"{path} line {lines[0][0]}")
+    return _load_line(path, "schedule")
 
 
 # -- system bundles ------------------------------------------------------

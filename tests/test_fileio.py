@@ -17,6 +17,8 @@ from asyncdec.frontend import (
     WidthInconsistencyError,
     format_system,
     format_truth_table,
+    load_rho,
+    load_signal,
     parse_rho,
     parse_signal,
     parse_system,
@@ -81,14 +83,56 @@ def test_duplicate_row_rejected():
         parse_truth_table(text)
 
 
-def test_malformed_row():
-    with pytest.raises(MalformedRowError):
-        parse_truth_table("n=1 m=0\n0 => 0\n1 -> 1")
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        pytest.param("n=1 m=0\n0 => 0\n1 -> 1", MalformedRowError,
+                     "line 2: missing '->' in '0 => 0'", id="missing-arrow"),
+        pytest.param("n=1 m=0\n0 0 -> 0", MalformedRowError,
+                     "line 2: expected mu only before '->'", id="fields-m0"),
+        pytest.param("n=1 m=1\n0 -> 0", MalformedRowError,
+                     "line 2: expected mu and lam before '->'", id="fields-m1"),
+        pytest.param("n=1 m=1\nx 0 -> 0", MalformedRowError,
+                     "line 2: 'x' is not a bit string", id="bad-mu"),
+        pytest.param("n=1 m=1\n0 x -> 0", MalformedRowError,
+                     "line 2: 'x' is not a bit string", id="bad-lam"),
+        pytest.param("n=1 m=1\n0 0 -> x", MalformedRowError,
+                     "line 2: 'x' is not a bit string", id="bad-out"),
+        pytest.param("n=1 m=1\n0 1 ->", MalformedRowError,
+                     "line 2: '' is not a bit string", id="empty-out"),
+        pytest.param("n=1 m=0\n0 -> 0\n0 -> 1", DuplicateRowError,
+                     "line 3: duplicate row for mu=0", id="duplicate-m0"),
+        pytest.param("n=1 m=1\n0 1 -> 0\n0 1 -> 1", DuplicateRowError,
+                     "line 3: duplicate row for mu=0 lam=1", id="duplicate-m1"),
+        pytest.param("n=1 m=0\n0 -> 0", MissingRowError,
+                     "missing row for mu=1", id="missing-m0"),
+        pytest.param("n=1 m=1\n0 0 -> 0\n1 0 -> 0\n0 1 -> 0", MissingRowError,
+                     "missing row for mu=1 lam=1", id="missing-m1"),
+    ],
+)
+def test_malformed_row(text, error, message):
+    with pytest.raises(error) as err:
+        parse_truth_table(text)
+    assert str(err.value) == message
 
 
-def test_width_inconsistency():
-    with pytest.raises(WidthInconsistencyError):
-        parse_truth_table("n=1 m=0\n00 -> 0\n1 -> 1")
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param("n=1 m=0\n00 -> 0\n1 -> 1",
+                     "line 2: widths (2,0,1) do not match header n=1 m=0", id="mu-m0"),
+        pytest.param("n=1 m=0\n0 -> 01",
+                     "line 2: widths (1,0,2) do not match header n=1 m=0", id="out-m0"),
+        pytest.param("n=1 m=1\n00 1 -> 0",
+                     "line 2: widths (2,1,1) do not match header n=1 m=1", id="mu-m1"),
+        pytest.param("n=1 m=1\n0 10 -> 0",
+                     "line 2: widths (1,2,1) do not match header n=1 m=1", id="lam-m1"),
+    ],
+)
+def test_width_inconsistency(text, message):
+    with pytest.raises(WidthInconsistencyError) as err:
+        parse_truth_table(text)
+    assert str(err.value) == message
 
 
 def test_signal_line_roundtrip():
@@ -130,11 +174,41 @@ def test_event_width_inconsistency_names_the_line():
          "line 4: signal events not strictly increasing at tick 2"),
         (parse_signal, "n=1 init=0 H=2 events=(5,1)", OrderingError,
          "line 4: signal event at tick 5 beyond horizon 2"),
+        (parse_signal, "n=1 H=9 events=(1,1)", MalformedRowError,
+         "line 4: expected 'n=<w> init=<bits> H=<tick> events=...', "
+         "found 'n=1 H=9 events=(1,1)'"),
+        (parse_rho, "n=1 init=0 H=9 events=(1,1)", MalformedRowError,
+         "line 4: expected 'n=<w> H=<tick> events=...', found 'n=1 init=0 H=9 events=(1,1)'"),
+        (parse_rho, "n=1 H=9 events=(1,1);", MalformedRowError,
+         "line 4: bad event '', expected (t,bits)"),
+        (parse_signal, "n=1 init=0 H=9 events=(x,1)", MalformedRowError,
+         "line 4: bad event '(x,1)', expected (t,bits)"),
+        (parse_rho, "n=2 H=9 events=(1,1)", WidthInconsistencyError,
+         "line 4: schedule event at tick 1 has width 1, expected 2"),
+        (parse_signal, "n=2 init=00 H=9 events=(1,1)", WidthInconsistencyError,
+         "line 4: signal event at tick 1 has width 1, expected 2"),
+        pytest.param(parse_rho, f"n=1 H=9 events=({'9' * 5000},1)", MalformedRowError,
+                     "line 4: a number of 5000 digits is too long", id="parse_rho-long-tick"),
+        (parse_rho, "n=0 H=9 events=", WidthInconsistencyError,
+         "line 4: schedule width must be >= 1, got 0"),
+        (load_signal, "", MalformedRowError,
+         "line 4: expected exactly one signal line, found 0"),
+        (load_signal, "n=1 init=0 H=9 events=\nn=1 init=0 H=9 events=\n", MalformedRowError,
+         "line 4: expected exactly one signal line, found 2"),
+        (load_rho, "# no line\n", MalformedRowError,
+         "line 4: expected exactly one schedule line, found 0"),
+        (load_rho, "n=1 H=9 events=\nn=1 H=9 events=\n", MalformedRowError,
+         "line 4: expected exactly one schedule line, found 2"),
     ],
 )
-def test_event_line_errors_read_exactly(parse, line, error, text):
+def test_event_line_errors_read_exactly(parse, line, error, text, tmp_path, monkeypatch):
     with pytest.raises(error) as err:
-        parse(line, where="line 4")
+        if parse in (load_signal, load_rho):  # a file named "line 4" holds the text
+            monkeypatch.chdir(tmp_path)
+            (tmp_path / "line 4").write_text(line)
+            parse("line 4")
+        else:
+            parse(line, where="line 4")
     assert str(err.value) == text
 
 
