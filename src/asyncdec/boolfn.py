@@ -21,12 +21,10 @@ from __future__ import annotations
 import os
 import sys
 from array import array
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterable
 
 from .errors import CoordinateError, InvalidValue, NotSeparatedError, SizeLimitError, WidthMismatch
-from .signals import BitVec, _checked_coords
+from .signals import BitVec, _Value, _checked_coords
 
 DEFAULT_SIZE_LIMIT = 20
 SIZE_LIMIT_ENV = "ASYNC_DEC_SIZE_LIMIT"
@@ -88,27 +86,25 @@ def _lane_derivatives(phi: GeneratorFn, js: Iterable[int]):
     return code, width, derivs
 
 
-@dataclass(frozen=True)
-class GeneratorFn:
+class GeneratorFn(_Value):
     """A total next-state function B^n x B^m -> B^n as a packed table."""
 
-    n: int
-    m: int
-    table: tuple[int, ...]
+    __slots__ = _fields = ("n", "m", "table")
 
-    def __post_init__(self):
-        object.__setattr__(self, "table", tuple(self.table))
-        if self.n < 1:
-            raise WidthMismatch(f"state width must be >= 1, got {self.n}")
-        if self.m < 0:
-            raise WidthMismatch(f"input width must be >= 0, got {self.m}")
-        expected = 1 << (self.n + self.m)
-        if len(self.table) != expected:
-            raise InvalidValue(
-                f"table has {len(self.table)} rows, expected {expected} for n={self.n} m={self.m}"
-            )
-        if self.table and (min(self.table) < 0 or max(self.table) >> self.n):
-            raise InvalidValue(f"table entry out of range for output width {self.n}")
+    def __init__(self, n: int, m: int, table: tuple[int, ...]):
+        table = tuple(table)
+        if n < 1:
+            raise WidthMismatch(f"state width must be >= 1, got {n}")
+        if m < 0:
+            raise WidthMismatch(f"input width must be >= 0, got {m}")
+        expected = 1 << (n + m)
+        if len(table) != expected:
+            raise InvalidValue(f"table has {len(table)} rows, expected {expected} for n={n} m={m}")
+        if table and (min(table) < 0 or max(table) >> n):
+            raise InvalidValue(f"table entry out of range for output width {n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "table", table)
 
     @classmethod
     def from_function(cls, n: int, m: int, fn: Callable[[BitVec, BitVec], BitVec]) -> "GeneratorFn":
@@ -160,12 +156,13 @@ def partial_derivative(phi: GeneratorFn, i: int, j: int) -> int:
     return bits
 
 
-@dataclass(frozen=True)
-class DependencyMatrix:
+class DependencyMatrix(_Value):
     """rows[i-1] is a bitmask over j: bit j-1 set iff coordinate i depends on mu_j."""
 
-    n: int
-    rows: tuple[int, ...]
+    __slots__ = _fields = ("n", "rows")
+
+    def __init__(self, n: int, rows: tuple[int, ...]):
+        super().__init__(n, rows)
 
     def depends(self, i: int, j: int) -> bool:
         if not (1 <= i <= self.n and 1 <= j <= self.n):
@@ -304,25 +301,21 @@ def project_fn(phi: GeneratorFn, coords: Iterable[int]) -> GeneratorFn:
     return GeneratorFn(len(bs), phi.m, tuple(rows))
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(_Value):
     """Ordered disjoint blocks covering 1..n, each ascending.  Laid end to end
     they are the order that makes them contiguous; `permutation`, its inverse,
     moves old coordinate i to position permutation[i-1]."""
 
-    blocks: tuple[tuple[int, ...], ...]
+    __slots__ = ("blocks", "permutation")
+    _fields = ("blocks",)
 
-    def __post_init__(self):
-        blocks = tuple(tuple(sorted(b)) for b in self.blocks)
-        flat = [i for b in blocks for i in b]
-        if sorted(flat) != list(range(1, len(flat) + 1)):
-            raise CoordinateError(f"blocks {self.blocks} do not partition 1..{len(flat)}")
-        object.__setattr__(self, "blocks", blocks)
-
-    @cached_property
-    def permutation(self) -> tuple[int, ...]:
-        order = sum(self.blocks, ())
-        return tuple(sorted(range(1, self.n + 1), key=lambda pos: order[pos - 1]))
+    def __init__(self, blocks: tuple[tuple[int, ...], ...]):
+        ascending = tuple(tuple(sorted(b)) for b in blocks)
+        order = sum(ascending, ())
+        if sorted(order) != list(range(1, len(order) + 1)):
+            raise CoordinateError(f"blocks {blocks} do not partition 1..{len(order)}")
+        super().__init__(ascending)
+        object.__setattr__(self, "permutation", tuple(order.index(c) + 1 for c in sorted(order)))
 
     @property
     def n(self) -> int:

@@ -9,7 +9,6 @@ The acceptance tests and the `verify` CLI verb both run these.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from ..boolfn import (
     GeneratorFn,
@@ -25,6 +24,7 @@ from ..signals import (
     BitVec,
     ProgressiveFunction,
     Signal,
+    _Value,
     product_rho,
     product_signal,
     round_robin,
@@ -33,12 +33,11 @@ from ..signals import (
 from ..systems import RegularSystem, decompose_system
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    name: str
-    cases: int
-    failures: int
-    details: tuple[str, ...] = ()
+class CheckReport(_Value):
+    __slots__ = _fields = ("name", "cases", "failures", "details")
+
+    def __init__(self, name: str, cases: int, failures: int, details: tuple[str, ...]):
+        super().__init__(name, cases, failures, details)
 
     @property
     def ok(self) -> bool:

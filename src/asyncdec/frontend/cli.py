@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from datetime import datetime, timezone
 
 from ..boolfn import GeneratorFn, _split_blocks, dependency_matrix, finest_partition
 from ..errors import AsyncDecError, NotSeparatedError
@@ -262,6 +261,7 @@ def _cmd_verify(args) -> int:
     print(f"overall: {'PASS' if ok else 'FAIL'}")
     doc.append(("overall", "PASS" if ok else "FAIL"))
     if args.stamp:
+        from datetime import datetime, timezone
         stamp = datetime.now(timezone.utc).isoformat()
         print(f"stamp: {stamp}")
         doc.append(("stamp", stamp))

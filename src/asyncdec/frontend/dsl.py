@@ -14,11 +14,11 @@ from __future__ import annotations
 import re
 import sys
 from array import array
-from dataclasses import dataclass
 from functools import cache, reduce
 
 from ..boolfn import GeneratorFn, check_scan_size, lane_code, lane_mask
 from ..errors import AsyncDecError
+from ..signals import _Value
 
 MAX_NESTING = 100
 
@@ -156,13 +156,13 @@ class _Parser:
         )
 
 
-@dataclass(frozen=True)
-class EquationProgram:
+class EquationProgram(_Value):
     """A parsed program: one expression per state coordinate."""
 
-    n: int
-    m: int
-    exprs: tuple
+    __slots__ = _fields = ("n", "m", "exprs")
+
+    def __init__(self, n: int, m: int, exprs: tuple):
+        super().__init__(n, m, exprs)
 
 
 def parse_dsl(text: str) -> EquationProgram:

@@ -287,14 +287,11 @@ def parse_system(text: str, base_dir: str = ".") -> RegularSystem:
         inputs[name] = parse_signal(rest.strip(), where=f"line {line_no}")
         order.append(inputs[name])
 
-    rhos = {
-        name: parse_rho(body[0][1], where=f"[rho {name}]")
-        for name, body in rho_sections.items()
-        if len(body) == 1
-    }
+    rhos: dict[str, ProgressiveFunction] = {}
     for name, body in rho_sections.items():
         if len(body) != 1:
             raise BundleError(f"[rho {name}] must contain exactly one schedule line")
+        rhos[name] = parse_rho(body[0][1], where=f"[rho {name}]")
 
     phi0: dict[Signal, frozenset[BitVec]] = {}
     for line_no, line in by_name["phi0"]:

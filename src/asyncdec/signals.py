@@ -26,13 +26,13 @@ is coordinate coords[k-1], for an ordered tuple of distinct coordinates.
 Products are block-first, the first factor's coordinates leading; a product
 onto any other block is the product followed by a `restrict`.
 
-Everything in this module is immutable and safe to share across threads.
+Every value here is immutable (a `_Value`, whose slots are set once, in the
+constructor) and safe to share across threads.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -60,22 +60,67 @@ def gather_bits(value: int, coords: Sequence[int]) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class BitVec:
+class _Value:
+    """Immutable, as a frozen dataclass is: `__init__` sets `_fields`, the
+    constructor's parameters in order, and equality (same type only), hashing,
+    pickling and the repr go over them.  The kinds built by the thousand
+    (`BitVec`, `GeneratorFn`, the event sequences) set their slots directly."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({args})"
+
+
+class BitVec(_Value):
     """A point of B^n.  Coordinate 1 is the least significant bit.
 
     Width 0 (the empty vector) is allowed so that input-free generator
     functions (m = 0) can be evaluated; signals never have width 0.
     """
 
-    width: int
-    value: int
+    __slots__ = _fields = ("width", "value")
 
-    def __post_init__(self):
-        if self.width < 0:
-            raise WidthMismatch(f"negative width {self.width}")
-        if not 0 <= self.value < (1 << self.width):
-            raise InvalidValue(f"value {self.value} out of range for width {self.width}")
+    def __init__(self, width: int, value: int):
+        if width < 0:
+            raise WidthMismatch(f"negative width {width}")
+        if not 0 <= value < (1 << width):
+            raise InvalidValue(f"value {value} out of range for width {width}")
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "value", value)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.width == other.width and self.value == other.value
+
+    def __hash__(self) -> int:
+        return hash((self.width, self.value))
 
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "BitVec":
@@ -136,29 +181,32 @@ def _checked_coords(coords: Iterable[int], width: int) -> tuple[int, ...]:
     return cs
 
 
-class _EventSequence:
-    """The core of `Signal` and `ProgressiveFunction`: a frozen dataclass with
+class _EventSequence(_Value):
+    """The core of `Signal` and `ProgressiveFunction`: an immutable value with
     `width`, `events` as (tick, int) pairs, `horizon` and `initial` (an int,
-    None for a schedule), a `_kind` for messages and a `key`.
+    None for a schedule), a `_kind` for messages and a `key`; both kinds'
+    `_fields` end with events and horizon.
 
-    `__post_init__` builds both kinds in one pass: it checks each event,
-    stores it as a pair and keeps it in `_canon` unless it equals the held
-    value (a signal's last kept value, starting at `initial`; 0 for a
-    schedule).  `_canon` shares the `events` tuple when nothing is dropped.
-    A signal never equals or orders against a schedule.
+    `__init__` builds both kinds in one pass: it checks each event, stores it
+    as a pair and keeps it in `_canon` unless it equals the held value (a
+    signal's last kept value, starting at `initial`; 0 for a schedule).
+    `_canon` shares the `events` tuple when nothing is dropped.  A signal
+    never equals or orders against a schedule.
     """
 
-    def __post_init__(self):
-        width, horizon, initial, kind = self.width, self.horizon, self.initial, self._kind
+    __slots__ = ("width", "initial", "events", "horizon", "_canon")
+
+    def __init__(self, width: int, initial: int | None, events, horizon: Tick):
+        kind = self._kind
         if width < 1:
             raise WidthMismatch(f"{kind} width must be >= 1, got {width}")
         # v >> width tests v < 2^width without building 2^width for a huge width
         if initial is not None and (initial < 0 or initial >> width):
             raise InvalidValue(f"initial value {initial} out of range for width {width}")
         held = 0 if initial is None else initial
-        events, canon = [], []
+        pairs, canon = [], []
         prev = None
-        for t, v in self.events:
+        for t, v in events:
             if prev is not None and t <= prev:
                 raise InvalidValue(f"{kind} events not strictly increasing at tick {t}")
             prev = t
@@ -166,13 +214,16 @@ class _EventSequence:
                 raise InvalidValue(f"{kind} event at tick {t}: value {v} out of range for width {width}")
             if t > horizon:
                 raise HorizonExceeded(f"{kind} event at tick {t} beyond horizon {horizon}")
-            events.append(e := (t, v))
+            pairs.append(e := (t, v))
             if v != held:
                 canon.append(e)
                 if initial is not None:
                     held = v
-        events = tuple(events)
+        events = tuple(pairs)
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "events", events)
+        object.__setattr__(self, "horizon", horizon)
         object.__setattr__(self, "_canon", tuple(canon) if len(canon) < len(events) else events)
 
     def truncated(self, horizon: Tick):
@@ -181,11 +232,13 @@ class _EventSequence:
             raise HorizonExceeded(f"cannot extend horizon {self.horizon} to {horizon}")
         # (horizon + 1,) sorts before every event at that tick and after all earlier ones
         kept = self.events[: bisect_left(self.events, (horizon + 1,))]
-        return replace(self, events=kept, horizon=horizon)
+        return type(self)(*self._values()[:-2], kept, horizon)
 
     def canonical(self):
         """The same sequence without the events its canonical form drops."""
-        return self if self._canon is self.events else replace(self, events=self._canon)
+        if self._canon is self.events:
+            return self
+        return type(self)(*self._values()[:-2], self._canon, self.horizon)
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -207,7 +260,6 @@ class _EventSequence:
         return f"n={width}{init} H={self.horizon} events={ev}"
 
 
-@dataclass(frozen=True, eq=False)
 class Signal(_EventSequence):
     """Piecewise-constant map to B^width on (-inf, horizon].
 
@@ -217,10 +269,8 @@ class Signal(_EventSequence):
     hashing go through the canonical form, which drops such events.
     """
 
-    width: int
-    initial: int
-    events: tuple[tuple[Tick, int], ...]
-    horizon: Tick
+    __slots__ = ()
+    _fields = ("width", "initial", "events", "horizon")
     _kind = "signal"
 
     def value_at(self, t: Tick) -> int:
@@ -268,14 +318,14 @@ def product_signal(a: Signal, b: Signal) -> Signal:
     return Signal(a.width + b.width, initial, tuple(woven.items()), a.horizon)
 
 
-class SignalSet:
+class SignalSet(_Value):
     """A finite set of canonical signals of one width and horizon.
 
     Members are deduplicated through canonical equality and stored sorted,
     so iteration order is deterministic.
     """
 
-    __slots__ = ("width", "horizon", "members")
+    __slots__ = _fields = ("width", "horizon", "members")
 
     def __init__(self, width: int, horizon: Tick, members: Iterable[Signal]):
         canon = {}
@@ -286,9 +336,7 @@ class SignalSet:
                 raise HorizonMismatch(f"member horizon {x.horizon}, expected {horizon}")
             c = x.canonical()
             canon[c.key] = c
-        self.width = width
-        self.horizon = horizon
-        self.members = tuple(canon[k] for k in sorted(canon))
+        super().__init__(width, horizon, tuple(canon[k] for k in sorted(canon)))
 
     @classmethod
     def of(cls, members: Iterable[Signal]) -> "SignalSet":
@@ -302,18 +350,6 @@ class SignalSet:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SignalSet):
-            return NotImplemented
-        return (
-            self.width == other.width
-            and self.horizon == other.horizon
-            and self.members == other.members
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.width, self.horizon, self.members))
 
     def issubset(self, other: "SignalSet") -> bool:
         return {x.key for x in self.members} <= {x.key for x in other.members}
@@ -333,7 +369,6 @@ def product_set(a: SignalSet, b: SignalSet) -> SignalSet:
     )
 
 
-@dataclass(frozen=True, eq=False)
 class ProgressiveFunction(_EventSequence):
     """A finite schedule prefix: firing vector alpha^k at each event tick.
 
@@ -342,11 +377,12 @@ class ProgressiveFunction(_EventSequence):
     the infinite tail; `is_prefix_progressive` is the finite surrogate.
     """
 
-    width: int
-    events: tuple[tuple[Tick, int], ...]
-    horizon: Tick
-    initial = None
+    __slots__ = ()
+    _fields = ("width", "events", "horizon")
     _kind = "schedule"
+
+    def __init__(self, width: int, events: tuple[tuple[Tick, int], ...], horizon: Tick):
+        super().__init__(width, None, events, horizon)
 
     @property
     def key(self) -> tuple:

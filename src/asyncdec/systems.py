@@ -14,7 +14,6 @@ product check weaves factor schedules by `product_rho`, then `restrict`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .boolfn import (
@@ -39,14 +38,14 @@ from .signals import (
     Signal,
     SignalSet,
     Tick,
+    _Value,
     _checked_coords,
     product_rho,
     product_set,
 )
 
 
-@dataclass(frozen=True)
-class RegularSystem:
+class RegularSystem(_Value):
     """An explicit (phi, inputs, phi0, pi) bundle.
 
     Immutable after construction; the constructor normalizes the maps to
@@ -54,34 +53,30 @@ class RegularSystem:
     prefix-progressiveness of every schedule.
     """
 
-    phi: GeneratorFn
-    inputs: tuple[Signal, ...]
-    phi0: Mapping[Signal, frozenset[BitVec]]
-    pi: Mapping[tuple[BitVec, Signal], frozenset[ProgressiveFunction]]
+    __slots__ = _fields = ("phi", "inputs", "phi0", "pi")
 
-    def __post_init__(self):
-        inputs = tuple(dict.fromkeys(self.inputs))
-        object.__setattr__(self, "inputs", inputs)
+    def __init__(self, phi: GeneratorFn, inputs: Iterable[Signal],
+                 phi0: Mapping[Signal, Iterable[BitVec]],
+                 pi: Mapping[tuple[BitVec, Signal], Iterable[ProgressiveFunction]]):
+        inputs = tuple(dict.fromkeys(inputs))
         if not inputs:
             raise InvalidSystem("a system needs at least one admissible input")
         horizon = inputs[0].horizon
         for u in inputs:
-            if u.width != self.phi.m:
-                raise WidthMismatch(f"input width {u.width}, expected {self.phi.m}")
+            if u.width != phi.m:
+                raise WidthMismatch(f"input width {u.width}, expected {phi.m}")
             if u.horizon != horizon:
                 raise HorizonMismatch("all inputs must share one horizon")
-        phi0 = {u: frozenset(ms) for u, ms in self.phi0.items()}
+        phi0 = {u: frozenset(ms) for u, ms in phi0.items()}
         if set(phi0) != set(inputs):
             raise InvalidSystem("phi0 must be defined exactly on the admissible inputs")
         for u, ms in phi0.items():
             if not ms:
                 raise InvalidSystem(f"phi0 is empty for input {u}")
             for mu in ms:
-                if mu.width != self.phi.n:
-                    raise WidthMismatch(
-                        f"initial state width {mu.width}, expected {self.phi.n}"
-                    )
-        pi = {key: frozenset(rs) for key, rs in self.pi.items()}
+                if mu.width != phi.n:
+                    raise WidthMismatch(f"initial state width {mu.width}, expected {phi.n}")
+        pi = {key: frozenset(rs) for key, rs in pi.items()}
         delta = {(mu, u) for u in inputs for mu in phi0[u]}
         if set(pi) != delta:
             raise InvalidSystem(
@@ -91,16 +86,13 @@ class RegularSystem:
             if not rs:
                 raise InvalidSystem(f"pi is empty at ({mu}, {u})")
             for rho in rs:
-                if rho.width != self.phi.n:
-                    raise WidthMismatch(
-                        f"schedule width {rho.width}, expected {self.phi.n}"
-                    )
+                if rho.width != phi.n:
+                    raise WidthMismatch(f"schedule width {rho.width}, expected {phi.n}")
                 if rho.horizon != horizon:
                     raise HorizonMismatch("schedules must share the system horizon")
                 if not rho.is_prefix_progressive():
                     raise ProgressivenessError(f"schedule {rho} is not prefix-progressive")
-        object.__setattr__(self, "phi0", phi0)
-        object.__setattr__(self, "pi", pi)
+        super().__init__(phi, inputs, phi0, pi)
 
     @property
     def n(self) -> int:
@@ -178,16 +170,18 @@ def parallel_system(a: RegularSystem, b: RegularSystem) -> RegularSystem:
     return RegularSystem(parallel_fn(a.phi, b.phi), shared, phi0, pi)
 
 
-@dataclass(frozen=True)
-class ProductConditionResult:
+class ProductConditionResult(_Value):
     """Outcome of the schedule-product check, with a witness when it fails.
 
     `witness` is (u, mu, rho_block, rho_rest): a schedule product whose
     trajectory no admitted schedule reproduces.
     """
 
-    holds: bool
-    witness: tuple[Signal, BitVec, ProgressiveFunction, ProgressiveFunction] | None
+    __slots__ = _fields = ("holds", "witness")
+
+    def __init__(self, holds: bool,
+                 witness: tuple[Signal, BitVec, ProgressiveFunction, ProgressiveFunction] | None):
+        super().__init__(holds, witness)
 
 
 def _product_condition(
@@ -220,8 +214,7 @@ def _product_condition(
     return ProductConditionResult(True, None)
 
 
-@dataclass(frozen=True)
-class DecompositionResult:
+class DecompositionResult(_Value):
     """Factors of a system decomposition plus the verified verdict.
 
     `status` is "equal" when, for every input u, the system's realization,
@@ -232,13 +225,15 @@ class DecompositionResult:
     verdict, which must agree with them (see `decompose_system`).
     """
 
-    first: RegularSystem
-    second: RegularSystem
-    status: str
-    partition: Partition
-    phi0_product_form: bool
-    product_condition: ProductConditionResult
-    hull_sizes: tuple[tuple[Signal, int, int], ...]
+    __slots__ = _fields = ("first", "second", "status", "partition", "phi0_product_form",
+                           "product_condition", "hull_sizes")
+
+    def __init__(self, first: RegularSystem, second: RegularSystem, status: str,
+                 partition: Partition, phi0_product_form: bool,
+                 product_condition: ProductConditionResult,
+                 hull_sizes: tuple[tuple[Signal, int, int], ...]):
+        super().__init__(first, second, status, partition, phi0_product_form, product_condition,
+                         hull_sizes)
 
 
 def decompose_system(

@@ -1,12 +1,11 @@
 """Verification suites: report verdicts."""
 
-from dataclasses import replace
-
 import pytest
 
 import asyncdec.boolfn
 from asyncdec import GeneratorFn
 from asyncdec.frontend import checks
+from asyncdec.systems import DecompositionResult
 from asyncdec.frontend.checks import (
     derivative_separated,
     flip_invariant,
@@ -57,8 +56,14 @@ def test_theorem30_routes_share_no_dependency_scan(monkeypatch):
 def test_theorem34_diagonal_witness_prints_inputs_as_event_lines(monkeypatch):
     """A diagonal example misreported as `equal` is named with each input in
     the event-line format, as `decompose` prints it."""
+    def misreported(*args):
+        r = real(*args)
+        return DecompositionResult(
+            r.first, r.second, "equal", r.partition, r.phi0_product_form, r.product_condition, r.hull_sizes
+        )
+
     real = checks.decompose_system
-    monkeypatch.setattr(checks, "decompose_system", lambda *a: replace(real(*a), status="equal"))
+    monkeypatch.setattr(checks, "decompose_system", misreported)
     report = theorem34_suite(1, 2)
     assert report.failures == 1
     assert report.details == (

@@ -318,3 +318,29 @@ step: 0
 def test_bundle_missing_section():
     with pytest.raises(BundleError):
         parse_system("[phi]\nn=1 m=0\n0 -> 0\n1 -> 1\n")
+
+
+def test_bundle_names_the_first_bad_rho_section():
+    """Sections are checked in file order: a two-line `[rho a]` is reported
+    before a later `[rho b]` whose one line has a bad event."""
+    bundle = """
+[phi]
+n=1 m=1
+0 0 -> 0
+1 0 -> 1
+0 1 -> 0
+1 1 -> 1
+[inputs]
+step = n=1 init=0 H=9 events=(0,1)
+[phi0]
+step: 0
+[pi]
+0 @ step: a
+[rho a]
+n=1 H=9 events=(1,1)
+n=1 H=9 events=(2,1)
+[rho b]
+n=1 H=9 events=(x,1)
+"""
+    with pytest.raises(BundleError, match=r"^\[rho a\] must contain exactly one schedule line$"):
+        parse_system(bundle)
