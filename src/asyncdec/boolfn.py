@@ -12,8 +12,8 @@ holds n bits), so a derivative over all rows is a few shifts and masks.  The
 row tuple stays the only stored form; `partial_derivative` stays row-based
 and returns a row bitmask.  The table transforms (`project_fn`,
 `parallel_fn`) are whole-table maps: `project_fn` reads its source through
-two image lists, never longer than the table, while `restrict` on a signal
-or schedule relabels value by value.
+the chunked maps of `signals._relabeler`, built once per coordinate tuple
+and shared with `restrict` on every other kind.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from array import array
 from typing import Callable, Iterable
 
 from .errors import CoordinateError, InvalidValue, NotSeparatedError, SizeLimitError, WidthMismatch
-from .signals import BitVec, _Value, _checked_coords
+from .signals import BitVec, _Value, _images, _relabeler
 
 DEFAULT_SIZE_LIMIT = 20
 SIZE_LIMIT_ENV = "ASYNC_DEC_SIZE_LIMIT"
@@ -278,27 +278,15 @@ def is_separated(phi: GeneratorFn, block: Iterable[int]) -> bool:
     return dependency_matrix(phi).cross_dependency(block) is None
 
 
-def _images(weights: Iterable[int]) -> list[int]:
-    """For every k < 2^len(weights), the OR of the weights picked by k's bits
-    (bit 0 picks the first weight)."""
-    images = [0]
-    for w in weights:
-        images += [x | w for x in images]
-    return images
-
-
 def project_fn(phi: GeneratorFn, coords: Iterable[int]) -> GeneratorFn:
     """`phi` on the state coordinates `coords`, in that order, with every other
     state coordinate frozen at 0 (irrelevant when `coords` is a separated
     block); all n coordinates in a new order relabel `phi`."""
-    bs = _checked_coords(coords, phi.n)
-    # spread[k]: the row offset of block state k; pick[out]: out read at `bs`
-    spread = _images([1 << (c - 1) for c in bs])
-    slot = {c: 1 << k for k, c in enumerate(bs)}
-    pick = _images([slot.get(c, 0) for c in range(1, phi.n + 1)])
-    table = phi.table
+    k, _, picks, spreads = _relabeler(phi.n, tuple(coords))
+    # spread[s]: the row offset of block state s; pick[out]: out read at `coords`
+    spread, pick, table = _images(spreads), _images(picks), phi.table
     rows = [pick[table[base | r]] for base in range(0, len(table), 1 << phi.n) for r in spread]
-    return GeneratorFn(len(bs), phi.m, tuple(rows))
+    return GeneratorFn(k, phi.m, tuple(rows))
 
 
 class Partition(_Value):
@@ -340,6 +328,4 @@ def split_fn(phi: GeneratorFn, block: Iterable[int]) -> tuple[GeneratorFn, Gener
     if witness is not None:
         raise NotSeparatedError(*witness)
     bs, cs = _split_blocks(phi.n, block)
-    first = project_fn(phi, bs)
-    second = project_fn(phi, cs)
-    return first, second, Partition((bs, cs))
+    return project_fn(phi, bs), project_fn(phi, cs), Partition((bs, cs))

@@ -9,9 +9,11 @@ The acceptance tests and the `verify` CLI verb both run these.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
 from ..boolfn import (
     GeneratorFn,
+    _split_blocks,
     finest_partition,
     parallel_fn,
     partial_derivative,
@@ -121,41 +123,42 @@ def rand_system(rng: random.Random, phi: GeneratorFn, horizon: int, n_inputs: in
 # -- theorem 26: cross-block independence of parallel composition ---------
 
 
+@lru_cache(maxsize=64)
+def _flip_cases(n: int, m: int, block):
+    """Every input, and per state the pairs (state with one bit flipped, mask of
+    the other side): these depend on the shape only, never on the table."""
+    bs, cs = _split_blocks(n, block)
+    mask_b, mask_c = (sum(1 << (i - 1) for i in side) for side in (bs, cs))
+    flips = [(j, mask_b) for j in cs] + [(j, mask_c) for j in bs]
+    cases = tuple((mu, tuple((mu.flip(j), mask) for j, mask in flips)) for mu in BitVec.all_of_width(n))
+    return cases, tuple(BitVec.all_of_width(m))
+
+
 def flip_invariant(phi: GeneratorFn, block) -> bool:
     """Direct pointwise check: flipping a state bit on the other side of the
     block never changes a coordinate's value.  Evaluation-based on purpose,
-    so it is a route independent of the derivative tables."""
-    bs = sorted(set(block))
-    cs = [i for i in range(1, phi.n + 1) if i not in set(bs)]
-    mask_b = sum(1 << (i - 1) for i in bs)
-    mask_c = sum(1 << (i - 1) for i in cs)
-    mus = list(BitVec.all_of_width(phi.n))
-    lams = list(BitVec.all_of_width(phi.m))
-    for mu in mus:
+    so it is a route independent of the derivative tables and of relabeling;
+    its states, flips and inputs are built once per (n, m, block)."""
+    cases, lams = _flip_cases(phi.n, phi.m, tuple(block))
+    for mu, flips in cases:
         for lam in lams:
-            out = phi.eval(mu, lam)
-            for j in cs:
-                if (out.value ^ phi.eval(mu.flip(j), lam).value) & mask_b:
-                    return False
-            for j in bs:
-                if (out.value ^ phi.eval(mu.flip(j), lam).value) & mask_c:
+            out = phi.eval(mu, lam).value
+            for flipped, mask in flips:
+                if (out ^ phi.eval(flipped, lam).value) & mask:
                     return False
     return True
 
 
 def derivative_separated(phi: GeneratorFn, block) -> bool:
     """Derivative route: every cross-block partial derivative is identically zero."""
-    bs = sorted(set(block))
-    cs = [i for i in range(1, phi.n + 1) if i not in set(bs)]
-    return _pairwise_separated(phi, (bs, cs))
+    return _pairwise_separated(phi, _split_blocks(phi.n, block))
 
 
 def recompose_verdict(phi: GeneratorFn, block) -> bool:
     """Recomposition route: zero-fix extraction of both factors succeeds
     exactly when their parallel composition reproduces the table.  Unguarded
     (no separation precheck), so the verdict is the equality itself."""
-    bs = sorted(set(block))
-    cs = [i for i in range(1, phi.n + 1) if i not in set(bs)]
+    bs, cs = _split_blocks(phi.n, block)
     recomposed = parallel_fn(project_fn(phi, bs), project_fn(phi, cs))
     return recomposed.table == project_fn(phi, bs + cs).table
 

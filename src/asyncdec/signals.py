@@ -23,8 +23,9 @@ schedules and witnesses; `events` is the only index for reading a value.
 
 Every kind relabels one way, `restrict(coords)`: coordinate k of the result
 is coordinate coords[k-1], for an ordered tuple of distinct coordinates.
-Products are block-first, the first factor's coordinates leading; a product
-onto any other block is the product followed by a `restrict`.
+`_relabeler` builds each map once, as 8-bit lookup tables.  Products are
+block-first, the first factor's coordinates leading; a product onto any
+other block is the product followed by a `restrict`.
 
 Every value here is immutable (a `_Value`, whose slots are set once, in the
 constructor) and safe to share across threads.
@@ -33,6 +34,7 @@ constructor) and safe to share across threads.
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -50,14 +52,6 @@ Tick = int
 def _bits_text(value: int, width: int) -> str:
     """`value` written as `width` bits, coordinate 1 first."""
     return bin(value | 1 << width)[3:][::-1]
-
-
-def gather_bits(value: int, coords: Sequence[int]) -> int:
-    """Pack the bits of `value` at 1-based positions `coords` into low bits."""
-    out = 0
-    for k, c in enumerate(coords):
-        out |= ((value >> (c - 1)) & 1) << k
-    return out
 
 
 class _Value:
@@ -162,23 +156,46 @@ class BitVec(_Value):
 
     def restrict(self, coords: Iterable[int]) -> "BitVec":
         """Coordinate k of the result is coordinate coords[k-1] of this one."""
-        cs = _checked_coords(coords, self.width)
-        return BitVec(len(cs), gather_bits(self.value, cs))
+        k, gather, _, _ = _relabeler(self.width, tuple(coords))
+        return BitVec(k, gather(self.value))
 
     def __str__(self) -> str:
         return _bits_text(self.value, self.width)
 
 
-def _checked_coords(coords: Iterable[int], width: int) -> tuple[int, ...]:
-    """`coords` in the order given: nonempty, distinct and within 1..width."""
-    cs = tuple(coords)
+def _images(chunks: Iterable[Sequence[int]]) -> Sequence[int]:
+    """Every OR of one entry per chunk: entry v takes from each chunk the entry
+    its digit of v (base the chunk's length, lowest first) names; one chunk is itself."""
+    images, *rest = chunks
+    for chunk in rest:
+        images = [x | y for y in chunk for x in images]
+    return images
+
+
+@lru_cache(maxsize=256)
+def _relabeler(width: int, cs: tuple[int, ...]):
+    """(k, gather, picks, spreads) for reading width-`width` values at `cs`
+    (nonempty, distinct, within 1..width; checked once per key): `gather(v)`
+    is the k-bit result.  Both maps are chunked by 8 bits (Knuth, TAOCP 4A,
+    7.1.3): picks[c] is the gather's image list of source bits 8c+1..8c+8 and
+    spreads[c] the scatter's of result bits 8c+1..8c+8, back to their source
+    positions.  So a key holds at most 256 ints per chunk of the width, never
+    2^width; `project_fn` expands whole maps from the chunks for one call."""
     if not cs:
         raise CoordinateError("empty coordinate range")
     if len(set(cs)) != len(cs):
         raise CoordinateError(f"repeated coordinate in {cs}")
     if min(cs) < 1 or max(cs) > width:
         raise CoordinateError(f"coordinates {cs} not within 1..{width}")
-    return cs
+    slot = {c: 1 << k for k, c in enumerate(cs)}
+    picks = tuple(_images((0, slot.get(c, 0)) for c in range(lo, min(lo + 7, width) + 1))
+                  for lo in range(1, width + 1, 8))
+    spreads = tuple(_images((0, 1 << (c - 1)) for c in cs[lo:lo + 8]) for lo in range(0, len(cs), 8))
+    # one lookup per chunk that picks a coordinate; their images are disjoint
+    parts = tuple((lo, image) for lo, image in zip(range(0, width, 8), picks) if image[-1])
+    gather = picks[0].__getitem__ if width <= 8 else (
+        lambda v: sum(image[v >> lo & 255] for lo, image in parts))
+    return len(cs), gather, picks, spreads
 
 
 class _EventSequence(_Value):
@@ -240,6 +257,14 @@ class _EventSequence(_Value):
             return self
         return type(self)(*self._values()[:-2], self._canon, self.horizon)
 
+    def restrict(self, coords: Iterable[int]):
+        """Coordinate k of the result is coordinate coords[k-1]; canonical."""
+        k, gather, _, _ = _relabeler(self.width, tuple(coords))
+        events = tuple((t, gather(v)) for t, v in self.events)
+        if self.initial is None:  # a schedule drops the firings left all-zero
+            return type(self)(k, tuple(e for e in events if e[1]), self.horizon)
+        return type(self)(k, gather(self.initial), events, self.horizon).canonical()
+
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
@@ -287,12 +312,6 @@ class Signal(_EventSequence):
         """(width, horizon, initial, canonical events): the canonical form
         drops every event that repeats the value in force before it."""
         return (self.width, self.horizon, self.initial, self._canon)
-
-    def restrict(self, coords: Iterable[int]) -> "Signal":
-        """Coordinate k of the result is coordinate coords[k-1]; canonical."""
-        cs = _checked_coords(coords, self.width)
-        events = tuple((t, gather_bits(v, cs)) for t, v in self.events)
-        return Signal(len(cs), gather_bits(self.initial, cs), events, self.horizon).canonical()
 
 
 def unit_step(t0: Tick, horizon: Tick) -> Signal:
@@ -396,13 +415,6 @@ class ProgressiveFunction(_EventSequence):
         for _, v in self.events:
             fired |= v
         return fired == (1 << self.width) - 1
-
-    def restrict(self, coords: Iterable[int]) -> "ProgressiveFunction":
-        """Coordinate k of the result is coordinate coords[k-1]; all-zero
-        firings are dropped."""
-        cs = _checked_coords(coords, self.width)
-        events = tuple((t, b) for t, v in self.events if (b := gather_bits(v, cs)))
-        return ProgressiveFunction(len(cs), events, self.horizon)
 
 
 def round_robin(width: int, ticks: Iterable[Tick], horizon: Tick) -> ProgressiveFunction:

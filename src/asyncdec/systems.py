@@ -39,7 +39,6 @@ from .signals import (
     SignalSet,
     Tick,
     _Value,
-    _checked_coords,
     product_rho,
     product_set,
 )
@@ -111,7 +110,7 @@ class RegularSystem(_Value):
         table `project_fn(phi, coords)`, every initial state restricted, and at
         each restricted state the restrictions of every schedule admitted at a
         full state extending it.  The inputs are unchanged."""
-        cs = _checked_coords(coords, self.n)
+        cs = tuple(coords)
         phi0 = {u: frozenset(mu.restrict(cs) for mu in ms) for u, ms in self.phi0.items()}
         pi: dict[tuple[BitVec, Signal], set[ProgressiveFunction]] = {}
         for (mu, u), rs in self.pi.items():

@@ -3,6 +3,7 @@
 import pytest
 
 import asyncdec.boolfn
+import asyncdec.signals
 from asyncdec import GeneratorFn
 from asyncdec.frontend import checks
 from asyncdec.systems import DecompositionResult
@@ -51,6 +52,29 @@ def test_theorem30_routes_share_no_dependency_scan(monkeypatch):
         assert len(routes) == 1, phi.table
         verdicts |= routes
     assert verdicts == {True, False}
+
+
+def test_flip_and_derivative_routes_share_no_relabeling(monkeypatch):
+    """The flip and derivative routes never relabel: with the relabeler and
+    `project_fn` disabled, both still agree with the recompose verdict on the
+    sample of the dependency-scan test above."""
+
+    def disabled(*args, **kwargs):
+        raise AssertionError("a theorem-30 route reached the relabeler")
+
+    sample = [
+        GeneratorFn(2, 1, tuple((packed >> (2 * r)) & 3 for r in range(8)))
+        for packed in range(0, 1 << 16, 257)
+    ]
+    expected = [recompose_verdict(phi, (1,)) for phi in sample]
+    checks._flip_cases.cache_clear()  # the flip route builds its cases under the patch
+    monkeypatch.setattr(asyncdec.signals, "_relabeler", disabled)
+    monkeypatch.setattr(asyncdec.boolfn, "_relabeler", disabled)
+    monkeypatch.setattr(asyncdec.boolfn, "project_fn", disabled)
+    monkeypatch.setattr(checks, "project_fn", disabled)
+    for phi, verdict in zip(sample, expected):
+        assert flip_invariant(phi, (1,)) == derivative_separated(phi, (1,)) == verdict, phi.table
+    assert set(expected) == {True, False}
 
 
 def test_theorem34_diagonal_witness_prints_inputs_as_event_lines(monkeypatch):

@@ -1,5 +1,5 @@
 """Restriction to an ordered coordinate tuple, the one relabeling operation,
-checked on every kind against per-value references."""
+checked on every kind against per-bit references."""
 
 import random
 
@@ -9,54 +9,15 @@ from hypothesis import strategies as st
 
 from asyncdec import BitVec, CoordinateError, GeneratorFn, ProgressiveFunction, Signal, project_fn
 from asyncdec.frontend.checks import rand_fn
-from asyncdec.signals import gather_bits
+from asyncdec.signals import _relabeler
 
 
-def _restricted(value: int, width: int, coords) -> int:
-    """Bit by bit: coordinate k of the result is coordinate coords[k-1]."""
-    return BitVec.from_bits([BitVec(width, value).bit(c) for c in coords]).value
-
-
-def _zero_extended(mu: BitVec, n: int, coords) -> BitVec:
-    """The width-n state holding coordinate k of `mu` at coords[k-1], 0 elsewhere."""
-    bits = [0] * n
-    for k, c in enumerate(coords, start=1):
-        bits[c - 1] = mu.bit(k)
-    return BitVec.from_bits(bits)
-
-
-@given(st.data())
-@settings(max_examples=120, deadline=None)
-def test_restrict_to_an_unsorted_tuple_matches_per_bit_references(data):
-    n = data.draw(st.integers(1, 4))
-    m = data.draw(st.integers(0, 2))
-    coords = tuple(data.draw(st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True)))
-    value = st.integers(0, (1 << n) - 1)
-    ticks = data.draw(st.lists(st.integers(1, 12), unique=True, max_size=6).map(sorted))
-    events = tuple((t, data.draw(value)) for t in ticks)
-    k = len(coords)
-
-    def ref(v):
-        return _restricted(v, n, coords)
-
-    mu = data.draw(value)
-    assert BitVec(n, mu).restrict(coords) == BitVec(k, ref(mu))
-
-    x = Signal(n, data.draw(value), events, 12)
-    got = x.restrict(coords)
-    expected = Signal(k, ref(x.initial), tuple((t, ref(v)) for t, v in events), 12).canonical()
-    assert got == expected
-    assert (got.initial, got.events) == (expected.initial, expected.events)
-
-    r = ProgressiveFunction(n, events, 12)
-    assert r.restrict(coords).events == tuple((t, ref(v)) for t, v in events if ref(v))
-
-    phi = GeneratorFn(n, m, tuple(data.draw(value) for _ in range(1 << (n + m))))
-    projected = project_fn(phi, coords)
-    for mu_k in BitVec.all_of_width(k):
-        for lam in BitVec.all_of_width(m):
-            out = phi.eval(_zero_extended(mu_k, n, coords), lam)
-            assert projected.eval(mu_k, lam) == BitVec(k, ref(out.value))
+def _gather_bits(value: int, coords) -> int:
+    """Pack the bits of `value` at 1-based positions `coords` into low bits."""
+    out = 0
+    for k, c in enumerate(coords):
+        out |= ((value >> (c - 1)) & 1) << k
+    return out
 
 
 def _scatter_bits(value: int, coords) -> int:
@@ -67,6 +28,65 @@ def _scatter_bits(value: int, coords) -> int:
     return out
 
 
+def _coords(data, width: int, max_size: int):
+    """An ordered coordinate tuple within 1..width, and a function that gives
+    it afresh as a range, a list or a one-shot generator."""
+    form = data.draw(st.sampled_from(["range", "list", "generator"]))
+    if form == "range":
+        lo = data.draw(st.integers(1, width))
+        hi = data.draw(st.integers(lo, min(width, lo + max_size - 1)))
+        step = data.draw(st.sampled_from([1, -1]))
+        coords = tuple(range(lo, hi + 1)[::step])
+        return coords, lambda: range(lo, hi + 1)[::step]
+    pool = st.integers(1, width)
+    coords = tuple(data.draw(st.lists(pool, min_size=1, max_size=max_size, unique=True)))
+    return coords, (lambda: list(coords)) if form == "list" else (lambda: (c for c in coords))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_restrict_to_an_unsorted_tuple_matches_per_bit_references(data):
+    """Widths 1..70, so a value spans up to nine 8-bit chunks."""
+    n = data.draw(st.integers(1, 70))
+    coords, given_as = _coords(data, n, n)
+    value = st.integers(0, (1 << n) - 1)
+    ticks = data.draw(st.lists(st.integers(1, 12), unique=True, max_size=6).map(sorted))
+    events = tuple((t, data.draw(value)) for t in ticks)
+    k = len(coords)
+
+    def ref(v):
+        return _gather_bits(v, coords)
+
+    mu = data.draw(value)
+    assert BitVec(n, mu).restrict(given_as()) == BitVec(k, ref(mu))
+
+    x = Signal(n, data.draw(value), events, 12)
+    got = x.restrict(given_as())
+    expected = Signal(k, ref(x.initial), tuple((t, ref(v)) for t, v in events), 12).canonical()
+    assert got == expected
+    assert (got.initial, got.events) == (expected.initial, expected.events)
+
+    r = ProgressiveFunction(n, events, 12)
+    assert r.restrict(given_as()).events == tuple((t, ref(v)) for t, v in events if ref(v))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_project_fn_up_to_two_chunks_matches_the_per_bit_reference(data):
+    """Row (s, lam) of the projection is phi at s scattered to `coords` (every
+    other coordinate 0), read back at `coords`."""
+    n = data.draw(st.integers(1, 10))
+    m = data.draw(st.integers(0, 2))
+    coords, given_as = _coords(data, n, n)
+    phi = rand_fn(random.Random(data.draw(st.integers(0, 1 << 32))), n, m)
+    expected = tuple(
+        _gather_bits(phi.table[_scatter_bits(s, coords) | lam << n], coords)
+        for lam in range(1 << m)
+        for s in range(1 << len(coords))
+    )
+    assert project_fn(phi, given_as()) == GeneratorFn(len(coords), m, expected)
+
+
 def _permute_fn_reference(phi: GeneratorFn, permutation) -> GeneratorFn:
     """The row loop that relabeled by a permutation array: old coordinate i
     becomes permutation[i-1]."""
@@ -74,7 +94,7 @@ def _permute_fn_reference(phi: GeneratorFn, permutation) -> GeneratorFn:
     for lam in range(1 << phi.m):
         base = lam << phi.n
         for mu_new in range(1 << phi.n):
-            mu_old = gather_bits(mu_new, permutation)
+            mu_old = _gather_bits(mu_new, permutation)
             rows.append(_scatter_bits(phi.table[mu_old | base], permutation))
     return GeneratorFn(phi.n, phi.m, tuple(rows))
 
@@ -89,14 +109,49 @@ def test_project_fn_on_the_inverse_order_is_the_permutation_row_loop():
         assert project_fn(phi, order) == _permute_fn_reference(phi, perm)
 
 
+def _restrictions(width: int):
+    top = (1 << width) - 1
+    return (
+        BitVec(width, 1).restrict,
+        Signal(width, 1, ((1, top),), 5).restrict,
+        ProgressiveFunction(width, ((1, top),), 5).restrict,
+        lambda cs: project_fn(GeneratorFn.identity(width, 1), cs),
+    )
+
+
 @pytest.mark.parametrize("coords", [(), (1, 1), (2, 1, 2), (0,), (3,), (1, 3)])
 def test_empty_repeated_and_out_of_range_coordinates_raise(coords):
-    restrictions = (
-        BitVec(2, 1).restrict,
-        Signal(2, 1, ((1, 2),), 5).restrict,
-        ProgressiveFunction(2, ((1, 3),), 5).restrict,
-        lambda cs: project_fn(GeneratorFn.identity(2, 1), cs),
-    )
-    for restrict in restrictions:
+    for restrict in _restrictions(2):
         with pytest.raises(CoordinateError):
             restrict(coords)
+
+
+def test_the_memo_never_hides_a_coordinate_error():
+    """A refused tuple is refused again with the same text, and a tuple that
+    holds at width 5 is still refused at width 3."""
+    for restrict in _restrictions(3):
+        texts = []
+        for _ in range(2):
+            with pytest.raises(CoordinateError) as refused:
+                restrict((2, 1, 2))
+            texts.append(str(refused.value))
+        assert texts[0] == texts[1] == "repeated coordinate in (2, 1, 2)"
+    for restrict in _restrictions(5):
+        restrict((5, 1))
+    for restrict in _restrictions(3):
+        with pytest.raises(CoordinateError, match=r"not within 1\.\.3"):
+            restrict((5, 1))
+
+
+@pytest.mark.parametrize("width", [8, 9, 64, 70])
+def test_a_relabeler_holds_at_most_256_ints_per_chunk_of_the_width(width):
+    """Nothing memoized grows as 2^width: a projection over more than 8 bits
+    expands its whole maps for one call and keeps only the chunks."""
+    for coords in (range(1, width + 1), range(width, 0, -1), (width,), (1, width)):
+        coords = tuple(coords)
+        if width <= 9:
+            project_fn(GeneratorFn.identity(width), coords)
+        k, _, picks, spreads = _relabeler(width, coords)
+        assert k == len(coords)
+        assert len(picks) == -(-width // 8) and len(spreads) == -(-k // 8)
+        assert all(len(chunk) <= 256 for chunk in picks + spreads)
