@@ -21,6 +21,7 @@ from __future__ import annotations
 import os
 import sys
 from array import array
+from functools import lru_cache
 from typing import Callable, Iterable
 
 from .errors import CoordinateError, InvalidValue, NotSeparatedError, SizeLimitError, WidthMismatch
@@ -239,17 +240,22 @@ def parallel_fn(a: GeneratorFn, b: GeneratorFn) -> GeneratorFn:
     state block, the rest run `b` on the second, under the shared input."""
     if a.m != b.m:
         raise WidthMismatch(f"input widths differ: {a.m} vs {b.m}")
-    rows = []
-    for lam in range(1 << a.m):
-        xs = a.table[lam << a.n:(lam + 1) << a.n]
-        ys = b.table[lam << b.n:(lam + 1) << b.n]
-        rows += [x | y << a.n for y in ys for x in xs]
-    return GeneratorFn(a.n + b.n, a.m, tuple(rows))
+    (na, ta), (nb, tb) = (a.n, a.table), (b.n, b.table)
+    rows = [x | y << na for lam in range(1 << a.m)
+            for xs, ys in ((ta[lam << na:(lam + 1) << na], tb[lam << nb:(lam + 1) << nb]),)
+            for y in ys for x in xs]
+    return GeneratorFn(na + nb, a.m, tuple(rows))
 
 
 def _split_blocks(n: int, block: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(block, complement) within 1..n, both ascending; the block must be a
-    proper nonempty subset."""
+    proper nonempty subset.  Memoized on (n, tuple(block)); a refusal is
+    never cached, so it raises anew on every call."""
+    return _split_tuple(n, tuple(block))
+
+
+@lru_cache(maxsize=256)
+def _split_tuple(n: int, block: tuple[int, ...]):
     members = set(block)
     bs = sorted(members)
     if not bs or bs[0] < 1 or bs[-1] > n:

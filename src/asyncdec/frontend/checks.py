@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
+from itertools import product
 
 from ..boolfn import (
     GeneratorFn,
@@ -125,26 +126,28 @@ def rand_system(rng: random.Random, phi: GeneratorFn, horizon: int, n_inputs: in
 
 @lru_cache(maxsize=64)
 def _flip_cases(n: int, m: int, block):
-    """Every input, and per state the pairs (state with one bit flipped, mask of
-    the other side): these depend on the shape only, never on the table."""
+    """Plain-int rows per shape, never per table: per state, its row and the
+    rows of its one-bit flips across the block, each with the other side's
+    mask; per input, its row offset lam << n.  2^n entries, never 2^(n+m)."""
     bs, cs = _split_blocks(n, block)
     mask_b, mask_c = (sum(1 << (i - 1) for i in side) for side in (bs, cs))
-    flips = [(j, mask_b) for j in cs] + [(j, mask_c) for j in bs]
-    cases = tuple((mu, tuple((mu.flip(j), mask) for j, mask in flips)) for mu in BitVec.all_of_width(n))
-    return cases, tuple(BitVec.all_of_width(m))
+    flips = [(1 << (j - 1), mask_b) for j in cs] + [(1 << (j - 1), mask_c) for j in bs]
+    cases = tuple((mu, tuple((mu ^ bit, mask) for bit, mask in flips)) for mu in range(1 << n))
+    return cases, tuple(lam << n for lam in range(1 << m))
 
 
 def flip_invariant(phi: GeneratorFn, block) -> bool:
     """Direct pointwise check: flipping a state bit on the other side of the
-    block never changes a coordinate's value.  Evaluation-based on purpose,
-    so it is a route independent of the derivative tables and of relabeling;
-    its states, flips and inputs are built once per (n, m, block)."""
-    cases, lams = _flip_cases(phi.n, phi.m, tuple(block))
+    block never changes a coordinate's value.  It reads `phi.table` one point
+    at a time, at rows computed as `GeneratorFn.eval` computes them, so it
+    is a route independent of the derivative tables and of relabeling."""
+    cases, offsets = _flip_cases(phi.n, phi.m, tuple(block))
+    table = phi.table
     for mu, flips in cases:
-        for lam in lams:
-            out = phi.eval(mu, lam).value
+        for offset in offsets:
+            out = table[mu + offset]
             for flipped, mask in flips:
-                if (out ^ phi.eval(flipped, lam).value) & mask:
+                if (out ^ table[flipped + offset]) & mask:
                     return False
     return True
 
@@ -215,8 +218,8 @@ def theorem30_exhaustive() -> tuple[CheckReport, tuple[GeneratorFn, ...]]:
     separable = []
 
     def outcomes():
-        for packed in range(1 << 16):
-            table = tuple((packed >> (2 * r)) & 3 for r in range(8))
+        for digits in product(range(4), repeat=8):  # increasing packed order, row 0 lowest
+            table = digits[::-1]
             phi = GeneratorFn(2, 1, table)
             v_flip = flip_invariant(phi, block)
             v_deriv = derivative_separated(phi, block)

@@ -234,8 +234,7 @@ def format_system(sys: RegularSystem) -> str:
             names = ", ".join(rho_names[rho] for rho in sorted(sys.pi[(mu, u)]))
             lines.append(f"{mu} @ {input_names[u]}: {names}")
     for rho, name in rho_names.items():
-        lines.append(f"[rho {name}]")
-        lines.append(str(rho))
+        lines += [f"[rho {name}]", str(rho)]
     return "\n".join(lines) + "\n"
 
 

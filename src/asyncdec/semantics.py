@@ -78,8 +78,5 @@ def delay_bounds(u: Signal, tau: Tick, t: Tick) -> tuple[int, int]:
     if t > u.horizon:
         raise HorizonExceeded(f"t={t} beyond horizon {u.horizon}")
     start = t - tau
-    samples = [u.value_at(start)]
-    for tk, _ in u.events:
-        if start < tk < t:
-            samples.append(u.value_at(tk))
+    samples = [u.value_at(start)] + [u.value_at(tk) for tk, _ in u.events if start < tk < t]
     return min(samples), max(samples)

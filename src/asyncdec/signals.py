@@ -137,8 +137,7 @@ class BitVec(_Value):
     @classmethod
     def all_of_width(cls, width: int):
         """All 2^width vectors in increasing packed order."""
-        for v in range(1 << width):
-            yield cls(width, v)
+        return (cls(width, v) for v in range(1 << width))
 
     def bit(self, i: int) -> int:
         """Coordinate i, 1-based."""
@@ -303,9 +302,7 @@ class Signal(_EventSequence):
         if t > self.horizon:
             raise HorizonExceeded(f"t={t} beyond horizon {self.horizon}")
         k = bisect_left(self.events, (t + 1,))
-        if k == 0:
-            return self.initial
-        return self.events[k - 1][1]
+        return self.events[k - 1][1] if k else self.initial
 
     @property
     def key(self) -> tuple:

@@ -157,15 +157,10 @@ def parallel_system(a: RegularSystem, b: RegularSystem) -> RegularSystem:
         u: frozenset(ma.concat(mb) for ma in a.phi0[u] for mb in b.phi0[u])
         for u in shared
     }
-    pi = {}
-    for u in shared:
-        for ma in a.phi0[u]:
-            for mb in b.phi0[u]:
-                pi[(ma.concat(mb), u)] = frozenset(
-                    product_rho(ra, rb)
-                    for ra in a.pi[(ma, u)]
-                    for rb in b.pi[(mb, u)]
-                )
+    pi = {
+        (ma.concat(mb), u): frozenset(product_rho(ra, rb) for ra in a.pi[(ma, u)] for rb in b.pi[(mb, u)])
+        for u in shared for ma in a.phi0[u] for mb in b.phi0[u]
+    }
     return RegularSystem(parallel_fn(a.phi, b.phi), shared, phi0, pi)
 
 

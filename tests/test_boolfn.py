@@ -20,7 +20,7 @@ from asyncdec import (
     project_fn,
     split_fn,
 )
-from asyncdec.boolfn import dependency_witness
+from asyncdec.boolfn import _split_blocks, dependency_witness
 from asyncdec.frontend.checks import partition_oracle_verdict, rand_fn
 
 bv = BitVec.from_string
@@ -280,6 +280,32 @@ def test_scalar_function_has_no_valid_block():
         is_separated(phi, (1,))
     with pytest.raises(CoordinateError):
         is_separated(phi, ())
+
+
+@pytest.mark.parametrize(
+    "block, text",
+    [
+        ((), "block [] not within 1..3"),
+        ((3, 1, 2), "block must be a proper nonempty subset of the coordinates"),
+        ((0, 2), "block [0, 2] not within 1..3"),
+        ((2, 4), "block [2, 4] not within 1..3"),
+    ],
+)
+def test_split_blocks_memo_never_hides_a_refusal(block, text):
+    """A refused block raises the same error on every call: the memo keeps
+    only results, never an exception."""
+    for _ in range(2):
+        with pytest.raises(CoordinateError) as info:
+            _split_blocks(3, block)
+        assert str(info.value) == text
+
+
+def test_split_blocks_reads_any_iterable_of_coordinates():
+    expected = ((2, 3), (1, 4, 5))
+    assert _split_blocks(5, [3, 2]) == expected
+    assert _split_blocks(5, range(2, 4)) == expected
+    assert _split_blocks(5, (c for c in (3, 2, 3))) == expected
+    assert _split_blocks(5, [2, 3]) == expected  # a memo hit returns the same pair
 
 
 # -- finest partition ----------------------------------------------------------

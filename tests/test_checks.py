@@ -1,20 +1,25 @@
 """Verification suites: report verdicts."""
 
+import random
+
 import pytest
 
 import asyncdec.boolfn
 import asyncdec.signals
-from asyncdec import GeneratorFn
+from asyncdec import BitVec, CoordinateError, GeneratorFn, parallel_fn, project_fn
+from asyncdec.boolfn import _split_blocks
 from asyncdec.frontend import checks
 from asyncdec.systems import DecompositionResult
 from asyncdec.frontend.checks import (
     derivative_separated,
     flip_invariant,
     lemma1_suite,
+    rand_fn,
     recompose_verdict,
     synchronous_suite,
     theorem26_suite,
     theorem27_suite,
+    theorem30_exhaustive,
     theorem32_suite,
     theorem34_suite,
 )
@@ -75,6 +80,83 @@ def test_flip_and_derivative_routes_share_no_relabeling(monkeypatch):
     for phi, verdict in zip(sample, expected):
         assert flip_invariant(phi, (1,)) == derivative_separated(phi, (1,)) == verdict, phi.table
     assert set(expected) == {True, False}
+
+
+def _flip_by_eval(phi, block):
+    """The flip route written against `GeneratorFn.eval`: `BitVec` states,
+    their one-bit flips by `flip(j)` and every input, evaluated point by point."""
+    bs, cs = _split_blocks(phi.n, block)
+    mask_b, mask_c = (sum(1 << (i - 1) for i in side) for side in (bs, cs))
+    flips = [(j, mask_b) for j in cs] + [(j, mask_c) for j in bs]
+    for mu in BitVec.all_of_width(phi.n):
+        for lam in BitVec.all_of_width(phi.m):
+            out = phi.eval(mu, lam).value
+            for j, mask in flips:
+                if (out ^ phi.eval(mu.flip(j), lam).value) & mask:
+                    return False
+    return True
+
+
+def test_flip_route_reading_rows_gives_the_verdict_of_evaluation():
+    """On random tables, half of them separated at a random non-contiguous
+    block by relabeling a parallel composition, the row-reading flip route
+    agrees with point-by-point evaluation; a one-bit state has no block."""
+    rng = random.Random(26)
+    verdicts = []
+    for _ in range(400):
+        n, m = rng.randint(1, 5), rng.randint(0, 2)
+        if n == 1:
+            for route in (flip_invariant, _flip_by_eval):
+                with pytest.raises(CoordinateError):
+                    route(rand_fn(rng, 1, m), (1,))
+            continue
+        block = sorted(rng.sample(range(1, n + 1), rng.randint(1, n - 1)))
+        rest = [c for c in range(1, n + 1) if c not in block]
+        if rng.random() < 0.5:
+            par = parallel_fn(rand_fn(rng, len(block), m), rand_fn(rng, len(rest), m))
+            # coordinate c of phi reads par's coordinate for c's place in block + rest
+            phi = project_fn(par, [(block + rest).index(c) + 1 for c in range(1, n + 1)])
+        else:
+            phi = rand_fn(rng, n, m)
+        verdicts.append((flip_invariant(phi, block), m))
+        assert verdicts[-1][0] == _flip_by_eval(phi, block), (phi.table, block)
+    assert {v for v, _ in verdicts} == {True, False}
+    assert {(True, 0), (False, 0)} <= set(verdicts)
+
+
+def test_flip_route_never_evaluates(monkeypatch):
+    """The flip route reads table rows: it builds no `BitVec` per point and
+    never calls `GeneratorFn.eval`."""
+    def disabled(*args, **kwargs):
+        raise AssertionError("the flip route evaluated a point")
+
+    phi = parallel_fn(rand_fn(random.Random(1), 2, 1), rand_fn(random.Random(2), 2, 1))
+    checks._flip_cases.cache_clear()
+    monkeypatch.setattr(GeneratorFn, "eval", disabled)
+    monkeypatch.setattr(BitVec, "__init__", disabled)
+    assert flip_invariant(phi, (2, 1)) and not flip_invariant(phi, (1, 3))
+
+
+def test_flip_cases_grow_with_the_states_and_inputs_apart():
+    """A shape's cases hold 2^n state entries (each with its n flips) and 2^m
+    row offsets, never one entry per row of the 2^(n+m)-row table."""
+    cases, offsets = checks._flip_cases(10, 4, (1, 4, 9))
+    assert len(cases) == 1 << 10 and len(offsets) == 1 << 4
+    assert all(len(flips) == 10 for _, flips in cases)
+    assert offsets == tuple(lam << 10 for lam in range(16))
+    mask_b, mask_c = 0b0100001001, 0b1011110110  # the block {1, 4, 9} and the rest
+    flips = [(5 ^ 1 << (j - 1), mask_b) for j in (2, 3, 5, 6, 7, 8, 10)]
+    assert cases[5] == (5, tuple(flips + [(5 ^ 1 << (j - 1), mask_c) for j in (1, 4, 9)]))
+
+
+def test_theorem30_returns_its_separable_tables_in_packed_order():
+    report, separable = theorem30_exhaustive()
+    assert report.summary() == "thm30 route agreement over all n=2 m=1 tables: 65536/65536 ok -> PASS"
+    packed = [sum(v << 2 * r for r, v in enumerate(phi.table)) for phi in separable]
+    assert len(packed) == 256 and packed == sorted(packed)
+    assert separable[0].table == (0,) * 8
+    assert separable[1].table == (2, 2, 0, 0, 0, 0, 0, 0)
+    assert separable[-1].table == (3,) * 8
 
 
 def test_theorem34_diagonal_witness_prints_inputs_as_event_lines(monkeypatch):
