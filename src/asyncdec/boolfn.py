@@ -311,10 +311,6 @@ class Partition(_Value):
         super().__init__(ascending)
         object.__setattr__(self, "permutation", tuple(order.index(c) + 1 for c in sorted(order)))
 
-    @property
-    def n(self) -> int:
-        return sum(len(b) for b in self.blocks)
-
 
 def finest_partition(phi: GeneratorFn) -> Partition:
     """The finest partition into pairwise separated blocks; see

@@ -33,7 +33,7 @@ from ..signals import (
     round_robin,
     unit_step,
 )
-from ..systems import RegularSystem, decompose_system
+from ..systems import RegularSystem, decompose_system, parallel_system
 
 
 class CheckReport(_Value):
@@ -270,22 +270,17 @@ def theorem32_suite(seed: int, cases: int) -> CheckReport:
 def _product_form_system(
     rng: random.Random, fa: GeneratorFn, fb: GeneratorFn, horizon: int
 ) -> RegularSystem:
-    """A system over parallel_fn(fa, fb) whose phi0 and pi are products."""
-    phi = parallel_fn(fa, fb)
-    u = rand_signal(rng, phi.m, horizon, max_events=4)
-    sa = [BitVec(fa.n, v) for v in rng.sample(range(1 << fa.n), rng.randint(1, min(2, 1 << fa.n)))]
-    sb = [BitVec(fb.n, v) for v in rng.sample(range(1 << fb.n), rng.randint(1, min(2, 1 << fb.n)))]
-    ra = {ma: [rand_rho(rng, fa.n, horizon) for _ in range(rng.randint(1, 2))] for ma in sa}
-    rb = {mb: [rand_rho(rng, fb.n, horizon) for _ in range(rng.randint(1, 2))] for mb in sb}
-    phi0 = {u: frozenset(ma.concat(mb) for ma in sa for mb in sb)}
-    pi = {
-        (ma.concat(mb), u): frozenset(
-            product_rho(xa, xb) for xa in ra[ma] for xb in rb[mb]
-        )
-        for ma in sa
-        for mb in sb
-    }
-    return RegularSystem(phi, (u,), phi0, pi)
+    """The parallel connection of two one-input bundles over fa and fb, drawn in
+    the order the seeded suites rely on: input, both state sets, schedules."""
+    u = rand_signal(rng, fa.m, horizon, max_events=4)
+    picks = [rng.sample(range(1 << f.n), rng.randint(1, min(2, 1 << f.n))) for f in (fa, fb)]
+    factors = []
+    for f, values in zip((fa, fb), picks):
+        states = [BitVec(f.n, v) for v in values]
+        pi = {(mu, u): [rand_rho(rng, f.n, horizon) for _ in range(rng.randint(1, 2))]
+              for mu in states}
+        factors.append(RegularSystem(f, (u,), {u: states}, pi))
+    return parallel_system(*factors)
 
 
 def diagonal_example() -> RegularSystem:

@@ -14,13 +14,14 @@ identical inputs and flags; `--stamp` opts into a timestamp line.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
-from ..boolfn import GeneratorFn, _split_blocks, dependency_matrix, finest_partition
+from ..boolfn import GeneratorFn, _split_blocks, dependency_matrix, finest_partition, parallel_fn
 from ..errors import AsyncDecError, NotSeparatedError
 from ..semantics import run
 from ..signals import BitVec
-from ..systems import DecompositionResult, RegularSystem, decompose_system
+from ..systems import DecompositionResult, RegularSystem, decompose_system, parallel_system
 from . import checks
 from .dsl import compile_program, parse_dsl
 from .fileio import (
@@ -31,6 +32,7 @@ from .fileio import (
     load_rho,
     load_signal,
     load_system,
+    parse_system,
     parse_truth_table,
     read_text,
     save_system,
@@ -46,9 +48,9 @@ def _first_line(text: str) -> str:
     return next(_split_lines(text), (0, ""))[1]
 
 
-def _load_phi(path: str) -> GeneratorFn:
-    """A truth table if the file opens with its header, else the equation DSL."""
-    text = read_text(path)
+def _parse_phi(path: str, text: str) -> GeneratorFn:
+    """A truth table if the text of file `path` opens with its header, else the
+    equation DSL."""
     line = _first_line(text)
     if not line:
         raise LoadError(f"{path}: empty file")
@@ -70,7 +72,7 @@ def _blocks_text(blocks) -> str:
 
 
 def _cmd_analyze(args) -> int:
-    phi = _load_phi(args.phi)
+    phi = _parse_phi(args.phi, read_text(args.phi))
     dm = dependency_matrix(phi)
     part = dm.components()
     print(f"generator function: n={phi.n} m={phi.m}")
@@ -100,7 +102,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    phi = _load_phi(args.phi)
+    phi = _parse_phi(args.phi, read_text(args.phi))
     mu = _parse_state(args.init, phi.n)
     u = load_signal(args.input)
     rho = load_rho(args.rho)
@@ -141,24 +143,17 @@ def _parse_state(text: str, n: int) -> BitVec:
     return BitVec.from_string(text)
 
 
-def _sniff_bundle(path: str) -> bool:
-    return _first_line(read_text(path)).startswith("[")
-
-
 def _cmd_compose(args) -> int:
-    bundles = _sniff_bundle(args.first)
-    if bundles != _sniff_bundle(args.second):
+    paths = (args.first, args.second)
+    texts = [read_text(path) for path in paths]
+    bundles = [_first_line(text).startswith("[") for text in texts]
+    if bundles[0] != bundles[1]:
         raise LoadError("compose needs two truth tables or two system bundles")
-    if bundles:
-        from ..systems import parallel_system
-
-        combined = parallel_system(load_system(args.first), load_system(args.second))
-        text = format_system(combined)
+    if bundles[0]:
+        a, b = (parse_system(t, os.path.dirname(p) or ".") for p, t in zip(paths, texts))
+        text = format_system(parallel_system(a, b))
     else:
-        from ..boolfn import parallel_fn
-
-        combined_fn = parallel_fn(_load_phi(args.first), _load_phi(args.second))
-        text = format_truth_table(combined_fn)
+        text = format_truth_table(parallel_fn(*map(_parse_phi, paths, texts)))
     if args.out:
         with open(args.out, "w") as f:
             f.write(text)

@@ -5,8 +5,9 @@ point (the lam field is omitted when m=0); every row must be present, order
 is irrelevant.  Signals and schedules share one line grammar,
 `n=<width> [init=<bits>] H=<tick> events=(t,bits);(t,bits);...` with bits
 written coordinate 1 first, and `init=` is present exactly on signals.
-System bundles are sectioned: [phi], [inputs], [phi0], [pi] and one
-[rho <name>] section per named schedule.
+Numbers are ASCII digits only.  System bundles are sectioned: [phi], [inputs],
+[phi0], [pi] and one [rho <name>] section per named schedule; a section of
+any other name is refused.
 
 Every loader rejects exactly the inputs violating its format, with an error
 naming the first violation.
@@ -83,7 +84,7 @@ def _split_lines(text: str):
 
 # -- truth tables -------------------------------------------------------
 
-_TT_HEADER = re.compile(r"^n=(\d+)\s+m=(\d+)$")
+_TT_HEADER = re.compile(r"^n=(\d+)\s+m=(\d+)$", re.ASCII)
 
 
 def format_truth_table(phi: GeneratorFn) -> str:
@@ -96,10 +97,10 @@ def format_truth_table(phi: GeneratorFn) -> str:
 
 
 def parse_truth_table(text: str) -> GeneratorFn:
-    lines = list(_split_lines(text))
-    if not lines:
+    lines = _split_lines(text)
+    line_no, header = next(lines, (0, ""))
+    if not header:
         raise MalformedRowError("empty truth table")
-    line_no, header = lines[0]
     match = _TT_HEADER.match(header)
     if not match:
         raise MalformedRowError(f"line {line_no}: expected 'n=<n> m=<m>', found {header!r}")
@@ -108,7 +109,7 @@ def parse_truth_table(text: str) -> GeneratorFn:
         raise WidthInconsistencyError(f"line {line_no}: state width must be >= 1")
     check_index_range(n, m)
     rows: dict[int, int] = {}
-    for line_no, line in lines[1:]:
+    for line_no, line in lines:  # the rows, from the same iterator as the header
         left, arrow, out = line.partition("->")
         if not arrow:
             raise MalformedRowError(f"line {line_no}: missing '->' in {line!r}")
@@ -147,8 +148,8 @@ def load_truth_table(path: str) -> GeneratorFn:
 
 # -- signals and schedules ----------------------------------------------
 
-_SEQUENCE_LINE = re.compile(r"^n=(\d+)\s+(?:init=([01]+)\s+)?H=(-?\d+)\s+events=(.*)$")
-_EVENT = re.compile(r"^\((-?\d+),([01]+)\)$")
+_SEQUENCE_LINE = re.compile(r"^n=(\d+)\s+(?:init=([01]+)\s+)?H=(-?\d+)\s+events=(.*)$", re.ASCII)
+_EVENT = re.compile(r"^\((-?\d+),([01]+)\)$", re.ASCII)
 _FORMS = {"signal": "n=<w> init=<bits> H=<tick> events=...",
           "schedule": "n=<w> H=<tick> events=..."}
 
@@ -212,6 +213,7 @@ def load_rho(path: str) -> ProgressiveFunction:
 # -- system bundles ------------------------------------------------------
 
 _SECTION = re.compile(r"^\[([a-z0-9_ ]+)\]$")
+_NAMED_SECTIONS = ("phi", "inputs", "phi0", "pi")
 
 
 def format_system(sys: RegularSystem) -> str:
@@ -238,36 +240,39 @@ def format_system(sys: RegularSystem) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _comma_list(text: str) -> list[str]:
+    """The non-blank items of a comma-separated list, stripped."""
+    return [item for item in map(str.strip, text.split(",")) if item]
+
+
 def parse_system(text: str, base_dir: str = ".") -> RegularSystem:
-    sections: list[tuple[str, list[tuple[int, str]]]] = []
-    current = None
+    """Sections are filed by name as their headers are read, then read in the
+    order phi, inputs, schedules, phi0, pi, whatever their order in the file."""
+    named: dict[str, list[tuple[int, str]]] = {}
+    rho_sections: dict[str, list[tuple[int, str]]] = {}  # keyed "rho <name>"
+    body = None
     for line_no, line in _split_lines(text):
         match = _SECTION.match(line)
-        if match:
-            current = (match.group(1), [])
-            sections.append(current)
-        elif current is None:
-            raise BundleError(f"line {line_no}: content before the first section")
-        else:
-            current[1].append((line_no, line))
-
-    by_name: dict[str, list[tuple[int, str]]] = {}
-    rho_sections: dict[str, list[tuple[int, str]]] = {}
-    for name, body in sections:
+        if not match:
+            if body is None:
+                raise BundleError(f"line {line_no}: content before the first section")
+            body.append((line_no, line))
+            continue
+        name = match.group(1)
         if name.startswith("rho "):
-            rho_name = name[4:].strip()
-            if rho_name in rho_sections:
-                raise BundleError(f"duplicate section [rho {rho_name}]")
-            rho_sections[rho_name] = body
+            store, name = rho_sections, "rho " + name[4:].strip()
+        elif name in _NAMED_SECTIONS:
+            store = named
         else:
-            if name in by_name:
-                raise BundleError(f"duplicate section [{name}]")
-            by_name[name] = body
-    for required in ("phi", "inputs", "phi0", "pi"):
-        if required not in by_name:
+            raise BundleError(f"line {line_no}: unknown section [{name}]")
+        if name in store:
+            raise BundleError(f"duplicate section [{name}]")
+        body = store[name] = []
+    for required in _NAMED_SECTIONS:
+        if required not in named:
             raise BundleError(f"missing section [{required}]")
 
-    phi_body = by_name["phi"]
+    phi_body = named["phi"]
     if len(phi_body) == 1 and phi_body[0][1].startswith("file="):
         ref = phi_body[0][1][len("file="):].strip()
         phi = load_truth_table(os.path.join(base_dir, ref))
@@ -275,8 +280,7 @@ def parse_system(text: str, base_dir: str = ".") -> RegularSystem:
         phi = parse_truth_table("\n".join(line for _, line in phi_body))
 
     inputs: dict[str, Signal] = {}
-    order: list[Signal] = []
-    for line_no, line in by_name["inputs"]:
+    for line_no, line in named["inputs"]:
         name, eq, rest = line.partition("=")
         if not eq:
             raise BundleError(f"line {line_no}: expected '<name> = <signal>'")
@@ -284,16 +288,15 @@ def parse_system(text: str, base_dir: str = ".") -> RegularSystem:
         if name in inputs:
             raise BundleError(f"line {line_no}: duplicate input name {name!r}")
         inputs[name] = parse_signal(rest.strip(), where=f"line {line_no}")
-        order.append(inputs[name])
 
     rhos: dict[str, ProgressiveFunction] = {}
-    for name, body in rho_sections.items():
+    for label, body in rho_sections.items():
         if len(body) != 1:
-            raise BundleError(f"[rho {name}] must contain exactly one schedule line")
-        rhos[name] = parse_rho(body[0][1], where=f"[rho {name}]")
+            raise BundleError(f"[{label}] must contain exactly one schedule line")
+        rhos[label[4:]] = parse_rho(body[0][1], where=f"[{label}]")
 
     phi0: dict[Signal, frozenset[BitVec]] = {}
-    for line_no, line in by_name["phi0"]:
+    for line_no, line in named["phi0"]:
         name, colon, rest = line.partition(":")
         if not colon:
             raise BundleError(f"line {line_no}: expected '<input>: bits, bits, ...'")
@@ -303,17 +306,13 @@ def parse_system(text: str, base_dir: str = ".") -> RegularSystem:
         u = inputs[name]
         if u in phi0:
             raise BundleError(f"line {line_no}: phi0 given twice for {name!r}")
-        values = [
-            _parse_bits(chunk.strip(), f"line {line_no}")
-            for chunk in rest.split(",")
-            if chunk.strip()
-        ]
+        values = [_parse_bits(bits, f"line {line_no}") for bits in _comma_list(rest)]
         if not values:
             raise BundleError(f"line {line_no}: phi0 for {name!r} is empty")
         phi0[u] = frozenset(values)
 
     pi: dict[tuple[BitVec, Signal], frozenset[ProgressiveFunction]] = {}
-    for line_no, line in by_name["pi"]:
+    for line_no, line in named["pi"]:
         left, colon, rest = line.partition(":")
         if not colon or "@" not in left:
             raise BundleError(f"line {line_no}: expected '<bits> @ <input>: names'")
@@ -322,23 +321,18 @@ def parse_system(text: str, base_dir: str = ".") -> RegularSystem:
         name = name.strip()
         if name not in inputs:
             raise BundleError(f"line {line_no}: unknown input {name!r}")
-        u = inputs[name]
-        key = (mu, u)
+        key = (mu, inputs[name])
         if key in pi:
             raise BundleError(f"line {line_no}: pi given twice for {mu} @ {name}")
-        chosen = []
-        for chunk in rest.split(","):
-            rho_name = chunk.strip()
-            if not rho_name:
-                continue
+        names = _comma_list(rest)
+        for rho_name in names:
             if rho_name not in rhos:
                 raise BundleError(f"line {line_no}: unknown schedule {rho_name!r}")
-            chosen.append(rhos[rho_name])
-        if not chosen:
+        if not names:
             raise BundleError(f"line {line_no}: pi for {mu} @ {name} is empty")
-        pi[key] = frozenset(chosen)
+        pi[key] = frozenset(map(rhos.__getitem__, names))
 
-    return RegularSystem(phi, tuple(order), phi0, pi)
+    return RegularSystem(phi, tuple(inputs.values()), phi0, pi)
 
 
 def load_system(path: str) -> RegularSystem:

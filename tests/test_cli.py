@@ -320,6 +320,12 @@ def test_table_header_beyond_the_index_range_is_input_error(workdir, capsys, hea
     assert "exceed this platform's index range" in err
 
 
+def test_table_header_with_non_ascii_digits_is_input_error(workdir, capsys):
+    (workdir / "arabic.tt").write_text("n=\u0661 m=0\n0 -> 0\n1 -> 1\n", encoding="utf-8")
+    assert main(["analyze", "--phi", str(workdir / "arabic.tt")]) == 2
+    assert capsys.readouterr().err == "error: line 1: expected 'n=<n> m=<m>', found 'n=\u0661 m=0'\n"
+
+
 def test_verify_example1_deterministic():
     first = cli("verify", "--thm", "example1", "--seed", "3")
     second = cli("verify", "--thm", "example1", "--seed", "3")

@@ -212,6 +212,28 @@ def test_event_line_errors_read_exactly(parse, line, error, text, tmp_path, monk
     assert str(err.value) == text
 
 
+@pytest.mark.parametrize(
+    "parse, text, error, message",
+    [
+        pytest.param(parse_truth_table, "n=\u0661 m=0\n0 -> 0\n1 -> 1", MalformedRowError,
+                     "line 1: expected 'n=<n> m=<m>', found 'n=\u0661 m=0'", id="table-header"),
+        pytest.param(parse_signal, "n=1 init=0 H=\u0665 events=(1,1)", MalformedRowError,
+                     "signal: expected 'n=<w> init=<bits> H=<tick> events=...', "
+                     "found 'n=1 init=0 H=\u0665 events=(1,1)'", id="signal-horizon"),
+        pytest.param(parse_signal, "n=1 init=0 H=5 events=(\u0661,1)", MalformedRowError,
+                     "signal: bad event '(\u0661,1)', expected (t,bits)", id="signal-tick"),
+        pytest.param(parse_rho, "n=\uff12 H=5 events=(1,11)", MalformedRowError,
+                     "schedule: expected 'n=<w> H=<tick> events=...', "
+                     "found 'n=\uff12 H=5 events=(1,11)'", id="schedule-width"),
+    ],
+)
+def test_non_ascii_digits_are_not_numbers(parse, text, error, message):
+    """`int()` reads Arabic-Indic and fullwidth digits; the formats do not."""
+    with pytest.raises(error) as err:
+        parse(text)
+    assert type(err.value) is error and str(err.value) == message
+
+
 @given(st.randoms(use_true_random=False), st.integers(1, 4), st.integers(0, 12))
 @settings(max_examples=100, deadline=None)
 def test_signal_and_schedule_lines_round_trip(rng, width, horizon):
@@ -275,30 +297,7 @@ n=1 H=8 events=(1,1)
     assert sys_.inputs == (unit_step(0, 8),)
 
 
-def test_bundle_unknown_input():
-    bundle = """
-[phi]
-n=1 m=1
-0 0 -> 0
-1 0 -> 1
-0 1 -> 0
-1 1 -> 1
-[inputs]
-step = n=1 init=0 H=8 events=(0,1)
-[phi0]
-other: 0
-[pi]
-0 @ step: r0
-[rho r0]
-n=1 H=8 events=(1,1)
-"""
-    with pytest.raises(BundleError):
-        parse_system(bundle)
-
-
-def test_bundle_unknown_schedule():
-    bundle = """
-[phi]
+BUNDLE = """[phi]
 n=1 m=1
 0 0 -> 0
 1 0 -> 1
@@ -309,15 +308,68 @@ step = n=1 init=0 H=8 events=(0,1)
 [phi0]
 step: 0
 [pi]
-0 @ step: missing
+0 @ step: r0
+[rho r0]
+n=1 H=8 events=(1,1)
 """
-    with pytest.raises(BundleError):
-        parse_system(bundle)
 
 
-def test_bundle_missing_section():
-    with pytest.raises(BundleError):
-        parse_system("[phi]\nn=1 m=0\n0 -> 0\n1 -> 1\n")
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param(BUNDLE.replace("[phi]\n", "junk\n[phi]\n"),
+                     "line 1: content before the first section", id="before-first-section"),
+        pytest.param(BUNDLE.replace("[rho r0]", "[phi]\nn=1 m=0\n0 -> 0\n1 -> 1\n[rho r0]"),
+                     "duplicate section [phi]", id="duplicate-phi"),
+        pytest.param(BUNDLE + "[rho r0]\nn=1 H=8 events=(2,1)\n",
+                     "duplicate section [rho r0]", id="duplicate-rho"),
+        pytest.param(BUNDLE.replace("[pi]", "[phi_0]\nstep: 1\n[pi]"),
+                     "line 11: unknown section [phi_0]", id="unknown-section"),
+        pytest.param("[phi]\nn=1 m=0\n0 -> 0\n1 -> 1\n",
+                     "missing section [inputs]", id="missing-inputs"),
+        pytest.param(BUNDLE.replace("[pi]\n0 @ step: r0\n", ""),
+                     "missing section [pi]", id="missing-pi"),
+        pytest.param(BUNDLE.replace("step = n=1 init=0 H=8 events=(0,1)", "step"),
+                     "line 8: expected '<name> = <signal>'", id="input-without-equals"),
+        pytest.param(BUNDLE.replace("[phi0]", "step = n=1 init=0 H=8 events=(0,1)\n[phi0]"),
+                     "line 9: duplicate input name 'step'", id="duplicate-input"),
+        pytest.param(BUNDLE.replace("n=1 H=8 events=(1,1)\n", ""),
+                     "[rho r0] must contain exactly one schedule line", id="rho-without-line"),
+        pytest.param(BUNDLE.replace("step: 0", "step 0"),
+                     "line 10: expected '<input>: bits, bits, ...'", id="phi0-without-colon"),
+        pytest.param(BUNDLE.replace("step: 0", "other: 0"),
+                     "line 10: unknown input 'other'", id="phi0-unknown-input"),
+        pytest.param(BUNDLE.replace("step: 0", "step: 0\nstep: 1"),
+                     "line 11: phi0 given twice for 'step'", id="phi0-twice"),
+        pytest.param(BUNDLE.replace("step: 0", "step: ,"),
+                     "line 10: phi0 for 'step' is empty", id="phi0-empty"),
+        pytest.param(BUNDLE.replace("0 @ step: r0", "0 step: r0"),
+                     "line 12: expected '<bits> @ <input>: names'", id="pi-without-at"),
+        pytest.param(BUNDLE.replace("0 @ step: r0", "0 @ other: r0"),
+                     "line 12: unknown input 'other'", id="pi-unknown-input"),
+        pytest.param(BUNDLE.replace("0 @ step: r0", "0 @ step: r0\n0 @ step: r0"),
+                     "line 13: pi given twice for 0 @ step", id="pi-twice"),
+        pytest.param(BUNDLE.replace("0 @ step: r0", "0 @ step: missing"),
+                     "line 12: unknown schedule 'missing'", id="pi-unknown-schedule"),
+        pytest.param(BUNDLE.replace("0 @ step: r0", "0 @ step: ,"),
+                     "line 12: pi for 0 @ step is empty", id="pi-empty"),
+    ],
+)
+def test_bundle_errors_read_exactly(text, message):
+    with pytest.raises(BundleError) as err:
+        parse_system(text)
+    assert type(err.value) is BundleError and str(err.value) == message
+
+
+def test_bundle_inputs_keep_file_order():
+    text = BUNDLE.replace(
+        "step = n=1 init=0 H=8 events=(0,1)",
+        "zeta = n=1 init=0 H=8 events=(0,1)\nalpha = n=1 init=1 H=8 events=",
+    ).replace("step: 0\n", "zeta: 0\nalpha: 1\n").replace(
+        "0 @ step: r0", "0 @ zeta: r0\n1 @ alpha: r0"
+    )
+    sys_ = parse_system(text)
+    assert sys_.inputs == (unit_step(0, 8), Signal(1, 1, (), 8))
 
 
 def test_bundle_names_the_first_bad_rho_section():
