@@ -162,9 +162,6 @@ class DependencyMatrix(_Value):
 
     __slots__ = _fields = ("n", "rows")
 
-    def __init__(self, n: int, rows: tuple[int, ...]):
-        super().__init__(n, rows)
-
     def depends(self, i: int, j: int) -> bool:
         if not (1 <= i <= self.n and 1 <= j <= self.n):
             raise CoordinateError(f"({i},{j}) out of 1..{self.n}")
@@ -187,33 +184,20 @@ class DependencyMatrix(_Value):
         return None
 
     def components(self) -> "Partition":
-        """Connected components of the symmetrized dependency graph.
-
-        Every union of the returned blocks is a separated block, and no
-        strictly finer partition has all blocks pairwise separated.
-        """
-        n = self.n
-        adj = [
-            self.rows[i] | sum(((self.rows[j] >> i) & 1) << j for j in range(n))
-            for i in range(n)
-        ]
-        seen = [False] * n
-        blocks = []
-        for start in range(n):
-            if seen[start]:
-                continue
-            comp = []
-            stack = [start]
-            seen[start] = True
-            while stack:
-                v = stack.pop()
-                comp.append(v + 1)
-                for w in range(n):
-                    if not seen[w] and (adj[v] >> w) & 1:
-                        seen[w] = True
-                        stack.append(w)
-            blocks.append(tuple(sorted(comp)))
-        blocks.sort(key=lambda b: b[0])
+        """The finest partition into pairwise separated blocks, each the closure
+        of its lowest unplaced coordinate: add every coordinate that is in the
+        block or reads it, with the row it reads, until nothing changes.  Every
+        union of the blocks is a separated block."""
+        blocks, unplaced = [], (1 << self.n) - 1
+        while unplaced:
+            block, previous = unplaced & -unplaced, 0
+            while block != previous:
+                previous = block
+                for i, row in enumerate(self.rows):
+                    if block >> i & 1 or row & block:
+                        block |= 1 << i | row
+            unplaced &= ~block
+            blocks.append(tuple(i + 1 for i in range(self.n) if block >> i & 1))
         return Partition(blocks)
 
 

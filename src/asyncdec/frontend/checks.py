@@ -37,10 +37,9 @@ from ..systems import RegularSystem, decompose_system, parallel_system
 
 
 class CheckReport(_Value):
-    __slots__ = _fields = ("name", "cases", "failures", "details")
+    """A suite's `name`, its `cases`, its `failures` and the first failures' `details`."""
 
-    def __init__(self, name: str, cases: int, failures: int, details: tuple[str, ...]):
-        super().__init__(name, cases, failures, details)
+    __slots__ = _fields = ("name", "cases", "failures", "details")
 
     @property
     def ok(self) -> bool:

@@ -161,9 +161,6 @@ class EquationProgram(_Value):
 
     __slots__ = _fields = ("n", "m", "exprs")
 
-    def __init__(self, n: int, m: int, exprs: tuple):
-        super().__init__(n, m, exprs)
-
 
 def parse_dsl(text: str) -> EquationProgram:
     """Parse equations into a program; diagnostics carry line and column."""

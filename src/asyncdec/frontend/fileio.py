@@ -7,7 +7,8 @@ is irrelevant.  Signals and schedules share one line grammar,
 written coordinate 1 first, and `init=` is present exactly on signals.
 Numbers are ASCII digits only.  System bundles are sectioned: [phi], [inputs],
 [phi0], [pi] and one [rho <name>] section per named schedule; a section of
-any other name is refused.
+any other name is refused.  An error in an inline [phi] table names its line
+in the bundle file.
 
 Every loader rejects exactly the inputs violating its format, with an error
 naming the first violation.
@@ -97,7 +98,11 @@ def format_truth_table(phi: GeneratorFn) -> str:
 
 
 def parse_truth_table(text: str) -> GeneratorFn:
-    lines = _split_lines(text)
+    return _read_table(_split_lines(text))
+
+
+def _read_table(lines) -> GeneratorFn:
+    """A table from (line number, line) pairs; errors name the line numbers."""
     line_no, header = next(lines, (0, ""))
     if not header:
         raise MalformedRowError("empty truth table")
@@ -277,7 +282,7 @@ def parse_system(text: str, base_dir: str = ".") -> RegularSystem:
         ref = phi_body[0][1][len("file="):].strip()
         phi = load_truth_table(os.path.join(base_dir, ref))
     else:
-        phi = parse_truth_table("\n".join(line for _, line in phi_body))
+        phi = _read_table(iter(phi_body))
 
     inputs: dict[str, Signal] = {}
     for line_no, line in named["inputs"]:

@@ -27,8 +27,8 @@ is coordinate coords[k-1], for an ordered tuple of distinct coordinates.
 block-first, the first factor's coordinates leading; a product onto any
 other block is the product followed by a `restrict`.
 
-Every value here is immutable (a `_Value`, whose slots are set once, in the
-constructor) and safe to share across threads.
+Every value is an immutable `_Value`, safe to share across threads.  `_Value`
+builds each plain type's constructor from its `_fields`, raising `TypeError`.
 """
 
 from __future__ import annotations
@@ -55,16 +55,24 @@ def _bits_text(value: int, width: int) -> str:
 
 
 class _Value:
-    """Immutable, as a frozen dataclass is: `__init__` sets `_fields`, the
-    constructor's parameters in order, and equality (same type only), hashing,
-    pickling and the repr go over them.  The kinds built by the thousand
-    (`BitVec`, `GeneratorFn`, the event sequences) set their slots directly."""
+    """Immutable, as a frozen dataclass is: `__init__` (by position or by name;
+    `TypeError` for a missing, repeated or unknown field), equality (same type
+    only), hashing, pickling and the repr go over `_fields`, the parameters in
+    order.  Kinds that check their input have their own `__init__`; `BitVec`,
+    `GeneratorFn` and the event sequences, built by the thousand, set slots directly."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def __init__(self, *values):
-        for name, value in zip(self._fields, values):
+    def __init__(self, *values, **named):
+        fields = self._fields
+        if named:  # the fields after the positional ones, in order
+            values += tuple(named.pop(f) for f in fields[len(values):] if f in named)
+            if named:
+                raise TypeError(f"{type(self).__name__}() got repeated or unknown names {sorted(named)}")
+        if len(values) != len(fields):  # a field missing, or one too many
+            raise TypeError(f"{type(self).__name__}() takes {len(fields)} fields, got {len(values)}")
+        for name, value in zip(fields, values):
             object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:

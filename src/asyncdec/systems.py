@@ -165,17 +165,11 @@ def parallel_system(a: RegularSystem, b: RegularSystem) -> RegularSystem:
 
 
 class ProductConditionResult(_Value):
-    """Outcome of the schedule-product check, with a witness when it fails.
-
-    `witness` is (u, mu, rho_block, rho_rest): a schedule product whose
-    trajectory no admitted schedule reproduces.
-    """
+    """Outcome of the schedule-product check: `holds`, and a `witness` that is
+    None when it holds, else (u, mu, rho_block, rho_rest): a schedule product
+    whose trajectory no admitted schedule reproduces."""
 
     __slots__ = _fields = ("holds", "witness")
-
-    def __init__(self, holds: bool,
-                 witness: tuple[Signal, BitVec, ProgressiveFunction, ProgressiveFunction] | None):
-        super().__init__(holds, witness)
 
 
 def _product_condition(
@@ -221,13 +215,6 @@ class DecompositionResult(_Value):
 
     __slots__ = _fields = ("first", "second", "status", "partition", "phi0_product_form",
                            "product_condition", "hull_sizes")
-
-    def __init__(self, first: RegularSystem, second: RegularSystem, status: str,
-                 partition: Partition, phi0_product_form: bool,
-                 product_condition: ProductConditionResult,
-                 hull_sizes: tuple[tuple[Signal, int, int], ...]):
-        super().__init__(first, second, status, partition, phi0_product_form, product_condition,
-                         hull_sizes)
 
 
 def decompose_system(

@@ -20,7 +20,7 @@ from asyncdec import (
     project_fn,
     split_fn,
 )
-from asyncdec.boolfn import _split_blocks, dependency_witness
+from asyncdec.boolfn import DependencyMatrix, _split_blocks, dependency_witness
 from asyncdec.frontend.checks import partition_oracle_verdict, rand_fn
 
 bv = BitVec.from_string
@@ -345,6 +345,46 @@ def test_finest_partition_brute_force_minimality_small():
         split = rng.randint(1, n - 1)
         phi = parallel_fn(rand_fn(rng, split, 1), rand_fn(rng, n - split, 1))
         assert partition_oracle_verdict(phi)
+
+
+def _union_find_blocks(n, rows):
+    """Components of the symmetrized graph by union-find, blocks ascending,
+    ordered by their first coordinate."""
+    parent = list(range(n))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, row in enumerate(rows):
+        for j in range(n):
+            if row >> j & 1:
+                parent[root(i)] = root(j)
+    blocks = {}
+    for i in range(n):
+        blocks.setdefault(root(i), []).append(i + 1)
+    return tuple(sorted(tuple(b) for b in blocks.values()))
+
+
+def test_components_match_union_find_on_random_matrices():
+    rng = random.Random(20240)
+    for n in range(1, 65):
+        for density in (0.0, 0.5 / n, 1.5 / n, 0.1, 0.5):
+            rows = tuple(sum(1 << j for j in range(n) if rng.random() < density) for _ in range(n))
+            assert DependencyMatrix(n, rows).components().blocks == _union_find_blocks(n, rows)
+
+
+@pytest.mark.parametrize("rows, blocks", [
+    pytest.param((0,) * 64, tuple((i,) for i in range(1, 65)), id="singletons"),
+    pytest.param(tuple(1 << (i + 1) if i < 63 else 0 for i in range(64)),
+                 (tuple(range(1, 65)),), id="path"),
+    pytest.param(tuple(1 << ((i + 1) % 64) for i in range(64)), (tuple(range(1, 65)),), id="cycle"),
+])
+def test_components_of_fixed_shapes_at_64(rows, blocks):
+    assert _union_find_blocks(64, rows) == blocks
+    assert DependencyMatrix(64, rows).components().blocks == blocks
 
 
 def test_unions_of_partition_blocks_are_separated():

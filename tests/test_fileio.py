@@ -361,6 +361,25 @@ def test_bundle_errors_read_exactly(text, message):
     assert type(err.value) is BundleError and str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        pytest.param(BUNDLE.replace("1 0 -> 1", "# row\n1 0 => 1"), MalformedRowError,
+                     "line 5: missing '->' in '1 0 => 1'", id="malformed-row"),
+        pytest.param(BUNDLE.replace("0 1 -> 0", "\n0 0 -> 1"), DuplicateRowError,
+                     "line 6: duplicate row for mu=0 lam=0", id="duplicate-row"),
+        pytest.param(BUNDLE.replace("1 1 -> 1", "# x\n\n1 1 -> 11"), WidthInconsistencyError,
+                     "line 8: widths (1,1,2) do not match header n=1 m=1", id="row-width"),
+    ],
+)
+def test_inline_table_errors_name_the_bundle_line(text, error, message):
+    """A bad row of an inline [phi] table is named by its line in the bundle
+    file, counting comments and blank lines, not by its line in the section."""
+    with pytest.raises(error) as err:
+        parse_system(text)
+    assert type(err.value) is error and str(err.value) == message
+
+
 def test_bundle_inputs_keep_file_order():
     text = BUNDLE.replace(
         "step = n=1 init=0 H=8 events=(0,1)",

@@ -70,6 +70,25 @@ def test_value_type_contract(value):
     assert not isinstance(value, tuple)
 
 
+@pytest.mark.parametrize("value", VALUES, ids=lambda x: type(x).__name__)
+def test_value_type_construction(value):
+    """Every type is built from its fields by position or by name, and a
+    missing, extra, unknown or repeated field is refused, as a signature is."""
+    cls, fields = type(value), type(value)._fields
+    values = tuple(getattr(value, f) for f in fields)
+    assert cls(*values) == value
+    assert cls(**dict(zip(fields, values))) == value
+    assert cls(*values[:1], **dict(zip(fields[1:], values[1:]))) == value
+    for args, named in (
+        (values[:-1], {}),
+        (values + (values[0],), {}),
+        (values, {"no_such_field": 0}),
+        (values, {fields[0]: values[0]}),
+    ):
+        with pytest.raises(TypeError):
+            cls(*args, **named)
+
+
 def test_bitvec_is_not_a_pair_and_hashes_as_one():
     assert BitVec(2, 1) != (2, 1)
     for w, v in ((0, 0), (2, 1), (5, 17), (64, 2**63)):
