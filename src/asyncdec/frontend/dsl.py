@@ -2,11 +2,12 @@
 
 One next-state equation per line, `x<i>' = <expr>`, over the state variables
 x1..xn and input variables u1..um.  Operators: ! (not), & (and), ^ (xor),
-| (or), parentheses and the constants 0/1, with precedence ! > & > ^ > |.
-`#` starts a comment; whitespace is insignificant.  Parentheses and `!`
-nest at most MAX_NESTING deep.  Compilation evaluates each expression node
-once over all rows, as a lane-packed int (see `boolfn`) whose lane r holds
-the node's value on row r.
+| (or), parentheses and the constants 0/1.  The binary operators' precedence
+is the table `_LEVELS`, loosest first, and `!` binds tightest.  `#` starts a
+comment; whitespace is insignificant.  Parentheses and `!` nest at most
+MAX_NESTING deep.  Compilation evaluates each expression node once over all
+rows, as a lane-packed int (see `boolfn`) whose lane r holds the node's value
+on row r.
 """
 
 from __future__ import annotations
@@ -38,7 +39,10 @@ class DslNameError(AsyncDecError):
 
 # AST nodes: ("const", bit) | ("x", i) | ("u", j) | ("not", e) |
 # ("and"/"xor"/"or", e1, e2, ...): a chain of one operator is one node.
+# The binary operators as (node kind, token), loosest first:
+_LEVELS = (("or", "|"), ("xor", "^"), ("and", "&"))
 
+# matches at every non-blank position and never matches the empty string
 _TOKEN = re.compile(r"\s*(?:([A-Za-z_][A-Za-z_0-9]*)|(\d+)|([!&^|()'=])|(\S))")
 
 # how a definition and a reference both spell x<i> and u<j>: no leading zero
@@ -56,11 +60,7 @@ def _variable(text: str, line_no: int, col: int):
 
 def _tokenize(text: str, line_no: int):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if match is None:
-            break
+    for match in _TOKEN.finditer(text):
         name, digits, op, junk = match.groups()
         col = match.start(match.lastindex) + 1
         if junk is not None:
@@ -71,7 +71,6 @@ def _tokenize(text: str, line_no: int):
             tokens.append(("number", digits, col))
         else:
             tokens.append((op, op, col))
-        pos = match.end()
     tokens.append(("end", "", len(text) + 1))
     return tokens
 
@@ -90,49 +89,40 @@ class _Parser:
     def take(self, kind=None):
         tok = self.tokens[self.pos]
         if kind is not None and tok[0] != kind:
+            want = "end of line" if kind == "end" else repr(kind)
             raise DslSyntaxError(
-                f"expected {kind!r}, found {tok[1]!r}" if tok[0] != "end" else f"unexpected end of line, expected {kind!r}",
+                f"expected {want}, found {tok[1]!r}" if tok[0] != "end" else f"unexpected end of line, expected {want}",
                 self.line_no,
                 tok[2],
             )
         self.pos += 1
         return tok
 
-    def nested(self, parse):
-        """Take an opening `(` or `!` and parse what it encloses, one level deeper."""
+    def nested(self, level):
+        """Take an opening `(` or `!` and parse what it encloses at `level`, one level deeper."""
         col = self.take()[2]
         if self.depth == MAX_NESTING:
             raise DslSyntaxError(f"expression nested deeper than {MAX_NESTING} levels", self.line_no, col)
         self.depth += 1
-        node = parse()
+        node = self.expr(level)
         self.depth -= 1
         return node
 
-    def chain(self, kind, op, operand):
-        nodes = [operand()]
+    def expr(self, level):
+        """Operands of the next level chained by this level's operator; past the last, `!` or an atom."""
+        if level == len(_LEVELS):
+            return ("not", self.nested(level)) if self.peek()[0] == "!" else self.atom()
+        kind, op = _LEVELS[level]
+        nodes = [self.expr(level + 1)]
         while self.peek()[0] == op:
             self.take()
-            nodes.append(operand())
+            nodes.append(self.expr(level + 1))
         return nodes[0] if len(nodes) == 1 else (kind, *nodes)
-
-    def or_expr(self):
-        return self.chain("or", "|", self.xor_expr)
-
-    def xor_expr(self):
-        return self.chain("xor", "^", self.and_expr)
-
-    def and_expr(self):
-        return self.chain("and", "&", self.unary)
-
-    def unary(self):
-        if self.peek()[0] == "!":
-            return ("not", self.nested(self.unary))
-        return self.atom()
 
     def atom(self):
         kind, text, col = self.peek()
         if kind == "(":
-            node = self.nested(self.or_expr)
+            node = self.nested(0)
             self.take(")")
             return node
         if kind == "number":
@@ -149,11 +139,8 @@ class _Parser:
             raise DslSyntaxError(
                 f"{text!r} is not a variable (expected x<i> or u<j>)", self.line_no, col
             )
-        raise DslSyntaxError(
-            f"unexpected {text!r}" if kind != "end" else "unexpected end of line",
-            self.line_no,
-            col,
-        )
+        message = f"unexpected {text!r}" if kind != "end" else "unexpected end of line"
+        raise DslSyntaxError(message, self.line_no, col)
 
 
 class EquationProgram(_Value):
@@ -180,7 +167,7 @@ def parse_dsl(text: str) -> EquationProgram:
         index = var[1]
         parser.take("'")
         parser.take("=")
-        expr = parser.or_expr()
+        expr = parser.expr(0)
         parser.take("end")
         if index in defined:
             raise DslNameError(f"state variable x{index} defined twice", line_no)

@@ -7,8 +7,8 @@ is irrelevant.  Signals and schedules share one line grammar,
 written coordinate 1 first, and `init=` is present exactly on signals.
 Numbers are ASCII digits only.  System bundles are sectioned: [phi], [inputs],
 [phi0], [pi] and one [rho <name>] section per named schedule; a section of
-any other name is refused.  An error in an inline [phi] table names its line
-in the bundle file.
+any other name is refused, and each input names a distinct signal.  An error
+in an inline [phi] table names its line in the bundle file.
 
 Every loader rejects exactly the inputs violating its format, with an error
 naming the first violation.
@@ -285,6 +285,7 @@ def parse_system(text: str, base_dir: str = ".") -> RegularSystem:
         phi = _read_table(iter(phi_body))
 
     inputs: dict[str, Signal] = {}
+    first_name: dict[Signal, str] = {}  # signals compare by canonical form
     for line_no, line in named["inputs"]:
         name, eq, rest = line.partition("=")
         if not eq:
@@ -293,6 +294,9 @@ def parse_system(text: str, base_dir: str = ".") -> RegularSystem:
         if name in inputs:
             raise BundleError(f"line {line_no}: duplicate input name {name!r}")
         inputs[name] = parse_signal(rest.strip(), where=f"line {line_no}")
+        earlier = first_name.setdefault(inputs[name], name)
+        if earlier != name:
+            raise BundleError(f"line {line_no}: input {name!r} repeats input {earlier!r}")
 
     rhos: dict[str, ProgressiveFunction] = {}
     for label, body in rho_sections.items():

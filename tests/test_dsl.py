@@ -1,6 +1,7 @@
 """Equation DSL: grammar, diagnostics, compilation."""
 
 import random
+import re
 
 import pytest
 
@@ -140,6 +141,55 @@ def test_nesting_bound_is_a_syntax_error():
         with pytest.raises(DslSyntaxError, match=f"nested deeper than {depth} levels") as err:
             parse_dsl(text)
         assert (err.value.line, err.value.col) == (1, 7 + depth)
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        pytest.param("x1' = x1 % x1", DslSyntaxError,
+                     "line 1, column 10: unexpected character '%'", id="bad-character"),
+        pytest.param("x1 = x1", DslSyntaxError,
+                     "line 1, column 4: expected \"'\", found '='", id="missing-prime"),
+        pytest.param("x1' x1", DslSyntaxError,
+                     "line 1, column 5: expected '=', found 'x1'", id="missing-equals"),
+        pytest.param("x1' = x1 &", DslSyntaxError,
+                     "line 1, column 11: unexpected end of line", id="dangling-operator"),
+        pytest.param("x1' = (x1", DslSyntaxError,
+                     "line 1, column 10: unexpected end of line, expected ')'", id="unclosed-paren"),
+        pytest.param("x1' = )", DslSyntaxError,
+                     "line 1, column 7: unexpected ')'", id="stray-close"),
+        pytest.param("x1' = 2", DslSyntaxError,
+                     "line 1, column 7: constant must be 0 or 1, got 2", id="bad-constant"),
+        pytest.param("x1' = y1", DslSyntaxError,
+                     "line 1, column 7: 'y1' is not a variable (expected x<i> or u<j>)", id="bad-name"),
+        pytest.param("x1' = x" + "1" * 5000, DslSyntaxError,
+                     "line 1, column 7: index of x has 5000 digits", id="long-index"),
+        pytest.param("x1' = x1 x2", DslSyntaxError,
+                     "line 1, column 10: expected end of line, found 'x2'", id="trailing-name"),
+        pytest.param("x1' = x1 )", DslSyntaxError,
+                     "line 1, column 10: expected end of line, found ')'", id="trailing-close"),
+        pytest.param("x1' = 0\nx1' = 1", DslNameError,
+                     "line 2: state variable x1 defined twice", id="defined-twice"),
+    ],
+)
+def test_diagnostics_read_exactly(text, error, message):
+    with pytest.raises(error) as err:
+        parse_dsl(text)
+    assert type(err.value) is error and str(err.value) == message
+    line, col = re.match(r"line (\d+)(?:, column (\d+))?:", message).groups()
+    assert (err.value.line, getattr(err.value, "col", None)) == (int(line), col and int(col))
+
+
+def test_chains_flatten_and_parentheses_nest():
+    """A chain of one operator is one node; a parenthesised operand stays nested."""
+    text = "x1' = x1 & x2 & u1\nx2' = (x1 & x2) & u1\nx3' = !!x1 | x2 ^ x1 & u1\nx4' = !(x4 | 0)"
+    x1, x2, x4, u1 = ("x", 1), ("x", 2), ("x", 4), ("u", 1)
+    assert parse_dsl(text).exprs == (
+        ("and", x1, x2, u1),
+        ("and", ("and", x1, x2), u1),
+        ("or", ("not", ("not", x1)), ("xor", x2, ("and", x1, u1))),
+        ("not", ("or", x4, ("const", 0))),
+    )
 
 
 def test_long_operator_chains_compile():

@@ -333,6 +333,8 @@ n=1 H=8 events=(1,1)
                      "line 8: expected '<name> = <signal>'", id="input-without-equals"),
         pytest.param(BUNDLE.replace("[phi0]", "step = n=1 init=0 H=8 events=(0,1)\n[phi0]"),
                      "line 9: duplicate input name 'step'", id="duplicate-input"),
+        pytest.param(BUNDLE.replace("[phi0]", "again = n=1 init=0 H=8 events=(0,1);(5,1)\n[phi0]"),
+                     "line 9: input 'again' repeats input 'step'", id="repeated-input-signal"),
         pytest.param(BUNDLE.replace("n=1 H=8 events=(1,1)\n", ""),
                      "[rho r0] must contain exactly one schedule line", id="rho-without-line"),
         pytest.param(BUNDLE.replace("step: 0", "step 0"),
