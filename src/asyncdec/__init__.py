@@ -5,8 +5,6 @@ from .boolfn import (
     GeneratorFn,
     Partition,
     dependency_matrix,
-    finest_partition,
-    is_separated,
     parallel_fn,
     partial_derivative,
     project_fn,
@@ -39,7 +37,6 @@ from .signals import (
 )
 from .systems import (
     DecompositionResult,
-    ProductConditionResult,
     RegularSystem,
     decompose_system,
     initial_state_function,

@@ -162,11 +162,6 @@ class DependencyMatrix(_Value):
 
     __slots__ = _fields = ("n", "rows")
 
-    def depends(self, i: int, j: int) -> bool:
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
-            raise CoordinateError(f"({i},{j}) out of 1..{self.n}")
-        return bool((self.rows[i - 1] >> (j - 1)) & 1)
-
     def as_matrix(self) -> tuple[tuple[int, ...], ...]:
         return tuple(
             tuple((row >> j) & 1 for j in range(self.n)) for row in self.rows
@@ -262,12 +257,6 @@ def dependency_witness(phi: GeneratorFn, block: Iterable[int]):
     return i, j, BitVec(phi.n, r & ((1 << phi.n) - 1)), BitVec(phi.m, r >> phi.n)
 
 
-def is_separated(phi: GeneratorFn, block: Iterable[int]) -> bool:
-    """Whether no coordinate inside the block depends on a state bit outside
-    it, and vice versa (all cross-block derivatives identically zero)."""
-    return dependency_matrix(phi).cross_dependency(block) is None
-
-
 def project_fn(phi: GeneratorFn, coords: Iterable[int]) -> GeneratorFn:
     """`phi` on the state coordinates `coords`, in that order, with every other
     state coordinate frozen at 0 (irrelevant when `coords` is a separated
@@ -296,10 +285,14 @@ class Partition(_Value):
         object.__setattr__(self, "permutation", tuple(order.index(c) + 1 for c in sorted(order)))
 
 
-def finest_partition(phi: GeneratorFn) -> Partition:
-    """The finest partition into pairwise separated blocks; see
-    `DependencyMatrix.components`."""
-    return dependency_matrix(phi).components()
+def _separated_blocks(phi: GeneratorFn, block: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(block, complement) as `_split_blocks` gives them, once the block is
+    known to be separated; else `NotSeparatedError` with the dependency witness."""
+    bs, cs = _split_blocks(phi.n, block)
+    witness = dependency_witness(phi, bs)
+    if witness is not None:
+        raise NotSeparatedError(*witness)
+    return bs, cs
 
 
 def split_fn(phi: GeneratorFn, block: Iterable[int]) -> tuple[GeneratorFn, GeneratorFn, Partition]:
@@ -310,8 +303,5 @@ def split_fn(phi: GeneratorFn, block: Iterable[int]) -> tuple[GeneratorFn, Gener
     through the partition's blocks laid end to end.  Refuses with a
     dependency witness if the block is not separated.
     """
-    witness = dependency_witness(phi, block)
-    if witness is not None:
-        raise NotSeparatedError(*witness)
-    bs, cs = _split_blocks(phi.n, block)
+    bs, cs = _separated_blocks(phi, block)
     return project_fn(phi, bs), project_fn(phi, cs), Partition((bs, cs))

@@ -15,7 +15,7 @@ from itertools import product
 from ..boolfn import (
     GeneratorFn,
     _split_blocks,
-    finest_partition,
+    dependency_matrix,
     parallel_fn,
     partial_derivative,
     project_fn,
@@ -316,7 +316,7 @@ def theorem34_suite(seed: int, cases: int) -> CheckReport:
             m = rng.randint(1, 2)
             sys = _product_form_system(rng, rand_fn(rng, na, m), rand_fn(rng, nb, m), horizon)
             result = decompose_system(sys, range(1, na + 1), horizon)
-            ok = result.phi0_product_form and result.product_condition.holds
+            ok = result.phi0_product_form and result.product_witness is None
             ok = ok and result.status == "equal"
             yield None if ok else f"product-form case {case}: status={result.status}"
         diag = decompose_system(diagonal_example(), (1,), 10)
@@ -396,7 +396,7 @@ def _refines(fine, coarse) -> bool:
 def partition_oracle_verdict(phi: GeneratorFn) -> bool:
     """Brute force: the finest partition must be all-separated and refine
     every all-separated partition."""
-    fp = [list(b) for b in finest_partition(phi).blocks]
+    fp = [list(b) for b in dependency_matrix(phi).components().blocks]
     if not _pairwise_separated(phi, fp):
         return False
     for candidate in _all_partitions(range(1, phi.n + 1)):

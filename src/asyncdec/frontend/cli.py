@@ -17,7 +17,7 @@ import argparse
 import os
 import sys
 
-from ..boolfn import GeneratorFn, _split_blocks, dependency_matrix, finest_partition, parallel_fn
+from ..boolfn import GeneratorFn, _split_blocks, check_scan_size, dependency_matrix, parallel_fn
 from ..errors import AsyncDecError, NotSeparatedError
 from ..semantics import run
 from ..signals import BitVec
@@ -77,14 +77,12 @@ def _cmd_analyze(args) -> int:
     part = dm.components()
     print(f"generator function: n={phi.n} m={phi.m}")
     print("dependency matrix (row i, column j; 1 = coordinate i depends on mu_j):")
-    for row in dm.as_matrix():
+    doc = [("n", str(phi.n)), ("m", str(phi.m))]
+    for i, row in enumerate(dm.as_matrix(), start=1):
         print("  " + "".join(str(b) for b in row))
+        doc += ((f"depends.{i}.{j}", str(b)) for j, b in enumerate(row, start=1))
     print(f"finest partition: {_blocks_text(part.blocks)}")
     print("permutation: " + ",".join(str(p) for p in part.permutation))
-    doc = [("n", str(phi.n)), ("m", str(phi.m))]
-    for i in range(1, phi.n + 1):
-        for j in range(1, phi.n + 1):
-            doc.append((f"depends.{i}.{j}", str(int(dm.depends(i, j)))))
     doc.append(("partition.blocks", "|".join(",".join(map(str, b)) for b in part.blocks)))
     doc.append(("partition.permutation", ",".join(map(str, part.permutation))))
     if len(part.blocks) == 1:
@@ -151,9 +149,12 @@ def _cmd_compose(args) -> int:
         raise LoadError("compose needs two truth tables or two system bundles")
     if bundles[0]:
         a, b = (parse_system(t, os.path.dirname(p) or ".") for p, t in zip(paths, texts))
-        text = format_system(parallel_system(a, b))
+        fa, fb = a.phi, b.phi
     else:
-        text = format_truth_table(parallel_fn(*map(_parse_phi, paths, texts)))
+        a, b = fa, fb = tuple(map(_parse_phi, paths, texts))
+    if fa.m == fb.m:  # mismatched input widths are refused by the composition itself
+        check_scan_size(fa.n + fb.n, fa.m)
+    text = format_system(parallel_system(a, b)) if bundles[0] else format_truth_table(parallel_fn(a, b))
     if args.out:
         with open(args.out, "w") as f:
             f.write(text)
@@ -169,10 +170,10 @@ def _decompose_once(sys: RegularSystem, block, label: str, doc) -> Decomposition
     print("  permutation: " + ",".join(map(str, result.partition.permutation)))
     print(f"  status: {result.status}")
     print(f"  phi0 product form: {'yes' if result.phi0_product_form else 'no'}")
-    holds = result.product_condition.holds
-    print(f"  schedule product condition: {'holds' if holds else 'fails'}")
-    if not holds:
-        u, mu, rb, rc = result.product_condition.witness
+    witness = result.product_witness
+    print(f"  schedule product condition: {'holds' if witness is None else 'fails'}")
+    if witness is not None:
+        u, mu, rb, rc = witness
         print(f"  witness: mu={mu} u={u}")
         print(f"           rho'={rb}")
         print(f"           rho''={rc}")
@@ -180,7 +181,7 @@ def _decompose_once(sys: RegularSystem, block, label: str, doc) -> Decomposition
         print(f"  input {u}: own {own} states, hull {hull} states")
     doc.append((f"{label}.status", result.status))
     doc.append((f"{label}.phi0_product_form", str(int(result.phi0_product_form))))
-    doc.append((f"{label}.product_condition", str(int(holds))))
+    doc.append((f"{label}.product_condition", str(int(witness is None))))
     return result
 
 
@@ -193,7 +194,7 @@ def _cmd_decompose(args) -> int:
         except ValueError:
             raise LoadError(f"--block must be comma-separated coordinates, got {args.block!r}")
     else:
-        blocks = finest_partition(sys_.phi).blocks
+        blocks = dependency_matrix(sys_.phi).components().blocks
         print(f"finest partition: {_blocks_text(blocks)}")
         doc.append(("partition.blocks", "|".join(",".join(map(str, b)) for b in blocks)))
         if len(blocks) == 1:

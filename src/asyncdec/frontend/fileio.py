@@ -265,6 +265,8 @@ def parse_system(text: str, base_dir: str = ".") -> RegularSystem:
             continue
         name = match.group(1)
         if name.startswith("rho "):
+            if not name[4:].strip():
+                raise BundleError(f"line {line_no}: section [{name}] names no schedule")
             store, name = rho_sections, "rho " + name[4:].strip()
         elif name in _NAMED_SECTIONS:
             store = named
@@ -291,6 +293,8 @@ def parse_system(text: str, base_dir: str = ".") -> RegularSystem:
         if not eq:
             raise BundleError(f"line {line_no}: expected '<name> = <signal>'")
         name = name.strip()
+        if not name or ":" in name:  # `[phi0]` and `[pi]` end the name at ':'
+            raise BundleError(f"line {line_no}: input name {name!r} must be nonempty and free of ':'")
         if name in inputs:
             raise BundleError(f"line {line_no}: duplicate input name {name!r}")
         inputs[name] = parse_signal(rest.strip(), where=f"line {line_no}")

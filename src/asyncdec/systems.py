@@ -16,21 +16,8 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .boolfn import (
-    GeneratorFn,
-    Partition,
-    _split_blocks,
-    dependency_witness,
-    parallel_fn,
-    project_fn,
-)
-from .errors import (
-    HorizonMismatch,
-    InvalidSystem,
-    NotSeparatedError,
-    ProgressivenessError,
-    WidthMismatch,
-)
+from .boolfn import GeneratorFn, Partition, _separated_blocks, parallel_fn, project_fn
+from .errors import HorizonMismatch, InvalidSystem, ProgressivenessError, WidthMismatch
 from .semantics import run
 from .signals import (
     BitVec,
@@ -164,18 +151,12 @@ def parallel_system(a: RegularSystem, b: RegularSystem) -> RegularSystem:
     return RegularSystem(parallel_fn(a.phi, b.phi), shared, phi0, pi)
 
 
-class ProductConditionResult(_Value):
-    """Outcome of the schedule-product check: `holds`, and a `witness` that is
-    None when it holds, else (u, mu, rho_block, rho_rest): a schedule product
-    whose trajectory no admitted schedule reproduces."""
-
-    __slots__ = _fields = ("holds", "witness")
-
-
 def _product_condition(
     sys: RegularSystem, partition: Partition, first, second, own: dict[Signal, SignalSet]
-) -> ProductConditionResult:
-    """Whether every schedule product of the factors is trajectory-covered.
+) -> tuple[Signal, BitVec, ProgressiveFunction, ProgressiveFunction] | None:
+    """None if every schedule product of the factors is trajectory-covered,
+    else the first witness (u, mu, rho_block, rho_rest): a schedule product
+    whose trajectory no admitted schedule reproduces.
 
     `first` and `second` are `sys.restrict` to the two blocks of `partition`
     and `own` is the realization of `sys`.  For each admitted (mu, u) and each
@@ -198,8 +179,8 @@ def _product_condition(
                     if woven not in schedules and (
                         run(sys.phi, mu, u, woven, sigs.horizon) not in admitted
                     ):
-                        return ProductConditionResult(False, (u, mu, rb, rc))
-    return ProductConditionResult(True, None)
+                        return u, mu, rb, rc
+    return None
 
 
 class DecompositionResult(_Value):
@@ -208,13 +189,14 @@ class DecompositionResult(_Value):
     `status` is "equal" when, for every input u, the system's realization,
     read through the coordinates block + complement, equals the hull
     f'(u) x f''(u) of the factors' realizations, compared set by set; else
-    "strict-subset".  `hull_sizes` holds (u, |f(u)|, |f'(u) x f''(u)|).  The
-    two condition flags record Theorem 34's conditions apart from the
-    verdict, which must agree with them (see `decompose_system`).
+    "strict-subset".  `hull_sizes` holds (u, |f(u)|, |f'(u) x f''(u)|).
+    `phi0_product_form` and `product_witness` (None when the schedule product
+    condition holds) record Theorem 34's conditions apart from the verdict,
+    which must agree with them (see `decompose_system`).
     """
 
     __slots__ = _fields = ("first", "second", "status", "partition", "phi0_product_form",
-                           "product_condition", "hull_sizes")
+                           "product_witness", "hull_sizes")
 
 
 def decompose_system(
@@ -229,12 +211,10 @@ def decompose_system(
     realizations; the system's realization must lie inside it (checked, not
     assumed), and the verdict compares the two set by set, so a truncation
     artifact can never misreport equality.  Theorem 34 is cross-checked both
-    ways: `InvalidSystem` unless "equal" goes with both conditions holding.
+    ways: `InvalidSystem` unless "equal" goes with phi0 in product form and no
+    `product_witness`.
     """
-    bs, cs = _split_blocks(sys.n, block)
-    witness = dependency_witness(sys.phi, bs)
-    if witness is not None:
-        raise NotSeparatedError(*witness)
+    bs, cs = _separated_blocks(sys.phi, block)
     partition = Partition((bs, cs))
     first, second = sys.restrict(bs), sys.restrict(cs)
     own, out_b, out_c = realize(sys, horizon), realize(first, horizon), realize(second, horizon)
@@ -258,12 +238,12 @@ def decompose_system(
             equal = False
         sizes.append((u, len(own[u]), len(hull)))
 
-    condition = _product_condition(sys, partition, first, second, own)
-    if (product_form and condition.holds) != equal:
+    witness = _product_condition(sys, partition, first, second, own)
+    if (product_form and witness is None) != equal:
         raise InvalidSystem(
             "Theorem 34's conditions disagree with the realizations; horizon artifact"
         )
     status = "equal" if equal else "strict-subset"
     return DecompositionResult(
-        first, second, status, partition, product_form, condition, tuple(sizes)
+        first, second, status, partition, product_form, witness, tuple(sizes)
     )

@@ -13,8 +13,6 @@ from asyncdec import (
     NotSeparatedError,
     SizeLimitError,
     dependency_matrix,
-    finest_partition,
-    is_separated,
     parallel_fn,
     partial_derivative,
     project_fn,
@@ -131,20 +129,20 @@ def test_dependency_matrix_of_parallel_is_block_diagonal():
     for _ in range(20):
         a = rand_fn(rng, 2, 1)
         b = rand_fn(rng, 2, 1)
-        dm = dependency_matrix(parallel_fn(a, b))
+        matrix = dependency_matrix(parallel_fn(a, b)).as_matrix()
         for i in (1, 2):
             for j in (3, 4):
-                assert not dm.depends(i, j)
-                assert not dm.depends(j, i)
+                assert not matrix[i - 1][j - 1]
+                assert not matrix[j - 1][i - 1]
 
 
 @given(small_fns())
 @settings(max_examples=100)
 def test_dependency_matrix_agrees_with_derivatives(phi):
-    dm = dependency_matrix(phi)
+    matrix = dependency_matrix(phi).as_matrix()
     for i in range(1, phi.n + 1):
         for j in range(1, phi.n + 1):
-            assert dm.depends(i, j) == (partial_derivative(phi, i, j) != 0)
+            assert matrix[i - 1][j - 1] == (partial_derivative(phi, i, j) != 0)
 
 
 def test_size_limit_refusal(monkeypatch):
@@ -208,12 +206,12 @@ def test_parallel_block_is_separated():
     for _ in range(20):
         a = rand_fn(rng, 2, 1)
         b = rand_fn(rng, 1, 1)
-        assert is_separated(parallel_fn(a, b), (1, 2))
+        assert dependency_witness(parallel_fn(a, b), (1, 2)) is None
 
 
 def test_swap_is_not_separated():
     swap = fn(2, 0, lambda mu, lam: BitVec.from_bits([mu.bit(2), mu.bit(1)]))
-    assert not is_separated(swap, (1,))
+    assert dependency_witness(swap, (1,)) is not None
 
 
 def brute_force_witness(phi, block):
@@ -243,7 +241,7 @@ def test_dependency_witness_matches_brute_force_derivatives():
         block = rng.sample(range(1, n + 1), rng.randint(1, n - 1))
         expected = brute_force_witness(phi, block)
         assert dependency_witness(phi, block) == expected
-        assert is_separated(phi, block) == (expected is None)
+        assert dependency_matrix(phi).cross_dependency(block) == (expected and expected[:2])
     # 8 and 9 state bits fill one 8-bit lane and spill into 16-bit lanes; one
     # flipped output bit of a parallel table puts the witness deep in the table
     for _ in range(40):
@@ -257,29 +255,29 @@ def test_dependency_witness_matches_brute_force_derivatives():
         block = rng.choice((range(1, split + 1), rng.sample(range(1, n + 1), rng.randint(1, n - 1))))
         expected = brute_force_witness(phi, block)
         assert dependency_witness(phi, block) == expected
-        assert is_separated(phi, block) == (expected is None)
+        assert dependency_matrix(phi).cross_dependency(block) == (expected and expected[:2])
 
 
 def test_separation_queries_respect_the_size_limit_env(monkeypatch):
     phi = parallel_fn(GeneratorFn.identity(1, 1), GeneratorFn.identity(1, 1))
     monkeypatch.setenv("ASYNC_DEC_SIZE_LIMIT", "2")
     with pytest.raises(SizeLimitError):
-        is_separated(phi, (1,))
+        dependency_witness(phi, (1,))
     with pytest.raises(SizeLimitError):
         split_fn(phi, (1,))
     monkeypatch.setenv("ASYNC_DEC_SIZE_LIMIT", "-1")
     with pytest.raises(SizeLimitError, match="non-negative"):
-        is_separated(phi, (1,))
+        dependency_witness(phi, (1,))
     monkeypatch.setenv("ASYNC_DEC_SIZE_LIMIT", "3")
-    assert is_separated(phi, (1,))
+    assert dependency_witness(phi, (1,)) is None
 
 
 def test_scalar_function_has_no_valid_block():
     phi = GeneratorFn.identity(1)
     with pytest.raises(CoordinateError):
-        is_separated(phi, (1,))
+        dependency_witness(phi, (1,))
     with pytest.raises(CoordinateError):
-        is_separated(phi, ())
+        dependency_witness(phi, ())
 
 
 @pytest.mark.parametrize(
@@ -314,7 +312,7 @@ def test_split_blocks_reads_any_iterable_of_coordinates():
 def test_finest_partition_three_factors():
     rng = random.Random(3)
     phi = parallel_fn(parallel_fn(rand_fn(rng, 1, 1), rand_fn(rng, 2, 1)), rand_fn(rng, 1, 1))
-    part = finest_partition(phi)
+    part = dependency_matrix(phi).components()
     assert len(part.blocks) >= 3
     for block in ((1,), (2, 3), (4,)):
         assert any(set(b) <= set(block) for b in part.blocks)
@@ -328,12 +326,12 @@ def test_finest_partition_fully_coupled():
         return BitVec.from_bits([x] * mu.width)
 
     phi = fn(3, 0, all_xor)
-    assert finest_partition(phi).blocks == ((1, 2, 3),)
+    assert dependency_matrix(phi).components().blocks == ((1, 2, 3),)
 
 
 def test_finest_partition_constant_gives_singletons():
     phi = fn(3, 1, lambda mu, lam: bv("000"))
-    assert finest_partition(phi).blocks == ((1,), (2,), (3,))
+    assert dependency_matrix(phi).components().blocks == ((1,), (2,), (3,))
 
 
 def test_finest_partition_brute_force_minimality_small():
@@ -391,13 +389,13 @@ def test_unions_of_partition_blocks_are_separated():
     rng = random.Random(55)
     for _ in range(20):
         phi = parallel_fn(rand_fn(rng, 1, 1), parallel_fn(rand_fn(rng, 1, 1), rand_fn(rng, 2, 1)))
-        part = finest_partition(phi)
+        part = dependency_matrix(phi).components()
         if len(part.blocks) < 2:
             continue
         for pick in range(1, 1 << len(part.blocks)):
             union = sorted(i for k, b in enumerate(part.blocks) if pick >> k & 1 for i in b)
             if 0 < len(union) < phi.n:
-                assert is_separated(phi, union)
+                assert dependency_witness(phi, union) is None
 
 
 def test_three_routes_agree_on_random_larger_tables():

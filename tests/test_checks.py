@@ -165,7 +165,7 @@ def test_theorem34_diagonal_witness_prints_inputs_as_event_lines(monkeypatch):
     def misreported(*args):
         r = real(*args)
         return DecompositionResult(
-            r.first, r.second, "equal", r.partition, r.phi0_product_form, r.product_condition, r.hull_sizes
+            r.first, r.second, "equal", r.partition, r.phi0_product_form, r.product_witness, r.hull_sizes
         )
 
     real = checks.decompose_system

@@ -206,6 +206,24 @@ def assert_input_error(result):
     assert result.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("name, width", [("id.tt", 3), ("diag.sys", 5)])
+def test_compose_past_the_size_limit_is_input_error(workdir, monkeypatch, capsys, name, width):
+    """Each input is within the limit and the composition of n+m = `width` bits
+    is not: compose refuses it before building a row, and composes it once
+    the limit allows."""
+    path, out = str(workdir / name), workdir / "par.out"
+    monkeypatch.setenv("ASYNC_DEC_SIZE_LIMIT", str(width - 1))
+    assert main(["compose", path, path, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", (
+        f"error: n+m = {width} exceeds the exhaustive-scan limit {width - 1}; "
+        "refusing to scan (set ASYNC_DEC_SIZE_LIMIT to raise the limit)\n"
+    ))
+    assert not out.exists()
+    monkeypatch.setenv("ASYNC_DEC_SIZE_LIMIT", str(width))
+    assert main(["compose", path, path, "--out", str(out)]) == 0
+    assert out.exists()
+
+
 def test_decompose_non_numeric_block_is_input_error(workdir):
     result = cli("decompose", "--system", str(workdir / "diag.sys"), "--block", "x")
     assert_input_error(result)

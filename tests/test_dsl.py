@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from asyncdec import BitVec, GeneratorFn, dependency_matrix, finest_partition, partial_derivative
+from asyncdec import BitVec, GeneratorFn, dependency_matrix, partial_derivative
 from asyncdec.frontend import DslNameError, DslSyntaxError, compile_program, parse_dsl
 from asyncdec.frontend.dsl import MAX_NESTING
 
@@ -68,7 +68,7 @@ def test_dependency_of_conjunction_program():
 def test_analysis_pipeline_on_decoupled_program():
     phi = compiled("x1' = u1\nx2' = !x2")
     assert dependency_matrix(phi).as_matrix() == ((0, 0), (0, 1))
-    assert finest_partition(phi).blocks == ((1,), (2,))
+    assert dependency_matrix(phi).components().blocks == ((1,), (2,))
 
 
 def test_precedence_not_and_xor_or():
@@ -257,7 +257,7 @@ def test_lane_kernels_match_row_oracles_on_wide_lanes(n, m):
     total = len(phi.table)
     rows = sorted({0, 1, total - 1, *rng.sample(range(total), 300)})
     assert [phi.table[r] for r in rows] == list(python_rows(text, n, phi.m, rows))
-    dm = dependency_matrix(phi)
+    matrix = dependency_matrix(phi).as_matrix()
     for i in (1, 9, n):
         for j in (1, 8, n):
-            assert dm.depends(i, j) == (partial_derivative(phi, i, j) != 0)
+            assert matrix[i - 1][j - 1] == (partial_derivative(phi, i, j) != 0)

@@ -331,12 +331,18 @@ n=1 H=8 events=(1,1)
                      "missing section [pi]", id="missing-pi"),
         pytest.param(BUNDLE.replace("step = n=1 init=0 H=8 events=(0,1)", "step"),
                      "line 8: expected '<name> = <signal>'", id="input-without-equals"),
+        pytest.param(BUNDLE.replace("step = ", " = ").replace("step:", ":").replace("@ step", "@ "),
+                     "line 8: input name '' must be nonempty and free of ':'", id="input-name-empty"),
+        pytest.param(BUNDLE.replace("step", "a:b"),
+                     "line 8: input name 'a:b' must be nonempty and free of ':'", id="input-name-colon"),
         pytest.param(BUNDLE.replace("[phi0]", "step = n=1 init=0 H=8 events=(0,1)\n[phi0]"),
                      "line 9: duplicate input name 'step'", id="duplicate-input"),
         pytest.param(BUNDLE.replace("[phi0]", "again = n=1 init=0 H=8 events=(0,1);(5,1)\n[phi0]"),
                      "line 9: input 'again' repeats input 'step'", id="repeated-input-signal"),
         pytest.param(BUNDLE.replace("n=1 H=8 events=(1,1)\n", ""),
                      "[rho r0] must contain exactly one schedule line", id="rho-without-line"),
+        pytest.param(BUNDLE.replace("[rho r0]", "[rho ]"),
+                     "line 13: section [rho ] names no schedule", id="rho-without-name"),
         pytest.param(BUNDLE.replace("step: 0", "step 0"),
                      "line 10: expected '<input>: bits, bits, ...'", id="phi0-without-colon"),
         pytest.param(BUNDLE.replace("step: 0", "other: 0"),

@@ -23,7 +23,7 @@ def test_quick_tour_runs_and_its_comments_hold(capsys):
     printed = capsys.readouterr().out.splitlines()
     for prefix, want in (
         ("dependency_matrix(", ((0, 0), (0, 1))),
-        ("finest_partition(", ((1,), (2,))),
+        ("dependency_matrix(phi).components(", ((1,), (2,))),
         ("[x.value_at(t)", [0, 1, 3]),
     ):
         code, comment = _commented(prefix)

@@ -10,7 +10,6 @@ from asyncdec import (
     GeneratorFn,
     InvalidSystem,
     NotSeparatedError,
-    ProductConditionResult,
     ProgressiveFunction,
     RegularSystem,
     Signal,
@@ -335,7 +334,7 @@ def test_product_condition_on_product_form():
     # block {2} is not leading, so each product is relabeled back to the system's order
     result = decompose_system(par, (2,), H)
     assert result.partition.permutation == (2, 1)
-    assert result.product_condition.holds and result.status == "equal"
+    assert result.product_witness is None and result.status == "equal"
 
 
 def test_product_condition_strict_subset_still_covered():
@@ -348,7 +347,7 @@ def test_product_condition_strict_subset_still_covered():
         {"00": [rho(2, [(1, "11")]), rho(2, [(2, "11")])]},
     )
     result = decompose_system(sys_, (1,), H)
-    assert result.product_condition.holds and result.status == "equal"
+    assert result.product_witness is None and result.status == "equal"
     # the projected sets have two schedules each, so the product has four
     assert len(result.first.pi[(bv("0"), u)]) == 2
 
@@ -369,8 +368,8 @@ def test_product_condition_missing_trajectory():
     sys_, u = _diagonal_follower()
     result = decompose_system(sys_, (1,), H)
     assert result.phi0_product_form and result.status == "strict-subset"
-    assert not result.product_condition.holds
-    wu, wmu, wb, wc = result.product_condition.witness
+    assert result.product_witness is not None
+    wu, wmu, wb, wc = result.product_witness
     assert wu == u and wmu == bv("00")
     # the witness product really is uncovered: rerun it and compare
     woven = product_rho(wb, wc).restrict(result.partition.permutation)
@@ -394,7 +393,7 @@ def _weave(n, bs, cs, rb, rc):
 
 def _product_condition_brute_force(sys_, result):
     """The product check by rerunning, per (mu, u), every admitted schedule and
-    every weave of the factors' schedules; (holds, witness)."""
+    every weave of the factors' schedules; the first witness, or None."""
     bs, cs = result.partition.blocks
     for u in sys_.inputs:
         for mu in sys_.phi0[u]:
@@ -407,8 +406,8 @@ def _product_condition_brute_force(sys_, result):
                 for rc in sorted(result.second.pi[(mc, u)]):
                     woven = _weave(sys_.n, bs, cs, rb, rc)
                     if run(sys_.phi, mu, u, woven, H) not in admitted:
-                        return False, (u, mu, rb, rc)
-    return True, None
+                        return u, mu, rb, rc
+    return None
 
 
 def test_product_condition_matches_brute_force():
@@ -426,9 +425,8 @@ def test_product_condition_matches_brute_force():
     verdicts = set()
     for sys_, block in cases:
         result = decompose_system(sys_, block, H)
-        condition = result.product_condition
-        assert (condition.holds, condition.witness) == _product_condition_brute_force(sys_, result)
-        verdicts.add(condition.holds)
+        assert result.product_witness == _product_condition_brute_force(sys_, result)
+        verdicts.add(result.product_witness is None)
     assert verdicts == {True, False}
 
 
@@ -443,9 +441,10 @@ def test_decompose_cross_checks_theorem34_both_ways(monkeypatch, forced):
     else:
         sys_ = parallel_system(step_system((1, 2)), step_system((3,)))
     assert decompose_system(sys_, (1,), H).status == ("strict-subset" if forced else "equal")
-    monkeypatch.setattr(
-        systems_mod, "_product_condition", lambda *args: ProductConditionResult(forced, None)
-    )
+    # no witness on a strict subset in product form, or a real one on an `equal` bundle
+    witness = None if forced else decompose_system(_diagonal_follower()[0], (1,), H).product_witness
+    assert forced or witness is not None
+    monkeypatch.setattr(systems_mod, "_product_condition", lambda *args: witness)
     with pytest.raises(InvalidSystem, match="horizon artifact"):
         decompose_system(sys_, (1,), H)
 
@@ -470,7 +469,7 @@ def test_decompose_runs_each_admitted_triple_once(monkeypatch):
     monkeypatch.setattr(systems_mod, "run", counted_run)
     result = decompose_system(par, (1,), H)
     monkeypatch.undo()
-    assert result.status == "equal" and result.product_condition.holds
+    assert result.status == "equal" and result.product_witness is None
     # six interleavings per initial state, all of them admitted schedules;
     # the hull is the product of the factors' realizations, 3 x 2 runs
     assert calls == admitted(par) + admitted(result.first) + admitted(result.second)
@@ -484,6 +483,44 @@ def test_product_condition_requires_separated_block():
         decompose_system(sys_, (1,), H)
 
 
+def _refusal(call):
+    """The witness (i, j, mu, lam) and text of the `NotSeparatedError` that
+    `call` raises, or None if it returns."""
+    try:
+        call()
+    except NotSeparatedError as err:
+        return err.i, err.j, err.mu, err.lam, str(err)
+    return None
+
+
+def test_split_fn_and_decompose_system_refuse_with_one_witness():
+    """Both go through one separation gate: for the same table and block they
+    refuse with the same witness, or both accept, at 8 bits (one 8-bit lane)
+    and at 9 (16-bit lanes).  One flipped output bit of a parallel table puts
+    the witness deep in the table."""
+    from asyncdec import parallel_fn, split_fn
+    from asyncdec.boolfn import dependency_witness
+
+    rng = random.Random(43)
+    refused = {8: 0, 9: 0}
+    for _ in range(40):  # a system's inputs are at least one bit wide
+        n, m = rng.choice((8, 9)), rng.randint(1, 2)
+        split = rng.randint(1, n - 1)
+        table = list(parallel_fn(rand_fn(rng, split, m), rand_fn(rng, n - split, m)).table)
+        if rng.random() < 0.8:
+            table[rng.randrange(len(table))] ^= 1 << rng.randrange(n)
+        phi = GeneratorFn(n, m, tuple(table))
+        block = rng.choice((range(1, split + 1), rng.sample(range(1, n + 1), rng.randint(1, n - 1))))
+        u, mu = Signal(m, 0, (), H), BitVec(n, 0)
+        sys_ = RegularSystem(phi, (u,), {u: {mu}}, {(mu, u): {round_robin(n, (1,), H)}})
+        split_refusal = _refusal(lambda: split_fn(phi, block))
+        assert split_refusal == _refusal(lambda: decompose_system(sys_, block, H))
+        witness = dependency_witness(phi, block)
+        assert (split_refusal and split_refusal[:4]) == witness
+        refused[n] += witness is not None
+    assert refused[8] and refused[9] and sum(refused.values()) < 40
+
+
 # -- decomposition ----------------------------------------------------------------
 
 
@@ -494,7 +531,7 @@ def test_decompose_parallel_built_system_is_equal():
     result = decompose_system(par, (1,), H)
     assert result.status == "equal"
     assert result.phi0_product_form
-    assert result.product_condition.holds
+    assert result.product_witness is None
     assert realize(result.first, H) == realize(a, H)
     assert realize(result.second, H) == realize(b, H)
 
@@ -522,7 +559,7 @@ def test_decompose_identity_product_form_is_equal():
     result = decompose_system(sys_, (1,), H)
     assert result.status == "equal"
     assert result.phi0_product_form
-    assert result.product_condition.holds
+    assert result.product_witness is None
 
 
 def test_decompose_subset_direction_always_holds():

@@ -40,7 +40,6 @@ def _instances():
         dependency_matrix(phi),
         result.partition,
         system,
-        result.product_condition,
         result,
         parse_dsl("x1' = x1 ^ u1\n"),
         CheckReport("suite", 1, 0, ()),
@@ -53,7 +52,7 @@ VALUES = _instances()
 def test_every_value_type_is_covered():
     assert sorted(type(x).__name__ for x in VALUES) == sorted(
         "BitVec Signal SignalSet ProgressiveFunction GeneratorFn DependencyMatrix Partition RegularSystem "
-        "ProductConditionResult DecompositionResult EquationProgram CheckReport".split()
+        "DecompositionResult EquationProgram CheckReport".split()
     )
 
 
