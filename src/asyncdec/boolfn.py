@@ -3,8 +3,10 @@
 A generator function maps a state vector of width n and an input vector of
 width m to a next-state vector of width n.  The table is total: one packed
 output per row, with row index mu + (lam << n) and coordinate 1 in the least
-significant bit.  All analyses are exhaustive over the 2^(n+m) rows, guarded
-by a configurable bit limit; nothing here ever samples.
+significant bit.  All analyses here are exhaustive over the 2^(n+m) rows,
+guarded by a configurable bit limit; nothing here ever samples.  An
+equation file's dependency matrix is as exact without a table, over each
+equation's own support (`frontend.dsl.program_matrix`).
 
 The dependency scans are word-parallel: a kernel packs the table through
 `array` into one int, row r in lane r (8/16/32/64 bits, the narrowest that
@@ -44,22 +46,31 @@ def size_limit() -> int:
     raise SizeLimitError(f"{SIZE_LIMIT_ENV} must be a non-negative integer, got {raw!r}")
 
 
-def check_index_range(n: int, m: int):
-    """Refuse 2^(n+m) table rows that this platform cannot index."""
-    if n + m >= sys.maxsize.bit_length():
-        raise SizeLimitError(f"n+m = {n + m}: 2^{n + m} table rows exceed this platform's index range")
+def check_index_range(bits: int, label: str):
+    """Refuse 2^bits table rows that this platform cannot index; `label`
+    names what has the `bits`, as in "n+m = 5"."""
+    if bits >= sys.maxsize.bit_length():
+        raise SizeLimitError(f"{label}: 2^{bits} table rows exceed this platform's index range")
 
 
-def check_scan_size(n: int, m: int):
-    """Refuse a scan over 2^(n+m) rows that this platform cannot index (at any
+def check_scan_size(bits: int, label: str):
+    """Refuse a scan over 2^bits rows that this platform cannot index (at any
     limit), or that exceeds the bit limit."""
-    check_index_range(n, m)
+    check_index_range(bits, label)
     limit = size_limit()
-    if n + m > limit:
+    if bits > limit:
         raise SizeLimitError(
-            f"n+m = {n + m} exceeds the exhaustive-scan limit {limit}; "
+            f"{label} exceeds the exhaustive-scan limit {limit}; "
             f"refusing to scan (set {SIZE_LIMIT_ENV} to raise the limit)"
         )
+
+
+def check_count(count: int, what: str):
+    """Refuse to build more than 2^limit entries, `count` of `what`."""
+    limit = size_limit()
+    if count > 1 and (count - 1).bit_length() > limit:
+        raise SizeLimitError(f"{count} {what} exceed 2^{limit}, the exhaustive-scan limit; "
+                             f"refusing to build them (set {SIZE_LIMIT_ENV} to raise the limit)")
 
 
 def lane_code(n: int) -> str:
@@ -199,7 +210,7 @@ class DependencyMatrix(_Value):
 def dependency_matrix(phi: GeneratorFn) -> DependencyMatrix:
     """D[i][j] = 1 iff the derivative of coordinate i w.r.t. mu_j is not zero;
     column j ORs the lanes of the lane derivative D_j, folded in halves."""
-    check_scan_size(phi.n, phi.m)
+    check_scan_size(phi.n + phi.m, f"n+m = {phi.n + phi.m}")
     _, width, derivs = _lane_derivatives(phi, range(phi.n))
     cols = []
     for acc in derivs:

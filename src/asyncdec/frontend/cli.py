@@ -23,7 +23,7 @@ from ..semantics import run
 from ..signals import BitVec
 from ..systems import DecompositionResult, RegularSystem, decompose_system, parallel_system
 from . import checks
-from .dsl import compile_program, parse_dsl
+from .dsl import EquationProgram, compile_program, parse_dsl, program_matrix
 from .fileio import (
     LoadError,
     _split_lines,
@@ -48,15 +48,21 @@ def _first_line(text: str) -> str:
     return next(_split_lines(text), (0, ""))[1]
 
 
-def _parse_phi(path: str, text: str) -> GeneratorFn:
-    """A truth table if the text of file `path` opens with its header, else the
-    equation DSL."""
+def _read_phi(path: str, text: str) -> GeneratorFn | EquationProgram:
+    """A truth table if the text of file `path` opens with its header, else an
+    equation program."""
     line = _first_line(text)
     if not line:
         raise LoadError(f"{path}: empty file")
     if line.startswith("n=") and " m=" in line:
         return parse_truth_table(text)
-    return compile_program(parse_dsl(text))
+    return parse_dsl(text)
+
+
+def _parse_phi(path: str, text: str) -> GeneratorFn:
+    """The generator function of file `path`: its table, or its equations compiled."""
+    phi = _read_phi(path, text)
+    return phi if isinstance(phi, GeneratorFn) else compile_program(phi)
 
 
 def _write_doc(path: str | None, pairs: list[tuple[str, str]]) -> None:
@@ -72,8 +78,9 @@ def _blocks_text(blocks) -> str:
 
 
 def _cmd_analyze(args) -> int:
-    phi = _parse_phi(args.phi, read_text(args.phi))
-    dm = dependency_matrix(phi)
+    phi = _read_phi(args.phi, read_text(args.phi))
+    # an equation file is analyzed one equation's support at a time, never as a table
+    dm = dependency_matrix(phi) if isinstance(phi, GeneratorFn) else program_matrix(phi)
     part = dm.components()
     print(f"generator function: n={phi.n} m={phi.m}")
     print("dependency matrix (row i, column j; 1 = coordinate i depends on mu_j):")
@@ -153,7 +160,8 @@ def _cmd_compose(args) -> int:
     else:
         a, b = fa, fb = tuple(map(_parse_phi, paths, texts))
     if fa.m == fb.m:  # mismatched input widths are refused by the composition itself
-        check_scan_size(fa.n + fb.n, fa.m)
+        bits = fa.n + fb.n + fa.m
+        check_scan_size(bits, f"n+m = {bits}")
     text = format_system(parallel_system(a, b)) if bundles[0] else format_truth_table(parallel_fn(a, b))
     if args.out:
         with open(args.out, "w") as f:

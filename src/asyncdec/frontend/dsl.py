@@ -5,9 +5,10 @@ x1..xn and input variables u1..um.  Operators: ! (not), & (and), ^ (xor),
 | (or), parentheses and the constants 0/1.  The binary operators' precedence
 is the table `_LEVELS`, loosest first, and `!` binds tightest.  `#` starts a
 comment; whitespace is insignificant.  Parentheses and `!` nest at most
-MAX_NESTING deep.  Compilation evaluates each expression node once over all
-rows, as a lane-packed int (see `boolfn`) whose lane r holds the node's value
-on row r.
+MAX_NESTING deep.  One evaluator, `_lanes`, computes an expression node as
+a lane-packed int (see `boolfn`) whose lane r holds the node's value on row
+r: `compile_program` over all 2^(n+m) table rows, `program_matrix` over the
+2^|S_i| assignments of the variables S_i that equation i reads.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 from array import array
 from functools import cache, reduce
 
-from ..boolfn import GeneratorFn, check_scan_size, lane_code, lane_mask
+from ..boolfn import DependencyMatrix, GeneratorFn, check_count, check_scan_size, lane_code, lane_mask
 from ..errors import AsyncDecError
 from ..signals import _Value
 
@@ -188,26 +189,49 @@ def parse_dsl(text: str) -> EquationProgram:
     return EquationProgram(n, m, tuple(defined[i] for i in range(1, n + 1)))
 
 
+def _lanes(node, ones: int, leaf) -> int:
+    """`node` on every lane at once: `leaf(node)` packs a variable, `ones` is 1
+    in every lane, `!` XORs with it and a chain folds its int operator."""
+    kind = node[0]
+    if kind == "const":
+        return ones if node[1] else 0
+    if kind in ("x", "u"):
+        return leaf(node)
+    if kind == "not":
+        return _lanes(node[1], ones, leaf) ^ ones
+    return reduce(getattr(int, f"__{kind}__"), (_lanes(e, ones, leaf) for e in node[1:]))
+
+
 def compile_program(prog: EquationProgram) -> GeneratorFn:
     """Fill the truth table lane-parallel: x_i and u_j are periodic lane masks,
     `&`, `^`, `|` the int operators, `!` an XOR with all-ones lanes; output k
     goes to bit k-1 of every lane, and the lanes unpack to the row tuple."""
     code = lane_code(prog.n)
-    check_scan_size(prog.n, prog.m)
+    check_scan_size(prog.n + prog.m, f"n+m = {prog.n + prog.m}")
     rows = 1 << (prog.n + prog.m)
     ones = lane_mask(code, rows, 0, 1, 1)
-    variable = cache(lambda bit: lane_mask(code, rows, bit, 0, 1))
-
-    def lanes(node):
-        kind = node[0]
-        if kind == "const":
-            return ones if node[1] else 0
-        if kind in ("x", "u"):
-            return variable(node[1] - 1 + (prog.n if kind == "u" else 0))
-        if kind == "not":
-            return lanes(node[1]) ^ ones
-        return reduce(getattr(int, f"__{kind}__"), map(lanes, node[1:]))
-
-    packed = sum(lanes(expr) << k for k, expr in enumerate(prog.exprs))
+    variable = cache(lambda leaf: lane_mask(code, rows, leaf[1] - 1 + (prog.n if leaf[0] == "u" else 0), 0, 1))
+    packed = sum(_lanes(expr, ones, variable) << k for k, expr in enumerate(prog.exprs))
     table = array(code, packed.to_bytes(rows * array(code).itemsize, sys.byteorder))
     return GeneratorFn(prog.n, prog.m, tuple(table))
+
+
+def program_matrix(prog: EquationProgram) -> DependencyMatrix:
+    """`dependency_matrix(compile_program(prog))` without the table: D[i][j] is
+    the lane derivative of x_i' w.r.t. x_j over the 2^|S_i| assignments of
+    its support S_i (a byte lane each, S_i's k-th variable in bit k of the
+    lane index), and 0 for x_j outside S_i."""
+    check_count(prog.n * prog.n, f"entries in the {prog.n}x{prog.n} dependency report")
+    mask = cache(lambda size, bit, low, high: lane_mask("B", 1 << size, bit, low, high))
+    rows = []
+    for i, expr in enumerate(prog.exprs, start=1):
+        support: dict = {}  # S_i, each variable at its bit: the evaluator lists them as it walks
+        _lanes(expr, 0, lambda leaf: support.setdefault(leaf, len(support)) & 0)
+        size = len(support)
+        check_scan_size(size, f"|S_{i}| = {size} (the variables x{i}' reads)")
+        packed = _lanes(expr, mask(size, 0, 1, 1), lambda leaf: mask(size, support[leaf], 0, 1))
+        rows.append(sum(
+            1 << (j - 1) for (kind, j), k in support.items()
+            if kind == "x" and (packed ^ packed >> (8 << k)) & mask(size, k, 1, 0)
+        ))
+    return DependencyMatrix(prog.n, tuple(rows))

@@ -112,7 +112,7 @@ def _read_table(lines) -> GeneratorFn:
     n, m = (_decimal(match.group(k), f"line {line_no}") for k in (1, 2))
     if n < 1:
         raise WidthInconsistencyError(f"line {line_no}: state width must be >= 1")
-    check_index_range(n, m)
+    check_index_range(n + m, f"n+m = {n + m}")
     rows: dict[int, int] = {}
     for line_no, line in lines:  # the rows, from the same iterator as the header
         left, arrow, out = line.partition("->")

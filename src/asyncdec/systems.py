@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .boolfn import GeneratorFn, Partition, _separated_blocks, parallel_fn, project_fn
+from .boolfn import GeneratorFn, Partition, _separated_blocks, check_count, parallel_fn, project_fn
 from .errors import HorizonMismatch, InvalidSystem, ProgressivenessError, WidthMismatch
 from .semantics import run
 from .signals import (
@@ -140,6 +140,10 @@ def parallel_system(a: RegularSystem, b: RegularSystem) -> RegularSystem:
     shared = tuple(u for u in a.inputs if u in b_inputs)
     if not shared:
         raise InvalidSystem("the factors admit no common input")
+    check_count(sum(
+        sum(len(a.pi[(ma, u)]) for ma in a.phi0[u]) * sum(len(b.pi[(mb, u)]) for mb in b.phi0[u])
+        for u in shared
+    ), "woven schedules in the composed bundle")
     phi0 = {
         u: frozenset(ma.concat(mb) for ma in a.phi0[u] for mb in b.phi0[u])
         for u in shared

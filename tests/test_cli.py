@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from asyncdec import BitVec, GeneratorFn, parallel_fn
+from asyncdec import BitVec, GeneratorFn, ProgressiveFunction, RegularSystem, parallel_fn, systems, unit_step
 from asyncdec.frontend import (
     compile_program,
     format_system,
@@ -193,11 +193,19 @@ def test_missing_file_is_input_error():
 
 
 def test_size_limit_env_override(workdir):
+    """pair.eq has a 2^3-row table, but `analyze` builds no object past 2^2
+    entries (its 2x2 report, its one-variable supports), so it passes at limit
+    2 and is refused at limit 1 by the report."""
     result = cli(
-        "analyze", "--phi", str(workdir / "pair.eq"), env={"ASYNC_DEC_SIZE_LIMIT": "2"}
+        "analyze", "--phi", str(workdir / "pair.eq"), env={"ASYNC_DEC_SIZE_LIMIT": "1"}
     )
     assert result.returncode == 2
     assert "limit" in result.stderr
+    result = cli(
+        "analyze", "--phi", str(workdir / "pair.eq"), env={"ASYNC_DEC_SIZE_LIMIT": "2"}
+    )
+    assert result.returncode == 0
+    assert "finest partition: {1} | {2}" in result.stdout
 
 
 def assert_input_error(result):
@@ -275,14 +283,16 @@ def test_deeply_nested_equations_are_input_errors(workdir):
 
 def test_state_width_beyond_the_lane_cap_is_input_error(workdir):
     (workdir / "wide.eq").write_text("".join(f"x{i}' = x{i}\n" for i in range(1, 66)))
-    result = cli("analyze", "--phi", str(workdir / "wide.eq"), env={"ASYNC_DEC_SIZE_LIMIT": "1000"})
+    path = str(workdir / "wide.eq")
+    result = cli("compose", path, path, env={"ASYNC_DEC_SIZE_LIMIT": "1000"})
     assert_input_error(result)
     assert result.stderr == "error: n = 65 state bits exceed the 64-bit lane cap of the table kernels\n"
 
 
 def test_row_count_beyond_the_index_range_is_input_error(workdir):
     (workdir / "wide_input.eq").write_text("x1' = u70\n")
-    result = cli("analyze", "--phi", str(workdir / "wide_input.eq"), env={"ASYNC_DEC_SIZE_LIMIT": "1000"})
+    path = str(workdir / "wide_input.eq")
+    result = cli("compose", path, path, env={"ASYNC_DEC_SIZE_LIMIT": "1000"})
     assert_input_error(result)
     assert "n+m = 71" in result.stderr
 
@@ -291,11 +301,80 @@ def test_out_of_memory_is_input_error(workdir, monkeypatch, capsys):
     # 2^60 rows: the first lane mask asks for 2^60 bytes, which no 64-bit
     # address space can map, so the allocation fails without taking memory
     (workdir / "wide_input.eq").write_text("x1' = u59\n")
+    path = str(workdir / "wide_input.eq")
     monkeypatch.setenv("ASYNC_DEC_SIZE_LIMIT", "1000")
-    assert main(["analyze", "--phi", str(workdir / "wide_input.eq")]) == 2
+    assert main(["compose", path, path]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text, width, blocks", [
+    ("".join(f"x{i}' = x{i}\n" for i in range(1, 66)), "n=65 m=0", "|".join(map(str, range(1, 66)))),
+    ("x1' = u70\n", "n=1 m=70", "1"),
+    ("x1' = u59\n", "n=1 m=59", "1"),
+])
+def test_analyze_reads_equations_past_the_table_kernels(workdir, text, width, blocks):
+    """The files compose refuses above: analyze reads each equation's support,
+    one variable wide here, so neither the lane cap nor the row count applies."""
+    (workdir / "wide.eq").write_text(text)
+    result = cli("analyze", "--phi", str(workdir / "wide.eq"), "--out", str(workdir / "wide.kv"))
+    assert (result.returncode, result.stderr) == (0, "")
+    assert f"generator function: {width}" in result.stdout
+    assert f"partition.blocks={blocks}\n" in (workdir / "wide.kv").read_text()
+
+
+@pytest.mark.parametrize("limit, reads, message", [
+    ("3", "x1 & x2 & u1 & u69", "|S_2| = 4 (the variables x2' reads) exceeds the exhaustive-scan limit 3; "
+                                "refusing to scan (set ASYNC_DEC_SIZE_LIMIT to raise the limit)"),
+    ("1000", " & ".join(["x1", "x2"] + [f"u{j}" for j in range(1, 69)]),
+     "|S_2| = 70 (the variables x2' reads): 2^70 table rows exceed this platform's index range"),
+])
+def test_analyze_support_past_the_limit_is_input_error(workdir, limit, reads, message):
+    """Each equation's support is held to the limit (and the index range), not n+m."""
+    (workdir / "wide.eq").write_text(f"x1' = x1\nx2' = {reads}\n")
+    result = cli("analyze", "--phi", str(workdir / "wide.eq"), env={"ASYNC_DEC_SIZE_LIMIT": limit})
+    assert_input_error(result)
+    assert result.stderr == f"error: {message}\n"
+    if limit == "3":  # n+m = 71 is past the limit; the widest support, 4, is not
+        result = cli("analyze", "--phi", str(workdir / "wide.eq"), env={"ASYNC_DEC_SIZE_LIMIT": "4"})
+        assert result.returncode == 0
+
+
+@pytest.mark.parametrize("n, limit", [(5, "4"), (1025, None)])
+def test_analyze_report_past_the_limit_is_input_error(workdir, n, limit):
+    """The n*n report is held to 2^limit entries: n <= 1024 at the default 20."""
+    (workdir / "diag.eq").write_text("".join(f"x{i}' = x{i}\n" for i in range(1, n + 1)))
+    result = cli("analyze", "--phi", str(workdir / "diag.eq"), env=limit and {"ASYNC_DEC_SIZE_LIMIT": limit})
+    assert_input_error(result)
+    assert result.stderr == (
+        f"error: {n * n} entries in the {n}x{n} dependency report exceed 2^{limit or 20}, "
+        "the exhaustive-scan limit; refusing to build them (set ASYNC_DEC_SIZE_LIMIT to raise the limit)\n"
+    )
+    assert result.stdout == ""
+
+
+def test_compose_of_bundles_past_the_size_limit_is_input_error(workdir, monkeypatch, capsys):
+    """Three schedules a side weave into 3*3 = 9 schedules, past 2^3: compose
+    counts them and refuses before it builds a product, though n+m = 3 fits."""
+    u = unit_step(0, 10)
+    mu = BitVec.from_string("0")
+    rhos = {ProgressiveFunction(1, ((t, 1),), 10) for t in range(3)}
+    system = RegularSystem(GeneratorFn.identity(1, 1), (u,), {u: {mu}}, {(mu, u): rhos})
+    path, out = str(workdir / "three.sys"), workdir / "par.sys"
+    (workdir / "three.sys").write_text(format_system(system))
+    monkeypatch.setenv("ASYNC_DEC_SIZE_LIMIT", "3")
+    with monkeypatch.context() as patched:
+        patched.setattr(systems, "product_rho", None)  # a product would raise TypeError
+        assert main(["compose", path, path, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", (
+        "error: 9 woven schedules in the composed bundle exceed 2^3, the exhaustive-scan limit; "
+        "refusing to build them (set ASYNC_DEC_SIZE_LIMIT to raise the limit)\n"
+    ))
+    assert not out.exists()
+    monkeypatch.setenv("ASYNC_DEC_SIZE_LIMIT", "4")
+    assert main(["compose", path, path, "--out", str(out)]) == 0
+    assert len(parse_system(out.read_text(), str(workdir)).pi[(BitVec.from_string("00"), u)]) == 9
 
 
 def test_undefined_state_variable_error_names_no_line(workdir):

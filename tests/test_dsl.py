@@ -7,7 +7,8 @@ import pytest
 
 from asyncdec import BitVec, GeneratorFn, dependency_matrix, partial_derivative
 from asyncdec.frontend import DslNameError, DslSyntaxError, compile_program, parse_dsl
-from asyncdec.frontend.dsl import MAX_NESTING
+from asyncdec.frontend import cli
+from asyncdec.frontend.dsl import MAX_NESTING, program_matrix
 
 bv = BitVec.from_string
 
@@ -261,3 +262,73 @@ def test_lane_kernels_match_row_oracles_on_wide_lanes(n, m):
     for i in (1, 9, n):
         for j in (1, 8, n):
             assert matrix[i - 1][j - 1] == (partial_derivative(phi, i, j) != 0)
+
+
+# -- the dependency matrix read off the equations, against the compiled table --
+
+
+def chained_expr(rng, pool, depth):
+    """DSL source over the leaves in `pool`: `!`, and chains of two to four operands."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(pool)
+    if rng.random() < 0.2:
+        return "!" + chained_expr(rng, pool, depth - 1)
+    chain = f" {rng.choice('&^|')} ".join(chained_expr(rng, pool, depth - 1) for _ in range(rng.randint(2, 4)))
+    return f"({chain})"
+
+
+def nodes(expr):
+    yield expr
+    if expr[0] not in ("const", "x", "u"):
+        for child in expr[1:]:
+            yield from nodes(child)
+
+
+def test_program_matrix_matches_the_compiled_table():
+    """Seeded programs with n+m <= 12 whose pools leave some state and input
+    variables unread and make some coordinates constant."""
+    rng = random.Random(22)
+    seen = set()
+    for _ in range(400):
+        n = rng.randint(1, 8)
+        m = rng.choice([0, rng.randint(0, 12 - n)])
+        pool = [v for v in [f"x{i}" for i in range(1, n + 1)] + [f"u{j}" for j in range(1, m + 1)] if rng.random() < 0.7]
+        text = "\n".join(
+            f"x{i}' = {chained_expr(rng, ['0', '1'] + (pool if rng.random() < 0.85 else []), rng.randint(0, 4))}"
+            for i in range(1, n + 1)
+        )
+        prog = parse_dsl(text)
+        matrix, table = program_matrix(prog), dependency_matrix(compile_program(prog))
+        assert matrix == table, text
+        assert matrix.components() == table.components()
+        exprs = [list(nodes(expr)) for expr in prog.exprs]
+        every = [node for expr in exprs for node in expr]
+        read = {node for node in every if node[0] in ("x", "u")}
+        seen.update(node[0] for node in every)
+        seen.update("chain3" for node in every if len(node) > 3)
+        if prog.m == 0:
+            seen.add("m=0")
+        if sum(v[0] == "u" for v in read) < prog.m:
+            seen.add("unread input")
+        if sum(v[0] == "x" for v in read) < n:
+            seen.add("unread state")
+        if any(not read.intersection(expr) for expr in exprs):
+            seen.add("constant coordinate")
+    assert seen >= {"const", "not", "chain3", "m=0", "unread input", "unread state", "constant coordinate"}
+
+
+def test_program_matrix_of_200_planted_blocks_builds_no_table(tmp_path, monkeypatch):
+    """n = 200 in 50 chained blocks of 4, m = 2: n+m is far past any table,
+    and analyze reports the planted partition through the equations alone."""
+    lines = []
+    for base in range(0, 200, 4):
+        a, b, c, d = (f"x{base + k}" for k in range(1, 5))
+        lines += [f"{a}' = {b} ^ u1", f"{b}' = {c} & !{a}", f"{c}' = {d} | u2", f"{d}' = {a} ^ {d} ^ 1"]
+    (tmp_path / "planted.eq").write_text("\n".join(lines) + "\n")
+    monkeypatch.setattr(cli, "compile_program", None)
+    monkeypatch.setattr(cli, "dependency_matrix", None)
+    assert cli.main(["analyze", "--phi", str(tmp_path / "planted.eq"), "--out", str(tmp_path / "r.kv")]) == 0
+    blocks = "|".join(",".join(str(base + k) for k in range(1, 5)) for base in range(0, 200, 4))
+    doc = (tmp_path / "r.kv").read_text()
+    assert f"partition.blocks={blocks}\n" in doc
+    assert "n=200\nm=2\n" in doc
