@@ -13,9 +13,9 @@ The dependency scans are word-parallel: a kernel packs the table through
 holds n bits), so a derivative over all rows is a few shifts and masks.  The
 row tuple stays the only stored form; `partial_derivative` stays row-based
 and returns a row bitmask.  The table transforms (`project_fn`,
-`parallel_fn`) are whole-table maps: `project_fn` reads its source through
-the chunked maps of `signals._relabeler`, built once per coordinate tuple
-and shared with `restrict` on every other kind.
+`parallel_fn`) are whole-table maps.  `project_fn` reads its source through
+maps expanded once per coordinate tuple from `signals._relabeler`'s chunks,
+which `restrict` shares on every other kind; 1..n returns `phi` itself.
 """
 
 from __future__ import annotations
@@ -35,9 +35,7 @@ SIZE_LIMIT_ENV = "ASYNC_DEC_SIZE_LIMIT"
 
 def size_limit() -> int:
     """The exhaustive-scan bit limit; overridable via ASYNC_DEC_SIZE_LIMIT."""
-    raw = os.environ.get(SIZE_LIMIT_ENV)
-    if raw is None:
-        return DEFAULT_SIZE_LIMIT
+    raw = os.environ.get(SIZE_LIMIT_ENV, str(DEFAULT_SIZE_LIMIT))
     try:
         if int(raw) >= 0:
             return int(raw)
@@ -46,23 +44,14 @@ def size_limit() -> int:
     raise SizeLimitError(f"{SIZE_LIMIT_ENV} must be a non-negative integer, got {raw!r}")
 
 
-def check_index_range(bits: int, label: str):
-    """Refuse 2^bits table rows that this platform cannot index; `label`
-    names what has the `bits`, as in "n+m = 5"."""
+def check_scan_size(bits: int, label: str):
+    """Refuse 2^bits rows past this platform's index range (at any limit) or
+    past the bit limit; `label` names what has the `bits`, as in "n+m = 5"."""
     if bits >= sys.maxsize.bit_length():
         raise SizeLimitError(f"{label}: 2^{bits} table rows exceed this platform's index range")
-
-
-def check_scan_size(bits: int, label: str):
-    """Refuse a scan over 2^bits rows that this platform cannot index (at any
-    limit), or that exceeds the bit limit."""
-    check_index_range(bits, label)
-    limit = size_limit()
-    if bits > limit:
-        raise SizeLimitError(
-            f"{label} exceeds the exhaustive-scan limit {limit}; "
-            f"refusing to scan (set {SIZE_LIMIT_ENV} to raise the limit)"
-        )
+    if bits > (limit := size_limit()):
+        raise SizeLimitError(f"{label} exceeds the exhaustive-scan limit {limit}; "
+                             f"refusing to scan (set {SIZE_LIMIT_ENV} to raise the limit)")
 
 
 def check_count(count: int, what: str):
@@ -105,14 +94,14 @@ class GeneratorFn(_Value):
 
     def __init__(self, n: int, m: int, table: tuple[int, ...]):
         table = tuple(table)
-        if n < 1:
-            raise WidthMismatch(f"state width must be >= 1, got {n}")
-        if m < 0:
-            raise WidthMismatch(f"input width must be >= 0, got {m}")
-        expected = 1 << (n + m)
-        if len(table) != expected:
-            raise InvalidValue(f"table has {len(table)} rows, expected {expected} for n={n} m={m}")
-        if table and (min(table) < 0 or max(table) >> n):
+        if n < 1 or m < 0 or len(table) != 1 << (n + m) or min(table) < 0 or max(table) >> n:
+            if n < 1:
+                raise WidthMismatch(f"state width must be >= 1, got {n}")
+            if m < 0:
+                raise WidthMismatch(f"input width must be >= 0, got {m}")
+            if len(table) != 1 << (n + m):
+                raise InvalidValue(
+                    f"table has {len(table)} rows, expected {1 << (n + m)} for n={n} m={m}")
             raise InvalidValue(f"table entry out of range for output width {n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", m)
@@ -271,12 +260,20 @@ def dependency_witness(phi: GeneratorFn, block: Iterable[int]):
 def project_fn(phi: GeneratorFn, coords: Iterable[int]) -> GeneratorFn:
     """`phi` on the state coordinates `coords`, in that order, with every other
     state coordinate frozen at 0 (irrelevant when `coords` is a separated
-    block); all n coordinates in a new order relabel `phi`."""
-    k, _, picks, spreads = _relabeler(phi.n, tuple(coords))
-    # spread[s]: the row offset of block state s; pick[out]: out read at `coords`
-    spread, pick, table = _images(spreads), _images(picks), phi.table
+    block); all n coordinates in a new order relabel `phi`; 1..n returns `phi` itself."""
+    if (maps := _projection(phi.n, tuple(coords))) is None:
+        return phi
+    (k, spread, pick), table = maps, phi.table
     rows = [pick[table[base | r]] for base in range(0, len(table), 1 << phi.n) for r in spread]
     return GeneratorFn(k, phi.m, tuple(rows))
+
+
+@lru_cache(maxsize=16)
+def _projection(n: int, cs: tuple[int, ...]):
+    """None for 1..n, else (k, spread, pick) expanded once per key from `_relabeler`'s
+    chunks: spread[s] is the row offset of state s; pick[out] (2^n ints) reads out at `cs`."""
+    k, _, picks, spreads = _relabeler(n, cs)
+    return None if cs == tuple(range(1, n + 1)) else (k, _images(spreads), _images(picks))
 
 
 class Partition(_Value):

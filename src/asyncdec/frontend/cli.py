@@ -26,7 +26,7 @@ from . import checks
 from .dsl import EquationProgram, compile_program, parse_dsl, program_matrix
 from .fileio import (
     LoadError,
-    _split_lines,
+    _first_line,
     format_system,
     format_truth_table,
     load_rho,
@@ -41,11 +41,6 @@ from .fileio import (
 _EXIT_OK = 0
 _EXIT_VIOLATED = 1
 _EXIT_INPUT = 2
-
-
-def _first_line(text: str) -> str:
-    """The first line that is neither blank nor a comment, or ''."""
-    return next(_split_lines(text), (0, ""))[1]
 
 
 def _read_phi(path: str, text: str) -> GeneratorFn | EquationProgram:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 import re
 
-from ..boolfn import GeneratorFn, check_index_range
+from ..boolfn import GeneratorFn, check_scan_size
 from ..errors import AsyncDecError, HorizonExceeded, InvalidValue, WidthMismatch
 from ..signals import BitVec, ProgressiveFunction, Signal, _bits_text
 from ..systems import RegularSystem
@@ -83,6 +83,15 @@ def _split_lines(text: str):
             yield line_no, line
 
 
+def _first_line(text: str) -> str:
+    """`next(_split_lines(text), (0, ""))[1]`, from doubling prefixes less their (cut) last lines."""
+    size = 4096
+    while size < len(text) and not any(
+            raw.partition("#")[0].strip() for raw in text[:size].splitlines()[:-1]):
+        size *= 2
+    return next(_split_lines(text[:size]), (0, ""))[1]
+
+
 # -- truth tables -------------------------------------------------------
 
 _TT_HEADER = re.compile(r"^n=(\d+)\s+m=(\d+)$", re.ASCII)
@@ -112,7 +121,7 @@ def _read_table(lines) -> GeneratorFn:
     n, m = (_decimal(match.group(k), f"line {line_no}") for k in (1, 2))
     if n < 1:
         raise WidthInconsistencyError(f"line {line_no}: state width must be >= 1")
-    check_index_range(n + m, f"n+m = {n + m}")
+    check_scan_size(n + m, f"n+m = {n + m}")  # before any row is read
     rows: dict[int, int] = {}
     for line_no, line in lines:  # the rows, from the same iterator as the header
         left, arrow, out = line.partition("->")

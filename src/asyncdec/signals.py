@@ -186,8 +186,7 @@ def _relabeler(width: int, cs: tuple[int, ...]):
     is the k-bit result.  Both maps are chunked by 8 bits (Knuth, TAOCP 4A,
     7.1.3): picks[c] is the gather's image list of source bits 8c+1..8c+8 and
     spreads[c] the scatter's of result bits 8c+1..8c+8, back to their source
-    positions.  So a key holds at most 256 ints per chunk of the width, never
-    2^width; `project_fn` expands whole maps from the chunks for one call."""
+    positions, so a key holds at most 256 ints per chunk, never 2^width."""
     if not cs:
         raise CoordinateError("empty coordinate range")
     if len(set(cs)) != len(cs):

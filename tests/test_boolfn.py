@@ -10,8 +10,10 @@ from asyncdec import (
     BitVec,
     CoordinateError,
     GeneratorFn,
+    InvalidValue,
     NotSeparatedError,
     SizeLimitError,
+    WidthMismatch,
     dependency_matrix,
     parallel_fn,
     partial_derivative,
@@ -38,6 +40,26 @@ def small_fns(draw, max_n=3, max_m=2):
         draw(st.integers(0, (1 << n) - 1)) for _ in range(1 << (n + m))
     )
     return GeneratorFn(n, m, table)
+
+
+# -- construction ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("n, m, table, error, text", [
+    (0, 1, (0, 0), WidthMismatch, "state width must be >= 1, got 0"),
+    (1, -1, (0,), WidthMismatch, "input width must be >= 0, got -1"),
+    (1, 1, (0, 1, 0), InvalidValue, "table has 3 rows, expected 4 for n=1 m=1"),
+    (2, 0, (0, -1, 0, 0), InvalidValue, "table entry out of range for output width 2"),
+    (2, 0, (0, 3, 4, 0), InvalidValue, "table entry out of range for output width 2"),
+    # several checks fail at once: the first in this order is the one named
+    (0, -1, (), WidthMismatch, "state width must be >= 1, got 0"),
+    (1, -1, (7,), WidthMismatch, "input width must be >= 0, got -1"),
+    (1, 0, (2,), InvalidValue, "table has 1 rows, expected 2 for n=1 m=0"),
+])
+def test_the_constructor_refuses_with_the_first_failed_check(n, m, table, error, text):
+    with pytest.raises(error) as refused:
+        GeneratorFn(n, m, table)
+    assert type(refused.value) is error and str(refused.value) == text
 
 
 # -- eval ------------------------------------------------------------------

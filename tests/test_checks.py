@@ -82,6 +82,16 @@ def test_flip_and_derivative_routes_share_no_relabeling(monkeypatch):
     assert set(expected) == {True, False}
 
 
+def test_flip_and_derivative_routes_never_reach_the_projection_memo():
+    asyncdec.boolfn._projection.cache_clear()
+    for packed in range(0, 1 << 16, 257):
+        phi = GeneratorFn(2, 1, tuple((packed >> (2 * r)) & 3 for r in range(8)))
+        flip_invariant(phi, (1,))
+        derivative_separated(phi, (1,))
+    info = asyncdec.boolfn._projection.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+
 def _flip_by_eval(phi, block):
     """The flip route written against `GeneratorFn.eval`: `BitVec` states,
     their one-bit flips by `flip(j)` and every input, evaluated point by point."""

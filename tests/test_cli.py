@@ -232,6 +232,23 @@ def test_compose_past_the_size_limit_is_input_error(workdir, monkeypatch, capsys
     assert out.exists()
 
 
+def test_a_table_past_the_size_limit_is_refused_at_its_header(workdir, monkeypatch, capsys):
+    """n+m = 3 under limit 2: `analyze` and `simulate` both refuse the table
+    before reading a row, so the malformed last line is never reported."""
+    path = workdir / "wide.tt"
+    path.write_text(format_truth_table(GeneratorFn.identity(2, 1)) + "not a row\n")
+    (workdir / "fire2.rho").write_text("n=2 H=10 events=(1,11)\n")
+    monkeypatch.setenv("ASYNC_DEC_SIZE_LIMIT", "2")
+    simulate = ["simulate", "--phi", str(path), "--init", "00",
+                "--input", str(workdir / "step.sig"), "--rho", str(workdir / "fire2.rho")]
+    for argv in (["analyze", "--phi", str(path)], simulate):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", (
+            "error: n+m = 3 exceeds the exhaustive-scan limit 2; "
+            "refusing to scan (set ASYNC_DEC_SIZE_LIMIT to raise the limit)\n"
+        ))
+
+
 def test_decompose_non_numeric_block_is_input_error(workdir):
     result = cli("decompose", "--system", str(workdir / "diag.sys"), "--block", "x")
     assert_input_error(result)

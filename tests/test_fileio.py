@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asyncdec import BitVec, GeneratorFn, ProgressiveFunction, Signal, unit_step
@@ -26,6 +26,7 @@ from asyncdec.frontend import (
     read_text,
 )
 from asyncdec.frontend.checks import rand_fn, rand_rho, rand_signal, rand_system
+from asyncdec.frontend.fileio import _first_line, _split_lines
 
 
 def val(text):
@@ -243,6 +244,21 @@ def test_signal_and_schedule_lines_round_trip(rng, width, horizon):
     r = rand_rho(rng, width, max(horizon, 1))
     assert parse_rho(str(r)) == r
     assert parse_rho(str(r)).key == r.key
+
+
+_TEXT_PIECES = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85",
+                "\u2028", "\u2029", " ", "\t", "\xa0", "#", "a", "0", "n=1 m=0", "[",
+                " " * 2500, "#" * 3000, "0" * 3000, "\n" * 4000]  # long runs cross prefix boundaries
+
+
+@given(st.lists(st.sampled_from(_TEXT_PIECES), max_size=12).map("".join))
+@settings(max_examples=300, deadline=None)
+@example("\r\n# note\u2028 [phi] # x\n")
+@example(" " * 4095 + "\r\nn=1 m=0\n")
+@example("#" * 4096 + "\u2028" + " " * 9000 + "a")
+@example("0" * 5000 + "\n")
+def test_first_line_is_the_first_line_the_reader_yields(text):
+    assert _first_line(text) == next(_split_lines(text), (0, ""))[1]
 
 
 def test_read_text_rejects_non_utf8(tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asyncdec import BitVec, CoordinateError, GeneratorFn, ProgressiveFunction, Signal, project_fn
+from asyncdec.boolfn import _projection
 from asyncdec.frontend.checks import rand_fn
 from asyncdec.signals import _relabeler
 
@@ -87,6 +88,36 @@ def test_project_fn_up_to_two_chunks_matches_the_per_bit_reference(data):
     assert project_fn(phi, given_as()) == GeneratorFn(len(coords), m, expected)
 
 
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_project_fn_reads_one_coordinate_tuple_at_every_width(data):
+    """The projection memo is keyed by width too: one tuple, used at one width
+    and then at another, gives the per-bit reference result at both."""
+    coords = tuple(data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=4, unique=True)))
+    for n in data.draw(st.lists(st.integers(max(coords), 10), min_size=2, max_size=3, unique=True)):
+        m = data.draw(st.integers(0, 2))
+        phi = rand_fn(random.Random(data.draw(st.integers(0, 1 << 32))), n, m)
+        expected = tuple(
+            _gather_bits(phi.table[_scatter_bits(s, coords) | lam << n], coords)
+            for lam in range(1 << m)
+            for s in range(1 << len(coords))
+        )
+        assert project_fn(phi, coords) == GeneratorFn(len(coords), m, expected)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_project_fn_onto_all_coordinates_in_order_returns_phi(n):
+    for m in range(3):
+        phi = rand_fn(random.Random(n * 3 + m), n, m)
+        assert project_fn(phi, range(1, n + 1)) is phi
+        assert project_fn(phi, list(range(1, n + 1))) is phi
+
+
+def test_the_projection_memo_is_bounded():
+    """A key holds 2^n-entry lists, so the memo keeps few of them."""
+    assert 1 <= _projection.cache_info().maxsize <= 64
+
+
 def _permute_fn_reference(phi: GeneratorFn, permutation) -> GeneratorFn:
     """The row loop that relabeled by a permutation array: old coordinate i
     becomes permutation[i-1]."""
@@ -145,8 +176,8 @@ def test_the_memo_never_hides_a_coordinate_error():
 
 @pytest.mark.parametrize("width", [8, 9, 64, 70])
 def test_a_relabeler_holds_at_most_256_ints_per_chunk_of_the_width(width):
-    """Nothing memoized grows as 2^width: a projection over more than 8 bits
-    expands its whole maps for one call and keeps only the chunks."""
+    """The relabeler every kind shares never grows as 2^width; only the
+    bounded projection memo keeps whole 2^width maps."""
     for coords in (range(1, width + 1), range(width, 0, -1), (width,), (1, width)):
         coords = tuple(coords)
         if width <= 9:
