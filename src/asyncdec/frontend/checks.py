@@ -1,15 +1,15 @@
 """Randomized and exhaustive checks of the library's structural claims.
 
-Each suite draws its instances from a seeded generator, runs an equality or
-agreement check that is independent of the code path it validates, and
-returns a report with one summary line and a witness for the first failure.
-The acceptance tests and the `verify` CLI verb both run these.
+Each suite runs a check independent of the code path it validates and returns
+a report: one summary line, and witnesses for the first failures.  A randomized
+suite is a generator over its cases, framed by `_seeded`, which seeds its
+`random.Random` and tallies its outcomes.  `verify` and the acceptance tests run these.
 """
 
 from __future__ import annotations
 
 import random
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import product
 
 from ..boolfn import (
@@ -63,6 +63,17 @@ def _tally(name: str, outcomes) -> CheckReport:
             if len(details) < 3:
                 details.append(outcome)
     return CheckReport(name, cases, failures, tuple(details))
+
+
+def _seeded(name: str):
+    """Turn a generator `fn(rng, *args)`, one outcome per case, into the suite
+    `fn(seed, *args)`, reporting as `name` the cases drawn from `random.Random(seed)`."""
+    def frame(cases_of):
+        @wraps(cases_of)
+        def suite(seed: int, *args, **named) -> CheckReport:
+            return _tally(name, cases_of(random.Random(seed), *args, **named))
+        return suite
+    return frame
 
 
 # -- random instance generators ------------------------------------------
@@ -165,44 +176,36 @@ def recompose_verdict(phi: GeneratorFn, block) -> bool:
     return recomposed.table == project_fn(phi, bs + cs).table
 
 
-def theorem26_suite(seed: int, cases: int) -> CheckReport:
-    rng = random.Random(seed)
-
-    def outcomes():
-        for case in range(cases):
-            na, nb = rng.randint(1, 3), rng.randint(1, 3)
-            m = rng.randint(1, 2)
-            par = parallel_fn(rand_fn(rng, na, m), rand_fn(rng, nb, m))
-            block = range(1, na + 1)
-            ok = flip_invariant(par, block) and derivative_separated(par, block)
-            yield None if ok else f"case {case}: n'={na} n''={nb} m={m} table={par.table}"
-
-    return _tally("thm26 cross-block independence", outcomes())
+@_seeded("thm26 cross-block independence")
+def theorem26_suite(rng: random.Random, cases: int):
+    for case in range(cases):
+        na, nb = rng.randint(1, 3), rng.randint(1, 3)
+        m = rng.randint(1, 2)
+        par = parallel_fn(rand_fn(rng, na, m), rand_fn(rng, nb, m))
+        block = range(1, na + 1)
+        ok = flip_invariant(par, block) and derivative_separated(par, block)
+        yield None if ok else f"case {case}: n'={na} n''={nb} m={m} table={par.table}"
 
 
 # -- theorem 27: runs of a parallel composition factor exactly ------------
 
 
-def theorem27_suite(seed: int, cases: int) -> CheckReport:
-    rng = random.Random(seed)
+@_seeded("thm27 parallel run factorization")
+def theorem27_suite(rng: random.Random, cases: int):
     horizon = 50
-
-    def outcomes():
-        for case in range(cases):
-            na, nb = rng.randint(1, 3), rng.randint(1, 3)
-            m = rng.randint(1, 2)
-            fa, fb = rand_fn(rng, na, m), rand_fn(rng, nb, m)
-            u = rand_signal(rng, m, horizon)
-            ra = rand_rho(rng, na, horizon)
-            rb = rand_rho_distinct(rng, nb, horizon, ra)
-            ma = BitVec(na, rng.randrange(1 << na))
-            mb = BitVec(nb, rng.randrange(1 << nb))
-            joint = run(parallel_fn(fa, fb), ma.concat(mb), u, product_rho(ra, rb), horizon)
-            left, right = run(fa, ma, u, ra, horizon), run(fb, mb, u, rb, horizon)
-            ok = joint == product_signal(left, right)
-            yield None if ok else f"case {case}: mu=({ma},{mb}) rho'={ra} rho''={rb} u={u}"
-
-    return _tally("thm27 parallel run factorization", outcomes())
+    for case in range(cases):
+        na, nb = rng.randint(1, 3), rng.randint(1, 3)
+        m = rng.randint(1, 2)
+        fa, fb = rand_fn(rng, na, m), rand_fn(rng, nb, m)
+        u = rand_signal(rng, m, horizon)
+        ra = rand_rho(rng, na, horizon)
+        rb = rand_rho_distinct(rng, nb, horizon, ra)
+        ma = BitVec(na, rng.randrange(1 << na))
+        mb = BitVec(nb, rng.randrange(1 << nb))
+        joint = run(parallel_fn(fa, fb), ma.concat(mb), u, product_rho(ra, rb), horizon)
+        left, right = run(fa, ma, u, ra, horizon), run(fb, mb, u, rb, horizon)
+        ok = joint == product_signal(left, right)
+        yield None if ok else f"case {case}: mu=({ma},{mb}) rho'={ra} rho''={rb} u={u}"
 
 
 # -- theorem 30: three equivalent separation tests, exhaustively ----------
@@ -237,30 +240,26 @@ def theorem30_exhaustive() -> tuple[CheckReport, tuple[GeneratorFn, ...]]:
 # -- theorem 32: split and recompose constructed-separable functions ------
 
 
-def theorem32_suite(seed: int, cases: int) -> CheckReport:
-    rng = random.Random(seed)
-
-    def outcomes():
-        for case in range(cases):
-            na, nb = rng.randint(1, 3), rng.randint(1, 3)
-            m = rng.randint(1, 2)
-            phi = parallel_fn(rand_fn(rng, na, m), rand_fn(rng, nb, m))
-            n = na + nb
-            shuffle = list(range(1, n + 1))
-            rng.shuffle(shuffle)
-            # coordinate i of phi moves to position shuffle[i-1]
-            permuted = project_fn(phi, sorted(range(1, n + 1), key=lambda k: shuffle[k - 1]))
-            block = sorted(shuffle[i - 1] for i in range(1, na + 1))
-            try:  # split_fn's dependency scan is the case's only separation test
-                first, second, partition = split_fn(permuted, block)
-            except NotSeparatedError:
-                ok = False
-            else:
-                relabeled = project_fn(permuted, sum(partition.blocks, ()))
-                ok = parallel_fn(first, second).table == relabeled.table
-            yield None if ok else f"case {case}: n'={na} n''={nb} m={m} block={block}"
-
-    return _tally("thm32 split recomposition", outcomes())
+@_seeded("thm32 split recomposition")
+def theorem32_suite(rng: random.Random, cases: int):
+    for case in range(cases):
+        na, nb = rng.randint(1, 3), rng.randint(1, 3)
+        m = rng.randint(1, 2)
+        phi = parallel_fn(rand_fn(rng, na, m), rand_fn(rng, nb, m))
+        n = na + nb
+        shuffle = list(range(1, n + 1))
+        rng.shuffle(shuffle)
+        # coordinate i of phi moves to position shuffle[i-1]
+        permuted = project_fn(phi, sorted(range(1, n + 1), key=lambda k: shuffle[k - 1]))
+        block = sorted(shuffle[i - 1] for i in range(1, na + 1))
+        try:  # split_fn's dependency scan is the case's only separation test
+            first, second, partition = split_fn(permuted, block)
+        except NotSeparatedError:
+            ok = False
+        else:
+            relabeled = project_fn(permuted, sum(partition.blocks, ()))
+            ok = parallel_fn(first, second).table == relabeled.table
+        yield None if ok else f"case {case}: n'={na} n''={nb} m={m} block={block}"
 
 
 # -- theorem 34: decomposition of systems ---------------------------------
@@ -294,37 +293,33 @@ def diagonal_example() -> RegularSystem:
     return RegularSystem(phi, (u,), phi0, pi)
 
 
-def theorem34_suite(seed: int, cases: int) -> CheckReport:
-    rng = random.Random(seed)
+@_seeded("thm34 decomposition verdicts")
+def theorem34_suite(rng: random.Random, cases: int):
     horizon = 20
     subset_cases = cases // 2
-
-    def outcomes():
-        for case in range(subset_cases):
-            na, nb = rng.randint(1, 2), rng.randint(1, 2)
-            m = rng.randint(1, 2)
-            phi = parallel_fn(rand_fn(rng, na, m), rand_fn(rng, nb, m))
-            sys = rand_system(rng, phi, horizon, n_inputs=rng.randint(1, 2))
-            try:
-                decompose_system(sys, range(1, na + 1), horizon)
-            except Exception as exc:  # the subset direction must never fail
-                yield f"subset case {case}: {exc}"
-            else:
-                yield None
-        for case in range(cases - subset_cases):
-            na, nb = rng.randint(1, 2), rng.randint(1, 2)
-            m = rng.randint(1, 2)
-            sys = _product_form_system(rng, rand_fn(rng, na, m), rand_fn(rng, nb, m), horizon)
-            result = decompose_system(sys, range(1, na + 1), horizon)
-            ok = result.phi0_product_form and result.product_witness is None
-            ok = ok and result.status == "equal"
-            yield None if ok else f"product-form case {case}: status={result.status}"
-        diag = decompose_system(diagonal_example(), (1,), 10)
-        ok = diag.status == "strict-subset" and any(own < hull for _, own, hull in diag.hull_sizes)
-        sizes = "; ".join(f"input {u}: own {own}, hull {hull}" for u, own, hull in diag.hull_sizes)
-        yield None if ok else f"diagonal example: status={diag.status}; {sizes}"
-
-    return _tally("thm34 decomposition verdicts", outcomes())
+    for case in range(subset_cases):
+        na, nb = rng.randint(1, 2), rng.randint(1, 2)
+        m = rng.randint(1, 2)
+        phi = parallel_fn(rand_fn(rng, na, m), rand_fn(rng, nb, m))
+        sys = rand_system(rng, phi, horizon, n_inputs=rng.randint(1, 2))
+        try:
+            decompose_system(sys, range(1, na + 1), horizon)
+        except Exception as exc:  # the subset direction must never fail
+            yield f"subset case {case}: {exc}"
+        else:
+            yield None
+    for case in range(cases - subset_cases):
+        na, nb = rng.randint(1, 2), rng.randint(1, 2)
+        m = rng.randint(1, 2)
+        sys = _product_form_system(rng, rand_fn(rng, na, m), rand_fn(rng, nb, m), horizon)
+        result = decompose_system(sys, range(1, na + 1), horizon)
+        ok = result.phi0_product_form and result.product_witness is None
+        ok = ok and result.status == "equal"
+        yield None if ok else f"product-form case {case}: status={result.status}"
+    diag = decompose_system(diagonal_example(), (1,), 10)
+    ok = diag.status == "strict-subset" and any(own < hull for _, own, hull in diag.hull_sizes)
+    sizes = "; ".join(f"input {u}: own {own}, hull {hull}" for u, own, hull in diag.hull_sizes)
+    yield None if ok else f"diagonal example: status={diag.status}; {sizes}"
 
 
 # -- example 1: the delay envelope ----------------------------------------
@@ -347,19 +342,15 @@ def example1_suite(taus=(1, 2, 5)) -> CheckReport:
 # -- lemma 1: schedule products stay progressive --------------------------
 
 
-def lemma1_suite(seed: int, cases: int) -> CheckReport:
-    rng = random.Random(seed)
+@_seeded("lemma1 product progressiveness")
+def lemma1_suite(rng: random.Random, cases: int):
     horizon = 30
-
-    def outcomes():
-        for case in range(cases):
-            na, nb = rng.randint(1, 3), rng.randint(1, 3)
-            ra = rand_rho(rng, na, horizon)
-            rb = rand_rho_distinct(rng, nb, horizon, ra)
-            ok = product_rho(ra, rb).is_prefix_progressive()
-            yield None if ok else f"case {case}: rho'={ra} rho''={rb}"
-
-    return _tally("lemma1 product progressiveness", outcomes())
+    for case in range(cases):
+        na, nb = rng.randint(1, 3), rng.randint(1, 3)
+        ra = rand_rho(rng, na, horizon)
+        rb = rand_rho_distinct(rng, nb, horizon, ra)
+        ok = product_rho(ra, rb).is_prefix_progressive()
+        yield None if ok else f"case {case}: rho'={ra} rho''={rb}"
 
 
 # -- finest partition against a brute-force oracle ------------------------
@@ -405,48 +396,41 @@ def partition_oracle_verdict(phi: GeneratorFn) -> bool:
     return True
 
 
-def partition_oracle_suite(seed: int, samples: int) -> CheckReport:
-    rng = random.Random(seed)
-
-    def outcomes():
-        for case in range(samples):
-            phi = rand_fn(rng, 3, 1)
-            ok = partition_oracle_verdict(phi)
-            yield None if ok else f"random case {case}: table={phi.table}"
-        constructed = []
-        for _ in range(60):
-            m = rng.randint(0, 1)
-            constructed.append(parallel_fn(rand_fn(rng, 1, m), rand_fn(rng, 2, m)))
-            constructed.append(parallel_fn(rand_fn(rng, 2, m), rand_fn(rng, 1, m)))
-            constructed.append(
-                parallel_fn(parallel_fn(rand_fn(rng, 1, m), rand_fn(rng, 1, m)), rand_fn(rng, 1, m))
-            )
-        for k, phi in enumerate(constructed):
-            ok = partition_oracle_verdict(phi)
-            yield None if ok else f"block-diagonal case {k}: table={phi.table}"
-
-    return _tally("finest partition vs brute force", outcomes())
+@_seeded("finest partition vs brute force")
+def partition_oracle_suite(rng: random.Random, samples: int):
+    for case in range(samples):
+        phi = rand_fn(rng, 3, 1)
+        ok = partition_oracle_verdict(phi)
+        yield None if ok else f"random case {case}: table={phi.table}"
+    constructed = []
+    for _ in range(60):
+        m = rng.randint(0, 1)
+        constructed.append(parallel_fn(rand_fn(rng, 1, m), rand_fn(rng, 2, m)))
+        constructed.append(parallel_fn(rand_fn(rng, 2, m), rand_fn(rng, 1, m)))
+        constructed.append(
+            parallel_fn(parallel_fn(rand_fn(rng, 1, m), rand_fn(rng, 1, m)), rand_fn(rng, 1, m))
+        )
+    for k, phi in enumerate(constructed):
+        ok = partition_oracle_verdict(phi)
+        yield None if ok else f"block-diagonal case {k}: table={phi.table}"
 
 
 # -- synchronous reduction -------------------------------------------------
 
 
-def synchronous_suite(seed: int, cases: int) -> CheckReport:
-    rng = random.Random(seed)
+@_seeded("synchronous reduction")
+def synchronous_suite(rng: random.Random, cases: int):
     horizon = 30
+    for case in range(cases):
+        n, m = rng.randint(1, 3), rng.randint(1, 2)
+        phi = rand_fn(rng, n, m)
+        mu = BitVec(n, rng.randrange(1 << n))
+        u = rand_signal(rng, m, horizon)
+        ticks = sorted(rng.sample(range(1, horizon + 1), rng.randint(1, 6)))
+        x = run(phi, mu, u, round_robin(n, ticks, horizon), horizon)
+        state, ok = mu, x.initial == mu.value
+        for t in ticks:
+            state = phi.eval(state, BitVec(m, u.value_at(t)))
+            ok = ok and x.value_at(t) == state.value
+        yield None if ok else f"case {case}: phi={phi.table} mu={mu} ticks={ticks}"
 
-    def outcomes():
-        for case in range(cases):
-            n, m = rng.randint(1, 3), rng.randint(1, 2)
-            phi = rand_fn(rng, n, m)
-            mu = BitVec(n, rng.randrange(1 << n))
-            u = rand_signal(rng, m, horizon)
-            ticks = sorted(rng.sample(range(1, horizon + 1), rng.randint(1, 6)))
-            x = run(phi, mu, u, round_robin(n, ticks, horizon), horizon)
-            state, ok = mu, x.initial == mu.value
-            for t in ticks:
-                state = phi.eval(state, BitVec(m, u.value_at(t)))
-                ok = ok and x.value_at(t) == state.value
-            yield None if ok else f"case {case}: phi={phi.table} mu={mu} ticks={ticks}"
-
-    return _tally("synchronous reduction", outcomes())

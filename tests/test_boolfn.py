@@ -407,6 +407,22 @@ def test_components_of_fixed_shapes_at_64(rows, blocks):
     assert DependencyMatrix(64, rows).components().blocks == blocks
 
 
+def test_every_component_has_no_cross_dependency():
+    """`analyze` certifies each block of `components()` as separated without
+    a rescan; this pins the invariant it relies on, at n up to 80."""
+    rng = random.Random(2480)
+    checked = 0
+    for n in range(2, 81):
+        for density in (0.5 / n, 1.5 / n, 3.0 / n):
+            rows = tuple(sum(1 << j for j in range(n) if rng.random() < density) for _ in range(n))
+            dm = DependencyMatrix(n, rows)
+            blocks = dm.components().blocks
+            if len(blocks) > 1:
+                assert all(dm.cross_dependency(block) is None for block in blocks), (n, rows)
+                checked += 1
+    assert checked > 100
+
+
 def test_unions_of_partition_blocks_are_separated():
     rng = random.Random(55)
     for _ in range(20):

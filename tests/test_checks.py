@@ -13,7 +13,9 @@ from asyncdec.systems import DecompositionResult
 from asyncdec.frontend.checks import (
     derivative_separated,
     flip_invariant,
+    CheckReport,
     lemma1_suite,
+    partition_oracle_suite,
     rand_fn,
     recompose_verdict,
     synchronous_suite,
@@ -34,6 +36,41 @@ def test_a_suite_with_zero_cases_fails(suite):
     assert not report.ok
     assert report.summary().endswith("0/0 ok -> FAIL")
     assert suite(1, 1).ok
+
+
+# the next draw of each suite's generator after seed 7 and five cases, pinned
+# before the suites shared their frame: the suites draw in the same order
+DRAW_PINS = {
+    "theorem26_suite": ({"cases": 5}, 0.3118523142180194),
+    "theorem27_suite": ({"cases": 5}, 0.27691707046478153),
+    "theorem32_suite": ({"cases": 5}, 0.9554680239214713),
+    "theorem34_suite": ({"cases": 5}, 0.0844827114461606),
+    "lemma1_suite": ({"cases": 5}, 0.06224782161868758),
+    "partition_oracle_suite": ({"samples": 5}, 0.11416816825694609),
+    "synchronous_suite": ({"cases": 5}, 0.12284223076219491),
+}
+
+
+@pytest.mark.parametrize("name", DRAW_PINS)
+def test_a_seeded_suite_makes_the_draws_it_always_made(monkeypatch, name):
+    class Recording(random.Random):
+        made = []
+
+        def __init__(self, seed):
+            super().__init__(seed)
+            self.made.append(self)
+
+    monkeypatch.setattr(checks.random, "Random", Recording)
+    named, draw = DRAW_PINS[name]
+    suite = getattr(checks, name)
+    assert suite(seed=7, **named).ok
+    assert [rng.random() for rng in Recording.made] == [draw]
+    assert (suite.__name__, suite.__module__) == (name, checks.__name__)
+
+
+def test_seeded_suites_take_their_arguments_by_keyword():
+    for report in (theorem27_suite(seed=1, cases=3), partition_oracle_suite(seed=1, samples=3)):
+        assert isinstance(report, CheckReport) and report.ok
 
 
 def test_theorem30_routes_share_no_dependency_scan(monkeypatch):

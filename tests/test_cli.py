@@ -112,6 +112,16 @@ def test_simulate_horizon_truncates(workdir):
     assert "k=1" not in result.stdout
 
 
+def test_simulate_horizon_takes_ascii_digits_only(workdir, capsys):
+    """`int` alone would read `1_0` as 10; the flag reads numbers as the file formats do."""
+    (workdir / "long.rho").write_text("n=1 H=20 events=(1,1);(15,1)\n")
+    args = ["--phi", str(workdir / "delay.eq"), "--init", "0", "--input", str(workdir / "step.sig")]
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", *args, "--rho", str(workdir / "long.rho"), "--horizon", "1_0"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: argument --horizon: invalid int value: '1_0'\n")
+
+
 def test_simulate_horizon_mismatch_is_input_error(workdir):
     (workdir / "long.rho").write_text("n=1 H=20 events=(1,1)\n")
     result = cli(
@@ -253,6 +263,13 @@ def test_decompose_non_numeric_block_is_input_error(workdir):
     result = cli("decompose", "--system", str(workdir / "diag.sys"), "--block", "x")
     assert_input_error(result)
     assert "--block" in result.stderr
+
+
+@pytest.mark.parametrize("block", ["١", "1_0"])
+def test_decompose_block_takes_ascii_digits_only(workdir, capsys, block):
+    """Each item is ASCII digits: `int` alone would read `١` as coordinate 1."""
+    assert main(["decompose", "--system", str(workdir / "diag.sys"), "--block", block]) == 2
+    assert capsys.readouterr() == ("", f"error: --block must be comma-separated coordinates, got {block!r}\n")
 
 
 def test_decompose_empty_block_is_input_error(workdir):
@@ -459,6 +476,8 @@ VERIFY_BAD_ARGS = {
     "non-numeric cases": ["--cases", "x"],
     "huge cases": ["--cases", BIG],
     "huge seed": ["--seed", BIG, "--cases", "1"],
+    "non-ASCII digit seed": ["--seed", "١", "--cases", "1"],
+    "underscored cases": ["--cases", "1_0"],
     "unknown theorem": ["--thm", "99"],
     "out under a missing directory": ["--cases", "2", "--out", "{tmp}/missing/report.kv"],
 }
