@@ -2,19 +2,12 @@
 
 from .dsl import DslNameError, DslSyntaxError, EquationProgram, compile_program, parse_dsl
 from .fileio import (
-    BundleError,
-    DuplicateRowError,
     LoadError,
-    MalformedRowError,
-    MissingRowError,
-    OrderingError,
-    WidthInconsistencyError,
     format_system,
     format_truth_table,
+    load,
     load_rho,
     load_signal,
-    load_system,
-    load_truth_table,
     parse_rho,
     parse_signal,
     parse_system,

@@ -14,8 +14,9 @@ identical inputs and flags; `--stamp` opts into a timestamp line.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
+from itertools import chain
+from typing import Iterable
 
 from ..boolfn import GeneratorFn, _split_blocks, check_scan_size, dependency_matrix, parallel_fn
 from ..errors import AsyncDecError, NotSeparatedError
@@ -23,18 +24,14 @@ from ..semantics import run
 from ..signals import BitVec
 from ..systems import DecompositionResult, RegularSystem, decompose_system, parallel_system
 from . import checks
-from .dsl import EquationProgram, compile_program, parse_dsl, program_matrix
+from .dsl import EquationProgram, compile_program, program_matrix
 from .fileio import (
     LoadError,
-    _first_line,
     format_system,
     format_truth_table,
+    load,
     load_rho,
     load_signal,
-    load_system,
-    parse_system,
-    parse_truth_table,
-    read_text,
     save_system,
 )
 
@@ -42,25 +39,24 @@ _EXIT_OK = 0
 _EXIT_VIOLATED = 1
 _EXIT_INPUT = 2
 
-
-def _read_phi(path: str, text: str) -> GeneratorFn | EquationProgram:
-    """A truth table if the text of file `path` opens with its header, else an
-    equation program."""
-    line = _first_line(text)
-    if not line:
-        raise LoadError(f"{path}: empty file")
-    if line.startswith("n=") and " m=" in line:
-        return parse_truth_table(text)
-    return parse_dsl(text)
+_KINDS = {GeneratorFn: "a truth table", EquationProgram: "an equation file", RegularSystem: "a system bundle"}
 
 
-def _parse_phi(path: str, text: str) -> GeneratorFn:
-    """The generator function of file `path`: its table, or its equations compiled."""
-    phi = _read_phi(path, text)
+def _load(path: str, *kinds: type):
+    """What file `path` holds, refused unless it is one of `kinds`."""
+    held = load(path)
+    if not isinstance(held, kinds):
+        expected = " or ".join(_KINDS[k] for k in kinds)
+        raise LoadError(f"{path}: holds {_KINDS[type(held)]}, expected {expected}")
+    return held
+
+
+def _table(phi: GeneratorFn | EquationProgram) -> GeneratorFn:
+    """`phi` as a table: an equation program is compiled."""
     return phi if isinstance(phi, GeneratorFn) else compile_program(phi)
 
 
-def _write_doc(path: str | None, pairs: list[tuple[str, str]]) -> None:
+def _write_doc(path: str | None, pairs: Iterable[tuple[str, str]]) -> None:
     if path is None:
         return
     with open(path, "w") as f:
@@ -73,36 +69,37 @@ def _blocks_text(blocks) -> str:
 
 
 def _cmd_analyze(args) -> int:
-    phi = _read_phi(args.phi, read_text(args.phi))
+    phi = _load(args.phi, GeneratorFn, EquationProgram)
     # an equation file is analyzed one equation's support at a time, never as a table
     dm = dependency_matrix(phi) if isinstance(phi, GeneratorFn) else program_matrix(phi)
     part = dm.components()
+    blocks = [",".join(map(str, b)) for b in part.blocks]
+    # each block of `components()` is closed under dependency in both
+    # directions, so it has no cross dependency: every block is separated
+    separated = blocks if len(blocks) > 1 else []
     print(f"generator function: n={phi.n} m={phi.m}")
     print("dependency matrix (row i, column j; 1 = coordinate i depends on mu_j):")
-    doc = [("n", str(phi.n)), ("m", str(phi.m))]
-    for i, row in enumerate(dm.as_matrix(), start=1):
-        print("  " + "".join(str(b) for b in row))
-        doc += ((f"depends.{i}.{j}", str(b)) for j, b in enumerate(row, start=1))
+    for row in dm.as_matrix():
+        print("  " + "".join(map(str, row)))
     print(f"finest partition: {_blocks_text(part.blocks)}")
-    print("permutation: " + ",".join(str(p) for p in part.permutation))
-    doc.append(("partition.blocks", "|".join(",".join(map(str, b)) for b in part.blocks)))
-    doc.append(("partition.permutation", ",".join(map(str, part.permutation))))
-    if len(part.blocks) == 1:
+    print("permutation: " + ",".join(map(str, part.permutation)))
+    if not separated:
         print("no separated proper block: the dependency graph is one component")
-        doc.append(("separated.blocks", "none"))
-    else:
-        # each block of `components()` is closed under dependency in both
-        # directions, so it has no cross dependency: every block is separated
-        for k, block in enumerate(part.blocks, start=1):
-            print(f"block {{{','.join(map(str, block))}}}: separated")
-            doc.append((f"block.{k}", ",".join(map(str, block))))
-            doc.append((f"block.{k}.separated", "1"))
-    _write_doc(args.out, doc)
+    for b in separated:
+        print(f"block {{{b}}}: separated")
+    _write_doc(args.out, chain(
+        [("n", str(phi.n)), ("m", str(phi.m))],
+        ((f"depends.{i}.{j}", str(b))  # n^2 pairs, written as they are made, never held
+         for i, row in enumerate(dm.as_matrix(), start=1) for j, b in enumerate(row, start=1)),
+        [("partition.blocks", "|".join(blocks)), ("partition.permutation", ",".join(map(str, part.permutation)))],
+        [pair for k, b in enumerate(separated, start=1) for pair in ((f"block.{k}", b), (f"block.{k}.separated", "1"))]
+        or [("separated.blocks", "none")],
+    ))
     return _EXIT_OK
 
 
 def _cmd_simulate(args) -> int:
-    phi = _parse_phi(args.phi, read_text(args.phi))
+    phi = _table(_load(args.phi, GeneratorFn, EquationProgram))
     mu = _parse_state(args.init, phi.n)
     u = load_signal(args.input)
     rho = load_rho(args.rho)
@@ -156,20 +153,18 @@ def _parse_state(text: str, n: int) -> BitVec:
 
 
 def _cmd_compose(args) -> int:
-    paths = (args.first, args.second)
-    texts = [read_text(path) for path in paths]
-    bundles = [_first_line(text).startswith("[") for text in texts]
-    if bundles[0] != bundles[1]:
+    a, b = load(args.first), load(args.second)
+    bundles = isinstance(a, RegularSystem)
+    if bundles != isinstance(b, RegularSystem):
         raise LoadError("compose needs two truth tables or two system bundles")
-    if bundles[0]:
-        a, b = (parse_system(t, os.path.dirname(p) or ".") for p, t in zip(paths, texts))
+    if bundles:
         fa, fb = a.phi, b.phi
     else:
-        a, b = fa, fb = tuple(map(_parse_phi, paths, texts))
+        a, b = fa, fb = _table(a), _table(b)
     if fa.m == fb.m:  # mismatched input widths are refused by the composition itself
         bits = fa.n + fb.n + fa.m
         check_scan_size(bits, f"n+m = {bits}")
-    text = format_system(parallel_system(a, b)) if bundles[0] else format_truth_table(parallel_fn(a, b))
+    text = format_system(parallel_system(a, b)) if bundles else format_truth_table(parallel_fn(a, b))
     if args.out:
         with open(args.out, "w") as f:
             f.write(text)
@@ -201,7 +196,7 @@ def _decompose_once(sys: RegularSystem, block, label: str, doc) -> Decomposition
 
 
 def _cmd_decompose(args) -> int:
-    sys_ = load_system(args.system)
+    sys_ = _load(args.system, RegularSystem)
     doc = [("n", str(sys_.n)), ("m", str(sys_.m)), ("horizon", str(sys_.horizon))]
     if args.block is not None:
         try:  # a negative item is a coordinate out of range, which _split_blocks refuses

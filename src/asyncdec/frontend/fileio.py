@@ -10,8 +10,11 @@ Numbers are ASCII digits only.  System bundles are sectioned: [phi], [inputs],
 any other name is refused, and each input names a distinct signal.  An error
 in an inline [phi] table names its line in the bundle file.
 
-Every loader rejects exactly the inputs violating its format, with an error
-naming the first violation.
+`load(path)` reads a generator function or a bundle file and tells which
+it holds by its first content line: `[` opens a bundle, `n=` a truth table,
+and anything else is an equation file.  Every reader rejects exactly the
+inputs violating its format with one `LoadError`, whose text names the first
+violation.
 """
 
 from __future__ import annotations
@@ -20,37 +23,14 @@ import os
 import re
 
 from ..boolfn import GeneratorFn, check_scan_size
-from ..errors import AsyncDecError, HorizonExceeded, InvalidValue, WidthMismatch
+from ..errors import AsyncDecError
 from ..signals import BitVec, ProgressiveFunction, Signal, _bits_text
 from ..systems import RegularSystem
+from .dsl import EquationProgram, parse_dsl
 
 
 class LoadError(AsyncDecError):
-    """Base for file-format violations."""
-
-
-class MalformedRowError(LoadError):
-    pass
-
-
-class MissingRowError(LoadError):
-    pass
-
-
-class DuplicateRowError(LoadError):
-    pass
-
-
-class WidthInconsistencyError(LoadError):
-    pass
-
-
-class OrderingError(LoadError):
-    pass
-
-
-class BundleError(LoadError):
-    pass
+    """A file-format violation; its text names the first one."""
 
 
 def read_text(path: str) -> str:
@@ -64,7 +44,7 @@ def read_text(path: str) -> str:
 
 def _parse_bits(text: str, where: str) -> BitVec:
     if not text or text.strip("01"):
-        raise MalformedRowError(f"{where}: {text!r} is not a bit string")
+        raise LoadError(f"{where}: {text!r} is not a bit string")
     return BitVec(len(text), int(text[::-1], 2))
 
 
@@ -73,7 +53,7 @@ def _decimal(text: str, where: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise MalformedRowError(f"{where}: a number of {len(text)} digits is too long") from None
+        raise LoadError(f"{where}: a number of {len(text)} digits is too long") from None
 
 
 def _split_lines(text: str):
@@ -114,50 +94,40 @@ def _read_table(lines) -> GeneratorFn:
     """A table from (line number, line) pairs; errors name the line numbers."""
     line_no, header = next(lines, (0, ""))
     if not header:
-        raise MalformedRowError("empty truth table")
+        raise LoadError("empty truth table")
     match = _TT_HEADER.match(header)
     if not match:
-        raise MalformedRowError(f"line {line_no}: expected 'n=<n> m=<m>', found {header!r}")
+        raise LoadError(f"line {line_no}: expected 'n=<n> m=<m>', found {header!r}")
     n, m = (_decimal(match.group(k), f"line {line_no}") for k in (1, 2))
     if n < 1:
-        raise WidthInconsistencyError(f"line {line_no}: state width must be >= 1")
+        raise LoadError(f"line {line_no}: state width must be >= 1")
     check_scan_size(n + m, f"n+m = {n + m}")  # before any row is read
     rows: dict[int, int] = {}
     for line_no, line in lines:  # the rows, from the same iterator as the header
         left, arrow, out = line.partition("->")
         if not arrow:
-            raise MalformedRowError(f"line {line_no}: missing '->' in {line!r}")
+            raise LoadError(f"line {line_no}: missing '->' in {line!r}")
         fields = left.split()
         if len(fields) != (2 if m else 1):
-            raise MalformedRowError(
-                f"line {line_no}: expected {'mu and lam' if m else 'mu only'} before '->'"
-            )
+            raise LoadError(f"line {line_no}: expected {'mu and lam' if m else 'mu only'} before '->'")
         fields.append(out.strip())
         for text in fields:  # mu, lam when m > 0, out
             if not text or text.strip("01"):
-                raise MalformedRowError(f"line {line_no}: {text!r} is not a bit string")
+                raise LoadError(f"line {line_no}: {text!r} is not a bit string")
         mu, lam, out = fields if m else (fields[0], "", fields[1])
         if len(mu) != n or len(lam) != m or len(out) != n:
-            raise WidthInconsistencyError(
-                f"line {line_no}: widths ({len(mu)},{len(lam)},{len(out)}) "
-                f"do not match header n={n} m={m}"
-            )
+            raise LoadError(f"line {line_no}: widths ({len(mu)},{len(lam)},{len(out)}) "
+                            f"do not match header n={n} m={m}")
         index = int((mu + lam)[::-1], 2)  # mu in the low n bits, lam above
         if index in rows:
-            raise DuplicateRowError(
-                f"line {line_no}: duplicate row for mu={mu}" + (f" lam={lam}" if m else "")
-            )
+            raise LoadError(f"line {line_no}: duplicate row for mu={mu}" + (f" lam={lam}" if m else ""))
         rows[index] = int(out[::-1], 2)
     expected = 1 << (n + m)
     if len(rows) != expected:
         index = next(i for i in range(expected) if i not in rows)
         mu, lam = _bits_text(index & ((1 << n) - 1), n), _bits_text(index >> n, m)
-        raise MissingRowError(f"missing row for mu={mu}" + (f" lam={lam}" if m else ""))
+        raise LoadError(f"missing row for mu={mu}" + (f" lam={lam}" if m else ""))
     return GeneratorFn(n, m, tuple(map(rows.__getitem__, range(expected))))
-
-
-def load_truth_table(path: str) -> GeneratorFn:
-    return parse_truth_table(read_text(path))
 
 
 # -- signals and schedules ----------------------------------------------
@@ -174,37 +144,33 @@ def _parse_sequence(line: str, where: str, kind: str) -> Signal | ProgressiveFun
     format errors prefixed by `where`."""
     match = _SEQUENCE_LINE.match(line.strip())
     if not match or (match.group(2) is None) == (kind == "signal"):
-        raise MalformedRowError(f"{where}: expected '{_FORMS[kind]}', found {line!r}")
+        raise LoadError(f"{where}: expected '{_FORMS[kind]}', found {line!r}")
     width, init, horizon, text = match.groups()
     width, horizon = _decimal(width, where), _decimal(horizon, where)
     if init is not None and len(init) != width:
-        raise WidthInconsistencyError(f"{where}: init width {len(init)}, expected {width}")
+        raise LoadError(f"{where}: init width {len(init)}, expected {width}")
     events = []
     for chunk in text.split(";") if text.strip() else ():
         chunk = chunk.strip()
         event = _EVENT.match(chunk)
         if not event:
-            raise MalformedRowError(f"{where}: bad event {chunk!r}, expected (t,bits)")
+            raise LoadError(f"{where}: bad event {chunk!r}, expected (t,bits)")
         t, bits = _decimal(event.group(1), where), event.group(2)
         if len(bits) != width:
-            raise WidthInconsistencyError(
-                f"{where}: {kind} event at tick {t} has width {len(bits)}, expected {width}"
-            )
+            raise LoadError(f"{where}: {kind} event at tick {t} has width {len(bits)}, expected {width}")
         events.append((t, int(bits[::-1], 2)))
     try:
         if init is None:
             return ProgressiveFunction(width, tuple(events), horizon)
         return Signal(width, int(init[::-1], 2), tuple(events), horizon)
-    except WidthMismatch as exc:
-        raise WidthInconsistencyError(f"{where}: {exc}") from None
-    except (InvalidValue, HorizonExceeded) as exc:
-        raise OrderingError(f"{where}: {exc}") from None
+    except AsyncDecError as exc:
+        raise LoadError(f"{where}: {exc}") from None
 
 
 def _load_line(path: str, kind: str) -> Signal | ProgressiveFunction:
     lines = list(_split_lines(read_text(path)))
     if len(lines) != 1:
-        raise MalformedRowError(f"{path}: expected exactly one {kind} line, found {len(lines)}")
+        raise LoadError(f"{path}: expected exactly one {kind} line, found {len(lines)}")
     return _parse_sequence(lines[0][1], f"{path} line {lines[0][0]}", kind)
 
 
@@ -269,29 +235,33 @@ def parse_system(text: str, base_dir: str = ".") -> RegularSystem:
         match = _SECTION.match(line)
         if not match:
             if body is None:
-                raise BundleError(f"line {line_no}: content before the first section")
+                raise LoadError(f"line {line_no}: content before the first section")
             body.append((line_no, line))
             continue
         name = match.group(1)
         if name.startswith("rho "):
             if not name[4:].strip():
-                raise BundleError(f"line {line_no}: section [{name}] names no schedule")
+                raise LoadError(f"line {line_no}: section [{name}] names no schedule")
             store, name = rho_sections, "rho " + name[4:].strip()
         elif name in _NAMED_SECTIONS:
             store = named
         else:
-            raise BundleError(f"line {line_no}: unknown section [{name}]")
+            raise LoadError(f"line {line_no}: unknown section [{name}]")
         if name in store:
-            raise BundleError(f"duplicate section [{name}]")
+            raise LoadError(f"duplicate section [{name}]")
         body = store[name] = []
     for required in _NAMED_SECTIONS:
         if required not in named:
-            raise BundleError(f"missing section [{required}]")
+            raise LoadError(f"missing section [{required}]")
 
     phi_body = named["phi"]
     if len(phi_body) == 1 and phi_body[0][1].startswith("file="):
         ref = phi_body[0][1][len("file="):].strip()
-        phi = load_truth_table(os.path.join(base_dir, ref))
+        table = read_text(os.path.join(base_dir, ref))
+        try:
+            phi = parse_truth_table(table)
+        except LoadError as exc:
+            raise LoadError(f"{ref}: {exc}") from None
     else:
         phi = _read_table(iter(phi_body))
 
@@ -300,65 +270,74 @@ def parse_system(text: str, base_dir: str = ".") -> RegularSystem:
     for line_no, line in named["inputs"]:
         name, eq, rest = line.partition("=")
         if not eq:
-            raise BundleError(f"line {line_no}: expected '<name> = <signal>'")
+            raise LoadError(f"line {line_no}: expected '<name> = <signal>'")
         name = name.strip()
         if not name or ":" in name:  # `[phi0]` and `[pi]` end the name at ':'
-            raise BundleError(f"line {line_no}: input name {name!r} must be nonempty and free of ':'")
+            raise LoadError(f"line {line_no}: input name {name!r} must be nonempty and free of ':'")
         if name in inputs:
-            raise BundleError(f"line {line_no}: duplicate input name {name!r}")
+            raise LoadError(f"line {line_no}: duplicate input name {name!r}")
         inputs[name] = parse_signal(rest.strip(), where=f"line {line_no}")
         earlier = first_name.setdefault(inputs[name], name)
         if earlier != name:
-            raise BundleError(f"line {line_no}: input {name!r} repeats input {earlier!r}")
+            raise LoadError(f"line {line_no}: input {name!r} repeats input {earlier!r}")
 
     rhos: dict[str, ProgressiveFunction] = {}
     for label, body in rho_sections.items():
         if len(body) != 1:
-            raise BundleError(f"[{label}] must contain exactly one schedule line")
+            raise LoadError(f"[{label}] must contain exactly one schedule line")
         rhos[label[4:]] = parse_rho(body[0][1], where=f"[{label}]")
 
     phi0: dict[Signal, frozenset[BitVec]] = {}
     for line_no, line in named["phi0"]:
         name, colon, rest = line.partition(":")
         if not colon:
-            raise BundleError(f"line {line_no}: expected '<input>: bits, bits, ...'")
+            raise LoadError(f"line {line_no}: expected '<input>: bits, bits, ...'")
         name = name.strip()
         if name not in inputs:
-            raise BundleError(f"line {line_no}: unknown input {name!r}")
+            raise LoadError(f"line {line_no}: unknown input {name!r}")
         u = inputs[name]
         if u in phi0:
-            raise BundleError(f"line {line_no}: phi0 given twice for {name!r}")
+            raise LoadError(f"line {line_no}: phi0 given twice for {name!r}")
         values = [_parse_bits(bits, f"line {line_no}") for bits in _comma_list(rest)]
         if not values:
-            raise BundleError(f"line {line_no}: phi0 for {name!r} is empty")
+            raise LoadError(f"line {line_no}: phi0 for {name!r} is empty")
         phi0[u] = frozenset(values)
 
     pi: dict[tuple[BitVec, Signal], frozenset[ProgressiveFunction]] = {}
     for line_no, line in named["pi"]:
         left, colon, rest = line.partition(":")
         if not colon or "@" not in left:
-            raise BundleError(f"line {line_no}: expected '<bits> @ <input>: names'")
+            raise LoadError(f"line {line_no}: expected '<bits> @ <input>: names'")
         bits_text, _, name = left.partition("@")
         mu = _parse_bits(bits_text.strip(), f"line {line_no}")
         name = name.strip()
         if name not in inputs:
-            raise BundleError(f"line {line_no}: unknown input {name!r}")
+            raise LoadError(f"line {line_no}: unknown input {name!r}")
         key = (mu, inputs[name])
         if key in pi:
-            raise BundleError(f"line {line_no}: pi given twice for {mu} @ {name}")
+            raise LoadError(f"line {line_no}: pi given twice for {mu} @ {name}")
         names = _comma_list(rest)
         for rho_name in names:
             if rho_name not in rhos:
-                raise BundleError(f"line {line_no}: unknown schedule {rho_name!r}")
+                raise LoadError(f"line {line_no}: unknown schedule {rho_name!r}")
         if not names:
-            raise BundleError(f"line {line_no}: pi for {mu} @ {name} is empty")
+            raise LoadError(f"line {line_no}: pi for {mu} @ {name} is empty")
         pi[key] = frozenset(map(rhos.__getitem__, names))
 
     return RegularSystem(phi, tuple(inputs.values()), phi0, pi)
 
 
-def load_system(path: str) -> RegularSystem:
-    return parse_system(read_text(path), base_dir=os.path.dirname(path) or ".")
+def load(path: str) -> GeneratorFn | EquationProgram | RegularSystem:
+    """What file `path` holds, told by its first content line."""
+    text = read_text(path)
+    line = _first_line(text)
+    if not line:
+        raise LoadError(f"{path}: empty file")
+    if line.startswith("["):
+        return parse_system(text, os.path.dirname(path) or ".")
+    if line.startswith("n="):
+        return parse_truth_table(text)
+    return parse_dsl(text)
 
 
 def save_system(sys: RegularSystem, path: str) -> None:

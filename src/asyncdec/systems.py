@@ -212,9 +212,10 @@ def decompose_system(
     not separated.  The factors f' and f'' are `sys.restrict` to the block
     and to its complement, both ascending.  The hull of input u is
     (f' || f'')(u) = f'(u) x f''(u), the product of the factors'
-    realizations; the system's realization must lie inside it (checked, not
-    assumed), and the verdict compares the two set by set, so a truncation
-    artifact can never misreport equality.  Theorem 34 is cross-checked both
+    realizations, counted against the size limit before any is built; the
+    system's realization must lie inside it (checked, not assumed), and the
+    verdict compares the two set by set, so a truncation artifact can never
+    misreport equality.  Theorem 34 is cross-checked both
     ways: `InvalidSystem` unless "equal" goes with phi0 in product form and no
     `product_witness`.
     """
@@ -229,6 +230,7 @@ def decompose_system(
         for u in sys.inputs
     )
 
+    check_count(sum(len(out_b[u]) * len(out_c[u]) for u in sys.inputs), "trajectories in the hulls")
     sizes = []
     equal = True
     for u in sys.inputs:

@@ -411,6 +411,56 @@ def test_compose_of_bundles_past_the_size_limit_is_input_error(workdir, monkeypa
     assert len(parse_system(out.read_text(), str(workdir)).pi[(BitVec.from_string("00"), u)]) == 9
 
 
+def test_decompose_hull_past_the_size_limit_is_input_error(workdir, monkeypatch, capsys):
+    """Two negated coordinates, one state and three schedules, each firing x1
+    at tick t and x2 at t+3: each factor realizes three trajectories, so the
+    hull f'(u) x f''(u) holds 3*3 = 9, past 2^3; decompose counts them and
+    refuses before it builds one, though n+m = 3 fits."""
+    u = unit_step(0, 10)
+    mu = BitVec.from_string("00")
+    rhos = {ProgressiveFunction(2, ((t, 0b01), (t + 3, 0b10)), 10) for t in (1, 2, 3)}
+    negate = GeneratorFn.from_function(2, 1, lambda mu, lam: BitVec(2, mu.value ^ 0b11))
+    (workdir / "neg.sys").write_text(format_system(RegularSystem(negate, (u,), {u: {mu}}, {(mu, u): rhos})))
+    argv = ["decompose", "--system", str(workdir / "neg.sys"), "--block", "1"]
+    monkeypatch.setenv("ASYNC_DEC_SIZE_LIMIT", "3")
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", (
+        "error: 9 trajectories in the hulls exceed 2^3, the exhaustive-scan limit; "
+        "refusing to build them (set ASYNC_DEC_SIZE_LIMIT to raise the limit)\n"
+    ))
+    monkeypatch.setenv("ASYNC_DEC_SIZE_LIMIT", "4")
+    assert main(argv) == 0
+    assert "hull 9 states" in capsys.readouterr().out
+
+
+def test_a_table_whose_header_is_split_by_a_tab_is_analyzed(workdir, capsys):
+    """The loader tells a table by its `n=` opening, and the table reader
+    takes any blank between `n=` and `m=`."""
+    (workdir / "tab.tt").write_text("n=1\tm=0\n0 -> 1\n1 -> 0\n")
+    assert main(["analyze", "--phi", str(workdir / "tab.tt")]) == 0
+    assert "generator function: n=1 m=0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("verb, flag, name, message", [
+    ("analyze", "--phi", "diag.sys", "holds a system bundle, expected a truth table or an equation file"),
+    ("simulate", "--phi", "diag.sys", "holds a system bundle, expected a truth table or an equation file"),
+    ("decompose", "--system", "id.tt", "holds a truth table, expected a system bundle"),
+    ("decompose", "--system", "pair.eq", "holds an equation file, expected a system bundle"),
+])
+def test_a_file_of_the_wrong_kind_is_named_with_what_it_holds(workdir, capsys, verb, flag, name, message):
+    path = str(workdir / name)
+    argv = [verb, flag, path]
+    if verb == "simulate":
+        argv += ["--init", "0", "--input", str(workdir / "step.sig"), "--rho", str(workdir / "fire1.rho")]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
+
+def test_compose_of_a_table_with_a_bundle_is_refused(workdir, capsys):
+    assert main(["compose", str(workdir / "id.tt"), str(workdir / "diag.sys")]) == 2
+    assert capsys.readouterr() == ("", "error: compose needs two truth tables or two system bundles\n")
+
+
 def test_undefined_state_variable_error_names_no_line(workdir):
     (workdir / "gap.eq").write_text("x2' = x1\n")
     result = cli("analyze", "--phi", str(workdir / "gap.eq"))

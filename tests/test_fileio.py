@@ -8,13 +8,7 @@ from hypothesis import strategies as st
 
 from asyncdec import BitVec, GeneratorFn, ProgressiveFunction, Signal, unit_step
 from asyncdec.frontend import (
-    BundleError,
-    DuplicateRowError,
-    MalformedRowError,
-    MissingRowError,
-    OrderingError,
     LoadError,
-    WidthInconsistencyError,
     format_system,
     format_truth_table,
     load_rho,
@@ -72,7 +66,7 @@ def test_truth_table_m0_rows_have_no_lambda_field():
 def test_missing_row_names_the_point():
     phi = GeneratorFn.identity(1, 1)
     lines = format_truth_table(phi).strip().splitlines()
-    with pytest.raises(MissingRowError) as err:
+    with pytest.raises(LoadError) as err:
         parse_truth_table("\n".join(lines[:-1]))
     assert "mu=1" in str(err.value) and "lam=1" in str(err.value)
 
@@ -80,34 +74,34 @@ def test_missing_row_names_the_point():
 def test_duplicate_row_rejected():
     phi = GeneratorFn.identity(1)
     text = format_truth_table(phi) + "0 -> 0\n"
-    with pytest.raises(DuplicateRowError):
+    with pytest.raises(LoadError):
         parse_truth_table(text)
 
 
 @pytest.mark.parametrize(
     "text, error, message",
     [
-        pytest.param("n=1 m=0\n0 => 0\n1 -> 1", MalformedRowError,
+        pytest.param("n=1 m=0\n0 => 0\n1 -> 1", LoadError,
                      "line 2: missing '->' in '0 => 0'", id="missing-arrow"),
-        pytest.param("n=1 m=0\n0 0 -> 0", MalformedRowError,
+        pytest.param("n=1 m=0\n0 0 -> 0", LoadError,
                      "line 2: expected mu only before '->'", id="fields-m0"),
-        pytest.param("n=1 m=1\n0 -> 0", MalformedRowError,
+        pytest.param("n=1 m=1\n0 -> 0", LoadError,
                      "line 2: expected mu and lam before '->'", id="fields-m1"),
-        pytest.param("n=1 m=1\nx 0 -> 0", MalformedRowError,
+        pytest.param("n=1 m=1\nx 0 -> 0", LoadError,
                      "line 2: 'x' is not a bit string", id="bad-mu"),
-        pytest.param("n=1 m=1\n0 x -> 0", MalformedRowError,
+        pytest.param("n=1 m=1\n0 x -> 0", LoadError,
                      "line 2: 'x' is not a bit string", id="bad-lam"),
-        pytest.param("n=1 m=1\n0 0 -> x", MalformedRowError,
+        pytest.param("n=1 m=1\n0 0 -> x", LoadError,
                      "line 2: 'x' is not a bit string", id="bad-out"),
-        pytest.param("n=1 m=1\n0 1 ->", MalformedRowError,
+        pytest.param("n=1 m=1\n0 1 ->", LoadError,
                      "line 2: '' is not a bit string", id="empty-out"),
-        pytest.param("n=1 m=0\n0 -> 0\n0 -> 1", DuplicateRowError,
+        pytest.param("n=1 m=0\n0 -> 0\n0 -> 1", LoadError,
                      "line 3: duplicate row for mu=0", id="duplicate-m0"),
-        pytest.param("n=1 m=1\n0 1 -> 0\n0 1 -> 1", DuplicateRowError,
+        pytest.param("n=1 m=1\n0 1 -> 0\n0 1 -> 1", LoadError,
                      "line 3: duplicate row for mu=0 lam=1", id="duplicate-m1"),
-        pytest.param("n=1 m=0\n0 -> 0", MissingRowError,
+        pytest.param("n=1 m=0\n0 -> 0", LoadError,
                      "missing row for mu=1", id="missing-m0"),
-        pytest.param("n=1 m=1\n0 0 -> 0\n1 0 -> 0\n0 1 -> 0", MissingRowError,
+        pytest.param("n=1 m=1\n0 0 -> 0\n1 0 -> 0\n0 1 -> 0", LoadError,
                      "missing row for mu=1 lam=1", id="missing-m1"),
     ],
 )
@@ -131,7 +125,7 @@ def test_malformed_row(text, error, message):
     ],
 )
 def test_width_inconsistency(text, message):
-    with pytest.raises(WidthInconsistencyError) as err:
+    with pytest.raises(LoadError) as err:
         parse_truth_table(text)
     assert str(err.value) == message
 
@@ -147,83 +141,84 @@ def test_signal_empty_events():
 
 
 def test_signal_ordering_error():
-    with pytest.raises(OrderingError):
+    with pytest.raises(LoadError):
         parse_signal("n=1 init=0 H=9 events=(3,1);(2,0)")
-    with pytest.raises(OrderingError):
+    with pytest.raises(LoadError):
         parse_rho("n=1 H=9 events=(3,1);(3,1)")
 
 
 def test_signal_event_beyond_horizon():
-    with pytest.raises(OrderingError):
+    with pytest.raises(LoadError):
         parse_signal("n=1 init=0 H=2 events=(5,1)")
 
 
 def test_event_width_inconsistency_names_the_line():
-    with pytest.raises(WidthInconsistencyError) as err:
+    with pytest.raises(LoadError) as err:
         parse_rho("n=2 H=9 events=(1,11);(2,1)", where="line 4")
     assert str(err.value).startswith("line 4: ")
 
 
+# Every fault is a LoadError; `kind`, the class each had before, still names the cases.
 @pytest.mark.parametrize(
-    "parse, line, error, text",
+    "parse, line, kind, text",
     [
-        (parse_rho, "n=2 H=9 events=(1,11);(2,1)", WidthInconsistencyError,
+        (parse_rho, "n=2 H=9 events=(1,11);(2,1)", "WidthInconsistencyError",
          "line 4: schedule event at tick 2 has width 1, expected 2"),
-        (parse_signal, "n=2 init=1 H=9 events=(1,11)", WidthInconsistencyError,
+        (parse_signal, "n=2 init=1 H=9 events=(1,11)", "WidthInconsistencyError",
          "line 4: init width 1, expected 2"),
-        (parse_signal, "n=1 init=0 H=9 events=(3,1);(2,0)", OrderingError,
+        (parse_signal, "n=1 init=0 H=9 events=(3,1);(2,0)", "OrderingError",
          "line 4: signal events not strictly increasing at tick 2"),
-        (parse_signal, "n=1 init=0 H=2 events=(5,1)", OrderingError,
+        (parse_signal, "n=1 init=0 H=2 events=(5,1)", "OrderingError",
          "line 4: signal event at tick 5 beyond horizon 2"),
-        (parse_signal, "n=1 H=9 events=(1,1)", MalformedRowError,
+        (parse_signal, "n=1 H=9 events=(1,1)", "MalformedRowError",
          "line 4: expected 'n=<w> init=<bits> H=<tick> events=...', "
          "found 'n=1 H=9 events=(1,1)'"),
-        (parse_rho, "n=1 init=0 H=9 events=(1,1)", MalformedRowError,
+        (parse_rho, "n=1 init=0 H=9 events=(1,1)", "MalformedRowError",
          "line 4: expected 'n=<w> H=<tick> events=...', found 'n=1 init=0 H=9 events=(1,1)'"),
-        (parse_rho, "n=1 H=9 events=(1,1);", MalformedRowError,
+        (parse_rho, "n=1 H=9 events=(1,1);", "MalformedRowError",
          "line 4: bad event '', expected (t,bits)"),
-        (parse_signal, "n=1 init=0 H=9 events=(x,1)", MalformedRowError,
+        (parse_signal, "n=1 init=0 H=9 events=(x,1)", "MalformedRowError",
          "line 4: bad event '(x,1)', expected (t,bits)"),
-        (parse_rho, "n=2 H=9 events=(1,1)", WidthInconsistencyError,
+        (parse_rho, "n=2 H=9 events=(1,1)", "WidthInconsistencyError",
          "line 4: schedule event at tick 1 has width 1, expected 2"),
-        (parse_signal, "n=2 init=00 H=9 events=(1,1)", WidthInconsistencyError,
+        (parse_signal, "n=2 init=00 H=9 events=(1,1)", "WidthInconsistencyError",
          "line 4: signal event at tick 1 has width 1, expected 2"),
-        pytest.param(parse_rho, f"n=1 H=9 events=({'9' * 5000},1)", MalformedRowError,
+        pytest.param(parse_rho, f"n=1 H=9 events=({'9' * 5000},1)", "MalformedRowError",
                      "line 4: a number of 5000 digits is too long", id="parse_rho-long-tick"),
-        (parse_rho, "n=0 H=9 events=", WidthInconsistencyError,
+        (parse_rho, "n=0 H=9 events=", "WidthInconsistencyError",
          "line 4: schedule width must be >= 1, got 0"),
-        (load_signal, "", MalformedRowError,
+        (load_signal, "", "MalformedRowError",
          "line 4: expected exactly one signal line, found 0"),
-        (load_signal, "n=1 init=0 H=9 events=\nn=1 init=0 H=9 events=\n", MalformedRowError,
+        (load_signal, "n=1 init=0 H=9 events=\nn=1 init=0 H=9 events=\n", "MalformedRowError",
          "line 4: expected exactly one signal line, found 2"),
-        (load_rho, "# no line\n", MalformedRowError,
+        (load_rho, "# no line\n", "MalformedRowError",
          "line 4: expected exactly one schedule line, found 0"),
-        (load_rho, "n=1 H=9 events=\nn=1 H=9 events=\n", MalformedRowError,
+        (load_rho, "n=1 H=9 events=\nn=1 H=9 events=\n", "MalformedRowError",
          "line 4: expected exactly one schedule line, found 2"),
     ],
 )
-def test_event_line_errors_read_exactly(parse, line, error, text, tmp_path, monkeypatch):
-    with pytest.raises(error) as err:
+def test_event_line_errors_read_exactly(parse, line, kind, text, tmp_path, monkeypatch):
+    with pytest.raises(LoadError) as err:
         if parse in (load_signal, load_rho):  # a file named "line 4" holds the text
             monkeypatch.chdir(tmp_path)
             (tmp_path / "line 4").write_text(line)
             parse("line 4")
         else:
             parse(line, where="line 4")
-    assert str(err.value) == text
+    assert type(err.value) is LoadError and str(err.value) == text
 
 
 @pytest.mark.parametrize(
     "parse, text, error, message",
     [
-        pytest.param(parse_truth_table, "n=\u0661 m=0\n0 -> 0\n1 -> 1", MalformedRowError,
+        pytest.param(parse_truth_table, "n=\u0661 m=0\n0 -> 0\n1 -> 1", LoadError,
                      "line 1: expected 'n=<n> m=<m>', found 'n=\u0661 m=0'", id="table-header"),
-        pytest.param(parse_signal, "n=1 init=0 H=\u0665 events=(1,1)", MalformedRowError,
+        pytest.param(parse_signal, "n=1 init=0 H=\u0665 events=(1,1)", LoadError,
                      "signal: expected 'n=<w> init=<bits> H=<tick> events=...', "
                      "found 'n=1 init=0 H=\u0665 events=(1,1)'", id="signal-horizon"),
-        pytest.param(parse_signal, "n=1 init=0 H=5 events=(\u0661,1)", MalformedRowError,
+        pytest.param(parse_signal, "n=1 init=0 H=5 events=(\u0661,1)", LoadError,
                      "signal: bad event '(\u0661,1)', expected (t,bits)", id="signal-tick"),
-        pytest.param(parse_rho, "n=\uff12 H=5 events=(1,11)", MalformedRowError,
+        pytest.param(parse_rho, "n=\uff12 H=5 events=(1,11)", LoadError,
                      "schedule: expected 'n=<w> H=<tick> events=...', "
                      "found 'n=\uff12 H=5 events=(1,11)'", id="schedule-width"),
     ],
@@ -274,9 +269,9 @@ def test_rho_line_roundtrip():
 
 
 def test_rho_line_must_not_carry_init():
-    with pytest.raises(MalformedRowError):
+    with pytest.raises(LoadError):
         parse_rho("n=1 init=0 H=9 events=(1,1)")
-    with pytest.raises(MalformedRowError):
+    with pytest.raises(LoadError):
         parse_signal("n=1 H=9 events=(1,1)")
 
 
@@ -330,6 +325,14 @@ n=1 H=8 events=(1,1)
 """
 
 
+def test_an_error_in_a_referenced_table_names_its_file(tmp_path):
+    (tmp_path / "phi.tt").write_text("n=1 m=1\n0 0 -> 0\n1 0 -> 1\n0 1 -> 0\n")
+    bundle = BUNDLE.replace("n=1 m=1\n0 0 -> 0\n1 0 -> 1\n0 1 -> 0\n1 1 -> 1\n", "file=phi.tt\n")
+    with pytest.raises(LoadError) as err:
+        parse_system(bundle, base_dir=str(tmp_path))
+    assert str(err.value) == "phi.tt: missing row for mu=1 lam=1"
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -380,19 +383,19 @@ n=1 H=8 events=(1,1)
     ],
 )
 def test_bundle_errors_read_exactly(text, message):
-    with pytest.raises(BundleError) as err:
+    with pytest.raises(LoadError) as err:
         parse_system(text)
-    assert type(err.value) is BundleError and str(err.value) == message
+    assert type(err.value) is LoadError and str(err.value) == message
 
 
 @pytest.mark.parametrize(
     "text, error, message",
     [
-        pytest.param(BUNDLE.replace("1 0 -> 1", "# row\n1 0 => 1"), MalformedRowError,
+        pytest.param(BUNDLE.replace("1 0 -> 1", "# row\n1 0 => 1"), LoadError,
                      "line 5: missing '->' in '1 0 => 1'", id="malformed-row"),
-        pytest.param(BUNDLE.replace("0 1 -> 0", "\n0 0 -> 1"), DuplicateRowError,
+        pytest.param(BUNDLE.replace("0 1 -> 0", "\n0 0 -> 1"), LoadError,
                      "line 6: duplicate row for mu=0 lam=0", id="duplicate-row"),
-        pytest.param(BUNDLE.replace("1 1 -> 1", "# x\n\n1 1 -> 11"), WidthInconsistencyError,
+        pytest.param(BUNDLE.replace("1 1 -> 1", "# x\n\n1 1 -> 11"), LoadError,
                      "line 8: widths (1,1,2) do not match header n=1 m=1", id="row-width"),
     ],
 )
@@ -437,5 +440,5 @@ n=1 H=9 events=(2,1)
 [rho b]
 n=1 H=9 events=(x,1)
 """
-    with pytest.raises(BundleError, match=r"^\[rho a\] must contain exactly one schedule line$"):
+    with pytest.raises(LoadError, match=r"^\[rho a\] must contain exactly one schedule line$"):
         parse_system(bundle)
