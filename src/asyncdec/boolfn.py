@@ -12,10 +12,10 @@ The dependency scans are word-parallel: a kernel packs the table through
 `array` into one int, row r in lane r (8/16/32/64 bits, the narrowest that
 holds n bits), so a derivative over all rows is a few shifts and masks.  The
 row tuple stays the only stored form; `partial_derivative` stays row-based
-and returns a row bitmask.  The table transforms (`project_fn`,
-`parallel_fn`) are whole-table maps.  `project_fn` reads its source through
-maps expanded once per coordinate tuple from `signals._relabeler`'s chunks,
-which `restrict` shares on every other kind; 1..n returns `phi` itself.
+and returns a row bitmask.  The table transforms are row kernels, tuple to
+tuple, under thin `GeneratorFn` wrappers: `project_fn` over the `_projection`
+row map, built once per coordinate tuple from `signals._relabeler`'s chunks
+(1..n returns `phi` itself), and `parallel_fn` over `_parallel_rows`.
 """
 
 from __future__ import annotations
@@ -219,11 +219,14 @@ def parallel_fn(a: GeneratorFn, b: GeneratorFn) -> GeneratorFn:
     state block, the rest run `b` on the second, under the shared input."""
     if a.m != b.m:
         raise WidthMismatch(f"input widths differ: {a.m} vs {b.m}")
-    (na, ta), (nb, tb) = (a.n, a.table), (b.n, b.table)
-    rows = [x | y << na for lam in range(1 << a.m)
-            for xs, ys in ((ta[lam << na:(lam + 1) << na], tb[lam << nb:(lam + 1) << nb]),)
-            for y in ys for x in xs]
-    return GeneratorFn(na + nb, a.m, tuple(rows))
+    return GeneratorFn(a.n + b.n, a.m, _parallel_rows(a.n, a.table, b.n, b.table))
+
+
+def _parallel_rows(na: int, ta: tuple[int, ...], nb: int, tb: tuple[int, ...]) -> tuple[int, ...]:
+    """`parallel_fn`'s rows from the rows of tables of na and nb state bits and one input width."""
+    return tuple([x | y << na for lam in range(len(ta) >> na)
+                  for xs, ys in ((ta[lam << na:(lam + 1) << na], tb[lam << nb:(lam + 1) << nb]),)
+                  for y in ys for x in xs])
 
 
 def _split_blocks(n: int, block: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -258,22 +261,22 @@ def dependency_witness(phi: GeneratorFn, block: Iterable[int]):
 
 
 def project_fn(phi: GeneratorFn, coords: Iterable[int]) -> GeneratorFn:
-    """`phi` on the state coordinates `coords`, in that order, with every other
-    state coordinate frozen at 0 (irrelevant when `coords` is a separated
-    block); all n coordinates in a new order relabel `phi`; 1..n returns `phi` itself."""
-    if (maps := _projection(phi.n, tuple(coords))) is None:
-        return phi
-    (k, spread, pick), table = maps, phi.table
-    rows = [pick[table[base | r]] for base in range(0, len(table), 1 << phi.n) for r in spread]
-    return GeneratorFn(k, phi.m, tuple(rows))
+    """`phi` on the state coordinates `coords`, in that order, every other one
+    frozen at 0 (irrelevant when `coords` is a separated block): the rows of the
+    `_projection` row map in one `GeneratorFn`, or `phi` itself for 1..n."""
+    rows = _projection(phi.n, cs := tuple(coords))
+    return phi if rows is None else GeneratorFn(len(cs), phi.m, rows(phi.table))
 
 
 @lru_cache(maxsize=16)
 def _projection(n: int, cs: tuple[int, ...]):
-    """None for 1..n, else (k, spread, pick) expanded once per key from `_relabeler`'s
-    chunks: spread[s] is the row offset of state s; pick[out] (2^n ints) reads out at `cs`."""
-    k, _, picks, spreads = _relabeler(n, cs)
-    return None if cs == tuple(range(1, n + 1)) else (k, _images(spreads), _images(picks))
+    """None for 1..n, else the row map `rows(table) -> tuple` onto `cs`, built once per key
+    from `_relabeler`'s chunks: spread[s] is state s's row offset; pick[out] reads out at `cs`."""
+    _, _, picks, spreads = _relabeler(n, cs)
+    if cs != tuple(range(1, n + 1)):
+        spread, pick, step = _images(spreads), _images(picks), 1 << n
+        return lambda table: tuple([pick[table[base | r]] for base in range(0, len(table), step)
+                                    for r in spread])
 
 
 class Partition(_Value):

@@ -14,6 +14,8 @@ from itertools import product
 
 from ..boolfn import (
     GeneratorFn,
+    _parallel_rows,
+    _projection,
     _split_blocks,
     dependency_matrix,
     parallel_fn,
@@ -170,10 +172,12 @@ def derivative_separated(phi: GeneratorFn, block) -> bool:
 def recompose_verdict(phi: GeneratorFn, block) -> bool:
     """Recomposition route: zero-fix extraction of both factors succeeds
     exactly when their parallel composition reproduces the table.  Unguarded
-    (no separation precheck), so the verdict is the equality itself."""
+    (no separation precheck), so the verdict is the equality itself.  It
+    compares the kernels' row tuples and builds no `GeneratorFn`."""
     bs, cs = _split_blocks(phi.n, block)
-    recomposed = parallel_fn(project_fn(phi, bs), project_fn(phi, cs))
-    return recomposed.table == project_fn(phi, bs + cs).table
+    rows_b, rows_c, whole = _projection(phi.n, bs), _projection(phi.n, cs), _projection(phi.n, bs + cs)
+    recomposed = _parallel_rows(len(bs), rows_b(phi.table), len(cs), rows_c(phi.table))
+    return recomposed == (phi.table if whole is None else whole(phi.table))
 
 
 @_seeded("thm26 cross-block independence")

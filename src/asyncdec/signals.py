@@ -385,11 +385,7 @@ def product_set(a: SignalSet, b: SignalSet) -> SignalSet:
     """Elementwise Cartesian product of two signal sets."""
     if a.horizon != b.horizon:
         raise HorizonMismatch(f"horizons differ: {a.horizon} vs {b.horizon}")
-    return SignalSet(
-        a.width + b.width,
-        a.horizon,
-        (product_signal(x, y) for x in a for y in b),
-    )
+    return SignalSet(a.width + b.width, a.horizon, (product_signal(x, y) for x in a for y in b))
 
 
 class ProgressiveFunction(_EventSequence):

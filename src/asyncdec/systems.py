@@ -144,10 +144,7 @@ def parallel_system(a: RegularSystem, b: RegularSystem) -> RegularSystem:
         sum(len(a.pi[(ma, u)]) for ma in a.phi0[u]) * sum(len(b.pi[(mb, u)]) for mb in b.phi0[u])
         for u in shared
     ), "woven schedules in the composed bundle")
-    phi0 = {
-        u: frozenset(ma.concat(mb) for ma in a.phi0[u] for mb in b.phi0[u])
-        for u in shared
-    }
+    phi0 = {u: frozenset(ma.concat(mb) for ma in a.phi0[u] for mb in b.phi0[u]) for u in shared}
     pi = {
         (ma.concat(mb), u): frozenset(product_rho(ra, rb) for ra in a.pi[(ma, u)] for rb in b.pi[(mb, u)])
         for u in shared for ma in a.phi0[u] for mb in b.phi0[u]
@@ -169,9 +166,12 @@ def _product_condition(
     through `restrict(partition.permutation)`, must have its trajectory in
     the realized set of u (each trajectory starts at its mu, so this is the
     set admitted at (mu, u)); a product admitted at (mu, u) is covered
-    without a run.  The check is trajectory-level, not schedule-level.
+    without a run.  The check is trajectory-level, not schedule-level.  The
+    pairs are counted against the size limit before any is woven.
     """
     bs, cs = partition.blocks
+    check_count(sum(len(first.pi[(mu.restrict(bs), u)]) * len(second.pi[(mu.restrict(cs), u)])
+                    for u in own for mu in sys.phi0[u]), "woven schedules in the product condition")
     for u, sigs in own.items():
         admitted = set(sigs)
         for mu in sys.phi0[u]:

@@ -20,7 +20,7 @@ from asyncdec import (
     project_fn,
     split_fn,
 )
-from asyncdec.boolfn import DependencyMatrix, _split_blocks, dependency_witness
+from asyncdec.boolfn import DependencyMatrix, _parallel_rows, _split_blocks, dependency_witness
 from asyncdec.frontend.checks import partition_oracle_verdict, rand_fn
 
 bv = BitVec.from_string
@@ -191,18 +191,22 @@ def test_parallel_evaluates_blockwise():
 
 
 def test_parallel_matches_a_per_row_reference():
+    """Row mu' | mu'' << n' | lam << n of `parallel_fn`, and of its row
+    kernel, is x | y << n' with x = a(mu', lam) and y = b(mu'', lam)."""
     rng = random.Random(13)
     for _ in range(60):
         m = rng.randint(0, 2)
-        a, b = rand_fn(rng, rng.randint(1, 3), m), rand_fn(rng, rng.randint(1, 3), m)
+        a, b = rand_fn(rng, rng.randint(1, 4), m), rand_fn(rng, rng.randint(1, 4), m)
         par = parallel_fn(a, b)
         assert (par.n, par.m) == (a.n + b.n, m)
+        expected = {}
         for lam in range(1 << m):
             for mu_b in range(1 << b.n):
                 for mu_a in range(1 << a.n):
-                    row = mu_a | mu_b << a.n | lam << par.n
-                    expected = a.table[mu_a | lam << a.n] | b.table[mu_b | lam << b.n] << a.n
-                    assert par.table[row] == expected
+                    x, y = a.table[mu_a | lam << a.n], b.table[mu_b | lam << b.n]
+                    expected[mu_a | mu_b << a.n | lam << par.n] = x | y << a.n
+        reference = tuple(expected[row] for row in range(1 << (par.n + m)))
+        assert par.table == _parallel_rows(a.n, a.table, b.n, b.table) == reference
 
 
 def test_parallel_input_width_mismatch():

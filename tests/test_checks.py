@@ -27,6 +27,13 @@ from asyncdec.frontend.checks import (
 )
 
 
+# every 257th n=2 m=1 table in packed order, row 0 lowest: 256 tables, both verdicts at block {1}
+SAMPLE = [
+    GeneratorFn(2, 1, tuple((packed >> (2 * r)) & 3 for r in range(8)))
+    for packed in range(0, 1 << 16, 257)
+]
+
+
 @pytest.mark.parametrize(
     "suite", [theorem26_suite, theorem27_suite, theorem32_suite, lemma1_suite, synchronous_suite]
 )
@@ -84,8 +91,7 @@ def test_theorem30_routes_share_no_dependency_scan(monkeypatch):
     monkeypatch.setattr(asyncdec.boolfn, "dependency_matrix", disabled)
     monkeypatch.setattr(asyncdec.boolfn, "_lane_derivatives", disabled)
     verdicts = set()
-    for packed in range(0, 1 << 16, 257):
-        phi = GeneratorFn(2, 1, tuple((packed >> (2 * r)) & 3 for r in range(8)))
+    for phi in SAMPLE:
         routes = {
             flip_invariant(phi, (1,)),
             derivative_separated(phi, (1,)),
@@ -96,37 +102,98 @@ def test_theorem30_routes_share_no_dependency_scan(monkeypatch):
     assert verdicts == {True, False}
 
 
+def _disable_row_kernels(monkeypatch):
+    """`_parallel_rows` and `_projection`, whose row maps are the recompose
+    route's only reads of a table, raise in `boolfn` and in `checks`."""
+
+    def disabled(*args, **kwargs):
+        raise AssertionError("a flip or derivative route reached a row kernel")
+
+    for module in (asyncdec.boolfn, checks):
+        monkeypatch.setattr(module, "_parallel_rows", disabled)
+        monkeypatch.setattr(module, "_projection", disabled)
+
+
 def test_flip_and_derivative_routes_share_no_relabeling(monkeypatch):
-    """The flip and derivative routes never relabel: with the relabeler and
-    `project_fn` disabled, both still agree with the recompose verdict on the
-    sample of the dependency-scan test above."""
+    """The flip and derivative routes never relabel: with the relabeler,
+    `project_fn` and the row kernels disabled, both still agree with the
+    recompose verdict on the sample."""
 
     def disabled(*args, **kwargs):
         raise AssertionError("a theorem-30 route reached the relabeler")
 
-    sample = [
-        GeneratorFn(2, 1, tuple((packed >> (2 * r)) & 3 for r in range(8)))
-        for packed in range(0, 1 << 16, 257)
-    ]
-    expected = [recompose_verdict(phi, (1,)) for phi in sample]
+    expected = [recompose_verdict(phi, (1,)) for phi in SAMPLE]
     checks._flip_cases.cache_clear()  # the flip route builds its cases under the patch
     monkeypatch.setattr(asyncdec.signals, "_relabeler", disabled)
     monkeypatch.setattr(asyncdec.boolfn, "_relabeler", disabled)
     monkeypatch.setattr(asyncdec.boolfn, "project_fn", disabled)
     monkeypatch.setattr(checks, "project_fn", disabled)
-    for phi, verdict in zip(sample, expected):
+    _disable_row_kernels(monkeypatch)
+    for phi, verdict in zip(SAMPLE, expected):
         assert flip_invariant(phi, (1,)) == derivative_separated(phi, (1,)) == verdict, phi.table
     assert set(expected) == {True, False}
 
 
-def test_flip_and_derivative_routes_never_reach_the_projection_memo():
+def test_flip_and_derivative_routes_never_reach_the_projection_memo(monkeypatch):
+    """Neither route touches the projection memo, and with the row kernels
+    disabled both still give the recompose verdict on the sample."""
+    expected = [recompose_verdict(phi, (1,)) for phi in SAMPLE]
     asyncdec.boolfn._projection.cache_clear()
-    for packed in range(0, 1 << 16, 257):
-        phi = GeneratorFn(2, 1, tuple((packed >> (2 * r)) & 3 for r in range(8)))
+    for phi in SAMPLE:
         flip_invariant(phi, (1,))
         derivative_separated(phi, (1,))
     info = asyncdec.boolfn._projection.cache_info()
     assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+    checks._flip_cases.cache_clear()
+    _disable_row_kernels(monkeypatch)
+    for phi, verdict in zip(SAMPLE, expected):
+        assert flip_invariant(phi, (1,)) == derivative_separated(phi, (1,)) == verdict, phi.table
+
+
+def test_recompose_verdict_builds_no_generator_fn(monkeypatch):
+    """The recompose route compares row tuples: with `GeneratorFn.__init__`
+    disabled and a cold projection memo it still gives its verdicts."""
+    expected = [recompose_verdict(phi, (1,)) for phi in SAMPLE]
+
+    def disabled(self, *args, **kwargs):
+        raise AssertionError("recompose_verdict built a GeneratorFn")
+
+    asyncdec.boolfn._projection.cache_clear()
+    monkeypatch.setattr(GeneratorFn, "__init__", disabled)
+    assert [recompose_verdict(phi, (1,)) for phi in SAMPLE] == expected
+    assert set(expected) == {True, False}
+
+
+def _recompose_reference(phi, block):
+    """The recompose route through the public transforms, one `GeneratorFn` each."""
+    bs, cs = _split_blocks(phi.n, block)
+    return parallel_fn(project_fn(phi, bs), project_fn(phi, cs)).table == project_fn(phi, bs + cs).table
+
+
+def test_recompose_verdict_matches_the_public_transforms_at_every_proper_block():
+    """On seeded tables with n <= 5 and m <= 2, some relabeled parallel
+    compositions and some identities, the row-tuple verdict equals the one
+    built from `project_fn` and `parallel_fn` at every proper block, given
+    in both orders."""
+    rng = random.Random(26)
+    tables = []
+    for _ in range(30):
+        n, m = rng.randint(2, 5), rng.randint(0, 2)
+        na = rng.randint(1, n - 1)
+        order = list(range(1, n + 1))
+        rng.shuffle(order)
+        tables.append(rand_fn(rng, n, m))
+        tables.append(project_fn(parallel_fn(rand_fn(rng, na, m), rand_fn(rng, n - na, m)), order))
+        tables.append(GeneratorFn.identity(n, m))
+    verdicts = set()
+    for phi in tables:
+        for mask in range(1, (1 << phi.n) - 1):
+            block = tuple(i for i in range(1, phi.n + 1) if mask >> (i - 1) & 1)
+            verdict = recompose_verdict(phi, block)
+            assert verdict == recompose_verdict(phi, block[::-1]) == _recompose_reference(phi, block), (
+                phi, block)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def _flip_by_eval(phi, block):

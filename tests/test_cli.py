@@ -433,6 +433,33 @@ def test_decompose_hull_past_the_size_limit_is_input_error(workdir, monkeypatch,
     assert "hull 9 states" in capsys.readouterr().out
 
 
+def test_decompose_product_condition_past_the_size_limit_is_input_error(workdir, monkeypatch, capsys):
+    """Identity dynamics, one state and 40 schedules, each firing both
+    coordinates at its own tick: each factor realizes one trajectory, so the
+    hull is 1*1, but the product condition would weave 40*40 = 1600 schedule
+    pairs, past 2^10; decompose counts them and refuses before it weaves one."""
+    u = unit_step(0, 50)
+    mu = BitVec.from_string("00")
+    rhos = {ProgressiveFunction(2, ((t, 0b11),), 50) for t in range(1, 41)}
+    system = RegularSystem(GeneratorFn.identity(2, 1), (u,), {u: {mu}}, {(mu, u): rhos})
+    (workdir / "forty.sys").write_text(format_system(system))
+    argv = ["decompose", "--system", str(workdir / "forty.sys"), "--block", "1"]
+    monkeypatch.setenv("ASYNC_DEC_SIZE_LIMIT", "10")
+    with monkeypatch.context() as patched:
+        def refuse(*args):
+            raise AssertionError("the product condition wove a schedule pair")
+        patched.setattr(systems, "product_rho", refuse)
+        assert main(argv) == 2
+    assert capsys.readouterr() == ("", (
+        "error: 1600 woven schedules in the product condition exceed 2^10, the exhaustive-scan limit; "
+        "refusing to build them (set ASYNC_DEC_SIZE_LIMIT to raise the limit)\n"
+    ))
+    monkeypatch.setenv("ASYNC_DEC_SIZE_LIMIT", "11")
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "status: equal" in out and "hull 1 states" in out
+
+
 def test_a_table_whose_header_is_split_by_a_tab_is_analyzed(workdir, capsys):
     """The loader tells a table by its `n=` opening, and the table reader
     takes any blank between `n=` and `m=`."""
