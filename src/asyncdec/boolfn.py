@@ -219,6 +219,7 @@ def parallel_fn(a: GeneratorFn, b: GeneratorFn) -> GeneratorFn:
     state block, the rest run `b` on the second, under the shared input."""
     if a.m != b.m:
         raise WidthMismatch(f"input widths differ: {a.m} vs {b.m}")
+    check_scan_size(a.n + b.n + a.m, f"n+m = {a.n + b.n + a.m}")  # before any row is built
     return GeneratorFn(a.n + b.n, a.m, _parallel_rows(a.n, a.table, b.n, b.table))
 
 

@@ -18,7 +18,7 @@ import sys
 from itertools import chain
 from typing import Iterable
 
-from ..boolfn import GeneratorFn, _split_blocks, check_scan_size, dependency_matrix, parallel_fn
+from ..boolfn import GeneratorFn, _split_blocks, dependency_matrix, parallel_fn
 from ..errors import AsyncDecError, NotSeparatedError
 from ..semantics import run
 from ..signals import BitVec
@@ -158,13 +158,9 @@ def _cmd_compose(args) -> int:
     if bundles != isinstance(b, RegularSystem):
         raise LoadError("compose needs two truth tables or two system bundles")
     if bundles:
-        fa, fb = a.phi, b.phi
+        text = format_system(parallel_system(a, b))
     else:
-        a, b = fa, fb = _table(a), _table(b)
-    if fa.m == fb.m:  # mismatched input widths are refused by the composition itself
-        bits = fa.n + fb.n + fa.m
-        check_scan_size(bits, f"n+m = {bits}")
-    text = format_system(parallel_system(a, b)) if bundles else format_truth_table(parallel_fn(a, b))
+        text = format_truth_table(parallel_fn(_table(a), _table(b)))
     if args.out:
         with open(args.out, "w") as f:
             f.write(text)

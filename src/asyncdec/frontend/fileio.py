@@ -12,9 +12,10 @@ in an inline [phi] table names its line in the bundle file.
 
 `load(path)` reads a generator function or a bundle file and tells which
 it holds by its first content line: `[` opens a bundle, `n=` a truth table,
-and anything else is an equation file.  Every reader rejects exactly the
-inputs violating its format with one `LoadError`, whose text names the first
-violation.
+and anything else is an equation file.  That line is read first, so a table
+header past the size limit is refused before the rest of the file is read.
+Every reader rejects exactly the inputs violating its format with one
+`LoadError`, whose text names the first violation.
 """
 
 from __future__ import annotations
@@ -63,13 +64,18 @@ def _split_lines(text: str):
             yield line_no, line
 
 
-def _first_line(text: str) -> str:
-    """`next(_split_lines(text), (0, ""))[1]`, from doubling prefixes less their (cut) last lines."""
-    size = 4096
-    while size < len(text) and not any(
-            raw.partition("#")[0].strip() for raw in text[:size].splitlines()[:-1]):
-        size *= 2
-    return next(_split_lines(text[:size]), (0, ""))[1]
+def _first_line(path: str) -> str | None:
+    """The first content line ("" if none), read from the file's bytes a line at
+    a time and decoded alone; None if a line before it is not UTF-8."""
+    with open(path, "rb") as f:
+        for raw in f:
+            try:
+                line = next(_split_lines(raw.decode("utf-8")), (0, ""))[1]
+            except UnicodeDecodeError:
+                return None
+            if line:
+                return line
+    return ""
 
 
 # -- truth tables -------------------------------------------------------
@@ -329,8 +335,12 @@ def parse_system(text: str, base_dir: str = ".") -> RegularSystem:
 
 def load(path: str) -> GeneratorFn | EquationProgram | RegularSystem:
     """What file `path` holds, told by its first content line."""
-    text = read_text(path)
-    line = _first_line(text)
+    line = _first_line(path)
+    header = _TT_HEADER.match(line or "")
+    n, m = map(int, header.groups()) if header and len(line) < 99 else (0, 0)  # else `_read_table` reports it
+    if n >= 1:
+        check_scan_size(n + m, f"n+m = {n + m}")
+    text = read_text(path)  # a line `_first_line` could not decode raises here
     if not line:
         raise LoadError(f"{path}: empty file")
     if line.startswith("["):

@@ -8,8 +8,8 @@ computation-function form of a regular system, at finite-prefix scale.
 
 A bundle relabels like every other kind, by `restrict(coords)`; restricted
 to a separated block and to its complement, it gives the two factors of a
-decomposition.  `decompose_system` is the one entry to Theorem 34; its
-product check weaves factor schedules by `product_rho`, then `restrict`.
+decomposition.  `decompose_system` is the one entry to Theorem 34; it reads
+the schedule product condition off the hull, and weaves no schedules.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .signals import (
     _Value,
     product_rho,
     product_set,
+    product_signal,
 )
 
 
@@ -132,8 +133,7 @@ def parallel_system(a: RegularSystem, b: RegularSystem) -> RegularSystem:
     Admits the inputs both factors admit; initial states multiply pointwise
     and schedule sets multiply through the merged-grid schedule product.
     """
-    if a.m != b.m:
-        raise WidthMismatch(f"input widths differ: {a.m} vs {b.m}")
+    phi = parallel_fn(a.phi, b.phi)  # refuses unequal input widths and n+m past the limit
     if a.horizon != b.horizon:
         raise HorizonMismatch(f"horizons differ: {a.horizon} vs {b.horizon}")
     b_inputs = set(b.inputs)
@@ -149,41 +149,39 @@ def parallel_system(a: RegularSystem, b: RegularSystem) -> RegularSystem:
         (ma.concat(mb), u): frozenset(product_rho(ra, rb) for ra in a.pi[(ma, u)] for rb in b.pi[(mb, u)])
         for u in shared for ma in a.phi0[u] for mb in b.phi0[u]
     }
-    return RegularSystem(parallel_fn(a.phi, b.phi), shared, phi0, pi)
+    return RegularSystem(phi, shared, phi0, pi)
+
+
+def _trajectory_classes(sys: RegularSystem, mu: BitVec, u: Signal) -> dict[Signal, ProgressiveFunction]:
+    """Each trajectory the bundle admits from (mu, u), mapped to the least schedule that runs it."""
+    classes: dict[Signal, ProgressiveFunction] = {}
+    for rho in sorted(sys.pi[(mu, u)]):
+        classes.setdefault(run(sys.phi, mu, u, rho, sys.horizon), rho)
+    return classes
 
 
 def _product_condition(
-    sys: RegularSystem, partition: Partition, first, second, own: dict[Signal, SignalSet]
+    sys: RegularSystem, bs, cs, first, second, missing: dict[Signal, set[Signal]]
 ) -> tuple[Signal, BitVec, ProgressiveFunction, ProgressiveFunction] | None:
-    """None if every schedule product of the factors is trajectory-covered,
-    else the first witness (u, mu, rho_block, rho_rest): a schedule product
-    whose trajectory no admitted schedule reproduces.
-
-    `first` and `second` are `sys.restrict` to the two blocks of `partition`
-    and `own` is the realization of `sys`.  For each admitted (mu, u) and each
-    pair (rho_b, rho_c) of factor schedules at the restrictions of mu, the
-    product `product_rho(rho_b, rho_c)`, read back in the system's labels
-    through `restrict(partition.permutation)`, must have its trajectory in
-    the realized set of u (each trajectory starts at its mu, so this is the
-    set admitted at (mu, u)); a product admitted at (mu, u) is covered
-    without a run.  The check is trajectory-level, not schedule-level.  The
-    pairs are counted against the size limit before any is woven.
+    """None if every schedule product of the factors `first` and `second`, the
+    restrictions of `sys` to bs and cs, is trajectory-covered, else the first
+    witness (u, mu, rho_block, rho_rest) of the sorted loop over schedule pairs.
+    `missing[u]` holds what the hull f'(u) x f''(u) has and the realization,
+    read as bs + cs, lacks.  By Theorem 27 a woven pair runs to the product of
+    its factors' runs, so the loop goes over the factors' trajectory classes,
+    each kept as its least schedule, and weaves nothing; the first state whose
+    start begins a missing trajectory has a witness.
     """
-    bs, cs = partition.blocks
-    check_count(sum(len(first.pi[(mu.restrict(bs), u)]) * len(second.pi[(mu.restrict(cs), u)])
-                    for u in own for mu in sys.phi0[u]), "woven schedules in the product condition")
-    for u, sigs in own.items():
-        admitted = set(sigs)
+    for u, lost in missing.items():
+        starts = {x.initial for x in lost}
         for mu in sys.phi0[u]:
-            schedules = sys.pi[(mu, u)]
-            rests = sorted(second.pi[(mu.restrict(cs), u)])
-            for rb in sorted(first.pi[(mu.restrict(bs), u)]):
-                for rc in rests:
-                    woven = product_rho(rb, rc).restrict(partition.permutation)
-                    if woven not in schedules and (
-                        run(sys.phi, mu, u, woven, sigs.horizon) not in admitted
-                    ):
-                        return u, mu, rb, rc
+            mb, mc = mu.restrict(bs), mu.restrict(cs)
+            if mb.concat(mc).value in starts:
+                rests = _trajectory_classes(second, mc, u).items()
+                for xb, rb in _trajectory_classes(first, mb, u).items():
+                    for xc, rc in rests:
+                        if product_signal(xb, xc) in lost:
+                            return u, mu, rb, rc
     return None
 
 
@@ -215,9 +213,9 @@ def decompose_system(
     realizations, counted against the size limit before any is built; the
     system's realization must lie inside it (checked, not assumed), and the
     verdict compares the two set by set, so a truncation artifact can never
-    misreport equality.  Theorem 34 is cross-checked both
-    ways: `InvalidSystem` unless "equal" goes with phi0 in product form and no
-    `product_witness`.
+    misreport equality.  The product condition is read off what the hull
+    has and the realization lacks, and Theorem 34 is cross-checked both ways:
+    `InvalidSystem` unless "equal" goes with phi0 in product form and no `product_witness`.
     """
     bs, cs = _separated_blocks(sys.phi, block)
     partition = Partition((bs, cs))
@@ -232,24 +230,18 @@ def decompose_system(
 
     check_count(sum(len(out_b[u]) * len(out_c[u]) for u in sys.inputs), "trajectories in the hulls")
     sizes = []
-    equal = True
+    missing = {}
     for u in sys.inputs:
         hull = product_set(out_b[u], out_c[u])
         relabeled = SignalSet(sys.n, horizon, (x.restrict(order) for x in own[u]))
         if not relabeled.issubset(hull):
-            raise InvalidSystem(
-                f"decomposition lost a trajectory for input {u}; this should be impossible"
-            )
-        if relabeled != hull:
-            equal = False
+            raise InvalidSystem(f"decomposition lost a trajectory for input {u}; this should be impossible")
+        missing[u] = set(hull) - set(relabeled)
         sizes.append((u, len(own[u]), len(hull)))
 
-    witness = _product_condition(sys, partition, first, second, own)
+    equal = not any(missing.values())
+    witness = _product_condition(sys, bs, cs, first, second, missing)
     if (product_form and witness is None) != equal:
-        raise InvalidSystem(
-            "Theorem 34's conditions disagree with the realizations; horizon artifact"
-        )
-    status = "equal" if equal else "strict-subset"
-    return DecompositionResult(
-        first, second, status, partition, product_form, witness, tuple(sizes)
-    )
+        raise InvalidSystem("Theorem 34's conditions disagree with the realizations; horizon artifact")
+    return DecompositionResult(first, second, "equal" if equal else "strict-subset", partition,
+                               product_form, witness, tuple(sizes))

@@ -214,6 +214,17 @@ def test_parallel_input_width_mismatch():
         parallel_fn(GeneratorFn.identity(1, 1), GeneratorFn.identity(1, 2))
 
 
+def test_parallel_refuses_a_composition_past_the_size_limit(monkeypatch):
+    """Two factors of n+m = 3 compose to n+m = 5: under limit 4, parallel_fn
+    refuses before building the 32 rows that split_fn would then refuse."""
+    a = GeneratorFn.identity(2, 1)
+    monkeypatch.setenv("ASYNC_DEC_SIZE_LIMIT", "4")
+    with pytest.raises(SizeLimitError, match=r"^n\+m = 5 exceeds the exhaustive-scan limit 4;"):
+        parallel_fn(a, a)
+    monkeypatch.setenv("ASYNC_DEC_SIZE_LIMIT", "5")
+    assert parallel_fn(a, a).table == GeneratorFn.identity(4, 1).table
+
+
 def test_parallel_associative_up_to_table():
     # iterating two-way splits is sound because composition nests flat
     rng = random.Random(9)

@@ -259,6 +259,22 @@ def test_a_table_past_the_size_limit_is_refused_at_its_header(workdir, monkeypat
         ))
 
 
+def test_a_table_past_the_size_limit_is_refused_before_the_rest_is_decoded(workdir, monkeypatch, capsys):
+    """The header is read from the file's first bytes: a later row that is not
+    UTF-8 is never decoded, so the limit is what `analyze` reports."""
+    path = workdir / "wide.tt"
+    path.write_bytes(format_truth_table(GeneratorFn.identity(2, 1)).encode() + b"00 0 -> \xff\n")
+    monkeypatch.setenv("ASYNC_DEC_SIZE_LIMIT", "2")
+    assert main(["analyze", "--phi", str(path)]) == 2
+    assert capsys.readouterr() == ("", (
+        "error: n+m = 3 exceeds the exhaustive-scan limit 2; "
+        "refusing to scan (set ASYNC_DEC_SIZE_LIMIT to raise the limit)\n"
+    ))
+    monkeypatch.setenv("ASYNC_DEC_SIZE_LIMIT", "3")
+    assert main(["analyze", "--phi", str(path)]) == 2
+    assert "not UTF-8 text" in capsys.readouterr().err
+
+
 def test_decompose_non_numeric_block_is_input_error(workdir):
     result = cli("decompose", "--system", str(workdir / "diag.sys"), "--block", "x")
     assert_input_error(result)
@@ -433,11 +449,12 @@ def test_decompose_hull_past_the_size_limit_is_input_error(workdir, monkeypatch,
     assert "hull 9 states" in capsys.readouterr().out
 
 
-def test_decompose_product_condition_past_the_size_limit_is_input_error(workdir, monkeypatch, capsys):
+def test_decompose_product_condition_is_bounded_by_the_hull(workdir, monkeypatch, capsys):
     """Identity dynamics, one state and 40 schedules, each firing both
     coordinates at its own tick: each factor realizes one trajectory, so the
-    hull is 1*1, but the product condition would weave 40*40 = 1600 schedule
-    pairs, past 2^10; decompose counts them and refuses before it weaves one."""
+    hull is 1*1.  The 40*40 = 1600 schedule pairs are past 2^10, but the
+    product condition is read off the hull and weaves none of them, so
+    decompose answers at limit 10."""
     u = unit_step(0, 50)
     mu = BitVec.from_string("00")
     rhos = {ProgressiveFunction(2, ((t, 0b11),), 50) for t in range(1, 41)}
@@ -449,13 +466,7 @@ def test_decompose_product_condition_past_the_size_limit_is_input_error(workdir,
         def refuse(*args):
             raise AssertionError("the product condition wove a schedule pair")
         patched.setattr(systems, "product_rho", refuse)
-        assert main(argv) == 2
-    assert capsys.readouterr() == ("", (
-        "error: 1600 woven schedules in the product condition exceed 2^10, the exhaustive-scan limit; "
-        "refusing to build them (set ASYNC_DEC_SIZE_LIMIT to raise the limit)\n"
-    ))
-    monkeypatch.setenv("ASYNC_DEC_SIZE_LIMIT", "11")
-    assert main(argv) == 0
+        assert main(argv) == 0
     out = capsys.readouterr().out
     assert "status: equal" in out and "hull 1 states" in out
 

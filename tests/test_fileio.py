@@ -252,8 +252,12 @@ _TEXT_PIECES = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1
 @example(" " * 4095 + "\r\nn=1 m=0\n")
 @example("#" * 4096 + "\u2028" + " " * 9000 + "a")
 @example("0" * 5000 + "\n")
-def test_first_line_is_the_first_line_the_reader_yields(text):
-    assert _first_line(text) == next(_split_lines(text), (0, ""))[1]
+def test_first_line_is_the_first_line_the_reader_yields(tmp_path_factory, text):
+    """`_first_line` reads the file's bytes a line at a time; the line it
+    returns is the first one the reader yields from the decoded file."""
+    path = tmp_path_factory.getbasetemp() / "first_line.txt"
+    path.write_bytes(text.encode("utf-8"))
+    assert _first_line(str(path)) == next(_split_lines(read_text(str(path))), (0, ""))[1]
 
 
 def test_read_text_rejects_non_utf8(tmp_path):

@@ -412,22 +412,37 @@ def _product_condition_brute_force(sys_, result):
 
 def test_product_condition_matches_brute_force():
     from asyncdec import parallel_fn, project_fn
+    from asyncdec.frontend.checks import _product_form_system
 
     rng = random.Random(59)
-    cases = [(diagonal_example(), (1,)), (_diagonal_follower()[0], (2,))]
-    for _ in range(60):
-        na, nb = rng.randint(1, 2), rng.randint(1, 2)
+
+    def permuted(na, nb, m):
+        """A random table separated at a random block of na coordinates, and the block."""
         perm = rng.sample(range(1, na + nb + 1), na + nb)
         # coordinate i of the parallel function moves to position perm[i-1]
         order = sorted(range(1, na + nb + 1), key=lambda k: perm[k - 1])
-        phi = project_fn(parallel_fn(rand_fn(rng, na, 1), rand_fn(rng, nb, 1)), order)
-        cases.append((rand_system(rng, phi, H, n_inputs=rng.randint(1, 2)), perm[:na]))
-    verdicts = set()
+        return project_fn(parallel_fn(rand_fn(rng, na, m), rand_fn(rng, nb, m)), order), perm[:na]
+
+    cases = [(diagonal_example(), (1,)), (_diagonal_follower()[0], (2,))]
+    for _ in range(60):
+        phi, block = permuted(rng.randint(1, 2), rng.randint(1, 2), 1)
+        cases.append((rand_system(rng, phi, H, n_inputs=rng.randint(1, 2)), block))
+    for _ in range(40):  # blocks of three coordinates, or three beside one or two; up to three inputs
+        na = rng.choice((3, rng.randint(1, 2)))
+        phi, block = permuted(na, 3 if na < 3 else rng.randint(1, 2), rng.randint(1, 2))
+        cases.append((rand_system(rng, phi, H, n_inputs=rng.randint(2, 3)), block))
+    for _ in range(40):  # product form by construction
+        na, nb, m = rng.randint(1, 3), rng.randint(1, 2), rng.randint(1, 2)
+        cases.append((_product_form_system(rng, rand_fn(rng, na, m), rand_fn(rng, nb, m), H),
+                      tuple(range(1, na + 1))))
+    kinds = set()
     for sys_, block in cases:
         result = decompose_system(sys_, block, H)
         assert result.product_witness == _product_condition_brute_force(sys_, result)
-        verdicts.add(result.product_witness is None)
-    assert verdicts == {True, False}
+        several, wide = len(sys_.inputs) > 1, 3 in map(len, result.partition.blocks)
+        kinds.add((several, wide, result.product_witness is None))
+    # both verdicts on one-input two-coordinate bundles and on wide multi-input ones
+    assert kinds >= {(False, False, True), (False, False, False), (True, True, True), (True, True, False)}
 
 
 @pytest.mark.parametrize("forced", [False, True])
@@ -449,7 +464,8 @@ def test_decompose_cross_checks_theorem34_both_ways(monkeypatch, forced):
         decompose_system(sys_, (1,), H)
 
 
-def test_decompose_runs_each_admitted_triple_once(monkeypatch):
+def _counted_runs(monkeypatch):
+    """A Counter of the (phi, mu, u, rho) that `systems.run` is called with from now on."""
     import asyncdec.systems as systems_mod
     from collections import Counter
 
@@ -460,20 +476,64 @@ def test_decompose_runs_each_admitted_triple_once(monkeypatch):
         calls[(phi, mu, u, rho_)] += 1
         return real_run(phi, mu, u, rho_, horizon)
 
-    def admitted(s):
-        return Counter(
-            (s.phi, mu, u, r) for u in s.inputs for mu in s.phi0[u] for r in s.pi[(mu, u)]
-        )
-
-    par = parallel_system(step_system((1, 2, 3)), step_system((4, 5)))
     monkeypatch.setattr(systems_mod, "run", counted_run)
+    return calls
+
+
+def _admitted(*bundles):
+    from collections import Counter
+
+    return sum((Counter((s.phi, mu, u, r) for u in s.inputs for mu in s.phi0[u] for r in s.pi[(mu, u)])
+                for s in bundles), Counter())
+
+
+def test_decompose_runs_each_admitted_triple_once(monkeypatch):
+    par = parallel_system(step_system((1, 2, 3)), step_system((4, 5)))
+    calls = _counted_runs(monkeypatch)
     result = decompose_system(par, (1,), H)
     monkeypatch.undo()
     assert result.status == "equal" and result.product_witness is None
     # six interleavings per initial state, all of them admitted schedules;
     # the hull is the product of the factors' realizations, 3 x 2 runs
-    assert calls == admitted(par) + admitted(result.first) + admitted(result.second)
+    assert calls == _admitted(par, result.first, result.second)
     assert sum(calls.values()) == 11
+
+
+def _one_state_bundle(phi, count):
+    """One state 00 under a unit step and `count` schedules, the t-th firing
+    both coordinates at tick t, up to the horizon count + 1."""
+    u, mu = unit_step(0, count + 1), bv("00")
+    rhos = {ProgressiveFunction(2, ((t, 0b11),), count + 1) for t in range(1, count + 1)}
+    return RegularSystem(phi, (u,), {u: {mu}}, {(mu, u): rhos})
+
+
+def test_decompose_runs_no_schedule_pair(monkeypatch):
+    """Identity dynamics: 800 x 800 factor schedule pairs, one hull trajectory.
+    decompose makes the 3 x 800 admitted runs and no more."""
+    sys_ = _one_state_bundle(GeneratorFn.identity(2, 1), 800)
+    calls = _counted_runs(monkeypatch)
+    result = decompose_system(sys_, (1,), sys_.horizon)
+    monkeypatch.undo()
+    assert result.status == "equal" and result.product_witness is None
+    assert calls == _admitted(sys_, result.first, result.second)
+    assert sum(calls.values()) == 3 * 800
+
+
+def test_the_witness_search_runs_each_factor_schedule_once_more(monkeypatch):
+    """Both coordinates follow the input, fired together at one of 40 ticks:
+    40 trajectories per factor, 1600 in the hull and 40 realized.  Finding
+    the witness adds at most one run per factor schedule, 2 x 40."""
+    count = 40
+    sys_ = _one_state_bundle(fn(2, 1, lambda mu, lam: BitVec.from_bits([lam.bit(1), lam.bit(1)])), count)
+    calls = _counted_runs(monkeypatch)
+    result = decompose_system(sys_, (1,), sys_.horizon)
+    monkeypatch.undo()
+    assert result.status == "strict-subset" and result.hull_sizes[0][1:] == (count, count * count)
+    admitted = _admitted(sys_, result.first, result.second)
+    assert calls >= admitted and sum((calls - admitted).values()) <= 2 * count
+    # the first pair of the sorted loop: rho' fires at tick 1, rho'' at tick 2
+    fire = [ProgressiveFunction(1, ((t, 1),), count + 1) for t in (1, 2)]
+    assert result.product_witness == (sys_.inputs[0], bv("00"), *fire)
 
 
 def test_product_condition_requires_separated_block():
