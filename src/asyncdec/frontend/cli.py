@@ -39,18 +39,6 @@ _EXIT_OK = 0
 _EXIT_VIOLATED = 1
 _EXIT_INPUT = 2
 
-_KINDS = {GeneratorFn: "a truth table", EquationProgram: "an equation file", RegularSystem: "a system bundle"}
-
-
-def _load(path: str, *kinds: type):
-    """What file `path` holds, refused unless it is one of `kinds`."""
-    held = load(path)
-    if not isinstance(held, kinds):
-        expected = " or ".join(_KINDS[k] for k in kinds)
-        raise LoadError(f"{path}: holds {_KINDS[type(held)]}, expected {expected}")
-    return held
-
-
 def _table(phi: GeneratorFn | EquationProgram) -> GeneratorFn:
     """`phi` as a table: an equation program is compiled."""
     return phi if isinstance(phi, GeneratorFn) else compile_program(phi)
@@ -69,7 +57,7 @@ def _blocks_text(blocks) -> str:
 
 
 def _cmd_analyze(args) -> int:
-    phi = _load(args.phi, GeneratorFn, EquationProgram)
+    phi = load(args.phi, GeneratorFn, EquationProgram)
     # an equation file is analyzed one equation's support at a time, never as a table
     dm = dependency_matrix(phi) if isinstance(phi, GeneratorFn) else program_matrix(phi)
     part = dm.components()
@@ -99,7 +87,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    phi = _table(_load(args.phi, GeneratorFn, EquationProgram))
+    phi = _table(load(args.phi, GeneratorFn, EquationProgram))
     mu = _parse_state(args.init, phi.n)
     u = load_signal(args.input)
     rho = load_rho(args.rho)
@@ -192,7 +180,7 @@ def _decompose_once(sys: RegularSystem, block, label: str, doc) -> Decomposition
 
 
 def _cmd_decompose(args) -> int:
-    sys_ = _load(args.system, RegularSystem)
+    sys_ = load(args.system, RegularSystem)
     doc = [("n", str(sys_.n)), ("m", str(sys_.m)), ("horizon", str(sys_.horizon))]
     if args.block is not None:
         try:  # a negative item is a coordinate out of range, which _split_blocks refuses

@@ -10,12 +10,13 @@ Numbers are ASCII digits only.  System bundles are sectioned: [phi], [inputs],
 any other name is refused, and each input names a distinct signal.  An error
 in an inline [phi] table names its line in the bundle file.
 
-`load(path)` reads a generator function or a bundle file and tells which
-it holds by its first content line: `[` opens a bundle, `n=` a truth table,
-and anything else is an equation file.  That line is read first, so a table
-header past the size limit is refused before the rest of the file is read.
-Every reader rejects exactly the inputs violating its format with one
-`LoadError`, whose text names the first violation.
+`load(path, *kinds)` reads a truth table, an equation file or a bundle, told
+by its first content line: `[` opens a bundle, `n=` a table, and anything else
+is an equation file.  That line is read first, so a table header past the size
+limit, or a kind not in `kinds`, is refused before the rest of the file is
+read; a bundle's `file=` table is read through `load` too.  Every reader
+rejects exactly the inputs violating its format with one `LoadError`, whose
+text names the first violation.
 """
 
 from __future__ import annotations
@@ -262,12 +263,14 @@ def parse_system(text: str, base_dir: str = ".") -> RegularSystem:
 
     phi_body = named["phi"]
     if len(phi_body) == 1 and phi_body[0][1].startswith("file="):
-        ref = phi_body[0][1][len("file="):].strip()
-        table = read_text(os.path.join(base_dir, ref))
+        line_no, ref = phi_body[0][0], phi_body[0][1][len("file="):].strip()
+        if not ref:
+            raise LoadError(f"line {line_no}: file= names no table")
+        path = os.path.join(base_dir, ref)
         try:
-            phi = parse_truth_table(table)
-        except LoadError as exc:
-            raise LoadError(f"{ref}: {exc}") from None
+            phi = load(path, GeneratorFn)
+        except LoadError as exc:  # `load`'s own errors name `path`; the reader's are named by `ref`
+            raise exc if str(exc).startswith(f"{path}: ") else LoadError(f"{ref}: {exc}") from None
     else:
         phi = _read_table(iter(phi_body))
 
@@ -333,21 +336,26 @@ def parse_system(text: str, base_dir: str = ".") -> RegularSystem:
     return RegularSystem(phi, tuple(inputs.values()), phi0, pi)
 
 
-def load(path: str) -> GeneratorFn | EquationProgram | RegularSystem:
-    """What file `path` holds, told by its first content line."""
+_KINDS = {GeneratorFn: "a truth table", EquationProgram: "an equation file", RegularSystem: "a system bundle"}
+
+
+def load(path: str, *kinds: type) -> GeneratorFn | EquationProgram | RegularSystem:
+    """What file `path` holds, told by its first content line: a table header past
+    the limit, then a kind not in `kinds` (if given), is refused before the rest is read."""
     line = _first_line(path)
     header = _TT_HEADER.match(line or "")
     n, m = map(int, header.groups()) if header and len(line) < 99 else (0, 0)  # else `_read_table` reports it
     if n >= 1:
         check_scan_size(n + m, f"n+m = {n + m}")
-    text = read_text(path)  # a line `_first_line` could not decode raises here
-    if not line:
+    if line == "":
         raise LoadError(f"{path}: empty file")
-    if line.startswith("["):
+    held = line and (RegularSystem if line[0] == "[" else GeneratorFn if line[:2] == "n=" else EquationProgram)
+    if held and kinds and held not in kinds:
+        raise LoadError(f"{path}: holds {_KINDS[held]}, expected {' or '.join(_KINDS[k] for k in kinds)}")
+    text = read_text(path)  # a line `_first_line` could not decode raises here
+    if held is RegularSystem:
         return parse_system(text, os.path.dirname(path) or ".")
-    if line.startswith("n="):
-        return parse_truth_table(text)
-    return parse_dsl(text)
+    return parse_truth_table(text) if held is GeneratorFn else parse_dsl(text)
 
 
 def save_system(sys: RegularSystem, path: str) -> None:

@@ -374,9 +374,6 @@ class SignalSet(_Value):
     def __len__(self) -> int:
         return len(self.members)
 
-    def issubset(self, other: "SignalSet") -> bool:
-        return {x.key for x in self.members} <= {x.key for x in other.members}
-
     def __repr__(self) -> str:
         return f"SignalSet(width={self.width}, horizon={self.horizon}, size={len(self)})"
 

@@ -232,11 +232,11 @@ def decompose_system(
     sizes = []
     missing = {}
     for u in sys.inputs:
-        hull = product_set(out_b[u], out_c[u])
-        relabeled = SignalSet(sys.n, horizon, (x.restrict(order) for x in own[u]))
-        if not relabeled.issubset(hull):
+        hull = set(product_set(out_b[u], out_c[u]))
+        relabeled = {x.restrict(order) for x in own[u]}
+        if not relabeled <= hull:
             raise InvalidSystem(f"decomposition lost a trajectory for input {u}; this should be impossible")
-        missing[u] = set(hull) - set(relabeled)
+        missing[u] = hull - relabeled
         sizes.append((u, len(own[u]), len(hull)))
 
     equal = not any(missing.values())

@@ -494,6 +494,44 @@ def test_a_file_of_the_wrong_kind_is_named_with_what_it_holds(workdir, capsys, v
     assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
 
 
+def test_a_file_of_the_wrong_kind_is_refused_before_the_rest_is_decoded(workdir, capsys):
+    """The kind is told by the first line: a later row that is not UTF-8 is
+    never decoded, so the kind is what `decompose` reports."""
+    path = workdir / "bad.tt"
+    path.write_bytes(b"n=1 m=1\n0 0 -> 0\n1 0 -> 1\n0 1 -> \xff\n1 1 -> 1\n")
+    assert main(["decompose", "--system", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: holds a truth table, expected a system bundle\n")
+
+
+def _bundle_naming(workdir, ref: str):
+    """The diagonal example's bundle, its [phi] table replaced by `file=ref`."""
+    text = format_system(diagonal_example())
+    path = workdir / "ref.sys"
+    path.write_text(f"[phi]\nfile={ref}\n" + text[text.index("[inputs]"):])
+    return path
+
+
+def test_a_bundle_is_refused_by_kind_before_its_table_reference_is_opened(workdir, capsys):
+    path = _bundle_naming(workdir, "gone.tt")
+    assert main(["analyze", "--phi", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {path}: holds a system bundle, expected a truth table or an equation file\n")
+
+
+def test_a_referenced_table_past_the_size_limit_is_refused_before_the_rest_is_decoded(
+        workdir, monkeypatch, capsys):
+    """A bundle's `file=` table is read through `load`, header first: a later
+    row that is not UTF-8 is never decoded, so the limit is what is reported."""
+    (workdir / "wide.tt").write_bytes(b"n=9 m=2\n000000000 00 -> \xff\n")
+    path = _bundle_naming(workdir, "wide.tt")
+    monkeypatch.setenv("ASYNC_DEC_SIZE_LIMIT", "10")
+    assert main(["decompose", "--system", str(path)]) == 2
+    assert capsys.readouterr() == ("", (
+        "error: n+m = 11 exceeds the exhaustive-scan limit 10; "
+        "refusing to scan (set ASYNC_DEC_SIZE_LIMIT to raise the limit)\n"
+    ))
+
+
 def test_compose_of_a_table_with_a_bundle_is_refused(workdir, capsys):
     assert main(["compose", str(workdir / "id.tt"), str(workdir / "diag.sys")]) == 2
     assert capsys.readouterr() == ("", "error: compose needs two truth tables or two system bundles\n")

@@ -327,14 +327,36 @@ step: 0
 [rho r0]
 n=1 H=8 events=(1,1)
 """
+BUNDLE_TABLE = BUNDLE[len("[phi]\n"):BUNDLE.index("[inputs]")]
 
 
 def test_an_error_in_a_referenced_table_names_its_file(tmp_path):
     (tmp_path / "phi.tt").write_text("n=1 m=1\n0 0 -> 0\n1 0 -> 1\n0 1 -> 0\n")
-    bundle = BUNDLE.replace("n=1 m=1\n0 0 -> 0\n1 0 -> 1\n0 1 -> 0\n1 1 -> 1\n", "file=phi.tt\n")
+    bundle = BUNDLE.replace(BUNDLE_TABLE, "file=phi.tt\n")
     with pytest.raises(LoadError) as err:
         parse_system(bundle, base_dir=str(tmp_path))
     assert str(err.value) == "phi.tt: missing row for mu=1 lam=1"
+
+
+@pytest.mark.parametrize("name, text, held", [
+    ("a.eq", "x1' = u1\n", "an equation file"),
+    ("b.sys", BUNDLE, "a system bundle"),
+], ids=["equation-file", "bundle"])
+def test_a_referenced_file_must_hold_a_truth_table(tmp_path, monkeypatch, name, text, held):
+    """The reference is read by `load`, which names the file it opened, once."""
+    (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(LoadError) as err:
+        parse_system(BUNDLE.replace(BUNDLE_TABLE, f"file={name}\n"))
+    assert str(err.value) == f"./{name}: holds {held}, expected a truth table"
+
+
+def test_a_referenced_table_that_is_not_utf8_is_named_by_its_path(tmp_path):
+    (tmp_path / "phi.tt").write_bytes(b"n=1 m=1\n0 0 -> \xff\n")
+    bundle = BUNDLE.replace(BUNDLE_TABLE, "file=phi.tt\n")
+    with pytest.raises(LoadError) as err:
+        parse_system(bundle, base_dir=str(tmp_path))
+    assert str(err.value) == f"{tmp_path / 'phi.tt'}: not UTF-8 text (invalid start byte at byte 15)"
 
 
 @pytest.mark.parametrize(
@@ -366,6 +388,8 @@ def test_an_error_in_a_referenced_table_names_its_file(tmp_path):
                      "[rho r0] must contain exactly one schedule line", id="rho-without-line"),
         pytest.param(BUNDLE.replace("[rho r0]", "[rho ]"),
                      "line 13: section [rho ] names no schedule", id="rho-without-name"),
+        pytest.param(BUNDLE.replace(BUNDLE_TABLE, "file= # none\n"),
+                     "line 2: file= names no table", id="file-without-name"),
         pytest.param(BUNDLE.replace("step: 0", "step 0"),
                      "line 10: expected '<input>: bits, bits, ...'", id="phi0-without-colon"),
         pytest.param(BUNDLE.replace("step: 0", "other: 0"),
