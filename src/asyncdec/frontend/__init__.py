@@ -6,10 +6,6 @@ from .fileio import (
     format_system,
     format_truth_table,
     load,
-    load_rho,
-    load_signal,
-    parse_rho,
-    parse_signal,
     parse_system,
     parse_truth_table,
     read_text,

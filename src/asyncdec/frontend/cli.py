@@ -21,19 +21,11 @@ from typing import Iterable
 from ..boolfn import GeneratorFn, _split_blocks, dependency_matrix, parallel_fn
 from ..errors import AsyncDecError, NotSeparatedError
 from ..semantics import run
-from ..signals import BitVec
+from ..signals import BitVec, ProgressiveFunction, Signal
 from ..systems import DecompositionResult, RegularSystem, decompose_system, parallel_system
 from . import checks
 from .dsl import EquationProgram, compile_program, program_matrix
-from .fileio import (
-    LoadError,
-    format_system,
-    format_truth_table,
-    load,
-    load_rho,
-    load_signal,
-    save_system,
-)
+from .fileio import LoadError, format_system, format_truth_table, load, save_system
 
 _EXIT_OK = 0
 _EXIT_VIOLATED = 1
@@ -89,8 +81,8 @@ def _cmd_analyze(args) -> int:
 def _cmd_simulate(args) -> int:
     phi = _table(load(args.phi, GeneratorFn, EquationProgram))
     mu = _parse_state(args.init, phi.n)
-    u = load_signal(args.input)
-    rho = load_rho(args.rho)
+    u = load(args.input, Signal)
+    rho = load(args.rho, ProgressiveFunction)
     horizon = args.horizon
     if horizon is None:
         if u.horizon != rho.horizon:
@@ -141,7 +133,7 @@ def _parse_state(text: str, n: int) -> BitVec:
 
 
 def _cmd_compose(args) -> int:
-    a, b = load(args.first), load(args.second)
+    a, b = (load(p, GeneratorFn, EquationProgram, RegularSystem) for p in (args.first, args.second))
     bundles = isinstance(a, RegularSystem)
     if bundles != isinstance(b, RegularSystem):
         raise LoadError("compose needs two truth tables or two system bundles")

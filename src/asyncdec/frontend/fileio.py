@@ -10,13 +10,14 @@ Numbers are ASCII digits only.  System bundles are sectioned: [phi], [inputs],
 any other name is refused, and each input names a distinct signal.  An error
 in an inline [phi] table names its line in the bundle file.
 
-`load(path, *kinds)` reads a truth table, an equation file or a bundle, told
-by its first content line: `[` opens a bundle, `n=` a table, and anything else
-is an equation file.  That line is read first, so a table header past the size
-limit, or a kind not in `kinds`, is refused before the rest of the file is
-read; a bundle's `file=` table is read through `load` too.  Every reader
-rejects exactly the inputs violating its format with one `LoadError`, whose
-text names the first violation.
+`load(path, *kinds)` is the one reader of input files, told by their first
+content line: `[` opens a bundle; `n=<w>` followed by `init=` opens a signal,
+by `H=` a schedule and by anything else a table; any other line opens an
+equation file.  A signal or schedule file holds exactly one content line.
+That line is read first, so a table header past the size limit, or a kind not
+in `kinds`, is refused before the rest of the file is read; a bundle's `file=`
+table is read through `load` too.  Every reader rejects exactly the inputs
+violating its format with one `LoadError`, whose text names the first violation.
 """
 
 from __future__ import annotations
@@ -141,16 +142,16 @@ def _read_table(lines) -> GeneratorFn:
 
 _SEQUENCE_LINE = re.compile(r"^n=(\d+)\s+(?:init=([01]+)\s+)?H=(-?\d+)\s+events=(.*)$", re.ASCII)
 _EVENT = re.compile(r"^\((-?\d+),([01]+)\)$", re.ASCII)
-_FORMS = {"signal": "n=<w> init=<bits> H=<tick> events=...",
-          "schedule": "n=<w> H=<tick> events=..."}
+_FORMS = {Signal: "n=<w> init=<bits> H=<tick> events=...",
+          ProgressiveFunction: "n=<w> H=<tick> events=..."}
 
 
-def _parse_sequence(line: str, where: str, kind: str) -> Signal | ProgressiveFunction:
-    """A signal line (`kind` "signal", with `init=`) or a schedule line ("schedule",
-    without).  The core's width, ordering and horizon checks are reported as
-    format errors prefixed by `where`."""
+def _parse_sequence(line: str, where: str, kind: type) -> Signal | ProgressiveFunction:
+    """A signal line (`kind` Signal, with `init=`) or a schedule line
+    (ProgressiveFunction, without).  The core's width, ordering and horizon
+    checks are reported as format errors prefixed by `where`."""
     match = _SEQUENCE_LINE.match(line.strip())
-    if not match or (match.group(2) is None) == (kind == "signal"):
+    if not match or (match.group(2) is None) == (kind is Signal):
         raise LoadError(f"{where}: expected '{_FORMS[kind]}', found {line!r}")
     width, init, horizon, text = match.groups()
     width, horizon = _decimal(width, where), _decimal(horizon, where)
@@ -164,7 +165,7 @@ def _parse_sequence(line: str, where: str, kind: str) -> Signal | ProgressiveFun
             raise LoadError(f"{where}: bad event {chunk!r}, expected (t,bits)")
         t, bits = _decimal(event.group(1), where), event.group(2)
         if len(bits) != width:
-            raise LoadError(f"{where}: {kind} event at tick {t} has width {len(bits)}, expected {width}")
+            raise LoadError(f"{where}: {kind._kind} event at tick {t} has width {len(bits)}, expected {width}")
         events.append((t, int(bits[::-1], 2)))
     try:
         if init is None:
@@ -172,29 +173,6 @@ def _parse_sequence(line: str, where: str, kind: str) -> Signal | ProgressiveFun
         return Signal(width, int(init[::-1], 2), tuple(events), horizon)
     except AsyncDecError as exc:
         raise LoadError(f"{where}: {exc}") from None
-
-
-def _load_line(path: str, kind: str) -> Signal | ProgressiveFunction:
-    lines = list(_split_lines(read_text(path)))
-    if len(lines) != 1:
-        raise LoadError(f"{path}: expected exactly one {kind} line, found {len(lines)}")
-    return _parse_sequence(lines[0][1], f"{path} line {lines[0][0]}", kind)
-
-
-def parse_signal(line: str, where: str = "signal") -> Signal:
-    return _parse_sequence(line, where, "signal")
-
-
-def parse_rho(line: str, where: str = "schedule") -> ProgressiveFunction:
-    return _parse_sequence(line, where, "schedule")
-
-
-def load_signal(path: str) -> Signal:
-    return _load_line(path, "signal")
-
-
-def load_rho(path: str) -> ProgressiveFunction:
-    return _load_line(path, "schedule")
 
 
 # -- system bundles ------------------------------------------------------
@@ -285,7 +263,7 @@ def parse_system(text: str, base_dir: str = ".") -> RegularSystem:
             raise LoadError(f"line {line_no}: input name {name!r} must be nonempty and free of ':'")
         if name in inputs:
             raise LoadError(f"line {line_no}: duplicate input name {name!r}")
-        inputs[name] = parse_signal(rest.strip(), where=f"line {line_no}")
+        inputs[name] = _parse_sequence(rest.strip(), f"line {line_no}", Signal)
         earlier = first_name.setdefault(inputs[name], name)
         if earlier != name:
             raise LoadError(f"line {line_no}: input {name!r} repeats input {earlier!r}")
@@ -294,7 +272,7 @@ def parse_system(text: str, base_dir: str = ".") -> RegularSystem:
     for label, body in rho_sections.items():
         if len(body) != 1:
             raise LoadError(f"[{label}] must contain exactly one schedule line")
-        rhos[label[4:]] = parse_rho(body[0][1], where=f"[{label}]")
+        rhos[label[4:]] = _parse_sequence(body[0][1], f"[{label}]", ProgressiveFunction)
 
     phi0: dict[Signal, frozenset[BitVec]] = {}
     for line_no, line in named["phi0"]:
@@ -336,26 +314,40 @@ def parse_system(text: str, base_dir: str = ".") -> RegularSystem:
     return RegularSystem(phi, tuple(inputs.values()), phi0, pi)
 
 
-_KINDS = {GeneratorFn: "a truth table", EquationProgram: "an equation file", RegularSystem: "a system bundle"}
+_KINDS = {GeneratorFn: "a truth table", EquationProgram: "an equation file", RegularSystem: "a system bundle",
+          Signal: "a signal", ProgressiveFunction: "a schedule"}
+_SEQUENCE_OPENING = re.compile(r"n=\S*\s+(init|H)=", re.ASCII)  # the field after `n=<w>`
+_SEQUENCE_KINDS = {"init": Signal, "H": ProgressiveFunction}
 
 
-def load(path: str, *kinds: type) -> GeneratorFn | EquationProgram | RegularSystem:
-    """What file `path` holds, told by its first content line: a table header past
-    the limit, then a kind not in `kinds` (if given), is refused before the rest is read."""
+def load(path: str, *kinds: type) -> GeneratorFn | EquationProgram | RegularSystem | Signal | ProgressiveFunction:
+    """What file `path` holds, told by its first content line (`[` a bundle, `n=<w>
+    init=` a signal, `n=<w> H=` a schedule, other `n=` a table, else an equation
+    file): a table header past the limit, then a kind not in `kinds`, is refused
+    before the rest is read.  A signal or schedule file holds one content line."""
     line = _first_line(path)
     header = _TT_HEADER.match(line or "")
-    n, m = map(int, header.groups()) if header and len(line) < 99 else (0, 0)  # else `_read_table` reports it
-    if n >= 1:
-        check_scan_size(n + m, f"n+m = {n + m}")
+    n, m = (g.lstrip("0") or "0" for g in header.groups()) if header else ("0", "0")
+    if n != "0" and len(n) < 99 and len(m) < 99:  # a longer number is `_read_table`'s to report
+        check_scan_size(bits := int(n) + int(m), f"n+m = {bits}")
     if line == "":
         raise LoadError(f"{path}: empty file")
-    held = line and (RegularSystem if line[0] == "[" else GeneratorFn if line[:2] == "n=" else EquationProgram)
-    if held and kinds and held not in kinds:
+    opening = _SEQUENCE_OPENING.match(line or "")
+    held = line and (RegularSystem if line[0] == "[" else _SEQUENCE_KINDS[opening[1]] if opening
+                     else GeneratorFn if line[:2] == "n=" else EquationProgram)
+    if held and held not in kinds:
         raise LoadError(f"{path}: holds {_KINDS[held]}, expected {' or '.join(_KINDS[k] for k in kinds)}")
     text = read_text(path)  # a line `_first_line` could not decode raises here
     if held is RegularSystem:
         return parse_system(text, os.path.dirname(path) or ".")
-    return parse_truth_table(text) if held is GeneratorFn else parse_dsl(text)
+    if held is GeneratorFn:
+        return parse_truth_table(text)
+    if held is EquationProgram:
+        return parse_dsl(text)
+    lines = list(_split_lines(text))
+    if len(lines) != 1:
+        raise LoadError(f"{path}: expected exactly one {held._kind} line, found {len(lines)}")
+    return _parse_sequence(lines[0][1], f"{path} line {lines[0][0]}", held)
 
 
 def save_system(sys: RegularSystem, path: str) -> None:

@@ -275,6 +275,24 @@ def test_a_table_past_the_size_limit_is_refused_before_the_rest_is_decoded(workd
     assert "not UTF-8 text" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("header", [
+    pytest.param("n=6" + " " * 100 + "m=6", id="spaced"),
+    pytest.param("n=" + "6".zfill(100) + " m=6", id="zero-padded"),
+])
+def test_a_padded_table_header_past_the_size_limit_is_refused_before_the_rest_is_decoded(
+        workdir, monkeypatch, capsys, header):
+    """The header's numbers are bounded, not the line's length: spaces or
+    leading zeros do not carry a header past the header-first limit check."""
+    path = workdir / "padded.tt"
+    path.write_bytes(header.encode() + b"\n000000 000000 -> \xff\n")
+    monkeypatch.setenv("ASYNC_DEC_SIZE_LIMIT", "10")
+    assert main(["analyze", "--phi", str(path)]) == 2
+    assert capsys.readouterr() == ("", (
+        "error: n+m = 12 exceeds the exhaustive-scan limit 10; "
+        "refusing to scan (set ASYNC_DEC_SIZE_LIMIT to raise the limit)\n"
+    ))
+
+
 def test_decompose_non_numeric_block_is_input_error(workdir):
     result = cli("decompose", "--system", str(workdir / "diag.sys"), "--block", "x")
     assert_input_error(result)
@@ -484,12 +502,26 @@ def test_a_table_whose_header_is_split_by_a_tab_is_analyzed(workdir, capsys):
     ("simulate", "--phi", "diag.sys", "holds a system bundle, expected a truth table or an equation file"),
     ("decompose", "--system", "id.tt", "holds a truth table, expected a system bundle"),
     ("decompose", "--system", "pair.eq", "holds an equation file, expected a system bundle"),
+    ("simulate", "--input", "bad.tt", "holds a truth table, expected a signal"),
+    ("simulate", "--rho", "bad.tt", "holds a truth table, expected a schedule"),
+    ("simulate", "--input", "fire1.rho", "holds a schedule, expected a signal"),
+    ("simulate", "--rho", "step.sig", "holds a signal, expected a schedule"),
+    ("analyze", "--phi", "step.sig", "holds a signal, expected a truth table or an equation file"),
+    ("compose", "first", "step.sig",
+     "holds a signal, expected a truth table or an equation file or a system bundle"),
 ])
 def test_a_file_of_the_wrong_kind_is_named_with_what_it_holds(workdir, capsys, verb, flag, name, message):
+    """The kind is told by the first line, so the third row of `bad.tt`, which
+    is not UTF-8, is never decoded."""
+    (workdir / "bad.tt").write_bytes(b"n=1 m=1\n0 0 -> 0\n1 0 -> \xff\n0 1 -> 1\n1 1 -> 1\n")
     path = str(workdir / name)
-    argv = [verb, flag, path]
-    if verb == "simulate":
-        argv += ["--init", "0", "--input", str(workdir / "step.sig"), "--rho", str(workdir / "fire1.rho")]
+    if verb == "compose":
+        argv = [verb, path, str(workdir / "id.tt")]
+    elif verb == "simulate":  # every file but the one under test is good
+        files = {"--phi": "delay.eq", "--input": "step.sig", "--rho": "fire1.rho", flag: name}
+        argv = [verb, "--init", "0", *(a for f, n in files.items() for a in (f, str(workdir / n)))]
+    else:
+        argv = [verb, flag, path]
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
 

@@ -1,6 +1,7 @@
 """File formats: lossless round trips and named format violations."""
 
 import random
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,16 +12,13 @@ from asyncdec.frontend import (
     LoadError,
     format_system,
     format_truth_table,
-    load_rho,
-    load_signal,
-    parse_rho,
-    parse_signal,
+    load,
     parse_system,
     parse_truth_table,
     read_text,
 )
 from asyncdec.frontend.checks import rand_fn, rand_rho, rand_signal, rand_system
-from asyncdec.frontend.fileio import _first_line, _split_lines
+from asyncdec.frontend.fileio import _first_line, _parse_sequence, _split_lines
 
 
 def val(text):
@@ -132,80 +130,87 @@ def test_width_inconsistency(text, message):
 
 def test_signal_line_roundtrip():
     x = Signal(2, val("10"), ((0, val("11")), (4, val("01"))), 9)
-    assert parse_signal(str(x)) == x
+    assert _parse_sequence(str(x), "signal", Signal) == x
 
 
 def test_signal_empty_events():
-    x = parse_signal("n=1 init=1 H=5 events=")
+    x = _parse_sequence("n=1 init=1 H=5 events=", "signal", Signal)
     assert x == Signal(1, val("1"), (), 5)
 
 
 def test_signal_ordering_error():
     with pytest.raises(LoadError):
-        parse_signal("n=1 init=0 H=9 events=(3,1);(2,0)")
+        _parse_sequence("n=1 init=0 H=9 events=(3,1);(2,0)", "signal", Signal)
     with pytest.raises(LoadError):
-        parse_rho("n=1 H=9 events=(3,1);(3,1)")
+        _parse_sequence("n=1 H=9 events=(3,1);(3,1)", "schedule", ProgressiveFunction)
 
 
 def test_signal_event_beyond_horizon():
     with pytest.raises(LoadError):
-        parse_signal("n=1 init=0 H=2 events=(5,1)")
+        _parse_sequence("n=1 init=0 H=2 events=(5,1)", "signal", Signal)
 
 
 def test_event_width_inconsistency_names_the_line():
     with pytest.raises(LoadError) as err:
-        parse_rho("n=2 H=9 events=(1,11);(2,1)", where="line 4")
+        _parse_sequence("n=2 H=9 events=(1,11);(2,1)", "line 4", ProgressiveFunction)
     assert str(err.value).startswith("line 4: ")
 
 
 # Every fault is a LoadError; `kind`, the class each had before, still names the cases.
+# `read` names how the line is read: `parse_*` reads it with `_parse_sequence`, and
+# `load_*` writes it to a file named "line 4" and reads that with `load`.
 @pytest.mark.parametrize(
-    "parse, line, kind, text",
+    "read, line, kind, text",
     [
-        (parse_rho, "n=2 H=9 events=(1,11);(2,1)", "WidthInconsistencyError",
+        ("parse_rho", "n=2 H=9 events=(1,11);(2,1)", "WidthInconsistencyError",
          "line 4: schedule event at tick 2 has width 1, expected 2"),
-        (parse_signal, "n=2 init=1 H=9 events=(1,11)", "WidthInconsistencyError",
+        ("parse_signal", "n=2 init=1 H=9 events=(1,11)", "WidthInconsistencyError",
          "line 4: init width 1, expected 2"),
-        (parse_signal, "n=1 init=0 H=9 events=(3,1);(2,0)", "OrderingError",
+        ("parse_signal", "n=1 init=0 H=9 events=(3,1);(2,0)", "OrderingError",
          "line 4: signal events not strictly increasing at tick 2"),
-        (parse_signal, "n=1 init=0 H=2 events=(5,1)", "OrderingError",
+        ("parse_signal", "n=1 init=0 H=2 events=(5,1)", "OrderingError",
          "line 4: signal event at tick 5 beyond horizon 2"),
-        (parse_signal, "n=1 H=9 events=(1,1)", "MalformedRowError",
+        ("parse_signal", "n=1 H=9 events=(1,1)", "MalformedRowError",
          "line 4: expected 'n=<w> init=<bits> H=<tick> events=...', "
          "found 'n=1 H=9 events=(1,1)'"),
-        (parse_rho, "n=1 init=0 H=9 events=(1,1)", "MalformedRowError",
+        ("parse_rho", "n=1 init=0 H=9 events=(1,1)", "MalformedRowError",
          "line 4: expected 'n=<w> H=<tick> events=...', found 'n=1 init=0 H=9 events=(1,1)'"),
-        (parse_rho, "n=1 H=9 events=(1,1);", "MalformedRowError",
+        ("parse_rho", "n=1 H=9 events=(1,1);", "MalformedRowError",
          "line 4: bad event '', expected (t,bits)"),
-        (parse_signal, "n=1 init=0 H=9 events=(x,1)", "MalformedRowError",
+        ("parse_signal", "n=1 init=0 H=9 events=(x,1)", "MalformedRowError",
          "line 4: bad event '(x,1)', expected (t,bits)"),
-        (parse_rho, "n=2 H=9 events=(1,1)", "WidthInconsistencyError",
+        ("parse_rho", "n=2 H=9 events=(1,1)", "WidthInconsistencyError",
          "line 4: schedule event at tick 1 has width 1, expected 2"),
-        (parse_signal, "n=2 init=00 H=9 events=(1,1)", "WidthInconsistencyError",
+        ("parse_signal", "n=2 init=00 H=9 events=(1,1)", "WidthInconsistencyError",
          "line 4: signal event at tick 1 has width 1, expected 2"),
-        pytest.param(parse_rho, f"n=1 H=9 events=({'9' * 5000},1)", "MalformedRowError",
+        pytest.param("parse_rho", f"n=1 H=9 events=({'9' * 5000},1)", "MalformedRowError",
                      "line 4: a number of 5000 digits is too long", id="parse_rho-long-tick"),
-        (parse_rho, "n=0 H=9 events=", "WidthInconsistencyError",
+        ("parse_rho", "n=0 H=9 events=", "WidthInconsistencyError",
          "line 4: schedule width must be >= 1, got 0"),
-        (load_signal, "", "MalformedRowError",
-         "line 4: expected exactly one signal line, found 0"),
-        (load_signal, "n=1 init=0 H=9 events=\nn=1 init=0 H=9 events=\n", "MalformedRowError",
+        ("load_signal", "", "MalformedRowError",
+         "line 4: empty file"),
+        ("load_signal", "n=1 init=0 H=9 events=\nn=1 init=0 H=9 events=\n", "MalformedRowError",
          "line 4: expected exactly one signal line, found 2"),
-        (load_rho, "# no line\n", "MalformedRowError",
-         "line 4: expected exactly one schedule line, found 0"),
-        (load_rho, "n=1 H=9 events=\nn=1 H=9 events=\n", "MalformedRowError",
+        ("load_rho", "# no line\n", "MalformedRowError",
+         "line 4: empty file"),
+        ("load_rho", "n=1 H=9 events=\nn=1 H=9 events=\n", "MalformedRowError",
          "line 4: expected exactly one schedule line, found 2"),
     ],
 )
-def test_event_line_errors_read_exactly(parse, line, kind, text, tmp_path, monkeypatch):
+def test_event_line_errors_read_exactly(read, line, kind, text, tmp_path, monkeypatch):
+    held = Signal if read.endswith("signal") else ProgressiveFunction
     with pytest.raises(LoadError) as err:
-        if parse in (load_signal, load_rho):  # a file named "line 4" holds the text
+        if read.startswith("load"):
             monkeypatch.chdir(tmp_path)
             (tmp_path / "line 4").write_text(line)
-            parse("line 4")
+            load("line 4", held)
         else:
-            parse(line, where="line 4")
+            _parse_sequence(line, "line 4", held)
     assert type(err.value) is LoadError and str(err.value) == text
+
+
+SIGNAL = partial(_parse_sequence, where="signal", kind=Signal)
+SCHEDULE = partial(_parse_sequence, where="schedule", kind=ProgressiveFunction)
 
 
 @pytest.mark.parametrize(
@@ -213,12 +218,12 @@ def test_event_line_errors_read_exactly(parse, line, kind, text, tmp_path, monke
     [
         pytest.param(parse_truth_table, "n=\u0661 m=0\n0 -> 0\n1 -> 1", LoadError,
                      "line 1: expected 'n=<n> m=<m>', found 'n=\u0661 m=0'", id="table-header"),
-        pytest.param(parse_signal, "n=1 init=0 H=\u0665 events=(1,1)", LoadError,
+        pytest.param(SIGNAL, "n=1 init=0 H=\u0665 events=(1,1)", LoadError,
                      "signal: expected 'n=<w> init=<bits> H=<tick> events=...', "
                      "found 'n=1 init=0 H=\u0665 events=(1,1)'", id="signal-horizon"),
-        pytest.param(parse_signal, "n=1 init=0 H=5 events=(\u0661,1)", LoadError,
+        pytest.param(SIGNAL, "n=1 init=0 H=5 events=(\u0661,1)", LoadError,
                      "signal: bad event '(\u0661,1)', expected (t,bits)", id="signal-tick"),
-        pytest.param(parse_rho, "n=\uff12 H=5 events=(1,11)", LoadError,
+        pytest.param(SCHEDULE, "n=\uff12 H=5 events=(1,11)", LoadError,
                      "schedule: expected 'n=<w> H=<tick> events=...', "
                      "found 'n=\uff12 H=5 events=(1,11)'", id="schedule-width"),
     ],
@@ -232,13 +237,15 @@ def test_non_ascii_digits_are_not_numbers(parse, text, error, message):
 
 @given(st.randoms(use_true_random=False), st.integers(1, 4), st.integers(0, 12))
 @settings(max_examples=100, deadline=None)
-def test_signal_and_schedule_lines_round_trip(rng, width, horizon):
+def test_signal_and_schedule_lines_round_trip(tmp_path_factory, rng, width, horizon):
+    """Each line reads back as the value it was written from, alone and from a file."""
+    path = tmp_path_factory.getbasetemp() / "line.txt"
     x = rand_signal(rng, width, horizon)
-    assert parse_signal(str(x)) == x
-    assert parse_signal(str(x)).key == x.key
     r = rand_rho(rng, width, max(horizon, 1))
-    assert parse_rho(str(r)) == r
-    assert parse_rho(str(r)).key == r.key
+    for value, kind in ((x, Signal), (r, ProgressiveFunction)):
+        path.write_text(f"{value}\n")
+        for read in (_parse_sequence(str(value), "line", kind), load(str(path), kind)):
+            assert read == value and read.key == value.key
 
 
 _TEXT_PIECES = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85",
@@ -269,18 +276,18 @@ def test_read_text_rejects_non_utf8(tmp_path):
 
 def test_rho_line_roundtrip():
     r = ProgressiveFunction(2, ((1, val("10")), (3, val("11"))), 9)
-    assert parse_rho(str(r)) == r
+    assert _parse_sequence(str(r), "schedule", ProgressiveFunction) == r
 
 
 def test_rho_line_must_not_carry_init():
     with pytest.raises(LoadError):
-        parse_rho("n=1 init=0 H=9 events=(1,1)")
+        _parse_sequence("n=1 init=0 H=9 events=(1,1)", "schedule", ProgressiveFunction)
     with pytest.raises(LoadError):
-        parse_signal("n=1 H=9 events=(1,1)")
+        _parse_sequence("n=1 H=9 events=(1,1)", "signal", Signal)
 
 
 def test_negative_ticks_allowed():
-    x = parse_signal("n=1 init=0 H=5 events=(-3,1);(0,0)")
+    x = _parse_sequence("n=1 init=0 H=5 events=(-3,1);(0,0)", "signal", Signal)
     assert x.value_at(-3) == val("1")
 
 
