@@ -8,6 +8,5 @@ from .fileio import (
     load,
     parse_system,
     parse_truth_table,
-    read_text,
     save_system,
 )

@@ -79,8 +79,6 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    phi = _table(load(args.phi, GeneratorFn, EquationProgram))
-    mu = _parse_state(args.init, phi.n)
     u = load(args.input, Signal)
     rho = load(args.rho, ProgressiveFunction)
     horizon = args.horizon
@@ -99,7 +97,9 @@ def _cmd_simulate(args) -> int:
             )
         u = u.truncated(horizon)
         rho = rho.truncated(horizon)
-    x = run(phi, mu, u, rho, horizon)
+    phi = load(args.phi, GeneratorFn, EquationProgram)  # compiled last, once every other input passed
+    mu = _parse_state(args.init, phi.n)
+    x = run(_table(phi), mu, u, rho, horizon)
     # the state entered at each schedule tick, after the initial state at k=-1
     states = [mu] + [BitVec(phi.n, x.value_at(t)) for t, _ in rho.events]
     print(f"k=-1 omega={mu}")

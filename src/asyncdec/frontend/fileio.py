@@ -11,13 +11,14 @@ any other name is refused, and each input names a distinct signal.  An error
 in an inline [phi] table names its line in the bundle file.
 
 `load(path, *kinds)` is the one reader of input files, told by their first
-content line: `[` opens a bundle; `n=<w>` followed by `init=` opens a signal,
-by `H=` a schedule and by anything else a table; any other line opens an
-equation file.  A signal or schedule file holds exactly one content line.
-That line is read first, so a table header past the size limit, or a kind not
-in `kinds`, is refused before the rest of the file is read; a bundle's `file=`
-table is read through `load` too.  Every reader rejects exactly the inputs
-violating its format with one `LoadError`, whose text names the first violation.
+content line: `[` opens a bundle; `n=<w>` followed by `init=` a signal, by
+`H=` a schedule and by anything else a table; any other line an equation
+file.  A file is opened once and read line by line up to there, so a table
+header past the size limit, or a kind not in `kinds`, is refused before the
+rest is read; a signal or schedule file ends at a second content line, and
+any other is read whole from the same handle, so a pipe works.  A bundle's
+`file=` table is read through `load`.  Every reader rejects exactly the
+inputs violating its format with one `LoadError` naming the first violation.
 """
 
 from __future__ import annotations
@@ -36,15 +37,6 @@ class LoadError(AsyncDecError):
     """A file-format violation; its text names the first one."""
 
 
-def read_text(path: str) -> str:
-    """The whole file, decoded strictly as UTF-8."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            return f.read()
-    except UnicodeDecodeError as exc:
-        raise LoadError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-
-
 def _parse_bits(text: str, where: str) -> BitVec:
     if not text or text.strip("01"):
         raise LoadError(f"{where}: {text!r} is not a bit string")
@@ -59,25 +51,27 @@ def _decimal(text: str, where: str) -> int:
         raise LoadError(f"{where}: a number of {len(text)} digits is too long") from None
 
 
-def _split_lines(text: str):
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.partition("#")[0].strip()
-        if line:
-            yield line_no, line
+def _split_lines(chunks):
+    """The (line number, content line) pairs of the text that `chunks` join to,
+    each chunk but the last ending at a line break."""
+    line_no = 0
+    for chunk in chunks:
+        for line_no, raw in enumerate(chunk.splitlines(), start=line_no + 1):
+            if line := raw.partition("#")[0].strip():
+                yield line_no, line
 
 
-def _first_line(path: str) -> str | None:
-    """The first content line ("" if none), read from the file's bytes a line at
-    a time and decoded alone; None if a line before it is not UTF-8."""
-    with open(path, "rb") as f:
-        for raw in f:
-            try:
-                line = next(_split_lines(raw.decode("utf-8")), (0, ""))[1]
-            except UnicodeDecodeError:
-                return None
-            if line:
-                return line
-    return ""
+def _decoded(lines, path: str, head: list[bytes]):
+    """Each of the byte `lines` of file `path`, kept in `head` and decoded alone."""
+    offset = 0
+    for raw in lines:
+        head.append(raw)
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise LoadError(f"{path}: not UTF-8 text ({exc.reason} at byte {offset + exc.start})") from None
+        yield text
+        offset += len(raw)
 
 
 # -- truth tables -------------------------------------------------------
@@ -95,7 +89,7 @@ def format_truth_table(phi: GeneratorFn) -> str:
 
 
 def parse_truth_table(text: str) -> GeneratorFn:
-    return _read_table(_split_lines(text))
+    return _read_table(_split_lines([text]))
 
 
 def _read_table(lines) -> GeneratorFn:
@@ -216,7 +210,7 @@ def parse_system(text: str, base_dir: str = ".") -> RegularSystem:
     named: dict[str, list[tuple[int, str]]] = {}
     rho_sections: dict[str, list[tuple[int, str]]] = {}  # keyed "rho <name>"
     body = None
-    for line_no, line in _split_lines(text):
+    for line_no, line in _split_lines([text]):
         match = _SECTION.match(line)
         if not match:
             if body is None:
@@ -321,33 +315,35 @@ _SEQUENCE_KINDS = {"init": Signal, "H": ProgressiveFunction}
 
 
 def load(path: str, *kinds: type) -> GeneratorFn | EquationProgram | RegularSystem | Signal | ProgressiveFunction:
-    """What file `path` holds, told by its first content line (`[` a bundle, `n=<w>
-    init=` a signal, `n=<w> H=` a schedule, other `n=` a table, else an equation
-    file): a table header past the limit, then a kind not in `kinds`, is refused
-    before the rest is read.  A signal or schedule file holds one content line."""
-    line = _first_line(path)
-    header = _TT_HEADER.match(line or "")
-    n, m = (g.lstrip("0") or "0" for g in header.groups()) if header else ("0", "0")
-    if n != "0" and len(n) < 99 and len(m) < 99:  # a longer number is `_read_table`'s to report
-        check_scan_size(bits := int(n) + int(m), f"n+m = {bits}")
-    if line == "":
-        raise LoadError(f"{path}: empty file")
-    opening = _SEQUENCE_OPENING.match(line or "")
-    held = line and (RegularSystem if line[0] == "[" else _SEQUENCE_KINDS[opening[1]] if opening
-                     else GeneratorFn if line[:2] == "n=" else EquationProgram)
-    if held and held not in kinds:
-        raise LoadError(f"{path}: holds {_KINDS[held]}, expected {' or '.join(_KINDS[k] for k in kinds)}")
-    text = read_text(path)  # a line `_first_line` could not decode raises here
+    """What file `path` holds, told by its first content line as above: a table
+    header past the limit, then a kind not in `kinds`, is refused before the
+    rest is read, and a signal or schedule file is read only up to a second
+    content line, whose number the refusal names."""
+    with open(path, "rb") as f:
+        head: list[bytes] = []  # the lines read so far
+        lines = _split_lines(_decoded(f, path, head))
+        line_no, line = next(lines, (0, ""))
+        header = _TT_HEADER.match(line)
+        n, m = (g.lstrip("0") or "0" for g in header.groups()) if header else ("0", "0")
+        if n != "0" and len(n) < 99 and len(m) < 99:  # a longer number is `_read_table`'s to report
+            check_scan_size(bits := int(n) + int(m), f"n+m = {bits}")
+        if not line:
+            raise LoadError(f"{path}: empty file")
+        opening = _SEQUENCE_OPENING.match(line)
+        held = (RegularSystem if line[0] == "[" else _SEQUENCE_KINDS[opening[1]] if opening
+                else GeneratorFn if line[:2] == "n=" else EquationProgram)
+        if held not in kinds:
+            raise LoadError(f"{path}: holds {_KINDS[held]}, expected {' or '.join(_KINDS[k] for k in kinds)}")
+        if opening:  # a signal or schedule: its one line, and no second
+            if second := next(lines, None):
+                raise LoadError(f"{path}: expected exactly one {held._kind} line, found a second at line {second[0]}")
+            return _parse_sequence(line, f"{path} line {line_no}", held)
+        text = "".join(_decoded([b"".join(head) + f.read()], path, []))  # the whole file as one chunk
     if held is RegularSystem:
         return parse_system(text, os.path.dirname(path) or ".")
     if held is GeneratorFn:
         return parse_truth_table(text)
-    if held is EquationProgram:
-        return parse_dsl(text)
-    lines = list(_split_lines(text))
-    if len(lines) != 1:
-        raise LoadError(f"{path}: expected exactly one {held._kind} line, found {len(lines)}")
-    return _parse_sequence(lines[0][1], f"{path} line {lines[0][0]}", held)
+    return parse_dsl(text)
 
 
 def save_system(sys: RegularSystem, path: str) -> None:

@@ -21,10 +21,11 @@ from asyncdec.frontend import (
     parse_truth_table,
 )
 from asyncdec.frontend.checks import diagonal_example
+from asyncdec.frontend import cli as cli_module
 from asyncdec.frontend.cli import main
 
 
-def cli(*args, env=None):
+def cli(*args, env=None, stdin=None):
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
@@ -33,6 +34,7 @@ def cli(*args, env=None):
         capture_output=True,
         text=True,
         env=full_env,
+        input=stdin,
     )
 
 
@@ -567,6 +569,85 @@ def test_a_referenced_table_past_the_size_limit_is_refused_before_the_rest_is_de
 def test_compose_of_a_table_with_a_bundle_is_refused(workdir, capsys):
     assert main(["compose", str(workdir / "id.tt"), str(workdir / "diag.sys")]) == 2
     assert capsys.readouterr() == ("", "error: compose needs two truth tables or two system bundles\n")
+
+
+@pytest.mark.parametrize("argv, piped", [
+    (["analyze", "--phi", "id.tt"], "id.tt"),
+    (["analyze", "--phi", "pair.eq"], "pair.eq"),
+    (["decompose", "--system", "diag.sys"], "diag.sys"),
+    (["simulate", "--phi", "delay.eq", "--init", "0", "--input", "step.sig", "--rho", "fire1.rho"], "step.sig"),
+    (["simulate", "--phi", "delay.eq", "--init", "0", "--input", "step.sig", "--rho", "fire1.rho"], "fire1.rho"),
+], ids=["table", "equations", "bundle", "signal", "schedule"])
+def test_a_piped_file_is_read_as_the_named_file(workdir, argv, piped):
+    """Each file is opened once, so one that can be read only once, such as
+    `/dev/stdin`, is read as the file it holds."""
+    named = cli(*(str(workdir / a) if (workdir / a).is_file() else a for a in argv))
+    argv = [a if a != piped else "/dev/stdin" for a in argv]
+    result = cli(*(str(workdir / a) if (workdir / a).is_file() else a for a in argv),
+                 stdin=(workdir / piped).read_text())
+    assert named.returncode == 0
+    assert (result.returncode, result.stdout) == (named.returncode, named.stdout)
+
+
+def test_simulate_checks_its_other_inputs_before_it_compiles_an_equation_file(workdir, monkeypatch, capsys):
+    """`--input`, `--rho` and `--init` are checked before `--phi` is compiled."""
+    def refuse(program):
+        raise AssertionError("compile_program ran")
+    monkeypatch.setattr(cli_module, "compile_program", refuse)
+    files = {"--phi": "pair.eq", "--input": "id.tt", "--rho": "fire1.rho"}
+    argv = ["simulate", "--init", "00", *(a for f, n in files.items() for a in (f, str(workdir / n)))]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {workdir / 'id.tt'}: holds a truth table, expected a signal\n")
+    (workdir / "fire2.rho").write_text("n=2 H=10 events=(1,11)\n")
+    files.update({"--input": "step.sig", "--rho": "fire2.rho"})
+    argv = ["simulate", "--init", "000", *(a for f, n in files.items() for a in (f, str(workdir / n)))]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: --init must be 2 bits, got '000'\n")
+
+
+BUNDLE = """[phi]
+n=1 m=1
+0 0 -> 0
+1 0 -> 1
+0 1 -> 0
+1 1 -> 1
+[inputs]
+step = n=1 init=0 H=8 events=(0,1)
+[phi0]
+step: 0
+[pi]
+0 @ step: r0
+[rho r0]
+n=1 H=8 events=(1,1)
+"""
+BUNDLE_TABLE = BUNDLE[len("[phi]\n"):BUNDLE.index("[inputs]")]
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param(BUNDLE.replace("step = n=1 init=0 H=8 events=(0,1)", "step = n=2 init=00 H=8 events=(0,11)"),
+                 "input width 2, expected 1", id="input-width"),
+    pytest.param(BUNDLE.replace("n=1 H=8 events=(1,1)", "n=2 H=8 events=(1,11)"),
+                 "schedule width 2, expected 1", id="schedule-width"),
+    pytest.param(BUNDLE.replace("n=1 H=8 events=(1,1)", "n=1 H=9 events=(1,1)"),
+                 "schedules must share the system horizon", id="schedule-horizon"),
+    pytest.param(BUNDLE.replace("[phi0]", "other = n=1 init=1 H=9 events=\n[phi0]"),
+                 "all inputs must share one horizon", id="input-horizon"),
+    pytest.param(BUNDLE.replace("H=8", "H=5").replace("events=(1,1)", "events=(2,0)"),
+                 "schedule n=1 H=5 events=(2,0) is not prefix-progressive", id="not-progressive"),
+    pytest.param(BUNDLE.replace("[phi0]", "other = n=1 init=1 H=8 events=\n[phi0]"),
+                 "phi0 must be defined exactly on the admissible inputs", id="phi0-domain"),
+    pytest.param(BUNDLE.replace("step: 0", "step: 0, 1"),
+                 "pi must be defined exactly on {(mu, u) | u admissible, mu in phi0(u)}", id="pi-domain"),
+    pytest.param(BUNDLE.replace(BUNDLE_TABLE, ""), "empty truth table", id="empty-phi"),
+    pytest.param(BUNDLE.replace(BUNDLE_TABLE, "file=zero.tt\n"),
+                 "zero.tt: line 1: state width must be >= 1", id="zero-width-table-file"),
+])
+def test_bundle_refusals_read_exactly(workdir, capsys, text, message):
+    """A bundle the system constructor refuses is one `error:` line, exit 2."""
+    (workdir / "zero.tt").write_text("n=0 m=1\n")
+    (workdir / "bad.sys").write_text(text)
+    assert main(["decompose", "--system", str(workdir / "bad.sys")]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_undefined_state_variable_error_names_no_line(workdir):

@@ -15,10 +15,9 @@ from asyncdec.frontend import (
     load,
     parse_system,
     parse_truth_table,
-    read_text,
 )
 from asyncdec.frontend.checks import rand_fn, rand_rho, rand_signal, rand_system
-from asyncdec.frontend.fileio import _first_line, _parse_sequence, _split_lines
+from asyncdec.frontend.fileio import _decoded, _parse_sequence, _split_lines
 
 
 def val(text):
@@ -190,11 +189,11 @@ def test_event_width_inconsistency_names_the_line():
         ("load_signal", "", "MalformedRowError",
          "line 4: empty file"),
         ("load_signal", "n=1 init=0 H=9 events=\nn=1 init=0 H=9 events=\n", "MalformedRowError",
-         "line 4: expected exactly one signal line, found 2"),
+         "line 4: expected exactly one signal line, found a second at line 2"),
         ("load_rho", "# no line\n", "MalformedRowError",
          "line 4: empty file"),
         ("load_rho", "n=1 H=9 events=\nn=1 H=9 events=\n", "MalformedRowError",
-         "line 4: expected exactly one schedule line, found 2"),
+         "line 4: expected exactly one schedule line, found a second at line 2"),
     ],
 )
 def test_event_line_errors_read_exactly(read, line, kind, text, tmp_path, monkeypatch):
@@ -259,19 +258,35 @@ _TEXT_PIECES = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1
 @example(" " * 4095 + "\r\nn=1 m=0\n")
 @example("#" * 4096 + "\u2028" + " " * 9000 + "a")
 @example("0" * 5000 + "\n")
-def test_first_line_is_the_first_line_the_reader_yields(tmp_path_factory, text):
-    """`_first_line` reads the file's bytes a line at a time; the line it
-    returns is the first one the reader yields from the decoded file."""
-    path = tmp_path_factory.getbasetemp() / "first_line.txt"
+def test_the_file_reader_yields_the_lines_the_text_reader_yields(tmp_path_factory, text):
+    """`load` decodes a file's bytes a line at a time; every numbered content
+    line it reads is the one the text reader yields from the decoded file."""
+    path = tmp_path_factory.getbasetemp() / "lines.txt"
     path.write_bytes(text.encode("utf-8"))
-    assert _first_line(str(path)) == next(_split_lines(read_text(str(path))), (0, ""))[1]
+    with open(path, "rb") as f:
+        assert list(_split_lines(_decoded(f, str(path), []))) == list(_split_lines([text]))
 
 
-def test_read_text_rejects_non_utf8(tmp_path):
+def test_a_file_that_is_not_utf8_is_named_with_the_byte(tmp_path):
     path = tmp_path / "bad.sig"
     path.write_bytes(b"n=1 init=0 H=5 events= # \xff\n")
-    with pytest.raises(LoadError):
-        read_text(str(path))
+    with pytest.raises(LoadError) as err:
+        load(str(path), Signal)
+    assert str(err.value) == f"{path}: not UTF-8 text (invalid start byte at byte 25)"
+
+
+@pytest.mark.parametrize("data, line_no", [
+    (b"n=1 init=0 H=5 events=\nn=1 m=0\n\xff\xfe\n", 2),
+    (b"n=1 init=0 H=5 events=\r\n\x0c# note\nn=1 m=0\n\xff\n", 4),
+], ids=["next-line", "after-blank-lines"])
+def test_a_second_line_ends_the_read_of_a_signal_file(tmp_path, data, line_no):
+    """A signal file holds one content line: the read stops at a second, so
+    the bytes after it, which are not UTF-8, are never decoded."""
+    path = tmp_path / "trailer.sig"
+    path.write_bytes(data)
+    with pytest.raises(LoadError) as err:
+        load(str(path), Signal)
+    assert str(err.value) == f"{path}: expected exactly one signal line, found a second at line {line_no}"
 
 
 def test_rho_line_roundtrip():
