@@ -93,7 +93,9 @@ def parse_truth_table(text: str) -> GeneratorFn:
 
 
 def _read_table(lines) -> GeneratorFn:
-    """A table from (line number, line) pairs; errors name the line numbers."""
+    """A table from (line number, line) pairs; errors name the line numbers.
+    Each row's output fills the slot of its row index in a list preset to -1:
+    a filled slot is a duplicate, the first unfilled one the missing row."""
     line_no, header = next(lines, (0, ""))
     if not header:
         raise LoadError("empty truth table")
@@ -104,7 +106,7 @@ def _read_table(lines) -> GeneratorFn:
     if n < 1:
         raise LoadError(f"line {line_no}: state width must be >= 1")
     check_scan_size(n + m, f"n+m = {n + m}")  # before any row is read
-    rows: dict[int, int] = {}
+    rows = [-1] * (1 << (n + m))
     for line_no, line in lines:  # the rows, from the same iterator as the header
         left, arrow, out = line.partition("->")
         if not arrow:
@@ -121,15 +123,14 @@ def _read_table(lines) -> GeneratorFn:
             raise LoadError(f"line {line_no}: widths ({len(mu)},{len(lam)},{len(out)}) "
                             f"do not match header n={n} m={m}")
         index = int((mu + lam)[::-1], 2)  # mu in the low n bits, lam above
-        if index in rows:
+        if rows[index] >= 0:
             raise LoadError(f"line {line_no}: duplicate row for mu={mu}" + (f" lam={lam}" if m else ""))
         rows[index] = int(out[::-1], 2)
-    expected = 1 << (n + m)
-    if len(rows) != expected:
-        index = next(i for i in range(expected) if i not in rows)
+    if -1 in rows:
+        index = rows.index(-1)
         mu, lam = _bits_text(index & ((1 << n) - 1), n), _bits_text(index >> n, m)
         raise LoadError(f"missing row for mu={mu}" + (f" lam={lam}" if m else ""))
-    return GeneratorFn(n, m, tuple(map(rows.__getitem__, range(expected))))
+    return GeneratorFn(n, m, tuple(rows))
 
 
 # -- signals and schedules ----------------------------------------------

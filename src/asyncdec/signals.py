@@ -18,7 +18,7 @@ stores them as (tick, int) pairs and collects the canonical form, which
 drops every event equal to the held value.  A signal's held value starts
 at `initial` and follows each kept event; a schedule's stays 0, so its
 canonical form drops the all-zero firings.  `key`, the canonical form as a
-tuple of ints, is both the identity and the `<` order that sorts sets,
+tuple of ints, is both the identity and the `<` order that sorts
 schedules and witnesses; `events` is the only index for reading a value.
 
 Every kind relabels one way, `restrict(coords)`: coordinate k of the result
@@ -342,24 +342,22 @@ def product_signal(a: Signal, b: Signal) -> Signal:
 
 
 class SignalSet(_Value):
-    """A finite set of canonical signals of one width and horizon.
+    """A finite set of signals of one width and horizon.
 
-    Members are deduplicated through canonical equality and stored sorted,
-    so iteration order is deterministic.
+    `members` is a frozenset: signals hash and compare by canonical form, so
+    canonical equals are one member, and no iteration order is promised.
     """
 
     __slots__ = _fields = ("width", "horizon", "members")
 
     def __init__(self, width: int, horizon: Tick, members: Iterable[Signal]):
-        canon = {}
+        members = frozenset(members)
         for x in members:
             if x.width != width:
                 raise WidthMismatch(f"member width {x.width}, expected {width}")
             if x.horizon != horizon:
                 raise HorizonMismatch(f"member horizon {x.horizon}, expected {horizon}")
-            c = x.canonical()
-            canon[c.key] = c
-        super().__init__(width, horizon, tuple(canon[k] for k in sorted(canon)))
+        super().__init__(width, horizon, members)
 
     @classmethod
     def of(cls, members: Iterable[Signal]) -> "SignalSet":

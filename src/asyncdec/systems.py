@@ -111,15 +111,9 @@ def realize(sys: RegularSystem, horizon: Tick) -> dict[Signal, SignalSet]:
     a dict from each input, in the order of `sys.inputs`, to its signal set."""
     if horizon != sys.horizon:
         raise HorizonMismatch(f"horizon {horizon} does not match the system's {sys.horizon}")
-    out = {}
-    for u in sys.inputs:
-        members = [
-            run(sys.phi, mu, u, rho, horizon)
-            for mu in sys.phi0[u]
-            for rho in sys.pi[(mu, u)]
-        ]
-        out[u] = SignalSet(sys.n, horizon, members)
-    return out
+    return {u: SignalSet(sys.n, horizon, (run(sys.phi, mu, u, rho, horizon)
+                                          for mu in sys.phi0[u] for rho in sys.pi[(mu, u)]))
+            for u in sys.inputs}
 
 
 def initial_state_function(out: dict[Signal, SignalSet]) -> dict[Signal, frozenset[BitVec]]:
@@ -232,7 +226,7 @@ def decompose_system(
     sizes = []
     missing = {}
     for u in sys.inputs:
-        hull = set(product_set(out_b[u], out_c[u]))
+        hull = product_set(out_b[u], out_c[u]).members
         relabeled = {x.restrict(order) for x in own[u]}
         if not relabeled <= hull:
             raise InvalidSystem(f"decomposition lost a trajectory for input {u}; this should be impossible")

@@ -2,16 +2,18 @@
 
 import io
 import os
+import random
 import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from functools import reduce
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from asyncdec import BitVec, GeneratorFn, ProgressiveFunction, RegularSystem, parallel_fn, systems, unit_step
+from asyncdec import BitVec, GeneratorFn, ProgressiveFunction, RegularSystem, SignalSet, parallel_fn, systems, unit_step
 from asyncdec.frontend import (
     compile_program,
     format_system,
@@ -20,7 +22,8 @@ from asyncdec.frontend import (
     parse_system,
     parse_truth_table,
 )
-from asyncdec.frontend.checks import diagonal_example
+from asyncdec.frontend import checks
+from asyncdec.frontend.checks import CheckReport, diagonal_example
 from asyncdec.frontend import cli as cli_module
 from asyncdec.frontend.cli import main
 
@@ -198,6 +201,46 @@ def test_decompose_coupled_block_is_violation(workdir):
     assert "violation" in result.stderr
 
 
+def _round_trip_bundles(rng: random.Random, count: int):
+    """`count` pairs: a random bundle over the parallel connection of 2-3 random
+    tables, then the parallel connection of two random one-input bundles."""
+    for _ in range(count):
+        m = rng.randint(1, 2)
+        tables = [checks.rand_fn(rng, rng.randint(1, 2), m) for _ in range(rng.randint(2, 3))]
+        yield checks.rand_system(rng, reduce(parallel_fn, tables), 12, rng.randint(1, 2))
+        yield checks._product_form_system(rng, *(checks.rand_fn(rng, rng.randint(1, 2), m) for _ in "ab"), 12)
+
+
+def test_emitted_factors_compose_back_to_the_hull(tmp_path, capsys):
+    """Theorems 27 and 34 through files: `compose` folds the factors that
+    `decompose --emit` wrote into a bundle that decomposes as equal, and that
+    realizes the bundle, read through the finest partition's blocks laid end to
+    end, exactly when the bundle decomposed as equal."""
+    verdicts = []
+    for k, bundle in enumerate(_round_trip_bundles(random.Random(7), 15)):
+        path, kv = tmp_path / f"b{k}.sys", tmp_path / f"b{k}.kv"
+        path.write_text(format_system(bundle))
+        assert main(["decompose", "--system", str(path), "--emit", str(tmp_path / f"b{k}"), "--out", str(kv)]) == 0
+        doc = dict(line.split("=", 1) for line in kv.read_text().splitlines())
+        *firsts, composite = [tmp_path / f"b{k}.factor{i}.sys" for i in range(1, int(doc["factors"]) + 1)]
+        for i, factor in reversed(list(enumerate(firsts))):  # C = F1 || (F2 || ... Fk)
+            folded = tmp_path / f"b{k}.c{i}.sys"
+            assert main(["compose", str(factor), str(composite), "--out", str(folded)]) == 0
+            composite = folded
+        capsys.readouterr()
+        assert main(["decompose", "--system", str(composite)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith("overall: equal (")
+        composed = parse_system(composite.read_text())
+        assert composed.inputs == bundle.inputs
+        order = [int(i) for block in doc["partition.blocks"].split("|") for i in block.split(",")]
+        own, hull = systems.realize(bundle, bundle.horizon), systems.realize(composed, bundle.horizon)
+        same = all(hull[u] == SignalSet(bundle.n, bundle.horizon, (x.restrict(order) for x in own[u]))
+                   for u in bundle.inputs)
+        assert same == (doc["status"] == "equal")
+        verdicts.append(doc["status"])
+    assert sorted(set(verdicts)) == ["equal", "strict-subset"]
+
+
 def test_missing_file_is_input_error():
     result = cli("analyze", "--phi", "no-such-file.eq")
     assert result.returncode == 2
@@ -329,11 +372,12 @@ def test_verify_zero_cases_is_input_error():
 
 
 def test_negative_size_limit_env_is_input_error(workdir):
-    result = cli(
-        "analyze", "--phi", str(workdir / "pair.eq"), env={"ASYNC_DEC_SIZE_LIMIT": "-1"}
-    )
-    assert_input_error(result)
-    assert "ASYNC_DEC_SIZE_LIMIT must be a non-negative integer" in result.stderr
+    for limit in ("-1", "abc"):
+        result = cli(
+            "analyze", "--phi", str(workdir / "pair.eq"), env={"ASYNC_DEC_SIZE_LIMIT": limit}
+        )
+        assert_input_error(result)
+        assert result.stderr == f"error: ASYNC_DEC_SIZE_LIMIT must be a non-negative integer, got {limit!r}\n"
 
 
 def test_non_utf8_phi_file_is_input_error(workdir):
@@ -641,6 +685,8 @@ BUNDLE_TABLE = BUNDLE[len("[phi]\n"):BUNDLE.index("[inputs]")]
     pytest.param(BUNDLE.replace(BUNDLE_TABLE, ""), "empty truth table", id="empty-phi"),
     pytest.param(BUNDLE.replace(BUNDLE_TABLE, "file=zero.tt\n"),
                  "zero.tt: line 1: state width must be >= 1", id="zero-width-table-file"),
+    pytest.param(re.sub(r"step = .*\n|step: 0\n|0 @ step: r0\n", "", BUNDLE),
+                 "a system needs at least one admissible input", id="no-inputs"),
 ])
 def test_bundle_refusals_read_exactly(workdir, capsys, text, message):
     """A bundle the system constructor refuses is one `error:` line, exit 2."""
@@ -648,6 +694,13 @@ def test_bundle_refusals_read_exactly(workdir, capsys, text, message):
     (workdir / "bad.sys").write_text(text)
     assert main(["decompose", "--system", str(workdir / "bad.sys")]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_compose_of_bundles_with_different_horizons_is_refused(workdir, capsys):
+    for h in (5, 6):
+        (workdir / f"h{h}.sys").write_text(BUNDLE.replace("H=8", f"H={h}"))
+    assert main(["compose", str(workdir / "h5.sys"), str(workdir / "h6.sys")]) == 2
+    assert capsys.readouterr() == ("", "error: horizons differ: 5 vs 6\n")
 
 
 def test_undefined_state_variable_error_names_no_line(workdir):
@@ -708,6 +761,19 @@ def test_verify_stamp_adds_line():
     result = cli("verify", "--thm", "example1", "--stamp")
     assert result.returncode == 0
     assert "stamp:" in result.stdout
+
+
+@pytest.mark.parametrize("report, summary", [
+    (CheckReport("stub suite", 3, 2, ("a", "b")), "stub suite: 1/3 ok -> FAIL\n  witness: a\n  witness: b\n"),
+    (CheckReport("stub suite", 0, 0, ()), "stub suite: 0/0 ok -> FAIL\n"),
+], ids=["failures", "no-cases"])
+def test_verify_of_a_failing_suite_exits_1_with_its_witnesses(tmp_path, monkeypatch, capsys, report, summary):
+    monkeypatch.setattr(checks, "theorem26_suite", lambda seed, cases: report)
+    kv = tmp_path / "report.kv"
+    assert main(["verify", "--thm", "26", "--out", str(kv)]) == 1
+    assert capsys.readouterr() == (summary + "overall: FAIL\n", "")
+    assert kv.read_text() == (f"seed=0\ncases=200\nthm26.cases={report.cases}\n"
+                              f"thm26.failures={report.failures}\nthm26.verdict=FAIL\noverall=FAIL\n")
 
 
 VERIFY_BAD_ARGS = {

@@ -75,6 +75,39 @@ def test_duplicate_row_rejected():
         parse_truth_table(text)
 
 
+def _point(index: int, n: int, m: int) -> str:
+    """How a table error names row `index`: mu in the low n bits, lam above,
+    each written coordinate 1 first."""
+    mu = "".join(str(index >> i & 1) for i in range(n))
+    lam = "".join(str(index >> (n + j) & 1) for j in range(m))
+    return f"mu={mu}" + (f" lam={lam}" if m else "")
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_table_rows_are_read_by_row_index(seed):
+    """Rows in any order give the same table; the lowest missing row index is
+    the one named, and a repeated row is named at the line of the repeat."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 4)
+    m = rng.randint(0, 6 - n)
+    phi = rand_fn(rng, n, m)
+    header, *rows = format_truth_table(phi).splitlines()  # rows[i] is row index i
+    order = rng.sample(range(len(rows)), len(rows))
+    assert parse_truth_table("\n".join([header] + [rows[i] for i in order])) == phi
+
+    gone = set(rng.sample(order, rng.randint(2, len(rows))))
+    with pytest.raises(LoadError) as err:
+        parse_truth_table("\n".join([header] + [rows[i] for i in order if i not in gone]))
+    assert str(err.value) == f"missing row for {_point(min(gone), n, m)}"
+
+    first = rng.randrange(len(order))
+    at = rng.randint(first + 1, len(order))  # the repeat's place among the rows
+    repeated = order[:at] + [order[first]] + order[at:]
+    with pytest.raises(LoadError) as err:
+        parse_truth_table("\n".join([header] + [rows[i] for i in repeated]))
+    assert str(err.value) == f"line {at + 2}: duplicate row for {_point(order[first], n, m)}"
+
+
 @pytest.mark.parametrize(
     "text, error, message",
     [
