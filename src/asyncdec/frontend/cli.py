@@ -22,7 +22,7 @@ from ..boolfn import GeneratorFn, _split_blocks, dependency_matrix, parallel_fn
 from ..errors import AsyncDecError, NotSeparatedError
 from ..semantics import run
 from ..signals import BitVec, ProgressiveFunction, Signal
-from ..systems import DecompositionResult, RegularSystem, decompose_system, parallel_system
+from ..systems import RegularSystem, decompose_system, parallel_system
 from . import checks
 from .dsl import EquationProgram, compile_program, program_matrix
 from .fileio import LoadError, format_system, format_truth_table, load, save_system
@@ -52,14 +52,14 @@ def _cmd_analyze(args) -> int:
     phi = load(args.phi, GeneratorFn, EquationProgram)
     # an equation file is analyzed one equation's support at a time, never as a table
     dm = dependency_matrix(phi) if isinstance(phi, GeneratorFn) else program_matrix(phi)
-    part = dm.components()
+    part, matrix = dm.components(), dm.as_matrix()
     blocks = [",".join(map(str, b)) for b in part.blocks]
     # each block of `components()` is closed under dependency in both
     # directions, so it has no cross dependency: every block is separated
     separated = blocks if len(blocks) > 1 else []
     print(f"generator function: n={phi.n} m={phi.m}")
     print("dependency matrix (row i, column j; 1 = coordinate i depends on mu_j):")
-    for row in dm.as_matrix():
+    for row in matrix:
         print("  " + "".join(map(str, row)))
     print(f"finest partition: {_blocks_text(part.blocks)}")
     print("permutation: " + ",".join(map(str, part.permutation)))
@@ -70,7 +70,7 @@ def _cmd_analyze(args) -> int:
     _write_doc(args.out, chain(
         [("n", str(phi.n)), ("m", str(phi.m))],
         ((f"depends.{i}.{j}", str(b))  # n^2 pairs, written as they are made, never held
-         for i, row in enumerate(dm.as_matrix(), start=1) for j, b in enumerate(row, start=1)),
+         for i, row in enumerate(matrix, start=1) for j, b in enumerate(row, start=1)),
         [("partition.blocks", "|".join(blocks)), ("partition.permutation", ",".join(map(str, part.permutation)))],
         [pair for k, b in enumerate(separated, start=1) for pair in ((f"block.{k}", b), (f"block.{k}.separated", "1"))]
         or [("separated.blocks", "none")],
@@ -150,27 +150,6 @@ def _cmd_compose(args) -> int:
     return _EXIT_OK
 
 
-def _decompose_once(sys: RegularSystem, block, label: str, doc) -> DecompositionResult:
-    result = decompose_system(sys, block, sys.horizon)
-    print(f"{label} block {{{','.join(map(str, block))}}}:")
-    print("  permutation: " + ",".join(map(str, result.partition.permutation)))
-    print(f"  status: {result.status}")
-    print(f"  phi0 product form: {'yes' if result.phi0_product_form else 'no'}")
-    witness = result.product_witness
-    print(f"  schedule product condition: {'holds' if witness is None else 'fails'}")
-    if witness is not None:
-        u, mu, rb, rc = witness
-        print(f"  witness: mu={mu} u={u}")
-        print(f"           rho'={rb}")
-        print(f"           rho''={rc}")
-    for u, own, hull in result.hull_sizes:
-        print(f"  input {u}: own {own} states, hull {hull} states")
-    doc.append((f"{label}.status", result.status))
-    doc.append((f"{label}.phi0_product_form", str(int(result.phi0_product_form))))
-    doc.append((f"{label}.product_condition", str(int(witness is None))))
-    return result
-
-
 def _cmd_decompose(args) -> int:
     sys_ = load(args.system, RegularSystem)
     doc = [("n", str(sys_.n)), ("m", str(sys_.m)), ("horizon", str(sys_.horizon))]
@@ -191,14 +170,30 @@ def _cmd_decompose(args) -> int:
     factors = []
     statuses = []
     current = sys_
-    labels = list(range(1, sys_.n + 1))
-    for step, b in enumerate(blocks[:-1], start=1):
-        positions = [labels.index(i) + 1 for i in b]
-        result = _decompose_once(current, positions, f"step{step}", doc)
+    for step in range(1, len(blocks)):
+        # `current` holds the coordinates of blocks step-1 onward, ascending
+        rest = sorted(chain.from_iterable(blocks[step - 1:]))
+        block = [rest.index(i) + 1 for i in blocks[step - 1]]
+        result = decompose_system(current, block, current.horizon)
+        print(f"step{step} block {{{','.join(map(str, block))}}}:")
+        print("  permutation: " + ",".join(map(str, result.partition.permutation)))
+        print(f"  status: {result.status}")
+        print(f"  phi0 product form: {'yes' if result.phi0_product_form else 'no'}")
+        witness = result.product_witness
+        print(f"  schedule product condition: {'holds' if witness is None else 'fails'}")
+        if witness is not None:
+            u, mu, rb, rc = witness
+            print(f"  witness: mu={mu} u={u}")
+            print(f"           rho'={rb}")
+            print(f"           rho''={rc}")
+        for u, own, hull in result.hull_sizes:
+            print(f"  input {u}: own {own} states, hull {hull} states")
+        doc.append((f"step{step}.status", result.status))
+        doc.append((f"step{step}.phi0_product_form", str(int(result.phi0_product_form))))
+        doc.append((f"step{step}.product_condition", str(int(witness is None))))
         factors.append(result.first)
         statuses.append(result.status)
         current = result.second
-        labels = [i for i in labels if i not in b]
     factors.append(current)
     overall = "equal" if all(s == "equal" for s in statuses) else "strict-subset"
     print(f"overall: {overall} ({len(factors)} factors)")

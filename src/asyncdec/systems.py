@@ -216,11 +216,8 @@ def decompose_system(
     first, second = sys.restrict(bs), sys.restrict(cs)
     own, out_b, out_c = realize(sys, horizon), realize(first, horizon), realize(second, horizon)
     order = bs + cs
-    product_form = all(
-        frozenset(mu.restrict(order) for mu in sys.phi0[u])
-        == frozenset(mb.concat(mc) for mb in first.phi0[u] for mc in second.phi0[u])
-        for u in sys.inputs
-    )
+    # mu -> (mu on bs, mu on cs) is one-to-one into first.phi0[u] x second.phi0[u], so onto iff the sizes agree
+    product_form = all(len(sys.phi0[u]) == len(first.phi0[u]) * len(second.phi0[u]) for u in sys.inputs)
 
     check_count(sum(len(out_b[u]) * len(out_c[u]) for u in sys.inputs), "trajectories in the hulls")
     sizes = []

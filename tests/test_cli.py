@@ -13,7 +13,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from asyncdec import BitVec, GeneratorFn, ProgressiveFunction, RegularSystem, SignalSet, parallel_fn, systems, unit_step
+from asyncdec import (
+    BitVec,
+    GeneratorFn,
+    ProgressiveFunction,
+    RegularSystem,
+    SignalSet,
+    parallel_fn,
+    round_robin,
+    systems,
+    unit_step,
+)
 from asyncdec.frontend import (
     compile_program,
     format_system,
@@ -185,6 +195,79 @@ def test_decompose_default_iterates_finest_partition(workdir):
     assert "overall:" in result.stdout
 
 
+_INTERLEAVED_STEPS = """\
+finest partition: {1,4} | {2,5} | {3}
+step1 block {1,4}:
+  permutation: 1,3,4,2,5
+  status: strict-subset
+  phi0 product form: yes
+  schedule product condition: fails
+  witness: mu=10010 u=n=1 init=0 H=12 events=(2,1)
+           rho'=n=2 H=12 events=(1,11);(4,11);(7,11)
+           rho''=n=3 H=12 events=(3,111);(6,111)
+  input n=1 init=0 H=12 events=(2,1): own 4 states, hull 8 states
+step2 block {1,3}:
+  permutation: 1,3,2
+  status: strict-subset
+  phi0 product form: yes
+  schedule product condition: fails
+  witness: mu=000 u=n=1 init=0 H=12 events=(2,1)
+           rho'=n=2 H=12 events=(1,11);(4,11);(7,11)
+           rho''=n=1 H=12 events=(3,1);(6,1)
+  input n=1 init=0 H=12 events=(2,1): own 2 states, hull 4 states
+overall: strict-subset (3 factors)
+""", """\
+n=5
+m=1
+horizon=12
+partition.blocks=1,4|2,5|3
+step1.status=strict-subset
+step1.phi0_product_form=1
+step1.product_condition=0
+step2.status=strict-subset
+step2.phi0_product_form=1
+step2.product_condition=0
+status=strict-subset
+factors=3
+"""
+
+_INTERLEAVED_BLOCK = """\
+step1 block {2,5}:
+  permutation: 3,1,4,5,2
+  status: strict-subset
+  phi0 product form: yes
+  schedule product condition: fails
+  witness: mu=10010 u=n=1 init=0 H=12 events=(2,1)
+           rho'=n=2 H=12 events=(1,11);(4,11);(7,11)
+           rho''=n=3 H=12 events=(1,101);(3,010);(6,111)
+  input n=1 init=0 H=12 events=(2,1): own 4 states, hull 8 states
+overall: strict-subset (2 factors)
+""", """\
+n=5
+m=1
+horizon=12
+step1.status=strict-subset
+step1.phi0_product_form=1
+step1.product_condition=0
+status=strict-subset
+factors=2
+"""
+
+
+@pytest.mark.parametrize("block, expected", [((), _INTERLEAVED_STEPS), (("--block", "2,5"), _INTERLEAVED_BLOCK)])
+def test_decompose_steps_past_the_first_name_the_remaining_coordinates_by_rank(tmp_path, capsys, block, expected):
+    """Blocks {1,4} | {2,5} | {3} interleave, so step 2 decomposes the factor on
+    coordinates 2, 3, 5 and names block {2,5} by its ranks there, {1,3}."""
+    phi = compile_program(parse_dsl("x1' = x4 ^ u1\nx2' = x5 & u1\nx3' = !x3\nx4' = x1\nx5' = x2 | u1\n"))
+    u = unit_step(2, 12)
+    states = [BitVec.from_string(s) for s in ("00000", "10010")]
+    rhos = [round_robin(5, (1, 4, 7), 12), ProgressiveFunction(5, ((1, 0b01001), (3, 0b10110), (6, 0b11111)), 12)]
+    bundle = RegularSystem(phi, (u,), {u: states}, {(mu, u): rhos for mu in states})
+    (tmp_path / "il.sys").write_text(format_system(bundle))
+    assert main(["decompose", "--system", str(tmp_path / "il.sys"), "--out", str(tmp_path / "il.kv"), *block]) == 0
+    assert (capsys.readouterr().out, (tmp_path / "il.kv").read_text()) == expected
+
+
 def test_decompose_coupled_block_is_violation(workdir):
     # a swap system: block {1} is not separated
     from asyncdec import RegularSystem, round_robin, unit_step
@@ -239,6 +322,29 @@ def test_emitted_factors_compose_back_to_the_hull(tmp_path, capsys):
         assert same == (doc["status"] == "equal")
         verdicts.append(doc["status"])
     assert sorted(set(verdicts)) == ["equal", "strict-subset"]
+
+
+def test_analyze_of_a_composition_lists_the_first_tables_blocks_then_the_seconds(tmp_path):
+    """The finest partition `analyze` reports for `compose A B` is A's blocks
+    followed by B's, shifted by A's width: no dependency crosses the two."""
+    def blocks(path):
+        assert main(["analyze", "--phi", str(path), "--out", str(tmp_path / "an.kv")]) == 0
+        doc = dict(line.split("=", 1) for line in (tmp_path / "an.kv").read_text().splitlines())
+        return [[int(i) for i in block.split(",")] for block in doc["partition.blocks"].split("|")]
+
+    rng = random.Random(13)
+    counts = []
+    for _ in range(20):
+        m = rng.randint(1, 2)
+        a, b = (reduce(parallel_fn, [checks.rand_fn(rng, rng.randint(1, 2), m) for _ in range(rng.randint(1, 3))])
+                for _ in "ab")
+        (tmp_path / "a.tt").write_text(format_truth_table(a))
+        (tmp_path / "b.tt").write_text(format_truth_table(b))
+        assert main(["compose", str(tmp_path / "a.tt"), str(tmp_path / "b.tt"), "--out", str(tmp_path / "c.tt")]) == 0
+        expected = blocks(tmp_path / "a.tt") + [[a.n + i for i in block] for block in blocks(tmp_path / "b.tt")]
+        assert blocks(tmp_path / "c.tt") == expected
+        counts.append(len(expected))
+    assert max(counts) > 2
 
 
 def test_missing_file_is_input_error():

@@ -678,3 +678,30 @@ def test_decompose_matches_the_realized_parallel_bundle():
         assert got == _reference_verdict(sys_, result)
         statuses.add(result.status)
     assert statuses == {"equal", "strict-subset"}
+
+
+def test_phi0_product_form_by_count_matches_the_set_comparison():
+    """phi0 is in product form exactly when its restrictions to the block and
+    to the complement, concatenated, fill the product of the factors' sets."""
+    from asyncdec import parallel_fn
+    from asyncdec.frontend.checks import _product_form_system
+
+    rng = random.Random(43)
+    cases = []
+    for _ in range(40):
+        na, nb, m = rng.randint(1, 2), rng.randint(1, 2), rng.randint(1, 2)
+        tables = rand_fn(rng, na, m), rand_fn(rng, nb, m)
+        cases.append((rand_system(rng, parallel_fn(*tables), H, n_inputs=rng.randint(1, 3)), na))
+        cases.append((_product_form_system(rng, *tables, H), na))
+    verdicts = set()
+    for sys_, na in cases:
+        result = decompose_system(sys_, range(1, na + 1), H)
+        bs, cs = result.partition.blocks
+        by_sets = all(
+            frozenset(mu.restrict(bs + cs) for mu in sys_.phi0[u])
+            == frozenset(mb.concat(mc) for mb in result.first.phi0[u] for mc in result.second.phi0[u])
+            for u in sys_.inputs
+        )
+        assert result.phi0_product_form == by_sets
+        verdicts.add(by_sets)
+    assert verdicts == {False, True}
