@@ -121,7 +121,7 @@ class GeneratorFn(_Value):
         return cls(n, m, tuple(rows))
 
     @classmethod
-    def identity(cls, n: int, m: int = 0) -> "GeneratorFn":
+    def identity(cls, n: int, m: int) -> "GeneratorFn":
         return cls(n, m, tuple(r & ((1 << n) - 1) for r in range(1 << (n + m))))
 
     def eval(self, mu: BitVec, lam: BitVec) -> BitVec:

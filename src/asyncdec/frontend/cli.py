@@ -25,7 +25,7 @@ from ..signals import BitVec, ProgressiveFunction, Signal
 from ..systems import RegularSystem, decompose_system, parallel_system
 from . import checks
 from .dsl import EquationProgram, compile_program, program_matrix
-from .fileio import LoadError, format_system, format_truth_table, load, save_system
+from .fileio import LoadError, _kind_then_value, format_system, format_truth_table, load, save_system
 
 _EXIT_OK = 0
 _EXIT_VIOLATED = 1
@@ -133,10 +133,12 @@ def _parse_state(text: str, n: int) -> BitVec:
 
 
 def _cmd_compose(args) -> int:
-    a, b = (load(p, GeneratorFn, EquationProgram, RegularSystem) for p in (args.first, args.second))
-    bundles = isinstance(a, RegularSystem)
-    if bundles != isinstance(b, RegularSystem):
+    # both files' kinds are told from their first lines before either is read whole
+    steps = [_kind_then_value(p, (GeneratorFn, EquationProgram, RegularSystem)) for p in (args.first, args.second)]
+    bundles, other = (next(step) is RegularSystem for step in steps)
+    if bundles != other:
         raise LoadError("compose needs two truth tables or two system bundles")
+    a, b = map(next, steps)
     if bundles:
         text = format_system(parallel_system(a, b))
     else:

@@ -16,7 +16,9 @@ content line: `[` opens a bundle; `n=<w>` followed by `init=` a signal, by
 file.  A file is opened once and read line by line up to there, so a table
 header past the size limit, or a kind not in `kinds`, is refused before the
 rest is read; a signal or schedule file ends at a second content line, and
-any other is read whole from the same handle, so a pipe works.  A bundle's
+any other is read whole from the same handle, so a pipe works.  `load`
+takes two steps, the kind and then the value, so `compose` tells both files'
+kinds from their first lines before it reads either whole.  A bundle's
 `file=` table is read through `load`.  Every reader rejects exactly the
 inputs violating its format with one `LoadError` naming the first violation.
 """
@@ -315,11 +317,11 @@ _SEQUENCE_OPENING = re.compile(r"n=\S*\s+(init|H)=", re.ASCII)  # the field afte
 _SEQUENCE_KINDS = {"init": Signal, "H": ProgressiveFunction}
 
 
-def load(path: str, *kinds: type) -> GeneratorFn | EquationProgram | RegularSystem | Signal | ProgressiveFunction:
-    """What file `path` holds, told by its first content line as above: a table
-    header past the limit, then a kind not in `kinds`, is refused before the
-    rest is read, and a signal or schedule file is read only up to a second
-    content line, whose number the refusal names."""
+def _kind_then_value(path: str, kinds: tuple[type, ...]):
+    """Yields the kind file `path` holds, told by its first content line as
+    above, then its value: a table header past the limit, then a kind not in
+    `kinds`, is refused at the first step, and a signal or schedule file is
+    read only up to a second content line, whose number the refusal names."""
     with open(path, "rb") as f:
         head: list[bytes] = []  # the lines read so far
         lines = _split_lines(_decoded(f, path, head))
@@ -335,16 +337,22 @@ def load(path: str, *kinds: type) -> GeneratorFn | EquationProgram | RegularSyst
                 else GeneratorFn if line[:2] == "n=" else EquationProgram)
         if held not in kinds:
             raise LoadError(f"{path}: holds {_KINDS[held]}, expected {' or '.join(_KINDS[k] for k in kinds)}")
+        yield held
         if opening:  # a signal or schedule: its one line, and no second
             if second := next(lines, None):
                 raise LoadError(f"{path}: expected exactly one {held._kind} line, found a second at line {second[0]}")
-            return _parse_sequence(line, f"{path} line {line_no}", held)
+            yield _parse_sequence(line, f"{path} line {line_no}", held)
+            return
         text = "".join(_decoded([b"".join(head) + f.read()], path, []))  # the whole file as one chunk
-    if held is RegularSystem:
-        return parse_system(text, os.path.dirname(path) or ".")
-    if held is GeneratorFn:
-        return parse_truth_table(text)
-    return parse_dsl(text)
+    yield (parse_system(text, os.path.dirname(path) or ".") if held is RegularSystem
+           else parse_truth_table(text) if held is GeneratorFn else parse_dsl(text))
+
+
+def load(path: str, *kinds: type) -> GeneratorFn | EquationProgram | RegularSystem | Signal | ProgressiveFunction:
+    """What file `path` holds: `_kind_then_value`'s two steps, taken at once."""
+    steps = _kind_then_value(path, kinds)
+    next(steps)
+    return next(steps)
 
 
 def save_system(sys: RegularSystem, path: str) -> None:

@@ -142,21 +142,11 @@ class BitVec(_Value):
             raise InvalidValue(f"bit {len(text) - len(rest) + 1} is {rest[0]!r}, expected 0 or 1")
         return cls(len(text), int(text[::-1], 2) if text else 0)
 
-    @classmethod
-    def all_of_width(cls, width: int):
-        """All 2^width vectors in increasing packed order."""
-        return (cls(width, v) for v in range(1 << width))
-
     def bit(self, i: int) -> int:
         """Coordinate i, 1-based."""
         if not 1 <= i <= self.width:
             raise CoordinateError(f"coordinate {i} out of 1..{self.width}")
         return (self.value >> (i - 1)) & 1
-
-    def flip(self, i: int) -> "BitVec":
-        if not 1 <= i <= self.width:
-            raise CoordinateError(f"coordinate {i} out of 1..{self.width}")
-        return BitVec(self.width, self.value ^ (1 << (i - 1)))
 
     def concat(self, other: "BitVec") -> "BitVec":
         return BitVec(self.width + other.width, self.value | (other.value << self.width))
@@ -358,13 +348,6 @@ class SignalSet(_Value):
             if x.horizon != horizon:
                 raise HorizonMismatch(f"member horizon {x.horizon}, expected {horizon}")
         super().__init__(width, horizon, members)
-
-    @classmethod
-    def of(cls, members: Iterable[Signal]) -> "SignalSet":
-        members = list(members)
-        if not members:
-            raise InvalidValue("cannot infer width/horizon of an empty SignalSet")
-        return cls(members[0].width, members[0].horizon, members)
 
     def __iter__(self):
         return iter(self.members)

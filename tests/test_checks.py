@@ -198,15 +198,15 @@ def test_recompose_verdict_matches_the_public_transforms_at_every_proper_block()
 
 def _flip_by_eval(phi, block):
     """The flip route written against `GeneratorFn.eval`: `BitVec` states,
-    their one-bit flips by `flip(j)` and every input, evaluated point by point."""
+    their one-bit flips by XOR and every input, evaluated point by point."""
     bs, cs = _split_blocks(phi.n, block)
     mask_b, mask_c = (sum(1 << (i - 1) for i in side) for side in (bs, cs))
     flips = [(j, mask_b) for j in cs] + [(j, mask_c) for j in bs]
-    for mu in BitVec.all_of_width(phi.n):
-        for lam in BitVec.all_of_width(phi.m):
+    for mu in (BitVec(phi.n, v) for v in range(1 << phi.n)):
+        for lam in (BitVec(phi.m, v) for v in range(1 << phi.m)):
             out = phi.eval(mu, lam).value
             for j, mask in flips:
-                if (out ^ phi.eval(mu.flip(j), lam).value) & mask:
+                if (out ^ phi.eval(BitVec(phi.n, mu.value ^ 1 << (j - 1)), lam).value) & mask:
                     return False
     return True
 

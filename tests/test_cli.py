@@ -687,6 +687,21 @@ def test_a_file_of_the_wrong_kind_is_refused_before_the_rest_is_decoded(workdir,
     assert capsys.readouterr() == ("", f"error: {path}: holds a truth table, expected a system bundle\n")
 
 
+@pytest.mark.parametrize("second, message", [
+    ("step.sig", "{second}: holds a signal, expected a truth table or an equation file or a system bundle"),
+    ("diag.sys", "compose needs two truth tables or two system bundles"),
+])
+def test_compose_tells_both_kinds_before_it_reads_either_file(workdir, capsys, second, message):
+    """Both kinds are told by first lines, so the first file's third row,
+    which is not UTF-8, is never decoded: the second file's kind, or the
+    mismatch of the two, is what `compose` reports."""
+    first = workdir / "bad.tt"
+    first.write_bytes(b"n=1 m=1\n0 0 -> 0\n1 0 -> 1\n0 1 -> \xff\n1 1 -> 1\n")
+    second = str(workdir / second)
+    assert main(["compose", str(first), second]) == 2
+    assert capsys.readouterr() == ("", f"error: {message.format(second=second)}\n")
+
+
 def _bundle_naming(workdir, ref: str):
     """The diagonal example's bundle, its [phi] table replaced by `file=ref`."""
     text = format_system(diagonal_example())

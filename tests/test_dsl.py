@@ -58,7 +58,7 @@ def test_unknown_character():
 
 
 def test_identity_compiles_to_identity_table():
-    assert compiled("x1' = x1").table == GeneratorFn.identity(1).table
+    assert compiled("x1' = x1").table == GeneratorFn.identity(1, 0).table
 
 
 def test_dependency_of_conjunction_program():
@@ -75,7 +75,7 @@ def test_analysis_pipeline_on_decoupled_program():
 def test_precedence_not_and_xor_or():
     # ! > & > ^ > |
     phi = compiled("x1' = !x1 & x1 ^ x1 | x1")  # ((!x1 & x1) ^ x1) | x1 = x1
-    assert phi.table == GeneratorFn.identity(1).table
+    assert phi.table == GeneratorFn.identity(1, 0).table
     phi2 = compiled("x1' = x1 ^ x1 & u1")  # x1 ^ (x1 & u1)
     assert phi2.eval(bv("1"), bv("1")) == bv("0")
     assert phi2.eval(bv("1"), bv("0")) == bv("1")
@@ -136,8 +136,8 @@ def test_definitions_and_references_spell_variables_alike():
 
 def test_nesting_bound_is_a_syntax_error():
     depth = MAX_NESTING
-    assert compiled("x1' = " + "!" * depth + "x1").table == GeneratorFn.identity(1).table
-    assert compiled("x1' = " + "(" * depth + "x1" + ")" * depth).table == GeneratorFn.identity(1).table
+    assert compiled("x1' = " + "!" * depth + "x1").table == GeneratorFn.identity(1, 0).table
+    assert compiled("x1' = " + "(" * depth + "x1" + ")" * depth).table == GeneratorFn.identity(1, 0).table
     for text in ("x1' = " + "!" * 3000 + "x1", "x1' = " + "(" * 1500 + "x1" + ")" * 1500):
         with pytest.raises(DslSyntaxError, match=f"nested deeper than {depth} levels") as err:
             parse_dsl(text)
@@ -194,8 +194,8 @@ def test_chains_flatten_and_parentheses_nest():
 
 
 def test_long_operator_chains_compile():
-    assert compiled("x1' = " + " & ".join(["x1"] * 5000)).table == GeneratorFn.identity(1).table
-    assert compiled("x1' = " + " ^ ".join(["x1"] * 5001)).table == GeneratorFn.identity(1).table
+    assert compiled("x1' = " + " & ".join(["x1"] * 5000)).table == GeneratorFn.identity(1, 0).table
+    assert compiled("x1' = " + " ^ ".join(["x1"] * 5001)).table == GeneratorFn.identity(1, 0).table
     assert compiled("x1' = " + " | ".join(["0"] * 4999 + ["u1"])).table == (0, 0, 1, 1)
 
 

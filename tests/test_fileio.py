@@ -54,7 +54,7 @@ def test_truth_table_text_matches_the_per_row_writer(m):
 
 
 def test_truth_table_m0_rows_have_no_lambda_field():
-    phi = GeneratorFn.identity(1)
+    phi = GeneratorFn.identity(1, 0)
     text = format_truth_table(phi)
     assert "0 -> 0" in text and "1 -> 1" in text
     assert parse_truth_table(text) == phi
@@ -69,7 +69,7 @@ def test_missing_row_names_the_point():
 
 
 def test_duplicate_row_rejected():
-    phi = GeneratorFn.identity(1)
+    phi = GeneratorFn.identity(1, 0)
     text = format_truth_table(phi) + "0 -> 0\n"
     with pytest.raises(LoadError):
         parse_truth_table(text)

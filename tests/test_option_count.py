@@ -11,7 +11,7 @@ from pathlib import Path
 
 SRC = Path(__file__).parent.parent / "src" / "asyncdec"
 
-OPTIONS = 27
+OPTIONS = 26
 
 
 def _options(tree: ast.AST) -> int:

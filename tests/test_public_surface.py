@@ -3,6 +3,8 @@
 A public name defined under `asyncdec` must be read, as a name or an
 attribute, somewhere in the package or the tests; an export-list entry alone
 does not count.  So code that nothing calls does not stay in the surface.
+A name that only the tests read is a convenience the program does without,
+so each one is listed here with the reason it stays.
 """
 
 import ast
@@ -34,9 +36,21 @@ def _public_definitions():
                         yield path.name, f"{node.name}.{member.name}", member.name
 
 
-def _names_read():
+# qualified name -> why it stays though no code under src reads it
+TEST_ONLY = {
+    "GeneratorFn.from_function": "the README tour builds a table from a Python function with it",
+    "BitVec.from_bits": "the README tour writes a state as a bit list with it",
+    "apply_masked": "the one-event reference that tests fold `run` against",
+    "initial_state_function": "acceptance criterion 5 reads the hull's initial states with it",
+    "lemma1_suite": "acceptance criterion 7, Lemma 1's product progressiveness",
+    "partition_oracle_suite": "acceptance criterion 8, the finest partition against a brute-force oracle",
+    "synchronous_suite": "acceptance criterion 9, the synchronous reduction",
+}
+
+
+def _names_read(*roots: Path):
     used = set()
-    for root in (PACKAGE, TESTS):
+    for root in roots:
         for _, tree in _trees(root):
             for node in ast.walk(tree):
                 if isinstance(node, ast.Name):
@@ -48,7 +62,13 @@ def _names_read():
 
 def test_every_public_definition_is_used():
     definitions = list(_public_definitions())
-    assert len(definitions) >= 100
-    used = _names_read()
+    assert len(definitions) >= 98
+    used = _names_read(PACKAGE, TESTS)
     unused = [f"{module}:{qualified}" for module, qualified, name in definitions if name not in used]
     assert unused == []
+
+
+def test_names_only_tests_read_are_the_listed_ones():
+    read_by_package = _names_read(PACKAGE)
+    test_only = {qualified for _, qualified, name in _public_definitions() if name not in read_by_package}
+    assert test_only == set(TEST_ONLY)

@@ -181,7 +181,7 @@ def test_a_relabeler_holds_at_most_256_ints_per_chunk_of_the_width(width):
     for coords in (range(1, width + 1), range(width, 0, -1), (width,), (1, width)):
         coords = tuple(coords)
         if width <= 9:
-            project_fn(GeneratorFn.identity(width), coords)
+            project_fn(GeneratorFn.identity(width, 0), coords)
         k, _, picks, spreads = _relabeler(width, coords)
         assert k == len(coords)
         assert len(picks) == -(-width // 8) and len(spreads) == -(-k // 8)

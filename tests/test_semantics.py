@@ -118,7 +118,7 @@ def test_fixed_point_stability():
         phi = rand_fn(rng, n, m)
         lam = BitVec(m, rng.randrange(1 << m))
         fixed = None
-        for mu in BitVec.all_of_width(n):
+        for mu in (BitVec(n, v) for v in range(1 << n)):
             if phi.eval(mu, lam) == mu:
                 fixed = mu
                 break

@@ -232,29 +232,29 @@ def test_permute_signal_roundtrip():
 
 
 def test_product_set_singletons():
-    a = SignalSet.of([unit_step(0, 10)])
-    b = SignalSet.of([unit_step(2, 10)])
+    a = SignalSet(1, 10, [unit_step(0, 10)])
+    b = SignalSet(1, 10, [unit_step(2, 10)])
     p = product_set(a, b)
     assert len(p) == 1
     assert product_signal(unit_step(0, 10), unit_step(2, 10)) in p
 
 
 def test_product_set_cardinality():
-    xs = SignalSet.of([unit_step(k, 10) for k in (0, 1)])
-    ys = SignalSet.of([unit_step(k, 10) for k in (2, 3, 4)])
+    xs = SignalSet(1, 10, [unit_step(k, 10) for k in (0, 1)])
+    ys = SignalSet(1, 10, [unit_step(k, 10) for k in (2, 3, 4)])
     assert len(product_set(xs, ys)) == 6
 
 
 def test_product_set_with_constant_preserves_size():
-    xs = SignalSet.of([unit_step(k, 10) for k in (0, 1)])
-    c = SignalSet.of([sig(1, "1", [], 10)])
+    xs = SignalSet(1, 10, [unit_step(k, 10) for k in (0, 1)])
+    c = SignalSet(1, 10, [sig(1, "1", [], 10)])
     assert len(product_set(xs, c)) == len(xs)
 
 
 def test_signal_set_deduplicates_canonical_equals():
     raw = sig(1, "0", [(1, "0"), (2, "1")], 10)
     canon = sig(1, "0", [(2, "1")], 10)
-    assert len(SignalSet.of([raw, canon])) == 1
+    assert len(SignalSet(1, 10, [raw, canon])) == 1
 
 
 # -- schedule products ----------------------------------------------------
@@ -460,7 +460,7 @@ def test_sorted_orders_by_key(xs, rs):
 
 
 def test_signal_set_membership_is_by_canonical_identity():
-    members = SignalSet.of([unit_step(2, 10), sig(1, "0", [], 10)])
+    members = SignalSet(1, 10, [unit_step(2, 10), sig(1, "0", [], 10)])
     assert sig(1, "0", [(1, "0"), (2, "1"), (4, "1")], 10) in members
     assert rho(1, [(2, "1")], 10) not in members
     assert unit_step(2, 11) not in members

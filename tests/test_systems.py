@@ -74,13 +74,13 @@ def test_realize_identity_constants():
     states = frozenset([bv("00"), bv("11")])
     pi = {(mu, u): frozenset([round_robin(2, (1,), H)]) for mu in states}
     out = realize(RegularSystem(phi, (u,), {u: states}, pi), H)
-    assert out[u] == SignalSet.of([Signal(2, val("00"), (), H), Signal(2, val("11"), (), H)])
+    assert out[u] == SignalSet(2, H, [Signal(2, val("00"), (), H), Signal(2, val("11"), (), H)])
 
 
 def test_realize_follower_two_schedules():
     out = realize(step_system(fire_ticks=(1, 2)), H)
     u = unit_step(0, H)
-    assert out[u] == SignalSet.of([unit_step(1, H), unit_step(2, H)])
+    assert out[u] == SignalSet(1, H, [unit_step(1, H), unit_step(2, H)])
 
 
 def test_pi_domain_must_match_phi0():
@@ -147,7 +147,7 @@ def test_parallel_singleton_factors():
     par = parallel_system(a, b)
     out = realize(par, H)
     u = unit_step(0, H)
-    assert out[u] == SignalSet.of([product_signal(unit_step(1, H), unit_step(2, H))])
+    assert out[u] == SignalSet(2, H, [product_signal(unit_step(1, H), unit_step(2, H))])
 
 
 def test_parallel_output_is_product_set():
@@ -649,7 +649,7 @@ def _reference_verdict(sys_, result):
         sys_.phi0[u]
         == frozenset(
             mu
-            for mu in BitVec.all_of_width(sys_.n)
+            for mu in (BitVec(sys_.n, v) for v in range(1 << sys_.n))
             if mu.restrict(bs) in result.first.phi0[u]
             and mu.restrict(cs) in result.second.phi0[u]
         )

@@ -34,7 +34,7 @@ def _instances():
     return [
         mu,
         step,
-        SignalSet.of([step]),
+        SignalSet(1, 6, [step]),
         ProgressiveFunction(2, ((1, 3), (2, 0)), 6),
         phi,
         dependency_matrix(phi),
