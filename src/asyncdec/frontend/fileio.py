@@ -12,21 +12,23 @@ in an inline [phi] table names its line in the bundle file.
 
 `load(path, *kinds)` is the one reader of input files, told by their first
 content line: `[` opens a bundle; `n=<w>` followed by `init=` a signal, by
-`H=` a schedule and by anything else a table; any other line an equation
-file.  A file is opened once and read line by line up to there, so a table
-header past the size limit, or a kind not in `kinds`, is refused before the
-rest is read; a signal or schedule file ends at a second content line, and
-any other is read whole from the same handle, so a pipe works.  `load`
-takes two steps, the kind and then the value, so `compose` tells both files'
-kinds from their first lines before it reads either whole.  A bundle's
-`file=` table is read through `load`.  Every reader rejects exactly the
-inputs violating its format with one `LoadError` naming the first violation.
+`H=` a schedule and by anything else a table; any other line an equation file.
+Lines end at `\n`, `\r\n` or `\r`.  A file is opened once, as text, and read
+line by line up to there, so a kind not in `kinds`, and at the value step a
+table header past the size limit, is refused before the rest is read; a signal
+or schedule file ends at a second content line, and any other is read whole
+from the same handle, so a pipe works.  `load` takes two steps, the kind and
+then the value, so `compose` tells both files' kinds from their first lines
+before it reads either whole.  A bundle's `file=` table is read through
+`load`.  Every reader rejects exactly the inputs violating its format with one
+`LoadError` naming the first violation.
 """
 
 from __future__ import annotations
 
 import os
 import re
+from itertools import chain
 
 from ..boolfn import GeneratorFn, check_scan_size
 from ..errors import AsyncDecError
@@ -63,17 +65,17 @@ def _split_lines(chunks):
                 yield line_no, line
 
 
-def _decoded(lines, path: str, head: list[bytes]):
-    """Each of the byte `lines` of file `path`, kept in `head` and decoded alone."""
-    offset = 0
-    for raw in lines:
-        head.append(raw)
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise LoadError(f"{path}: not UTF-8 text ({exc.reason} at byte {offset + exc.start})") from None
+def _decoded(chunks, path: str, head: list[str]):
+    """Each text chunk of file `path`, kept in `head`; at a byte that is not
+    UTF-8, escaped by the reader, the text so far is decoded again strictly."""
+    for text in chunks:
+        head.append(text)
+        if not text.isascii() and re.search("[\udc80-\udcff]", text):
+            try:
+                "".join(head).encode("utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise LoadError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
         yield text
-        offset += len(raw)
 
 
 # -- truth tables -------------------------------------------------------
@@ -319,17 +321,13 @@ _SEQUENCE_KINDS = {"init": Signal, "H": ProgressiveFunction}
 
 def _kind_then_value(path: str, kinds: tuple[type, ...]):
     """Yields the kind file `path` holds, told by its first content line as
-    above, then its value: a table header past the limit, then a kind not in
-    `kinds`, is refused at the first step, and a signal or schedule file is
-    read only up to a second content line, whose number the refusal names."""
-    with open(path, "rb") as f:
-        head: list[bytes] = []  # the lines read so far
-        lines = _split_lines(_decoded(f, path, head))
+    above, then its value: a kind not in `kinds` is refused at the first step,
+    a table header past the limit at the second, and a signal or schedule file
+    is read only up to a second content line, whose number the refusal names."""
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as f:
+        head: list[str] = []  # the text read so far
+        lines = _split_lines(_decoded(f, path, head))  # a line ends at \n, \r\n or \r
         line_no, line = next(lines, (0, ""))
-        header = _TT_HEADER.match(line)
-        n, m = (g.lstrip("0") or "0" for g in header.groups()) if header else ("0", "0")
-        if n != "0" and len(n) < 99 and len(m) < 99:  # a longer number is `_read_table`'s to report
-            check_scan_size(bits := int(n) + int(m), f"n+m = {bits}")
         if not line:
             raise LoadError(f"{path}: empty file")
         opening = _SEQUENCE_OPENING.match(line)
@@ -343,9 +341,10 @@ def _kind_then_value(path: str, kinds: tuple[type, ...]):
                 raise LoadError(f"{path}: expected exactly one {held._kind} line, found a second at line {second[0]}")
             yield _parse_sequence(line, f"{path} line {line_no}", held)
             return
-        text = "".join(_decoded([b"".join(head) + f.read()], path, []))  # the whole file as one chunk
-    yield (parse_system(text, os.path.dirname(path) or ".") if held is RegularSystem
-           else parse_truth_table(text) if held is GeneratorFn else parse_dsl(text))
+        whole = chain(head, _decoded(iter(f.read, ""), path, head))  # the rest, read only if asked for
+        yield (_read_table(_split_lines(whole)) if held is GeneratorFn  # header checked before the rest is read
+               else parse_system("".join(whole), os.path.dirname(path) or ".") if held is RegularSystem
+               else parse_dsl("".join(whole)))
 
 
 def load(path: str, *kinds: type) -> GeneratorFn | EquationProgram | RegularSystem | Signal | ProgressiveFunction:

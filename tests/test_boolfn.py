@@ -12,6 +12,7 @@ from asyncdec import (
     GeneratorFn,
     InvalidValue,
     NotSeparatedError,
+    Partition,
     SizeLimitError,
     WidthMismatch,
     dependency_matrix,
@@ -77,8 +78,15 @@ def test_eval_input_follower():
 
 def test_eval_width_checks():
     phi = GeneratorFn.identity(2, 1)
-    with pytest.raises(Exception):
+    with pytest.raises(WidthMismatch, match=r"^state width 1, expected 2$"):
         phi.eval(bv("0"), bv("1"))
+    with pytest.raises(WidthMismatch, match=r"^input width 2, expected 1$"):
+        phi.eval(bv("01"), bv("11"))
+
+
+def test_from_function_refuses_an_output_of_the_wrong_width():
+    with pytest.raises(WidthMismatch, match=r"^function returned width 1, expected 2$"):
+        fn(2, 0, lambda mu, lam: BitVec(1, 0))
 
 
 # -- partial derivative -----------------------------------------------------
@@ -334,6 +342,17 @@ def test_split_blocks_memo_never_hides_a_refusal(block, text):
         with pytest.raises(CoordinateError) as info:
             _split_blocks(3, block)
         assert str(info.value) == text
+
+
+@pytest.mark.parametrize("blocks, text", [
+    (((1,), (3,)), "blocks ((1,), (3,)) do not partition 1..2"),
+    (((1, 2), (2,)), "blocks ((1, 2), (2,)) do not partition 1..3"),
+    (((0, 1),), "blocks ((0, 1),) do not partition 1..2"),
+])
+def test_a_partition_must_cover_one_to_n(blocks, text):
+    with pytest.raises(CoordinateError) as refused:
+        Partition(blocks)
+    assert str(refused.value) == text
 
 
 def test_split_blocks_reads_any_iterable_of_coordinates():

@@ -444,6 +444,36 @@ def test_a_padded_table_header_past_the_size_limit_is_refused_before_the_rest_is
     ))
 
 
+def test_a_table_with_cr_line_ends_past_the_size_limit_is_refused_at_its_header(workdir, monkeypatch, capsys):
+    """The header ends at its \\r, so the limit is checked before the row
+    that is not UTF-8 is read."""
+    path = workdir / "cr.tt"
+    path.write_bytes(b"n=2 m=1\r00 0 -> \xff\r")
+    monkeypatch.setenv("ASYNC_DEC_SIZE_LIMIT", "2")
+    assert main(["analyze", "--phi", str(path)]) == 2
+    assert capsys.readouterr() == ("", (
+        "error: n+m = 3 exceeds the exhaustive-scan limit 2; "
+        "refusing to scan (set ASYNC_DEC_SIZE_LIMIT to raise the limit)\n"
+    ))
+
+
+def test_a_table_past_the_size_limit_where_no_table_is_read_is_refused_by_its_kind(workdir, monkeypatch, capsys):
+    """Only the table reader checks a header against the limit: where a verb
+    reads no table, the file's kind is what is wrong."""
+    path = workdir / "wide.tt"
+    path.write_text(format_truth_table(GeneratorFn.identity(2, 1)))
+    monkeypatch.setenv("ASYNC_DEC_SIZE_LIMIT", "2")
+    simulate = ["simulate", "--phi", str(workdir / "delay.eq"), "--init", "0",
+                "--input", str(path), "--rho", str(workdir / "fire1.rho")]
+    assert main(simulate) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: holds a truth table, expected a signal\n")
+    assert main(["compose", str(path), str(workdir / "step.sig")]) == 2
+    assert capsys.readouterr() == ("", (
+        f"error: {workdir / 'step.sig'}: holds a signal, "
+        "expected a truth table or an equation file or a system bundle\n"
+    ))
+
+
 def test_decompose_non_numeric_block_is_input_error(workdir):
     result = cli("decompose", "--system", str(workdir / "diag.sys"), "--block", "x")
     assert_input_error(result)

@@ -291,12 +291,14 @@ _TEXT_PIECES = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1
 @example(" " * 4095 + "\r\nn=1 m=0\n")
 @example("#" * 4096 + "\u2028" + " " * 9000 + "a")
 @example("0" * 5000 + "\n")
+@example(" " * 8191 + "\r\nn=1 m=0\r")
 def test_the_file_reader_yields_the_lines_the_text_reader_yields(tmp_path_factory, text):
-    """`load` decodes a file's bytes a line at a time; every numbered content
-    line it reads is the one the text reader yields from the decoded file."""
+    """`load` reads a file a line at a time, a line ending at \\n, \\r\\n or \\r;
+    every numbered content line it reads is the one the text reader yields
+    from the whole decoded file."""
     path = tmp_path_factory.getbasetemp() / "lines.txt"
     path.write_bytes(text.encode("utf-8"))
-    with open(path, "rb") as f:
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as f:
         assert list(_split_lines(_decoded(f, str(path), []))) == list(_split_lines([text]))
 
 
@@ -311,7 +313,8 @@ def test_a_file_that_is_not_utf8_is_named_with_the_byte(tmp_path):
 @pytest.mark.parametrize("data, line_no", [
     (b"n=1 init=0 H=5 events=\nn=1 m=0\n\xff\xfe\n", 2),
     (b"n=1 init=0 H=5 events=\r\n\x0c# note\nn=1 m=0\n\xff\n", 4),
-], ids=["next-line", "after-blank-lines"])
+    (b"n=1 init=0 H=5 events=\rn=1 m=0\r\xff\r", 2),
+], ids=["next-line", "after-blank-lines", "cr-line-ends"])
 def test_a_second_line_ends_the_read_of_a_signal_file(tmp_path, data, line_no):
     """A signal file holds one content line: the read stops at a second, so
     the bytes after it, which are not UTF-8, are never decoded."""

@@ -7,9 +7,11 @@ import pytest
 from asyncdec import (
     BitVec,
     GeneratorFn,
+    HorizonExceeded,
     HorizonMismatch,
     ProgressiveFunction,
     Signal,
+    WidthMismatch,
     apply_masked,
     delay_bounds,
     parallel_fn,
@@ -133,6 +135,24 @@ def test_run_horizon_mismatch():
     phi = GeneratorFn.identity(1, 1)
     with pytest.raises(HorizonMismatch):
         run(phi, bv("0"), unit_step(0, 10), rho(1, [(1, "1")], 12), 10)
+
+
+@pytest.mark.parametrize("call, error, text", [
+    pytest.param(lambda phi: apply_masked(phi, bv("1"), bv("00"), bv("0")), WidthMismatch,
+                 "mask width 1, expected 2", id="mask-width"),
+    pytest.param(lambda phi: run(phi, bv("0"), unit_step(0, 10), rho(2, [(1, "11")], 10), 10), WidthMismatch,
+                 "initial state width 1, expected 2", id="run-state-width"),
+    pytest.param(lambda phi: run(phi, bv("00"), Signal(2, 0, (), 10), rho(2, [(1, "11")], 10), 10), WidthMismatch,
+                 "input width 2, expected 1", id="run-input-width"),
+    pytest.param(lambda phi: delay_bounds(Signal(2, 0, (), 10), 1, 1), WidthMismatch,
+                 "delay bounds need a scalar input, got width 2", id="delay-input-width"),
+    pytest.param(lambda phi: delay_bounds(unit_step(0, 10), 1, 11), HorizonExceeded,
+                 "t=11 beyond horizon 10", id="delay-past-horizon"),
+])
+def test_updates_runs_and_delay_bounds_refuse_with_a_named_error(call, error, text):
+    with pytest.raises(error) as refused:
+        call(GeneratorFn.identity(2, 1))
+    assert type(refused.value) is error and str(refused.value) == text
 
 
 def test_run_matches_a_fold_of_masked_updates():

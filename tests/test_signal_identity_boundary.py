@@ -6,7 +6,16 @@ from pathlib import Path
 import asyncdec
 
 PACKAGE = Path(asyncdec.__file__).parent
-PRIVATE = {"_key", "_canon", "_ticks"}
+PRIVATE = {"_canon"}
+
+
+def test_the_private_identity_fields_are_slots_of_signals():
+    """A renamed field leaves this list, so the check below cannot go empty."""
+    tree = ast.parse((PACKAGE / "signals.py").read_text(encoding="utf-8"))
+    slots = {name for node in ast.walk(tree) if isinstance(node, ast.Assign)
+             and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets)
+             for name in ast.literal_eval(node.value)}
+    assert PRIVATE <= slots
 
 
 def test_no_other_module_reads_the_private_identity_fields():

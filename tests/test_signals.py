@@ -13,6 +13,7 @@ from asyncdec import (
     ProgressiveFunction,
     Signal,
     SignalSet,
+    WidthMismatch,
     product_rho,
     product_set,
     product_signal,
@@ -70,6 +71,26 @@ def test_from_string_rejects_non_bits_with_invalid_value():
     for text in (" 1", "1_0", "+1", "0b1", "\u0661", "2", "10 "):
         with pytest.raises(InvalidValue):
             BitVec.from_string(text)
+
+
+@pytest.mark.parametrize("make, error, text", [
+    pytest.param(lambda: BitVec(-1, 0), WidthMismatch, "negative width -1", id="negative-width"),
+    pytest.param(lambda: BitVec(2, 4), InvalidValue, "value 4 out of range for width 2", id="value-too-wide"),
+    pytest.param(lambda: BitVec(2, -1), InvalidValue, "value -1 out of range for width 2", id="negative-value"),
+    pytest.param(lambda: BitVec.from_bits([1, 2]), InvalidValue, "bit 2 is 2, expected 0 or 1", id="from-bits"),
+    pytest.param(lambda: BitVec(2, 1).bit(0), CoordinateError, "coordinate 0 out of 1..2", id="bit-zero"),
+    pytest.param(lambda: BitVec(2, 1).bit(3), CoordinateError, "coordinate 3 out of 1..2", id="bit-past-width"),
+    pytest.param(lambda: SignalSet(2, 10, [unit_step(0, 10)]), WidthMismatch,
+                 "member width 1, expected 2", id="set-member-width"),
+    pytest.param(lambda: SignalSet(1, 9, [unit_step(0, 10)]), HorizonMismatch,
+                 "member horizon 10, expected 9", id="set-member-horizon"),
+    pytest.param(lambda: product_set(SignalSet(1, 10, []), SignalSet(1, 9, [])), HorizonMismatch,
+                 "horizons differ: 10 vs 9", id="product-set-horizons"),
+])
+def test_bit_vectors_and_signal_sets_refuse_with_a_named_error(make, error, text):
+    with pytest.raises(error) as refused:
+        make()
+    assert type(refused.value) is error and str(refused.value) == text
 
 
 # -- value_at -------------------------------------------------------------

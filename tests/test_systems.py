@@ -8,6 +8,7 @@ from asyncdec import (
     BitVec,
     CoordinateError,
     GeneratorFn,
+    HorizonMismatch,
     InvalidSystem,
     NotSeparatedError,
     ProgressiveFunction,
@@ -92,6 +93,22 @@ def test_pi_domain_must_match_phi0():
     }
     with pytest.raises(InvalidSystem):
         RegularSystem(follower(), (u,), phi0, pi)
+
+
+def test_a_system_refuses_an_empty_initial_state_or_schedule_set():
+    u = unit_step(0, H)
+    with pytest.raises(InvalidSystem) as refused:
+        RegularSystem(follower(), (u,), {u: frozenset()}, {})
+    assert str(refused.value) == "phi0 is empty for input n=1 init=0 H=10 events=(0,1)"
+    with pytest.raises(InvalidSystem) as refused:
+        RegularSystem(follower(), (u,), {u: frozenset([bv("0")])}, {(bv("0"), u): frozenset()})
+    assert str(refused.value) == "pi is empty at (0, n=1 init=0 H=10 events=(0,1))"
+
+
+def test_realize_refuses_a_horizon_other_than_the_systems():
+    with pytest.raises(HorizonMismatch) as refused:
+        realize(step_system(), H - 1)
+    assert type(refused.value) is HorizonMismatch and str(refused.value) == "horizon 9 does not match the system's 10"
 
 
 def test_realize_contained_in_enumeration():
