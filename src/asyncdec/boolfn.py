@@ -269,7 +269,7 @@ def project_fn(phi: GeneratorFn, coords: Iterable[int]) -> GeneratorFn:
     return phi if rows is None else GeneratorFn(len(cs), phi.m, rows(phi.table))
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=64)
 def _projection(n: int, cs: tuple[int, ...]):
     """None for 1..n, else the row map `rows(table) -> tuple` onto `cs`, built once per key
     from `_relabeler`'s chunks: spread[s] is state s's row offset; pick[out] reads out at `cs`."""

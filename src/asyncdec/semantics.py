@@ -38,7 +38,8 @@ def run(
     first tick is the masked update of the initial state reading u there.
     The input is sampled pointwise at the schedule's ticks; its own event
     grid is unrelated: a merge-walk over its events tracks the value in
-    force.  Only changed states become signal events.
+    force.  Only changed states become signal events, so the trajectory is
+    canonical by construction.
     """
     if mu.width != phi.n:
         raise WidthMismatch(f"initial state width {mu.width}, expected {phi.n}")
@@ -47,22 +48,19 @@ def run(
     if rho.width != phi.n:
         raise WidthMismatch(f"schedule width {rho.width}, expected {phi.n}")
     if u.horizon != horizon or rho.horizon != horizon:
-        raise HorizonMismatch(
-            f"horizons (input {u.horizon}, schedule {rho.horizon}) "
-            f"must both equal {horizon}"
-        )
-    n, table, inputs = phi.n, phi.table, u.events
+        raise HorizonMismatch(f"horizons (input {u.horizon}, schedule {rho.horizon}) must both equal {horizon}")
+    n, table, inputs, end = phi.n, phi.table, iter(u.events), (horizon + 1, 0)
     changes = []
-    cur, lam, k = mu.value, u.initial, 0
+    cur, base = mu.value, u.initial << n
+    due, lam = next(inputs, end)  # input lam is due at tick `due`; `end` lies past every schedule tick
     for t, a in rho.events:
-        while k < len(inputs) and inputs[k][0] <= t:
-            lam = inputs[k][1]
-            k += 1
-        nxt = (cur & ~a) | (table[cur | lam << n] & a)
-        if nxt != cur:
-            changes.append((t, nxt))
-            cur = nxt
-    return Signal(n, mu.value, tuple(changes), horizon)
+        while due <= t:
+            base = lam << n
+            due, lam = next(inputs, end)
+        if flip := (cur ^ table[cur | base]) & a:  # the fired coordinates that change
+            cur ^= flip
+            changes.append((t, cur))
+    return Signal._derived(n, mu.value, changes := tuple(changes), horizon, changes)
 
 
 def delay_bounds(u: Signal, tau: Tick, t: Tick) -> tuple[int, int]:

@@ -12,14 +12,15 @@ schedule a point of B^width is a plain int, coordinate 1 in the least
 significant bit.  `BitVec` is a point that stands alone (an initial state, a
 table row, a witness) and carries its own width.
 
-Both kinds rest on one event-sequence core.  Its constructor is the only
-place a sequence is built: one pass over the given events checks them,
-stores them as (tick, int) pairs and collects the canonical form, which
-drops every event equal to the held value.  A signal's held value starts
-at `initial` and follows each kept event; a schedule's stays 0, so its
-canonical form drops the all-zero firings.  `key`, the canonical form as a
-tuple of ints, is both the identity and the `<` order that sorts
-schedules and witnesses; `events` is the only index for reading a value.
+Both kinds rest on one event-sequence core.  Its constructor checks what
+enters from outside: one pass checks the given events, stores them as
+(tick, int) pairs and collects the canonical form, which drops every event
+equal to the held value (a signal's starts at `initial` and follows each
+kept event; a schedule's stays 0, so its canonical form drops the all-zero
+firings).  `_derived` builds, unchecked, a sequence computed from checked
+ones, its canonical form given.  `key`, the canonical form as a tuple of
+ints, is both the identity and the `<` order that sorts schedules and
+witnesses; `events` is the only index for reading a value.
 
 Every kind relabels one way, `restrict(coords)`: coordinate k of the result
 is coordinate coords[k-1], for an ordered tuple of distinct coordinates.
@@ -59,7 +60,7 @@ class _Value:
     `TypeError` for a missing, repeated or unknown field), equality (same type
     only), hashing, pickling and the repr go over `_fields`, the parameters in
     order.  Kinds that check their input have their own `__init__`; `BitVec`,
-    `GeneratorFn` and the event sequences, built by the thousand, set slots directly."""
+    `GeneratorFn` and event sequences set slots directly, a derived sequence unchecked."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -160,6 +161,11 @@ class BitVec(_Value):
         return _bits_text(self.value, self.width)
 
 
+def _fired(events: Iterable[tuple[Tick, int]], gather) -> tuple:
+    """A schedule's firings read through `gather`, all-zero ones dropped: its restriction's events."""
+    return tuple([(t, w) for t, v in events if (w := gather(v))])
+
+
 def _images(chunks: Iterable[Sequence[int]]) -> Sequence[int]:
     """Every OR of one entry per chunk: entry v takes from each chunk the entry
     its digit of v (base the chunk's length, lowest first) names; one chunk is itself."""
@@ -203,8 +209,10 @@ class _EventSequence(_Value):
     `__init__` builds both kinds in one pass: it checks each event, stores it
     as a pair and keeps it in `_canon` unless it equals the held value (a
     signal's last kept value, starting at `initial`; 0 for a schedule).
-    `_canon` shares the `events` tuple when nothing is dropped.  A signal
-    never equals or orders against a schedule.
+    `_canon` shares the `events` tuple when nothing is dropped.  `_derived`
+    builds, unchecked, what `run`, `restrict`, the products, `truncated` and
+    `canonical` compute from checked sequences.  A signal never equals or
+    orders against a schedule.
     """
 
     __slots__ = ("width", "initial", "events", "horizon", "_canon")
@@ -232,34 +240,43 @@ class _EventSequence(_Value):
                 canon.append(e)
                 if initial is not None:
                     held = v
-        events = tuple(pairs)
+        self._fill(width, initial, tuple(pairs), horizon, tuple(canon))
+
+    def _fill(self, width, initial, events, horizon, canon):
         object.__setattr__(self, "width", width)
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "events", events)
         object.__setattr__(self, "horizon", horizon)
-        object.__setattr__(self, "_canon", tuple(canon) if len(canon) < len(events) else events)
+        object.__setattr__(self, "_canon", canon if len(canon) < len(events) else events)
+        return self
+
+    @classmethod
+    def _derived(cls, width: int, initial: int | None, events: tuple, horizon: Tick, canon: tuple):
+        """A sequence computed from checked ones, with `canon` its canonical form: nothing is checked."""
+        return object.__new__(cls)._fill(width, initial, events, horizon, canon)
 
     def truncated(self, horizon: Tick):
         """Restriction to (-inf, horizon]; never extends."""
         if horizon > self.horizon:
             raise HorizonExceeded(f"cannot extend horizon {self.horizon} to {horizon}")
         # (horizon + 1,) sorts before every event at that tick and after all earlier ones
-        kept = self.events[: bisect_left(self.events, (horizon + 1,))]
-        return type(self)(*self._values()[:-2], kept, horizon)
+        kept, canon = (seq[: bisect_left(seq, (horizon + 1,))] for seq in (self.events, self._canon))
+        return self._derived(self.width, self.initial, kept, horizon, canon)
 
     def canonical(self):
         """The same sequence without the events its canonical form drops."""
         if self._canon is self.events:
             return self
-        return type(self)(*self._values()[:-2], self._canon, self.horizon)
+        return self._derived(self.width, self.initial, self._canon, self.horizon, self._canon)
 
     def restrict(self, coords: Iterable[int]):
         """Coordinate k of the result is coordinate coords[k-1]; canonical."""
         k, gather, _, _ = _relabeler(self.width, tuple(coords))
-        events = tuple((t, gather(v)) for t, v in self.events)
-        if self.initial is None:  # a schedule drops the firings left all-zero
-            return type(self)(k, tuple(e for e in events if e[1]), self.horizon)
-        return type(self)(k, gather(self.initial), events, self.horizon).canonical()
+        if self.initial is None:
+            return self._derived(k, None, kept := _fired(self.events, gather), self.horizon, kept)
+        held = initial = gather(self.initial)  # a signal keeps the events that move its value
+        kept = tuple([(t, held := w) for t, v in self.events if (w := gather(v)) != held])
+        return self._derived(k, initial, kept, self.horizon, kept)
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -321,14 +338,15 @@ def product_signal(a: Signal, b: Signal) -> Signal:
     """
     if a.horizon != b.horizon:
         raise HorizonMismatch(f"horizons differ: {a.horizon} vs {b.horizon}")
-    shift = a.width
-    held = [a.initial, b.initial << shift]
-    initial, woven = held[0] | held[1], {}
-    triples = [(t, 0, v) for t, v in a.events] + [(t, 1, v << shift) for t, v in b.events]
-    for t, side, v in sorted(triples):  # at a shared tick the second write holds both sides
-        held[side] = v
-        woven[t] = held[0] | held[1]
-    return Signal(a.width + b.width, initial, tuple(woven.items()), a.horizon)
+    shift, low = a.width, (1 << a.width) - 1
+    now = initial = a.initial | b.initial << shift
+    woven, canon = {}, {}
+    triples = [(t, ~low, v) for t, v in a.events] + [(t, low, v << shift) for t, v in b.events]
+    for t, keep, v in sorted(triples):  # a write keeps the other factor's bits: writes at one tick commute
+        if (new := now & keep | v) != now:  # the product moves at t iff a factor does
+            canon[t] = now = new
+        woven[t] = now
+    return Signal._derived(a.width + b.width, initial, tuple(woven.items()), a.horizon, tuple(canon.items()))
 
 
 class SignalSet(_Value):
@@ -415,4 +433,5 @@ def product_rho(a: ProgressiveFunction, b: ProgressiveFunction) -> ProgressiveFu
     woven = dict(a.events)
     for t, v in b.events:
         woven[t] = woven.get(t, 0) | v << shift
-    return ProgressiveFunction(shift + b.width, tuple(sorted(woven.items())), a.horizon)
+    events = tuple(sorted(woven.items()))
+    return ProgressiveFunction._derived(shift + b.width, None, events, a.horizon, tuple(e for e in events if e[1]))

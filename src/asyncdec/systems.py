@@ -25,6 +25,8 @@ from .signals import (
     Signal,
     SignalSet,
     Tick,
+    _fired,
+    _relabeler,
     _Value,
     product_rho,
     product_set,
@@ -66,9 +68,7 @@ class RegularSystem(_Value):
         pi = {key: frozenset(rs) for key, rs in pi.items()}
         delta = {(mu, u) for u in inputs for mu in phi0[u]}
         if set(pi) != delta:
-            raise InvalidSystem(
-                "pi must be defined exactly on {(mu, u) | u admissible, mu in phi0(u)}"
-            )
+            raise InvalidSystem("pi must be defined exactly on {(mu, u) | u admissible, mu in phi0(u)}")
         for (mu, u), rs in pi.items():
             if not rs:
                 raise InvalidSystem(f"pi is empty at ({mu}, {u})")
@@ -99,10 +99,13 @@ class RegularSystem(_Value):
         each restricted state the restrictions of every schedule admitted at a
         full state extending it.  The inputs are unchanged."""
         cs = tuple(coords)
+        k, gather, _, _ = _relabeler(self.n, cs)
         phi0 = {u: frozenset(mu.restrict(cs) for mu in ms) for u, ms in self.phi0.items()}
-        pi: dict[tuple[BitVec, Signal], set[ProgressiveFunction]] = {}
-        for (mu, u), rs in self.pi.items():
-            pi.setdefault((mu.restrict(cs), u), set()).update(rho.restrict(cs) for rho in rs)
+        fired: dict[tuple[BitVec, Signal], set[tuple]] = {}
+        for (mu, u), rs in self.pi.items():  # firings first: each distinct schedule is built once
+            fired.setdefault((mu.restrict(cs), u), set()).update(_fired(rho.events, gather) for rho in rs)
+        pi = {key: [ProgressiveFunction._derived(k, None, ev, self.horizon, ev) for ev in evs]
+              for key, evs in fired.items()}
         return RegularSystem(project_fn(self.phi, cs), self.inputs, phi0, pi)
 
 
