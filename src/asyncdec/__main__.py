@@ -1,5 +1,3 @@
-import sys
+from .frontend.cli import entry
 
-from .frontend.cli import main
-
-sys.exit(main())
+entry()

@@ -14,6 +14,7 @@ identical inputs and flags; `--stamp` opts into a timestamp line.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from itertools import chain
 from typing import Iterable
@@ -307,5 +308,6 @@ def main(argv=None) -> int:
         return _EXIT_INPUT
 
 
-if __name__ == "__main__":
+def entry() -> None:
+    gc.freeze()  # start-up's objects leave the collector: no collection, the exit one included, walks them
     sys.exit(main())

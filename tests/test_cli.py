@@ -1,5 +1,6 @@
 """Command-line behavior: verbs, exit codes, report stability."""
 
+import gc
 import io
 import os
 import random
@@ -60,6 +61,12 @@ def workdir(tmp_path):
     phi = GeneratorFn.identity(1, 1)
     (tmp_path / "id.tt").write_text(format_truth_table(phi))
     (tmp_path / "diag.sys").write_text(format_system(diagonal_example()))
+    # a swap system: block {1} is not separated
+    u = unit_step(0, 10)
+    swap = GeneratorFn.from_function(2, 1, lambda mu, lam: BitVec.from_bits([mu.bit(2), mu.bit(1)]))
+    phi0 = {u: frozenset([BitVec.from_string("00")])}
+    pi = {(BitVec.from_string("00"), u): frozenset([round_robin(2, (1,), 10)])}
+    (tmp_path / "swap.sys").write_text(format_system(RegularSystem(swap, (u,), phi0, pi)))
     return tmp_path
 
 
@@ -269,16 +276,6 @@ def test_decompose_steps_past_the_first_name_the_remaining_coordinates_by_rank(t
 
 
 def test_decompose_coupled_block_is_violation(workdir):
-    # a swap system: block {1} is not separated
-    from asyncdec import RegularSystem, round_robin, unit_step
-
-    u = unit_step(0, 10)
-    swap = GeneratorFn.from_function(
-        2, 1, lambda mu, lam: BitVec.from_bits([mu.bit(2), mu.bit(1)])
-    )
-    phi0 = {u: frozenset([BitVec.from_string("00")])}
-    pi = {(BitVec.from_string("00"), u): frozenset([round_robin(2, (1,), 10)])}
-    (workdir / "swap.sys").write_text(format_system(RegularSystem(swap, (u,), phi0, pi)))
     result = cli("decompose", "--system", str(workdir / "swap.sys"), "--block", "1")
     assert result.returncode == 1
     assert "violation" in result.stderr
@@ -351,6 +348,36 @@ def test_missing_file_is_input_error():
     result = cli("analyze", "--phi", "no-such-file.eq")
     assert result.returncode == 2
     assert "error" in result.stderr
+
+
+# runs `python -m asyncdec ARGS` in a child that reports, at exit, how many objects the entry froze
+_FREEZE_PROBE = """\
+import atexit, gc, runpy, sys
+atexit.register(lambda: print(f"frozen={gc.get_freeze_count()}", file=sys.stderr))
+runpy.run_module("asyncdec", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("args, code", [
+    (["verify", "--thm", "example1"], 0),
+    (["decompose", "--system", "{}/swap.sys", "--block", "1"], 1),
+    (["analyze", "--phi", "no-such-file.eq"], 2),
+])
+def test_the_process_entry_freezes_start_up_and_exits_normally(workdir, args, code):
+    args = [a.format(workdir) for a in args]
+    plain = cli(*args)
+    probed = subprocess.run([sys.executable, "-c", _FREEZE_PROBE, *args], capture_output=True, text=True)
+    # the atexit hook ran, so the normal exit path did, after the entry froze start-up's objects
+    err, _, frozen = probed.stderr.rpartition("frozen=")
+    assert int(frozen) > 0
+    assert (probed.returncode, probed.stdout, err) == (plain.returncode, plain.stdout, plain.stderr)
+    assert plain.returncode == code
+
+
+def test_main_leaves_the_collector_as_it_was(capsys):
+    before = (gc.get_freeze_count(), gc.isenabled())
+    assert main(["verify", "--thm", "example1"]) == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
 
 
 def test_size_limit_env_override(workdir):
