@@ -8,7 +8,8 @@ written coordinate 1 first, and `init=` is present exactly on signals.
 Numbers are ASCII digits only.  System bundles are sectioned: [phi], [inputs],
 [phi0], [pi] and one [rho <name>] section per named schedule; a section of
 any other name is refused, and each input names a distinct signal.  An error
-in an inline [phi] table names its line in the bundle file.
+in an inline [phi] table names its line in the bundle file.  A bundle checks
+each distinct event text once per width: its lines share one memo of them.
 
 `load(path, *kinds)` is the one reader of input files, told by their first
 content line: `[` opens a bundle; `n=<w>` followed by `init=` a signal, by
@@ -145,10 +146,12 @@ _FORMS = {Signal: "n=<w> init=<bits> H=<tick> events=...",
           ProgressiveFunction: "n=<w> H=<tick> events=..."}
 
 
-def _parse_sequence(line: str, where: str, kind: type) -> Signal | ProgressiveFunction:
+def _parse_sequence(line: str, where: str, kind: type, memo: dict) -> Signal | ProgressiveFunction:
     """A signal line (`kind` Signal, with `init=`) or a schedule line
     (ProgressiveFunction, without).  The core's width, ordering and horizon
-    checks are reported as format errors prefixed by `where`."""
+    checks are reported as format errors prefixed by `where`.  `memo` maps a
+    width to the (t, value) pair of each event text that passed at that width,
+    so lines sharing it report the first violation as lines read alone do."""
     match = _SEQUENCE_LINE.match(line.strip())
     if not match or (match.group(2) is None) == (kind is Signal):
         raise LoadError(f"{where}: expected '{_FORMS[kind]}', found {line!r}")
@@ -156,16 +159,19 @@ def _parse_sequence(line: str, where: str, kind: type) -> Signal | ProgressiveFu
     width, horizon = _decimal(width, where), _decimal(horizon, where)
     if init is not None and len(init) != width:
         raise LoadError(f"{where}: init width {len(init)}, expected {width}")
+    read, match_event = memo.setdefault(width, {}), _EVENT.match
     events = []
-    for chunk in text.split(";") if text.strip() else ():
-        chunk = chunk.strip()
-        event = _EVENT.match(chunk)
-        if not event:
-            raise LoadError(f"{where}: bad event {chunk!r}, expected (t,bits)")
-        t, bits = _decimal(event.group(1), where), event.group(2)
-        if len(bits) != width:
-            raise LoadError(f"{where}: {kind._kind} event at tick {t} has width {len(bits)}, expected {width}")
-        events.append((t, int(bits[::-1], 2)))
+    for raw in text.split(";") if text.strip() else ():
+        if (pair := read.get(raw)) is None:  # a text not yet read at this width
+            chunk = raw.strip()
+            event = match_event(chunk)
+            if not event:
+                raise LoadError(f"{where}: bad event {chunk!r}, expected (t,bits)")
+            t, bits = _decimal(event[1], where), event[2]
+            if len(bits) != width:
+                raise LoadError(f"{where}: {kind._kind} event at tick {t} has width {len(bits)}, expected {width}")
+            pair = read[raw] = (t, int(bits[::-1], 2))
+        events.append(pair)
     try:
         if init is None:
             return ProgressiveFunction(width, tuple(events), horizon)
@@ -251,6 +257,7 @@ def parse_system(text: str, base_dir: str = ".") -> RegularSystem:
     else:
         phi = _read_table(iter(phi_body))
 
+    memo: dict[int, dict[str, tuple[int, int]]] = {}  # event texts read, shared by every line below
     inputs: dict[str, Signal] = {}
     first_name: dict[Signal, str] = {}  # signals compare by canonical form
     for line_no, line in named["inputs"]:
@@ -262,7 +269,7 @@ def parse_system(text: str, base_dir: str = ".") -> RegularSystem:
             raise LoadError(f"line {line_no}: input name {name!r} must be nonempty and free of ':'")
         if name in inputs:
             raise LoadError(f"line {line_no}: duplicate input name {name!r}")
-        inputs[name] = _parse_sequence(rest.strip(), f"line {line_no}", Signal)
+        inputs[name] = _parse_sequence(rest.strip(), f"line {line_no}", Signal, memo)
         earlier = first_name.setdefault(inputs[name], name)
         if earlier != name:
             raise LoadError(f"line {line_no}: input {name!r} repeats input {earlier!r}")
@@ -271,7 +278,7 @@ def parse_system(text: str, base_dir: str = ".") -> RegularSystem:
     for label, body in rho_sections.items():
         if len(body) != 1:
             raise LoadError(f"[{label}] must contain exactly one schedule line")
-        rhos[label[4:]] = _parse_sequence(body[0][1], f"[{label}]", ProgressiveFunction)
+        rhos[label[4:]] = _parse_sequence(body[0][1], f"[{label}]", ProgressiveFunction, memo)
 
     phi0: dict[Signal, frozenset[BitVec]] = {}
     for line_no, line in named["phi0"]:
@@ -339,7 +346,7 @@ def _kind_then_value(path: str, kinds: tuple[type, ...]):
         if opening:  # a signal or schedule: its one line, and no second
             if second := next(lines, None):
                 raise LoadError(f"{path}: expected exactly one {held._kind} line, found a second at line {second[0]}")
-            yield _parse_sequence(line, f"{path} line {line_no}", held)
+            yield _parse_sequence(line, f"{path} line {line_no}", held, {})
             return
         whole = chain(head, _decoded(iter(f.read, ""), path, head))  # the rest, read only if asked for
         yield (_read_table(_split_lines(whole)) if held is GeneratorFn  # header checked before the rest is read

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import asyncdec
 from asyncdec import (
     BitVec,
     GeneratorFn,
@@ -39,16 +40,21 @@ from asyncdec.frontend import cli as cli_module
 from asyncdec.frontend.cli import main
 
 
-def cli(*args, env=None, stdin=None):
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
+SRC = os.path.dirname(os.path.dirname(asyncdec.__file__))
+# this package's sources first, by their absolute path, so a child started in
+# any working directory imports them
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
+def cli(*args, env=None, stdin=None, cwd=None):
     return subprocess.run(
         [sys.executable, "-m", "asyncdec", *args],
         capture_output=True,
         text=True,
-        env=full_env,
+        env=dict(CHILD_ENV, **(env or {})),
         input=stdin,
+        cwd=cwd,
     )
 
 
@@ -350,6 +356,12 @@ def test_missing_file_is_input_error():
     assert "error" in result.stderr
 
 
+def test_a_child_in_another_directory_imports_the_package(workdir):
+    result = cli("analyze", "--phi", "delay.eq", cwd=workdir)
+    assert result.returncode == 0, result.stderr
+    assert "finest partition: {1}" in result.stdout
+
+
 # runs `python -m asyncdec ARGS` in a child that reports, at exit, how many objects the entry froze
 _FREEZE_PROBE = """\
 import atexit, gc, runpy, sys
@@ -366,7 +378,8 @@ runpy.run_module("asyncdec", run_name="__main__", alter_sys=True)
 def test_the_process_entry_freezes_start_up_and_exits_normally(workdir, args, code):
     args = [a.format(workdir) for a in args]
     plain = cli(*args)
-    probed = subprocess.run([sys.executable, "-c", _FREEZE_PROBE, *args], capture_output=True, text=True)
+    probed = subprocess.run([sys.executable, "-c", _FREEZE_PROBE, *args],
+                            capture_output=True, text=True, env=CHILD_ENV)
     # the atexit hook ran, so the normal exit path did, after the entry froze start-up's objects
     err, _, frozen = probed.stderr.rpartition("frozen=")
     assert int(frozen) > 0

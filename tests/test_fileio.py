@@ -1,13 +1,13 @@
 """File formats: lossless round trips and named format violations."""
 
 import random
-from functools import partial
+import re
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from asyncdec import BitVec, GeneratorFn, ProgressiveFunction, Signal, unit_step
+from asyncdec import BitVec, GeneratorFn, ProgressiveFunction, Signal, parallel_system, unit_step
 from asyncdec.frontend import (
     LoadError,
     format_system,
@@ -16,7 +16,8 @@ from asyncdec.frontend import (
     parse_system,
     parse_truth_table,
 )
-from asyncdec.frontend.checks import rand_fn, rand_rho, rand_signal, rand_system
+from asyncdec.frontend import fileio
+from asyncdec.frontend.checks import _product_form_system, rand_fn, rand_rho, rand_signal, rand_system
 from asyncdec.frontend.fileio import _decoded, _parse_sequence, _split_lines
 
 
@@ -162,29 +163,29 @@ def test_width_inconsistency(text, message):
 
 def test_signal_line_roundtrip():
     x = Signal(2, val("10"), ((0, val("11")), (4, val("01"))), 9)
-    assert _parse_sequence(str(x), "signal", Signal) == x
+    assert _parse_sequence(str(x), "signal", Signal, {}) == x
 
 
 def test_signal_empty_events():
-    x = _parse_sequence("n=1 init=1 H=5 events=", "signal", Signal)
+    x = _parse_sequence("n=1 init=1 H=5 events=", "signal", Signal, {})
     assert x == Signal(1, val("1"), (), 5)
 
 
 def test_signal_ordering_error():
     with pytest.raises(LoadError):
-        _parse_sequence("n=1 init=0 H=9 events=(3,1);(2,0)", "signal", Signal)
+        _parse_sequence("n=1 init=0 H=9 events=(3,1);(2,0)", "signal", Signal, {})
     with pytest.raises(LoadError):
-        _parse_sequence("n=1 H=9 events=(3,1);(3,1)", "schedule", ProgressiveFunction)
+        _parse_sequence("n=1 H=9 events=(3,1);(3,1)", "schedule", ProgressiveFunction, {})
 
 
 def test_signal_event_beyond_horizon():
     with pytest.raises(LoadError):
-        _parse_sequence("n=1 init=0 H=2 events=(5,1)", "signal", Signal)
+        _parse_sequence("n=1 init=0 H=2 events=(5,1)", "signal", Signal, {})
 
 
 def test_event_width_inconsistency_names_the_line():
     with pytest.raises(LoadError) as err:
-        _parse_sequence("n=2 H=9 events=(1,11);(2,1)", "line 4", ProgressiveFunction)
+        _parse_sequence("n=2 H=9 events=(1,11);(2,1)", "line 4", ProgressiveFunction, {})
     assert str(err.value).startswith("line 4: ")
 
 
@@ -237,12 +238,16 @@ def test_event_line_errors_read_exactly(read, line, kind, text, tmp_path, monkey
             (tmp_path / "line 4").write_text(line)
             load("line 4", held)
         else:
-            _parse_sequence(line, "line 4", held)
+            _parse_sequence(line, "line 4", held, {})
     assert type(err.value) is LoadError and str(err.value) == text
 
 
-SIGNAL = partial(_parse_sequence, where="signal", kind=Signal)
-SCHEDULE = partial(_parse_sequence, where="schedule", kind=ProgressiveFunction)
+def SIGNAL(line):
+    return _parse_sequence(line, "signal", Signal, {})
+
+
+def SCHEDULE(line):
+    return _parse_sequence(line, "schedule", ProgressiveFunction, {})
 
 
 @pytest.mark.parametrize(
@@ -276,7 +281,7 @@ def test_signal_and_schedule_lines_round_trip(tmp_path_factory, rng, width, hori
     r = rand_rho(rng, width, max(horizon, 1))
     for value, kind in ((x, Signal), (r, ProgressiveFunction)):
         path.write_text(f"{value}\n")
-        for read in (_parse_sequence(str(value), "line", kind), load(str(path), kind)):
+        for read in (_parse_sequence(str(value), "line", kind, {}), load(str(path), kind)):
             assert read == value and read.key == value.key
 
 
@@ -327,18 +332,18 @@ def test_a_second_line_ends_the_read_of_a_signal_file(tmp_path, data, line_no):
 
 def test_rho_line_roundtrip():
     r = ProgressiveFunction(2, ((1, val("10")), (3, val("11"))), 9)
-    assert _parse_sequence(str(r), "schedule", ProgressiveFunction) == r
+    assert _parse_sequence(str(r), "schedule", ProgressiveFunction, {}) == r
 
 
 def test_rho_line_must_not_carry_init():
     with pytest.raises(LoadError):
-        _parse_sequence("n=1 init=0 H=9 events=(1,1)", "schedule", ProgressiveFunction)
+        _parse_sequence("n=1 init=0 H=9 events=(1,1)", "schedule", ProgressiveFunction, {})
     with pytest.raises(LoadError):
-        _parse_sequence("n=1 H=9 events=(1,1)", "signal", Signal)
+        _parse_sequence("n=1 H=9 events=(1,1)", "signal", Signal, {})
 
 
 def test_negative_ticks_allowed():
-    x = _parse_sequence("n=1 init=0 H=5 events=(-3,1);(0,0)", "signal", Signal)
+    x = _parse_sequence("n=1 init=0 H=5 events=(-3,1);(0,0)", "signal", Signal, {})
     assert x.value_at(-3) == val("1")
 
 
@@ -466,6 +471,15 @@ def test_a_referenced_table_that_is_not_utf8_is_named_by_its_path(tmp_path):
                      "line 12: unknown schedule 'missing'", id="pi-unknown-schedule"),
         pytest.param(BUNDLE.replace("0 @ step: r0", "0 @ step: ,"),
                      "line 12: pi for 0 @ step is empty", id="pi-empty"),
+        pytest.param(BUNDLE.replace("n=1 H=8 events=(1,1)", "n=2 H=8 events=(1,1)")
+                     .replace("events=(0,1)", "events=(1,1)"),
+                     "[rho r0]: schedule event at tick 1 has width 1, expected 2", id="event-read-at-one-width"),
+        pytest.param(BUNDLE.replace("events=(0,1)", "events=(0,1);(2,x)")
+                     .replace("events=(1,1)", "events=(1,1);(2,x)"),
+                     "line 8: bad event '(2,x)', expected (t,bits)", id="bad-event-named-at-its-first-line"),
+        pytest.param(BUNDLE.replace("events=(0,1)", "events=(0,1);(2,11)")
+                     .replace("events=(1,1)", "events=(1,1);(2,11)"),
+                     "line 8: signal event at tick 2 has width 2, expected 1", id="wide-event-named-at-its-first-line"),
     ],
 )
 def test_bundle_errors_read_exactly(text, message):
@@ -502,6 +516,62 @@ def test_bundle_inputs_keep_file_order():
     )
     sys_ = parse_system(text)
     assert sys_.inputs == (unit_step(0, 8), Signal(1, 1, (), 8))
+
+
+def test_an_event_text_reads_with_or_without_spaces():
+    text = BUNDLE.replace(BUNDLE_TABLE, format_truth_table(GeneratorFn.identity(2, 1))).replace(
+        "step: 0", "step: 00").replace("0 @ step: r0", "00 @ step: r0, r1").replace(
+        "n=1 H=8 events=(1,1)", "n=2 H=8 events=(1,01);(2,10)\n[rho r1]\nn=2 H=8 events= (1,01) ;(3,10)")
+    (rhos,) = parse_system(text).pi.values()
+    assert sorted(rho.events for rho in rhos) == [((1, 2), (2, 1)), ((1, 2), (3, 1))]
+
+
+def _woven_bundles():
+    """Bundles whose schedule lines share event texts: parallel connections of
+    two product-form bundles over a common input, then random bundles."""
+    for seed in range(4):
+        rng = random.Random(seed)
+        m = rng.randint(1, 2)
+        fns = [rand_fn(rng, rng.randint(1, 2), m) for _ in range(4)]
+        # each half draws its input first from the same seed, so both admit it
+        yield parallel_system(*(_product_form_system(random.Random(seed), *fns[k:k + 2], 12) for k in (0, 2)))
+        yield rand_system(rng, rand_fn(rng, 2, m), 12, n_inputs=2)
+
+
+def test_a_bundle_reads_back_every_event_as_written():
+    """Raw events, not only `==`, which compares canonical forms and so would
+    not see a dropped or merged all-zero firing or repeated value."""
+    canonical_only = 0
+    for sys_ in _woven_bundles():
+        read = parse_system(format_system(sys_))
+        assert [u.events for u in read.inputs] == [u.events for u in sys_.inputs]
+        assert read.pi.keys() == sys_.pi.keys()
+        for key, rhos in sys_.pi.items():
+            read_rhos = {rho: rho for rho in read.pi[key]}
+            assert [read_rhos[rho].events for rho in rhos] == [rho.events for rho in rhos]
+            canonical_only += sum(rho.events != rho.canonical().events for rho in rhos)
+    assert canonical_only > 0
+
+
+class _CountingPattern:
+    def __init__(self, pattern):
+        self.pattern, self.calls = pattern, 0
+
+    def match(self, text):
+        self.calls += 1
+        return self.pattern.match(text)
+
+
+def test_each_distinct_event_text_of_a_bundle_is_matched_once(monkeypatch):
+    pattern = fileio._EVENT
+    for sys_ in _woven_bundles():
+        text = format_system(sys_)
+        lines = re.findall(r"\bn=(\d+) .*events=(.*)", text)
+        texts = [(width, event) for width, events in lines for event in events.split(";") if events]
+        counting = _CountingPattern(pattern)
+        monkeypatch.setattr(fileio, "_EVENT", counting)
+        parse_system(text)
+        assert counting.calls == len(set(texts)) < len(texts)
 
 
 def test_bundle_names_the_first_bad_rho_section():
