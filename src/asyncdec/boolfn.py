@@ -131,9 +131,6 @@ class GeneratorFn(_Value):
             raise WidthMismatch(f"input width {lam.width}, expected {self.m}")
         return BitVec(self.n, self.table[mu.value | (lam.value << self.n)])
 
-    def __str__(self) -> str:
-        return f"GeneratorFn(n={self.n}, m={self.m})"
-
 
 def partial_derivative(phi: GeneratorFn, i: int, j: int) -> int:
     """Boolean partial derivative of coordinate i with respect to state bit j.

@@ -1,10 +1,11 @@
 """Equation DSL for generator functions.
 
 One next-state equation per line, `x<i>' = <expr>`, over the state variables
-x1..xn and input variables u1..um.  Operators: ! (not), & (and), ^ (xor),
-| (or), parentheses and the constants 0/1.  The binary operators' precedence
-is the table `_LEVELS`, loosest first, and `!` binds tightest.  `#` starts a
-comment; whitespace is insignificant.  Parentheses and `!` nest at most
+x1..xn and input variables u1..um; only `\\n`, `\\r\\n` or `\\r` ends a line
+(`_lines`).  Operators: ! (not), & (and), ^ (xor), | (or), parentheses and
+the constants 0/1.  The binary operators' precedence is the table `_LEVELS`,
+loosest first, and `!` binds tightest.  `#` starts a comment; whitespace is
+insignificant within a line.  Parentheses and `!` nest at most
 MAX_NESTING deep.  One evaluator, `_lanes`, computes an expression node as
 a lane-packed int (see `boolfn`) whose lane r holds the node's value on row
 r: `compile_program` over all 2^(n+m) table rows, `program_matrix` over the
@@ -144,6 +145,10 @@ class _Parser:
         raise DslSyntaxError(message, self.line_no, col)
 
 
+def _lines(text: str) -> list[str]:  # every reader's one rule: only \n, \r\n and \r end a line
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 class EquationProgram(_Value):
     """A parsed program: one expression per state coordinate."""
 
@@ -154,7 +159,7 @@ def parse_dsl(text: str) -> EquationProgram:
     """Parse equations into a program; diagnostics carry line and column."""
     defined: dict[int, tuple] = {}
     references: list[tuple[str, int, int]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(_lines(text), start=1):
         line = raw.split("#", 1)[0]
         if not line.strip():
             continue

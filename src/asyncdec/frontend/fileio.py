@@ -11,18 +11,17 @@ any other name is refused, and each input names a distinct signal.  An error
 in an inline [phi] table names its line in the bundle file.  A bundle checks
 each distinct event text once per width: its lines share one memo of them.
 
-`load(path, *kinds)` is the one reader of input files, told by their first
-content line: `[` opens a bundle; `n=<w>` followed by `init=` a signal, by
-`H=` a schedule and by anything else a table; any other line an equation file.
-Lines end at `\n`, `\r\n` or `\r`.  A file is opened once, as text, and read
-line by line up to there, so a kind not in `kinds`, and at the value step a
-table header past the size limit, is refused before the rest is read; a signal
-or schedule file ends at a second content line, and any other is read whole
-from the same handle, so a pipe works.  `load` takes two steps, the kind and
-then the value, so `compose` tells both files' kinds from their first lines
-before it reads either whole.  A bundle's `file=` table is read through
-`load`.  Every reader rejects exactly the inputs violating its format with one
-`LoadError` naming the first violation.
+`load(path, kind, *kinds)` is the one reader of input files, told by their
+first content line: `[` opens a bundle; `n=<w>` followed by `init=` a signal,
+by `H=` a schedule and by anything else a table; any other line an equation
+file.  A file is opened once, as text, and read line by line from its handle
+to its end, so a pipe works; a kind not asked for, and a table header past the
+size limit, is refused before the rest is read, and a signal or schedule file
+at a second content line.  Only `\\n`, `\\r\\n` and `\\r` end a line, in a file
+and in a string alike (`dsl._lines`).  `load` takes two steps, the kind and
+then the value, so `compose` tells both files' kinds before it reads either.
+A bundle's `file=` table is read through `load`.  Every reader rejects exactly
+the inputs violating its format with one `LoadError` naming the first.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from ..boolfn import GeneratorFn, check_scan_size
 from ..errors import AsyncDecError
 from ..signals import BitVec, ProgressiveFunction, Signal, _bits_text
 from ..systems import RegularSystem
-from .dsl import EquationProgram, parse_dsl
+from .dsl import EquationProgram, _lines, parse_dsl
 
 
 class LoadError(AsyncDecError):
@@ -56,27 +55,24 @@ def _decimal(text: str, where: str) -> int:
         raise LoadError(f"{where}: a number of {len(text)} digits is too long") from None
 
 
-def _split_lines(chunks):
-    """The (line number, content line) pairs of the text that `chunks` join to,
-    each chunk but the last ending at a line break."""
-    line_no = 0
-    for chunk in chunks:
-        for line_no, raw in enumerate(chunk.splitlines(), start=line_no + 1):
-            if line := raw.partition("#")[0].strip():
-                yield line_no, line
+def _split_lines(lines):
+    """The (line number from 1, content line) pairs of `lines`: comments, spaces and blank lines go."""
+    for line_no, raw in enumerate(lines, start=1):
+        if line := raw.partition("#")[0].strip():
+            yield line_no, line
 
 
-def _decoded(chunks, path: str, head: list[str]):
-    """Each text chunk of file `path`, kept in `head`; at a byte that is not
-    UTF-8, escaped by the reader, the text so far is decoded again strictly."""
-    for text in chunks:
-        head.append(text)
-        if not text.isascii() and re.search("[\udc80-\udcff]", text):
+def _decoded(lines, path: str):
+    """The lines of file `path`, its bytes that are not UTF-8 escaped: the first is named by its offset."""
+    offset = 0  # the bytes of the lines before this one
+    for line in lines:
+        if not line.isascii():
             try:
-                "".join(head).encode("utf-8", "surrogateescape").decode("utf-8")
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
             except UnicodeDecodeError as exc:
-                raise LoadError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-        yield text
+                raise LoadError(f"{path}: not UTF-8 text ({exc.reason} at byte {offset + exc.start})") from None
+        offset += len(line) if line.isascii() else len(line.encode("utf-8"))
+        yield line
 
 
 # -- truth tables -------------------------------------------------------
@@ -94,7 +90,7 @@ def format_truth_table(phi: GeneratorFn) -> str:
 
 
 def parse_truth_table(text: str) -> GeneratorFn:
-    return _read_table(_split_lines([text]))
+    return _read_table(_split_lines(_lines(text)))
 
 
 def _read_table(lines) -> GeneratorFn:
@@ -221,7 +217,7 @@ def parse_system(text: str, base_dir: str = ".") -> RegularSystem:
     named: dict[str, list[tuple[int, str]]] = {}
     rho_sections: dict[str, list[tuple[int, str]]] = {}  # keyed "rho <name>"
     body = None
-    for line_no, line in _split_lines([text]):
+    for line_no, line in _split_lines(_lines(text)):
         match = _SECTION.match(line)
         if not match:
             if body is None:
@@ -327,14 +323,18 @@ _SEQUENCE_KINDS = {"init": Signal, "H": ProgressiveFunction}
 
 
 def _kind_then_value(path: str, kinds: tuple[type, ...]):
-    """Yields the kind file `path` holds, told by its first content line as
-    above, then its value: a kind not in `kinds` is refused at the first step,
-    a table header past the limit at the second, and a signal or schedule file
-    is read only up to a second content line, whose number the refusal names."""
+    """Yields the kind file `path` holds, told by its first content line, then its
+    value: a kind not in `kinds` is refused at the first step, a table header past
+    the limit at the second, and a signal or schedule file at a second content line."""
     with open(path, encoding="utf-8", errors="surrogateescape", newline="") as f:
-        head: list[str] = []  # the text read so far
-        lines = _split_lines(_decoded(f, path, head))  # a line ends at \n, \r\n or \r
-        line_no, line = next(lines, (0, ""))
+        lines = _decoded(f, path)  # a line ends at \n, \r\n or \r
+        head: list[str] = []  # the lines read to tell the kind, the last the first with content
+        for raw in lines:
+            head.append(raw)
+            if raw.partition("#")[0].strip():
+                break
+        content = _split_lines(chain(head, lines))
+        line_no, line = next(content, (0, ""))
         if not line:
             raise LoadError(f"{path}: empty file")
         opening = _SEQUENCE_OPENING.match(line)
@@ -344,19 +344,19 @@ def _kind_then_value(path: str, kinds: tuple[type, ...]):
             raise LoadError(f"{path}: holds {_KINDS[held]}, expected {' or '.join(_KINDS[k] for k in kinds)}")
         yield held
         if opening:  # a signal or schedule: its one line, and no second
-            if second := next(lines, None):
+            if second := next(content, None):
                 raise LoadError(f"{path}: expected exactly one {held._kind} line, found a second at line {second[0]}")
             yield _parse_sequence(line, f"{path} line {line_no}", held, {})
             return
-        whole = chain(head, _decoded(iter(f.read, ""), path, head))  # the rest, read only if asked for
-        yield (_read_table(_split_lines(whole)) if held is GeneratorFn  # header checked before the rest is read
-               else parse_system("".join(whole), os.path.dirname(path) or ".") if held is RegularSystem
-               else parse_dsl("".join(whole)))
+        yield (_read_table(chain([(line_no, line)], content)) if held is GeneratorFn  # header checked first
+               else parse_system("".join(chain(head, lines)), os.path.dirname(path) or ".") if held is RegularSystem
+               else parse_dsl("".join(chain(head, lines))))
 
 
-def load(path: str, *kinds: type) -> GeneratorFn | EquationProgram | RegularSystem | Signal | ProgressiveFunction:
-    """What file `path` holds: `_kind_then_value`'s two steps, taken at once."""
-    steps = _kind_then_value(path, kinds)
+def load(path: str, kind: type,
+         *kinds: type) -> GeneratorFn | EquationProgram | RegularSystem | Signal | ProgressiveFunction:
+    """What file `path` holds, of `kind` or one of `kinds`: `_kind_then_value`'s two steps at once."""
+    steps = _kind_then_value(path, (kind, *kinds))
     next(steps)
     return next(steps)
 

@@ -162,6 +162,17 @@ def test_simulate_horizon_mismatch_is_input_error(workdir):
     assert result.returncode == 2
 
 
+@pytest.mark.parametrize("extra, message", [
+    ([], "input horizon 10 and schedule horizon 20 differ; pass --horizon to truncate"),
+    (["--horizon", "15"], "--horizon 15 exceeds the loaded horizons (10, 20); signals cannot be extended"),
+], ids=["horizons-differ", "horizon-exceeds"])
+def test_simulate_names_the_horizon_it_cannot_meet(workdir, capsys, extra, message):
+    (workdir / "long.rho").write_text("n=1 H=20 events=(1,1)\n")
+    args = ["--phi", str(workdir / "delay.eq"), "--init", "0", "--input", str(workdir / "step.sig")]
+    assert main(["simulate", *args, "--rho", str(workdir / "long.rho"), *extra]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_compose_tables(workdir):
     out = workdir / "par.tt"
     result = cli(

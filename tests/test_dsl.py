@@ -6,7 +6,7 @@ import re
 import pytest
 
 from asyncdec import BitVec, GeneratorFn, dependency_matrix, partial_derivative
-from asyncdec.frontend import DslNameError, DslSyntaxError, compile_program, parse_dsl
+from asyncdec.frontend import DslNameError, DslSyntaxError, EquationProgram, compile_program, load, parse_dsl
 from asyncdec.frontend import cli
 from asyncdec.frontend.dsl import MAX_NESTING, program_matrix
 
@@ -179,6 +179,17 @@ def test_diagnostics_read_exactly(text, error, message):
     assert type(err.value) is error and str(err.value) == message
     line, col = re.match(r"line (\d+)(?:, column (\d+))?:", message).groups()
     assert (err.value.line, getattr(err.value, "col", None)) == (int(line), col and int(col))
+
+
+def test_a_vertical_tab_ends_no_equation(tmp_path):
+    """`str.splitlines` would end a line at the vertical tab and read two equations."""
+    text = "x1' = x1\vx2' = x1\n"
+    path = tmp_path / "vt.eq"
+    path.write_text(text, newline="")
+    for read in (lambda: parse_dsl(text), lambda: load(str(path), EquationProgram)):
+        with pytest.raises(DslSyntaxError) as err:
+            read()
+        assert str(err.value) == "line 1, column 10: expected end of line, found 'x2'"
 
 
 def test_chains_flatten_and_parentheses_nest():

@@ -1,5 +1,6 @@
 """File formats: lossless round trips and named format violations."""
 
+import io
 import random
 import re
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from asyncdec import BitVec, GeneratorFn, ProgressiveFunction, Signal, parallel_system, unit_step
+from asyncdec import BitVec, GeneratorFn, ProgressiveFunction, RegularSystem, Signal, parallel_system, unit_step
 from asyncdec.frontend import (
     LoadError,
     format_system,
@@ -18,6 +19,7 @@ from asyncdec.frontend import (
 )
 from asyncdec.frontend import fileio
 from asyncdec.frontend.checks import _product_form_system, rand_fn, rand_rho, rand_signal, rand_system
+from asyncdec.frontend.dsl import _lines
 from asyncdec.frontend.fileio import _decoded, _parse_sequence, _split_lines
 
 
@@ -298,13 +300,18 @@ _TEXT_PIECES = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1
 @example("0" * 5000 + "\n")
 @example(" " * 8191 + "\r\nn=1 m=0\r")
 def test_the_file_reader_yields_the_lines_the_text_reader_yields(tmp_path_factory, text):
-    """`load` reads a file a line at a time, a line ending at \\n, \\r\\n or \\r;
-    every numbered content line it reads is the one the text reader yields
-    from the whole decoded file."""
+    """`load` reads a file a line at a time and the text readers cut a string
+    with `_lines`: both end a line at \\n, \\r\\n or \\r alone, as
+    `io.StringIO(text, newline="")` does, and number the same content lines."""
     path = tmp_path_factory.getbasetemp() / "lines.txt"
     path.write_bytes(text.encode("utf-8"))
+    reference = list(io.StringIO(text, newline=""))  # each line with its line end
     with open(path, encoding="utf-8", errors="surrogateescape", newline="") as f:
-        assert list(_split_lines(_decoded(f, str(path), []))) == list(_split_lines([text]))
+        read = list(_decoded(f, str(path)))
+    assert read == reference
+    ended = not text or text[-1] in "\r\n"  # then `_lines` ends with an empty line
+    assert _lines(text) == [line.rstrip("\r\n") for line in reference] + [""] * ended
+    assert list(_split_lines(read)) == list(_split_lines(_lines(text)))
 
 
 def test_a_file_that_is_not_utf8_is_named_with_the_byte(tmp_path):
@@ -317,17 +324,77 @@ def test_a_file_that_is_not_utf8_is_named_with_the_byte(tmp_path):
 
 @pytest.mark.parametrize("data, line_no", [
     (b"n=1 init=0 H=5 events=\nn=1 m=0\n\xff\xfe\n", 2),
-    (b"n=1 init=0 H=5 events=\r\n\x0c# note\nn=1 m=0\n\xff\n", 4),
+    (b"n=1 init=0 H=5 events=\r\n\x0c# note\nn=1 m=0\n\xff\n", 3),
     (b"n=1 init=0 H=5 events=\rn=1 m=0\r\xff\r", 2),
 ], ids=["next-line", "after-blank-lines", "cr-line-ends"])
 def test_a_second_line_ends_the_read_of_a_signal_file(tmp_path, data, line_no):
     """A signal file holds one content line: the read stops at a second, so
-    the bytes after it, which are not UTF-8, are never decoded."""
+    the bytes after it, which are not UTF-8, are never decoded.  A form feed
+    ends no line, so the second content line is the file's third."""
     path = tmp_path / "trailer.sig"
     path.write_bytes(data)
     with pytest.raises(LoadError) as err:
         load(str(path), Signal)
     assert str(err.value) == f"{path}: expected exactly one signal line, found a second at line {line_no}"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("n=1 m=0\n0 -> 1\f1 -> 0\n", "line 2: '1\\x0c1 -> 0' is not a bit string"),
+    ("n=1 m=0\n0 -> 1\f\n1 -> x\n", "line 3: 'x' is not a bit string"),
+], ids=["joins-no-rows", "numbers-no-line"])
+def test_a_form_feed_ends_no_table_line(tmp_path, text, message):
+    """`str.splitlines` would end a line at the form feed: read two rows from
+    the first text, and name the bad row of the second as line 4."""
+    path = tmp_path / "ff.tt"
+    path.write_text(text, newline="")
+    for read in (lambda: parse_truth_table(text), lambda: load(str(path), GeneratorFn)):
+        with pytest.raises(LoadError) as err:
+            read()
+        assert str(err.value) == message
+
+
+def test_a_bundle_error_after_a_line_separator_names_its_line(tmp_path):
+    text = BUNDLE.replace("[inputs]", "# a note\u2028that goes on\n[inputs]").replace("step: 0", "step 0")
+    path = tmp_path / "sep.sys"
+    path.write_text(text, encoding="utf-8", newline="")
+    for read in (lambda: parse_system(text), lambda: load(str(path), RegularSystem)):
+        with pytest.raises(LoadError) as err:
+            read()
+        assert str(err.value) == "line 11: expected '<input>: bits, bits, ...'"
+
+
+def test_a_next_line_character_inside_a_signal_line_is_refused_by_its_format(tmp_path):
+    path = tmp_path / "nel.sig"
+    path.write_text("n=1 init=0 H=5 events=(0,1)\x85(1,0)\n", encoding="utf-8", newline="")
+    with pytest.raises(LoadError) as err:
+        load(str(path), Signal)
+    assert str(err.value) == f"{path} line 1: bad event '(0,1)\\x85(1,0)', expected (t,bits)"
+
+
+@pytest.mark.parametrize("data", [
+    b"# \xc3\xa9\xe2\x82\xac \xff\nn=1 m=0\n",
+    b"n=1 m=0\n" + b"# \xf0\x9d\x84\x9e pad\n" * 1000 + b"# \xfe\n",
+    b"n=1 m=0\n# " + b"\xc3\xa9" * 9000 + b"\xe2\x82 " + b"#" * 9000 + b"\n",
+    b"n=1 m=0\r# \xc3\xa9\r\x80\r",
+    b"n=1 m=0\n# \xc3\xa9\xe2\x82",
+], ids=["in-the-head", "past-the-first-read", "inside-a-long-line", "after-a-lone-cr", "truncated-at-the-end"])
+def test_a_byte_that_is_not_utf8_is_named_as_decoding_the_whole_file_names_it(tmp_path, data):
+    """The oracle is `bytes.decode` of the whole file: `load` names its reason
+    and its byte offset, though it decodes the file a line at a time."""
+    path = tmp_path / "bad.tt"
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as whole:
+        data.decode("utf-8")
+    with pytest.raises(LoadError) as err:
+        load(str(path), GeneratorFn)
+    assert str(err.value) == f"{path}: not UTF-8 text ({whole.value.reason} at byte {whole.value.start})"
+
+
+def test_load_needs_a_kind(tmp_path):
+    path = tmp_path / "id.tt"
+    path.write_text(format_truth_table(GeneratorFn.identity(1, 0)))
+    with pytest.raises(TypeError):
+        load(str(path))
 
 
 def test_rho_line_roundtrip():
