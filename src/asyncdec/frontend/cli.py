@@ -85,17 +85,13 @@ def _cmd_simulate(args) -> int:
     horizon = args.horizon
     if horizon is None:
         if u.horizon != rho.horizon:
-            raise LoadError(
-                f"input horizon {u.horizon} and schedule horizon {rho.horizon} differ; "
-                f"pass --horizon to truncate"
-            )
+            raise LoadError(f"input horizon {u.horizon} and schedule horizon {rho.horizon} differ; "
+                            "pass --horizon to truncate")
         horizon = u.horizon
     else:
         if horizon > min(u.horizon, rho.horizon):
-            raise LoadError(
-                f"--horizon {horizon} exceeds the loaded horizons "
-                f"({u.horizon}, {rho.horizon}); signals cannot be extended"
-            )
+            raise LoadError(f"--horizon {horizon} exceeds the loaded horizons "
+                            f"({u.horizon}, {rho.horizon}); signals cannot be extended")
         u = u.truncated(horizon)
         rho = rho.truncated(horizon)
     phi = load(args.phi, GeneratorFn, EquationProgram)  # compiled last, once every other input passed
@@ -134,22 +130,19 @@ def _parse_state(text: str, n: int) -> BitVec:
 
 
 def _cmd_compose(args) -> int:
-    # both files' kinds are told from their first lines before either is read whole
+    # both files' kinds are told from their first lines before either is read
     steps = [_kind_then_value(p, (GeneratorFn, EquationProgram, RegularSystem)) for p in (args.first, args.second)]
     bundles, other = (next(step) is RegularSystem for step in steps)
     if bundles != other:
         raise LoadError("compose needs two truth tables or two system bundles")
     a, b = map(next, steps)
-    if bundles:
-        text = format_system(parallel_system(a, b))
-    else:
-        text = format_truth_table(parallel_fn(_table(a), _table(b)))
+    lines = format_system(parallel_system(a, b)) if bundles else format_truth_table(parallel_fn(_table(a), _table(b)))
     if args.out:
         with open(args.out, "w") as f:
-            f.write(text)
+            f.writelines(lines)
         print(f"wrote {args.out}")
     else:
-        print(text, end="")
+        sys.stdout.writelines(lines)
     return _EXIT_OK
 
 

@@ -18,6 +18,7 @@ import re
 import sys
 from array import array
 from functools import cache, reduce
+from typing import Iterable
 
 from ..boolfn import DependencyMatrix, GeneratorFn, check_count, check_scan_size, lane_code, lane_mask
 from ..errors import AsyncDecError
@@ -138,9 +139,7 @@ class _Parser:
             if var:
                 self.refs.append((*var, self.line_no))
                 return var
-            raise DslSyntaxError(
-                f"{text!r} is not a variable (expected x<i> or u<j>)", self.line_no, col
-            )
+            raise DslSyntaxError(f"{text!r} is not a variable (expected x<i> or u<j>)", self.line_no, col)
         message = f"unexpected {text!r}" if kind != "end" else "unexpected end of line"
         raise DslSyntaxError(message, self.line_no, col)
 
@@ -155,21 +154,19 @@ class EquationProgram(_Value):
     __slots__ = _fields = ("n", "m", "exprs")
 
 
-def parse_dsl(text: str) -> EquationProgram:
-    """Parse equations into a program; diagnostics carry line and column."""
+def parse_dsl(lines: str | Iterable[str]) -> EquationProgram:
+    """Parse equations, from text or a file's lines, into a program; diagnostics carry line and column."""
     defined: dict[int, tuple] = {}
     references: list[tuple[str, int, int]] = []
-    for line_no, raw in enumerate(_lines(text), start=1):
-        line = raw.split("#", 1)[0]
+    for line_no, raw in enumerate(_lines(lines) if isinstance(lines, str) else lines, start=1):
+        line = raw.split("#", 1)[0].rstrip("\r\n")  # a file's line keeps its line end
         if not line.strip():
             continue
         parser = _Parser(_tokenize(line, line_no), line_no, references)
         kind, name, col = parser.take()
         var = _variable(name, line_no, col) if kind == "name" else None
         if not var or var[0] != "x":
-            raise DslSyntaxError(
-                f"a line must start with a state variable, found {name!r}", line_no, col
-            )
+            raise DslSyntaxError(f"a line must start with a state variable, found {name!r}", line_no, col)
         index = var[1]
         parser.take("'")
         parser.take("=")

@@ -14,21 +14,22 @@ each distinct event text once per width: its lines share one memo of them.
 `load(path, kind, *kinds)` is the one reader of input files, told by their
 first content line: `[` opens a bundle; `n=<w>` followed by `init=` a signal,
 by `H=` a schedule and by anything else a table; any other line an equation
-file.  A file is opened once, as text, and read line by line from its handle
-to its end, so a pipe works; a kind not asked for, and a table header past the
-size limit, is refused before the rest is read, and a signal or schedule file
-at a second content line.  Only `\\n`, `\\r\\n` and `\\r` end a line, in a file
-and in a string alike (`dsl._lines`).  `load` takes two steps, the kind and
-then the value, so `compose` tells both files' kinds before it reads either.
-A bundle's `file=` table is read through `load`.  Every reader rejects exactly
-the inputs violating its format with one `LoadError` naming the first.
+file.  `load` takes two steps, the kind and then the value, so `compose`
+tells both files' kinds before it reads either.  A file is opened once, as
+text, and each line goes from the handle to its reader as it is read (a
+bundle's [phi] rows to the table's, its `file=` table through `load`), so no
+copy of the file is held and a pipe works.  Only `\\n`, `\\r\\n` and `\\r` end
+a line, in a file and in a string alike (`dsl._lines`).  Every reader
+rejects exactly the inputs violating its format with one `LoadError` naming
+the first it meets; the writers yield lines.
 """
 
 from __future__ import annotations
 
 import os
 import re
-from itertools import chain
+from itertools import chain, islice
+from typing import Iterable, Iterator
 
 from ..boolfn import GeneratorFn, check_scan_size
 from ..errors import AsyncDecError
@@ -80,13 +81,13 @@ def _decoded(lines, path: str):
 _TT_HEADER = re.compile(r"^n=(\d+)\s+m=(\d+)$", re.ASCII)
 
 
-def format_truth_table(phi: GeneratorFn) -> str:
-    """Each state and input value is written once, then joined per row."""
+def format_truth_table(phi: GeneratorFn) -> Iterator[str]:
+    """The table's lines, each with its line end; each state and input value is written once."""
     states = [_bits_text(v, phi.n) for v in range(1 << phi.n)]
     inputs = [f" {_bits_text(v, phi.m)}" for v in range(1 << phi.m)] if phi.m else [""]
     outs = iter(phi.table)  # zip reads `states` first, so each input takes 2^n rows
-    rows = (f"{mu}{lam} -> {states[out]}" for lam in inputs for mu, out in zip(states, outs))
-    return f"n={phi.n} m={phi.m}\n" + "\n".join(rows) + "\n"
+    yield f"n={phi.n} m={phi.m}\n"
+    yield from (f"{mu}{lam} -> {states[out]}\n" for lam in inputs for mu, out in zip(states, outs))
 
 
 def parse_truth_table(text: str) -> GeneratorFn:
@@ -182,28 +183,29 @@ _SECTION = re.compile(r"^\[([a-z0-9_ ]+)\]$")
 _NAMED_SECTIONS = ("phi", "inputs", "phi0", "pi")
 
 
-def format_system(sys: RegularSystem) -> str:
+def format_system(sys: RegularSystem) -> Iterator[str]:
     input_names = {u: f"u{k}" for k, u in enumerate(sys.inputs)}
     rho_names: dict[ProgressiveFunction, str] = {}
     for key in sorted(sys.pi, key=lambda pair: (pair[1].key, pair[0].value)):
         for rho in sorted(sys.pi[key]):
             if rho not in rho_names:
                 rho_names[rho] = f"r{len(rho_names)}"
-    lines = ["[phi]", format_truth_table(sys.phi).rstrip("\n"), "[inputs]"]
+    yield "[phi]\n"
+    yield from format_truth_table(sys.phi)
+    yield "[inputs]\n"
     for u in sys.inputs:
-        lines.append(f"{input_names[u]} = {u}")
-    lines.append("[phi0]")
+        yield f"{input_names[u]} = {u}\n"
+    yield "[phi0]\n"
     for u in sys.inputs:
         bits = ", ".join(str(mu) for mu in sorted(sys.phi0[u], key=lambda b: b.value))
-        lines.append(f"{input_names[u]}: {bits}")
-    lines.append("[pi]")
+        yield f"{input_names[u]}: {bits}\n"
+    yield "[pi]\n"
     for u in sys.inputs:
         for mu in sorted(sys.phi0[u], key=lambda b: b.value):
             names = ", ".join(rho_names[rho] for rho in sorted(sys.pi[(mu, u)]))
-            lines.append(f"{mu} @ {input_names[u]}: {names}")
+            yield f"{mu} @ {input_names[u]}: {names}\n"
     for rho, name in rho_names.items():
-        lines += [f"[rho {name}]", str(rho)]
-    return "\n".join(lines) + "\n"
+        yield from (f"[rho {name}]\n", f"{rho}\n")
 
 
 def _comma_list(text: str) -> list[str]:
@@ -211,47 +213,48 @@ def _comma_list(text: str) -> list[str]:
     return [item for item in map(str.strip, text.split(",")) if item]
 
 
-def parse_system(text: str, base_dir: str = ".") -> RegularSystem:
-    """Sections are filed by name as their headers are read, then read in the
-    order phi, inputs, schedules, phi0, pi, whatever their order in the file."""
-    named: dict[str, list[tuple[int, str]]] = {}
-    rho_sections: dict[str, list[tuple[int, str]]] = {}  # keyed "rho <name>"
-    body = None
-    for line_no, line in _split_lines(_lines(text)):
-        match = _SECTION.match(line)
-        if not match:
-            if body is None:
-                raise LoadError(f"line {line_no}: content before the first section")
-            body.append((line_no, line))
-            continue
-        name = match.group(1)
+def parse_system(lines: str | Iterable[tuple[int, str]], base_dir: str = ".") -> RegularSystem:
+    """A bundle from its text or its numbered content lines.  The [phi] rows are
+    read into the table as they come; the other sections are filed by name, then
+    read in the order inputs, schedules, phi0, pi, whatever their file order."""
+    content = _split_lines(_lines(lines)) if isinstance(lines, str) else iter(lines)
+    ends: list[tuple[int, str]] = []  # the line number and name of the header that ended the last section
+    def body():  # the lines up to the next header, which goes to `ends`
+        for line_no, line in content:
+            if line[0] == "[" and (header := _SECTION.match(line)):  # a table row skips the regex
+                ends.append((line_no, header[1]))
+                return
+            yield line_no, line
+    if stray := next(body(), None):
+        raise LoadError(f"line {stray[0]}: content before the first section")
+    named: dict = {}  # "phi" to its table, every other section to its lines; a schedule's keyed "rho <name>"
+    while ends:
+        line_no, name = ends.pop()
         if name.startswith("rho "):
             if not name[4:].strip():
                 raise LoadError(f"line {line_no}: section [{name}] names no schedule")
-            store, name = rho_sections, "rho " + name[4:].strip()
-        elif name in _NAMED_SECTIONS:
-            store = named
-        else:
+            name = "rho " + name[4:].strip()
+        elif name not in _NAMED_SECTIONS:
             raise LoadError(f"line {line_no}: unknown section [{name}]")
-        if name in store:
+        if name in named:
             raise LoadError(f"duplicate section [{name}]")
-        body = store[name] = []
+        rows = body()
+        if name != "phi":
+            named[name] = list(rows)
+        elif len(head := list(islice(rows, 2))) != 1 or not head[0][1].startswith("file="):
+            named[name] = _read_table(chain(head, rows))
+        else:  # a lone `file=` line names a table file
+            line_no, ref = head[0][0], head[0][1][len("file="):].strip()
+            if not ref:
+                raise LoadError(f"line {line_no}: file= names no table")
+            path = os.path.join(base_dir, ref)
+            try:
+                named[name] = load(path, GeneratorFn)
+            except LoadError as exc:  # `load`'s own errors name `path`; the reader's are named by `ref`
+                raise exc if str(exc).startswith(f"{path}: ") else LoadError(f"{ref}: {exc}") from None
     for required in _NAMED_SECTIONS:
         if required not in named:
             raise LoadError(f"missing section [{required}]")
-
-    phi_body = named["phi"]
-    if len(phi_body) == 1 and phi_body[0][1].startswith("file="):
-        line_no, ref = phi_body[0][0], phi_body[0][1][len("file="):].strip()
-        if not ref:
-            raise LoadError(f"line {line_no}: file= names no table")
-        path = os.path.join(base_dir, ref)
-        try:
-            phi = load(path, GeneratorFn)
-        except LoadError as exc:  # `load`'s own errors name `path`; the reader's are named by `ref`
-            raise exc if str(exc).startswith(f"{path}: ") else LoadError(f"{ref}: {exc}") from None
-    else:
-        phi = _read_table(iter(phi_body))
 
     memo: dict[int, dict[str, tuple[int, int]]] = {}  # event texts read, shared by every line below
     inputs: dict[str, Signal] = {}
@@ -271,10 +274,11 @@ def parse_system(text: str, base_dir: str = ".") -> RegularSystem:
             raise LoadError(f"line {line_no}: input {name!r} repeats input {earlier!r}")
 
     rhos: dict[str, ProgressiveFunction] = {}
-    for label, body in rho_sections.items():
-        if len(body) != 1:
-            raise LoadError(f"[{label}] must contain exactly one schedule line")
-        rhos[label[4:]] = _parse_sequence(body[0][1], f"[{label}]", ProgressiveFunction, memo)
+    for label, lines in named.items():
+        if label.startswith("rho "):
+            if len(lines) != 1:
+                raise LoadError(f"[{label}] must contain exactly one schedule line")
+            rhos[label[4:]] = _parse_sequence(lines[0][1], f"[{label}]", ProgressiveFunction, memo)
 
     phi0: dict[Signal, frozenset[BitVec]] = {}
     for line_no, line in named["phi0"]:
@@ -313,13 +317,18 @@ def parse_system(text: str, base_dir: str = ".") -> RegularSystem:
             raise LoadError(f"line {line_no}: pi for {mu} @ {name} is empty")
         pi[key] = frozenset(map(rhos.__getitem__, names))
 
-    return RegularSystem(phi, tuple(inputs.values()), phi0, pi)
+    return RegularSystem(named["phi"], tuple(inputs.values()), phi0, pi)
 
 
 _KINDS = {GeneratorFn: "a truth table", EquationProgram: "an equation file", RegularSystem: "a system bundle",
           Signal: "a signal", ProgressiveFunction: "a schedule"}
 _SEQUENCE_OPENING = re.compile(r"n=\S*\s+(init|H)=", re.ASCII)  # the field after `n=<w>`
 _SEQUENCE_KINDS = {"init": Signal, "H": ProgressiveFunction}
+
+
+def _either(kinds: tuple[type, ...]) -> str:
+    """The kinds a refusal says were expected, as in 'a truth table or an equation file'."""
+    return " or ".join(_KINDS[k] for k in kinds)
 
 
 def _kind_then_value(path: str, kinds: tuple[type, ...]):
@@ -341,16 +350,17 @@ def _kind_then_value(path: str, kinds: tuple[type, ...]):
         held = (RegularSystem if line[0] == "[" else _SEQUENCE_KINDS[opening[1]] if opening
                 else GeneratorFn if line[:2] == "n=" else EquationProgram)
         if held not in kinds:
-            raise LoadError(f"{path}: holds {_KINDS[held]}, expected {' or '.join(_KINDS[k] for k in kinds)}")
+            raise LoadError(f"{path}: holds {_KINDS[held]}, expected {_either(kinds)}")
         yield held
         if opening:  # a signal or schedule: its one line, and no second
             if second := next(content, None):
                 raise LoadError(f"{path}: expected exactly one {held._kind} line, found a second at line {second[0]}")
             yield _parse_sequence(line, f"{path} line {line_no}", held, {})
             return
-        yield (_read_table(chain([(line_no, line)], content)) if held is GeneratorFn  # header checked first
-               else parse_system("".join(chain(head, lines)), os.path.dirname(path) or ".") if held is RegularSystem
-               else parse_dsl("".join(chain(head, lines))))
+        content = chain([(line_no, line)], content)  # the first content line, then the rest as read
+        yield (_read_table(content) if held is GeneratorFn  # header checked first
+               else parse_system(content, os.path.dirname(path) or ".") if held is RegularSystem
+               else parse_dsl(chain(head, lines)))  # the raw lines: a DSL error counts columns on them
 
 
 def load(path: str, kind: type,
@@ -363,4 +373,4 @@ def load(path: str, kind: type,
 
 def save_system(sys: RegularSystem, path: str) -> None:
     with open(path, "w") as f:
-        f.write(format_system(sys))
+        f.writelines(format_system(sys))

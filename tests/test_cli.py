@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from functools import reduce
 
@@ -30,6 +31,7 @@ from asyncdec.frontend import (
     compile_program,
     format_system,
     format_truth_table,
+    load,
     parse_dsl,
     parse_system,
     parse_truth_table,
@@ -65,14 +67,14 @@ def workdir(tmp_path):
     (tmp_path / "step.sig").write_text("n=1 init=0 H=10 events=(0,1)\n")
     (tmp_path / "fire1.rho").write_text("n=1 H=10 events=(1,1)\n")
     phi = GeneratorFn.identity(1, 1)
-    (tmp_path / "id.tt").write_text(format_truth_table(phi))
-    (tmp_path / "diag.sys").write_text(format_system(diagonal_example()))
+    (tmp_path / "id.tt").write_text("".join(format_truth_table(phi)))
+    (tmp_path / "diag.sys").write_text("".join(format_system(diagonal_example())))
     # a swap system: block {1} is not separated
     u = unit_step(0, 10)
     swap = GeneratorFn.from_function(2, 1, lambda mu, lam: BitVec.from_bits([mu.bit(2), mu.bit(1)]))
     phi0 = {u: frozenset([BitVec.from_string("00")])}
     pi = {(BitVec.from_string("00"), u): frozenset([round_robin(2, (1,), 10)])}
-    (tmp_path / "swap.sys").write_text(format_system(RegularSystem(swap, (u,), phi0, pi)))
+    (tmp_path / "swap.sys").write_text("".join(format_system(RegularSystem(swap, (u,), phi0, pi))))
     return tmp_path
 
 
@@ -192,6 +194,28 @@ def test_compose_equation_files_like_the_phi_verbs(workdir):
     assert parse_truth_table(result.stdout) == parallel_fn(pair, delay)
 
 
+def test_compose_writes_a_table_without_holding_its_text(tmp_path, capsys):
+    """`compose` writes the composed table a line at a time: over building the
+    table alone, its peak grows by less than the file it writes."""
+    rng = random.Random(14)
+    a, b, out = tmp_path / "a.tt", tmp_path / "b.tt", tmp_path / "ab.tt"
+    for path in (a, b):  # n=5 m=4 each, so the composition has n+m = 14
+        path.write_text("".join(format_truth_table(checks.rand_fn(rng, 5, 4))))
+
+    def composed():
+        return parallel_fn(load(str(a), GeneratorFn), load(str(b), GeneratorFn))
+
+    peaks = []
+    for build in (composed, lambda: main(["compose", str(a), str(b), "--out", str(out)])):
+        build()  # the first call warms every cache
+        tracemalloc.start()
+        build()
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] - peaks[0] < out.stat().st_size, (peaks, out.stat().st_size)
+    assert out.read_text() == "".join(format_truth_table(composed()))
+
+
 def test_decompose_diagonal_reports_strict_subset(workdir):
     result = cli(
         "decompose",
@@ -211,7 +235,7 @@ def test_decompose_diagonal_reports_strict_subset(workdir):
 
 
 def test_decompose_default_iterates_finest_partition(workdir):
-    sys_text = format_system(diagonal_example())
+    sys_text = "".join(format_system(diagonal_example()))
     (workdir / "d2.sys").write_text(sys_text)
     result = cli("decompose", "--system", str(workdir / "d2.sys"))
     assert result.returncode == 0
@@ -287,7 +311,7 @@ def test_decompose_steps_past_the_first_name_the_remaining_coordinates_by_rank(t
     states = [BitVec.from_string(s) for s in ("00000", "10010")]
     rhos = [round_robin(5, (1, 4, 7), 12), ProgressiveFunction(5, ((1, 0b01001), (3, 0b10110), (6, 0b11111)), 12)]
     bundle = RegularSystem(phi, (u,), {u: states}, {(mu, u): rhos for mu in states})
-    (tmp_path / "il.sys").write_text(format_system(bundle))
+    (tmp_path / "il.sys").write_text("".join(format_system(bundle)))
     assert main(["decompose", "--system", str(tmp_path / "il.sys"), "--out", str(tmp_path / "il.kv"), *block]) == 0
     assert (capsys.readouterr().out, (tmp_path / "il.kv").read_text()) == expected
 
@@ -316,7 +340,7 @@ def test_emitted_factors_compose_back_to_the_hull(tmp_path, capsys):
     verdicts = []
     for k, bundle in enumerate(_round_trip_bundles(random.Random(7), 15)):
         path, kv = tmp_path / f"b{k}.sys", tmp_path / f"b{k}.kv"
-        path.write_text(format_system(bundle))
+        path.write_text("".join(format_system(bundle)))
         assert main(["decompose", "--system", str(path), "--emit", str(tmp_path / f"b{k}"), "--out", str(kv)]) == 0
         doc = dict(line.split("=", 1) for line in kv.read_text().splitlines())
         *firsts, composite = [tmp_path / f"b{k}.factor{i}.sys" for i in range(1, int(doc["factors"]) + 1)]
@@ -352,8 +376,8 @@ def test_analyze_of_a_composition_lists_the_first_tables_blocks_then_the_seconds
         m = rng.randint(1, 2)
         a, b = (reduce(parallel_fn, [checks.rand_fn(rng, rng.randint(1, 2), m) for _ in range(rng.randint(1, 3))])
                 for _ in "ab")
-        (tmp_path / "a.tt").write_text(format_truth_table(a))
-        (tmp_path / "b.tt").write_text(format_truth_table(b))
+        (tmp_path / "a.tt").write_text("".join(format_truth_table(a)))
+        (tmp_path / "b.tt").write_text("".join(format_truth_table(b)))
         assert main(["compose", str(tmp_path / "a.tt"), str(tmp_path / "b.tt"), "--out", str(tmp_path / "c.tt")]) == 0
         expected = blocks(tmp_path / "a.tt") + [[a.n + i for i in block] for block in blocks(tmp_path / "b.tt")]
         assert blocks(tmp_path / "c.tt") == expected
@@ -448,7 +472,7 @@ def test_a_table_past_the_size_limit_is_refused_at_its_header(workdir, monkeypat
     """n+m = 3 under limit 2: `analyze` and `simulate` both refuse the table
     before reading a row, so the malformed last line is never reported."""
     path = workdir / "wide.tt"
-    path.write_text(format_truth_table(GeneratorFn.identity(2, 1)) + "not a row\n")
+    path.write_text("".join(format_truth_table(GeneratorFn.identity(2, 1))) + "not a row\n")
     (workdir / "fire2.rho").write_text("n=2 H=10 events=(1,11)\n")
     monkeypatch.setenv("ASYNC_DEC_SIZE_LIMIT", "2")
     simulate = ["simulate", "--phi", str(path), "--init", "00",
@@ -465,7 +489,7 @@ def test_a_table_past_the_size_limit_is_refused_before_the_rest_is_decoded(workd
     """The header is read from the file's first bytes: a later row that is not
     UTF-8 is never decoded, so the limit is what `analyze` reports."""
     path = workdir / "wide.tt"
-    path.write_bytes(format_truth_table(GeneratorFn.identity(2, 1)).encode() + b"00 0 -> \xff\n")
+    path.write_bytes("".join(format_truth_table(GeneratorFn.identity(2, 1))).encode() + b"00 0 -> \xff\n")
     monkeypatch.setenv("ASYNC_DEC_SIZE_LIMIT", "2")
     assert main(["analyze", "--phi", str(path)]) == 2
     assert capsys.readouterr() == ("", (
@@ -512,7 +536,7 @@ def test_a_table_past_the_size_limit_where_no_table_is_read_is_refused_by_its_ki
     """Only the table reader checks a header against the limit: where a verb
     reads no table, the file's kind is what is wrong."""
     path = workdir / "wide.tt"
-    path.write_text(format_truth_table(GeneratorFn.identity(2, 1)))
+    path.write_text("".join(format_truth_table(GeneratorFn.identity(2, 1))))
     monkeypatch.setenv("ASYNC_DEC_SIZE_LIMIT", "2")
     simulate = ["simulate", "--phi", str(workdir / "delay.eq"), "--init", "0",
                 "--input", str(path), "--rho", str(workdir / "fire1.rho")]
@@ -663,7 +687,7 @@ def test_compose_of_bundles_past_the_size_limit_is_input_error(workdir, monkeypa
     rhos = {ProgressiveFunction(1, ((t, 1),), 10) for t in range(3)}
     system = RegularSystem(GeneratorFn.identity(1, 1), (u,), {u: {mu}}, {(mu, u): rhos})
     path, out = str(workdir / "three.sys"), workdir / "par.sys"
-    (workdir / "three.sys").write_text(format_system(system))
+    (workdir / "three.sys").write_text("".join(format_system(system)))
     monkeypatch.setenv("ASYNC_DEC_SIZE_LIMIT", "3")
     with monkeypatch.context() as patched:
         patched.setattr(systems, "product_rho", None)  # a product would raise TypeError
@@ -687,7 +711,7 @@ def test_decompose_hull_past_the_size_limit_is_input_error(workdir, monkeypatch,
     mu = BitVec.from_string("00")
     rhos = {ProgressiveFunction(2, ((t, 0b01), (t + 3, 0b10)), 10) for t in (1, 2, 3)}
     negate = GeneratorFn.from_function(2, 1, lambda mu, lam: BitVec(2, mu.value ^ 0b11))
-    (workdir / "neg.sys").write_text(format_system(RegularSystem(negate, (u,), {u: {mu}}, {(mu, u): rhos})))
+    (workdir / "neg.sys").write_text("".join(format_system(RegularSystem(negate, (u,), {u: {mu}}, {(mu, u): rhos}))))
     argv = ["decompose", "--system", str(workdir / "neg.sys"), "--block", "1"]
     monkeypatch.setenv("ASYNC_DEC_SIZE_LIMIT", "3")
     assert main(argv) == 2
@@ -710,7 +734,7 @@ def test_decompose_product_condition_is_bounded_by_the_hull(workdir, monkeypatch
     mu = BitVec.from_string("00")
     rhos = {ProgressiveFunction(2, ((t, 0b11),), 50) for t in range(1, 41)}
     system = RegularSystem(GeneratorFn.identity(2, 1), (u,), {u: {mu}}, {(mu, u): rhos})
-    (workdir / "forty.sys").write_text(format_system(system))
+    (workdir / "forty.sys").write_text("".join(format_system(system)))
     argv = ["decompose", "--system", str(workdir / "forty.sys"), "--block", "1"]
     monkeypatch.setenv("ASYNC_DEC_SIZE_LIMIT", "10")
     with monkeypatch.context() as patched:
@@ -785,7 +809,7 @@ def test_compose_tells_both_kinds_before_it_reads_either_file(workdir, capsys, s
 
 def _bundle_naming(workdir, ref: str):
     """The diagonal example's bundle, its [phi] table replaced by `file=ref`."""
-    text = format_system(diagonal_example())
+    text = "".join(format_system(diagonal_example()))
     path = workdir / "ref.sys"
     path.write_text(f"[phi]\nfile={ref}\n" + text[text.index("[inputs]"):])
     return path
@@ -1009,10 +1033,10 @@ def test_verify_bad_arguments_are_input_errors(tmp_path, name):
 FUZZ_FILES = {
     "delay.eq": "x1' = u1\n",
     "pair.eq": "x1' = u1 & !x2\nx2' = x2 ^ (x1 | u1)\n",
-    "id2.tt": format_truth_table(GeneratorFn.identity(2, 1)),
+    "id2.tt": "".join(format_truth_table(GeneratorFn.identity(2, 1))),
     "step.sig": "n=1 init=0 H=10 events=(0,1)\n",
     "fire.rho": "n=1 H=10 events=(1,1);(4,1)\n",
-    "diag.sys": format_system(diagonal_example()),
+    "diag.sys": "".join(format_system(diagonal_example())),
 }
 FUZZ_ALPHABET = "01(),;=nHitevs[]@:"
 

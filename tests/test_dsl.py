@@ -6,6 +6,7 @@ import re
 import pytest
 
 from asyncdec import BitVec, GeneratorFn, dependency_matrix, partial_derivative
+from asyncdec.errors import AsyncDecError
 from asyncdec.frontend import DslNameError, DslSyntaxError, EquationProgram, compile_program, load, parse_dsl
 from asyncdec.frontend import cli
 from asyncdec.frontend.dsl import MAX_NESTING, program_matrix
@@ -190,6 +191,21 @@ def test_a_vertical_tab_ends_no_equation(tmp_path):
         with pytest.raises(DslSyntaxError) as err:
             read()
         assert str(err.value) == "line 1, column 10: expected end of line, found 'x2'"
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"x1' = x1 &\n# \xff\n", "line 1, column 11: unexpected end of line"),
+    (b"x1' = x1 &\r\n# \xff\r\n", "line 1, column 11: unexpected end of line"),
+    (b"x1' = x1\rx1' = !x1\r# \xfe\r", "line 2: state variable x1 defined twice"),
+], ids=["syntax-lf", "syntax-crlf", "defined-twice-cr"])
+def test_an_equation_file_names_its_first_error_in_file_order(tmp_path, data, message):
+    """An equation file is parsed as its lines are read, so a bad line before a
+    byte that is not UTF-8 is the error named; a line end counts no column."""
+    path = tmp_path / "order.eq"
+    path.write_bytes(data)
+    with pytest.raises(AsyncDecError) as err:
+        load(str(path), EquationProgram)
+    assert str(err.value) == message
 
 
 def test_chains_flatten_and_parentheses_nest():

@@ -3,17 +3,21 @@
 import io
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asyncdec import BitVec, GeneratorFn, ProgressiveFunction, RegularSystem, Signal, parallel_system, unit_step
+from asyncdec.errors import AsyncDecError
 from asyncdec.frontend import (
+    EquationProgram,
     LoadError,
     format_system,
     format_truth_table,
     load,
+    parse_dsl,
     parse_system,
     parse_truth_table,
 )
@@ -32,7 +36,7 @@ def test_truth_table_roundtrip():
     rng = random.Random(1)
     for _ in range(10):
         phi = rand_fn(rng, rng.randint(1, 3), rng.randint(0, 2))
-        assert parse_truth_table(format_truth_table(phi)) == phi
+        assert parse_truth_table("".join(format_truth_table(phi))) == phi
 
 
 def _per_row_truth_table(phi: GeneratorFn) -> str:
@@ -53,19 +57,19 @@ def test_truth_table_text_matches_the_per_row_writer(m):
     rng = random.Random(m)
     for n in (1, 2, 3, 5):
         phi = rand_fn(rng, n, m)
-        assert format_truth_table(phi) == _per_row_truth_table(phi)
+        assert "".join(format_truth_table(phi)) == _per_row_truth_table(phi)
 
 
 def test_truth_table_m0_rows_have_no_lambda_field():
     phi = GeneratorFn.identity(1, 0)
-    text = format_truth_table(phi)
+    text = "".join(format_truth_table(phi))
     assert "0 -> 0" in text and "1 -> 1" in text
     assert parse_truth_table(text) == phi
 
 
 def test_missing_row_names_the_point():
     phi = GeneratorFn.identity(1, 1)
-    lines = format_truth_table(phi).strip().splitlines()
+    lines = "".join(format_truth_table(phi)).strip().splitlines()
     with pytest.raises(LoadError) as err:
         parse_truth_table("\n".join(lines[:-1]))
     assert "mu=1" in str(err.value) and "lam=1" in str(err.value)
@@ -73,7 +77,7 @@ def test_missing_row_names_the_point():
 
 def test_duplicate_row_rejected():
     phi = GeneratorFn.identity(1, 0)
-    text = format_truth_table(phi) + "0 -> 0\n"
+    text = "".join(format_truth_table(phi)) + "0 -> 0\n"
     with pytest.raises(LoadError):
         parse_truth_table(text)
 
@@ -94,7 +98,7 @@ def test_table_rows_are_read_by_row_index(seed):
     n = rng.randint(1, 4)
     m = rng.randint(0, 6 - n)
     phi = rand_fn(rng, n, m)
-    header, *rows = format_truth_table(phi).splitlines()  # rows[i] is row index i
+    header, *rows = "".join(format_truth_table(phi)).splitlines()  # rows[i] is row index i
     order = rng.sample(range(len(rows)), len(rows))
     assert parse_truth_table("\n".join([header] + [rows[i] for i in order])) == phi
 
@@ -314,6 +318,78 @@ def test_the_file_reader_yields_the_lines_the_text_reader_yields(tmp_path_factor
     assert list(_split_lines(read)) == list(_split_lines(_lines(text)))
 
 
+_EDIT_CHARS = "\r\n\f#[]=;,()->01 "
+_TEXT_READERS = {RegularSystem: parse_system, EquationProgram: parse_dsl, GeneratorFn: parse_truth_table}
+
+
+def _equations(rng: random.Random) -> str:
+    """An equation file over x1..xn and u1..um, with comments."""
+    n, m = rng.randint(1, 3), rng.randint(0, 2)
+    atoms = [f"x{i}" for i in range(1, n + 1)] + [f"u{j}" for j in range(1, m + 1)] + ["0", "1"]
+
+    def expr(depth: int) -> str:
+        pick = rng.randrange(4) if depth else 0
+        if pick == 0:
+            return rng.choice(atoms)
+        if pick == 1:
+            return f"!({expr(depth - 1)})"
+        return f"{expr(depth - 1)} {rng.choice('&^|')} {expr(depth - 1)}"
+
+    return "# next states\n" + "".join(f"x{i}' = {expr(3)}  # x{i}\n" for i in range(1, n + 1))
+
+
+@st.composite
+def _edited_files(draw) -> str:
+    """A bundle or an equation file with one line end throughout, and then one
+    character of `_EDIT_CHARS` inserted, or one character deleted or replaced."""
+    rng = random.Random(draw(st.integers(0, 1 << 16)))
+    source = draw(st.sampled_from(["random-bundle", "product-form-bundle", "equations"]))
+    if source == "random-bundle":
+        text = "".join(format_system(rand_system(rng, rand_fn(rng, 2, 1), 8, n_inputs=2)))
+    elif source == "product-form-bundle":
+        m = rng.randint(1, 2)
+        text = "".join(format_system(_product_form_system(rng, rand_fn(rng, 1, m), rand_fn(rng, 2, m), 8)))
+    else:
+        text = _equations(rng)
+    text = text.replace("\n", draw(st.sampled_from(["\n", "\r\n", "\r"])))
+    at = draw(st.integers(0, len(text)))
+    edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+    char = "" if edit == "delete" else draw(st.sampled_from(_EDIT_CHARS))
+    return text[:at] + char + text[at + (edit != "insert"):]
+
+
+def _outcome(read):
+    """What `read()` returns, or the type and text of the input error it raises."""
+    try:
+        return read()
+    except AsyncDecError as exc:
+        return type(exc), str(exc)
+
+
+@given(_edited_files())
+@settings(max_examples=400, derandomize=True, deadline=None)
+@example("[phi]\rn=1 m=0\r0 -> 1\f1 -> 0\r[inputs]\r")
+@example("x1' = x1 &\r\n# (\r\n")
+def test_a_file_and_its_text_read_alike(tmp_path_factory, text):
+    """`load` reads a file line by line from its handle, and the text entries
+    cut a string with `_lines`: both accept with equal values, or both refuse
+    with the same message but for the path before `load`'s own errors.  A
+    file with no content line tells no kind: `load` refuses it as empty, and
+    every text entry refuses its text."""
+    path = tmp_path_factory.getbasetemp() / "edited"
+    path.write_text(text, newline="")
+    steps = fileio._kind_then_value(str(path), tuple(_TEXT_READERS))
+    kind = _outcome(lambda: next(steps))  # the kind the file's first content line tells
+    steps.close()
+    if kind == (LoadError, f"{path}: empty file"):
+        assert all(isinstance(_outcome(lambda: reader(text)), tuple) for reader in _TEXT_READERS.values())
+        return
+    read = _outcome(lambda: load(str(path), kind))
+    if isinstance(read, tuple):
+        read = (read[0], read[1].removeprefix(f"{path}: "))
+    assert read == _outcome(lambda: _TEXT_READERS[kind](text))
+
+
 def test_a_file_that_is_not_utf8_is_named_with_the_byte(tmp_path):
     path = tmp_path / "bad.sig"
     path.write_bytes(b"n=1 init=0 H=5 events= # \xff\n")
@@ -392,7 +468,7 @@ def test_a_byte_that_is_not_utf8_is_named_as_decoding_the_whole_file_names_it(tm
 
 def test_load_needs_a_kind(tmp_path):
     path = tmp_path / "id.tt"
-    path.write_text(format_truth_table(GeneratorFn.identity(1, 0)))
+    path.write_text("".join(format_truth_table(GeneratorFn.identity(1, 0))))
     with pytest.raises(TypeError):
         load(str(path))
 
@@ -419,12 +495,12 @@ def test_system_bundle_roundtrip():
     for _ in range(6):
         phi = rand_fn(rng, 2, 1)
         sys_ = rand_system(rng, phi, 12, n_inputs=2)
-        assert parse_system(format_system(sys_)) == sys_
+        assert parse_system("".join(format_system(sys_))) == sys_
 
 
 def test_system_bundle_phi_by_reference(tmp_path):
     phi = GeneratorFn.identity(1, 1)
-    (tmp_path / "phi.tt").write_text(format_truth_table(phi))
+    (tmp_path / "phi.tt").write_text("".join(format_truth_table(phi)))
     bundle = """
 [phi]
 file=phi.tt
@@ -574,6 +650,68 @@ def test_inline_table_errors_name_the_bundle_line(text, error, message):
     assert type(err.value) is error and str(err.value) == message
 
 
+@pytest.mark.parametrize("text, message", [
+    pytest.param(BUNDLE.replace("1 0 -> 1", "1 0 => 1").replace("[pi]", "[phi_0]\nstep: 1\n[pi]"),
+                 "line 4: missing '->' in '1 0 => 1'", id="bad-row-before-unknown-section"),
+    pytest.param("[phi]\nn=1 m=0\n0 -> 0\n1 -> x\n",
+                 "line 4: 'x' is not a bit string", id="bad-row-without-inputs"),
+])
+def test_a_bundle_names_its_first_error_in_file_order(tmp_path, text, message):
+    """The [phi] rows are read into the table as they come, so a bad row is
+    named before a later section's error and before a section is missed."""
+    path = tmp_path / "order.sys"
+    path.write_text(text)
+    for read in (lambda: parse_system(text), lambda: load(str(path), RegularSystem)):
+        with pytest.raises(LoadError) as err:
+            read()
+        assert str(err.value) == message
+
+
+def test_a_missing_table_file_is_named_before_a_later_duplicate_section(tmp_path):
+    text = BUNDLE.replace(BUNDLE_TABLE, "file=absent.tt\n") + "[rho r0]\nn=1 H=8 events=(2,1)\n"
+    path = tmp_path / "order.sys"
+    path.write_text(text)
+    for read in (lambda: parse_system(text, str(tmp_path)), lambda: load(str(path), RegularSystem)):
+        with pytest.raises(FileNotFoundError) as err:
+            read()
+        assert err.value.filename == str(tmp_path / "absent.tt")
+
+
+def test_a_bad_row_before_a_byte_that_is_not_utf8_is_named(tmp_path):
+    """A bundle is parsed as its lines are read, as a table is."""
+    path = tmp_path / "order.sys"
+    path.write_bytes(BUNDLE.replace("1 0 -> 1", "1 0 => 1").encode() + b"# \xff\n")
+    with pytest.raises(LoadError) as err:
+        load(str(path), RegularSystem)
+    assert str(err.value) == "line 4: missing '->' in '1 0 => 1'"
+
+
+def _peak(read) -> int:
+    """The most memory `read()` held at once, as tracemalloc counts it."""
+    tracemalloc.start()
+    try:
+        read()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_an_inline_table_is_read_in_the_memory_of_a_referenced_one(tmp_path):
+    """The [phi] rows go into the table as they are read: no copy of the file,
+    and no list of its rows, is held beside the table."""
+    rng = random.Random(14)
+    sys_ = rand_system(rng, rand_fn(rng, 10, 4), 12, n_inputs=2)  # n+m = 14
+    table, text = "".join(format_truth_table(sys_.phi)), "".join(format_system(sys_))
+    (tmp_path / "phi.tt").write_text(table)
+    (tmp_path / "inline.sys").write_text(text)
+    (tmp_path / "ref.sys").write_text(text.replace(table, "file=phi.tt\n"))
+    peaks = {}
+    for name in ("inline.sys", "ref.sys"):
+        assert load(str(tmp_path / name), RegularSystem) == sys_  # and the first read warms every cache
+        peaks[name] = _peak(lambda: load(str(tmp_path / name), RegularSystem))
+    assert peaks["inline.sys"] <= 1.25 * peaks["ref.sys"], peaks
+
+
 def test_bundle_inputs_keep_file_order():
     text = BUNDLE.replace(
         "step = n=1 init=0 H=8 events=(0,1)",
@@ -586,7 +724,7 @@ def test_bundle_inputs_keep_file_order():
 
 
 def test_an_event_text_reads_with_or_without_spaces():
-    text = BUNDLE.replace(BUNDLE_TABLE, format_truth_table(GeneratorFn.identity(2, 1))).replace(
+    text = BUNDLE.replace(BUNDLE_TABLE, "".join(format_truth_table(GeneratorFn.identity(2, 1)))).replace(
         "step: 0", "step: 00").replace("0 @ step: r0", "00 @ step: r0, r1").replace(
         "n=1 H=8 events=(1,1)", "n=2 H=8 events=(1,01);(2,10)\n[rho r1]\nn=2 H=8 events= (1,01) ;(3,10)")
     (rhos,) = parse_system(text).pi.values()
@@ -610,7 +748,7 @@ def test_a_bundle_reads_back_every_event_as_written():
     not see a dropped or merged all-zero firing or repeated value."""
     canonical_only = 0
     for sys_ in _woven_bundles():
-        read = parse_system(format_system(sys_))
+        read = parse_system("".join(format_system(sys_)))
         assert [u.events for u in read.inputs] == [u.events for u in sys_.inputs]
         assert read.pi.keys() == sys_.pi.keys()
         for key, rhos in sys_.pi.items():
@@ -632,7 +770,7 @@ class _CountingPattern:
 def test_each_distinct_event_text_of_a_bundle_is_matched_once(monkeypatch):
     pattern = fileio._EVENT
     for sys_ in _woven_bundles():
-        text = format_system(sys_)
+        text = "".join(format_system(sys_))
         lines = re.findall(r"\bn=(\d+) .*events=(.*)", text)
         texts = [(width, event) for width, events in lines for event in events.split(";") if events]
         counting = _CountingPattern(pattern)
