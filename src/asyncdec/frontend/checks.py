@@ -4,6 +4,9 @@ Each suite runs a check independent of the code path it validates and returns
 a report: one summary line, and witnesses for the first failures.  A randomized
 suite is a generator over its cases, framed by `_seeded`, which seeds its
 `random.Random` and tallies its outcomes.  `verify` and the acceptance tests run these.
+Each of Theorem 30's three separation routes is a per-shape plan and a kernel
+over a table's row tuple: a public route looks its plan up and runs its kernel,
+and `theorem30_exhaustive` makes each plan once for all 65,536 tables.
 """
 
 from __future__ import annotations
@@ -14,12 +17,12 @@ from itertools import product
 
 from ..boolfn import (
     GeneratorFn,
+    _derivative_rows,
     _parallel_rows,
     _projection,
     _split_blocks,
     dependency_matrix,
     parallel_fn,
-    partial_derivative,
     project_fn,
     split_fn,
 )
@@ -138,9 +141,9 @@ def rand_system(rng: random.Random, phi: GeneratorFn, horizon: int, n_inputs: in
 
 @lru_cache(maxsize=64)
 def _flip_cases(n: int, m: int, block):
-    """Plain-int rows per shape, never per table: per state, its row and the
-    rows of its one-bit flips across the block, each with the other side's
-    mask; per input, its row offset lam << n.  2^n entries, never 2^(n+m)."""
+    """The flip route's plan, per shape and never per table: per state, its
+    row and its one-bit flips' rows across the block, each with the other
+    side's mask; per input, its row offset lam << n.  2^n entries, never 2^(n+m)."""
     bs, cs = _split_blocks(n, block)
     mask_b, mask_c = (sum(1 << (i - 1) for i in side) for side in (bs, cs))
     flips = [(1 << (j - 1), mask_b) for j in cs] + [(1 << (j - 1), mask_c) for j in bs]
@@ -148,13 +151,9 @@ def _flip_cases(n: int, m: int, block):
     return cases, tuple(lam << n for lam in range(1 << m))
 
 
-def flip_invariant(phi: GeneratorFn, block) -> bool:
-    """Direct pointwise check: flipping a state bit on the other side of the
-    block never changes a coordinate's value.  It reads `phi.table` one point
-    at a time, at rows computed as `GeneratorFn.eval` computes them, so it
-    is a route independent of the derivative tables and of relabeling."""
-    cases, offsets = _flip_cases(phi.n, phi.m, tuple(block))
-    table = phi.table
+def _flips_invisible(table: tuple[int, ...], plan) -> bool:
+    """The flip route's kernel: no flip in the plan changes a row's other side."""
+    cases, offsets = plan
     for mu, flips in cases:
         for offset in offsets:
             out = table[mu + offset]
@@ -164,9 +163,49 @@ def flip_invariant(phi: GeneratorFn, block) -> bool:
     return True
 
 
+def flip_invariant(phi: GeneratorFn, block) -> bool:
+    """Direct pointwise check: flipping a state bit on the other side of the
+    block never changes a coordinate's value.  It reads `phi.table` one point
+    at a time, at rows computed as `GeneratorFn.eval` computes them, so it
+    is a route independent of the derivative tables and of relabeling."""
+    return _flips_invisible(phi.table, _flip_cases(phi.n, phi.m, tuple(block)))
+
+
+def _cross_pairs(blocks) -> tuple[tuple[int, int], ...]:
+    """The derivative route's plan: (ibit, jbit) for each coordinate i and state bit j in different blocks."""
+    return tuple((1 << (i - 1), 1 << (j - 1)) for a, own in enumerate(blocks)
+                 for b, other in enumerate(blocks) if a != b for i in own for j in other)
+
+
+def _derivatives_vanish(table: tuple[int, ...], pairs) -> bool:
+    """The derivative route's kernel: each pair's row-scanned partial derivative is zero."""
+    for ibit, jbit in pairs:
+        if _derivative_rows(table, ibit, jbit):
+            return False
+    return True
+
+
+def _pairwise_separated(phi: GeneratorFn, blocks) -> bool:
+    return _derivatives_vanish(phi.table, _cross_pairs(blocks))
+
+
 def derivative_separated(phi: GeneratorFn, block) -> bool:
     """Derivative route: every cross-block partial derivative is identically zero."""
     return _pairwise_separated(phi, _split_blocks(phi.n, block))
+
+
+def _recompose_plan(n: int, block):
+    """The recompose route's plan (nb, rows_b, nc, rows_c, whole): each side's width
+    and `_projection` row map, and the map onto both sides laid end to end."""
+    bs, cs = _split_blocks(n, block)
+    return len(bs), _projection(n, bs), len(cs), _projection(n, cs), _projection(n, bs + cs)
+
+
+def _recomposes(table: tuple[int, ...], plan) -> bool:
+    """The recompose route's kernel: the zero-fixed sides' rows, composed in parallel, equal `whole`'s."""
+    nb, rows_b, nc, rows_c, whole = plan
+    recomposed = _parallel_rows(nb, rows_b(table), nc, rows_c(table))
+    return recomposed == (table if whole is None else whole(table))
 
 
 def recompose_verdict(phi: GeneratorFn, block) -> bool:
@@ -174,10 +213,7 @@ def recompose_verdict(phi: GeneratorFn, block) -> bool:
     exactly when their parallel composition reproduces the table.  Unguarded
     (no separation precheck), so the verdict is the equality itself.  It
     compares the kernels' row tuples and builds no `GeneratorFn`."""
-    bs, cs = _split_blocks(phi.n, block)
-    rows_b, rows_c, whole = _projection(phi.n, bs), _projection(phi.n, cs), _projection(phi.n, bs + cs)
-    recomposed = _parallel_rows(len(bs), rows_b(phi.table), len(cs), rows_c(phi.table))
-    return recomposed == (phi.table if whole is None else whole(phi.table))
+    return _recomposes(phi.table, _recompose_plan(phi.n, block))
 
 
 @_seeded("thm26 cross-block independence")
@@ -218,23 +254,28 @@ def theorem27_suite(rng: random.Random, cases: int):
 def theorem30_exhaustive() -> tuple[CheckReport, tuple[GeneratorFn, ...]]:
     """Compare the three separation routes on every n=2, m=1 table at block {1}.
 
-    Returns the report and the tables all three routes accepted.
+    Each route is a per-shape plan and a kernel over the row tuple.  The
+    sweep makes each plan once, runs the three kernels on each enumerated
+    tuple and builds no object for the 65,280 tables that are not separable.
+    Returns the report and, as `GeneratorFn`s in packed order, the tables all
+    three routes accepted.
     """
     block = (1,)
+    flips, parts = _flip_cases(2, 1, block), _recompose_plan(2, block)
+    pairs = _cross_pairs(_split_blocks(2, block))
     separable = []
 
     def outcomes():
         for digits in product(range(4), repeat=8):  # increasing packed order, row 0 lowest
             table = digits[::-1]
-            phi = GeneratorFn(2, 1, table)
-            v_flip = flip_invariant(phi, block)
-            v_deriv = derivative_separated(phi, block)
-            v_split = recompose_verdict(phi, block)
+            v_flip = _flips_invisible(table, flips)
+            v_deriv = _derivatives_vanish(table, pairs)
+            v_split = _recomposes(table, parts)
             if not (v_flip == v_deriv == v_split):
                 yield f"table {table}: flip={v_flip} derivative={v_deriv} split={v_split}"
                 continue
             if v_flip:
-                separable.append(phi)
+                separable.append(GeneratorFn(2, 1, table))
             yield None
 
     report = _tally("thm30 route agreement over all n=2 m=1 tables", outcomes())
@@ -370,18 +411,6 @@ def _all_partitions(items):
         for k in range(len(sub)):
             yield sub[:k] + [[first] + sub[k]] + sub[k + 1 :]
         yield [[first]] + sub
-
-
-def _pairwise_separated(phi: GeneratorFn, blocks) -> bool:
-    for a in range(len(blocks)):
-        for b in range(len(blocks)):
-            if a == b:
-                continue
-            for i in blocks[a]:
-                for j in blocks[b]:
-                    if partial_derivative(phi, i, j):
-                        return False
-    return True
 
 
 def _refines(fine, coarse) -> bool:

@@ -6,8 +6,8 @@ import pytest
 
 import asyncdec.boolfn
 import asyncdec.signals
-from asyncdec import BitVec, CoordinateError, GeneratorFn, parallel_fn, project_fn
-from asyncdec.boolfn import _split_blocks
+from asyncdec import BitVec, CoordinateError, GeneratorFn, parallel_fn, partial_derivative, project_fn
+from asyncdec.boolfn import _derivative_rows, _split_blocks
 from asyncdec.frontend import checks
 from asyncdec.systems import DecompositionResult
 from asyncdec.frontend.checks import (
@@ -271,6 +271,64 @@ def test_theorem30_returns_its_separable_tables_in_packed_order():
     assert separable[0].table == (0,) * 8
     assert separable[1].table == (2, 2, 0, 0, 0, 0, 0, 0)
     assert separable[-1].table == (3,) * 8
+
+
+def test_theorem30_sweep_shares_no_dependency_scan(monkeypatch):
+    """The sweep runs all three route kernels with `dependency_matrix` and
+    the lane derivatives disabled, and still finds its 256 separable tables."""
+
+    def disabled(*args, **kwargs):
+        raise AssertionError("the theorem-30 sweep reached the dependency scan")
+
+    monkeypatch.setattr(asyncdec.boolfn, "dependency_matrix", disabled)
+    monkeypatch.setattr(asyncdec.boolfn, "_lane_derivatives", disabled)
+    report, separable = theorem30_exhaustive()
+    assert report.ok and report.cases == 1 << 16 and len(separable) == 256
+
+
+@pytest.mark.parametrize("kernel, route, table", [
+    ("_flips_invisible", "flip", (2, 2, 0, 0, 0, 0, 0, 0)),
+    ("_derivatives_vanish", "derivative", (1, 0, 0, 0, 0, 0, 0, 0)),
+    ("_recomposes", "split", (3, 3, 3, 3, 3, 3, 3, 3)),
+])
+def test_theorem30_sweep_names_the_table_a_wrong_route_misjudges(monkeypatch, kernel, route, table):
+    """A route kernel that inverts its verdict on one table is the sweep's one
+    failure, with a witness naming that table and each route's verdict."""
+    right, real = recompose_verdict(GeneratorFn(2, 1, table), (1,)), getattr(checks, kernel)
+    monkeypatch.setattr(checks, kernel, lambda rows, plan: real(rows, plan) != (rows == table))
+    report, separable = theorem30_exhaustive()
+    said = {name: right != (name == route) for name in ("flip", "derivative", "split")}
+    assert (report.cases, report.failures) == (1 << 16, 1)
+    witness = "table {}: flip={flip} derivative={derivative} split={split}".format(table, **said)
+    assert report.details == (witness,)
+    assert len(separable) == 256 - right and table not in [phi.table for phi in separable]
+
+
+def test_theorem30_builds_a_generator_fn_only_per_separable_table(monkeypatch):
+    """The sweep's kernels read bare row tuples: one sweep builds exactly one
+    `GeneratorFn` per table it returns, 256 of the 65,536."""
+    real, built = GeneratorFn.__init__, []
+
+    def counting(self, *args):
+        built.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(GeneratorFn, "__init__", counting)
+    report, separable = theorem30_exhaustive()
+    assert report.ok and len(built) == len(separable) == 256
+
+
+def test_each_public_route_gives_its_kernels_verdict_under_the_sweeps_plan():
+    """Each public route is its plan looked up and its kernel run: on the
+    sample it agrees with the kernel run under the plan the sweep makes."""
+    flips, parts = checks._flip_cases(2, 1, (1,)), checks._recompose_plan(2, (1,))
+    pairs = checks._cross_pairs(_split_blocks(2, (1,)))
+    for phi in SAMPLE:
+        assert flip_invariant(phi, (1,)) == checks._flips_invisible(phi.table, flips), phi.table
+        assert derivative_separated(phi, (1,)) == checks._derivatives_vanish(phi.table, pairs), phi.table
+        assert recompose_verdict(phi, (1,)) == checks._recomposes(phi.table, parts), phi.table
+        for i, j in ((1, 2), (2, 1)):
+            assert partial_derivative(phi, i, j) == _derivative_rows(phi.table, 1 << (i - 1), 1 << (j - 1))
 
 
 def test_theorem34_diagonal_witness_prints_inputs_as_event_lines(monkeypatch):

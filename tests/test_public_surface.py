@@ -42,6 +42,8 @@ TEST_ONLY = {
     "GeneratorFn.from_function": "the README tour builds a table from a Python function with it",
     "BitVec.from_bits": "the README tour writes a state as a bit list with it",
     "BitVec.bit": "the README tour reads a coordinate with it",
+    "partial_derivative": "the row-based derivative of one coordinate pair that tests check `dependency_matrix` against",
+    "recompose_verdict": "the per-table route tests compare against",
     "parse_truth_table": "tests read tables from strings with it; `load` reads a table file line by line",
     "apply_masked": "the one-event reference that tests fold `run` against",
     "initial_state_function": "acceptance criterion 5 reads the hull's initial states with it",
