@@ -7,6 +7,5 @@ from .fileio import (
     format_truth_table,
     load,
     parse_system,
-    parse_truth_table,
     save_system,
 )

@@ -1,8 +1,8 @@
 """Equation DSL for generator functions.
 
 One next-state equation per line, `x<i>' = <expr>`, over the state variables
-x1..xn and input variables u1..um; only `\\n`, `\\r\\n` or `\\r` ends a line
-(`_lines`).  Operators: ! (not), & (and), ^ (xor), | (or), parentheses and
+x1..xn and input variables u1..um; `load` ends a line only at `\\n`, `\\r\\n`
+or `\\r`.  Operators: ! (not), & (and), ^ (xor), | (or), parentheses and
 the constants 0/1.  The binary operators' precedence is the table `_LEVELS`,
 loosest first, and `!` binds tightest.  `#` starts a comment; whitespace is
 insignificant within a line.  Parentheses and `!` nest at most
@@ -144,22 +144,19 @@ class _Parser:
         raise DslSyntaxError(message, self.line_no, col)
 
 
-def _lines(text: str) -> list[str]:  # every reader's one rule: only \n, \r\n and \r end a line
-    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-
-
 class EquationProgram(_Value):
     """A parsed program: one expression per state coordinate."""
 
     __slots__ = _fields = ("n", "m", "exprs")
 
 
-def parse_dsl(lines: str | Iterable[str]) -> EquationProgram:
-    """Parse equations, from text or a file's lines, into a program; diagnostics carry line and column."""
+def parse_dsl(lines: Iterable[str]) -> EquationProgram:
+    """A program from an equation file's lines, each with its line end, as `load`
+    reads them, a content line among them; diagnostics carry line and column."""
     defined: dict[int, tuple] = {}
     references: list[tuple[str, int, int]] = []
-    for line_no, raw in enumerate(_lines(lines) if isinstance(lines, str) else lines, start=1):
-        line = raw.split("#", 1)[0].rstrip("\r\n")  # a file's line keeps its line end
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].rstrip("\r\n")
         if not line.strip():
             continue
         parser = _Parser(_tokenize(line, line_no), line_no, references)
@@ -175,8 +172,6 @@ def parse_dsl(lines: str | Iterable[str]) -> EquationProgram:
         if index in defined:
             raise DslNameError(f"state variable x{index} defined twice", line_no)
         defined[index] = expr
-    if not defined:
-        raise DslNameError("no equations found")
     n = max(defined)
     for i in range(1, n + 1):
         if i not in defined:

@@ -18,8 +18,8 @@ file.  `load` takes two steps, the kind and then the value, so `compose`
 tells both files' kinds before it reads either.  A file is opened once, as
 text, and each line goes from the handle to its reader as it is read (a
 bundle's [phi] rows to the table's, its `file=` table through `load`), so no
-copy of the file is held and a pipe works.  Only `\\n`, `\\r\\n` and `\\r` end
-a line, in a file and in a string alike (`dsl._lines`).  Every reader
+copy of the file is held and a pipe works.  The handle is opened with
+`newline=""`, so only `\\n`, `\\r\\n` and `\\r` end a line.  Every reader
 rejects exactly the inputs violating its format with one `LoadError` naming
 the first it meets; the writers yield lines.
 """
@@ -29,13 +29,13 @@ from __future__ import annotations
 import os
 import re
 from itertools import chain, islice
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from ..boolfn import GeneratorFn, check_scan_size
 from ..errors import AsyncDecError
 from ..signals import BitVec, ProgressiveFunction, Signal, _bits_text
 from ..systems import RegularSystem
-from .dsl import EquationProgram, _lines, parse_dsl
+from .dsl import EquationProgram, parse_dsl
 
 
 class LoadError(AsyncDecError):
@@ -88,10 +88,6 @@ def format_truth_table(phi: GeneratorFn) -> Iterator[str]:
     outs = iter(phi.table)  # zip reads `states` first, so each input takes 2^n rows
     yield f"n={phi.n} m={phi.m}\n"
     yield from (f"{mu}{lam} -> {states[out]}\n" for lam in inputs for mu, out in zip(states, outs))
-
-
-def parse_truth_table(text: str) -> GeneratorFn:
-    return _read_table(_split_lines(_lines(text)))
 
 
 def _read_table(lines) -> GeneratorFn:
@@ -213,11 +209,11 @@ def _comma_list(text: str) -> list[str]:
     return [item for item in map(str.strip, text.split(",")) if item]
 
 
-def parse_system(lines: str | Iterable[tuple[int, str]], base_dir: str = ".") -> RegularSystem:
-    """A bundle from its text or its numbered content lines.  The [phi] rows are
-    read into the table as they come; the other sections are filed by name, then
-    read in the order inputs, schedules, phi0, pi, whatever their file order."""
-    content = _split_lines(_lines(lines)) if isinstance(lines, str) else iter(lines)
+def parse_system(content: Iterator[tuple[int, str]], base_dir: str) -> RegularSystem:
+    """A bundle from its file's (line number, content line) pairs as `load` reads
+    them; a `file=` table is named from `base_dir`.  The [phi] rows go into the
+    table as they come; the other sections are filed by name, then read in the
+    order inputs, schedules, phi0, pi, whatever their file order."""
     ends: list[tuple[int, str]] = []  # the line number and name of the header that ended the last section
     def body():  # the lines up to the next header, which goes to `ends`
         for line_no, line in content:

@@ -27,19 +27,12 @@ from asyncdec import (
     systems,
     unit_step,
 )
-from asyncdec.frontend import (
-    compile_program,
-    format_system,
-    format_truth_table,
-    load,
-    parse_dsl,
-    parse_system,
-    parse_truth_table,
-)
+from asyncdec.frontend import EquationProgram, compile_program, format_system, format_truth_table, load
 from asyncdec.frontend import checks
 from asyncdec.frontend.checks import CheckReport, diagonal_example
 from asyncdec.frontend import cli as cli_module
 from asyncdec.frontend.cli import main
+from loading import load_text
 
 
 SRC = os.path.dirname(os.path.dirname(asyncdec.__file__))
@@ -181,7 +174,7 @@ def test_compose_tables(workdir):
         "compose", str(workdir / "id.tt"), str(workdir / "id.tt"), "--out", str(out)
     )
     assert result.returncode == 0
-    phi = parse_truth_table(out.read_text())
+    phi = load(str(out), GeneratorFn)
     assert phi == parallel_fn(GeneratorFn.identity(1, 1), GeneratorFn.identity(1, 1))
 
 
@@ -189,9 +182,9 @@ def test_compose_equation_files_like_the_phi_verbs(workdir):
     result = cli("compose", str(workdir / "pair.eq"), str(workdir / "delay.eq"))
     assert result.returncode == 0, result.stderr
     pair, delay = (
-        compile_program(parse_dsl((workdir / name).read_text())) for name in ("pair.eq", "delay.eq")
+        compile_program(load(str(workdir / name), EquationProgram)) for name in ("pair.eq", "delay.eq")
     )
-    assert parse_truth_table(result.stdout) == parallel_fn(pair, delay)
+    assert load_text(result.stdout, GeneratorFn) == parallel_fn(pair, delay)
 
 
 def test_compose_writes_a_table_without_holding_its_text(tmp_path, capsys):
@@ -230,7 +223,7 @@ def test_decompose_diagonal_reports_strict_subset(workdir):
     doc = (workdir / "dec.kv").read_text()
     assert "status=strict-subset" in doc
     for k in (1, 2):
-        factor = parse_system((workdir / f"diag.factor{k}.sys").read_text())
+        factor = load(str(workdir / f"diag.factor{k}.sys"), RegularSystem)
         assert factor.n == 1
 
 
@@ -306,7 +299,8 @@ factors=2
 def test_decompose_steps_past_the_first_name_the_remaining_coordinates_by_rank(tmp_path, capsys, block, expected):
     """Blocks {1,4} | {2,5} | {3} interleave, so step 2 decomposes the factor on
     coordinates 2, 3, 5 and names block {2,5} by its ranks there, {1,3}."""
-    phi = compile_program(parse_dsl("x1' = x4 ^ u1\nx2' = x5 & u1\nx3' = !x3\nx4' = x1\nx5' = x2 | u1\n"))
+    phi = compile_program(load_text("x1' = x4 ^ u1\nx2' = x5 & u1\nx3' = !x3\nx4' = x1\nx5' = x2 | u1\n",
+                                    EquationProgram))
     u = unit_step(2, 12)
     states = [BitVec.from_string(s) for s in ("00000", "10010")]
     rhos = [round_robin(5, (1, 4, 7), 12), ProgressiveFunction(5, ((1, 0b01001), (3, 0b10110), (6, 0b11111)), 12)]
@@ -351,7 +345,7 @@ def test_emitted_factors_compose_back_to_the_hull(tmp_path, capsys):
         capsys.readouterr()
         assert main(["decompose", "--system", str(composite)]) == 0
         assert capsys.readouterr().out.splitlines()[-1].startswith("overall: equal (")
-        composed = parse_system(composite.read_text())
+        composed = load(str(composite), RegularSystem)
         assert composed.inputs == bundle.inputs
         order = [int(i) for block in doc["partition.blocks"].split("|") for i in block.split(",")]
         own, hull = systems.realize(bundle, bundle.horizon), systems.realize(composed, bundle.horizon)
@@ -699,7 +693,7 @@ def test_compose_of_bundles_past_the_size_limit_is_input_error(workdir, monkeypa
     assert not out.exists()
     monkeypatch.setenv("ASYNC_DEC_SIZE_LIMIT", "4")
     assert main(["compose", path, path, "--out", str(out)]) == 0
-    assert len(parse_system(out.read_text(), str(workdir)).pi[(BitVec.from_string("00"), u)]) == 9
+    assert len(load(str(out), RegularSystem).pi[(BitVec.from_string("00"), u)]) == 9
 
 
 def test_decompose_hull_past_the_size_limit_is_input_error(workdir, monkeypatch, capsys):

@@ -7,15 +7,20 @@ import pytest
 
 from asyncdec import BitVec, GeneratorFn, dependency_matrix, partial_derivative
 from asyncdec.errors import AsyncDecError
-from asyncdec.frontend import DslNameError, DslSyntaxError, EquationProgram, compile_program, load, parse_dsl
+from asyncdec.frontend import DslNameError, DslSyntaxError, EquationProgram, compile_program, load
 from asyncdec.frontend import cli
 from asyncdec.frontend.dsl import MAX_NESTING, program_matrix
+from loading import load_text
 
 bv = BitVec.from_string
 
 
+def parsed(text):
+    return load_text(text, EquationProgram)
+
+
 def compiled(text):
-    return compile_program(parse_dsl(text))
+    return compile_program(parsed(text))
 
 
 def test_single_input_follower():
@@ -34,28 +39,28 @@ def test_two_line_program():
 
 def test_undeclared_state_variable():
     with pytest.raises(DslNameError):
-        parse_dsl("x1' = x3")
+        parsed("x1' = x3")
 
 
 def test_duplicate_definition():
     with pytest.raises(DslNameError):
-        parse_dsl("x1' = 0\nx1' = 1")
+        parsed("x1' = 0\nx1' = 1")
 
 
 def test_gap_in_state_variables():
     with pytest.raises(DslNameError):
-        parse_dsl("x1' = 0\nx3' = 1")
+        parsed("x1' = 0\nx3' = 1")
 
 
 def test_syntax_error_carries_position():
     with pytest.raises(DslSyntaxError) as err:
-        parse_dsl("x1' = x1 &")
+        parsed("x1' = x1 &")
     assert err.value.line == 1
 
 
 def test_unknown_character():
     with pytest.raises(DslSyntaxError):
-        parse_dsl("x1' = x1 % x1")
+        parsed("x1' = x1 % x1")
 
 
 def test_identity_compiles_to_identity_table():
@@ -116,23 +121,21 @@ def test_deterministic_compile():
 
 def test_diagnostics_without_a_line_have_no_line_prefix():
     with pytest.raises(DslNameError) as err:
-        parse_dsl("x2' = x1")
+        parsed("x2' = x1")
     assert err.value.line is None
     assert str(err.value) == "state variable x1 is never defined"
-    with pytest.raises(DslNameError, match="^no equations found$"):
-        parse_dsl("")
     with pytest.raises(DslNameError, match="^line 2: undeclared state variable x3$"):
-        parse_dsl("x1' = 0\nx2' = x3")
+        parsed("x1' = 0\nx2' = x3")
 
 
 def test_definitions_and_references_spell_variables_alike():
     for text in ("x01' = u1", "x0' = 1", "x1' = x01", "x1' = u01"):
         with pytest.raises(DslSyntaxError) as err:
-            parse_dsl(text)
+            parsed(text)
         assert err.value.line == 1
     with pytest.raises(DslSyntaxError, match="^line 1, column 1: a line must start with a state variable, found 'x01'$"):
-        parse_dsl("x01' = u1")
-    assert parse_dsl("x10' = x1\n" + "".join(f"x{i}' = x10\n" for i in range(1, 10))).n == 10
+        parsed("x01' = u1")
+    assert parsed("x10' = x1\n" + "".join(f"x{i}' = x10\n" for i in range(1, 10))).n == 10
 
 
 def test_nesting_bound_is_a_syntax_error():
@@ -141,7 +144,7 @@ def test_nesting_bound_is_a_syntax_error():
     assert compiled("x1' = " + "(" * depth + "x1" + ")" * depth).table == GeneratorFn.identity(1, 0).table
     for text in ("x1' = " + "!" * 3000 + "x1", "x1' = " + "(" * 1500 + "x1" + ")" * 1500):
         with pytest.raises(DslSyntaxError, match=f"nested deeper than {depth} levels") as err:
-            parse_dsl(text)
+            parsed(text)
         assert (err.value.line, err.value.col) == (1, 7 + depth)
 
 
@@ -176,21 +179,17 @@ def test_nesting_bound_is_a_syntax_error():
 )
 def test_diagnostics_read_exactly(text, error, message):
     with pytest.raises(error) as err:
-        parse_dsl(text)
+        parsed(text)
     assert type(err.value) is error and str(err.value) == message
     line, col = re.match(r"line (\d+)(?:, column (\d+))?:", message).groups()
     assert (err.value.line, getattr(err.value, "col", None)) == (int(line), col and int(col))
 
 
-def test_a_vertical_tab_ends_no_equation(tmp_path):
+def test_a_vertical_tab_ends_no_equation():
     """`str.splitlines` would end a line at the vertical tab and read two equations."""
-    text = "x1' = x1\vx2' = x1\n"
-    path = tmp_path / "vt.eq"
-    path.write_text(text, newline="")
-    for read in (lambda: parse_dsl(text), lambda: load(str(path), EquationProgram)):
-        with pytest.raises(DslSyntaxError) as err:
-            read()
-        assert str(err.value) == "line 1, column 10: expected end of line, found 'x2'"
+    with pytest.raises(DslSyntaxError) as err:
+        parsed("x1' = x1\vx2' = x1\n")
+    assert str(err.value) == "line 1, column 10: expected end of line, found 'x2'"
 
 
 @pytest.mark.parametrize("data, message", [
@@ -212,7 +211,7 @@ def test_chains_flatten_and_parentheses_nest():
     """A chain of one operator is one node; a parenthesised operand stays nested."""
     text = "x1' = x1 & x2 & u1\nx2' = (x1 & x2) & u1\nx3' = !!x1 | x2 ^ x1 & u1\nx4' = !(x4 | 0)"
     x1, x2, x4, u1 = ("x", 1), ("x", 2), ("x", 4), ("u", 1)
-    assert parse_dsl(text).exprs == (
+    assert parsed(text).exprs == (
         ("and", x1, x2, u1),
         ("and", ("and", x1, x2), u1),
         ("or", ("not", ("not", x1)), ("xor", x2, ("and", x1, u1))),
@@ -324,7 +323,7 @@ def test_program_matrix_matches_the_compiled_table():
             f"x{i}' = {chained_expr(rng, ['0', '1'] + (pool if rng.random() < 0.85 else []), rng.randint(0, 4))}"
             for i in range(1, n + 1)
         )
-        prog = parse_dsl(text)
+        prog = parsed(text)
         matrix, table = program_matrix(prog), dependency_matrix(compile_program(prog))
         assert matrix == table, text
         assert matrix.components() == table.components()

@@ -4,6 +4,7 @@ import io
 import random
 import re
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,20 +12,11 @@ from hypothesis import strategies as st
 
 from asyncdec import BitVec, GeneratorFn, ProgressiveFunction, RegularSystem, Signal, parallel_system, unit_step
 from asyncdec.errors import AsyncDecError
-from asyncdec.frontend import (
-    EquationProgram,
-    LoadError,
-    format_system,
-    format_truth_table,
-    load,
-    parse_dsl,
-    parse_system,
-    parse_truth_table,
-)
+from asyncdec.frontend import EquationProgram, LoadError, format_system, format_truth_table, load
 from asyncdec.frontend import fileio
 from asyncdec.frontend.checks import _product_form_system, rand_fn, rand_rho, rand_signal, rand_system
-from asyncdec.frontend.dsl import _lines
 from asyncdec.frontend.fileio import _decoded, _parse_sequence, _split_lines
+from loading import load_text
 
 
 def val(text):
@@ -36,7 +28,7 @@ def test_truth_table_roundtrip():
     rng = random.Random(1)
     for _ in range(10):
         phi = rand_fn(rng, rng.randint(1, 3), rng.randint(0, 2))
-        assert parse_truth_table("".join(format_truth_table(phi))) == phi
+        assert load_text("".join(format_truth_table(phi)), GeneratorFn) == phi
 
 
 def _per_row_truth_table(phi: GeneratorFn) -> str:
@@ -64,14 +56,14 @@ def test_truth_table_m0_rows_have_no_lambda_field():
     phi = GeneratorFn.identity(1, 0)
     text = "".join(format_truth_table(phi))
     assert "0 -> 0" in text and "1 -> 1" in text
-    assert parse_truth_table(text) == phi
+    assert load_text(text, GeneratorFn) == phi
 
 
 def test_missing_row_names_the_point():
     phi = GeneratorFn.identity(1, 1)
     lines = "".join(format_truth_table(phi)).strip().splitlines()
     with pytest.raises(LoadError) as err:
-        parse_truth_table("\n".join(lines[:-1]))
+        load_text("\n".join(lines[:-1]), GeneratorFn)
     assert "mu=1" in str(err.value) and "lam=1" in str(err.value)
 
 
@@ -79,7 +71,7 @@ def test_duplicate_row_rejected():
     phi = GeneratorFn.identity(1, 0)
     text = "".join(format_truth_table(phi)) + "0 -> 0\n"
     with pytest.raises(LoadError):
-        parse_truth_table(text)
+        load_text(text, GeneratorFn)
 
 
 def _point(index: int, n: int, m: int) -> str:
@@ -100,18 +92,18 @@ def test_table_rows_are_read_by_row_index(seed):
     phi = rand_fn(rng, n, m)
     header, *rows = "".join(format_truth_table(phi)).splitlines()  # rows[i] is row index i
     order = rng.sample(range(len(rows)), len(rows))
-    assert parse_truth_table("\n".join([header] + [rows[i] for i in order])) == phi
+    assert load_text("\n".join([header] + [rows[i] for i in order]), GeneratorFn) == phi
 
     gone = set(rng.sample(order, rng.randint(2, len(rows))))
     with pytest.raises(LoadError) as err:
-        parse_truth_table("\n".join([header] + [rows[i] for i in order if i not in gone]))
+        load_text("\n".join([header] + [rows[i] for i in order if i not in gone]), GeneratorFn)
     assert str(err.value) == f"missing row for {_point(min(gone), n, m)}"
 
     first = rng.randrange(len(order))
     at = rng.randint(first + 1, len(order))  # the repeat's place among the rows
     repeated = order[:at] + [order[first]] + order[at:]
     with pytest.raises(LoadError) as err:
-        parse_truth_table("\n".join([header] + [rows[i] for i in repeated]))
+        load_text("\n".join([header] + [rows[i] for i in repeated]), GeneratorFn)
     assert str(err.value) == f"line {at + 2}: duplicate row for {_point(order[first], n, m)}"
 
 
@@ -144,7 +136,7 @@ def test_table_rows_are_read_by_row_index(seed):
 )
 def test_malformed_row(text, error, message):
     with pytest.raises(error) as err:
-        parse_truth_table(text)
+        load_text(text, GeneratorFn)
     assert str(err.value) == message
 
 
@@ -163,7 +155,7 @@ def test_malformed_row(text, error, message):
 )
 def test_width_inconsistency(text, message):
     with pytest.raises(LoadError) as err:
-        parse_truth_table(text)
+        load_text(text, GeneratorFn)
     assert str(err.value) == message
 
 
@@ -248,6 +240,10 @@ def test_event_line_errors_read_exactly(read, line, kind, text, tmp_path, monkey
     assert type(err.value) is LoadError and str(err.value) == text
 
 
+def TABLE(text):
+    return load_text(text, GeneratorFn)
+
+
 def SIGNAL(line):
     return _parse_sequence(line, "signal", Signal, {})
 
@@ -259,7 +255,7 @@ def SCHEDULE(line):
 @pytest.mark.parametrize(
     "parse, text, error, message",
     [
-        pytest.param(parse_truth_table, "n=\u0661 m=0\n0 -> 0\n1 -> 1", LoadError,
+        pytest.param(TABLE, "n=\u0661 m=0\n0 -> 0\n1 -> 1", LoadError,
                      "line 1: expected 'n=<n> m=<m>', found 'n=\u0661 m=0'", id="table-header"),
         pytest.param(SIGNAL, "n=1 init=0 H=\u0665 events=(1,1)", LoadError,
                      "signal: expected 'n=<w> init=<bits> H=<tick> events=...', "
@@ -304,22 +300,20 @@ _TEXT_PIECES = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1
 @example("0" * 5000 + "\n")
 @example(" " * 8191 + "\r\nn=1 m=0\r")
 def test_the_file_reader_yields_the_lines_the_text_reader_yields(tmp_path_factory, text):
-    """`load` reads a file a line at a time and the text readers cut a string
-    with `_lines`: both end a line at \\n, \\r\\n or \\r alone, as
-    `io.StringIO(text, newline="")` does, and number the same content lines."""
+    """`load` reads a file a line at a time, and ends a line at \\n, \\r\\n or
+    \\r alone, as `io.StringIO(text, newline="")` does: the same lines, and so
+    the same numbered content lines."""
     path = tmp_path_factory.getbasetemp() / "lines.txt"
     path.write_bytes(text.encode("utf-8"))
     reference = list(io.StringIO(text, newline=""))  # each line with its line end
     with open(path, encoding="utf-8", errors="surrogateescape", newline="") as f:
-        read = list(_decoded(f, str(path)))
-    assert read == reference
-    ended = not text or text[-1] in "\r\n"  # then `_lines` ends with an empty line
-    assert _lines(text) == [line.rstrip("\r\n") for line in reference] + [""] * ended
-    assert list(_split_lines(read)) == list(_split_lines(_lines(text)))
+        assert list(_decoded(f, str(path))) == reference
+        f.seek(0)
+        assert list(_split_lines(_decoded(f, str(path)))) == list(_split_lines(reference))
 
 
-_EDIT_CHARS = "\r\n\f#[]=;,()->01 "
-_TEXT_READERS = {RegularSystem: parse_system, EquationProgram: parse_dsl, GeneratorFn: parse_truth_table}
+_EDIT_CHARS = "\f#[]=;,()->01 "
+_LINE_ENDS = {"lf": "\n", "crlf": "\r\n", "cr": "\r"}
 
 
 def _equations(rng: random.Random) -> str:
@@ -340,20 +334,25 @@ def _equations(rng: random.Random) -> str:
 
 @st.composite
 def _edited_files(draw) -> str:
-    """A bundle or an equation file with one line end throughout, and then one
-    character of `_EDIT_CHARS` inserted, or one character deleted or replaced."""
+    """A bundle, an equation file or a table, each line ended by `\\n`, with one
+    character of `_EDIT_CHARS` inserted, or one character of a line deleted or
+    replaced."""
     rng = random.Random(draw(st.integers(0, 1 << 16)))
-    source = draw(st.sampled_from(["random-bundle", "product-form-bundle", "equations"]))
+    source = draw(st.sampled_from(["random-bundle", "product-form-bundle", "equations", "table"]))
     if source == "random-bundle":
         text = "".join(format_system(rand_system(rng, rand_fn(rng, 2, 1), 8, n_inputs=2)))
     elif source == "product-form-bundle":
         m = rng.randint(1, 2)
         text = "".join(format_system(_product_form_system(rng, rand_fn(rng, 1, m), rand_fn(rng, 2, m), 8)))
-    else:
+    elif source == "equations":
         text = _equations(rng)
-    text = text.replace("\n", draw(st.sampled_from(["\n", "\r\n", "\r"])))
-    at = draw(st.integers(0, len(text)))
+    else:
+        text = "".join(format_truth_table(rand_fn(rng, rng.randint(1, 2), rng.randint(0, 2))))
     edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+    if edit == "insert":
+        at = draw(st.integers(0, len(text)))
+    else:  # a character of a line, not a line end
+        at = draw(st.sampled_from([at for at, char in enumerate(text) if char != "\n"]))
     char = "" if edit == "delete" else draw(st.sampled_from(_EDIT_CHARS))
     return text[:at] + char + text[at + (edit != "insert"):]
 
@@ -368,26 +367,20 @@ def _outcome(read):
 
 @given(_edited_files())
 @settings(max_examples=400, derandomize=True, deadline=None)
-@example("[phi]\rn=1 m=0\r0 -> 1\f1 -> 0\r[inputs]\r")
-@example("x1' = x1 &\r\n# (\r\n")
-def test_a_file_and_its_text_read_alike(tmp_path_factory, text):
-    """`load` reads a file line by line from its handle, and the text entries
-    cut a string with `_lines`: both accept with equal values, or both refuse
-    with the same message but for the path before `load`'s own errors.  A
-    file with no content line tells no kind: `load` refuses it as empty, and
-    every text entry refuses its text."""
-    path = tmp_path_factory.getbasetemp() / "edited"
-    path.write_text(text, newline="")
-    steps = fileio._kind_then_value(str(path), tuple(_TEXT_READERS))
-    kind = _outcome(lambda: next(steps))  # the kind the file's first content line tells
-    steps.close()
-    if kind == (LoadError, f"{path}: empty file"):
-        assert all(isinstance(_outcome(lambda: reader(text)), tuple) for reader in _TEXT_READERS.values())
-        return
-    read = _outcome(lambda: load(str(path), kind))
-    if isinstance(read, tuple):
-        read = (read[0], read[1].removeprefix(f"{path}: "))
-    assert read == _outcome(lambda: _TEXT_READERS[kind](text))
+@example("[phi]\nn=1 m=0\n0 -> 1\f1 -> 0\n[inputs]\n")
+@example("x1' = x1 &\n# (\n")
+@example("n=1 m=0\n0 -> 1\n1 -> 0\f\n")
+def test_a_file_reads_alike_with_every_line_end(tmp_path_factory, text):
+    """The file written with `\\n`, `\\r\\n` or `\\r` line ends loads to one
+    value, or is refused with one message but for the path that `load`'s own
+    errors begin with."""
+    outcomes = []
+    for name, end in _LINE_ENDS.items():
+        path = tmp_path_factory.getbasetemp() / name
+        read = _outcome(lambda: load_text(text.replace("\n", end), RegularSystem, EquationProgram, GeneratorFn,
+                                          where=path))
+        outcomes.append((read[0], read[1].removeprefix(f"{path}: ")) if isinstance(read, tuple) else read)
+    assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 def test_a_file_that_is_not_utf8_is_named_with_the_byte(tmp_path):
@@ -418,25 +411,19 @@ def test_a_second_line_ends_the_read_of_a_signal_file(tmp_path, data, line_no):
     ("n=1 m=0\n0 -> 1\f1 -> 0\n", "line 2: '1\\x0c1 -> 0' is not a bit string"),
     ("n=1 m=0\n0 -> 1\f\n1 -> x\n", "line 3: 'x' is not a bit string"),
 ], ids=["joins-no-rows", "numbers-no-line"])
-def test_a_form_feed_ends_no_table_line(tmp_path, text, message):
+def test_a_form_feed_ends_no_table_line(text, message):
     """`str.splitlines` would end a line at the form feed: read two rows from
     the first text, and name the bad row of the second as line 4."""
-    path = tmp_path / "ff.tt"
-    path.write_text(text, newline="")
-    for read in (lambda: parse_truth_table(text), lambda: load(str(path), GeneratorFn)):
-        with pytest.raises(LoadError) as err:
-            read()
-        assert str(err.value) == message
+    with pytest.raises(LoadError) as err:
+        load_text(text, GeneratorFn)
+    assert str(err.value) == message
 
 
-def test_a_bundle_error_after_a_line_separator_names_its_line(tmp_path):
+def test_a_bundle_error_after_a_line_separator_names_its_line():
     text = BUNDLE.replace("[inputs]", "# a note\u2028that goes on\n[inputs]").replace("step: 0", "step 0")
-    path = tmp_path / "sep.sys"
-    path.write_text(text, encoding="utf-8", newline="")
-    for read in (lambda: parse_system(text), lambda: load(str(path), RegularSystem)):
-        with pytest.raises(LoadError) as err:
-            read()
-        assert str(err.value) == "line 11: expected '<input>: bits, bits, ...'"
+    with pytest.raises(LoadError) as err:
+        load_text(text, RegularSystem)
+    assert str(err.value) == "line 11: expected '<input>: bits, bits, ...'"
 
 
 def test_a_next_line_character_inside_a_signal_line_is_refused_by_its_format(tmp_path):
@@ -495,7 +482,7 @@ def test_system_bundle_roundtrip():
     for _ in range(6):
         phi = rand_fn(rng, 2, 1)
         sys_ = rand_system(rng, phi, 12, n_inputs=2)
-        assert parse_system("".join(format_system(sys_))) == sys_
+        assert load_text("".join(format_system(sys_)), RegularSystem) == sys_
 
 
 def test_system_bundle_phi_by_reference(tmp_path):
@@ -513,7 +500,7 @@ step: 0
 [rho r0]
 n=1 H=8 events=(1,1)
 """
-    sys_ = parse_system(bundle, base_dir=str(tmp_path))
+    sys_ = load_text(bundle, RegularSystem, where=tmp_path / "b.sys")
     assert sys_.phi == phi
     assert sys_.inputs == (unit_step(0, 8),)
 
@@ -540,7 +527,7 @@ def test_an_error_in_a_referenced_table_names_its_file(tmp_path):
     (tmp_path / "phi.tt").write_text("n=1 m=1\n0 0 -> 0\n1 0 -> 1\n0 1 -> 0\n")
     bundle = BUNDLE.replace(BUNDLE_TABLE, "file=phi.tt\n")
     with pytest.raises(LoadError) as err:
-        parse_system(bundle, base_dir=str(tmp_path))
+        load_text(bundle, RegularSystem, where=tmp_path / "b.sys")
     assert str(err.value) == "phi.tt: missing row for mu=1 lam=1"
 
 
@@ -553,7 +540,7 @@ def test_a_referenced_file_must_hold_a_truth_table(tmp_path, monkeypatch, name, 
     (tmp_path / name).write_text(text)
     monkeypatch.chdir(tmp_path)
     with pytest.raises(LoadError) as err:
-        parse_system(BUNDLE.replace(BUNDLE_TABLE, f"file={name}\n"))
+        load_text(BUNDLE.replace(BUNDLE_TABLE, f"file={name}\n"), RegularSystem, where=Path("main.sys"))
     assert str(err.value) == f"./{name}: holds {held}, expected a truth table"
 
 
@@ -561,14 +548,14 @@ def test_a_referenced_table_that_is_not_utf8_is_named_by_its_path(tmp_path):
     (tmp_path / "phi.tt").write_bytes(b"n=1 m=1\n0 0 -> \xff\n")
     bundle = BUNDLE.replace(BUNDLE_TABLE, "file=phi.tt\n")
     with pytest.raises(LoadError) as err:
-        parse_system(bundle, base_dir=str(tmp_path))
+        load_text(bundle, RegularSystem, where=tmp_path / "b.sys")
     assert str(err.value) == f"{tmp_path / 'phi.tt'}: not UTF-8 text (invalid start byte at byte 15)"
 
 
 @pytest.mark.parametrize(
     "text, message",
     [
-        pytest.param(BUNDLE.replace("[phi]\n", "junk\n[phi]\n"),
+        pytest.param(BUNDLE.replace("[phi]\n", "[phi\n[phi]\n"),
                      "line 1: content before the first section", id="before-first-section"),
         pytest.param(BUNDLE.replace("[rho r0]", "[phi]\nn=1 m=0\n0 -> 0\n1 -> 1\n[rho r0]"),
                      "duplicate section [phi]", id="duplicate-phi"),
@@ -627,7 +614,7 @@ def test_a_referenced_table_that_is_not_utf8_is_named_by_its_path(tmp_path):
 )
 def test_bundle_errors_read_exactly(text, message):
     with pytest.raises(LoadError) as err:
-        parse_system(text)
+        load_text(text, RegularSystem)
     assert type(err.value) is LoadError and str(err.value) == message
 
 
@@ -646,7 +633,7 @@ def test_inline_table_errors_name_the_bundle_line(text, error, message):
     """A bad row of an inline [phi] table is named by its line in the bundle
     file, counting comments and blank lines, not by its line in the section."""
     with pytest.raises(error) as err:
-        parse_system(text)
+        load_text(text, RegularSystem)
     assert type(err.value) is error and str(err.value) == message
 
 
@@ -656,25 +643,19 @@ def test_inline_table_errors_name_the_bundle_line(text, error, message):
     pytest.param("[phi]\nn=1 m=0\n0 -> 0\n1 -> x\n",
                  "line 4: 'x' is not a bit string", id="bad-row-without-inputs"),
 ])
-def test_a_bundle_names_its_first_error_in_file_order(tmp_path, text, message):
+def test_a_bundle_names_its_first_error_in_file_order(text, message):
     """The [phi] rows are read into the table as they come, so a bad row is
     named before a later section's error and before a section is missed."""
-    path = tmp_path / "order.sys"
-    path.write_text(text)
-    for read in (lambda: parse_system(text), lambda: load(str(path), RegularSystem)):
-        with pytest.raises(LoadError) as err:
-            read()
-        assert str(err.value) == message
+    with pytest.raises(LoadError) as err:
+        load_text(text, RegularSystem)
+    assert str(err.value) == message
 
 
 def test_a_missing_table_file_is_named_before_a_later_duplicate_section(tmp_path):
     text = BUNDLE.replace(BUNDLE_TABLE, "file=absent.tt\n") + "[rho r0]\nn=1 H=8 events=(2,1)\n"
-    path = tmp_path / "order.sys"
-    path.write_text(text)
-    for read in (lambda: parse_system(text, str(tmp_path)), lambda: load(str(path), RegularSystem)):
-        with pytest.raises(FileNotFoundError) as err:
-            read()
-        assert err.value.filename == str(tmp_path / "absent.tt")
+    with pytest.raises(FileNotFoundError) as err:
+        load_text(text, RegularSystem, where=tmp_path / "order.sys")
+    assert err.value.filename == str(tmp_path / "absent.tt")
 
 
 def test_a_bad_row_before_a_byte_that_is_not_utf8_is_named(tmp_path):
@@ -719,7 +700,7 @@ def test_bundle_inputs_keep_file_order():
     ).replace("step: 0\n", "zeta: 0\nalpha: 1\n").replace(
         "0 @ step: r0", "0 @ zeta: r0\n1 @ alpha: r0"
     )
-    sys_ = parse_system(text)
+    sys_ = load_text(text, RegularSystem)
     assert sys_.inputs == (unit_step(0, 8), Signal(1, 1, (), 8))
 
 
@@ -727,7 +708,7 @@ def test_an_event_text_reads_with_or_without_spaces():
     text = BUNDLE.replace(BUNDLE_TABLE, "".join(format_truth_table(GeneratorFn.identity(2, 1)))).replace(
         "step: 0", "step: 00").replace("0 @ step: r0", "00 @ step: r0, r1").replace(
         "n=1 H=8 events=(1,1)", "n=2 H=8 events=(1,01);(2,10)\n[rho r1]\nn=2 H=8 events= (1,01) ;(3,10)")
-    (rhos,) = parse_system(text).pi.values()
+    (rhos,) = load_text(text, RegularSystem).pi.values()
     assert sorted(rho.events for rho in rhos) == [((1, 2), (2, 1)), ((1, 2), (3, 1))]
 
 
@@ -748,7 +729,7 @@ def test_a_bundle_reads_back_every_event_as_written():
     not see a dropped or merged all-zero firing or repeated value."""
     canonical_only = 0
     for sys_ in _woven_bundles():
-        read = parse_system("".join(format_system(sys_)))
+        read = load_text("".join(format_system(sys_)), RegularSystem)
         assert [u.events for u in read.inputs] == [u.events for u in sys_.inputs]
         assert read.pi.keys() == sys_.pi.keys()
         for key, rhos in sys_.pi.items():
@@ -775,7 +756,7 @@ def test_each_distinct_event_text_of_a_bundle_is_matched_once(monkeypatch):
         texts = [(width, event) for width, events in lines for event in events.split(";") if events]
         counting = _CountingPattern(pattern)
         monkeypatch.setattr(fileio, "_EVENT", counting)
-        parse_system(text)
+        load_text(text, RegularSystem)
         assert counting.calls == len(set(texts)) < len(texts)
 
 
@@ -802,4 +783,4 @@ n=1 H=9 events=(2,1)
 n=1 H=9 events=(x,1)
 """
     with pytest.raises(LoadError, match=r"^\[rho a\] must contain exactly one schedule line$"):
-        parse_system(bundle)
+        load_text(bundle, RegularSystem)

@@ -44,7 +44,6 @@ TEST_ONLY = {
     "BitVec.bit": "the README tour reads a coordinate with it",
     "partial_derivative": "the row-based derivative of one coordinate pair that tests check `dependency_matrix` against",
     "recompose_verdict": "the per-table route tests compare against",
-    "parse_truth_table": "tests read tables from strings with it; `load` reads a table file line by line",
     "apply_masked": "the one-event reference that tests fold `run` against",
     "initial_state_function": "acceptance criterion 5 reads the hull's initial states with it",
     "lemma1_suite": "acceptance criterion 7, Lemma 1's product progressiveness",

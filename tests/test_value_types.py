@@ -22,7 +22,8 @@ from asyncdec import (
     unit_step,
 )
 from asyncdec.frontend.checks import CheckReport
-from asyncdec.frontend.dsl import parse_dsl
+from asyncdec.frontend.dsl import EquationProgram
+from loading import load_text
 
 
 def _instances():
@@ -41,7 +42,7 @@ def _instances():
         result.partition,
         system,
         result,
-        parse_dsl("x1' = x1 ^ u1\n"),
+        load_text("x1' = x1 ^ u1\n", EquationProgram),
         CheckReport("suite", 1, 0, ()),
     ]
 
