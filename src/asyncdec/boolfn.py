@@ -12,13 +12,12 @@ The dependency scans are word-parallel: a kernel packs the table through
 `array` into one int, row r in lane r (8/16/32/64 bits, the narrowest that
 holds n bits), so a derivative over all rows is a few shifts and masks.  The
 row tuple stays the only stored form.  `partial_derivative` stays row-based:
-it checks its coordinates, then its row kernel `_derivative_rows` scans the
-rows itself and returns a row bitmask (the checks' derivative route runs
-that kernel on bare row tuples).  The table transforms are row kernels too,
-tuple to tuple, under thin `GeneratorFn` wrappers: `project_fn` over the
-`_projection` row map, built once per coordinate tuple from
-`signals._relabeler`'s chunks (1..n returns `phi` itself), and `parallel_fn`
-over `_parallel_rows`.
+it checks its coordinates, scans the rows itself and returns a row bitmask.
+The table transforms are row kernels too, tuple to tuple, under thin
+`GeneratorFn` wrappers: `project_fn` over the `_projection` row map, built
+once per coordinate tuple from `signals._relabeler`'s chunks (1..n returns
+`phi` itself), and `parallel_fn` over `_parallel_rows`, which composes ints
+holding a table per lane as well (the checks' recompose route runs it so).
 """
 
 from __future__ import annotations
@@ -147,15 +146,9 @@ def partial_derivative(phi: GeneratorFn, i: int, j: int) -> int:
         raise CoordinateError(f"coordinate i={i} out of 1..{phi.n}")
     if not 1 <= j <= phi.n:
         raise CoordinateError(f"coordinate j={j} out of 1..{phi.n}")
-    return _derivative_rows(phi.table, 1 << (i - 1), 1 << (j - 1))
-
-
-def _derivative_rows(table: tuple[int, ...], ibit: int, jbit: int) -> int:
-    """`partial_derivative`'s row scan over a table's row tuple: bit r is set
-    iff rows r and r ^ jbit differ at the coordinate bit `ibit`."""
-    bits = 0
-    for r, out in enumerate(table):
-        if (out ^ table[r ^ jbit]) & ibit:
+    ibit, jbit, bits = 1 << (i - 1), 1 << (j - 1), 0
+    for r, out in enumerate(phi.table):
+        if (out ^ phi.table[r ^ jbit]) & ibit:
             bits |= 1 << r
     return bits
 

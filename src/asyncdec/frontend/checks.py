@@ -4,24 +4,26 @@ Each suite runs a check independent of the code path it validates and returns
 a report: one summary line, and witnesses for the first failures.  A randomized
 suite is a generator over its cases, framed by `_seeded`, which seeds its
 `random.Random` and tallies its outcomes.  `verify` and the acceptance tests run these.
-Each of Theorem 30's three separation routes is a per-shape plan and a kernel
-over a table's row tuple: a public route looks its plan up and runs its kernel,
-and `theorem30_exhaustive` makes each plan once for all 65,536 tables.
+Each of Theorem 30's three separation routes is a per-shape plan and one kernel
+`(rows, plan, ones) -> int`, the bits it saw differ, over row ints holding a
+table in each lane `ones` marks: a public route runs it on a row tuple with
+`ones = 1`, `theorem30_exhaustive` once over all 65,536 tables, a byte lane each.
 """
 
 from __future__ import annotations
 
 import random
-from functools import lru_cache, wraps
-from itertools import product
+import sys
+from array import array
+from functools import lru_cache, reduce, wraps
+from operator import or_, xor
 
 from ..boolfn import (
     GeneratorFn,
-    _derivative_rows,
     _parallel_rows,
-    _projection,
     _split_blocks,
     dependency_matrix,
+    lane_mask,
     parallel_fn,
     project_fn,
     split_fn,
@@ -33,6 +35,8 @@ from ..signals import (
     ProgressiveFunction,
     Signal,
     _Value,
+    _images,
+    _relabeler,
     product_rho,
     product_signal,
     round_robin,
@@ -151,16 +155,16 @@ def _flip_cases(n: int, m: int, block):
     return cases, tuple(lam << n for lam in range(1 << m))
 
 
-def _flips_invisible(table: tuple[int, ...], plan) -> bool:
-    """The flip route's kernel: no flip in the plan changes a row's other side."""
+def _flip_diffs(rows, plan, ones: int) -> int:
+    """The flip route's kernel: the bits where a flip in the plan changes a row's other side."""
     cases, offsets = plan
+    seen = 0
     for mu, flips in cases:
         for offset in offsets:
-            out = table[mu + offset]
+            out = rows[mu + offset]
             for flipped, mask in flips:
-                if (out ^ table[flipped + offset]) & mask:
-                    return False
-    return True
+                seen |= (out ^ rows[flipped + offset]) & mask * ones
+    return seen
 
 
 def flip_invariant(phi: GeneratorFn, block) -> bool:
@@ -168,7 +172,7 @@ def flip_invariant(phi: GeneratorFn, block) -> bool:
     block never changes a coordinate's value.  It reads `phi.table` one point
     at a time, at rows computed as `GeneratorFn.eval` computes them, so it
     is a route independent of the derivative tables and of relabeling."""
-    return _flips_invisible(phi.table, _flip_cases(phi.n, phi.m, tuple(block)))
+    return not _flip_diffs(phi.table, _flip_cases(phi.n, phi.m, tuple(block)), 1)
 
 
 def _cross_pairs(blocks) -> tuple[tuple[int, int], ...]:
@@ -177,43 +181,47 @@ def _cross_pairs(blocks) -> tuple[tuple[int, int], ...]:
                  for b, other in enumerate(blocks) if a != b for i in own for j in other)
 
 
-def _derivatives_vanish(table: tuple[int, ...], pairs) -> bool:
-    """The derivative route's kernel: each pair's row-scanned partial derivative is zero."""
+def _derivative_diffs(rows, pairs, ones: int) -> int:
+    """The derivative route's kernel: the bits where a pair's partial derivative is 1 on some row."""
+    seen = 0
     for ibit, jbit in pairs:
-        if _derivative_rows(table, ibit, jbit):
-            return False
-    return True
-
-
-def _pairwise_separated(phi: GeneratorFn, blocks) -> bool:
-    return _derivatives_vanish(phi.table, _cross_pairs(blocks))
+        lane = ibit * ones
+        for r, out in enumerate(rows):
+            seen |= (out ^ rows[r ^ jbit]) & lane
+    return seen
 
 
 def derivative_separated(phi: GeneratorFn, block) -> bool:
     """Derivative route: every cross-block partial derivative is identically zero."""
-    return _pairwise_separated(phi, _split_blocks(phi.n, block))
+    return not _derivative_diffs(phi.table, _cross_pairs(_split_blocks(phi.n, block)), 1)
 
 
+@lru_cache(maxsize=64)
 def _recompose_plan(n: int, block):
-    """The recompose route's plan (nb, rows_b, nc, rows_c, whole): each side's width
-    and `_projection` row map, and the map onto both sides laid end to end."""
+    """The recompose route's plan: 2^n, then per side (block, complement, both laid end to end) its
+    width, each state's row offset, the rest zero-fixed (`_relabeler`'s spreads), and (k, shift)s."""
     bs, cs = _split_blocks(n, block)
-    return len(bs), _projection(n, bs), len(cs), _projection(n, cs), _projection(n, bs + cs)
+    return 1 << n, *((len(side), _images(_relabeler(n, side)[3]), tuple(enumerate(c - 1 for c in side)))
+                     for side in (bs, cs, bs + cs))
 
 
-def _recomposes(table: tuple[int, ...], plan) -> bool:
-    """The recompose route's kernel: the zero-fixed sides' rows, composed in parallel, equal `whole`'s."""
-    nb, rows_b, nc, rows_c, whole = plan
-    recomposed = _parallel_rows(nb, rows_b(table), nc, rows_c(table))
-    return recomposed == (table if whole is None else whole(table))
+def _recompose_diffs(rows, plan, ones: int) -> int:
+    """The recompose route's kernel: the bits where the zero-fixed sides' rows, gathered by shift
+    and `& ones` and composed in parallel, differ from the rows read through both sides in turn."""
+    step, *sides = plan
+    (nb, b), (nc, c), (_, whole) = (
+        (width, [sum((rows[base | r] >> shift & ones) << k for k, shift in shifts)
+                 for base in range(0, len(rows), step) for r in spread])
+        for width, spread, shifts in sides)
+    return reduce(or_, map(xor, _parallel_rows(nb, b, nc, c), whole), 0)
 
 
 def recompose_verdict(phi: GeneratorFn, block) -> bool:
     """Recomposition route: zero-fix extraction of both factors succeeds
     exactly when their parallel composition reproduces the table.  Unguarded
     (no separation precheck), so the verdict is the equality itself.  It
-    compares the kernels' row tuples and builds no `GeneratorFn`."""
-    return _recomposes(phi.table, _recompose_plan(phi.n, block))
+    compares the kernel's rows and builds no `GeneratorFn`."""
+    return not _recompose_diffs(phi.table, _recompose_plan(phi.n, tuple(block)), 1)
 
 
 @_seeded("thm26 cross-block independence")
@@ -254,29 +262,27 @@ def theorem27_suite(rng: random.Random, cases: int):
 def theorem30_exhaustive() -> tuple[CheckReport, tuple[GeneratorFn, ...]]:
     """Compare the three separation routes on every n=2, m=1 table at block {1}.
 
-    Each route is a per-shape plan and a kernel over the row tuple.  The
-    sweep makes each plan once, runs the three kernels on each enumerated
-    tuple and builds no object for the 65,280 tables that are not separable.
-    Returns the report and, as `GeneratorFn`s in packed order, the tables all
-    three routes accepted.
+    Bit-sliced (Biham, FSE 1997): lane t, 8 bits wide, of the eight row ints
+    holds table t, row r being base-4 digit r of t, so each route's kernel
+    runs once over all 65,536 tables.  Each kernel's word folds to one flag
+    per lane, and the report is read off the three flag arrays.  Returns it
+    and, as `GeneratorFn`s in packed order, the tables all three routes accepted.
     """
-    block = (1,)
-    flips, parts = _flip_cases(2, 1, block), _recompose_plan(2, block)
-    pairs = _cross_pairs(_split_blocks(2, block))
+    block, count = (1,), 1 << 16
+    rows = [lane_mask("B", count, 2 * r, 0, 1) | lane_mask("B", count, 2 * r + 1, 0, 2) for r in range(8)]
+    ones = lane_mask("B", count, 0, 1, 1)
+    flags = [array("B", ((seen | seen >> 1) & ones).to_bytes(count, sys.byteorder)) for seen in (
+        _flip_diffs(rows, _flip_cases(2, 1, block), ones),
+        _derivative_diffs(rows, _cross_pairs(_split_blocks(2, block)), ones),
+        _recompose_diffs(rows, _recompose_plan(2, block), ones))]
     separable = []
 
     def outcomes():
-        for digits in product(range(4), repeat=8):  # increasing packed order, row 0 lowest
-            table = digits[::-1]
-            v_flip = _flips_invisible(table, flips)
-            v_deriv = _derivatives_vanish(table, pairs)
-            v_split = _recomposes(table, parts)
-            if not (v_flip == v_deriv == v_split):
-                yield f"table {table}: flip={v_flip} derivative={v_deriv} split={v_split}"
-                continue
-            if v_flip:
-                separable.append(GeneratorFn(2, 1, table))
-            yield None
+        for t, (flip, deriv, split) in enumerate(zip(*flags)):  # 1 where a route saw a difference
+            if not flip | deriv | split:
+                separable.append(GeneratorFn(2, 1, tuple(t >> 2 * r & 3 for r in range(8))))
+            yield None if flip == deriv == split else "table {}: flip={} derivative={} split={}".format(
+                tuple(t >> 2 * r & 3 for r in range(8)), not flip, not deriv, not split)
 
     report = _tally("thm30 route agreement over all n=2 m=1 tables", outcomes())
     return report, tuple(separable)
@@ -421,10 +427,10 @@ def partition_oracle_verdict(phi: GeneratorFn) -> bool:
     """Brute force: the finest partition must be all-separated and refine
     every all-separated partition."""
     fp = [list(b) for b in dependency_matrix(phi).components().blocks]
-    if not _pairwise_separated(phi, fp):
+    if _derivative_diffs(phi.table, _cross_pairs(fp), 1):
         return False
     for candidate in _all_partitions(range(1, phi.n + 1)):
-        if _pairwise_separated(phi, candidate) and not _refines(fp, candidate):
+        if not _derivative_diffs(phi.table, _cross_pairs(candidate), 1) and not _refines(fp, candidate):
             return False
     return True
 

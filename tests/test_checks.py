@@ -1,13 +1,14 @@
 """Verification suites: report verdicts."""
 
 import random
+import tracemalloc
 
 import pytest
 
 import asyncdec.boolfn
 import asyncdec.signals
 from asyncdec import BitVec, CoordinateError, GeneratorFn, parallel_fn, partial_derivative, project_fn
-from asyncdec.boolfn import _derivative_rows, _split_blocks
+from asyncdec.boolfn import _split_blocks
 from asyncdec.frontend import checks
 from asyncdec.systems import DecompositionResult
 from asyncdec.frontend.checks import (
@@ -103,15 +104,18 @@ def test_theorem30_routes_share_no_dependency_scan(monkeypatch):
 
 
 def _disable_row_kernels(monkeypatch):
-    """`_parallel_rows` and `_projection`, whose row maps are the recompose
-    route's only reads of a table, raise in `boolfn` and in `checks`."""
+    """`_parallel_rows` and `_relabeler`, whose spreads give the recompose
+    route its row offsets, raise wherever they are bound, and so does the
+    `_projection` row map that `project_fn` reads."""
 
     def disabled(*args, **kwargs):
         raise AssertionError("a flip or derivative route reached a row kernel")
 
     for module in (asyncdec.boolfn, checks):
         monkeypatch.setattr(module, "_parallel_rows", disabled)
-        monkeypatch.setattr(module, "_projection", disabled)
+    for module in (asyncdec.signals, asyncdec.boolfn, checks):
+        monkeypatch.setattr(module, "_relabeler", disabled)
+    monkeypatch.setattr(asyncdec.boolfn, "_projection", disabled)
 
 
 def test_flip_and_derivative_routes_share_no_relabeling(monkeypatch):
@@ -120,12 +124,10 @@ def test_flip_and_derivative_routes_share_no_relabeling(monkeypatch):
     recompose verdict on the sample."""
 
     def disabled(*args, **kwargs):
-        raise AssertionError("a theorem-30 route reached the relabeler")
+        raise AssertionError("a theorem-30 route reached project_fn")
 
     expected = [recompose_verdict(phi, (1,)) for phi in SAMPLE]
     checks._flip_cases.cache_clear()  # the flip route builds its cases under the patch
-    monkeypatch.setattr(asyncdec.signals, "_relabeler", disabled)
-    monkeypatch.setattr(asyncdec.boolfn, "_relabeler", disabled)
     monkeypatch.setattr(asyncdec.boolfn, "project_fn", disabled)
     monkeypatch.setattr(checks, "project_fn", disabled)
     _disable_row_kernels(monkeypatch)
@@ -135,15 +137,19 @@ def test_flip_and_derivative_routes_share_no_relabeling(monkeypatch):
 
 
 def test_flip_and_derivative_routes_never_reach_the_projection_memo(monkeypatch):
-    """Neither route touches the projection memo, and with the row kernels
-    disabled both still give the recompose verdict on the sample."""
+    """Neither route touches the projection memo, the relabeler's or the
+    recompose plan's, and with the row kernels disabled both still give
+    the recompose verdict on the sample."""
     expected = [recompose_verdict(phi, (1,)) for phi in SAMPLE]
-    asyncdec.boolfn._projection.cache_clear()
+    memos = (asyncdec.boolfn._projection, asyncdec.signals._relabeler, checks._recompose_plan)
+    for memo in memos:
+        memo.cache_clear()
     for phi in SAMPLE:
         flip_invariant(phi, (1,))
         derivative_separated(phi, (1,))
-    info = asyncdec.boolfn._projection.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+    for memo in memos:
+        info = memo.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0), memo
     checks._flip_cases.cache_clear()
     _disable_row_kernels(monkeypatch)
     for phi, verdict in zip(SAMPLE, expected):
@@ -151,14 +157,14 @@ def test_flip_and_derivative_routes_never_reach_the_projection_memo(monkeypatch)
 
 
 def test_recompose_verdict_builds_no_generator_fn(monkeypatch):
-    """The recompose route compares row tuples: with `GeneratorFn.__init__`
-    disabled and a cold projection memo it still gives its verdicts."""
+    """The recompose route compares rows: with `GeneratorFn.__init__`
+    disabled and a cold plan memo it still gives its verdicts."""
     expected = [recompose_verdict(phi, (1,)) for phi in SAMPLE]
 
     def disabled(self, *args, **kwargs):
         raise AssertionError("recompose_verdict built a GeneratorFn")
 
-    asyncdec.boolfn._projection.cache_clear()
+    checks._recompose_plan.cache_clear()
     monkeypatch.setattr(GeneratorFn, "__init__", disabled)
     assert [recompose_verdict(phi, (1,)) for phi in SAMPLE] == expected
     assert set(expected) == {True, False}
@@ -287,15 +293,21 @@ def test_theorem30_sweep_shares_no_dependency_scan(monkeypatch):
 
 
 @pytest.mark.parametrize("kernel, route, table", [
-    ("_flips_invisible", "flip", (2, 2, 0, 0, 0, 0, 0, 0)),
-    ("_derivatives_vanish", "derivative", (1, 0, 0, 0, 0, 0, 0, 0)),
-    ("_recomposes", "split", (3, 3, 3, 3, 3, 3, 3, 3)),
+    ("_flip_diffs", "flip", (2, 2, 0, 0, 0, 0, 0, 0)),
+    ("_derivative_diffs", "derivative", (1, 0, 0, 0, 0, 0, 0, 0)),
+    ("_recompose_diffs", "split", (3, 3, 3, 3, 3, 3, 3, 3)),
 ])
 def test_theorem30_sweep_names_the_table_a_wrong_route_misjudges(monkeypatch, kernel, route, table):
-    """A route kernel that inverts its verdict on one table is the sweep's one
-    failure, with a witness naming that table and each route's verdict."""
+    """A route kernel that inverts its verdict in one table's lane is the
+    sweep's one failure, with a witness naming that table and each route's verdict."""
     right, real = recompose_verdict(GeneratorFn(2, 1, table), (1,)), getattr(checks, kernel)
-    monkeypatch.setattr(checks, kernel, lambda rows, plan: real(rows, plan) != (rows == table))
+    lane = 8 * sum(v << 2 * r for r, v in enumerate(table))  # the table's packed index, in bits
+
+    def inverted(rows, plan, ones):
+        seen = real(rows, plan, ones)
+        return seen ^ ((seen >> lane & 255 or 1) << lane)
+
+    monkeypatch.setattr(checks, kernel, inverted)
     report, separable = theorem30_exhaustive()
     said = {name: right != (name == route) for name in ("flip", "derivative", "split")}
     assert (report.cases, report.failures) == (1 << 16, 1)
@@ -319,16 +331,68 @@ def test_theorem30_builds_a_generator_fn_only_per_separable_table(monkeypatch):
 
 
 def test_each_public_route_gives_its_kernels_verdict_under_the_sweeps_plan():
-    """Each public route is its plan looked up and its kernel run: on the
-    sample it agrees with the kernel run under the plan the sweep makes."""
+    """Each public route is its plan looked up and its kernel run on the row
+    tuple with `ones = 1`: on the sample it agrees with the kernel run under
+    the plan the sweep makes.  A one-pair derivative plan sees a difference
+    exactly where `partial_derivative` is not zero."""
     flips, parts = checks._flip_cases(2, 1, (1,)), checks._recompose_plan(2, (1,))
     pairs = checks._cross_pairs(_split_blocks(2, (1,)))
     for phi in SAMPLE:
-        assert flip_invariant(phi, (1,)) == checks._flips_invisible(phi.table, flips), phi.table
-        assert derivative_separated(phi, (1,)) == checks._derivatives_vanish(phi.table, pairs), phi.table
-        assert recompose_verdict(phi, (1,)) == checks._recomposes(phi.table, parts), phi.table
+        assert flip_invariant(phi, (1,)) == (not checks._flip_diffs(phi.table, flips, 1)), phi.table
+        assert derivative_separated(phi, (1,)) == (not checks._derivative_diffs(phi.table, pairs, 1)), phi.table
+        assert recompose_verdict(phi, (1,)) == (not checks._recompose_diffs(phi.table, parts, 1)), phi.table
         for i, j in ((1, 2), (2, 1)):
-            assert partial_derivative(phi, i, j) == _derivative_rows(phi.table, 1 << (i - 1), 1 << (j - 1))
+            pair = ((1 << (i - 1), 1 << (j - 1)),)
+            assert bool(partial_derivative(phi, i, j)) == bool(checks._derivative_diffs(phi.table, pair, 1))
+
+
+def _route_plans(n, m, block):
+    """Each route kernel with its plan for the shape (n, m) at `block`, as the public routes make them."""
+    return ((checks._flip_diffs, checks._flip_cases(n, m, block)),
+            (checks._derivative_diffs, checks._cross_pairs(_split_blocks(n, block))),
+            (checks._recompose_diffs, checks._recompose_plan(n, block)))
+
+
+@pytest.mark.parametrize("n, m", [(2, 0), (2, 2), (3, 1), (4, 0), (4, 2)])
+def test_route_kernels_keep_each_byte_lane_to_its_own_table(n, m):
+    """Seeded tables of one shape, some of them relabeled parallel
+    compositions, packed one per 8-bit lane: at every proper block each
+    route kernel's bits in a lane are the bits it sees on that table alone
+    with `ones = 1`, so no bit leaks between lanes through a shift."""
+    rng = random.Random(30 + n + m)
+    tables = []
+    for _ in range(6):
+        na = rng.randint(1, n - 1)
+        order = list(range(1, n + 1))
+        rng.shuffle(order)
+        tables.append(rand_fn(rng, n, m).table)
+        tables.append(project_fn(parallel_fn(rand_fn(rng, na, m), rand_fn(rng, n - na, m)), order).table)
+    rows = [sum(table[r] << 8 * t for t, table in enumerate(tables)) for r in range(1 << (n + m))]
+    ones = sum(1 << 8 * t for t in range(len(tables)))
+    flags = set()
+    for mask in range(1, (1 << n) - 1):
+        block = tuple(i for i in range(1, n + 1) if mask >> (i - 1) & 1)
+        for kernel, plan in _route_plans(n, m, block):
+            seen = kernel(rows, plan, ones)
+            for t, table in enumerate(tables):
+                alone = kernel(table, plan, 1)
+                assert seen >> 8 * t & 255 == alone, (kernel.__name__, block, table)
+                flags.add(alone == 0)
+    assert flags == {True, False}
+
+
+def test_theorem30_sweep_peaks_under_four_megabytes():
+    """One sweep's traced allocations peak at most 4 MB: the eight row ints,
+    `ones` and the kernels' words of 64 KB each, never one tuple per table."""
+    theorem30_exhaustive()  # plans and imports are made outside the measurement
+    tracemalloc.start()
+    try:
+        report, separable = theorem30_exhaustive()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and len(separable) == 256
+    assert peak <= 4 << 20, peak
 
 
 def test_theorem34_diagonal_witness_prints_inputs_as_event_lines(monkeypatch):

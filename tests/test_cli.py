@@ -571,9 +571,10 @@ def test_decompose_repeated_block_coordinate_counts_once(workdir):
 
 
 def test_verify_zero_cases_is_input_error():
-    result = cli("verify", "--thm", "27", "--cases", "0")
-    assert_input_error(result)
-    assert "PASS" not in result.stdout
+    for thm in ("27", "30"):  # theorem 30 ignores N but still refuses it below 1
+        result = cli("verify", "--thm", thm, "--cases", "0")
+        assert_input_error(result)
+        assert "PASS" not in result.stdout
 
 
 def test_negative_size_limit_env_is_input_error(workdir):
