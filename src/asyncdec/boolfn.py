@@ -14,9 +14,9 @@ holds n bits), so a derivative over all rows is a few shifts and masks.  The
 row tuple stays the only stored form.  `partial_derivative` stays row-based:
 it checks its coordinates, scans the rows itself and returns a row bitmask.
 The table transforms are row kernels too, tuple to tuple, under thin
-`GeneratorFn` wrappers: `project_fn` over the `_projection` row map, built
-once per coordinate tuple from `signals._relabeler`'s chunks (1..n returns
-`phi` itself), and `parallel_fn` over `_parallel_rows`, which composes ints
+`GeneratorFn` wrappers: `project_fn` expands `signals._relabeler`'s chunks
+into its row offsets and output map on each call (1..n returns `phi`
+itself), and `parallel_fn` runs `_parallel_rows`, which composes ints
 holding a table per lane as well (the checks' recompose route runs it so).
 """
 
@@ -259,21 +259,15 @@ def dependency_witness(phi: GeneratorFn, block: Iterable[int]):
 
 def project_fn(phi: GeneratorFn, coords: Iterable[int]) -> GeneratorFn:
     """`phi` on the state coordinates `coords`, in that order, every other one
-    frozen at 0 (irrelevant when `coords` is a separated block): the rows of the
-    `_projection` row map in one `GeneratorFn`, or `phi` itself for 1..n."""
-    rows = _projection(phi.n, cs := tuple(coords))
-    return phi if rows is None else GeneratorFn(len(cs), phi.m, rows(phi.table))
-
-
-@lru_cache(maxsize=64)
-def _projection(n: int, cs: tuple[int, ...]):
-    """None for 1..n, else the row map `rows(table) -> tuple` onto `cs`, built once per key
-    from `_relabeler`'s chunks: spread[s] is state s's row offset; pick[out] reads out at `cs`."""
-    _, _, picks, spreads = _relabeler(n, cs)
-    if cs != tuple(range(1, n + 1)):
-        spread, pick, step = _images(spreads), _images(picks), 1 << n
-        return lambda table: tuple([pick[table[base | r]] for base in range(0, len(table), step)
-                                    for r in spread])
+    frozen at 0 (irrelevant when `coords` is a separated block), or `phi` itself
+    for 1..n.  From `_relabeler`'s chunks: spread[s] is state s's row offset,
+    pick[out] reads out at `coords`."""
+    _, _, picks, spreads = _relabeler(phi.n, cs := tuple(coords))
+    if cs == tuple(range(1, phi.n + 1)):
+        return phi
+    table, spread, pick, step = phi.table, _images(spreads), _images(picks), 1 << phi.n
+    return GeneratorFn(len(cs), phi.m, tuple([pick[table[base | r]] for base in range(0, len(table), step)
+                                              for r in spread]))
 
 
 class Partition(_Value):

@@ -7,15 +7,16 @@ suite is a generator over its cases, framed by `_seeded`, which seeds its
 Each of Theorem 30's three separation routes is a per-shape plan and one kernel
 `(rows, plan, ones) -> int`, the bits it saw differ, over row ints holding a
 table in each lane `ones` marks: a public route runs it on a row tuple with
-`ones = 1`, `theorem30_exhaustive` once over all 65,536 tables, a byte lane each.
+`ones = 1`, `theorem30_exhaustive` once over all 65,536 tables, a byte lane
+each, and reads its report off the three words folded to a flag per lane.
 """
 
 from __future__ import annotations
 
 import random
 import sys
-from array import array
 from functools import lru_cache, reduce, wraps
+from itertools import compress, islice
 from operator import or_, xor
 
 from ..boolfn import (
@@ -196,7 +197,6 @@ def derivative_separated(phi: GeneratorFn, block) -> bool:
     return not _derivative_diffs(phi.table, _cross_pairs(_split_blocks(phi.n, block)), 1)
 
 
-@lru_cache(maxsize=64)
 def _recompose_plan(n: int, block):
     """The recompose route's plan: 2^n, then per side (block, complement, both laid end to end) its
     width, each state's row offset, the rest zero-fixed (`_relabeler`'s spreads), and (k, shift)s."""
@@ -221,7 +221,7 @@ def recompose_verdict(phi: GeneratorFn, block) -> bool:
     exactly when their parallel composition reproduces the table.  Unguarded
     (no separation precheck), so the verdict is the equality itself.  It
     compares the kernel's rows and builds no `GeneratorFn`."""
-    return not _recompose_diffs(phi.table, _recompose_plan(phi.n, tuple(block)), 1)
+    return not _recompose_diffs(phi.table, _recompose_plan(phi.n, block), 1)
 
 
 @_seeded("thm26 cross-block independence")
@@ -265,27 +265,30 @@ def theorem30_exhaustive() -> tuple[CheckReport, tuple[GeneratorFn, ...]]:
     Bit-sliced (Biham, FSE 1997): lane t, 8 bits wide, of the eight row ints
     holds table t, row r being base-4 digit r of t, so each route's kernel
     runs once over all 65,536 tables.  Each kernel's word folds to one flag
-    per lane, and the report is read off the three flag arrays.  Returns it
-    and, as `GeneratorFn`s in packed order, the tables all three routes accepted.
+    per lane; the failures are the popcount of the lanes where the routes
+    disagree, and the witnesses and the separable tables are read off the
+    flagged lanes in packed order.  Returns the report and, as `GeneratorFn`s,
+    the tables all three routes accepted.
     """
     block, count = (1,), 1 << 16
     rows = [lane_mask("B", count, 2 * r, 0, 1) | lane_mask("B", count, 2 * r + 1, 0, 2) for r in range(8)]
     ones = lane_mask("B", count, 0, 1, 1)
-    flags = [array("B", ((seen | seen >> 1) & ones).to_bytes(count, sys.byteorder)) for seen in (
+    flip, deriv, split = words = [(seen | seen >> 1) & ones for seen in (
         _flip_diffs(rows, _flip_cases(2, 1, block), ones),
         _derivative_diffs(rows, _cross_pairs(_split_blocks(2, block)), ones),
         _recompose_diffs(rows, _recompose_plan(2, block), ones))]
-    separable = []
+    disagree = (flip ^ deriv) | (deriv ^ split)
+    flags = [word.to_bytes(count, sys.byteorder) for word in words]  # 1 where the route saw a difference
 
-    def outcomes():
-        for t, (flip, deriv, split) in enumerate(zip(*flags)):  # 1 where a route saw a difference
-            if not flip | deriv | split:
-                separable.append(GeneratorFn(2, 1, tuple(t >> 2 * r & 3 for r in range(8))))
-            yield None if flip == deriv == split else "table {}: flip={} derivative={} split={}".format(
-                tuple(t >> 2 * r & 3 for r in range(8)), not flip, not deriv, not split)
+    def tables(word):
+        """(t, table t's rows) for each lane `word` flags, in packed order."""
+        return ((t, tuple(t >> 2 * r & 3 for r in range(8)))
+                for t in compress(range(count), word.to_bytes(count, sys.byteorder)))
 
-    report = _tally("thm30 route agreement over all n=2 m=1 tables", outcomes())
-    return report, tuple(separable)
+    details = tuple("table {}: flip={} derivative={} split={}".format(table, *(not f[t] for f in flags))
+                    for t, table in islice(tables(disagree), 3))
+    report = CheckReport("thm30 route agreement over all n=2 m=1 tables", count, disagree.bit_count(), details)
+    return report, tuple(GeneratorFn(2, 1, table) for _, table in tables(ones & ~(flip | deriv | split)))
 
 
 # -- theorem 32: split and recompose constructed-separable functions ------

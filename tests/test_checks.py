@@ -105,8 +105,8 @@ def test_theorem30_routes_share_no_dependency_scan(monkeypatch):
 
 def _disable_row_kernels(monkeypatch):
     """`_parallel_rows` and `_relabeler`, whose spreads give the recompose
-    route its row offsets, raise wherever they are bound, and so does the
-    `_projection` row map that `project_fn` reads."""
+    route its row offsets and `project_fn` its row map, raise wherever they
+    are bound."""
 
     def disabled(*args, **kwargs):
         raise AssertionError("a flip or derivative route reached a row kernel")
@@ -115,7 +115,6 @@ def _disable_row_kernels(monkeypatch):
         monkeypatch.setattr(module, "_parallel_rows", disabled)
     for module in (asyncdec.signals, asyncdec.boolfn, checks):
         monkeypatch.setattr(module, "_relabeler", disabled)
-    monkeypatch.setattr(asyncdec.boolfn, "_projection", disabled)
 
 
 def test_flip_and_derivative_routes_share_no_relabeling(monkeypatch):
@@ -136,12 +135,11 @@ def test_flip_and_derivative_routes_share_no_relabeling(monkeypatch):
     assert set(expected) == {True, False}
 
 
-def test_flip_and_derivative_routes_never_reach_the_projection_memo(monkeypatch):
-    """Neither route touches the projection memo, the relabeler's or the
-    recompose plan's, and with the row kernels disabled both still give
-    the recompose verdict on the sample."""
+def test_flip_and_derivative_routes_never_reach_the_relabeler_memo(monkeypatch):
+    """Neither route touches the relabeler's memo, and with the row kernels
+    disabled both still give the recompose verdict on the sample."""
     expected = [recompose_verdict(phi, (1,)) for phi in SAMPLE]
-    memos = (asyncdec.boolfn._projection, asyncdec.signals._relabeler, checks._recompose_plan)
+    memos = (asyncdec.signals._relabeler,)
     for memo in memos:
         memo.cache_clear()
     for phi in SAMPLE:
@@ -158,13 +156,12 @@ def test_flip_and_derivative_routes_never_reach_the_projection_memo(monkeypatch)
 
 def test_recompose_verdict_builds_no_generator_fn(monkeypatch):
     """The recompose route compares rows: with `GeneratorFn.__init__`
-    disabled and a cold plan memo it still gives its verdicts."""
+    disabled it still gives its verdicts."""
     expected = [recompose_verdict(phi, (1,)) for phi in SAMPLE]
 
     def disabled(self, *args, **kwargs):
         raise AssertionError("recompose_verdict built a GeneratorFn")
 
-    checks._recompose_plan.cache_clear()
     monkeypatch.setattr(GeneratorFn, "__init__", disabled)
     assert [recompose_verdict(phi, (1,)) for phi in SAMPLE] == expected
     assert set(expected) == {True, False}
@@ -292,28 +289,38 @@ def test_theorem30_sweep_shares_no_dependency_scan(monkeypatch):
     assert report.ok and report.cases == 1 << 16 and len(separable) == 256
 
 
-@pytest.mark.parametrize("kernel, route, table", [
-    ("_flip_diffs", "flip", (2, 2, 0, 0, 0, 0, 0, 0)),
-    ("_derivative_diffs", "derivative", (1, 0, 0, 0, 0, 0, 0, 0)),
-    ("_recompose_diffs", "split", (3, 3, 3, 3, 3, 3, 3, 3)),
+@pytest.mark.parametrize("kernel, route, table, lanes", [
+    ("_flip_diffs", "flip", (2, 2, 0, 0, 0, 0, 0, 0), 1),
+    ("_derivative_diffs", "derivative", (1, 0, 0, 0, 0, 0, 0, 0), 1),
+    ("_recompose_diffs", "split", (3, 3, 3, 3, 3, 3, 3, 3), 1),
+    ("_flip_diffs", "flip", (2, 2, 0, 0, 0, 0, 0, 0), 5),
 ])
-def test_theorem30_sweep_names_the_table_a_wrong_route_misjudges(monkeypatch, kernel, route, table):
-    """A route kernel that inverts its verdict in one table's lane is the
-    sweep's one failure, with a witness naming that table and each route's verdict."""
-    right, real = recompose_verdict(GeneratorFn(2, 1, table), (1,)), getattr(checks, kernel)
-    lane = 8 * sum(v << 2 * r for r, v in enumerate(table))  # the table's packed index, in bits
+def test_theorem30_sweep_names_the_table_a_wrong_route_misjudges(monkeypatch, kernel, route, table, lanes):
+    """A route kernel that inverts its verdict in the lanes of `lanes` tables,
+    `table` and those after it in packed order, makes them the sweep's
+    failures: the witnesses name the lowest three with each route's verdict,
+    and the separable tables lose exactly those the kernel wrongly rejected."""
+    first = sum(v << 2 * r for r, v in enumerate(table))  # the table's packed index
+    wrong = [tuple(t >> 2 * r & 3 for r in range(8)) for t in range(first, first + lanes)]
+    rights = [recompose_verdict(GeneratorFn(2, 1, w), (1,)) for w in wrong]
+    expected = [phi.table for phi in theorem30_exhaustive()[1] if phi.table not in wrong]
+    real = getattr(checks, kernel)
 
     def inverted(rows, plan, ones):
         seen = real(rows, plan, ones)
-        return seen ^ ((seen >> lane & 255 or 1) << lane)
+        for lane in range(8 * first, 8 * (first + lanes), 8):
+            seen ^= (seen >> lane & 255 or 1) << lane
+        return seen
 
     monkeypatch.setattr(checks, kernel, inverted)
     report, separable = theorem30_exhaustive()
-    said = {name: right != (name == route) for name in ("flip", "derivative", "split")}
-    assert (report.cases, report.failures) == (1 << 16, 1)
-    witness = "table {}: flip={flip} derivative={derivative} split={split}".format(table, **said)
-    assert report.details == (witness,)
-    assert len(separable) == 256 - right and table not in [phi.table for phi in separable]
+    assert (report.cases, report.failures) == (1 << 16, lanes)
+    witnesses = tuple("table {}: flip={flip} derivative={derivative} split={split}".format(
+        w, **{name: right != (name == route) for name in ("flip", "derivative", "split")})
+        for w, right in zip(wrong[:3], rights))
+    assert report.details == witnesses
+    assert [phi.table for phi in separable] == expected
+    assert len(separable) == 256 - sum(rights) and (lanes == 1 or {True, False} <= set(rights))
 
 
 def test_theorem30_builds_a_generator_fn_only_per_separable_table(monkeypatch):

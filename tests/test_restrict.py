@@ -2,13 +2,13 @@
 checked on every kind against per-bit references."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asyncdec import BitVec, CoordinateError, GeneratorFn, ProgressiveFunction, Signal, project_fn
-from asyncdec.boolfn import _projection
 from asyncdec.frontend.checks import rand_fn
 from asyncdec.signals import _relabeler
 
@@ -91,7 +91,7 @@ def test_project_fn_up_to_two_chunks_matches_the_per_bit_reference(data):
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_project_fn_reads_one_coordinate_tuple_at_every_width(data):
-    """The projection memo is keyed by width too: one tuple, used at one width
+    """The relabeler memo is keyed by width too: one tuple, used at one width
     and then at another, gives the per-bit reference result at both."""
     coords = tuple(data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=4, unique=True)))
     for n in data.draw(st.lists(st.integers(max(coords), 10), min_size=2, max_size=3, unique=True)):
@@ -113,9 +113,26 @@ def test_project_fn_onto_all_coordinates_in_order_returns_phi(n):
         assert project_fn(phi, list(range(1, n + 1))) is phi
 
 
-def test_the_projection_memo_is_bounded():
-    """A key holds 2^n-entry lists, so the memo keeps few of them."""
-    assert 1 <= _projection.cache_info().maxsize <= 64
+def test_projections_keep_no_row_map_once_dropped():
+    """Projecting a 12-bit table onto 8 coordinate orders and dropping the
+    results leaves at most 0.5 MB traced: what stays is the relabeler's
+    chunks, never a 2^n-entry row map per order."""
+    rng = random.Random(12)
+    phi = rand_fn(rng, 12, 0)
+    orders = []
+    while len(orders) < 8:
+        order = tuple(rng.sample(range(1, 13), 12))
+        if order not in orders and order != tuple(range(1, 13)):
+            orders.append(order)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for order in orders:
+            assert project_fn(phi, order).n == 12
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept <= 1 << 19, kept
 
 
 def _permute_fn_reference(phi: GeneratorFn, permutation) -> GeneratorFn:
@@ -176,8 +193,8 @@ def test_the_memo_never_hides_a_coordinate_error():
 
 @pytest.mark.parametrize("width", [8, 9, 64, 70])
 def test_a_relabeler_holds_at_most_256_ints_per_chunk_of_the_width(width):
-    """The relabeler every kind shares never grows as 2^width; only the
-    bounded projection memo keeps whole 2^width maps."""
+    """The relabeler every kind shares never grows as 2^width; no memo keeps
+    a whole 2^width map."""
     for coords in (range(1, width + 1), range(width, 0, -1), (width,), (1, width)):
         coords = tuple(coords)
         if width <= 9:
