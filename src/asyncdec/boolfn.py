@@ -158,22 +158,6 @@ class DependencyMatrix(_Value):
 
     __slots__ = _fields = ("n", "rows")
 
-    def as_matrix(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple((row >> j) & 1 for j in range(self.n)) for row in self.rows
-        )
-
-    def cross_dependency(self, block: Iterable[int]) -> tuple[int, int] | None:
-        """The first (i, j) with coordinate i depending on mu_j across the
-        block boundary, block rows before complement rows, each ascending."""
-        bs, cs = _split_blocks(self.n, block)
-        for i_side, j_side in ((bs, cs), (cs, bs)):
-            for i in i_side:
-                for j in j_side:
-                    if (self.rows[i - 1] >> (j - 1)) & 1:
-                        return i, j
-        return None
-
     def components(self) -> "Partition":
         """The finest partition into pairwise separated blocks, each the closure
         of its lowest unplaced coordinate: add every coordinate that is in the
@@ -245,9 +229,14 @@ def _split_tuple(n: int, block: tuple[int, ...]):
 
 
 def dependency_witness(phi: GeneratorFn, block: Iterable[int]):
-    """A cross-block dependency (i, j, mu, lam) at the lowest row where the
-    derivative of coordinate i w.r.t. mu_j is 1, or None if separated."""
-    pair = dependency_matrix(phi).cross_dependency(block)
+    """A cross-block dependency (i, j, mu, lam), or None if separated: the first
+    (i, j) with coordinate i reading mu_j across the block boundary, block rows
+    before complement rows, each ascending, at the lowest row where that
+    derivative is 1.  The scan-size refusal comes before the block's."""
+    rows = dependency_matrix(phi).rows
+    bs, cs = _split_blocks(phi.n, block)
+    pair = next(((i, j) for i_side, j_side in ((bs, cs), (cs, bs)) for i in i_side
+                 for j in j_side if rows[i - 1] >> (j - 1) & 1), None)
     if pair is None:
         return None
     i, j = pair

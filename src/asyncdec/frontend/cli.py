@@ -22,7 +22,7 @@ from typing import Iterable
 from ..boolfn import GeneratorFn, _split_blocks, dependency_matrix, parallel_fn
 from ..errors import AsyncDecError, NotSeparatedError
 from ..semantics import run
-from ..signals import BitVec, ProgressiveFunction, Signal
+from ..signals import BitVec, ProgressiveFunction, Signal, _bits_text
 from ..systems import RegularSystem, decompose_system, parallel_system
 from . import checks
 from .dsl import EquationProgram, compile_program, program_matrix
@@ -53,15 +53,15 @@ def _cmd_analyze(args) -> int:
     phi = load(args.phi, GeneratorFn, EquationProgram)
     # an equation file is analyzed one equation's support at a time, never as a table
     dm = dependency_matrix(phi) if isinstance(phi, GeneratorFn) else program_matrix(phi)
-    part, matrix = dm.components(), dm.as_matrix()
+    part = dm.components()
     blocks = [",".join(map(str, b)) for b in part.blocks]
     # each block of `components()` is closed under dependency in both
     # directions, so it has no cross dependency: every block is separated
     separated = blocks if len(blocks) > 1 else []
     print(f"generator function: n={phi.n} m={phi.m}")
     print("dependency matrix (row i, column j; 1 = coordinate i depends on mu_j):")
-    for row in matrix:
-        print("  " + "".join(map(str, row)))
+    for row in dm.rows:
+        print("  " + _bits_text(row, dm.n))
     print(f"finest partition: {_blocks_text(part.blocks)}")
     print("permutation: " + ",".join(map(str, part.permutation)))
     if not separated:
@@ -70,8 +70,8 @@ def _cmd_analyze(args) -> int:
         print(f"block {{{b}}}: separated")
     _write_doc(args.out, chain(
         [("n", str(phi.n)), ("m", str(phi.m))],
-        ((f"depends.{i}.{j}", str(b))  # n^2 pairs, written as they are made, never held
-         for i, row in enumerate(matrix, start=1) for j, b in enumerate(row, start=1)),
+        ((f"depends.{i}.{j}", b)  # n^2 pairs, written as they are made, never held
+         for i, row in enumerate(dm.rows, start=1) for j, b in enumerate(_bits_text(row, dm.n), start=1)),
         [("partition.blocks", "|".join(blocks)), ("partition.permutation", ",".join(map(str, part.permutation)))],
         [pair for k, b in enumerate(separated, start=1) for pair in ((f"block.{k}", b), (f"block.{k}.separated", "1"))]
         or [("separated.blocks", "none")],

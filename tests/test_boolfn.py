@@ -147,12 +147,12 @@ def test_derivative_index_range():
 
 def test_dependency_matrix_mixed():
     phi = fn(2, 1, lambda mu, lam: BitVec.from_bits([mu.bit(1) ^ lam.bit(1), mu.bit(2)]))
-    assert dependency_matrix(phi).as_matrix() == ((1, 0), (0, 1))
+    assert dependency_matrix(phi) == DependencyMatrix(2, (0b01, 0b10))
 
 
 def test_dependency_matrix_constant():
     phi = fn(3, 0, lambda mu, lam: bv("010"))
-    assert dependency_matrix(phi).as_matrix() == ((0, 0, 0),) * 3
+    assert dependency_matrix(phi) == DependencyMatrix(3, (0, 0, 0))
 
 
 def test_dependency_matrix_of_parallel_is_block_diagonal():
@@ -160,20 +160,18 @@ def test_dependency_matrix_of_parallel_is_block_diagonal():
     for _ in range(20):
         a = rand_fn(rng, 2, 1)
         b = rand_fn(rng, 2, 1)
-        matrix = dependency_matrix(parallel_fn(a, b)).as_matrix()
-        for i in (1, 2):
-            for j in (3, 4):
-                assert not matrix[i - 1][j - 1]
-                assert not matrix[j - 1][i - 1]
+        rows = dependency_matrix(parallel_fn(a, b)).rows
+        assert all(row & 0b1100 == 0 for row in rows[:2])
+        assert all(row & 0b0011 == 0 for row in rows[2:])
 
 
 @given(small_fns())
 @settings(max_examples=100)
 def test_dependency_matrix_agrees_with_derivatives(phi):
-    matrix = dependency_matrix(phi).as_matrix()
+    rows = dependency_matrix(phi).rows
     for i in range(1, phi.n + 1):
         for j in range(1, phi.n + 1):
-            assert matrix[i - 1][j - 1] == (partial_derivative(phi, i, j) != 0)
+            assert rows[i - 1] >> (j - 1) & 1 == (partial_derivative(phi, i, j) != 0)
 
 
 def test_size_limit_refusal(monkeypatch):
@@ -287,7 +285,6 @@ def test_dependency_witness_matches_brute_force_derivatives():
         block = rng.sample(range(1, n + 1), rng.randint(1, n - 1))
         expected = brute_force_witness(phi, block)
         assert dependency_witness(phi, block) == expected
-        assert dependency_matrix(phi).cross_dependency(block) == (expected and expected[:2])
     # 8 and 9 state bits fill one 8-bit lane and spill into 16-bit lanes; one
     # flipped output bit of a parallel table puts the witness deep in the table
     for _ in range(40):
@@ -301,14 +298,14 @@ def test_dependency_witness_matches_brute_force_derivatives():
         block = rng.choice((range(1, split + 1), rng.sample(range(1, n + 1), rng.randint(1, n - 1))))
         expected = brute_force_witness(phi, block)
         assert dependency_witness(phi, block) == expected
-        assert dependency_matrix(phi).cross_dependency(block) == (expected and expected[:2])
 
 
 def test_separation_queries_respect_the_size_limit_env(monkeypatch):
     phi = parallel_fn(GeneratorFn.identity(1, 1), GeneratorFn.identity(1, 1))
     monkeypatch.setenv("ASYNC_DEC_SIZE_LIMIT", "2")
-    with pytest.raises(SizeLimitError):
-        dependency_witness(phi, (1,))
+    for block in ((1,), (5,), (), (1, 2)):  # the scan size is refused before a bad block
+        with pytest.raises(SizeLimitError):
+            dependency_witness(phi, block)
     with pytest.raises(SizeLimitError):
         split_fn(phi, (1,))
     monkeypatch.setenv("ASYNC_DEC_SIZE_LIMIT", "-1")
@@ -442,7 +439,7 @@ def test_components_of_fixed_shapes_at_64(rows, blocks):
     assert DependencyMatrix(64, rows).components().blocks == blocks
 
 
-def test_every_component_has_no_cross_dependency():
+def test_every_component_has_no_cross_block_dependency():
     """`analyze` certifies each block of `components()` as separated without
     a rescan; this pins the invariant it relies on, at n up to 80."""
     rng = random.Random(2480)
@@ -453,7 +450,11 @@ def test_every_component_has_no_cross_dependency():
             dm = DependencyMatrix(n, rows)
             blocks = dm.components().blocks
             if len(blocks) > 1:
-                assert all(dm.cross_dependency(block) is None for block in blocks), (n, rows)
+                for block in blocks:
+                    # a row in the block reads only the block, a row outside never reads it
+                    mask = sum(1 << (i - 1) for i in block)
+                    for i, row in enumerate(rows):
+                        assert row & (~mask if mask >> i & 1 else mask) == 0, (n, rows, block)
                 checked += 1
     assert checked > 100
 

@@ -30,6 +30,7 @@ from asyncdec import (
 from asyncdec.frontend import EquationProgram, compile_program, format_system, format_truth_table, load
 from asyncdec.frontend import checks
 from asyncdec.frontend.checks import CheckReport, diagonal_example
+from asyncdec.frontend.dsl import program_matrix
 from asyncdec.frontend import cli as cli_module
 from asyncdec.frontend.cli import main
 from loading import load_text
@@ -377,6 +378,37 @@ def test_analyze_of_a_composition_lists_the_first_tables_blocks_then_the_seconds
         assert blocks(tmp_path / "c.tt") == expected
         counts.append(len(expected))
     assert max(counts) > 2
+
+
+def test_wide_analyze_holds_no_n_squared_object(tmp_path):
+    """`analyze` of a 1024-variable equation file prints the matrix a row at a
+    time: its traced peak stays under 5 MB, where n tuples of n ints alone
+    take about 8.4 MB.  The printed rows and the million `depends.i.j` pairs of
+    `--out` (checked untraced: tracing each pair takes seconds) spell out the
+    rows of `program_matrix`, coordinate 1 first."""
+    rng, n = random.Random(1024), 1024
+    eq, kv, out = tmp_path / "wide.eq", tmp_path / "wide.kv", tmp_path / "wide.txt"
+    eq.write_text("".join(
+        f"x{i}' = " + " ^ ".join(f"x{j}" for j in rng.sample(range(i - (i - 1) % 8, i - (i - 1) % 8 + 8), 3))
+        + f" & u{rng.randint(1, 4)}\n" for i in range(1, n + 1)))
+    args = ["analyze", "--phi", str(eq)]
+    with open(out, "w") as f, redirect_stdout(f):
+        assert main(args + ["--out", str(kv)]) == 0  # the first call also warms every cache
+        f.seek(0)
+        f.truncate()
+        tracemalloc.start()
+        assert main(args) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peak < 5 << 20, peak
+    matrix = program_matrix(load(str(eq), EquationProgram))
+    rows = ["".join(str(row >> j & 1) for j in range(n)) for row in matrix.rows]
+    printed = out.read_text().splitlines()
+    start = printed.index("dependency matrix (row i, column j; 1 = coordinate i depends on mu_j):") + 1
+    assert printed[start:start + n] == ["  " + row for row in rows]
+    depends = [line for line in kv.read_text().splitlines() if line.startswith("depends.")]
+    assert depends == [f"depends.{i}.{j}={b}"
+                       for i, row in enumerate(rows, start=1) for j, b in enumerate(row, start=1)]
 
 
 def test_missing_file_is_input_error():

@@ -22,7 +22,7 @@ def test_quick_tour_runs_and_its_comments_hold(capsys):
     exec(TOUR, namespace)
     printed = capsys.readouterr().out.splitlines()
     for prefix, want in (
-        ("dependency_matrix(", ((0, 0), (0, 1))),
+        ("dependency_matrix(phi).rows", (0, 2)),
         ("dependency_matrix(phi).components(", ((1,), (2,))),
         ("[x.value_at(t)", [0, 1, 3]),
     ):
