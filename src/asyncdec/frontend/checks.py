@@ -4,6 +4,7 @@ Each suite runs a check independent of the code path it validates and returns
 a report: one summary line, and witnesses for the first failures.  A randomized
 suite is a generator over its cases, framed by `_seeded`, which seeds its
 `random.Random` and tallies its outcomes.  `verify` and the acceptance tests run these.
+Every integer draw follows `randrange`'s rule through `getrandbits`, so a seed draws the same cases.
 Each of Theorem 30's three separation routes is a per-shape plan and one kernel
 `(rows, plan, ones) -> int`, the bits it saw differ, over row ints holding a
 table in each lane `ones` marks: a public route runs it on a row tuple with
@@ -16,7 +17,7 @@ from __future__ import annotations
 import random
 import sys
 from functools import lru_cache, reduce, wraps
-from itertools import compress, islice
+from itertools import islice, repeat
 from operator import or_, xor
 
 from ..boolfn import (
@@ -89,28 +90,39 @@ def _seeded(name: str):
 # -- random instance generators ------------------------------------------
 
 
+def _below(draw, bound: int) -> int:
+    """`randrange(bound)` by CPython's rule, `draw` being `rng.getrandbits`: k bits until below `bound`."""
+    if bound < 1:
+        raise ValueError(f"empty range for a draw below {bound}")
+    k = bound.bit_length()
+    while (r := draw(k)) >= bound:
+        pass
+    return r
+
+
 def rand_fn(rng: random.Random, n: int, m: int) -> GeneratorFn:
-    return GeneratorFn(n, m, tuple(rng.randrange(1 << n) for _ in range(1 << (n + m))))
+    rows = filter((1 << n).__gt__, map(rng.getrandbits, repeat(n + 1)))  # `_below`'s rule, row after row
+    return GeneratorFn(n, m, tuple(islice(rows, 1 << (n + m))))
 
 
 def rand_signal(rng: random.Random, width: int, horizon: int, max_events: int = 8) -> Signal:
-    count = rng.randint(0, max_events)
+    count = _below(rng.getrandbits, max_events + 1)
     ticks = sorted(rng.sample(range(-2, horizon + 1), min(count, horizon + 3)))
-    events = tuple((t, rng.randrange(1 << width)) for t in ticks)
-    return Signal(width, rng.randrange(1 << width), events, horizon)
+    events = tuple((t, _below(rng.getrandbits, 1 << width)) for t in ticks)
+    return Signal(width, _below(rng.getrandbits, 1 << width), events, horizon)
 
 
 def rand_rho(rng: random.Random, width: int, horizon: int) -> ProgressiveFunction:
     """A prefix-progressive schedule on a random grid of at most six ticks: one
     forced firing per coordinate, then extra firings sprinkled at random."""
-    count = rng.randint(max(1, width // 2), 6)
+    count = (least := max(1, width // 2)) + _below(rng.getrandbits, 7 - least)
     ticks = sorted(rng.sample(range(1, horizon + 1), min(count, horizon)))
-    firing = {t: 0 for t in ticks}
+    firing = dict.fromkeys(ticks, 0)
     for i in range(width):
-        firing[rng.choice(ticks)] |= 1 << i
+        firing[ticks[_below(rng.getrandbits, len(ticks))]] |= 1 << i
     for t in ticks:
-        firing[t] |= rng.randrange(1 << width) & rng.randrange(1 << width)
-    return ProgressiveFunction(width, tuple(sorted(firing.items())), horizon)
+        firing[t] |= _below(rng.getrandbits, 1 << width) & _below(rng.getrandbits, 1 << width)
+    return ProgressiveFunction(width, tuple(firing.items()), horizon)
 
 
 def rand_rho_distinct(
@@ -132,11 +144,11 @@ def rand_system(rng: random.Random, phi: GeneratorFn, horizon: int, n_inputs: in
     phi0 = {}
     pi = {}
     for u in inputs:
-        states = rng.sample(range(1 << phi.n), rng.randint(1, min(3, 1 << phi.n)))
+        states = rng.sample(range(1 << phi.n), 1 + _below(rng.getrandbits, min(3, 1 << phi.n)))
         phi0[u] = frozenset(BitVec(phi.n, s) for s in states)
         for mu in phi0[u]:
             pi[(mu, u)] = frozenset(
-                rand_rho(rng, phi.n, horizon) for _ in range(rng.randint(1, 2))
+                rand_rho(rng, phi.n, horizon) for _ in range(1 + _below(rng.getrandbits, 2))
             )
     return RegularSystem(phi, tuple(inputs), phi0, pi)
 
@@ -227,8 +239,8 @@ def recompose_verdict(phi: GeneratorFn, block) -> bool:
 @_seeded("thm26 cross-block independence")
 def theorem26_suite(rng: random.Random, cases: int):
     for case in range(cases):
-        na, nb = rng.randint(1, 3), rng.randint(1, 3)
-        m = rng.randint(1, 2)
+        na, nb = 1 + _below(rng.getrandbits, 3), 1 + _below(rng.getrandbits, 3)
+        m = 1 + _below(rng.getrandbits, 2)
         par = parallel_fn(rand_fn(rng, na, m), rand_fn(rng, nb, m))
         block = range(1, na + 1)
         ok = flip_invariant(par, block) and derivative_separated(par, block)
@@ -242,14 +254,14 @@ def theorem26_suite(rng: random.Random, cases: int):
 def theorem27_suite(rng: random.Random, cases: int):
     horizon = 50
     for case in range(cases):
-        na, nb = rng.randint(1, 3), rng.randint(1, 3)
-        m = rng.randint(1, 2)
+        na, nb = 1 + _below(rng.getrandbits, 3), 1 + _below(rng.getrandbits, 3)
+        m = 1 + _below(rng.getrandbits, 2)
         fa, fb = rand_fn(rng, na, m), rand_fn(rng, nb, m)
         u = rand_signal(rng, m, horizon)
         ra = rand_rho(rng, na, horizon)
         rb = rand_rho_distinct(rng, nb, horizon, ra)
-        ma = BitVec(na, rng.randrange(1 << na))
-        mb = BitVec(nb, rng.randrange(1 << nb))
+        ma = BitVec(na, _below(rng.getrandbits, 1 << na))
+        mb = BitVec(nb, _below(rng.getrandbits, 1 << nb))
         joint = run(parallel_fn(fa, fb), ma.concat(mb), u, product_rho(ra, rb), horizon)
         left, right = run(fa, ma, u, ra, horizon), run(fb, mb, u, rb, horizon)
         ok = joint == product_signal(left, right)
@@ -278,15 +290,15 @@ def theorem30_exhaustive() -> tuple[CheckReport, tuple[GeneratorFn, ...]]:
         _derivative_diffs(rows, _cross_pairs(_split_blocks(2, block)), ones),
         _recompose_diffs(rows, _recompose_plan(2, block), ones))]
     disagree = (flip ^ deriv) | (deriv ^ split)
-    flags = [word.to_bytes(count, sys.byteorder) for word in words]  # 1 where the route saw a difference
 
     def tables(word):
-        """(t, table t's rows) for each lane `word` flags, in packed order."""
-        return ((t, tuple(t >> 2 * r & 3 for r in range(8)))
-                for t in compress(range(count), word.to_bytes(count, sys.byteorder)))
+        """(t, table t's rows) for each lane `word` flags, in packed order, found a set byte at a time."""
+        flagged, t = word.to_bytes(count, sys.byteorder), -1
+        while (t := flagged.find(1, t + 1)) >= 0:
+            yield t, tuple(t >> 2 * r & 3 for r in range(8))
 
-    details = tuple("table {}: flip={} derivative={} split={}".format(table, *(not f[t] for f in flags))
-                    for t, table in islice(tables(disagree), 3))
+    details = tuple("table {}: flip={} derivative={} split={}".format(  # a route's flag bytes only where lanes disagree
+        table, *(not w.to_bytes(count, sys.byteorder)[t] for w in words)) for t, table in islice(tables(disagree), 3))
     report = CheckReport("thm30 route agreement over all n=2 m=1 tables", count, disagree.bit_count(), details)
     return report, tuple(GeneratorFn(2, 1, table) for _, table in tables(ones & ~(flip | deriv | split)))
 
@@ -297,8 +309,8 @@ def theorem30_exhaustive() -> tuple[CheckReport, tuple[GeneratorFn, ...]]:
 @_seeded("thm32 split recomposition")
 def theorem32_suite(rng: random.Random, cases: int):
     for case in range(cases):
-        na, nb = rng.randint(1, 3), rng.randint(1, 3)
-        m = rng.randint(1, 2)
+        na, nb = 1 + _below(rng.getrandbits, 3), 1 + _below(rng.getrandbits, 3)
+        m = 1 + _below(rng.getrandbits, 2)
         phi = parallel_fn(rand_fn(rng, na, m), rand_fn(rng, nb, m))
         n = na + nb
         shuffle = list(range(1, n + 1))
@@ -325,11 +337,11 @@ def _product_form_system(
     """The parallel connection of two one-input bundles over fa and fb, drawn in
     the order the seeded suites rely on: input, both state sets, schedules."""
     u = rand_signal(rng, fa.m, horizon, max_events=4)
-    picks = [rng.sample(range(1 << f.n), rng.randint(1, min(2, 1 << f.n))) for f in (fa, fb)]
+    picks = [rng.sample(range(1 << f.n), 1 + _below(rng.getrandbits, min(2, 1 << f.n))) for f in (fa, fb)]
     factors = []
     for f, values in zip((fa, fb), picks):
         states = [BitVec(f.n, v) for v in values]
-        pi = {(mu, u): [rand_rho(rng, f.n, horizon) for _ in range(rng.randint(1, 2))]
+        pi = {(mu, u): [rand_rho(rng, f.n, horizon) for _ in range(1 + _below(rng.getrandbits, 2))]
               for mu in states}
         factors.append(RegularSystem(f, (u,), {u: states}, pi))
     return parallel_system(*factors)
@@ -352,10 +364,10 @@ def theorem34_suite(rng: random.Random, cases: int):
     horizon = 20
     subset_cases = cases // 2
     for case in range(subset_cases):
-        na, nb = rng.randint(1, 2), rng.randint(1, 2)
-        m = rng.randint(1, 2)
+        na, nb = 1 + _below(rng.getrandbits, 2), 1 + _below(rng.getrandbits, 2)
+        m = 1 + _below(rng.getrandbits, 2)
         phi = parallel_fn(rand_fn(rng, na, m), rand_fn(rng, nb, m))
-        sys = rand_system(rng, phi, horizon, n_inputs=rng.randint(1, 2))
+        sys = rand_system(rng, phi, horizon, n_inputs=1 + _below(rng.getrandbits, 2))
         try:
             decompose_system(sys, range(1, na + 1), horizon)
         except Exception as exc:  # the subset direction must never fail
@@ -363,8 +375,8 @@ def theorem34_suite(rng: random.Random, cases: int):
         else:
             yield None
     for case in range(cases - subset_cases):
-        na, nb = rng.randint(1, 2), rng.randint(1, 2)
-        m = rng.randint(1, 2)
+        na, nb = 1 + _below(rng.getrandbits, 2), 1 + _below(rng.getrandbits, 2)
+        m = 1 + _below(rng.getrandbits, 2)
         sys = _product_form_system(rng, rand_fn(rng, na, m), rand_fn(rng, nb, m), horizon)
         result = decompose_system(sys, range(1, na + 1), horizon)
         ok = result.phi0_product_form and result.product_witness is None
@@ -400,7 +412,7 @@ def example1_suite(taus=(1, 2, 5)) -> CheckReport:
 def lemma1_suite(rng: random.Random, cases: int):
     horizon = 30
     for case in range(cases):
-        na, nb = rng.randint(1, 3), rng.randint(1, 3)
+        na, nb = 1 + _below(rng.getrandbits, 3), 1 + _below(rng.getrandbits, 3)
         ra = rand_rho(rng, na, horizon)
         rb = rand_rho_distinct(rng, nb, horizon, ra)
         ok = product_rho(ra, rb).is_prefix_progressive()
@@ -446,7 +458,7 @@ def partition_oracle_suite(rng: random.Random, samples: int):
         yield None if ok else f"random case {case}: table={phi.table}"
     constructed = []
     for _ in range(60):
-        m = rng.randint(0, 1)
+        m = _below(rng.getrandbits, 2)
         constructed.append(parallel_fn(rand_fn(rng, 1, m), rand_fn(rng, 2, m)))
         constructed.append(parallel_fn(rand_fn(rng, 2, m), rand_fn(rng, 1, m)))
         constructed.append(
@@ -464,11 +476,11 @@ def partition_oracle_suite(rng: random.Random, samples: int):
 def synchronous_suite(rng: random.Random, cases: int):
     horizon = 30
     for case in range(cases):
-        n, m = rng.randint(1, 3), rng.randint(1, 2)
+        n, m = 1 + _below(rng.getrandbits, 3), 1 + _below(rng.getrandbits, 2)
         phi = rand_fn(rng, n, m)
-        mu = BitVec(n, rng.randrange(1 << n))
+        mu = BitVec(n, _below(rng.getrandbits, 1 << n))
         u = rand_signal(rng, m, horizon)
-        ticks = sorted(rng.sample(range(1, horizon + 1), rng.randint(1, 6)))
+        ticks = sorted(rng.sample(range(1, horizon + 1), 1 + _below(rng.getrandbits, 6)))
         x = run(phi, mu, u, round_robin(n, ticks, horizon), horizon)
         state, ok = mu, x.initial == mu.value
         for t in ticks:

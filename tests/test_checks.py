@@ -7,17 +7,32 @@ import pytest
 
 import asyncdec.boolfn
 import asyncdec.signals
-from asyncdec import BitVec, CoordinateError, GeneratorFn, parallel_fn, partial_derivative, project_fn
+from asyncdec import (
+    BitVec,
+    CoordinateError,
+    GeneratorFn,
+    ProgressiveFunction,
+    RegularSystem,
+    Signal,
+    parallel_fn,
+    parallel_system,
+    partial_derivative,
+    project_fn,
+)
 from asyncdec.boolfn import _split_blocks
 from asyncdec.frontend import checks
 from asyncdec.systems import DecompositionResult
 from asyncdec.frontend.checks import (
+    _product_form_system,
     derivative_separated,
     flip_invariant,
     CheckReport,
     lemma1_suite,
     partition_oracle_suite,
     rand_fn,
+    rand_rho,
+    rand_signal,
+    rand_system,
     recompose_verdict,
     synchronous_suite,
     theorem26_suite,
@@ -74,6 +89,104 @@ def test_a_seeded_suite_makes_the_draws_it_always_made(monkeypatch, name):
     assert suite(seed=7, **named).ok
     assert [rng.random() for rng in Recording.made] == [draw]
     assert (suite.__name__, suite.__module__) == (name, checks.__name__)
+
+
+def test_a_draw_below_a_bound_is_randranges_draw():
+    """`_below(rng.getrandbits, b)` gives what `rng.randrange(b)` gives, draw
+    for draw, and leaves the generator in the same state: a Python whose
+    `randrange` followed another rule would fail here, naming the bound."""
+    for bound in [*range(1, 131), *(1 << k for k in (*range(21), 33, 64))]:
+        ours, theirs = random.Random(bound), random.Random(bound)
+        drawn = [checks._below(ours.getrandbits, bound) for _ in range(40)]
+        assert drawn == [theirs.randrange(bound) for _ in range(40)], f"bound {bound}"
+        assert ours.getstate() == theirs.getstate(), f"bound {bound}"
+    for bound in (0, -1, -8):  # an empty range is refused, as randrange refuses it, never drawn forever
+        with pytest.raises(ValueError):
+            checks._below(random.Random(0).getrandbits, bound)
+    with pytest.raises(ValueError):
+        rand_rho(random.Random(0), 14, 10)  # at least seven forced ticks of at most six
+
+
+# the generators as they drew through randrange, randint and choice: the reference
+# every seed's cases are held to
+def _reference_fn(rng, n, m):
+    return GeneratorFn(n, m, tuple(rng.randrange(1 << n) for _ in range(1 << (n + m))))
+
+
+def _reference_signal(rng, width, horizon, max_events=8):
+    count = rng.randint(0, max_events)
+    ticks = sorted(rng.sample(range(-2, horizon + 1), min(count, horizon + 3)))
+    events = tuple((t, rng.randrange(1 << width)) for t in ticks)
+    return Signal(width, rng.randrange(1 << width), events, horizon)
+
+
+def _reference_rho(rng, width, horizon):
+    count = rng.randint(max(1, width // 2), 6)
+    ticks = sorted(rng.sample(range(1, horizon + 1), min(count, horizon)))
+    firing = {t: 0 for t in ticks}
+    for i in range(width):
+        firing[rng.choice(ticks)] |= 1 << i
+    for t in ticks:
+        firing[t] |= rng.randrange(1 << width) & rng.randrange(1 << width)
+    return ProgressiveFunction(width, tuple(sorted(firing.items())), horizon)
+
+
+def _reference_system(rng, phi, horizon, n_inputs):
+    inputs = []
+    while len(inputs) < n_inputs:
+        u = _reference_signal(rng, phi.m, horizon, max_events=4)
+        if u not in inputs:
+            inputs.append(u)
+    phi0 = {}
+    pi = {}
+    for u in inputs:
+        states = rng.sample(range(1 << phi.n), rng.randint(1, min(3, 1 << phi.n)))
+        phi0[u] = frozenset(BitVec(phi.n, s) for s in states)
+        for mu in phi0[u]:
+            pi[(mu, u)] = frozenset(_reference_rho(rng, phi.n, horizon) for _ in range(rng.randint(1, 2)))
+    return RegularSystem(phi, tuple(inputs), phi0, pi)
+
+
+def _reference_product_form_system(rng, fa, fb, horizon):
+    u = _reference_signal(rng, fa.m, horizon, max_events=4)
+    picks = [rng.sample(range(1 << f.n), rng.randint(1, min(2, 1 << f.n))) for f in (fa, fb)]
+    factors = []
+    for f, values in zip((fa, fb), picks):
+        states = [BitVec(f.n, v) for v in values]
+        pi = {(mu, u): [_reference_rho(rng, f.n, horizon) for _ in range(rng.randint(1, 2))] for mu in states}
+        factors.append(RegularSystem(f, (u,), {u: states}, pi))
+    return parallel_system(*factors)
+
+
+def _exactly(value):
+    """A value with its raw fields: the events as drawn, not only their canonical form."""
+    if isinstance(value, RegularSystem):
+        schedules = sorted(repr(rho) for rhos in value.pi.values() for rho in rhos)
+        return value, [repr(u) for u in value.inputs], schedules
+    return repr(value)
+
+
+@pytest.mark.parametrize("horizon", [50, 20, 3])
+def test_each_generator_draws_what_its_reference_drew(horizon):
+    """Over many seeds and shapes, each generator returns what its reference
+    returns from an equally seeded generator, and leaves it in the same state."""
+    for seed in range(120):
+        n, m = 1 + seed % 4, 1 + seed // 4 % 2
+        fa, fb = (_reference_fn(random.Random(-seed), k, m) for k in (n, 1 + seed // 8 % 3))
+        pairs = [
+            (lambda rng: rand_fn(rng, n, m - seed // 8 % 2), lambda rng: _reference_fn(rng, n, m - seed // 8 % 2)),
+            (lambda rng: rand_signal(rng, m, horizon), lambda rng: _reference_signal(rng, m, horizon)),
+            (lambda rng: rand_signal(rng, n, horizon, 4), lambda rng: _reference_signal(rng, n, horizon, 4)),
+            (lambda rng: rand_rho(rng, n, horizon), lambda rng: _reference_rho(rng, n, horizon)),
+            (lambda rng: rand_system(rng, fa, horizon, 1 + seed % 2),
+             lambda rng: _reference_system(rng, fa, horizon, 1 + seed % 2)),
+            (lambda rng: _product_form_system(rng, fa, fb, horizon),
+             lambda rng: _reference_product_form_system(rng, fa, fb, horizon)),
+        ]
+        for k, (generator, reference) in enumerate(pairs):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            assert _exactly(generator(ours)) == _exactly(reference(theirs)), (seed, k)
+            assert ours.getstate() == theirs.getstate(), (seed, k)
 
 
 def test_seeded_suites_take_their_arguments_by_keyword():
@@ -294,6 +407,8 @@ def test_theorem30_sweep_shares_no_dependency_scan(monkeypatch):
     ("_derivative_diffs", "derivative", (1, 0, 0, 0, 0, 0, 0, 0), 1),
     ("_recompose_diffs", "split", (3, 3, 3, 3, 3, 3, 3, 3), 1),
     ("_flip_diffs", "flip", (2, 2, 0, 0, 0, 0, 0, 0), 5),
+    ("_derivative_diffs", "derivative", (3, 3, 3, 3, 3, 3, 3, 3), 1),  # the last table, alone
+    ("_recompose_diffs", "split", (0, 3, 3, 3, 3, 3, 3, 3), 4),  # the last four, ending at table 65535
 ])
 def test_theorem30_sweep_names_the_table_a_wrong_route_misjudges(monkeypatch, kernel, route, table, lanes):
     """A route kernel that inverts its verdict in the lanes of `lanes` tables,
