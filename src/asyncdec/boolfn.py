@@ -205,8 +205,9 @@ def parallel_fn(a: GeneratorFn, b: GeneratorFn) -> GeneratorFn:
 
 def _parallel_rows(na: int, ta: tuple[int, ...], nb: int, tb: tuple[int, ...]) -> tuple[int, ...]:
     """`parallel_fn`'s rows from the rows of tables of na and nb state bits and one input width."""
-    return tuple([x | y << na for lam in range(len(ta) >> na)
-                  for xs, ys in ((ta[lam << na:(lam + 1) << na], tb[lam << nb:(lam + 1) << nb]),)
+    shifted = [y << na for y in tb]  # each row of b shifted once, not once per row of a
+    return tuple([x | y for lam in range(len(ta) >> na)
+                  for xs, ys in ((ta[lam << na:(lam + 1) << na], shifted[lam << nb:(lam + 1) << nb]),)
                   for y in ys for x in xs])
 
 

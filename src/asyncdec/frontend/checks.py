@@ -4,20 +4,21 @@ Each suite runs a check independent of the code path it validates and returns
 a report: one summary line, and witnesses for the first failures.  A randomized
 suite is a generator over its cases, framed by `_seeded`, which seeds its
 `random.Random` and tallies its outcomes.  `verify` and the acceptance tests run these.
-Every integer draw follows `randrange`'s rule through `getrandbits`, so a seed draws the same cases.
-Each of Theorem 30's three separation routes is a per-shape plan and one kernel
-`(rows, plan, ones) -> int`, the bits it saw differ, over row ints holding a
-table in each lane `ones` marks: a public route runs it on a row tuple with
-`ones = 1`, `theorem30_exhaustive` once over all 65,536 tables, a byte lane
-each, and reads its report off the three words folded to a flag per lane.
+Every draw follows CPython's rule for `randrange` or `sample` through `getrandbits`,
+so a seed draws the same cases.  Each of Theorem 30's three separation routes is a
+per-shape plan and one kernel `(rows, plan, ones) -> int`, the bits it saw differ,
+over row ints holding a table in each lane `ones` marks: a public route runs it on a
+row tuple with `ones = 1`; Theorem 26 runs two of them once per case shape over its
+tables, and `theorem30_exhaustive` all three once over all 65,536, a byte lane each.
 """
 
 from __future__ import annotations
 
 import random
 import sys
-from functools import lru_cache, reduce, wraps
+from functools import reduce, wraps
 from itertools import islice, repeat
+from math import ceil, log
 from operator import or_, xor
 
 from ..boolfn import (
@@ -100,28 +101,53 @@ def _below(draw, bound: int) -> int:
     return r
 
 
+def _sample(rng: random.Random, population: range, k: int) -> list[int]:
+    """`rng.sample(population, k)` through `getrandbits`, by CPython's rule: pool and set branch alike."""
+    draw, n = rng.getrandbits, len(population)
+    if not 0 <= k <= n:
+        raise ValueError("Sample larger than population or is negative")
+    if n <= 21 + (4 ** ceil(log(k * 3, 4)) if k > 5 else 0):
+        pool = list(population)
+        for top in range(n - 1, n - 1 - k, -1):  # pool[:top + 1] is unpicked, the picks lie past it
+            j = _below(draw, top + 1)
+            pool[j], pool[top] = pool[top], pool[j]
+        return pool[n - k:][::-1]
+    seen = {}
+    while len(seen) < k:  # a pick already made is drawn again, as `sample` redraws it
+        seen[_below(draw, n)] = None
+    return [population[j] for j in seen]
+
+
 def rand_fn(rng: random.Random, n: int, m: int) -> GeneratorFn:
     rows = filter((1 << n).__gt__, map(rng.getrandbits, repeat(n + 1)))  # `_below`'s rule, row after row
     return GeneratorFn(n, m, tuple(islice(rows, 1 << (n + m))))
 
 
 def rand_signal(rng: random.Random, width: int, horizon: int, max_events: int = 8) -> Signal:
-    count = _below(rng.getrandbits, max_events + 1)
-    ticks = sorted(rng.sample(range(-2, horizon + 1), min(count, horizon + 3)))
-    events = tuple((t, _below(rng.getrandbits, 1 << width)) for t in ticks)
-    return Signal(width, _below(rng.getrandbits, 1 << width), events, horizon)
+    draw, events = rng.getrandbits, []
+    count = _below(draw, max_events + 1)
+    for t in sorted(_sample(rng, range(-2, horizon + 1), min(count, horizon + 3))):
+        while (value := draw(width + 1)) >> width:  # `_below(draw, 1 << width)`, inline
+            pass
+        events.append((t, value))
+    return Signal(width, _below(draw, 1 << width), tuple(events), horizon)
 
 
 def rand_rho(rng: random.Random, width: int, horizon: int) -> ProgressiveFunction:
     """A prefix-progressive schedule on a random grid of at most six ticks: one
     forced firing per coordinate, then extra firings sprinkled at random."""
-    count = (least := max(1, width // 2)) + _below(rng.getrandbits, 7 - least)
-    ticks = sorted(rng.sample(range(1, horizon + 1), min(count, horizon)))
+    draw = rng.getrandbits
+    count = (least := max(1, width // 2)) + _below(draw, 7 - least)
+    ticks = sorted(_sample(rng, range(1, horizon + 1), min(count, horizon)))
     firing = dict.fromkeys(ticks, 0)
     for i in range(width):
-        firing[ticks[_below(rng.getrandbits, len(ticks))]] |= 1 << i
+        firing[ticks[_below(draw, len(ticks))]] |= 1 << i
     for t in ticks:
-        firing[t] |= _below(rng.getrandbits, 1 << width) & _below(rng.getrandbits, 1 << width)
+        while (a := draw(width + 1)) >> width:  # two `_below(draw, 1 << width)`, inline
+            pass
+        while (b := draw(width + 1)) >> width:
+            pass
+        firing[t] |= a & b
     return ProgressiveFunction(width, tuple(firing.items()), horizon)
 
 
@@ -144,7 +170,7 @@ def rand_system(rng: random.Random, phi: GeneratorFn, horizon: int, n_inputs: in
     phi0 = {}
     pi = {}
     for u in inputs:
-        states = rng.sample(range(1 << phi.n), 1 + _below(rng.getrandbits, min(3, 1 << phi.n)))
+        states = _sample(rng, range(1 << phi.n), 1 + _below(rng.getrandbits, min(3, 1 << phi.n)))
         phi0[u] = frozenset(BitVec(phi.n, s) for s in states)
         for mu in phi0[u]:
             pi[(mu, u)] = frozenset(
@@ -156,7 +182,6 @@ def rand_system(rng: random.Random, phi: GeneratorFn, horizon: int, n_inputs: in
 # -- theorem 26: cross-block independence of parallel composition ---------
 
 
-@lru_cache(maxsize=64)
 def _flip_cases(n: int, m: int, block):
     """The flip route's plan, per shape and never per table: per state, its
     row and its one-bit flips' rows across the block, each with the other
@@ -185,7 +210,7 @@ def flip_invariant(phi: GeneratorFn, block) -> bool:
     block never changes a coordinate's value.  It reads `phi.table` one point
     at a time, at rows computed as `GeneratorFn.eval` computes them, so it
     is a route independent of the derivative tables and of relabeling."""
-    return not _flip_diffs(phi.table, _flip_cases(phi.n, phi.m, tuple(block)), 1)
+    return not _flip_diffs(phi.table, _flip_cases(phi.n, phi.m, block), 1)
 
 
 def _cross_pairs(blocks) -> tuple[tuple[int, int], ...]:
@@ -238,13 +263,21 @@ def recompose_verdict(phi: GeneratorFn, block) -> bool:
 
 @_seeded("thm26 cross-block independence")
 def theorem26_suite(rng: random.Random, cases: int):
-    for case in range(cases):
-        na, nb = 1 + _below(rng.getrandbits, 3), 1 + _below(rng.getrandbits, 3)
-        m = 1 + _below(rng.getrandbits, 2)
-        par = parallel_fn(rand_fn(rng, na, m), rand_fn(rng, nb, m))
-        block = range(1, na + 1)
-        ok = flip_invariant(par, block) and derivative_separated(par, block)
-        yield None if ok else f"case {case}: n'={na} n''={nb} m={m} table={par.table}"
+    for first in range(0, cases, 1 << 12):  # a batch at a time, so the tables held stay bounded
+        batch, shapes, failures = range(first, min(cases, first + (1 << 12))), {}, {}
+        for case in batch:
+            na, nb = 1 + _below(rng.getrandbits, 3), 1 + _below(rng.getrandbits, 3)
+            m = 1 + _below(rng.getrandbits, 2)
+            shapes.setdefault((na, nb, m), []).append((case, parallel_fn(rand_fn(rng, na, m), rand_fn(rng, nb, m)).table))
+        for (na, nb, m), drawn in shapes.items():  # each shape's tables at once, a byte lane each
+            rows = [int.from_bytes(bytes(lanes), sys.byteorder) for lanes in zip(*(table for _, table in drawn))]
+            ones, block = int.from_bytes(b"\1" * len(drawn), sys.byteorder), range(1, na + 1)
+            seen = (_flip_diffs(rows, _flip_cases(na + nb, m, block), ones)
+                    | _derivative_diffs(rows, _cross_pairs(_split_blocks(na + nb, block)), ones))
+            for (case, table), failed in zip(drawn, seen.to_bytes(len(drawn), sys.byteorder)):
+                if failed:
+                    failures[case] = f"case {case}: n'={na} n''={nb} m={m} table={table}"
+        yield from map(failures.get, batch)
 
 
 # -- theorem 27: runs of a parallel composition factor exactly ------------
@@ -337,7 +370,7 @@ def _product_form_system(
     """The parallel connection of two one-input bundles over fa and fb, drawn in
     the order the seeded suites rely on: input, both state sets, schedules."""
     u = rand_signal(rng, fa.m, horizon, max_events=4)
-    picks = [rng.sample(range(1 << f.n), 1 + _below(rng.getrandbits, min(2, 1 << f.n))) for f in (fa, fb)]
+    picks = [_sample(rng, range(1 << f.n), 1 + _below(rng.getrandbits, min(2, 1 << f.n))) for f in (fa, fb)]
     factors = []
     for f, values in zip((fa, fb), picks):
         states = [BitVec(f.n, v) for v in values]
@@ -439,15 +472,11 @@ def _refines(fine, coarse) -> bool:
 
 
 def partition_oracle_verdict(phi: GeneratorFn) -> bool:
-    """Brute force: the finest partition must be all-separated and refine
-    every all-separated partition."""
+    """Brute force: the finest partition must be all-separated and refine every all-separated one."""
+    def separated(blocks) -> bool:  # stops at the first cross pair whose derivative is not zero
+        return not any(_derivative_diffs(phi.table, (pair,), 1) for pair in _cross_pairs(blocks))
     fp = [list(b) for b in dependency_matrix(phi).components().blocks]
-    if _derivative_diffs(phi.table, _cross_pairs(fp), 1):
-        return False
-    for candidate in _all_partitions(range(1, phi.n + 1)):
-        if not _derivative_diffs(phi.table, _cross_pairs(candidate), 1) and not _refines(fp, candidate):
-            return False
-    return True
+    return separated(fp) and all(_refines(fp, c) for c in _all_partitions(range(1, phi.n + 1)) if separated(c))
 
 
 @_seeded("finest partition vs brute force")
@@ -480,7 +509,7 @@ def synchronous_suite(rng: random.Random, cases: int):
         phi = rand_fn(rng, n, m)
         mu = BitVec(n, _below(rng.getrandbits, 1 << n))
         u = rand_signal(rng, m, horizon)
-        ticks = sorted(rng.sample(range(1, horizon + 1), 1 + _below(rng.getrandbits, 6)))
+        ticks = sorted(_sample(rng, range(1, horizon + 1), 1 + _below(rng.getrandbits, 6)))
         x = run(phi, mu, u, round_robin(n, ticks, horizon), horizon)
         state, ok = mu, x.initial == mu.value
         for t in ticks:

@@ -189,6 +189,30 @@ def test_each_generator_draws_what_its_reference_drew(horizon):
             assert ours.getstate() == theirs.getstate(), (seed, k)
 
 
+def test_a_sample_of_a_range_is_samples_sample():
+    """`_sample(rng, range(a, b), k)` gives what `rng.sample(range(a, b), k)`
+    gives, order included, and leaves the generator in the same state, for
+    every k from 0 to n: populations up to 21 take CPython's pool branch at
+    every k, and for k > 5 a population up to 21 + 4^ceil(log4(3k)) does too,
+    so the n here fall on both sides of that threshold."""
+    for n in (*range(0, 23), 30, 52, 53, 64, 85, 86, 100, 150, 214, 215):
+        for k in range(n + 1):
+            ours, theirs = random.Random(n * 1000 + k), random.Random(n * 1000 + k)
+            for start in (-2, 0, 1):
+                population = range(start, start + n)
+                drawn = [checks._sample(ours, population, k) for _ in range(3)]
+                assert drawn == [theirs.sample(population, k) for _ in range(3)], (n, k, start)
+            assert ours.getstate() == theirs.getstate(), (n, k)
+    for n, k in ((0, 1), (5, 6), (5, -1), (53, 54), (53, -2)):
+        rng = random.Random(n)
+        state = rng.getstate()
+        with pytest.raises(ValueError):
+            checks._sample(rng, range(n), k)
+        with pytest.raises(ValueError):
+            random.Random(n).sample(range(n), k)
+        assert rng.getstate() == state, (n, k)
+
+
 def test_seeded_suites_take_their_arguments_by_keyword():
     for report in (theorem27_suite(seed=1, cases=3), partition_oracle_suite(seed=1, samples=3)):
         assert isinstance(report, CheckReport) and report.ok
@@ -239,7 +263,6 @@ def test_flip_and_derivative_routes_share_no_relabeling(monkeypatch):
         raise AssertionError("a theorem-30 route reached project_fn")
 
     expected = [recompose_verdict(phi, (1,)) for phi in SAMPLE]
-    checks._flip_cases.cache_clear()  # the flip route builds its cases under the patch
     monkeypatch.setattr(asyncdec.boolfn, "project_fn", disabled)
     monkeypatch.setattr(checks, "project_fn", disabled)
     _disable_row_kernels(monkeypatch)
@@ -261,7 +284,6 @@ def test_flip_and_derivative_routes_never_reach_the_relabeler_memo(monkeypatch):
     for memo in memos:
         info = memo.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 0, 0), memo
-    checks._flip_cases.cache_clear()
     _disable_row_kernels(monkeypatch)
     for phi, verdict in zip(SAMPLE, expected):
         assert flip_invariant(phi, (1,)) == derivative_separated(phi, (1,)) == verdict, phi.table
@@ -278,6 +300,84 @@ def test_recompose_verdict_builds_no_generator_fn(monkeypatch):
     monkeypatch.setattr(GeneratorFn, "__init__", disabled)
     assert [recompose_verdict(phi, (1,)) for phi in SAMPLE] == expected
     assert set(expected) == {True, False}
+
+
+def _theorem26_reference(rng, cases):
+    """Theorem 26 case by case, as it ran before its lanes: each table
+    through the per-table flip and derivative routes at block 1..n'."""
+    for case in range(cases):
+        na, nb = 1 + checks._below(rng.getrandbits, 3), 1 + checks._below(rng.getrandbits, 3)
+        m = 1 + checks._below(rng.getrandbits, 2)
+        par = checks.parallel_fn(rand_fn(rng, na, m), rand_fn(rng, nb, m))
+        block = range(1, na + 1)
+        ok = flip_invariant(par, block) and derivative_separated(par, block)
+        yield None if ok else f"case {case}: n'={na} n''={nb} m={m} table={par.table}"
+
+
+def _corrupting(monkeypatch, every):
+    """Patch `checks.parallel_fn` so that every `every`-th composition, counted
+    from the first, has one output bit flipped: that table is not separated.
+    Returns a function that restarts the count."""
+    real, made = checks.parallel_fn, [0]
+
+    def corrupted(a, b):
+        phi, made[0] = real(a, b), made[0] + 1
+        if made[0] % every:
+            return phi
+        table = list(phi.table)
+        table[made[0] % len(table)] ^= 1 << (made[0] % phi.n)
+        return GeneratorFn(phi.n, phi.m, table)
+
+    monkeypatch.setattr(checks, "parallel_fn", corrupted)
+    return lambda: made.__setitem__(0, 0)
+
+
+@pytest.mark.parametrize("seed, cases, every", [
+    *((seed, cases, every) for seed, cases in ((1, 0), (1, 1), (7, 5), (26, 200), (2026, 31))
+      for every in (None, 1, 2, 7)),
+    (3, 4100, 1366),  # a failure in each batch of 4096 cases: cases 1365, 2731 and 4097
+])
+def test_theorem26_lanes_give_the_report_of_the_per_table_routes(monkeypatch, seed, cases, every):
+    """The lane suite's report, details and their order included, equals the
+    one made case by case through `flip_invariant` and `derivative_separated`
+    from an equally seeded generator, which ends in the same state: on
+    working compositions, and with every k-th one corrupted, where the
+    failures are counted in full and the first three are named."""
+    restart = _corrupting(monkeypatch, every) if every else lambda: None
+    ours, theirs = random.Random(seed), random.Random(seed)
+    restart()
+    report = checks._tally("thm26 cross-block independence", theorem26_suite.__wrapped__(ours, cases))
+    restart()
+    expected = checks._tally("thm26 cross-block independence", _theorem26_reference(theirs, cases))
+    assert report == expected
+    assert ours.getstate() == theirs.getstate()
+    assert report.failures == (cases // every if every else 0)
+    assert len(report.details) == min(3, report.failures)
+
+
+@pytest.mark.parametrize("cases, batches", [(1, 1), (600, 1), (4096, 1), (4097, 2)])
+def test_theorem26_runs_each_route_kernel_once_per_shape(monkeypatch, cases, batches):
+    """Counted work, no clock: each route kernel runs once per case shape
+    (n', n'', m) in each batch of 4096 cases, so at most 18 times a batch;
+    the per-table routes and the dependency scan never run."""
+    calls = {"_flip_diffs": 0, "_derivative_diffs": 0}
+    for name in calls:
+        def counted(rows, plan, ones, real=getattr(checks, name), name=name):
+            calls[name] += 1
+            return real(rows, plan, ones)
+        monkeypatch.setattr(checks, name, counted)
+    for route in ("flip_invariant", "derivative_separated"):
+        monkeypatch.setattr(checks, route, None)
+    for scan in ("dependency_matrix", "_lane_derivatives"):
+        monkeypatch.setattr(asyncdec.boolfn, scan, None)
+    shapes = []
+    real_fn = checks.rand_fn
+    monkeypatch.setattr(checks, "rand_fn", lambda rng, n, m: shapes.append((n, m)) or real_fn(rng, n, m))
+    assert theorem26_suite(7, cases).ok
+    drawn = [(a, b, m) for (a, m), (b, _) in zip(shapes[::2], shapes[1::2])]
+    per_batch = sum(len(set(drawn[k:k + 4096])) for k in range(0, cases, 4096))
+    assert calls == {"_flip_diffs": per_batch, "_derivative_diffs": per_batch}
+    assert per_batch <= 18 * batches
 
 
 def _recompose_reference(phi, block):
@@ -361,7 +461,6 @@ def test_flip_route_never_evaluates(monkeypatch):
         raise AssertionError("the flip route evaluated a point")
 
     phi = parallel_fn(rand_fn(random.Random(1), 2, 1), rand_fn(random.Random(2), 2, 1))
-    checks._flip_cases.cache_clear()
     monkeypatch.setattr(GeneratorFn, "eval", disabled)
     monkeypatch.setattr(BitVec, "__init__", disabled)
     assert flip_invariant(phi, (2, 1)) and not flip_invariant(phi, (1, 3))

@@ -19,8 +19,7 @@ OPTIONS = 25
 
 MEMOS = {
     "signals._relabeler": "about 99% hits on decompose-bundle; 1679/365 on theorem 32, 4964/11 on theorem 34",
-    "boolfn._split_tuple": "609/9 on theorem 26, 2538/62 on theorem 32, 478/4 on theorem 34",
-    "checks._flip_cases": "582/18 on theorem 26, which ran 13% slower without it",
+    "boolfn._split_tuple": "27/9 on theorem 26, 2538/62 on theorem 32, 478/4 on theorem 34",
 }
 
 

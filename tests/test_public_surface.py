@@ -47,6 +47,8 @@ TEST_ONLY = {
     "_EventSequence.canonical": "tests build the expected canonical sequence of a signal or schedule with it",
     "partial_derivative": "the row-based derivative of one coordinate pair that tests check `dependency_matrix` against",
     "recompose_verdict": "the per-table route tests compare against",
+    "flip_invariant": "the per-table routes that theorem 26's lanes are checked against",
+    "derivative_separated": "the per-table routes that theorem 26's lanes are checked against",
     "apply_masked": "the one-event reference that tests fold `run` against",
     "initial_state_function": "acceptance criterion 5 reads the hull's initial states with it",
     "lemma1_suite": "acceptance criterion 7, Lemma 1's product progressiveness",
