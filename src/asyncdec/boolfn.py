@@ -14,9 +14,9 @@ holds n bits), so a derivative over all rows is a few shifts and masks.  The
 row tuple stays the only stored form.  `partial_derivative` stays row-based:
 it checks its coordinates, scans the rows itself and returns a row bitmask.
 The table transforms are row kernels too, tuple to tuple, under thin
-`GeneratorFn` wrappers: `project_fn` expands `signals._relabeler`'s chunks
-into its row offsets and output map on each call (1..n returns `phi`
-itself), and `parallel_fn` runs `_parallel_rows`, which composes ints
+`GeneratorFn._derived` wrappers, which check no row: `project_fn` expands
+`signals._relabeler`'s chunks into its row offsets and output map (1..n returns
+`phi` itself), and `parallel_fn` runs `_parallel_rows`, which composes ints
 holding a table per lane as well (the checks' recompose route runs it so).
 """
 
@@ -105,9 +105,7 @@ class GeneratorFn(_Value):
                 raise InvalidValue(
                     f"table has {len(table)} rows, expected {1 << (n + m)} for n={n} m={m}")
             raise InvalidValue(f"table entry out of range for output width {n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "table", table)
+        self._set((n, m, table))
 
     @classmethod
     def from_function(cls, n: int, m: int, fn: Callable[[BitVec, BitVec], BitVec]) -> "GeneratorFn":
@@ -200,7 +198,7 @@ def parallel_fn(a: GeneratorFn, b: GeneratorFn) -> GeneratorFn:
     if a.m != b.m:
         raise WidthMismatch(f"input widths differ: {a.m} vs {b.m}")
     check_scan_size(a.n + b.n + a.m, f"n+m = {a.n + b.n + a.m}")  # before any row is built
-    return GeneratorFn(a.n + b.n, a.m, _parallel_rows(a.n, a.table, b.n, b.table))
+    return GeneratorFn._derived(a.n + b.n, a.m, _parallel_rows(a.n, a.table, b.n, b.table))
 
 
 def _parallel_rows(na: int, ta: tuple[int, ...], nb: int, tb: tuple[int, ...]) -> tuple[int, ...]:
@@ -256,8 +254,8 @@ def project_fn(phi: GeneratorFn, coords: Iterable[int]) -> GeneratorFn:
     if cs == tuple(range(1, phi.n + 1)):
         return phi
     table, spread, pick, step = phi.table, _images(spreads), _images(picks), 1 << phi.n
-    return GeneratorFn(len(cs), phi.m, tuple([pick[table[base | r]] for base in range(0, len(table), step)
-                                              for r in spread]))
+    rows = tuple([pick[table[base | r]] for base in range(0, len(table), step) for r in spread])
+    return GeneratorFn._derived(len(cs), phi.m, rows)
 
 
 class Partition(_Value):

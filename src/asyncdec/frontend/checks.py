@@ -5,11 +5,13 @@ a report: one summary line, and witnesses for the first failures.  A randomized
 suite is a generator over its cases, framed by `_seeded`, which seeds its
 `random.Random` and tallies its outcomes.  `verify` and the acceptance tests run these.
 Every draw follows CPython's rule for `randrange` or `sample` through `getrandbits`,
-so a seed draws the same cases.  Each of Theorem 30's three separation routes is a
-per-shape plan and one kernel `(rows, plan, ones) -> int`, the bits it saw differ,
-over row ints holding a table in each lane `ones` marks: a public route runs it on a
-row tuple with `ones = 1`; Theorem 26 runs two of them once per case shape over its
-tables, and `theorem30_exhaustive` all three once over all 65,536, a byte lane each.
+so a seed draws the same cases.  Drawn tables, signals and schedules are in range by
+construction and built unchecked (`_derived`); drawn bundles are checked.  Each of
+Theorem 30's three separation routes is a per-shape plan and one kernel `(rows, plan,
+ones) -> int`, the bits it saw differ, over row ints holding a table in each lane `ones`
+marks: a public route runs it on a row tuple with `ones = 1`; Theorem 26 runs two of
+them once per case shape over its tables, and `theorem30_exhaustive` all three once
+over all 65,536, a byte lane each.
 """
 
 from __future__ import annotations
@@ -120,7 +122,7 @@ def _sample(rng: random.Random, population: range, k: int) -> list[int]:
 
 def rand_fn(rng: random.Random, n: int, m: int) -> GeneratorFn:
     rows = filter((1 << n).__gt__, map(rng.getrandbits, repeat(n + 1)))  # `_below`'s rule, row after row
-    return GeneratorFn(n, m, tuple(islice(rows, 1 << (n + m))))
+    return GeneratorFn._derived(n, m, tuple(islice(rows, 1 << (n + m))))
 
 
 def rand_signal(rng: random.Random, width: int, horizon: int, max_events: int = 8) -> Signal:
@@ -130,7 +132,9 @@ def rand_signal(rng: random.Random, width: int, horizon: int, max_events: int = 
         while (value := draw(width + 1)) >> width:  # `_below(draw, 1 << width)`, inline
             pass
         events.append((t, value))
-    return Signal(width, _below(draw, 1 << width), tuple(events), horizon)
+    held = initial = _below(draw, 1 << width)
+    canon = tuple([(t, held := v) for t, v in events if v != held])  # the events that move the value
+    return Signal._derived(width, initial, tuple(events), horizon, canon)
 
 
 def rand_rho(rng: random.Random, width: int, horizon: int) -> ProgressiveFunction:
@@ -148,7 +152,8 @@ def rand_rho(rng: random.Random, width: int, horizon: int) -> ProgressiveFunctio
         while (b := draw(width + 1)) >> width:
             pass
         firing[t] |= a & b
-    return ProgressiveFunction(width, tuple(firing.items()), horizon)
+    events = tuple(firing.items())  # the nonzero firings are the canonical form
+    return ProgressiveFunction._derived(width, None, events, horizon, tuple([e for e in events if e[1]]))
 
 
 def rand_rho_distinct(
@@ -333,7 +338,7 @@ def theorem30_exhaustive() -> tuple[CheckReport, tuple[GeneratorFn, ...]]:
     details = tuple("table {}: flip={} derivative={} split={}".format(  # a route's flag bytes only where lanes disagree
         table, *(not w.to_bytes(count, sys.byteorder)[t] for w in words)) for t, table in islice(tables(disagree), 3))
     report = CheckReport("thm30 route agreement over all n=2 m=1 tables", count, disagree.bit_count(), details)
-    return report, tuple(GeneratorFn(2, 1, table) for _, table in tables(ones & ~(flip | deriv | split)))
+    return report, tuple(GeneratorFn._derived(2, 1, table) for _, table in tables(ones & ~(flip | deriv | split)))
 
 
 # -- theorem 32: split and recompose constructed-separable functions ------
@@ -471,19 +476,21 @@ def _refines(fine, coarse) -> bool:
     return all(any(set(b) <= set(c) for c in coarse) for b in fine)
 
 
-def partition_oracle_verdict(phi: GeneratorFn) -> bool:
-    """Brute force: the finest partition must be all-separated and refine every all-separated one."""
-    def separated(blocks) -> bool:  # stops at the first cross pair whose derivative is not zero
-        return not any(_derivative_diffs(phi.table, (pair,), 1) for pair in _cross_pairs(blocks))
+def partition_oracle_verdict(phi: GeneratorFn, partitions) -> bool:
+    """Brute force over `partitions`, each partition of 1..n with its `_cross_pairs`
+    (built once per n): the finest must be all-separated and refine every all-separated one."""
+    def separated(pairs) -> bool:  # stops at the first cross pair whose derivative is not zero
+        return not any(_derivative_diffs(phi.table, (pair,), 1) for pair in pairs)
     fp = [list(b) for b in dependency_matrix(phi).components().blocks]
-    return separated(fp) and all(_refines(fp, c) for c in _all_partitions(range(1, phi.n + 1)) if separated(c))
+    return separated(_cross_pairs(fp)) and all(_refines(fp, c) for c, pairs in partitions if separated(pairs))
 
 
 @_seeded("finest partition vs brute force")
 def partition_oracle_suite(rng: random.Random, samples: int):
+    partitions = [(c, _cross_pairs(c)) for c in _all_partitions((1, 2, 3))]  # every table has n = 3
     for case in range(samples):
         phi = rand_fn(rng, 3, 1)
-        ok = partition_oracle_verdict(phi)
+        ok = partition_oracle_verdict(phi, partitions)
         yield None if ok else f"random case {case}: table={phi.table}"
     constructed = []
     for _ in range(60):
@@ -494,7 +501,7 @@ def partition_oracle_suite(rng: random.Random, samples: int):
             parallel_fn(parallel_fn(rand_fn(rng, 1, m), rand_fn(rng, 1, m)), rand_fn(rng, 1, m))
         )
     for k, phi in enumerate(constructed):
-        ok = partition_oracle_verdict(phi)
+        ok = partition_oracle_verdict(phi, partitions)
         yield None if ok else f"block-diagonal case {k}: table={phi.table}"
 
 

@@ -210,7 +210,7 @@ def compile_program(prog: EquationProgram) -> GeneratorFn:
     variable = cache(lambda leaf: lane_mask(code, rows, leaf[1] - 1 + (prog.n if leaf[0] == "u" else 0), 0, 1))
     packed = sum(_lanes(expr, ones, variable) << k for k, expr in enumerate(prog.exprs))
     table = array(code, packed.to_bytes(rows * array(code).itemsize, sys.byteorder))
-    return GeneratorFn(prog.n, prog.m, tuple(table))
+    return GeneratorFn._derived(prog.n, prog.m, tuple(table))
 
 
 def program_matrix(prog: EquationProgram) -> DependencyMatrix:

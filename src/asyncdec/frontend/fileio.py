@@ -128,7 +128,7 @@ def _read_table(lines) -> GeneratorFn:
         index = rows.index(-1)
         mu, lam = _bits_text(index & ((1 << n) - 1), n), _bits_text(index >> n, m)
         raise LoadError(f"missing row for mu={mu}" + (f" lam={lam}" if m else ""))
-    return GeneratorFn(n, m, tuple(rows))
+    return GeneratorFn._derived(n, m, tuple(rows))  # every row checked as it was read
 
 
 # -- signals and schedules ----------------------------------------------

@@ -29,7 +29,8 @@ block-first, the first factor's coordinates leading; a product onto any
 other block is the product followed by a `restrict`.
 
 Every value is an immutable `_Value`, safe to share across threads.  `_Value`
-builds each plain type's constructor from its `_fields`, raising `TypeError`.
+builds each plain type's constructor from its `_fields`, raising `TypeError`,
+and `_derived`, which builds a table or bundle computed from checked values unchecked.
 """
 
 from __future__ import annotations
@@ -59,8 +60,8 @@ class _Value:
     """Immutable, as a frozen dataclass is: `__init__` (by position or by name;
     `TypeError` for a missing, repeated or unknown field), equality (same type
     only), hashing, pickling and the repr go over `_fields`, the parameters in
-    order.  Kinds that check their input have their own `__init__`; `BitVec`,
-    `GeneratorFn` and event sequences set slots directly, a derived sequence unchecked."""
+    order.  Kinds that check what enters from outside have their own `__init__`;
+    `_derived` builds a `GeneratorFn` or `RegularSystem` computed from checked ones, unchecked."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -73,8 +74,17 @@ class _Value:
                 raise TypeError(f"{type(self).__name__}() got repeated or unknown names {sorted(named)}")
         if len(values) != len(fields):  # a field missing, or one too many
             raise TypeError(f"{type(self).__name__}() takes {len(fields)} fields, got {len(values)}")
-        for name, value in zip(fields, values):
+        self._set(values)
+
+    def _set(self, values: tuple):
+        for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
+        return self
+
+    @classmethod
+    def _derived(cls, *values):
+        """A value computed from checked ones, valid by construction, its fields in order: nothing is checked."""
+        return object.__new__(cls)._set(values)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, f) for f in self._fields)

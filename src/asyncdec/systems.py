@@ -8,8 +8,10 @@ computation-function form of a regular system, at finite-prefix scale.
 
 A bundle relabels like every other kind, by `restrict(coords)`; restricted
 to a separated block and to its complement, it gives the two factors of a
-decomposition.  `decompose_system` is the one entry to Theorem 34; it reads
-the schedule product condition off the hull, and weaves no schedules.
+decomposition.  `restrict` and `parallel_system` build their bundles
+unchecked (`_derived`), valid by construction from checked ones.
+`decompose_system`, the one entry to Theorem 34, reads the schedule product
+condition off the hull and weaves no schedules.
 """
 
 from __future__ import annotations
@@ -97,16 +99,16 @@ class RegularSystem(_Value):
         """The bundle on the state coordinates `coords`, in that order: the
         table `project_fn(phi, coords)`, every initial state restricted, and at
         each restricted state the restrictions of every schedule admitted at a
-        full state extending it.  The inputs are unchanged."""
+        full state extending it (prefix-progressive, as they are).  The inputs are unchanged."""
         cs = tuple(coords)
         k, gather, _, _ = _relabeler(self.n, cs)
         phi0 = {u: frozenset(mu.restrict(cs) for mu in ms) for u, ms in self.phi0.items()}
         fired: dict[tuple[BitVec, Signal], set[tuple]] = {}
         for (mu, u), rs in self.pi.items():  # firings first: each distinct schedule is built once
             fired.setdefault((mu.restrict(cs), u), set()).update(_fired(rho.events, gather) for rho in rs)
-        pi = {key: [ProgressiveFunction._derived(k, None, ev, self.horizon, ev) for ev in evs]
+        pi = {key: frozenset([ProgressiveFunction._derived(k, None, ev, self.horizon, ev) for ev in evs])
               for key, evs in fired.items()}
-        return RegularSystem(project_fn(self.phi, cs), self.inputs, phi0, pi)
+        return RegularSystem._derived(project_fn(self.phi, cs), self.inputs, phi0, pi)
 
 
 def realize(sys: RegularSystem, horizon: Tick) -> dict[Signal, SignalSet]:
@@ -128,7 +130,8 @@ def parallel_system(a: RegularSystem, b: RegularSystem) -> RegularSystem:
     """Parallel connection: both bundles act independently under a common input.
 
     Admits the inputs both factors admit; initial states multiply pointwise
-    and schedule sets multiply through the merged-grid schedule product.
+    and schedule sets multiply through the merged-grid schedule product
+    (prefix-progressive, by Lemma 1), so nothing needs checking.
     """
     phi = parallel_fn(a.phi, b.phi)  # refuses unequal input widths and n+m past the limit
     if a.horizon != b.horizon:
@@ -146,7 +149,7 @@ def parallel_system(a: RegularSystem, b: RegularSystem) -> RegularSystem:
         (ma.concat(mb), u): frozenset(product_rho(ra, rb) for ra in a.pi[(ma, u)] for rb in b.pi[(mb, u)])
         for u in shared for ma in a.phi0[u] for mb in b.phi0[u]
     }
-    return RegularSystem(phi, shared, phi0, pi)
+    return RegularSystem._derived(phi, shared, phi0, pi)
 
 
 def _trajectory_classes(sys: RegularSystem, mu: BitVec, u: Signal) -> dict[Signal, ProgressiveFunction]:

@@ -22,7 +22,7 @@ from asyncdec import (
     split_fn,
 )
 from asyncdec.boolfn import DependencyMatrix, _parallel_rows, _split_blocks, dependency_witness
-from asyncdec.frontend.checks import partition_oracle_verdict, rand_fn
+from asyncdec.frontend.checks import _all_partitions, _cross_pairs, partition_oracle_verdict, rand_fn
 
 bv = BitVec.from_string
 
@@ -388,15 +388,19 @@ def test_finest_partition_constant_gives_singletons():
     assert dependency_matrix(phi).components().blocks == ((1,), (2,), (3,))
 
 
+def _oracle_partitions(n):
+    return [(c, _cross_pairs(c)) for c in _all_partitions(range(1, n + 1))]
+
+
 def test_finest_partition_brute_force_minimality_small():
     rng = random.Random(77)
     for _ in range(50):
-        assert partition_oracle_verdict(rand_fn(rng, 3, 1))
+        assert partition_oracle_verdict(rand_fn(rng, 3, 1), _oracle_partitions(3))
     for _ in range(20):
         n = rng.randint(2, 4)
         split = rng.randint(1, n - 1)
         phi = parallel_fn(rand_fn(rng, split, 1), rand_fn(rng, n - split, 1))
-        assert partition_oracle_verdict(phi)
+        assert partition_oracle_verdict(phi, _oracle_partitions(n))
 
 
 def _union_find_blocks(n, rows):

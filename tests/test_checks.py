@@ -539,16 +539,18 @@ def test_theorem30_sweep_names_the_table_a_wrong_route_misjudges(monkeypatch, ke
 
 def test_theorem30_builds_a_generator_fn_only_per_separable_table(monkeypatch):
     """The sweep's kernels read bare row tuples: one sweep builds exactly one
-    `GeneratorFn` per table it returns, 256 of the 65,536."""
-    real, built = GeneratorFn.__init__, []
+    `GeneratorFn` per table it returns, 256 of the 65,536, each unchecked (its
+    rows are digits of the lane index, in range by construction)."""
+    real_init, real_derived, checked, derived = GeneratorFn.__init__, GeneratorFn._derived, [], []
 
     def counting(self, *args):
-        built.append(args)
-        real(self, *args)
+        checked.append(args)
+        real_init(self, *args)
 
     monkeypatch.setattr(GeneratorFn, "__init__", counting)
+    monkeypatch.setattr(GeneratorFn, "_derived", classmethod(lambda cls, *args: derived.append(args) or real_derived(*args)))
     report, separable = theorem30_exhaustive()
-    assert report.ok and len(built) == len(separable) == 256
+    assert report.ok and len(derived) == len(separable) == 256 and not checked
 
 
 def test_each_public_route_gives_its_kernels_verdict_under_the_sweeps_plan():

@@ -1,8 +1,13 @@
-"""Sequences built unchecked from checked ones (runs, restrictions, products,
-truncations, canonical forms) are the values the checking constructor gives
-for the same fields, and a restricted bundle builds each schedule once."""
+"""Values built unchecked from checked ones are the values the checking
+constructor gives for the same fields: sequences (runs, restrictions,
+products, truncations, canonical forms), tables (`parallel_fn`, `project_fn`,
+`split_fn`, the table reader, `compile_program`), bundles (`restrict`,
+`parallel_system`) and the seeded generators' draws.  A restricted bundle
+builds each schedule once, and the seeded suites build through a checking
+constructor only the bundles they draw as input."""
 
 import pickle
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,25 +18,35 @@ from asyncdec import (
     ProgressiveFunction,
     RegularSystem,
     Signal,
+    parallel_fn,
     parallel_system,
     product_rho,
     product_signal,
     project_fn,
     run,
+    split_fn,
 )
+from asyncdec.frontend import checks
+from asyncdec.frontend.dsl import EquationProgram, compile_program
+from asyncdec.frontend.fileio import format_truth_table
 from asyncdec.signals import _EventSequence
+from loading import load_text
 
 HORIZON = 12
 
 
 def _same_as_rebuilt(x):
-    """`x` against `type(x)(*x._values())`, its fields through the checking constructor."""
+    """`x` against `type(x)(*x._values())`, its fields through the checking
+    constructor: equal fields, equal hash and an equal pickled copy."""
     y = type(x)(*x._values())
-    assert (x.events, x._canon, x.key, hash(x)) == (y.events, y._canon, y.key, hash(y))
-    assert (x._canon is x.events) == (y._canon is y.events)
-    assert x.canonical().events == y.canonical().events
     z = pickle.loads(pickle.dumps(x))
-    assert type(z) is type(x) and (z.events, z._canon, z.key) == (y.events, y._canon, y.key)
+    assert type(z) is type(x) and x._values() == y._values() == z._values() and x == y == z
+    if isinstance(x, _EventSequence):
+        assert (x.events, x._canon, x.key) == (y.events, y._canon, y.key)
+        assert (x._canon is x.events) == (y._canon is y.events)
+        assert x.canonical().events == y.canonical().events
+    if not isinstance(x, RegularSystem):  # a bundle's maps are dicts, so it has no hash
+        assert hash(x) == hash(y) == hash(z)
 
 
 def _events(data, width):
@@ -120,3 +135,99 @@ def test_a_restricted_bundle_builds_each_distinct_schedule_once(monkeypatch):
         assert len(built) == 6 * len(restricted.pi) == 12
         assert restricted == factor
         assert restricted == reference
+
+
+def _table(data, n, m):
+    return GeneratorFn(n, m, tuple(data.draw(st.lists(st.integers(0, (1 << n) - 1),
+                                                      min_size=1 << (n + m), max_size=1 << (n + m)))))
+
+
+def _progressive(data, width):
+    """A schedule whose last event fires every coordinate no earlier one fired."""
+    ticks = data.draw(st.lists(st.integers(1, HORIZON), unique=True, min_size=1, max_size=4).map(sorted))
+    values = [data.draw(st.integers(0, (1 << width) - 1)) for _ in ticks]
+    fired = 0
+    for v in values:
+        fired |= v
+    values[-1] |= (1 << width) - 1 & ~fired
+    return ProgressiveFunction(width, tuple(zip(ticks, values)), HORIZON)
+
+
+def _bundle(data, phi, inputs):
+    """A checked bundle over `phi` admitting `inputs`: one to three states per
+    input and one to three schedules per state."""
+    states = st.lists(st.integers(0, (1 << phi.n) - 1), unique=True, min_size=1, max_size=3)
+    phi0 = {u: [BitVec(phi.n, s) for s in data.draw(states)] for u in inputs}
+    pi = {(mu, u): [_progressive(data, phi.n) for _ in range(data.draw(st.integers(1, 3)))]
+          for u, ms in phi0.items() for mu in ms}
+    return RegularSystem(phi, inputs, phi0, pi)
+
+
+def _expr(n, m):
+    leaf = st.one_of(st.tuples(st.just("const"), st.integers(0, 1)), st.tuples(st.just("x"), st.integers(1, n)),
+                     st.tuples(st.just("u"), st.integers(1, m)))
+    return st.recursive(leaf, lambda e: st.one_of(
+        st.tuples(st.just("not"), e),
+        st.tuples(st.sampled_from(("and", "xor", "or")), e, e)), max_leaves=6)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_a_derived_table_bundle_or_draw_equals_its_checked_rebuild(data):
+    na, nb, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))
+    fa, fb = _table(data, na, m), _table(data, nb, m)
+    whole = parallel_fn(fa, fb)
+    n = na + nb
+    coords = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True))
+    first, second, partition = split_fn(whole, range(1, na + 1))
+    pool = [Signal(m, data.draw(st.integers(0, (1 << m) - 1)), events, HORIZON)
+            for events in {_events(data, m) for _ in range(data.draw(st.integers(1, 3)))}]
+    a = _bundle(data, fa, pool[:data.draw(st.integers(1, len(pool)))])
+    b = _bundle(data, fb, pool[:data.draw(st.integers(1, len(pool)))])
+    product = parallel_system(a, b)
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    width = data.draw(st.integers(1, 4))
+    derived = [
+        whole,
+        project_fn(whole, coords),
+        first,
+        second,
+        partition,
+        load_text("".join(format_truth_table(whole)), GeneratorFn),
+        compile_program(EquationProgram(n, m, tuple(data.draw(_expr(n, m)) for _ in range(n)))),
+        a.restrict(data.draw(st.lists(st.integers(1, na), min_size=1, max_size=na, unique=True))),
+        product,
+        product.restrict(coords),
+        checks.rand_fn(rng, width, data.draw(st.integers(0, 2))),
+        checks.rand_rho(rng, width, data.draw(st.integers(1, 60))),
+        checks.rand_signal(rng, width, data.draw(st.integers(-2, 60))),
+    ]
+    for z in derived:
+        _same_as_rebuilt(z)
+
+
+def _counted_builds(monkeypatch, suite, *args):
+    """How many times `suite(*args)` enters the checking constructors of
+    `GeneratorFn` and of `RegularSystem`, the report being PASS."""
+    counts = {GeneratorFn: 0, RegularSystem: 0}
+    for kind in counts:
+        def counted(self, *values, real=kind.__init__, kind=kind):
+            counts[kind] += 1
+            real(self, *values)
+        monkeypatch.setattr(kind, "__init__", counted)
+    assert suite(*args).ok
+    return counts[GeneratorFn], counts[RegularSystem]
+
+
+def test_the_seeded_suites_check_only_the_bundles_they_draw_as_input(monkeypatch):
+    """Counted work, no clock: Theorems 27 and 32 build every table, signal and
+    schedule unchecked.  Theorem 34 checks one bundle per subset case
+    (`rand_system`), two per product-form case (`_product_form_system`'s
+    factors; their connection is derived) and the diagonal example, whose
+    identity table is the one table it checks; the restrictions of
+    `decompose_system` are derived."""
+    assert _counted_builds(monkeypatch, checks.theorem27_suite, 7, 60) == (0, 0)
+    assert _counted_builds(monkeypatch, checks.theorem32_suite, 7, 60) == (0, 0)
+    subset, product_form = 10, 11
+    assert _counted_builds(monkeypatch, checks.theorem34_suite, 7, subset + product_form) == (
+        1, subset + 2 * product_form + 1)
