@@ -30,7 +30,6 @@ from .signals import (
     SignalSet,
     Tick,
     product_rho,
-    product_set,
     product_signal,
     round_robin,
     unit_step,

@@ -387,13 +387,6 @@ class SignalSet(_Value):
         return f"SignalSet(width={self.width}, horizon={self.horizon}, size={len(self)})"
 
 
-def product_set(a: SignalSet, b: SignalSet) -> SignalSet:
-    """Elementwise Cartesian product of two signal sets."""
-    if a.horizon != b.horizon:
-        raise HorizonMismatch(f"horizons differ: {a.horizon} vs {b.horizon}")
-    return SignalSet(a.width + b.width, a.horizon, (product_signal(x, y) for x in a for y in b))
-
-
 class ProgressiveFunction(_EventSequence):
     """A finite schedule prefix: firing vector alpha^k at each event tick.
 

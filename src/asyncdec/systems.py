@@ -10,12 +10,13 @@ A bundle relabels like every other kind, by `restrict(coords)`; restricted
 to a separated block and to its complement, it gives the two factors of a
 decomposition.  `restrict` and `parallel_system` build their bundles
 unchecked (`_derived`), valid by construction from checked ones.
-`decompose_system`, the one entry to Theorem 34, reads the schedule product
-condition off the hull and weaves no schedules.
+`decompose_system`, the one entry to Theorem 34, reads each trajectory as
+its pair in f'(u) x f''(u); it builds no hull and weaves no schedules.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, Mapping
 
 from .boolfn import GeneratorFn, Partition, _separated_blocks, check_count, parallel_fn, project_fn
@@ -31,8 +32,6 @@ from .signals import (
     _relabeler,
     _Value,
     product_rho,
-    product_set,
-    product_signal,
 )
 
 
@@ -161,26 +160,28 @@ def _trajectory_classes(sys: RegularSystem, mu: BitVec, u: Signal) -> dict[Signa
 
 
 def _product_condition(
-    sys: RegularSystem, bs, cs, first, second, missing: dict[Signal, set[Signal]]
+    sys: RegularSystem, bs, cs, first, second, short: dict[Signal, tuple[set, SignalSet, SignalSet]]
 ) -> tuple[Signal, BitVec, ProgressiveFunction, ProgressiveFunction] | None:
     """None if every schedule product of the factors `first` and `second`, the
     restrictions of `sys` to bs and cs, is trajectory-covered, else the first
     witness (u, mu, rho_block, rho_rest) of the sorted loop over schedule pairs.
-    `missing[u]` holds what the hull f'(u) x f''(u) has and the realization,
-    read as bs + cs, lacks.  By Theorem 27 a woven pair runs to the product of
-    its factors' runs, so the loop goes over the factors' trajectory classes,
-    each kept as its least schedule, and weaves nothing; the first state whose
-    start begins a missing trajectory has a witness.
+    `short[u]` holds, for each input u that falls short of its hull, the pairs
+    (x on bs, x on cs) of f(u) and the factors' realizations.  By Theorem 27 a
+    woven pair runs to the product of its factors' runs, so the loop goes over
+    the factors' trajectory classes, each kept as its least schedule, weaves
+    nothing, and visits only states whose halves start fewer pairs than the
+    hull does; the witness is the first pair that f(u) lacks.
     """
-    for u, lost in missing.items():
-        starts = {x.initial for x in lost}
+    for u, (pairs, out_b, out_c) in short.items():
+        from_b, from_c = Counter(x.initial for x in out_b), Counter(x.initial for x in out_c)
+        started = Counter((xb.initial, xc.initial) for xb, xc in pairs)
         for mu in sys.phi0[u]:
             mb, mc = mu.restrict(bs), mu.restrict(cs)
-            if mb.concat(mc).value in starts:
+            if started[mb.value, mc.value] < from_b[mb.value] * from_c[mc.value]:
                 rests = _trajectory_classes(second, mc, u).items()
                 for xb, rb in _trajectory_classes(first, mb, u).items():
                     for xc, rc in rests:
-                        if product_signal(xb, xc) in lost:
+                        if (xb, xc) not in pairs:
                             return u, mu, rb, rc
     return None
 
@@ -189,8 +190,8 @@ class DecompositionResult(_Value):
     """Factors of a system decomposition plus the verified verdict.
 
     `status` is "equal" when, for every input u, the system's realization,
-    read through the coordinates block + complement, equals the hull
-    f'(u) x f''(u) of the factors' realizations, compared set by set; else
+    each trajectory read as its pair (on the block, on the complement),
+    equals the hull f'(u) x f''(u) of the factors' realizations; else
     "strict-subset".  `hull_sizes` holds (u, |f(u)|, |f'(u) x f''(u)|).
     `phi0_product_form` and `product_witness` (None when the schedule product
     condition holds) record Theorem 34's conditions apart from the verdict,
@@ -210,34 +211,34 @@ def decompose_system(
     not separated.  The factors f' and f'' are `sys.restrict` to the block
     and to its complement, both ascending.  The hull of input u is
     (f' || f'')(u) = f'(u) x f''(u), the product of the factors'
-    realizations, counted against the size limit before any is built; the
-    system's realization must lie inside it (checked, not assumed), and the
-    verdict compares the two set by set, so a truncation artifact can never
-    misreport equality.  The product condition is read off what the hull
-    has and the realization lacks, and Theorem 34 is cross-checked both ways:
+    realizations, counted against the size limit and never built: each
+    trajectory of the system is read as its pair (on the block, on the
+    complement), which must lie in the product (checked, not assumed), and
+    the verdict is "equal" iff the pairs number |f'(u)| * |f''(u)| for every
+    u, so a truncation artifact can never misreport equality.  The product
+    condition is read off the missing pairs, and Theorem 34 is cross-checked both ways:
     `InvalidSystem` unless "equal" goes with phi0 in product form and no `product_witness`.
     """
     bs, cs = _separated_blocks(sys.phi, block)
     partition = Partition((bs, cs))
     first, second = sys.restrict(bs), sys.restrict(cs)
     own, out_b, out_c = realize(sys, horizon), realize(first, horizon), realize(second, horizon)
-    order = bs + cs
     # mu -> (mu on bs, mu on cs) is one-to-one into first.phi0[u] x second.phi0[u], so onto iff the sizes agree
     product_form = all(len(sys.phi0[u]) == len(first.phi0[u]) * len(second.phi0[u]) for u in sys.inputs)
 
     check_count(sum(len(out_b[u]) * len(out_c[u]) for u in sys.inputs), "trajectories in the hulls")
-    sizes = []
-    missing = {}
+    sizes, short = [], {}
     for u in sys.inputs:
-        hull = product_set(out_b[u], out_c[u]).members
-        relabeled = {x.restrict(order) for x in own[u]}
-        if not relabeled <= hull:
+        pairs = {(x.restrict(bs), x.restrict(cs)) for x in own[u]}
+        if not all(xb in out_b[u].members and xc in out_c[u].members for xb, xc in pairs):
             raise InvalidSystem(f"decomposition lost a trajectory for input {u}; this should be impossible")
-        missing[u] = hull - relabeled
-        sizes.append((u, len(own[u]), len(hull)))
+        hull = len(out_b[u]) * len(out_c[u])
+        if len(pairs) < hull:  # a subset of a finite product, of the product's size, is all of it
+            short[u] = pairs, out_b[u], out_c[u]
+        sizes.append((u, len(own[u]), hull))
 
-    equal = not any(missing.values())
-    witness = _product_condition(sys, bs, cs, first, second, missing)
+    equal = not short
+    witness = _product_condition(sys, bs, cs, first, second, short)
     if (product_form and witness is None) != equal:
         raise InvalidSystem("Theorem 34's conditions disagree with the realizations; horizon artifact")
     return DecompositionResult(first, second, "equal" if equal else "strict-subset", partition,

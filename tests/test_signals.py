@@ -15,7 +15,6 @@ from asyncdec import (
     SignalSet,
     WidthMismatch,
     product_rho,
-    product_set,
     product_signal,
     round_robin,
     unit_step,
@@ -38,8 +37,8 @@ def rho(width, events, horizon):
 
 
 @st.composite
-def signals(draw, max_width=3, horizon=12):
-    width = draw(st.integers(1, max_width))
+def signals(draw, max_width=3, horizon=12, min_width=1):
+    width = draw(st.integers(min_width, max_width))
     ticks = draw(st.lists(st.integers(-3, horizon), unique=True, max_size=6).map(sorted))
     events = tuple((t, draw(st.integers(0, (1 << width) - 1))) for t in ticks)
     init = draw(st.integers(0, (1 << width) - 1))
@@ -84,8 +83,6 @@ def test_from_string_rejects_non_bits_with_invalid_value():
                  "member width 1, expected 2", id="set-member-width"),
     pytest.param(lambda: SignalSet(1, 9, [unit_step(0, 10)]), HorizonMismatch,
                  "member horizon 10, expected 9", id="set-member-horizon"),
-    pytest.param(lambda: product_set(SignalSet(1, 10, []), SignalSet(1, 9, [])), HorizonMismatch,
-                 "horizons differ: 10 vs 9", id="product-set-horizons"),
 ])
 def test_bit_vectors_and_signal_sets_refuse_with_a_named_error(make, error, text):
     with pytest.raises(error) as refused:
@@ -252,24 +249,20 @@ def test_permute_signal_roundtrip():
 # -- signal sets ----------------------------------------------------------
 
 
-def test_product_set_singletons():
-    a = SignalSet(1, 10, [unit_step(0, 10)])
-    b = SignalSet(1, 10, [unit_step(2, 10)])
-    p = product_set(a, b)
-    assert len(p) == 1
-    assert product_signal(unit_step(0, 10), unit_step(2, 10)) in p
-
-
-def test_product_set_cardinality():
-    xs = SignalSet(1, 10, [unit_step(k, 10) for k in (0, 1)])
-    ys = SignalSet(1, 10, [unit_step(k, 10) for k in (2, 3, 4)])
-    assert len(product_set(xs, ys)) == 6
-
-
-def test_product_set_with_constant_preserves_size():
-    xs = SignalSet(1, 10, [unit_step(k, 10) for k in (0, 1)])
-    c = SignalSet(1, 10, [sig(1, "1", [], 10)])
-    assert len(product_set(xs, c)) == len(xs)
+@given(st.data())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_a_signal_is_the_product_of_its_halves_and_its_pair_names_it(data):
+    """For a proper block bs and its complement cs, a signal read on bs + cs is
+    the product of its two restrictions, so x -> (x on bs, x on cs) is one-to-one
+    and a set of pairs is as large as the set of signals it came from."""
+    width = data.draw(st.integers(2, 5))
+    drawn = st.tuples(signals(width, min_width=width), st.booleans())
+    xs = data.draw(st.lists(drawn.map(lambda d: d[0].canonical() if d[1] else d[0]), min_size=1, max_size=6))
+    bs = tuple(data.draw(st.permutations(range(1, width + 1)))[:data.draw(st.integers(1, width - 1))])
+    cs = tuple(c for c in range(1, width + 1) if c not in bs)
+    for x in xs:
+        assert product_signal(x.restrict(bs), x.restrict(cs)) == x.restrict(bs + cs)
+    assert len({(x.restrict(bs), x.restrict(cs)) for x in xs}) == len(set(xs))
 
 
 def test_signal_set_deduplicates_canonical_equals():

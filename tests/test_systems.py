@@ -19,7 +19,6 @@ from asyncdec import (
     initial_state_function,
     parallel_system,
     product_rho,
-    product_set,
     product_signal,
     realize,
     round_robin,
@@ -176,7 +175,7 @@ def test_parallel_output_is_product_set():
         par = parallel_system(a, b)
         oa, ob, op = realize(a, H), realize(b, H), realize(par, H)
         for u in par.inputs:
-            assert op[u] == product_set(oa[u], ob[u])
+            assert op[u] == SignalSet(3, H, (product_signal(x, y) for x in oa[u] for y in ob[u]))
 
 
 def _rand_maps(rng, phi, inputs):
@@ -551,6 +550,69 @@ def test_the_witness_search_runs_each_factor_schedule_once_more(monkeypatch):
     # the first pair of the sorted loop: rho' fires at tick 1, rho'' at tick 2
     fire = [ProgressiveFunction(1, ((t, 1),), count + 1) for t in (1, 2)]
     assert result.product_witness == (sys_.inputs[0], bv("00"), *fire)
+
+
+def test_the_witness_search_skips_states_that_start_no_missing_pair(monkeypatch):
+    """Coordinate 1 follows the input and coordinate 2 its negation, over the
+    four states, each firing both coordinates at one of 30 ticks.  Only 01
+    moves both halves, so only its halves start pairs that f(u) lacks; the
+    three states iterated before it share its halves and start none, and the
+    search still adds at most one run per factor schedule."""
+    count = 30
+    u, states = unit_step(0, count + 1), [bv(b) for b in ("00", "01", "10", "11")]
+    rhos = {ProgressiveFunction(2, ((t, 0b11),), count + 1) for t in range(1, count + 1)}
+    phi = fn(2, 1, lambda mu, lam: BitVec.from_bits([lam.bit(1), 1 - lam.bit(1)]))
+    sys_ = RegularSystem(phi, (u,), {u: states}, {(mu, u): rhos for mu in states})
+    assert list(sys_.phi0[u])[-1] == bv("01")  # the states that share its halves come first
+    calls = _counted_runs(monkeypatch)
+    result = decompose_system(sys_, (1,), sys_.horizon)
+    monkeypatch.undo()
+    assert result.phi0_product_form and result.status == "strict-subset"
+    assert result.hull_sizes[0][1:] == (3 * count + 1, (count + 1) ** 2)
+    extra = calls - _admitted(sys_, result.first, result.second)
+    assert max(extra.values()) == 1 and sum(extra.values()) <= 2 * count
+    fire = [ProgressiveFunction(1, ((t, 1),), count + 1) for t in (1, 2)]
+    assert result.product_witness == (u, bv("01"), *fire)
+
+
+def test_decompose_builds_no_product_signal_and_one_set_per_realization(monkeypatch):
+    """decompose_system reads each trajectory as its pair of halves: it weaves
+    no product signal and builds no hull set, only the signal sets of the
+    three realizations (one per input each)."""
+    import sys as interpreter
+
+    from asyncdec import parallel_fn
+    from asyncdec.frontend.checks import _product_form_system
+
+    rng = random.Random(50)
+    cases = [(diagonal_example(), (1,)), (_diagonal_follower()[0], (1,))]
+    for _ in range(10):
+        na, nb, m = rng.randint(1, 2), rng.randint(1, 2), rng.randint(1, 2)
+        phi = parallel_fn(rand_fn(rng, na, m), rand_fn(rng, nb, m))
+        cases.append((rand_system(rng, phi, H, n_inputs=rng.randint(1, 3)), tuple(range(1, na + 1))))
+        cases.append((_product_form_system(rng, rand_fn(rng, na, m), rand_fn(rng, nb, m), H),
+                      tuple(range(1, na + 1))))
+
+    def woven(*args):
+        raise AssertionError("decompose_system wove a product signal")
+
+    for name, module in list(interpreter.modules.items()):
+        if name.startswith("asyncdec") and hasattr(module, "product_signal"):
+            monkeypatch.setattr(module, "product_signal", woven)
+    built = []
+    real_init = SignalSet.__init__
+
+    def counted_init(self, *args):
+        built.append(args[0])
+        real_init(self, *args)
+
+    monkeypatch.setattr(SignalSet, "__init__", counted_init)
+    statuses = set()
+    for sys_, block in cases:
+        built.clear()
+        statuses.add(decompose_system(sys_, block, sys_.horizon).status)
+        assert len(built) == 3 * len(sys_.inputs)
+    assert statuses == {"equal", "strict-subset"}
 
 
 def test_product_condition_requires_separated_block():
