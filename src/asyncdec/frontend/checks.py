@@ -9,8 +9,8 @@ so a seed draws the same cases.  Drawn tables, signals and schedules are in rang
 construction and built unchecked (`_derived`); drawn bundles are checked.  Each of
 Theorem 30's three separation routes is a per-shape plan and one kernel `(rows, plan,
 ones) -> int`, the bits it saw differ, over row ints holding a table in each lane `ones`
-marks: a public route runs it on a row tuple with `ones = 1`; Theorem 26 runs two of
-them once per case shape over its tables, and `theorem30_exhaustive` all three once
+marks: the tests run each on one table's row tuple with `ones = 1`; Theorem 26 runs two
+of them once per case shape over its tables, and `theorem30_exhaustive` all three once
 over all 65,536, a byte lane each.
 """
 
@@ -210,14 +210,6 @@ def _flip_diffs(rows, plan, ones: int) -> int:
     return seen
 
 
-def flip_invariant(phi: GeneratorFn, block) -> bool:
-    """Direct pointwise check: flipping a state bit on the other side of the
-    block never changes a coordinate's value.  It reads `phi.table` one point
-    at a time, at rows computed as `GeneratorFn.eval` computes them, so it
-    is a route independent of the derivative tables and of relabeling."""
-    return not _flip_diffs(phi.table, _flip_cases(phi.n, phi.m, block), 1)
-
-
 def _cross_pairs(blocks) -> tuple[tuple[int, int], ...]:
     """The derivative route's plan: (ibit, jbit) for each coordinate i and state bit j in different blocks."""
     return tuple((1 << (i - 1), 1 << (j - 1)) for a, own in enumerate(blocks)
@@ -232,11 +224,6 @@ def _derivative_diffs(rows, pairs, ones: int) -> int:
         for r, out in enumerate(rows):
             seen |= (out ^ rows[r ^ jbit]) & lane
     return seen
-
-
-def derivative_separated(phi: GeneratorFn, block) -> bool:
-    """Derivative route: every cross-block partial derivative is identically zero."""
-    return not _derivative_diffs(phi.table, _cross_pairs(_split_blocks(phi.n, block)), 1)
 
 
 def _recompose_plan(n: int, block):
@@ -256,14 +243,6 @@ def _recompose_diffs(rows, plan, ones: int) -> int:
                  for base in range(0, len(rows), step) for r in spread])
         for width, spread, shifts in sides)
     return reduce(or_, map(xor, _parallel_rows(nb, b, nc, c), whole), 0)
-
-
-def recompose_verdict(phi: GeneratorFn, block) -> bool:
-    """Recomposition route: zero-fix extraction of both factors succeeds
-    exactly when their parallel composition reproduces the table.  Unguarded
-    (no separation precheck), so the verdict is the equality itself.  It
-    compares the kernel's rows and builds no `GeneratorFn`."""
-    return not _recompose_diffs(phi.table, _recompose_plan(phi.n, block), 1)
 
 
 @_seeded("thm26 cross-block independence")

@@ -11,7 +11,9 @@ to a separated block and to its complement, it gives the two factors of a
 decomposition.  `restrict` and `parallel_system` build their bundles
 unchecked (`_derived`), valid by construction from checked ones.
 `decompose_system`, the one entry to Theorem 34, reads each trajectory as
-its pair in f'(u) x f''(u); it builds no hull and weaves no schedules.
+its pair in f'(u) x f''(u), a pair of factor runs by Theorem 27: it runs
+the factors, never the full bundle, builds no hull and weaves no schedules.
+`realize` runs the full bundle; the tests check the factor route against it.
 """
 
 from __future__ import annotations
@@ -95,19 +97,28 @@ class RegularSystem(_Value):
         return self.inputs[0].horizon
 
     def restrict(self, coords: Iterable[int]) -> "RegularSystem":
-        """The bundle on the state coordinates `coords`, in that order: the
-        table `project_fn(phi, coords)`, every initial state restricted, and at
-        each restricted state the restrictions of every schedule admitted at a
-        full state extending it (prefix-progressive, as they are).  The inputs are unchanged."""
-        cs = tuple(coords)
-        k, gather, _, _ = _relabeler(self.n, cs)
-        phi0 = {u: frozenset(mu.restrict(cs) for mu in ms) for u, ms in self.phi0.items()}
-        fired: dict[tuple[BitVec, Signal], set[tuple]] = {}
-        for (mu, u), rs in self.pi.items():  # firings first: each distinct schedule is built once
-            fired.setdefault((mu.restrict(cs), u), set()).update(_fired(rho.events, gather) for rho in rs)
-        pi = {key: frozenset([ProgressiveFunction._derived(k, None, ev, self.horizon, ev) for ev in evs])
-              for key, evs in fired.items()}
-        return RegularSystem._derived(project_fn(self.phi, cs), self.inputs, phi0, pi)
+        """The bundle on the state coordinates `coords`, in that order (see `_restricted`)."""
+        return _restricted(self, tuple(coords))[0]
+
+
+def _restricted(sys: RegularSystem, cs: tuple[int, ...]):
+    """The bundle on the coordinates `cs`, in that order, and per input the
+    (mu on cs, rho on cs) of each admitted (mu, rho) in `sys.pi`'s order, in
+    one pass: the table `project_fn(phi, cs)`, the inputs, every initial state
+    restricted, and at each restricted state the restrictions, each distinct
+    one built once there, of every schedule admitted at a full state extending it."""
+    k, gather, _, _ = _relabeler(sys.n, cs)
+    phi0 = {u: frozenset(mu.restrict(cs) for mu in ms) for u, ms in sys.phi0.items()}
+    pi: dict[tuple[BitVec, Signal], dict[tuple, ProgressiveFunction]] = {}  # firings -> schedule
+    halves: dict[Signal, list[tuple[BitVec, ProgressiveFunction]]] = {u: [] for u in sys.inputs}
+    for (mu, u), rs in sys.pi.items():
+        own = pi.setdefault((mc := mu.restrict(cs), u), {})
+        for rho in rs:
+            if (rc := own.get(ev := _fired(rho.events, gather))) is None:
+                rc = own[ev] = ProgressiveFunction._derived(k, None, ev, sys.horizon, ev)
+            halves[u].append((mc, rc))
+    pi = {key: frozenset(rs.values()) for key, rs in pi.items()}
+    return RegularSystem._derived(project_fn(sys.phi, cs), sys.inputs, phi0, pi), halves
 
 
 def realize(sys: RegularSystem, horizon: Tick) -> dict[Signal, SignalSet]:
@@ -151,26 +162,26 @@ def parallel_system(a: RegularSystem, b: RegularSystem) -> RegularSystem:
     return RegularSystem._derived(phi, shared, phi0, pi)
 
 
-def _trajectory_classes(sys: RegularSystem, mu: BitVec, u: Signal) -> dict[Signal, ProgressiveFunction]:
-    """Each trajectory the bundle admits from (mu, u), mapped to the least schedule that runs it."""
+def _trajectory_classes(sys: RegularSystem, runs, mu: BitVec, u: Signal) -> dict[Signal, ProgressiveFunction]:
+    """Each trajectory the bundle admits from (mu, u), mapped to the least schedule that runs it, read from `runs`."""
     classes: dict[Signal, ProgressiveFunction] = {}
     for rho in sorted(sys.pi[(mu, u)]):
-        classes.setdefault(run(sys.phi, mu, u, rho, sys.horizon), rho)
+        classes.setdefault(runs[mu, u, rho], rho)
     return classes
 
 
 def _product_condition(
     sys: RegularSystem, bs, cs, first, second, short: dict[Signal, tuple[set, SignalSet, SignalSet]]
 ) -> tuple[Signal, BitVec, ProgressiveFunction, ProgressiveFunction] | None:
-    """None if every schedule product of the factors `first` and `second`, the
-    restrictions of `sys` to bs and cs, is trajectory-covered, else the first
-    witness (u, mu, rho_block, rho_rest) of the sorted loop over schedule pairs.
-    `short[u]` holds, for each input u that falls short of its hull, the pairs
-    (x on bs, x on cs) of f(u) and the factors' realizations.  By Theorem 27 a
-    woven pair runs to the product of its factors' runs, so the loop goes over
-    the factors' trajectory classes, each kept as its least schedule, weaves
-    nothing, and visits only states whose halves start fewer pairs than the
-    hull does; the witness is the first pair that f(u) lacks.
+    """None if every schedule product of the factors is trajectory-covered,
+    else the first witness (u, mu, rho_block, rho_rest) of the sorted loop over
+    schedule pairs.  `first` and `second` are the restrictions of `sys` to bs
+    and cs, each with its runs; `short[u]` holds, for each input u that falls
+    short of its hull, the pairs (x on bs, x on cs) of f(u) and the factors'
+    realizations.  By Theorem 27 a woven pair runs to the product of its
+    factors' runs, so the loop goes over the factors' trajectory classes, runs
+    and weaves nothing, and visits only states whose halves start fewer pairs
+    than the hull does; the witness is the first pair that f(u) lacks.
     """
     for u, (pairs, out_b, out_c) in short.items():
         from_b, from_c = Counter(x.initial for x in out_b), Counter(x.initial for x in out_c)
@@ -178,8 +189,8 @@ def _product_condition(
         for mu in sys.phi0[u]:
             mb, mc = mu.restrict(bs), mu.restrict(cs)
             if started[mb.value, mc.value] < from_b[mb.value] * from_c[mc.value]:
-                rests = _trajectory_classes(second, mc, u).items()
-                for xb, rb in _trajectory_classes(first, mb, u).items():
+                rests = _trajectory_classes(*second, mc, u).items()
+                for xb, rb in _trajectory_classes(*first, mb, u).items():
                     for xc, rc in rests:
                         if (xb, xc) not in pairs:
                             return u, mu, rb, rc
@@ -205,41 +216,44 @@ class DecompositionResult(_Value):
 def decompose_system(
     sys: RegularSystem, block: Iterable[int], horizon: Tick
 ) -> DecompositionResult:
-    """Decompose at a separated block and verify the parallel hull.
+    """Decompose at a separated block and verify the parallel hull, from the factors alone.
 
     Refuses with a dependency witness (`NotSeparatedError`) if the block is
-    not separated.  The factors f' and f'' are `sys.restrict` to the block
-    and to its complement, both ascending.  The hull of input u is
-    (f' || f'')(u) = f'(u) x f''(u), the product of the factors'
-    realizations, counted against the size limit and never built: each
-    trajectory of the system is read as its pair (on the block, on the
-    complement), which must lie in the product (checked, not assumed), and
-    the verdict is "equal" iff the pairs number |f'(u)| * |f''(u)| for every
-    u, so a truncation artifact can never misreport equality.  The product
-    condition is read off the missing pairs, and Theorem 34 is cross-checked both ways:
-    `InvalidSystem` unless "equal" goes with phi0 in product form and no `product_witness`.
+    not separated.  The factors f' and f'' are `sys.restrict` to the block and
+    to its complement, both ascending; each factor runs each (mu, u, rho) it
+    admits once, and the full bundle never runs.  By Theorem 27 the run of
+    (mu, u, rho) read on the block is the block factor's run from mu and rho
+    read there, and so on the complement: each trajectory of f(u) is read as
+    its pair of factor runs, in (f' || f'')(u) = f'(u) x f''(u).  The verdict
+    is "equal" iff the pairs number |f'(u)| * |f''(u)| for every u.  The
+    hulls of the inputs that fall short are counted against the size limit,
+    never built, and the product condition is read off their missing pairs.
+    Theorem 34 is cross-checked both ways: `InvalidSystem` unless "equal"
+    goes with phi0 in product form and no `product_witness`.
     """
     bs, cs = _separated_blocks(sys.phi, block)
-    partition = Partition((bs, cs))
-    first, second = sys.restrict(bs), sys.restrict(cs)
-    own, out_b, out_c = realize(sys, horizon), realize(first, horizon), realize(second, horizon)
+    if horizon != sys.horizon:
+        raise HorizonMismatch(f"horizon {horizon} does not match the system's {sys.horizon}")
+    (first, halves_b), (second, halves_c) = _restricted(sys, bs), _restricted(sys, cs)
+    runs_b, runs_c = ({(mu, u, rho): run(f.phi, mu, u, rho, horizon) for (mu, u), rs in f.pi.items() for rho in rs}
+                      for f in (first, second))
     # mu -> (mu on bs, mu on cs) is one-to-one into first.phi0[u] x second.phi0[u], so onto iff the sizes agree
     product_form = all(len(sys.phi0[u]) == len(first.phi0[u]) * len(second.phi0[u]) for u in sys.inputs)
 
-    check_count(sum(len(out_b[u]) * len(out_c[u]) for u in sys.inputs), "trajectories in the hulls")
     sizes, short = [], {}
     for u in sys.inputs:
-        pairs = {(x.restrict(bs), x.restrict(cs)) for x in own[u]}
-        if not all(xb in out_b[u].members and xc in out_c[u].members for xb, xc in pairs):
-            raise InvalidSystem(f"decomposition lost a trajectory for input {u}; this should be impossible")
-        hull = len(out_b[u]) * len(out_c[u])
+        out_b, out_c = (SignalSet(f.n, horizon, (runs[mu, u, rho] for mu in f.phi0[u] for rho in f.pi[(mu, u)]))
+                        for f, runs in ((first, runs_b), (second, runs_c)))
+        pairs = {(runs_b[mb, u, rb], runs_c[mc, u, rc]) for (mb, rb), (mc, rc) in zip(halves_b[u], halves_c[u])}
+        hull = len(out_b) * len(out_c)
         if len(pairs) < hull:  # a subset of a finite product, of the product's size, is all of it
-            short[u] = pairs, out_b[u], out_c[u]
-        sizes.append((u, len(own[u]), hull))
+            short[u] = pairs, out_b, out_c
+        sizes.append((u, len(pairs), hull))
 
     equal = not short
-    witness = _product_condition(sys, bs, cs, first, second, short)
+    check_count(sum(len(b) * len(c) for _, b, c in short.values()), "trajectories in the hulls")
+    witness = _product_condition(sys, bs, cs, (first, runs_b), (second, runs_c), short)
     if (product_form and witness is None) != equal:
         raise InvalidSystem("Theorem 34's conditions disagree with the realizations; horizon artifact")
-    return DecompositionResult(first, second, "equal" if equal else "strict-subset", partition,
+    return DecompositionResult(first, second, "equal" if equal else "strict-subset", Partition((bs, cs)),
                                product_form, witness, tuple(sizes))

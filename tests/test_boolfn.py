@@ -477,11 +477,7 @@ def test_unions_of_partition_blocks_are_separated():
 
 
 def test_three_routes_agree_on_random_larger_tables():
-    from asyncdec.frontend.checks import (
-        derivative_separated,
-        flip_invariant,
-        recompose_verdict,
-    )
+    from routes import derivative_separated, flip_invariant, recompose_verdict
 
     rng = random.Random(66)
     for _ in range(300):

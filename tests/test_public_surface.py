@@ -46,10 +46,8 @@ TEST_ONLY = {
     "BitVec.bit": "the README tour reads a coordinate with it",
     "_EventSequence.canonical": "tests build the expected canonical sequence of a signal or schedule with it",
     "partial_derivative": "the row-based derivative of one coordinate pair that tests check `dependency_matrix` against",
-    "recompose_verdict": "the per-table route tests compare against",
-    "flip_invariant": "the per-table routes that theorem 26's lanes are checked against",
-    "derivative_separated": "the per-table routes that theorem 26's lanes are checked against",
     "apply_masked": "the one-event reference that tests fold `run` against",
+    "realize": "the full-run route that tests check decompose's factor route against",
     "initial_state_function": "acceptance criterion 5 reads the hull's initial states with it",
     "lemma1_suite": "acceptance criterion 7, Lemma 1's product progressiveness",
     "partition_oracle_suite": "acceptance criterion 8, the finest partition against a brute-force oracle",
@@ -77,7 +75,7 @@ def _is_read(qualified: str, name: str, used: set[str]) -> bool:
 
 def test_every_public_definition_is_used():
     definitions = list(_public_definitions())
-    assert len(definitions) >= 103
+    assert len(definitions) >= 100
     used = _names_read(PACKAGE, TESTS)
     unused = [f"{module}:{qualified}" for module, qualified, name in definitions
               if not _is_read(qualified, name, used)]

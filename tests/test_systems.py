@@ -503,16 +503,20 @@ def _admitted(*bundles):
                 for s in bundles), Counter())
 
 
+def _no_full_run(calls, sys_):
+    return not any(phi == sys_.phi for phi, _, _, _ in calls)
+
+
 def test_decompose_runs_each_admitted_triple_once(monkeypatch):
     par = parallel_system(step_system((1, 2, 3)), step_system((4, 5)))
     calls = _counted_runs(monkeypatch)
     result = decompose_system(par, (1,), H)
     monkeypatch.undo()
     assert result.status == "equal" and result.product_witness is None
-    # six interleavings per initial state, all of them admitted schedules;
-    # the hull is the product of the factors' realizations, 3 x 2 runs
-    assert calls == _admitted(par, result.first, result.second)
-    assert sum(calls.values()) == 11
+    # six interleavings per initial state, none of them run: the hull and the
+    # pairs come from the factors' 3 + 2 admitted runs
+    assert calls == _admitted(result.first, result.second) and _no_full_run(calls, par)
+    assert sum(calls.values()) == 5
 
 
 def _one_state_bundle(phi, count):
@@ -525,28 +529,28 @@ def _one_state_bundle(phi, count):
 
 def test_decompose_runs_no_schedule_pair(monkeypatch):
     """Identity dynamics: 800 x 800 factor schedule pairs, one hull trajectory.
-    decompose makes the 3 x 800 admitted runs and no more."""
+    decompose makes the factors' 2 x 800 admitted runs and no more."""
     sys_ = _one_state_bundle(GeneratorFn.identity(2, 1), 800)
     calls = _counted_runs(monkeypatch)
     result = decompose_system(sys_, (1,), sys_.horizon)
     monkeypatch.undo()
     assert result.status == "equal" and result.product_witness is None
-    assert calls == _admitted(sys_, result.first, result.second)
-    assert sum(calls.values()) == 3 * 800
+    assert calls == _admitted(result.first, result.second) and _no_full_run(calls, sys_)
+    assert sum(calls.values()) == 2 * 800
 
 
-def test_the_witness_search_runs_each_factor_schedule_once_more(monkeypatch):
+def test_the_witness_search_adds_no_run(monkeypatch):
     """Both coordinates follow the input, fired together at one of 40 ticks:
     40 trajectories per factor, 1600 in the hull and 40 realized.  Finding
-    the witness adds at most one run per factor schedule, 2 x 40."""
+    the witness reads the factors' runs, 2 x 40, and runs nothing more."""
     count = 40
     sys_ = _one_state_bundle(fn(2, 1, lambda mu, lam: BitVec.from_bits([lam.bit(1), lam.bit(1)])), count)
     calls = _counted_runs(monkeypatch)
     result = decompose_system(sys_, (1,), sys_.horizon)
     monkeypatch.undo()
     assert result.status == "strict-subset" and result.hull_sizes[0][1:] == (count, count * count)
-    admitted = _admitted(sys_, result.first, result.second)
-    assert calls >= admitted and sum((calls - admitted).values()) <= 2 * count
+    assert calls == _admitted(result.first, result.second) and _no_full_run(calls, sys_)
+    assert sum(calls.values()) == 2 * count
     # the first pair of the sorted loop: rho' fires at tick 1, rho'' at tick 2
     fire = [ProgressiveFunction(1, ((t, 1),), count + 1) for t in (1, 2)]
     assert result.product_witness == (sys_.inputs[0], bv("00"), *fire)
@@ -556,29 +560,34 @@ def test_the_witness_search_skips_states_that_start_no_missing_pair(monkeypatch)
     """Coordinate 1 follows the input and coordinate 2 its negation, over the
     four states, each firing both coordinates at one of 30 ticks.  Only 01
     moves both halves, so only its halves start pairs that f(u) lacks; the
-    three states iterated before it share its halves and start none, and the
-    search still adds at most one run per factor schedule."""
+    three states iterated before it share its halves and start none: the
+    search groups the factor schedules of 01's halves alone, and runs nothing."""
     count = 30
     u, states = unit_step(0, count + 1), [bv(b) for b in ("00", "01", "10", "11")]
     rhos = {ProgressiveFunction(2, ((t, 0b11),), count + 1) for t in range(1, count + 1)}
     phi = fn(2, 1, lambda mu, lam: BitVec.from_bits([lam.bit(1), 1 - lam.bit(1)]))
     sys_ = RegularSystem(phi, (u,), {u: states}, {(mu, u): rhos for mu in states})
     assert list(sys_.phi0[u])[-1] == bv("01")  # the states that share its halves come first
+    import asyncdec.systems as systems_mod
+
+    grouped, real_classes = [], systems_mod._trajectory_classes
+    monkeypatch.setattr(systems_mod, "_trajectory_classes",
+                        lambda f, runs, mu, v: grouped.append(mu) or real_classes(f, runs, mu, v))
     calls = _counted_runs(monkeypatch)
     result = decompose_system(sys_, (1,), sys_.horizon)
     monkeypatch.undo()
     assert result.phi0_product_form and result.status == "strict-subset"
     assert result.hull_sizes[0][1:] == (3 * count + 1, (count + 1) ** 2)
-    extra = calls - _admitted(sys_, result.first, result.second)
-    assert max(extra.values()) == 1 and sum(extra.values()) <= 2 * count
+    assert calls == _admitted(result.first, result.second) and _no_full_run(calls, sys_)
+    assert grouped == [bv("1"), bv("0")]  # 01's halves, the complement's first
     fire = [ProgressiveFunction(1, ((t, 1),), count + 1) for t in (1, 2)]
     assert result.product_witness == (u, bv("01"), *fire)
 
 
 def test_decompose_builds_no_product_signal_and_one_set_per_realization(monkeypatch):
-    """decompose_system reads each trajectory as its pair of halves: it weaves
-    no product signal and builds no hull set, only the signal sets of the
-    three realizations (one per input each)."""
+    """decompose_system reads each trajectory as its pair of factor runs: it
+    weaves no product signal, builds no hull set and runs no full schedule,
+    only the signal sets of the factors' two realizations (one per input each)."""
     import sys as interpreter
 
     from asyncdec import parallel_fn
@@ -607,11 +616,13 @@ def test_decompose_builds_no_product_signal_and_one_set_per_realization(monkeypa
         real_init(self, *args)
 
     monkeypatch.setattr(SignalSet, "__init__", counted_init)
+    calls = _counted_runs(monkeypatch)
     statuses = set()
     for sys_, block in cases:
         built.clear()
+        calls.clear()
         statuses.add(decompose_system(sys_, block, sys_.horizon).status)
-        assert len(built) == 3 * len(sys_.inputs)
+        assert len(built) == 2 * len(sys_.inputs) and _no_full_run(calls, sys_)
     assert statuses == {"equal", "strict-subset"}
 
 
@@ -757,6 +768,43 @@ def test_decompose_matches_the_realized_parallel_bundle():
         assert got == _reference_verdict(sys_, result)
         statuses.add(result.status)
     assert statuses == {"equal", "strict-subset"}
+
+
+def test_the_factor_route_matches_the_full_runs_and_a_relabeling():
+    """The full-run route as the oracle of decompose's factor route, on random
+    bundles (n <= 5, one to three inputs) over random tables separated at a
+    random block, whose phi0 and pi are drawn state by state, not as products.
+    Every full run's halves lie in the factors' realizations, and the hull
+    sizes and the status are those the full runs give.  The bundle relabeled
+    by a random permutation, decomposed at the block's image, gives the same
+    status, phi0 product form and hull sizes."""
+    from asyncdec import parallel_fn, project_fn
+
+    rng = random.Random(51)
+    kinds = set()
+    for _ in range(150):
+        n = rng.randint(2, 5)
+        na, m = rng.randint(1, n - 1), rng.randint(1, 2)
+        perm = rng.sample(range(1, n + 1), n)
+        # coordinate i of the parallel function moves to position perm[i-1]
+        order = sorted(range(1, n + 1), key=lambda k: perm[k - 1])
+        phi = project_fn(parallel_fn(rand_fn(rng, na, m), rand_fn(rng, n - na, m)), order)
+        sys_ = rand_system(rng, phi, H, n_inputs=rng.randint(1, 3))
+        result = decompose_system(sys_, perm[:na], H)
+        bs, cs = result.partition.blocks
+        own, out_b, out_c = realize(sys_, H), realize(result.first, H), realize(result.second, H)
+        for u in sys_.inputs:
+            assert all(x.restrict(bs) in out_b[u].members and x.restrict(cs) in out_c[u].members
+                       for x in own[u])
+        sizes = tuple((u, len(own[u]), len(out_b[u]) * len(out_c[u])) for u in sys_.inputs)
+        assert result.hull_sizes == sizes
+        assert result.status == ("equal" if all(a == b for _, a, b in sizes) else "strict-subset")
+        sigma = rng.sample(range(1, n + 1), n)
+        moved = decompose_system(sys_.restrict(sigma), [k for k, c in enumerate(sigma, 1) if c in bs], H)
+        verdict = (result.status, result.phi0_product_form, result.hull_sizes)
+        assert (moved.status, moved.phi0_product_form, moved.hull_sizes) == verdict
+        kinds.add(verdict[:2])
+    assert kinds == {("equal", True), ("strict-subset", True), ("strict-subset", False)}
 
 
 def test_phi0_product_form_by_count_matches_the_set_comparison():
