@@ -9,7 +9,8 @@ Numbers are ASCII digits only.  System bundles are sectioned: [phi], [inputs],
 [phi0], [pi] and one [rho <name>] section per named schedule; a section of
 any other name is refused, and each input names a distinct signal.  An error
 in an inline [phi] table names its line in the bundle file.  A bundle checks
-each distinct event text once per width: its lines share one memo of them.
+each distinct event text once per width: its lines share one memo of them,
+and a schedule line whose events all passed is checked only for rising ticks.
 
 `load(path, kind, *kinds)` is the one reader of input files, told by their
 first content line: `[` opens a bundle; `n=<w>` followed by `init=` a signal,
@@ -29,6 +30,7 @@ from __future__ import annotations
 import os
 import re
 from itertools import chain, islice
+from operator import itemgetter, lt
 from typing import Iterator
 
 from ..boolfn import GeneratorFn, check_scan_size
@@ -141,10 +143,11 @@ _FORMS = {Signal: "n=<w> init=<bits> H=<tick> events=...",
 
 def _parse_sequence(line: str, where: str, kind: type, memo: dict) -> Signal | ProgressiveFunction:
     """A signal line (`kind` Signal, with `init=`) or a schedule line
-    (ProgressiveFunction, without).  The core's width, ordering and horizon
-    checks are reported as format errors prefixed by `where`.  `memo` maps a
-    width to the (t, value) pair of each event text that passed at that width,
-    so lines sharing it report the first violation as lines read alone do."""
+    (ProgressiveFunction, without).  `memo` maps a width to the (t, value) pair
+    of each event text that passed at that width, so a schedule line of width
+    >= 1 with rising ticks up to H is built from its pairs unchecked.  Other
+    lines meet the checking constructor, its errors reported as format errors
+    prefixed by `where`: lines sharing `memo` report the first as lines read alone do."""
     match = _SEQUENCE_LINE.match(line.strip())
     if not match or (match.group(2) is None) == (kind is Signal):
         raise LoadError(f"{where}: expected '{_FORMS[kind]}', found {line!r}")
@@ -165,6 +168,9 @@ def _parse_sequence(line: str, where: str, kind: type, memo: dict) -> Signal | P
                 raise LoadError(f"{where}: {kind._kind} event at tick {t} has width {len(bits)}, expected {width}")
             pair = read[raw] = (t, int(bits[::-1], 2))
         events.append(pair)
+    ticks = list(map(itemgetter(0), events))  # each pair passed at this width: a schedule needs rising ticks up to H
+    if init is None and width >= 1 and all(map(lt, ticks, [*ticks[1:], horizon + 1])):
+        return ProgressiveFunction._derived(width, None, tuple(events), horizon, tuple(filter(itemgetter(1), events)))
     try:
         if init is None:
             return ProgressiveFunction(width, tuple(events), horizon)

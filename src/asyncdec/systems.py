@@ -11,8 +11,8 @@ to a separated block and to its complement, it gives the two factors of a
 decomposition.  `restrict` and `parallel_system` build their bundles
 unchecked (`_derived`), valid by construction from checked ones.
 `decompose_system`, the one entry to Theorem 34, reads each trajectory as
-its pair in f'(u) x f''(u), a pair of factor runs by Theorem 27: it runs
-the factors, never the full bundle, builds no hull and weaves no schedules.
+its pair in f'(u) x f''(u), two numbered factor runs by Theorem 27: it runs
+the factors, never the full bundle, and builds no hull and no woven schedule.
 `realize` runs the full bundle; the tests check the factor route against it.
 """
 
@@ -102,23 +102,24 @@ class RegularSystem(_Value):
 
 
 def _restricted(sys: RegularSystem, cs: tuple[int, ...]):
-    """The bundle on the coordinates `cs`, in that order, and per input the
-    (mu on cs, rho on cs) of each admitted (mu, rho) in `sys.pi`'s order, in
-    one pass: the table `project_fn(phi, cs)`, the inputs, every initial state
-    restricted, and at each restricted state the restrictions, each distinct
-    one built once there, of every schedule admitted at a full state extending it."""
+    """The bundle on the coordinates `cs`, in that order, its distinct triples
+    (mu on cs, u, rho on cs) as a list, and per input the index (handle) there
+    of each admitted (mu, rho)'s triple, in `sys.pi`'s order.  One pass builds
+    the table `project_fn(phi, cs)`, every initial state restricted and, once
+    per restricted state, each distinct restriction of the schedules admitted above it."""
     k, gather, _, _ = _relabeler(sys.n, cs)
     phi0 = {u: frozenset(mu.restrict(cs) for mu in ms) for u, ms in sys.phi0.items()}
-    pi: dict[tuple[BitVec, Signal], dict[tuple, ProgressiveFunction]] = {}  # firings -> schedule
-    halves: dict[Signal, list[tuple[BitVec, ProgressiveFunction]]] = {u: [] for u in sys.inputs}
+    pi: dict[tuple[BitVec, Signal], dict[tuple, int]] = {}  # firings -> handle
+    triples, handles = [], {u: [] for u in sys.inputs}
     for (mu, u), rs in sys.pi.items():
-        own = pi.setdefault((mc := mu.restrict(cs), u), {})
+        own, admitted = pi.setdefault((mc := mu.restrict(cs), u), {}), handles[u]
         for rho in rs:
-            if (rc := own.get(ev := _fired(rho.events, gather))) is None:
-                rc = own[ev] = ProgressiveFunction._derived(k, None, ev, sys.horizon, ev)
-            halves[u].append((mc, rc))
-    pi = {key: frozenset(rs.values()) for key, rs in pi.items()}
-    return RegularSystem._derived(project_fn(sys.phi, cs), sys.inputs, phi0, pi), halves
+            if (h := own.get(ev := _fired(rho.events, gather))) is None:
+                h = own[ev] = len(triples)
+                triples.append((mc, u, ProgressiveFunction._derived(k, None, ev, sys.horizon, ev)))
+            admitted.append(h)
+    pi = {key: frozenset(triples[h][2] for h in own.values()) for key, own in pi.items()}
+    return RegularSystem._derived(project_fn(sys.phi, cs), sys.inputs, phi0, pi), triples, handles
 
 
 def realize(sys: RegularSystem, horizon: Tick) -> dict[Signal, SignalSet]:
@@ -162,37 +163,36 @@ def parallel_system(a: RegularSystem, b: RegularSystem) -> RegularSystem:
     return RegularSystem._derived(phi, shared, phi0, pi)
 
 
-def _trajectory_classes(sys: RegularSystem, runs, mu: BitVec, u: Signal) -> dict[Signal, ProgressiveFunction]:
-    """Each trajectory the bundle admits from (mu, u), mapped to the least schedule that runs it, read from `runs`."""
-    classes: dict[Signal, ProgressiveFunction] = {}
-    for rho in sorted(sys.pi[(mu, u)]):
-        classes.setdefault(runs[mu, u, rho], rho)
+def _trajectory_classes(triples, nums: list[int], mu: BitVec, handles: list[int]) -> dict[int, ProgressiveFunction]:
+    """Each trajectory run from `mu` by a triple of `handles`, as its number in `nums`, mapped to its least schedule."""
+    classes: dict[int, ProgressiveFunction] = {}
+    for rho, x in sorted((triples[h][2], nums[h]) for h in set(handles) if triples[h][0] == mu):
+        classes.setdefault(x, rho)
     return classes
 
 
-def _product_condition(
-    sys: RegularSystem, bs, cs, first, second, short: dict[Signal, tuple[set, SignalSet, SignalSet]]
-) -> tuple[Signal, BitVec, ProgressiveFunction, ProgressiveFunction] | None:
+def _product_condition(sys: RegularSystem, bs, cs, first, second, short: dict[Signal, tuple[set, set, set]]
+                       ) -> tuple[Signal, BitVec, ProgressiveFunction, ProgressiveFunction] | None:
     """None if every schedule product of the factors is trajectory-covered,
-    else the first witness (u, mu, rho_block, rho_rest) of the sorted loop over
-    schedule pairs.  `first` and `second` are the restrictions of `sys` to bs
-    and cs, each with its runs; `short[u]` holds, for each input u that falls
-    short of its hull, the pairs (x on bs, x on cs) of f(u) and the factors'
-    realizations.  By Theorem 27 a woven pair runs to the product of its
+    else the first witness (u, mu, rho_block, rho_rest) of the sorted loop
+    over schedule pairs.  `first` and `second` hold each factor's triples,
+    handles, run numbers and runs (see `decompose_system`); `short[u]` holds
+    f(u), f'(u) and f''(u) in run numbers for each input u that falls short
+    of its hull.  By Theorem 27 a woven pair runs to the product of its
     factors' runs, so the loop goes over the factors' trajectory classes, runs
     and weaves nothing, and visits only states whose halves start fewer pairs
-    than the hull does; the witness is the first pair that f(u) lacks.
-    """
+    than the hull does; the witness is the first pair that f(u) lacks."""
+    (tb, hb, nb, xb), (tc, hc, nc, xc) = first, second
     for u, (pairs, out_b, out_c) in short.items():
-        from_b, from_c = Counter(x.initial for x in out_b), Counter(x.initial for x in out_c)
-        started = Counter((xb.initial, xc.initial) for xb, xc in pairs)
+        from_b, from_c = Counter(xb[r].initial for r in out_b), Counter(xc[r].initial for r in out_c)
+        started = Counter((xb[rb].initial, xc[rc].initial) for rb, rc in pairs)
         for mu in sys.phi0[u]:
             mb, mc = mu.restrict(bs), mu.restrict(cs)
             if started[mb.value, mc.value] < from_b[mb.value] * from_c[mc.value]:
-                rests = _trajectory_classes(*second, mc, u).items()
-                for xb, rb in _trajectory_classes(*first, mb, u).items():
-                    for xc, rc in rests:
-                        if (xb, xc) not in pairs:
+                rests = _trajectory_classes(tc, nc, mc, hc[u]).items()
+                for x, rb in _trajectory_classes(tb, nb, mb, hb[u]).items():
+                    for y, rc in rests:
+                        if (x, y) not in pairs:
                             return u, mu, rb, rc
     return None
 
@@ -221,30 +221,32 @@ def decompose_system(
     Refuses with a dependency witness (`NotSeparatedError`) if the block is
     not separated.  The factors f' and f'' are `sys.restrict` to the block and
     to its complement, both ascending; each factor runs each (mu, u, rho) it
-    admits once, and the full bundle never runs.  By Theorem 27 the run of
-    (mu, u, rho) read on the block is the block factor's run from mu and rho
-    read there, and so on the complement: each trajectory of f(u) is read as
-    its pair of factor runs, in (f' || f'')(u) = f'(u) x f''(u).  The verdict
-    is "equal" iff the pairs number |f'(u)| * |f''(u)| for every u.  The
-    hulls of the inputs that fall short are counted against the size limit,
-    never built, and the product condition is read off their missing pairs.
-    Theorem 34 is cross-checked both ways: `InvalidSystem` unless "equal"
-    goes with phi0 in product form and no `product_witness`.
+    admits once and numbers the distinct runs; the full bundle never runs.
+    By Theorem 27 the run of (mu, u, rho) read on the block is the block
+    factor's run from mu and rho read there, and so on the complement: each
+    trajectory of f(u) is a pair of factor run numbers, in (f' || f'')(u) =
+    f'(u) x f''(u).  The verdict is "equal" iff the pairs number
+    |f'(u)| * |f''(u)| for every u.  The hulls of the inputs that fall short
+    are counted against the size limit, never built, and the product condition
+    is read off their missing pairs.  Theorem 34 is cross-checked both ways:
+    `InvalidSystem` unless "equal" goes with phi0 in product form and no `product_witness`.
     """
     bs, cs = _separated_blocks(sys.phi, block)
     if horizon != sys.horizon:
         raise HorizonMismatch(f"horizon {horizon} does not match the system's {sys.horizon}")
-    (first, halves_b), (second, halves_c) = _restricted(sys, bs), _restricted(sys, cs)
-    runs_b, runs_c = ({(mu, u, rho): run(f.phi, mu, u, rho, horizon) for (mu, u), rs in f.pi.items() for rho in rs}
-                      for f in (first, second))
+    sides = []
+    for f, triples, handles in (_restricted(sys, bs), _restricted(sys, cs)):
+        ids: dict[Signal, int] = {}  # each distinct run, numbered in the order of its first triple
+        nums = [ids.setdefault(run(f.phi, mu, u, rho, horizon), len(ids)) for mu, u, rho in triples]
+        sides.append((f, triples, handles, nums, list(ids)))
+    (first, *side_b), (second, *side_c) = sides
     # mu -> (mu on bs, mu on cs) is one-to-one into first.phi0[u] x second.phi0[u], so onto iff the sizes agree
     product_form = all(len(sys.phi0[u]) == len(first.phi0[u]) * len(second.phi0[u]) for u in sys.inputs)
 
     sizes, short = [], {}
-    for u in sys.inputs:
-        out_b, out_c = (SignalSet(f.n, horizon, (runs[mu, u, rho] for mu in f.phi0[u] for rho in f.pi[(mu, u)]))
-                        for f, runs in ((first, runs_b), (second, runs_c)))
-        pairs = {(runs_b[mb, u, rb], runs_c[mc, u, rc]) for (mb, rb), (mc, rc) in zip(halves_b[u], halves_c[u])}
+    for u in sys.inputs:  # each admitted (mu, rho) as its two run numbers
+        ib, ic = ([*map(nums.__getitem__, handles[u])] for _, handles, nums, _ in (side_b, side_c))
+        pairs, out_b, out_c = set(zip(ib, ic)), set(ib), set(ic)
         hull = len(out_b) * len(out_c)
         if len(pairs) < hull:  # a subset of a finite product, of the product's size, is all of it
             short[u] = pairs, out_b, out_c
@@ -252,7 +254,7 @@ def decompose_system(
 
     equal = not short
     check_count(sum(len(b) * len(c) for _, b, c in short.values()), "trajectories in the hulls")
-    witness = _product_condition(sys, bs, cs, (first, runs_b), (second, runs_c), short)
+    witness = _product_condition(sys, bs, cs, side_b, side_c, short)
     if (product_form and witness is None) != equal:
         raise InvalidSystem("Theorem 34's conditions disagree with the realizations; horizon artifact")
     return DecompositionResult(first, second, "equal" if equal else "strict-subset", Partition((bs, cs)),

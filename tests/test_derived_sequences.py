@@ -2,13 +2,15 @@
 constructor gives for the same fields: sequences (runs, restrictions,
 products, truncations, canonical forms), tables (`parallel_fn`, `project_fn`,
 `split_fn`, the table reader, `compile_program`), bundles (`restrict`,
-`parallel_system`) and the seeded generators' draws.  A restricted bundle
-builds each schedule once, and the seeded suites build through a checking
-constructor only the bundles they draw as input."""
+`parallel_system`), the seeded generators' draws and the schedule lines the
+bundle reader accepts.  A restricted bundle builds each schedule once, and the
+seeded suites build through a checking constructor only the bundles they draw
+as input."""
 
 import pickle
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,9 +28,10 @@ from asyncdec import (
     run,
     split_fn,
 )
-from asyncdec.frontend import checks
+from asyncdec.errors import AsyncDecError
+from asyncdec.frontend import checks, fileio
 from asyncdec.frontend.dsl import EquationProgram, compile_program
-from asyncdec.frontend.fileio import format_truth_table
+from asyncdec.frontend.fileio import LoadError, format_truth_table
 from asyncdec.signals import _EventSequence
 from loading import load_text
 
@@ -204,6 +207,89 @@ def test_a_derived_table_bundle_or_draw_equals_its_checked_rebuild(data):
     ]
     for z in derived:
         _same_as_rebuilt(z)
+
+
+_CORE = """[phi]
+n=1 m=1
+0 0 -> 0
+1 0 -> 1
+0 1 -> 0
+1 1 -> 1
+[inputs]
+u = n=1 init=0 H=12 events=(1,1)
+[phi0]
+u: 0
+[pi]
+0 @ u: p
+[rho p]
+n=1 H=12 events=(1,1);(2,0)
+"""
+
+
+def _drawn_line(data):
+    """A schedule line at width 0..4 and its expected outcome: up to five
+    events on ticks -1..HORIZON + 2, rising or in any order (so equal, falling
+    and past-H ticks occur), all-zero firings common, now and then a bit
+    string one too long; `events=` may be empty.  The outcome is the value the
+    checking constructor builds from the events, or the text a reader reports
+    for the line read alone: the first wrong-width event's, else the constructor's."""
+    width = data.draw(st.sampled_from((1, 2, 3, 4) * 2 + (0,)))
+    ticks = [data.draw(st.integers(-1, HORIZON + 2)) for _ in range(data.draw(st.sampled_from((3, 1, 4, 2, 5, 0))))]
+    if data.draw(st.booleans()):
+        ticks = sorted(set(ticks))
+    values = st.sampled_from((0, (1 << width) - 1)) | st.integers(0, max(0, (1 << width) - 1))
+    events = [(t, v, format(v, "b").zfill(width + data.draw(st.sampled_from((0,) * 29 + (1,))))[::-1])
+              for t, v in ((t, data.draw(values)) for t in ticks)]
+    line = f"n={width} H={HORIZON} events=" + ";".join(f"({t},{bits})" for t, _, bits in events)
+    for t, _, bits in events:
+        if len(bits) != width:
+            return line, f"schedule event at tick {t} has width {len(bits)}, expected {width}"
+    try:
+        return line, ProgressiveFunction(width, tuple((t, v) for t, v, _ in events), HORIZON)
+    except AsyncDecError as exc:
+        return line, str(exc)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_a_bundle_accepts_each_schedule_line_as_its_checked_value(data):
+    """Drawn schedule lines read as [rho] sections of one bundle, so that they
+    share its memo of event texts with each other and with the core's lines.
+    Each line read is the checking constructor's value, its `_canon` shared
+    with `events` exactly when no firing is all zero, until the bundle stops
+    at the first refused line with the text that line gives read alone.  Read
+    once more through one shared memo, every refused line gives that text."""
+    lines = [_drawn_line(data) for _ in range(data.draw(st.integers(1, 6)))]
+    read, real = [], fileio._parse_sequence
+
+    def reading(line, where, kind, memo):
+        value = real(line, where, kind, memo)
+        read.append((where, value))
+        return value
+
+    text = _CORE + "".join(f"[rho r{k}]\n{line}\n" for k, (line, _) in enumerate(lines))
+    refused = [k for k, (_, expected) in enumerate(lines) if isinstance(expected, str)]
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(fileio, "_parse_sequence", reading)
+        try:
+            load_text(text, RegularSystem)
+            assert not refused
+        except LoadError as exc:
+            assert refused and str(exc) == f"[rho r{refused[0]}]: {lines[refused[0]][1]}"
+    accepted = [(where, x) for where, x in read if where.startswith("[rho r")]
+    assert [where for where, _ in accepted] == [f"[rho r{k}]" for k in range(refused[0] if refused else len(lines))]
+    for (_, x), (_, expected) in zip(accepted, lines):
+        assert x._values() == expected._values()
+        _same_as_rebuilt(x)
+        assert (x._canon is x.events) == all(v for _, v in x.events)
+    memo: dict = {}
+    for line, expected in lines:
+        try:
+            x = fileio._parse_sequence(line, "[rho]", ProgressiveFunction, memo)
+        except LoadError as exc:
+            assert str(exc) == f"[rho]: {expected}"
+        else:
+            assert x._values() == expected._values()
 
 
 def _counted_builds(monkeypatch, suite, *args):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 SRC = Path(__file__).parent.parent / "src" / "asyncdec"
 
-CEILING = 2608
+CEILING = 2616
 
 
 def test_package_lines_stay_under_the_ceiling():

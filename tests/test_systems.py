@@ -584,10 +584,10 @@ def test_the_witness_search_skips_states_that_start_no_missing_pair(monkeypatch)
     assert result.product_witness == (u, bv("01"), *fire)
 
 
-def test_decompose_builds_no_product_signal_and_one_set_per_realization(monkeypatch):
-    """decompose_system reads each trajectory as its pair of factor runs: it
-    weaves no product signal, builds no hull set and runs no full schedule,
-    only the signal sets of the factors' two realizations (one per input each)."""
+def test_decompose_builds_no_product_signal_and_no_signal_set(monkeypatch):
+    """decompose_system reads each trajectory as its pair of factor run
+    numbers: it weaves no product signal, runs no full schedule and builds no
+    signal set, for an input whose pairs fill its hull or one that falls short."""
     import sys as interpreter
 
     from asyncdec import parallel_fn
@@ -617,13 +617,50 @@ def test_decompose_builds_no_product_signal_and_one_set_per_realization(monkeypa
 
     monkeypatch.setattr(SignalSet, "__init__", counted_init)
     calls = _counted_runs(monkeypatch)
-    statuses = set()
+    kinds = set()
     for sys_, block in cases:
         built.clear()
         calls.clear()
-        statuses.add(decompose_system(sys_, block, sys_.horizon).status)
-        assert len(built) == 2 * len(sys_.inputs) and _no_full_run(calls, sys_)
-    assert statuses == {"equal", "strict-subset"}
+        result = decompose_system(sys_, block, sys_.horizon)
+        kinds.update(own == hull for _, own, hull in result.hull_sizes)
+        assert built == [] and _no_full_run(calls, sys_)
+    assert kinds == {True, False}
+
+
+def _one_input_product(count):
+    """The connection of two identity bundles under one step input, each firing
+    its coordinate at one of `count` ticks: two states times one, so 2 x count^2
+    admitted triples over 3 x count distinct factor triples."""
+    u = unit_step(3, 40)
+
+    def factor(states):
+        ms = [BitVec(1, s) for s in states]
+        rs = [ProgressiveFunction(1, ((t, 1),), 40) for t in range(1, count + 1)]
+        return RegularSystem(GeneratorFn.identity(1, 1), (u,), {u: ms}, {(mu, u): rs for mu in ms})
+
+    return parallel_system(factor((0, 1)), factor((0,)))
+
+
+def test_decompose_hashes_sequences_per_factor_triple_not_per_admitted_triple(monkeypatch):
+    """Counted work, no clock: the sequence hashes inside decompose_system grow
+    by two per new distinct factor triple (its schedule enters the factor's pi,
+    its run is numbered), however many admitted triples the doubling adds."""
+    from asyncdec.signals import _EventSequence
+
+    hashes, real_hash = [0], _EventSequence.__hash__
+    monkeypatch.setattr(_EventSequence, "__hash__", lambda x: hashes.__setitem__(0, hashes[0] + 1) or real_hash(x))
+    counts = []
+    for count in (8, 16):
+        sys_ = _one_input_product(count)
+        hashes[0] = 0
+        result = decompose_system(sys_, (1,), sys_.horizon)
+        admitted = sum(map(len, sys_.pi.values()))
+        triples = sum(len(rs) for f in (result.first, result.second) for rs in f.pi.values())
+        counts.append((hashes[0], triples, admitted))
+    monkeypatch.undo()
+    (small, small_triples, small_admitted), (large, large_triples, large_admitted) = counts
+    assert result.status == "equal" and (small_admitted, large_admitted) == (128, 512)
+    assert large - small <= 2 * (large_triples - small_triples) == 48
 
 
 def test_product_condition_requires_separated_block():
