@@ -19,11 +19,11 @@ import sys
 from itertools import chain
 from typing import Iterable
 
-from ..boolfn import GeneratorFn, _split_blocks, dependency_matrix, parallel_fn
+from ..boolfn import GeneratorFn, _separated_blocks, dependency_matrix, parallel_fn
 from ..errors import AsyncDecError, NotSeparatedError
 from ..semantics import run
 from ..signals import BitVec, ProgressiveFunction, Signal, _bits_text
-from ..systems import RegularSystem, decompose_system, parallel_system
+from ..systems import RegularSystem, _decompositions, parallel_system
 from . import checks
 from .dsl import EquationProgram, compile_program, program_matrix
 from .fileio import LoadError, _kind_then_value, format_system, format_truth_table, load, save_system
@@ -151,10 +151,11 @@ def _cmd_decompose(args) -> int:
     doc = [("n", str(sys_.n)), ("m", str(sys_.m)), ("horizon", str(sys_.horizon))]
     if args.block is not None:
         try:  # a negative item is a coordinate out of range, which _split_blocks refuses
-            blocks = _split_blocks(sys_.n, [_integer(x) for x in args.block.split(",")])
+            coords = [_integer(x) for x in args.block.split(",")]
         except argparse.ArgumentTypeError:
             raise LoadError(f"--block must be comma-separated coordinates, got {args.block!r}")
-    else:
+        blocks = _separated_blocks(sys_.phi, coords)
+    else:  # the finest partition's blocks are separated by construction
         blocks = dependency_matrix(sys_.phi).components().blocks
         print(f"finest partition: {_blocks_text(blocks)}")
         doc.append(("partition.blocks", "|".join(",".join(map(str, b)) for b in blocks)))
@@ -163,15 +164,9 @@ def _cmd_decompose(args) -> int:
             doc.append(("status", "indecomposable"))
             _write_doc(args.out, doc)
             return _EXIT_OK
-    factors = []
-    statuses = []
-    current = sys_
-    for step in range(1, len(blocks)):
-        # `current` holds the coordinates of blocks step-1 onward, ascending
-        rest = sorted(chain.from_iterable(blocks[step - 1:]))
-        block = [rest.index(i) + 1 for i in blocks[step - 1]]
-        result = decompose_system(current, block, current.horizon)
-        print(f"step{step} block {{{','.join(map(str, block))}}}:")
+    factors, statuses = [], []
+    for step, result in enumerate(_decompositions(sys_, blocks), start=1):
+        print(f"step{step} block {{{','.join(map(str, result.partition.blocks[0]))}}}:")
         print("  permutation: " + ",".join(map(str, result.partition.permutation)))
         print(f"  status: {result.status}")
         print(f"  phi0 product form: {'yes' if result.phi0_product_form else 'no'}")
@@ -189,8 +184,7 @@ def _cmd_decompose(args) -> int:
         doc.append((f"step{step}.product_condition", str(int(witness is None))))
         factors.append(result.first)
         statuses.append(result.status)
-        current = result.second
-    factors.append(current)
+    factors.append(result.second)
     overall = "equal" if all(s == "equal" for s in statuses) else "strict-subset"
     print(f"overall: {overall} ({len(factors)} factors)")
     doc.append(("status", overall))

@@ -7,19 +7,19 @@ combination and collects the canonical trajectories per input; this is the
 computation-function form of a regular system, at finite-prefix scale.
 
 A bundle relabels like every other kind, by `restrict(coords)`; restricted
-to a separated block and to its complement, it gives the two factors of a
-decomposition.  `restrict` and `parallel_system` build their bundles
-unchecked (`_derived`), valid by construction from checked ones.
-`decompose_system`, the one entry to Theorem 34, reads each trajectory as
-its pair in f'(u) x f''(u), two numbered factor runs by Theorem 27: it runs
-the factors, never the full bundle, and builds no hull and no woven schedule.
-`realize` runs the full bundle; the tests check the factor route against it.
+to separated blocks, it gives the factors of a decomposition.  `restrict`
+and `parallel_system` build their bundles unchecked (`_derived`), valid by
+construction from checked ones.  `_decompositions` walks a partition into
+separated blocks once, `decompose_system` (Theorem 34) is its one step, and
+by Theorem 27 each trajectory is a tuple of block-factor runs: neither the
+full bundle nor a rest of blocks runs, and no hull or weave is built.
+`realize` runs the full bundle; the tests check the walk against it.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Iterable, Mapping
+from itertools import chain, product
+from typing import Iterable, Iterator, Mapping
 
 from .boolfn import GeneratorFn, Partition, _separated_blocks, check_count, parallel_fn, project_fn
 from .errors import HorizonMismatch, InvalidSystem, ProgressivenessError, WidthMismatch
@@ -98,26 +98,25 @@ class RegularSystem(_Value):
 
     def restrict(self, coords: Iterable[int]) -> "RegularSystem":
         """The bundle on the state coordinates `coords`, in that order (see `_restricted`)."""
-        return _restricted(self, tuple(coords))[0]
+        return _restricted(self, tuple(coords), self.pi.items())[0]
 
 
-def _restricted(sys: RegularSystem, cs: tuple[int, ...]):
-    """The bundle on the coordinates `cs`, in that order, its distinct triples
-    (mu on cs, u, rho on cs) as a list, and per input the index (handle) there
-    of each admitted (mu, rho)'s triple, in `sys.pi`'s order.  One pass builds
-    the table `project_fn(phi, cs)`, every initial state restricted and, once
-    per restricted state, each distinct restriction of the schedules admitted above it."""
+def _restricted(sys: RegularSystem, cs: tuple[int, ...], admitted: Iterable):
+    """The bundle on the coordinates `cs`, in that order, its distinct triples (mu on cs,
+    u, rho on cs) as a list, and per input the index (handle) there of each schedule of
+    `admitted`, ((mu, u), schedules) groups covering `sys.pi`, in their order.  One pass
+    builds every restricted state and, once per restricted state, each distinct restriction."""
     k, gather, _, _ = _relabeler(sys.n, cs)
     phi0 = {u: frozenset(mu.restrict(cs) for mu in ms) for u, ms in sys.phi0.items()}
     pi: dict[tuple[BitVec, Signal], dict[tuple, int]] = {}  # firings -> handle
     triples, handles = [], {u: [] for u in sys.inputs}
-    for (mu, u), rs in sys.pi.items():
-        own, admitted = pi.setdefault((mc := mu.restrict(cs), u), {}), handles[u]
+    for (mu, u), rs in admitted:
+        own, mine = pi.setdefault((mc := mu.restrict(cs), u), {}), handles[u]
         for rho in rs:
             if (h := own.get(ev := _fired(rho.events, gather))) is None:
                 h = own[ev] = len(triples)
                 triples.append((mc, u, ProgressiveFunction._derived(k, None, ev, sys.horizon, ev)))
-            admitted.append(h)
+            mine.append(h)
     pi = {key: frozenset(triples[h][2] for h in own.values()) for key, own in pi.items()}
     return RegularSystem._derived(project_fn(sys.phi, cs), sys.inputs, phi0, pi), triples, handles
 
@@ -163,37 +162,24 @@ def parallel_system(a: RegularSystem, b: RegularSystem) -> RegularSystem:
     return RegularSystem._derived(phi, shared, phi0, pi)
 
 
-def _trajectory_classes(triples, nums: list[int], mu: BitVec, handles: list[int]) -> dict[int, ProgressiveFunction]:
-    """Each trajectory run from `mu` by a triple of `handles`, as its number in `nums`, mapped to its least schedule."""
-    classes: dict[int, ProgressiveFunction] = {}
-    for rho, x in sorted((triples[h][2], nums[h]) for h in set(handles) if triples[h][0] == mu):
-        classes.setdefault(x, rho)
-    return classes
-
-
-def _product_condition(sys: RegularSystem, bs, cs, first, second, short: dict[Signal, tuple[set, set, set]]
+def _product_condition(sys: RegularSystem, bs, cs, first, second, short: dict[Signal, set]
                        ) -> tuple[Signal, BitVec, ProgressiveFunction, ProgressiveFunction] | None:
-    """None if every schedule product of the factors is trajectory-covered,
-    else the first witness (u, mu, rho_block, rho_rest) of the sorted loop
-    over schedule pairs.  `first` and `second` hold each factor's triples,
-    handles, run numbers and runs (see `decompose_system`); `short[u]` holds
-    f(u), f'(u) and f''(u) in run numbers for each input u that falls short
-    of its hull.  By Theorem 27 a woven pair runs to the product of its
-    factors' runs, so the loop goes over the factors' trajectory classes, runs
-    and weaves nothing, and visits only states whose halves start fewer pairs
-    than the hull does; the witness is the first pair that f(u) lacks."""
-    (tb, hb, nb, xb), (tc, hc, nc, xc) = first, second
-    for u, (pairs, out_b, out_c) in short.items():
-        from_b, from_c = Counter(xb[r].initial for r in out_b), Counter(xc[r].initial for r in out_c)
-        started = Counter((xb[rb].initial, xc[rc].initial) for rb, rc in pairs)
+    """None if every schedule product of the factors is trajectory-covered, else
+    the first witness (u, mu, rho_block, rho_rest): over `sys.phi0[u]` in order and
+    each side's trajectory classes by least schedule, the first pair that f(u) lacks
+    (`short[u]`, for each input short of its hull).  `first` and `second` hold each
+    side's triples, handles and numbers.  By Theorem 27 the loop runs nothing; mu ->
+    (mu on bs, mu on cs) is one-to-one, so the pairs tried are distinct, in the hulls."""
+    for u, pairs in short.items():
+        least = [{}, {}]  # per side: state's value -> {number: least schedule}
+        for (triples, handles, nums), classes in zip((first, second), least):
+            for h in sorted(set(handles[u]), key=lambda h: triples[h][2].key):  # the schedules' order
+                classes.setdefault(triples[h][0].value, {}).setdefault(nums[h], triples[h][2])
         for mu in sys.phi0[u]:
-            mb, mc = mu.restrict(bs), mu.restrict(cs)
-            if started[mb.value, mc.value] < from_b[mb.value] * from_c[mc.value]:
-                rests = _trajectory_classes(tc, nc, mc, hc[u]).items()
-                for x, rb in _trajectory_classes(tb, nb, mb, hb[u]).items():
-                    for y, rc in rests:
-                        if (x, y) not in pairs:
-                            return u, mu, rb, rc
+            b, c = (classes[mu.restrict(xs).value].items() for classes, xs in zip(least, (bs, cs)))
+            for (x, rb), (y, rc) in product(b, c):
+                if (x, y) not in pairs:
+                    return u, mu, rb, rc
     return None
 
 
@@ -213,49 +199,67 @@ class DecompositionResult(_Value):
                            "product_witness", "hull_sizes")
 
 
-def decompose_system(
-    sys: RegularSystem, block: Iterable[int], horizon: Tick
-) -> DecompositionResult:
+def decompose_system(sys: RegularSystem, block: Iterable[int], horizon: Tick) -> DecompositionResult:
     """Decompose at a separated block and verify the parallel hull, from the factors alone.
 
-    Refuses with a dependency witness (`NotSeparatedError`) if the block is
-    not separated.  The factors f' and f'' are `sys.restrict` to the block and
-    to its complement, both ascending; each factor runs each (mu, u, rho) it
-    admits once and numbers the distinct runs; the full bundle never runs.
-    By Theorem 27 the run of (mu, u, rho) read on the block is the block
-    factor's run from mu and rho read there, and so on the complement: each
-    trajectory of f(u) is a pair of factor run numbers, in (f' || f'')(u) =
-    f'(u) x f''(u).  The verdict is "equal" iff the pairs number
-    |f'(u)| * |f''(u)| for every u.  The hulls of the inputs that fall short
-    are counted against the size limit, never built, and the product condition
-    is read off their missing pairs.  Theorem 34 is cross-checked both ways:
-    `InvalidSystem` unless "equal" goes with phi0 in product form and no `product_witness`.
+    The one step of `_decompositions` at the block and its complement, both
+    ascending.  Refuses with a dependency witness (`NotSeparatedError`) if the
+    block is not separated, and at a horizon other than the system's.
     """
     bs, cs = _separated_blocks(sys.phi, block)
     if horizon != sys.horizon:
         raise HorizonMismatch(f"horizon {horizon} does not match the system's {sys.horizon}")
-    sides = []
-    for f, triples, handles in (_restricted(sys, bs), _restricted(sys, cs)):
-        ids: dict[Signal, int] = {}  # each distinct run, numbered in the order of its first triple
-        nums = [ids.setdefault(run(f.phi, mu, u, rho, horizon), len(ids)) for mu, u, rho in triples]
-        sides.append((f, triples, handles, nums, list(ids)))
-    (first, *side_b), (second, *side_c) = sides
-    # mu -> (mu on bs, mu on cs) is one-to-one into first.phi0[u] x second.phi0[u], so onto iff the sizes agree
-    product_form = all(len(sys.phi0[u]) == len(first.phi0[u]) * len(second.phi0[u]) for u in sys.inputs)
+    [result] = _decompositions(sys, (bs, cs))
+    return result
 
-    sizes, short = [], {}
-    for u in sys.inputs:  # each admitted (mu, rho) as its two run numbers
-        ib, ic = ([*map(nums.__getitem__, handles[u])] for _, handles, nums, _ in (side_b, side_c))
-        pairs, out_b, out_c = set(zip(ib, ic)), set(ib), set(ic)
-        hull = len(out_b) * len(out_c)
-        if len(pairs) < hull:  # a subset of a finite product, of the product's size, is all of it
-            short[u] = pairs, out_b, out_c
-        sizes.append((u, len(pairs), hull))
 
-    equal = not short
-    check_count(sum(len(b) * len(c) for _, b, c in short.values()), "trajectories in the hulls")
-    witness = _product_condition(sys, bs, cs, side_b, side_c, short)
-    if (product_form and witness is None) != equal:
-        raise InvalidSystem("Theorem 34's conditions disagree with the realizations; horizon artifact")
-    return DecompositionResult(first, second, "equal" if equal else "strict-subset", Partition((bs, cs)),
-                               product_form, witness, tuple(sizes))
+def _decompositions(sys: RegularSystem, blocks) -> Iterator[DecompositionResult]:
+    """Decompose `sys` along `blocks`, two or more separated blocks, ascending
+    tuples that partition 1..n (not checked here).  Step s splits the bundle on
+    blocks s onward, coordinates ascending, into f' on block s and f'' on the
+    rest, which step s + 1 splits from this step's rest triples, so that its
+    handles line up with them.  Only the blocks' factors run.  By Theorem 27 a
+    run read on a separated block is that block factor's run, so each
+    trajectory of f(u) is a pair of numbers in (f' || f'')(u) = f'(u) x f''(u),
+    and a rest triple's is the pair the next step gives it.  A step is "equal"
+    iff the pairs number |f'(u)| * |f''(u)| for every u; the hulls of the inputs
+    that fall short are counted against the size limit, never built, and the
+    product condition is read off their missing pairs.  Theorem 34 is checked
+    both ways: `InvalidSystem` unless "equal" goes with phi0 in product form
+    and no `product_witness`.  Each step is yielded, or refused, in turn."""
+    rest, triples, steps, horizon = blocks, None, [], sys.horizon  # the blocks left, in their bundle's coordinates
+    for _ in blocks[:-1]:
+        admitted = sys.pi.items() if triples is None else [((mu, u), (rho,)) for mu, u, rho in triples]
+        bs, *rest = rest
+        cs = tuple(sorted(chain(*rest)))
+        steps.append([sys, bs, cs, _restricted(sys, bs, admitted), _restricted(sys, cs, admitted)])
+        sys, triples, _ = steps[-1][-1]
+        if rest[1:]:  # the next step's blocks, renumbered in this step's rest
+            at = {c: k for k, c in enumerate(cs, 1)}
+            rest = [tuple([at[c] for c in b]) for b in rest]
+    ids = {}  # each distinct run of the last block, numbered in the order of its first triple
+    nc = [ids.setdefault(run(sys.phi, mu, u, rho, horizon), len(ids)) for mu, u, rho in triples]
+    for k in reversed(range(len(steps))):
+        (f, tb, hb), (g, tc, hc) = steps[k][3:]
+        ids = {}
+        nb = [ids.setdefault(run(f.phi, mu, u, rho, horizon), len(ids)) for mu, u, rho in tb]
+        steps[k][3:] = (f, tb, hb, nb), (g, tc, hc, nc)
+        if k:  # the previous step's rest triples, each numbered by its pair of numbers here
+            at, ids = {u: zip(map(nb.__getitem__, hb[u]), map(nc.__getitem__, hc[u])) for u in hb}, {}
+            nc = [ids.setdefault(next(at[u]), len(ids)) for _, u, _ in steps[k - 1][4][1]]
+    for sys, bs, cs, (first, *side_b), (second, *side_c) in steps:
+        # mu -> (mu on bs, mu on cs) is one-to-one into first.phi0[u] x second.phi0[u], so onto iff the sizes agree
+        product_form = all(len(sys.phi0[u]) == len(first.phi0[u]) * len(second.phi0[u]) for u in sys.inputs)
+        sizes, short = [], {}
+        for u in sys.inputs:  # each admitted (mu, rho) as its two numbers
+            ib, ic = ([*map(nums.__getitem__, handles[u])] for _, handles, nums in (side_b, side_c))
+            pairs, hull = set(zip(ib, ic)), len(set(ib)) * len(set(ic))
+            if len(pairs) < hull:  # a subset of a finite product, of the product's size, is all of it
+                short[u] = pairs
+            sizes.append((u, len(pairs), hull))
+        check_count(sum(hull for _, own, hull in sizes if own < hull), "trajectories in the hulls")
+        witness = _product_condition(sys, bs, cs, side_b, side_c, short)
+        if (product_form and witness is None) != (not short):
+            raise InvalidSystem("Theorem 34's conditions disagree with the realizations; horizon artifact")
+        yield DecompositionResult(first, second, "strict-subset" if short else "equal", Partition((bs, cs)),
+                                  product_form, witness, tuple(sizes))

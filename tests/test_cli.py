@@ -296,19 +296,84 @@ factors=2
 """
 
 
-@pytest.mark.parametrize("block, expected", [((), _INTERLEAVED_STEPS), (("--block", "2,5"), _INTERLEAVED_BLOCK)])
-def test_decompose_steps_past_the_first_name_the_remaining_coordinates_by_rank(tmp_path, capsys, block, expected):
-    """Blocks {1,4} | {2,5} | {3} interleave, so step 2 decomposes the factor on
-    coordinates 2, 3, 5 and names block {2,5} by its ranks there, {1,3}."""
+def _interleaved_bundle():
+    """Blocks {1,4} | {2,5} | {3}, interleaved; two states, two schedules each."""
     phi = compile_program(load_text("x1' = x4 ^ u1\nx2' = x5 & u1\nx3' = !x3\nx4' = x1\nx5' = x2 | u1\n",
                                     EquationProgram))
     u = unit_step(2, 12)
     states = [BitVec.from_string(s) for s in ("00000", "10010")]
     rhos = [round_robin(5, (1, 4, 7), 12), ProgressiveFunction(5, ((1, 0b01001), (3, 0b10110), (6, 0b11111)), 12)]
-    bundle = RegularSystem(phi, (u,), {u: states}, {(mu, u): rhos for mu in states})
-    (tmp_path / "il.sys").write_text("".join(format_system(bundle)))
+    return RegularSystem(phi, (u,), {u: states}, {(mu, u): rhos for mu in states})
+
+
+@pytest.mark.parametrize("block, expected", [((), _INTERLEAVED_STEPS), (("--block", "2,5"), _INTERLEAVED_BLOCK)])
+def test_decompose_steps_past_the_first_name_the_remaining_coordinates_by_rank(tmp_path, capsys, block, expected):
+    """Blocks {1,4} | {2,5} | {3} interleave, so step 2 decomposes the factor on
+    coordinates 2, 3, 5 and names block {2,5} by its ranks there, {1,3}."""
+    (tmp_path / "il.sys").write_text("".join(format_system(_interleaved_bundle())))
     assert main(["decompose", "--system", str(tmp_path / "il.sys"), "--out", str(tmp_path / "il.kv"), *block]) == 0
     assert (capsys.readouterr().out, (tmp_path / "il.kv").read_text()) == expected
+
+
+def test_decompose_runs_only_the_blocks_distinct_triples(tmp_path, monkeypatch, capsys):
+    """Counted work, no clock: over the three interleaved blocks, decompose runs
+    each distinct triple of each block's factor once, and no triple of the
+    full bundle or of a rest of two blocks, whose pairs the blocks' runs give."""
+    from collections import Counter
+
+    bundle = _interleaved_bundle()
+    (tmp_path / "il.sys").write_text("".join(format_system(bundle)))
+    calls, real_run = Counter(), systems.run
+
+    def counted_run(phi, mu, u, rho, horizon):
+        calls[(phi, mu, u, rho)] += 1
+        return real_run(phi, mu, u, rho, horizon)
+
+    monkeypatch.setattr(systems, "run", counted_run)
+    assert main(["decompose", "--system", str(tmp_path / "il.sys")]) == 0
+    assert "overall: strict-subset (3 factors)" in capsys.readouterr().out
+    factors = [bundle.restrict(b) for b in ((1, 4), (2, 5), (3,))]
+    assert calls == Counter((f.phi, mu, u, r) for f in factors for u in f.inputs
+                            for mu in f.phi0[u] for r in f.pi[(mu, u)])
+    assert sum(calls.values()) == 8 and max(calls.values()) == 1
+
+
+@pytest.mark.parametrize("block", [(), ("--block", "2,5")])
+def test_decompose_scans_the_dependencies_once(tmp_path, monkeypatch, capsys, block):
+    """The finest partition's blocks are separated by construction, so a
+    finest-partition decompose scans the table once, for the partition, and
+    gates no step; `--block` is gated once."""
+    from asyncdec import boolfn
+
+    (tmp_path / "il.sys").write_text("".join(format_system(_interleaved_bundle())))
+    calls, real = [], boolfn.dependency_matrix
+
+    def counted(phi):
+        calls.append(phi)
+        return real(phi)
+
+    monkeypatch.setattr(boolfn, "dependency_matrix", counted)
+    monkeypatch.setattr(cli_module, "dependency_matrix", counted)
+    assert main(["decompose", "--system", str(tmp_path / "il.sys"), *block]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+def test_a_later_step_past_the_hull_limit_is_refused_after_the_earlier_steps_print(workdir, monkeypatch, capsys):
+    """Coordinate 1 holds, and coordinates 2 and 3 negate, fired at t and t + 3
+    for t = 1..5: step 1 pairs one run of {1} with five of the rest and is
+    equal, and step 2's hull holds 5 x 5 = 25, past 2^4 (n+m = 4 is not).
+    Step 1 is printed, and then step 2 is refused."""
+    u, mu = unit_step(0, 10), BitVec.from_string("000")
+    rhos = {ProgressiveFunction(3, ((t, 0b011), (t + 3, 0b100)), 10) for t in range(1, 6)}
+    phi = GeneratorFn.from_function(3, 1, lambda mu, lam: BitVec(3, mu.value ^ 0b110))
+    (workdir / "hold.sys").write_text("".join(format_system(RegularSystem(phi, (u,), {u: {mu}}, {(mu, u): rhos}))))
+    monkeypatch.setenv("ASYNC_DEC_SIZE_LIMIT", "4")
+    assert main(["decompose", "--system", str(workdir / "hold.sys")]) == 2
+    out, err = capsys.readouterr()
+    assert out.startswith("finest partition: {1} | {2} | {3}\nstep1 block {1}:\n") and "step2" not in out
+    assert "  status: equal\n" in out and "own 5 states, hull 5 states" in out
+    assert err.startswith("error: 25 trajectories in the hulls exceed 2^4")
 
 
 def test_decompose_coupled_block_is_violation(workdir):
@@ -355,6 +420,63 @@ def test_emitted_factors_compose_back_to_the_hull(tmp_path, capsys):
         assert same == (doc["status"] == "equal")
         verdicts.append(doc["status"])
     assert sorted(set(verdicts)) == ["equal", "strict-subset"]
+
+
+@st.composite
+def relabeled_bundles(draw):
+    """A seeded bundle of one of three kinds, n <= 6, and a permutation of its
+    coordinates: a random bundle over the parallel connection of two or three
+    random tables, phi0 and pi drawn state by state; the parallel connection of
+    two random bundles; or identity dynamics over a diagonal phi0."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    kind, m = draw(st.sampled_from(("random", "product", "diagonal"))), rng.randint(1, 2)
+    if kind == "random":
+        tables = [checks.rand_fn(rng, rng.randint(1, 2), m) for _ in range(rng.randint(2, 3))]
+        bundle = checks.rand_system(rng, reduce(parallel_fn, tables), 12, rng.randint(1, 2))
+    elif kind == "product":
+        bundle = checks._product_form_system(rng, *(checks.rand_fn(rng, rng.randint(1, 3), m) for _ in "ab"), 12)
+    else:
+        n, u = rng.randint(2, 4), unit_step(0, 12)
+        states = [BitVec(n, 0), BitVec(n, (1 << n) - 1)]
+        bundle = RegularSystem(GeneratorFn.identity(n, 1), (u,), {u: states},
+                               {(mu, u): [round_robin(n, (1, 2), 12)] for mu in states})
+    return bundle, draw(st.permutations(range(1, bundle.n + 1)))
+
+
+@given(relabeled_bundles())
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_a_relabeled_bundle_gives_the_image_of_its_partition_and_its_verdict(case):
+    """Read a bundle through a permutation sigma (coordinate k of the image is
+    coordinate sigma[k-1]): the table by `project_fn` and phi0 and pi by
+    `restrict`.  `analyze` gives sigma's image of the finest partition, and
+    `decompose` the same overall status and factor count."""
+    from tempfile import TemporaryDirectory
+
+    from asyncdec import project_fn
+
+    bundle, sigma = case
+    moved = bundle.restrict(sigma)
+    assert moved.phi == project_fn(bundle.phi, sigma)
+    docs = []
+    with TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()):
+        for name, b in (("own", bundle), ("moved", moved)):
+            table, system = os.path.join(tmp, f"{name}.tt"), os.path.join(tmp, f"{name}.sys")
+            with open(table, "w") as f:
+                f.writelines(format_truth_table(b.phi))
+            with open(system, "w") as f:
+                f.writelines(format_system(b))
+            assert main(["analyze", "--phi", table, "--out", table + ".kv"]) == 0
+            assert main(["decompose", "--system", system, "--out", system + ".kv"]) == 0
+            with open(table + ".kv") as a, open(system + ".kv") as d:
+                docs.append(tuple(dict(line.rstrip("\n").split("=", 1) for line in f) for f in (a, d)))
+    (own, own_steps), (image, image_steps) = docs
+
+    def blocks(doc):
+        return {frozenset(map(int, b.split(","))) for b in doc["partition.blocks"].split("|")}
+
+    assert blocks(image) == {frozenset(k for k, c in enumerate(sigma, 1) if c in b) for b in blocks(own)}
+    assert blocks(image_steps) == blocks(image)
+    assert (image_steps["status"], image_steps.get("factors")) == (own_steps["status"], own_steps.get("factors"))
 
 
 def test_analyze_of_a_composition_lists_the_first_tables_blocks_then_the_seconds(tmp_path):

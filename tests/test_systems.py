@@ -556,12 +556,14 @@ def test_the_witness_search_adds_no_run(monkeypatch):
     assert result.product_witness == (sys_.inputs[0], bv("00"), *fire)
 
 
-def test_the_witness_search_skips_states_that_start_no_missing_pair(monkeypatch):
+def test_the_witness_search_tries_no_more_class_pairs_than_the_hull(monkeypatch):
     """Coordinate 1 follows the input and coordinate 2 its negation, over the
     four states, each firing both coordinates at one of 30 ticks.  Only 01
-    moves both halves, so only its halves start pairs that f(u) lacks; the
-    three states iterated before it share its halves and start none: the
-    search groups the factor schedules of 01's halves alone, and runs nothing."""
+    moves both halves, so only its halves start pairs that f(u) lacks, and it
+    is iterated last.  The search walks every state's class pairs in order:
+    30 + 30 + 1 before 01, then two at 01, whose second is the witness.  Each
+    state's halves differ, so the pairs tried are distinct members of the
+    hull, and the hull count bounds them; the search runs nothing."""
     count = 30
     u, states = unit_step(0, count + 1), [bv(b) for b in ("00", "01", "10", "11")]
     rhos = {ProgressiveFunction(2, ((t, 0b11),), count + 1) for t in range(1, count + 1)}
@@ -570,16 +572,23 @@ def test_the_witness_search_skips_states_that_start_no_missing_pair(monkeypatch)
     assert list(sys_.phi0[u])[-1] == bv("01")  # the states that share its halves come first
     import asyncdec.systems as systems_mod
 
-    grouped, real_classes = [], systems_mod._trajectory_classes
-    monkeypatch.setattr(systems_mod, "_trajectory_classes",
-                        lambda f, runs, mu, v: grouped.append(mu) or real_classes(f, runs, mu, v))
+    tried, real_product = [], systems_mod.product
+
+    def counted_product(*sides):
+        for pair in real_product(*sides):
+            tried.append(pair)
+            yield pair
+
+    monkeypatch.setattr(systems_mod, "product", counted_product)
     calls = _counted_runs(monkeypatch)
     result = decompose_system(sys_, (1,), sys_.horizon)
     monkeypatch.undo()
     assert result.phi0_product_form and result.status == "strict-subset"
     assert result.hull_sizes[0][1:] == (3 * count + 1, (count + 1) ** 2)
     assert calls == _admitted(result.first, result.second) and _no_full_run(calls, sys_)
-    assert grouped == [bv("1"), bv("0")]  # 01's halves, the complement's first
+    hull = sum(hull for _, own, hull in result.hull_sizes if own < hull)
+    assert len(tried) == 2 * count + 1 + 2 <= hull
+    assert len({(x, y) for (x, _), (y, _) in tried}) == len(tried)
     fire = [ProgressiveFunction(1, ((t, 1),), count + 1) for t in (1, 2)]
     assert result.product_witness == (u, bv("01"), *fire)
 
@@ -869,3 +878,33 @@ def test_phi0_product_form_by_count_matches_the_set_comparison():
         assert result.phi0_product_form == by_sets
         verdicts.add(by_sets)
     assert verdicts == {False, True}
+
+
+def test_the_walk_matches_the_nested_decomposition_step_by_step():
+    """The walk over Phi's finest partition against the nested route it
+    replaced, kept here as its oracle: `decompose_system` on the previous
+    step's second factor, at the next block's ranks among the coordinates
+    left.  On random bundles (phi0 and pi drawn state by state) over the
+    parallel connection of three random tables, coordinates shuffled, every
+    step equals the nested one: factors, status, partition, product form,
+    witness and hull sizes."""
+    from asyncdec import dependency_matrix, parallel_fn, project_fn
+    from asyncdec.systems import _decompositions
+
+    rng = random.Random(54)
+    kinds = set()
+    for _ in range(200):
+        m = rng.randint(1, 2)
+        tables = [rand_fn(rng, rng.randint(1, 2), m) for _ in range(3)]
+        phi = parallel_fn(parallel_fn(tables[0], tables[1]), tables[2])
+        phi = project_fn(phi, rng.sample(range(1, phi.n + 1), phi.n))
+        sys_ = rand_system(rng, phi, H, n_inputs=rng.randint(1, 2))
+        blocks = dependency_matrix(phi).components().blocks
+        current, left = sys_, list(range(1, phi.n + 1))
+        for step, walked in enumerate(_decompositions(sys_, blocks)):
+            nested = decompose_system(current, [left.index(c) + 1 for c in blocks[step]], H)
+            assert walked == nested
+            kinds.add((step > 0, nested.status, nested.product_witness is None))
+            current, left = nested.second, [c for c in left if c not in blocks[step]]
+        assert step == len(blocks) - 2
+    assert {(True, "equal", True), (True, "strict-subset", False), (False, "strict-subset", False)} <= kinds
